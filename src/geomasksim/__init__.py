@@ -8,149 +8,4 @@ replications, and reports the attenuation of the distance coefficient plus
 the analytic Fisher-information efficiency loss.
 """
 
-from .dataset import ChoiceDataset
-from .density import DegenerateSampleError, KdeEstimate, kde, silverman_bandwidth
-from .efficiency import (
-    DEFAULT_MOMENT_VARIANT,
-    MOMENT_VARIANTS,
-    EfficiencyReport,
-    efficiency_loss,
-    efficiency_report,
-    empirical_variance_ratio,
-    expected_sq_masked_distance,
-    information_beta,
-)
-from .experiments import (
-    AttenuationCurve,
-    BatchConvergenceError,
-    CurveRow,
-    EfficiencyRun,
-    EmptyCellError,
-    ExperimentConfig,
-    ExperimentResult,
-    ReplicationRecord,
-    build_curve,
-    prepare_dataset,
-    run_attenuation_experiment,
-    run_baseline,
-    run_centroid_experiment,
-    run_efficiency_experiment,
-    run_experiment,
-    summarize_replications,
-)
-from .geometry import (
-    Displacement,
-    Point,
-    StudyArea,
-    displace,
-    distorted_distance,
-    equivalent_circle_radius,
-    euclidean_distance,
-    standardize_coordinates,
-)
-from .logit import (
-    InvalidFitError,
-    LogitFit,
-    LogitParams,
-    SeparationError,
-    SingularInformationError,
-    fit_distance_choice,
-    fit_logit,
-    is_significant,
-    log_likelihood,
-    observed_information,
-    score,
-    wald_ci,
-)
-from .masking import (
-    GAUSSIAN_CALIBRATION,
-    BoundaryExhaustionError,
-    MaskSpec,
-    draw_displacement,
-    mask_coordinates,
-    mask_dataset,
-    mask_point,
-)
-from .population import (
-    MunicipalityGrid,
-    OutOfGridError,
-    assign_to_centroid,
-    build_municipality_grid,
-    generate_csr,
-    generate_csr_xy,
-    simulate_choices,
-    simulate_choices_xy,
-)
-from .rng import RngStream, derive_stream, splitmix64
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AttenuationCurve",
-    "BatchConvergenceError",
-    "BoundaryExhaustionError",
-    "ChoiceDataset",
-    "CurveRow",
-    "DEFAULT_MOMENT_VARIANT",
-    "DegenerateSampleError",
-    "Displacement",
-    "EfficiencyReport",
-    "EfficiencyRun",
-    "EmptyCellError",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "GAUSSIAN_CALIBRATION",
-    "InvalidFitError",
-    "KdeEstimate",
-    "LogitFit",
-    "LogitParams",
-    "MOMENT_VARIANTS",
-    "MaskSpec",
-    "MunicipalityGrid",
-    "OutOfGridError",
-    "Point",
-    "ReplicationRecord",
-    "RngStream",
-    "SeparationError",
-    "SingularInformationError",
-    "StudyArea",
-    "assign_to_centroid",
-    "build_curve",
-    "build_municipality_grid",
-    "derive_stream",
-    "displace",
-    "distorted_distance",
-    "draw_displacement",
-    "efficiency_loss",
-    "efficiency_report",
-    "empirical_variance_ratio",
-    "equivalent_circle_radius",
-    "euclidean_distance",
-    "expected_sq_masked_distance",
-    "fit_distance_choice",
-    "fit_logit",
-    "generate_csr",
-    "generate_csr_xy",
-    "information_beta",
-    "is_significant",
-    "kde",
-    "log_likelihood",
-    "mask_coordinates",
-    "mask_dataset",
-    "mask_point",
-    "observed_information",
-    "prepare_dataset",
-    "run_attenuation_experiment",
-    "run_baseline",
-    "run_centroid_experiment",
-    "run_efficiency_experiment",
-    "run_experiment",
-    "score",
-    "silverman_bandwidth",
-    "simulate_choices",
-    "simulate_choices_xy",
-    "splitmix64",
-    "standardize_coordinates",
-    "summarize_replications",
-    "wald_ci",
-]

@@ -37,6 +37,7 @@ from .experiments import (
     run_efficiency_experiment,
     run_experiment,
 )
+from .geometry import Point, facility_distances
 from .logit import InvalidFitError, LogitFit, SeparationError, fit_distance_choice, wald_ci
 from .masking import BoundaryExhaustionError, MaskSpec, mask_coordinates
 from .reports import (
@@ -202,7 +203,7 @@ def _cmd_fit(args) -> int:
     ids, xy, choices = read_points_csv(args.points)
     if choices is None:
         raise _CliError(f"{args.points} has no choice column; `fit` needs id,x,y,choice")
-    d = np.hypot(xy[:, 0] - args.facility_x, xy[:, 1] - args.facility_y)
+    d = facility_distances(xy, Point(args.facility_x, args.facility_y))
     try:
         fit = fit_distance_choice(d, choices.astype(np.float64))
     except SeparationError as exc:

@@ -1,4 +1,4 @@
-"""The choice dataset shared by the masking, fitting and efficiency layers."""
+"""The choice dataset shared by the population, fitting and efficiency layers."""
 
 from __future__ import annotations
 
@@ -6,69 +6,50 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import StudyArea, distance_matrix
-
-#: Recomputed distances must agree with the stored matrix to this tolerance.
-DISTANCE_CONSISTENCY_TOL = 1e-12
+from .geometry import Point, facility_distances
 
 
 @dataclass
 class ChoiceDataset:
-    """Individuals, facilities, distances and binary choices.
+    """Individuals, one facility, their distances and binary choices.
 
     ``points`` holds the true coordinates, shape (n, 2). When
     ``masked_points`` is set it becomes the active coordinate set and
-    ``distances`` (n, H) is derived from it; otherwise distances come from
+    ``distances`` (n,) is derived from it; otherwise distances come from
     the true coordinates. Choices are 0/1, one per individual.
     """
 
     points: np.ndarray
-    facilities: np.ndarray
+    facility: Point
     choices: np.ndarray
-    area: StudyArea
     masked_points: np.ndarray | None = None
-    distances: np.ndarray = field(default=None)  # type: ignore[assignment]
+    distances: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.points = np.ascontiguousarray(self.points, dtype=np.float64)
-        self.facilities = np.ascontiguousarray(self.facilities, dtype=np.float64)
         self.choices = np.ascontiguousarray(self.choices, dtype=np.int64)
         if self.masked_points is not None:
             self.masked_points = np.ascontiguousarray(self.masked_points, dtype=np.float64)
 
         if self.points.ndim != 2 or self.points.shape[1] != 2 or self.points.shape[0] < 1:
             raise ValueError(f"points must have shape (n, 2) with n >= 1, got {self.points.shape}")
-        if self.facilities.ndim != 2 or self.facilities.shape[1] != 2 or self.facilities.shape[0] < 1:
-            raise ValueError(f"facilities must have shape (H, 2) with H >= 1, got {self.facilities.shape}")
         n = self.points.shape[0]
         if self.choices.shape != (n,):
             raise ValueError(f"choices must have shape ({n},), got {self.choices.shape}")
         if self.masked_points is not None and self.masked_points.shape != self.points.shape:
             raise ValueError("masked_points must match the shape of points")
-        if not np.isfinite(self.points).all() or not np.isfinite(self.facilities).all():
+        if not np.isfinite(self.points).all():
             raise ValueError("coordinates must be finite")
         if self.masked_points is not None and not np.isfinite(self.masked_points).all():
             raise ValueError("masked coordinates must be finite")
         if not np.isin(self.choices, (0, 1)).all():
             raise ValueError("choices must be 0 or 1")
 
-        expected = distance_matrix(self.active_points, self.facilities)
-        if self.distances is None:
-            self.distances = expected
-        else:
-            self.distances = np.ascontiguousarray(self.distances, dtype=np.float64)
-            if self.distances.shape != expected.shape:
-                raise ValueError(f"distances must have shape {expected.shape}, got {self.distances.shape}")
-            if np.abs(self.distances - expected).max() > DISTANCE_CONSISTENCY_TOL:
-                raise ValueError("distances are inconsistent with the active coordinates")
+        self.distances = facility_distances(self.active_points, self.facility)
 
     @property
     def n(self) -> int:
         return self.points.shape[0]
-
-    @property
-    def n_facilities(self) -> int:
-        return self.facilities.shape[0]
 
     @property
     def active_points(self) -> np.ndarray:
@@ -77,15 +58,11 @@ class ChoiceDataset:
 
     @property
     def true_distances(self) -> np.ndarray:
-        """Distances computed from the true coordinates, shape (n, H)."""
+        """Distances computed from the true coordinates, shape (n,)."""
         if self.masked_points is None:
             return self.distances
-        return distance_matrix(self.points, self.facilities)
-
-    def has_both_choice_values(self) -> bool:
-        """True when the response contains at least one 0 and one 1."""
-        return bool(self.choices.min() == 0 and self.choices.max() == 1)
+        return facility_distances(self.points, self.facility)
 
     def with_masked_points(self, masked_xy: np.ndarray) -> "ChoiceDataset":
         """Copy with new active coordinates; distances recomputed, choices kept."""
-        return replace(self, masked_points=masked_xy, distances=None)
+        return replace(self, masked_points=masked_xy)

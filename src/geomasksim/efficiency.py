@@ -91,53 +91,22 @@ def expected_sq_masked_distance(d: float, theta_star: float, variant: str = DEFA
     return float(out) if out.ndim == 0 else out
 
 
-def _weights(ds: ChoiceDataset, p: LogitParams, facility_index: int) -> tuple[np.ndarray, np.ndarray]:
-    d = ds.true_distances[:, facility_index]
-    lam = expit(p.alpha + p.beta * d)
-    return lam * (1.0 - lam), d
-
-
 def information_beta(
     ds: ChoiceDataset,
     p: LogitParams,
-    theta_star: float | None = None,
+    theta_star: float = 0.0,
     variant: str = DEFAULT_MOMENT_VARIANT,
-    facility_index: int = 0,
-    lambda_at_masked: bool = False,
 ) -> float:
-    """beta-information sum L(1-L) d^2, or its masked-moment analog.
+    """beta-information sum L(1-L) E(d_masked^2) with the logistic weights at
+    the true distances.
 
-    With ``theta_star`` set, d^2 is replaced by E(d_masked^2); the logistic
-    weights stay at the true distances unless ``lambda_at_masked`` asks for
-    the sensitivity variant (requires masked coordinates on the dataset).
+    theta_star = 0 gives the true-coordinate information sum L(1-L) d^2.
+    Both sides of the efficiency ratio go through this one expression, so
+    the ratio is exactly 1 at theta_star = 0.
     """
-    w, d = _weights(ds, p, facility_index)
-    if lambda_at_masked:
-        if ds.masked_points is None:
-            raise ValueError("lambda_at_masked requires masked coordinates")
-        dm = ds.distances[:, facility_index]
-        lam = expit(p.alpha + p.beta * dm)
-        w = lam * (1.0 - lam)
-    if theta_star is None:
-        return float((w * d * d).sum())
-    return float((w * expected_sq_masked_distance(d, theta_star, variant)).sum())
-
-
-def efficiency_loss(
-    ds: ChoiceDataset,
-    p: LogitParams,
-    theta_star: float,
-    variant: str = DEFAULT_MOMENT_VARIANT,
-    facility_index: int = 0,
-) -> float:
-    """info(true) / info(masked moment); 1 at theta* = 0, decreasing in theta*."""
-    info_true = information_beta(ds, p, facility_index=facility_index)
-    if info_true <= 0.0:
-        raise DegenerateInformationError(f"true information is {info_true}; ratio undefined")
-    info_masked = information_beta(
-        ds, p, theta_star=theta_star, variant=variant, facility_index=facility_index
-    )
-    return info_true / info_masked
+    d = ds.true_distances
+    lam = expit(p.alpha + p.beta * d)
+    return float((lam * (1.0 - lam) * expected_sq_masked_distance(d, theta_star, variant)).sum())
 
 
 def empirical_variance_ratio(true_fits: list[LogitFit], masked_fits: list[LogitFit]) -> float:
@@ -165,15 +134,16 @@ def efficiency_report(
     theta_star: float,
     variant: str = DEFAULT_MOMENT_VARIANT,
     el_empirical: float | None = None,
-    facility_index: int = 0,
 ) -> EfficiencyReport:
-    """Bundle the analytic quantities (and an optional empirical ratio) for one theta*."""
-    info_true = information_beta(ds, p, facility_index=facility_index)
+    """Bundle the analytic quantities (and an optional empirical ratio) for one theta*.
+
+    el_analytic = info(true) / info(masked moment): 1 at theta* = 0 and
+    decreasing in theta*.
+    """
+    info_true = information_beta(ds, p)
     if info_true <= 0.0:
         raise DegenerateInformationError(f"true information is {info_true}")
-    info_masked = information_beta(
-        ds, p, theta_star=theta_star, variant=variant, facility_index=facility_index
-    )
+    info_masked = information_beta(ds, p, theta_star=theta_star, variant=variant)
     return EfficiencyReport(
         theta_star=theta_star,
         info_true=info_true,

@@ -42,10 +42,11 @@ from .efficiency import (
     efficiency_report,
     empirical_variance_ratio,
 )
-from .geometry import Point, StudyArea, equivalent_circle_radius
+from .geometry import Point, StudyArea, equivalent_circle_radius, facility_distances
 from .logit import (
     LogitFit,
     LogitParams,
+    SeparationError,
     SingularInformationError,
     fit_distance_choice,
     fit_logit,
@@ -225,7 +226,6 @@ def prepare_dataset(config: ExperimentConfig) -> ChoiceDataset:
         config.resolved_facility,
         config.generating_params,
         choices_stream(config.seed),
-        area=config.area,
     )
 
 
@@ -251,6 +251,32 @@ def _init_worker(payload: dict) -> None:
     _WORKER.update(payload)
 
 
+def _fit_or_none(d: np.ndarray, y: np.ndarray) -> LogitFit | None:
+    """The one failure policy for replicated fits.
+
+    Degenerate choices (all 0s or all 1s) and a singular information matrix
+    have no estimate; such a replication counts as non-converged (None)
+    instead of aborting the run.
+    """
+    try:
+        return fit_distance_choice(d, y)
+    except (SeparationError, SingularInformationError):
+        return None
+
+
+def _mask_and_fit(
+    xy: np.ndarray,
+    y: np.ndarray,
+    spec: MaskSpec,
+    bounds: np.ndarray | None,
+    facility: Point,
+    rng,
+) -> LogitFit | None:
+    """One replication: mask the coordinates, measure distances, refit."""
+    masked = mask_coordinates(xy, spec, bounds, rng)
+    return _fit_or_none(facility_distances(masked, facility), y)
+
+
 def _replicate_block(task: tuple[int, float, int, int], state: dict | None = None) -> list[ReplicationRecord]:
     """Run replications [rep_start, rep_stop) of one theta* cell."""
     theta_index, theta_star, rep_start, rep_stop = task
@@ -261,19 +287,15 @@ def _replicate_block(task: tuple[int, float, int, int], state: dict | None = Non
         raise RuntimeError("choice vector changed after baseline; fixed-y contract violated")
     spec = st["base_spec"].with_theta_star(theta_star)
     bounds = st["bounds"]
-    fx, fy = st["facility"]
+    facility = st["facility"]
     ci_lo, ci_hi = st["baseline_ci"]
     z = st["z"]
     seed = st["seed"]
 
     records = []
     for rep in range(rep_start, rep_stop):
-        stream = derive_stream(seed, theta_index, rep)
-        masked = mask_coordinates(xy, spec, bounds, stream)
-        d = np.hypot(masked[:, 0] - fx, masked[:, 1] - fy)
-        try:
-            fit = fit_distance_choice(d, y)
-        except SingularInformationError:
+        fit = _mask_and_fit(xy, y, spec, bounds, facility, derive_stream(seed, theta_index, rep))
+        if fit is None:
             records.append(
                 ReplicationRecord(theta_star, rep, math.nan, math.nan, math.nan, False, 0, False, False)
             )
@@ -315,7 +337,7 @@ def _run_cells(
         "y_checksum": choices_checksum(y),
         "base_spec": base_spec,
         "bounds": bounds,
-        "facility": (facility.x, facility.y),
+        "facility": facility,
         "baseline_ci": baseline_ci,
         "z": z_quantile(_CI_LEVEL),
         "seed": seed,
@@ -389,7 +411,7 @@ def build_curve(records: list[ReplicationRecord], baseline: LogitFit | None = No
 def run_attenuation_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Mask-and-refit over the theta* grid (csr-population / fixed-area-grid).
 
-    Per replication: displace the true coordinates under the config's mask
+    Per replication: mask the true coordinates under the config's mask
     law at theta* = reference_radius x fraction, recompute distances to the
     facility, refit, record. A cell with under 50% convergence aborts the
     batch; individual failures are recorded and carried.
@@ -486,7 +508,10 @@ def run_efficiency_experiment(
     from the true coordinates for the numerator fits, and from the true
     coordinates but refit on freshly masked ones for the denominator — so
     both sides carry sampling variability (unlike the fixed-y attenuation
-    records, which would give the true coordinates zero variance).
+    records, which would give the true coordinates zero variance). A
+    replication without an estimate counts as non-converged, as in the
+    attenuation harness; fewer than 30 converged fits on either side of a
+    ratio raises InsufficientDataError.
     """
     if ds is None:
         ds = prepare_dataset(config)
@@ -498,18 +523,20 @@ def run_efficiency_experiment(
     if reps < 30:
         raise ValueError(f"need >= 30 efficiency replications, got {reps}")
     params = baseline.params
-    d_true = ds.true_distances[:, 0]
+    d_true = ds.true_distances
     prob = expit(config.generating_params.alpha + config.generating_params.beta * d_true)
-    fx, fy = config.resolved_facility.x, config.resolved_facility.y
     bounds = None
     if config.mask.boundary == "redraw":
         bounds = np.tile(np.asarray(config.area.bounds, dtype=np.float64), (config.n, 1))
 
+    def regenerate_choices(gen: np.random.Generator) -> np.ndarray:
+        return (gen.uniform(0.0, 1.0, config.n) < prob).astype(np.float64)
+
     true_fits = []
     for rep in range(reps):
         gen = efficiency_true_stream(config.seed, rep).generator()
-        y_rep = (gen.uniform(0.0, 1.0, config.n) < prob).astype(np.float64)
-        true_fits.append(fit_distance_choice(d_true, y_rep))
+        true_fits.append(_fit_or_none(d_true, regenerate_choices(gen)))
+    true_fits = [f for f in true_fits if f is not None]
     true_betas = np.array([f.params.beta for f in true_fits if f.converged])
 
     reports = []
@@ -519,10 +546,9 @@ def run_efficiency_experiment(
         masked_fits = []
         for rep in range(reps):
             gen = efficiency_masked_stream(config.seed, theta_index, rep).generator()
-            y_rep = (gen.uniform(0.0, 1.0, config.n) < prob).astype(np.float64)
-            masked = mask_coordinates(ds.points, spec, bounds, gen)
-            d = np.hypot(masked[:, 0] - fx, masked[:, 1] - fy)
-            masked_fits.append(fit_distance_choice(d, y_rep))
+            y_rep = regenerate_choices(gen)
+            masked_fits.append(_mask_and_fit(ds.points, y_rep, spec, bounds, ds.facility, gen))
+        masked_fits = [f for f in masked_fits if f is not None]
         el_emp = empirical_variance_ratio(true_fits, masked_fits)
         reports.append(efficiency_report(ds, params, theta_star, variant=variant, el_empirical=el_emp))
         masked_betas.append(np.array([f.params.beta for f in masked_fits if f.converged]))

@@ -1,4 +1,4 @@
-"""Planar geometry: points, study areas, polar displacements, distances.
+"""Planar geometry: points, study areas, point-to-facility distances.
 
 Everything here is a pure function over immutable values, so it is safe to
 call from any number of workers without coordination.
@@ -14,10 +14,6 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 
-class DegenerateExtentError(ValueError):
-    """All input points coincide, so there is no extent to standardize."""
-
-
 @dataclass(frozen=True)
 class Point:
     """A planar location in standardized map units."""
@@ -28,21 +24,6 @@ class Point:
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError(f"point coordinates must be finite, got ({self.x}, {self.y})")
-
-
-@dataclass(frozen=True)
-class Displacement:
-    """A polar offset: distance ``theta`` >= 0 and angle ``delta`` in [0, 2*pi)."""
-
-    theta: float
-    delta: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.theta) or self.theta < 0.0:
-            raise ValueError(f"theta must be finite and >= 0, got {self.theta}")
-        if not math.isfinite(self.delta):
-            raise ValueError(f"delta must be finite, got {self.delta}")
-        object.__setattr__(self, "delta", self.delta % TWO_PI)
 
 
 @dataclass(frozen=True)
@@ -121,46 +102,6 @@ class StudyArea:
         return (x_min <= x) & (x <= x_max) & (y_min <= y) & (y <= y_max)
 
 
-@dataclass(frozen=True)
-class AffineTransform:
-    """Uniform scale about a center followed by a translation to the origin.
-
-    Forward map: p' = ((p.x - cx) * scale, (p.y - cy) * scale).
-    """
-
-    scale: float
-    cx: float
-    cy: float
-
-    def apply(self, p: Point) -> Point:
-        return Point((p.x - self.cx) * self.scale, (p.y - self.cy) * self.scale)
-
-    def invert(self, p: Point) -> Point:
-        return Point(p.x / self.scale + self.cx, p.y / self.scale + self.cy)
-
-
-def euclidean_distance(p: Point, q: Point) -> float:
-    """Straight-line distance between two points."""
-    return math.hypot(p.x - q.x, p.y - q.y)
-
-
-def displace(p: Point, d: Displacement) -> Point:
-    """Move ``p`` by distance ``theta`` along angle ``delta``.
-
-    The offset is additive: (x + theta*cos(delta), y + theta*sin(delta)).
-    Because the displacement angle is always drawn uniformly over the full
-    circle, the additive and subtractive conventions give identically
-    distributed results; the additive form is the single code path used
-    everywhere.
-    """
-    return Point(p.x + d.theta * math.cos(d.delta), p.y + d.theta * math.sin(d.delta))
-
-
-def distorted_distance(p: Point, d: Displacement, origin: Point) -> float:
-    """Distance from ``origin`` to ``p`` after displacing ``p`` by ``d``."""
-    return euclidean_distance(displace(p, d), origin)
-
-
 def equivalent_circle_radius(surface_area: float) -> float:
     """Radius of the circle whose area equals ``surface_area``."""
     if not (surface_area > 0.0) or not math.isfinite(surface_area):
@@ -168,47 +109,11 @@ def equivalent_circle_radius(surface_area: float) -> float:
     return math.sqrt(surface_area / math.pi)
 
 
-def standardize_coordinates(points: list[Point]) -> tuple[list[Point], AffineTransform]:
-    """Map a point set into the unit square centered at the origin.
+def facility_distances(xy: np.ndarray, facility: Point) -> np.ndarray:
+    """Distances from each row of an (n, 2) coordinate array to the facility.
 
-    The bounding box is translated to the origin and scaled uniformly so the
-    longer side has length 1 (aspect ratio preserved). Returns the
-    standardized points together with the transform, whose ``invert`` undoes
-    the mapping.
+    Datasets, choice simulation, the replication harness and ``fit`` all take
+    their distances from this one expression, so a recomputed distance vector
+    compares bit-for-bit with the original.
     """
-    if len(points) < 2:
-        raise ValueError("standardization needs at least 2 points")
-    xs = [p.x for p in points]
-    ys = [p.y for p in points]
-    width = max(xs) - min(xs)
-    height = max(ys) - min(ys)
-    extent = max(width, height)
-    if extent == 0.0:
-        raise DegenerateExtentError("all points coincide; cannot standardize")
-    cx = 0.5 * (max(xs) + min(xs))
-    cy = 0.5 * (max(ys) + min(ys))
-    transform = AffineTransform(scale=1.0 / extent, cx=cx, cy=cy)
-    return [transform.apply(p) for p in points], transform
-
-
-def distance_matrix(xy: np.ndarray, facilities_xy: np.ndarray) -> np.ndarray:
-    """Distances from each of n points to each of H facilities, shape (n, H).
-
-    This is the one code path used to derive dataset distance matrices, so
-    recomputed distances compare bit-for-bit.
-    """
-    xy = np.asarray(xy, dtype=np.float64)
-    facilities_xy = np.asarray(facilities_xy, dtype=np.float64)
-    dx = xy[:, 0][:, None] - facilities_xy[:, 0][None, :]
-    dy = xy[:, 1][:, None] - facilities_xy[:, 1][None, :]
-    return np.hypot(dx, dy)
-
-
-def points_to_array(points: list[Point]) -> np.ndarray:
-    """Pack a list of points into an (n, 2) float array."""
-    return np.array([(p.x, p.y) for p in points], dtype=np.float64)
-
-
-def array_to_points(xy: np.ndarray) -> list[Point]:
-    """Unpack an (n, 2) array into a list of points."""
-    return [Point(float(x), float(y)) for x, y in np.asarray(xy, dtype=np.float64)]
+    return np.hypot(xy[:, 0] - facility.x, xy[:, 1] - facility.y)

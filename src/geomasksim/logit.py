@@ -55,35 +55,37 @@ class LogitFit:
     """Fit result with Wald ingredients and convergence diagnostics."""
 
     params: LogitParams
-    std_errors: tuple[float, float]  # (se_alpha, se_beta); se_alpha is nan without intercept
+    std_errors: tuple[float, float]  # (se_alpha, se_beta)
     loglik: float
     information: np.ndarray  # 2x2 negative Hessian at the estimate
     converged: bool
     iterations: int
     gradient_norm: float
-    intercept_fitted: bool = True
-
-
-def _distance_vector(ds: ChoiceDataset, facility_index: int) -> np.ndarray:
-    return ds.distances[:, facility_index]
 
 
 def _eta(d: np.ndarray, p: LogitParams) -> np.ndarray:
     return p.alpha + p.beta * d
 
 
-def _loglik_arrays(d: np.ndarray, y: np.ndarray, p: LogitParams) -> float:
+def log_likelihood(d: np.ndarray, y: np.ndarray, p: LogitParams) -> float:
+    """Binomial log-likelihood of choices ``y`` at distances ``d``."""
     eta = _eta(d, p)
     # log L(eta) = -log(1+exp(-eta)); log(1-L(eta)) = -log(1+exp(eta))
     return float(-(y * np.logaddexp(0.0, -eta) + (1 - y) * np.logaddexp(0.0, eta)).sum())
 
 
-def _score_arrays(d: np.ndarray, y: np.ndarray, p: LogitParams) -> np.ndarray:
+def score(d: np.ndarray, y: np.ndarray, p: LogitParams) -> np.ndarray:
+    """Gradient of the log-likelihood: (sum(y - L), sum((y - L) d))."""
     resid = y - expit(_eta(d, p))
     return np.array([resid.sum(), (resid * d).sum()])
 
 
-def _information_arrays(d: np.ndarray, p: LogitParams) -> np.ndarray:
+def observed_information(d: np.ndarray, p: LogitParams) -> np.ndarray:
+    """Negative Hessian of the log-likelihood, entries sum(L(1-L) * [1, d; d, d^2]).
+
+    Positive semidefinite everywhere; positive definite unless the distances
+    are all equal or the probabilities are fully saturated.
+    """
     lam = expit(_eta(d, p))
     w = lam * (1.0 - lam)
     sw = w.sum()
@@ -92,32 +94,12 @@ def _information_arrays(d: np.ndarray, p: LogitParams) -> np.ndarray:
     return np.array([[sw, swd], [swd, swd2]])
 
 
-def log_likelihood(ds: ChoiceDataset, p: LogitParams, facility_index: int = 0) -> float:
-    """Binomial log-likelihood of the dataset under the logit model."""
-    return _loglik_arrays(_distance_vector(ds, facility_index), ds.choices, p)
-
-
-def score(ds: ChoiceDataset, p: LogitParams, facility_index: int = 0) -> np.ndarray:
-    """Gradient of the log-likelihood: (sum(y - L), sum((y - L) d))."""
-    return _score_arrays(_distance_vector(ds, facility_index), ds.choices, p)
-
-
-def observed_information(ds: ChoiceDataset, p: LogitParams, facility_index: int = 0) -> np.ndarray:
-    """Negative Hessian of the log-likelihood, entries sum(L(1-L) * [1, d; d, d^2]).
-
-    Positive semidefinite everywhere; positive definite unless the distances
-    are all equal or the probabilities are fully saturated.
-    """
-    return _information_arrays(_distance_vector(ds, facility_index), p)
-
-
 def fit_distance_choice(
     d: np.ndarray,
     y: np.ndarray,
     init: LogitParams = LogitParams(0.0, 0.0),
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    include_intercept: bool = True,
 ) -> LogitFit:
     """Newton-Raphson ML fit on raw (distance, choice) arrays.
 
@@ -132,32 +114,27 @@ def fit_distance_choice(
     if y.min() == y.max():
         raise SeparationError("choices are all identical; the logit MLE does not exist")
 
-    alpha, beta = (init.alpha, init.beta) if include_intercept else (0.0, init.beta)
-    ll = _loglik_arrays(d, y, LogitParams(alpha, beta))
+    alpha, beta = init.alpha, init.beta
+    ll = log_likelihood(d, y, init)
     converged = False
     iterations = 0
     grad_norm = math.inf
 
     for iterations in range(1, max_iter + 1):
         p = LogitParams(alpha, beta)
-        g = _score_arrays(d, y, p)
-        info = _information_arrays(d, p)
-        grad_norm = abs(g[1]) if not include_intercept else float(np.abs(g).max())
+        g = score(d, y, p)
+        info = observed_information(d, p)
+        grad_norm = float(np.abs(g).max())
         if grad_norm < tol:
             converged = True
             iterations -= 1  # this pass only verified the previous step
             break
 
-        if include_intercept:
-            det = info[0, 0] * info[1, 1] - info[0, 1] ** 2
-            if not math.isfinite(det) or det <= 0.0:
-                raise SingularInformationError(f"information determinant {det} at iteration {iterations}")
-            step_a = (info[1, 1] * g[0] - info[0, 1] * g[1]) / det
-            step_b = (info[0, 0] * g[1] - info[0, 1] * g[0]) / det
-        else:
-            if not math.isfinite(info[1, 1]) or info[1, 1] <= 0.0:
-                raise SingularInformationError(f"beta information {info[1, 1]} at iteration {iterations}")
-            step_a, step_b = 0.0, g[1] / info[1, 1]
+        det = info[0, 0] * info[1, 1] - info[0, 1] ** 2
+        if not math.isfinite(det) or det <= 0.0:
+            raise SingularInformationError(f"information determinant {det} at iteration {iterations}")
+        step_a = (info[1, 1] * g[0] - info[0, 1] * g[1]) / det
+        step_b = (info[0, 0] * g[1] - info[0, 1] * g[0]) / det
 
         # Step halving guards against overshoot on near-separated samples.
         # The acceptance slack admits rounding-level decreases: near the
@@ -167,7 +144,7 @@ def fit_distance_choice(
         scale = 1.0
         for _ in range(40):
             cand = LogitParams(alpha + scale * step_a, beta + scale * step_b)
-            ll_cand = _loglik_arrays(d, y, cand)
+            ll_cand = log_likelihood(d, y, cand)
             if ll_cand >= ll - slack:
                 break
             scale *= 0.5
@@ -178,20 +155,15 @@ def fit_distance_choice(
             break  # runaway estimates: quasi-separation, report non-convergence
 
     params = LogitParams(alpha, beta)
-    info = _information_arrays(d, params)
-    if include_intercept:
-        det = info[0, 0] * info[1, 1] - info[0, 1] ** 2
-        if converged and (not math.isfinite(det) or det <= 0.0):
-            raise SingularInformationError(f"information determinant {det} at the optimum")
-        se = (
-            (math.sqrt(info[1, 1] / det), math.sqrt(info[0, 0] / det))
-            if det > 0.0
-            else (math.nan, math.nan)
-        )
-    else:
-        se = (math.nan, math.sqrt(1.0 / info[1, 1]) if info[1, 1] > 0.0 else math.nan)
-        if converged and info[1, 1] <= 0.0:
-            raise SingularInformationError("beta information is zero at the optimum")
+    info = observed_information(d, params)
+    det = info[0, 0] * info[1, 1] - info[0, 1] ** 2
+    if converged and (not math.isfinite(det) or det <= 0.0):
+        raise SingularInformationError(f"information determinant {det} at the optimum")
+    se = (
+        (math.sqrt(info[1, 1] / det), math.sqrt(info[0, 0] / det))
+        if det > 0.0
+        else (math.nan, math.nan)
+    )
 
     return LogitFit(
         params=params,
@@ -201,27 +173,12 @@ def fit_distance_choice(
         converged=converged,
         iterations=iterations,
         gradient_norm=grad_norm,
-        intercept_fitted=include_intercept,
     )
 
 
-def fit_logit(
-    ds: ChoiceDataset,
-    init: LogitParams = LogitParams(0.0, 0.0),
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    include_intercept: bool = True,
-    facility_index: int = 0,
-) -> LogitFit:
+def fit_logit(ds: ChoiceDataset) -> LogitFit:
     """Fit the logit model to a dataset's active distances."""
-    return fit_distance_choice(
-        _distance_vector(ds, facility_index),
-        ds.choices,
-        init=init,
-        tol=tol,
-        max_iter=max_iter,
-        include_intercept=include_intercept,
-    )
+    return fit_distance_choice(ds.distances, ds.choices)
 
 
 def z_quantile(level: float) -> float:
@@ -240,13 +197,3 @@ def wald_ci(fit: LogitFit, level: float = 0.95) -> tuple[tuple[float, float], tu
     for estimate, se in zip((fit.params.alpha, fit.params.beta), fit.std_errors):
         intervals.append((estimate - z * se, estimate + z * se))
     return intervals[0], intervals[1]
-
-
-def is_significant(fit: LogitFit, level: float = 0.95) -> bool:
-    """Two-sided Wald test of beta = 0 at the given confidence level."""
-    if not fit.converged:
-        raise InvalidFitError("significance test requires a converged fit")
-    se = fit.std_errors[1]
-    if se == 0.0:
-        return fit.params.beta != 0.0
-    return abs(fit.params.beta) / se >= z_quantile(level)

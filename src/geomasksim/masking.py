@@ -13,8 +13,7 @@ Two mechanisms are supported:
 Draw order is part of the determinism contract. For each masking attempt
 over m pending points the stream is consumed as: m theta values then m
 delta values (uniform mechanism), or m x-offsets then m y-offsets
-(gaussian mechanism). Single-point operations are the m=1 case of the same
-code path.
+(gaussian mechanism).
 """
 
 from __future__ import annotations
@@ -24,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import ChoiceDataset
-from .geometry import TWO_PI, Displacement, Point, StudyArea
+from .geometry import TWO_PI
 from .rng import RngStream, as_generator
 
 #: sqrt(2*ln(100)); sigma = theta_star / GAUSSIAN_CALIBRATION puts 99% of
@@ -83,24 +81,6 @@ def _draw_offsets(spec: MaskSpec, gen: np.random.Generator, m: int) -> np.ndarra
     return np.column_stack((dx, dy))
 
 
-def draw_displacements(spec: MaskSpec, rng: RngStream, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Draw m displacements; returns (theta, delta) arrays.
-
-    Gaussian offsets are converted to polar form; angles are normalized to
-    [0, 2*pi).
-    """
-    offsets = _draw_offsets(spec, as_generator(rng), m)
-    theta = np.hypot(offsets[:, 0], offsets[:, 1])
-    delta = np.arctan2(offsets[:, 1], offsets[:, 0]) % TWO_PI
-    return theta, delta
-
-
-def draw_displacement(spec: MaskSpec, rng: RngStream) -> Displacement:
-    """Draw a single displacement under the masking law."""
-    theta, delta = draw_displacements(spec, rng, 1)
-    return Displacement(float(theta[0]), float(delta[0]))
-
-
 def _inside(xy: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """Membership of (m, 2) coordinates in per-point (m, 4) bounds."""
     x, y = xy[:, 0], xy[:, 1]
@@ -144,26 +124,3 @@ def mask_coordinates(
         pending = pending[~_inside(out[pending], bounds[pending])]
         attempts += 1
     return out
-
-
-def _area_bounds(area: StudyArea, m: int) -> np.ndarray:
-    return np.tile(np.asarray(area.bounds, dtype=np.float64), (m, 1))
-
-
-def mask_point(p: Point, spec: MaskSpec, area: StudyArea, rng: RngStream) -> Point:
-    """Mask one point subject to the study-area boundary policy."""
-    bounds = _area_bounds(area, 1) if spec.boundary == "redraw" else None
-    out = mask_coordinates(np.array([[p.x, p.y]]), spec, bounds, rng)
-    return Point(float(out[0, 0]), float(out[0, 1]))
-
-
-def mask_dataset(ds: ChoiceDataset, spec: MaskSpec, rng: RngStream) -> ChoiceDataset:
-    """Mask every true coordinate of a dataset and recompute its distances.
-
-    Choices are carried over unchanged and the true coordinates are retained
-    alongside the masked ones for diagnostics. Masking always starts from the
-    true coordinates, never from a previous masking.
-    """
-    bounds = _area_bounds(ds.area, ds.n) if spec.boundary == "redraw" else None
-    masked = mask_coordinates(ds.points, spec, bounds, rng)
-    return ds.with_masked_points(masked)

@@ -10,8 +10,8 @@ the centroid-assignment experiment: k x k equal square cells tiling the
 study area, each with its center as centroid and the radius of the circle
 of equal surface as its size scale.
 
-Draw-order contract (per stream): generate_csr draws all n x-coordinates,
-then all n y-coordinates; simulate_choices draws n uniforms compared
+Draw-order contract (per stream): generate_csr_xy draws all n x-coordinates,
+then all n y-coordinates; simulate_choices_xy draws n uniforms compared
 against the per-point probabilities.
 """
 
@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import expit
 
 from .dataset import ChoiceDataset
-from .geometry import Point, StudyArea, equivalent_circle_radius
+from .geometry import Point, StudyArea, equivalent_circle_radius, facility_distances
 from .logit import LogitParams
 from .rng import RngStream, as_generator
 
@@ -133,42 +133,18 @@ def generate_csr_xy(n: int, area: StudyArea, rng: RngStream) -> np.ndarray:
     return np.column_stack([x, y])
 
 
-def generate_csr(n: int, area: StudyArea, rng: RngStream) -> list[Point]:
-    """CSR point field as Point objects (array form: generate_csr_xy)."""
-    return [Point(float(x), float(y)) for x, y in generate_csr_xy(n, area, rng)]
-
-
 def simulate_choices_xy(
     xy: np.ndarray,
     facility: Point,
     params: LogitParams,
     rng: RngStream,
-    area: StudyArea | None = None,
 ) -> ChoiceDataset:
     """Bernoulli choices with P(y=1) = L(alpha + beta * d(point, facility))."""
     xy = np.asarray(xy, dtype=np.float64)
-    d = np.hypot(xy[:, 0] - facility.x, xy[:, 1] - facility.y)
-    prob = expit(params.alpha + params.beta * d)
+    prob = expit(params.alpha + params.beta * facility_distances(xy, facility))
     u = as_generator(rng).uniform(0.0, 1.0, xy.shape[0])
     choices = (u < prob).astype(np.int64)
-    return ChoiceDataset(
-        points=xy,
-        facilities=np.array([[facility.x, facility.y]]),
-        choices=choices,
-        area=area if area is not None else StudyArea.unit_square(),
-    )
-
-
-def simulate_choices(
-    points: list[Point],
-    facility: Point,
-    params: LogitParams,
-    rng: RngStream,
-    area: StudyArea | None = None,
-) -> ChoiceDataset:
-    """simulate_choices_xy over a list of Point."""
-    xy = np.array([[p.x, p.y] for p in points])
-    return simulate_choices_xy(xy, facility, params, rng, area=area)
+    return ChoiceDataset(points=xy, facility=facility, choices=choices)
 
 
 def assign_to_centroid(ds: ChoiceDataset, grid: MunicipalityGrid) -> ChoiceDataset:

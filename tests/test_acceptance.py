@@ -20,7 +20,6 @@ import pytest
 from scipy.special import expit
 from scipy.stats import kstest
 
-from geomasksim.dataset import ChoiceDataset
 from geomasksim.efficiency import expected_sq_masked_distance, masked_second_moment_mc
 from geomasksim.experiments import (
     ExperimentConfig,
@@ -29,7 +28,6 @@ from geomasksim.experiments import (
     run_centroid_experiment,
     run_efficiency_experiment,
 )
-from geomasksim.geometry import StudyArea
 from geomasksim.logit import (
     LogitParams,
     fit_distance_choice,
@@ -44,17 +42,6 @@ from geomasksim.rng import derive_stream
 
 SEED = 0
 FULL_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
-
-
-def _axis_dataset(d, y):
-    # place each point on the x-axis at its distance from a facility at the origin
-    d = np.asarray(d, dtype=np.float64)
-    return ChoiceDataset(
-        points=np.column_stack((d, np.zeros_like(d))),
-        facilities=np.array([[0.0, 0.0]]),
-        choices=np.asarray(y),
-        area=StudyArea.rectangle(-1e6, 1e6, -1.0, 1.0),
-    )
 
 
 @pytest.fixture(scope="module")
@@ -88,16 +75,15 @@ def test_score_and_information_match_finite_differences(criterion_detail):
         d = np.hypot(xy[:, 0], xy[:, 1])
         gen = LogitParams(rng.uniform(-1.5, 1.5), rng.uniform(-3.0, 1.0))
         y = (rng.uniform(size=200) < expit(gen.alpha + gen.beta * d)).astype(np.int64)
-        ds = _axis_dataset(d, y)
         p = LogitParams(rng.uniform(-1.5, 1.5), rng.uniform(-3.0, 1.0))
 
-        s = score(ds, p)
+        s = score(d, y, p)
         fd_score = np.array(
             [
-                (log_likelihood(ds, LogitParams(p.alpha + h, p.beta))
-                 - log_likelihood(ds, LogitParams(p.alpha - h, p.beta))) / (2 * h),
-                (log_likelihood(ds, LogitParams(p.alpha, p.beta + h))
-                 - log_likelihood(ds, LogitParams(p.alpha, p.beta - h))) / (2 * h),
+                (log_likelihood(d, y, LogitParams(p.alpha + h, p.beta))
+                 - log_likelihood(d, y, LogitParams(p.alpha - h, p.beta))) / (2 * h),
+                (log_likelihood(d, y, LogitParams(p.alpha, p.beta + h))
+                 - log_likelihood(d, y, LogitParams(p.alpha, p.beta - h))) / (2 * h),
             ]
         )
         worst_score = max(
@@ -106,11 +92,11 @@ def test_score_and_information_match_finite_differences(criterion_detail):
 
         # differentiate the score, not the log-likelihood twice: second
         # differences of a sum of 200 terms lose too many digits at h=1e-6
-        info = observed_information(ds, p)
+        info = observed_information(d, p)
         cols = []
         for da, db in ((h, 0.0), (0.0, h)):
-            sp = score(ds, LogitParams(p.alpha + da, p.beta + db))
-            sm = score(ds, LogitParams(p.alpha - da, p.beta - db))
+            sp = score(d, y, LogitParams(p.alpha + da, p.beta + db))
+            sm = score(d, y, LogitParams(p.alpha - da, p.beta - db))
             cols.append(-(sp - sm) / (2 * h))
         fd_info = np.column_stack(cols)
         worst_info = max(

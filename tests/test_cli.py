@@ -86,6 +86,21 @@ def test_simulate_zero_theta_row_reproduces_baseline(tmp_path):
     assert float(first["el_analytic"]) == 1.0
 
 
+def test_simulate_zero_theta_cell_at_full_size_exit_0(tmp_path):
+    # on this seed an information ratio at theta* = 0 that sums its two sides
+    # in different orders lands one ulp above 1, which the report rejects
+    cfg = _config_file(
+        tmp_path,
+        "[experiment]\nkind = csr-population\nseed = 5\nreplications = 30\n\n"
+        "[population]\nn = 1000\n\n[grid]\nfractions = 0.0, 0.5, 1.0\n",
+    )
+    out = tmp_path / "results"
+    assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == EXIT_OK
+    curve_text = (out / "run_curve.csv").read_text(encoding="utf-8").splitlines()
+    first = dict(zip(curve_text[0].split(","), curve_text[1].split(",")))
+    assert float(first["el_analytic"]) == 1.0
+
+
 def test_simulate_deterministic_outputs(tmp_path):
     cfg = _config_file(tmp_path)
     main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "a")])

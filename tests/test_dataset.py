@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 
 from geomasksim.dataset import ChoiceDataset
-from geomasksim.geometry import StudyArea
+from geomasksim.geometry import Point
 
 
 def _ds(**kw):
     base = dict(
         points=np.array([[0.0, 0.0], [0.3, 0.4], [-0.2, 0.1]]),
-        facilities=np.array([[0.0, 0.0]]),
+        facility=Point(0.0, 0.0),
         choices=np.array([1, 0, 1]),
-        area=StudyArea.unit_square(),
     )
     base.update(kw)
     return ChoiceDataset(**base)
@@ -18,15 +17,9 @@ def _ds(**kw):
 
 def test_distances_autocomputed():
     ds = _ds()
-    np.testing.assert_allclose(ds.distances[:, 0], [0.0, 0.5, np.hypot(0.2, 0.1)], atol=1e-15)
-    assert ds.n == 3 and ds.n_facilities == 1
-
-
-def test_consistent_distances_accepted_inconsistent_rejected():
-    good = np.hypot(np.array([0.0, 0.3, -0.2]), np.array([0.0, 0.4, 0.1]))[:, None]
-    _ds(distances=good)
-    with pytest.raises(ValueError, match="inconsistent"):
-        _ds(distances=good + 1e-6)
+    assert ds.distances.shape == (3,)
+    np.testing.assert_allclose(ds.distances, [0.0, 0.5, np.hypot(0.2, 0.1)], atol=1e-15)
+    assert ds.n == 3
 
 
 def test_active_points_switches_with_mask():
@@ -36,7 +29,7 @@ def test_active_points_switches_with_mask():
     dm = ds.with_masked_points(masked)
     assert dm.active_points is dm.masked_points
     # distances recomputed from the masked coordinates
-    np.testing.assert_array_equal(dm.distances[:, 0], np.hypot(masked[:, 0], masked[:, 1]))
+    np.testing.assert_array_equal(dm.distances, np.hypot(masked[:, 0], masked[:, 1]))
     # true distances still recoverable
     np.testing.assert_array_equal(dm.true_distances, ds.distances)
     # original untouched
@@ -63,12 +56,6 @@ def test_nonfinite_rejected():
     pts = np.array([[0.0, 0.0], [np.nan, 0.4], [-0.2, 0.1]])
     with pytest.raises(ValueError, match="finite"):
         _ds(points=pts)
-
-
-def test_has_both_choice_values():
-    assert _ds().has_both_choice_values()
-    assert not _ds(choices=np.array([1, 1, 1])).has_both_choice_values()
-    assert not _ds(choices=np.array([0, 0, 0])).has_both_choice_values()
 
 
 def test_dtype_coercion():

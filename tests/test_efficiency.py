@@ -8,7 +8,6 @@ from geomasksim.efficiency import (
     DegenerateInformationError,
     EfficiencyReport,
     InsufficientDataError,
-    efficiency_loss,
     efficiency_report,
     empirical_variance_ratio,
     expected_sq_masked_distance,
@@ -17,7 +16,7 @@ from geomasksim.efficiency import (
 )
 from geomasksim.geometry import Point, StudyArea
 from geomasksim.logit import LogitParams, observed_information
-from geomasksim.masking import MaskSpec, mask_dataset
+from geomasksim.masking import MaskSpec, mask_coordinates
 from geomasksim.population import generate_csr_xy, simulate_choices_xy
 from geomasksim.rng import derive_stream, population_stream
 
@@ -28,12 +27,7 @@ def _point_ds(d_values, y=None):
     d = np.asarray(d_values, dtype=float)
     if y is None:
         y = ([0, 1] * d.size)[: d.size]
-    return ChoiceDataset(
-        points=np.column_stack((d, np.zeros_like(d))),
-        facilities=np.array([[0.0, 0.0]]),
-        choices=np.asarray(y),
-        area=StudyArea.rectangle(-1e3, 1e3, -1.0, 1.0),
-    )
+    return ChoiceDataset(points=np.column_stack((d, np.zeros_like(d))), facility=Point(0.0, 0.0), choices=np.asarray(y))
 
 
 def _csr_ds(n=500, seed=50, params=LogitParams(1.0, -2.0)):
@@ -87,8 +81,6 @@ def test_moment_mc_oracle_selects_derived():
 
 def test_moment_mc_matches_masking_machinery():
     # same quantity produced by the public masking path
-    from geomasksim.masking import mask_coordinates
-
     xy = np.tile([[0.5, 0.0]], (200_000, 1))
     out = mask_coordinates(xy, MaskSpec(theta_star=0.3), None, derive_stream(78, 0, 0))
     sq = (out**2).sum(axis=1)
@@ -107,7 +99,7 @@ def test_information_beta_single_observation():
 def test_information_beta_matches_observed_information():
     ds = _csr_ds()
     p = LogitParams(1.0, -2.0)
-    full = observed_information(ds, p)
+    full = observed_information(ds.distances, p)
     assert information_beta(ds, p) == pytest.approx(full[1, 1], rel=1e-12)
 
 
@@ -117,21 +109,13 @@ def test_information_beta_zero_distances():
 
 
 def test_information_beta_weights_stay_at_true_distances():
-    ds = mask_dataset(_csr_ds(seed=52), MaskSpec(theta_star=0.4), derive_stream(80, 0, 0))
+    ds = _csr_ds(seed=52)
+    masked = ds.with_masked_points(mask_coordinates(ds.points, MaskSpec(theta_star=0.4), None, derive_stream(80, 0, 0)))
     p = LogitParams(1.0, -2.0)
-    # masked coordinates present, but the default path must use true distances
-    unmasked_equiv = ChoiceDataset(
-        points=ds.points, facilities=ds.facilities, choices=ds.choices, area=ds.area
+    # masked coordinates present, but the weights must use the true distances
+    assert information_beta(masked, p, theta_star=0.2) == pytest.approx(
+        information_beta(ds, p, theta_star=0.2), rel=1e-15
     )
-    assert information_beta(ds, p, theta_star=0.2) == pytest.approx(
-        information_beta(unmasked_equiv, p, theta_star=0.2), rel=1e-15
-    )
-    # the sensitivity variant differs (weights at masked distances)
-    assert information_beta(ds, p, theta_star=0.2, lambda_at_masked=True) != pytest.approx(
-        information_beta(ds, p, theta_star=0.2), rel=1e-9
-    )
-    with pytest.raises(ValueError, match="masked"):
-        information_beta(unmasked_equiv, p, theta_star=0.2, lambda_at_masked=True)
 
 
 def test_information_beta_is_nonstochastic():
@@ -145,7 +129,7 @@ def test_information_beta_is_nonstochastic():
 
 def test_efficiency_loss_one_at_zero_theta():
     ds = _csr_ds(seed=56)
-    assert efficiency_loss(ds, LogitParams(1.0, -2.0), 0.0) == 1.0
+    assert efficiency_report(ds, LogitParams(1.0, -2.0), 0.0).el_analytic == 1.0
 
 
 def test_efficiency_loss_single_point_value():
@@ -154,13 +138,13 @@ def test_efficiency_loss_single_point_value():
     ds = _point_ds([1.0], [1])
     p = LogitParams(0.0, 0.0)
     for variant in MOMENT_VARIANTS:
-        assert efficiency_loss(ds, p, 1.0, variant=variant) == pytest.approx(0.75, abs=1e-12)
+        assert efficiency_report(ds, p, 1.0, variant=variant).el_analytic == pytest.approx(0.75, abs=1e-12)
 
 
 def test_efficiency_loss_strictly_decreasing_in_theta():
     ds = _csr_ds(seed=58)
     p = LogitParams(1.0, -2.0)
-    values = [efficiency_loss(ds, p, t) for t in np.linspace(0.0, 1.0, 11)]
+    values = [efficiency_report(ds, p, t).el_analytic for t in np.linspace(0.0, 1.0, 11)]
     assert values[0] == 1.0
     assert all(a > b for a, b in zip(values, values[1:]))
 
@@ -168,14 +152,14 @@ def test_efficiency_loss_strictly_decreasing_in_theta():
 def test_efficiency_loss_in_unit_interval():
     ds = _csr_ds(seed=60)
     for t in (0.1, 0.5, 1.0, 2.0):
-        el = efficiency_loss(ds, LogitParams(1.0, -2.0), t)
+        el = efficiency_report(ds, LogitParams(1.0, -2.0), t).el_analytic
         assert 0.0 < el < 1.0
 
 
 def test_efficiency_loss_degenerate_information():
     ds = _point_ds([0.0, 0.0], [0, 1])
     with pytest.raises(DegenerateInformationError):
-        efficiency_loss(ds, LogitParams(0.0, 0.0), 0.5)
+        efficiency_report(ds, LogitParams(0.0, 0.0), 0.5)
 
 
 def test_efficiency_report_bundles_values():
@@ -183,8 +167,9 @@ def test_efficiency_report_bundles_values():
     p = LogitParams(1.0, -2.0)
     r = efficiency_report(ds, p, 0.4, el_empirical=0.9)
     assert r.theta_star == 0.4
-    assert r.el_analytic == pytest.approx(r.info_true / r.info_masked_analytic, rel=1e-15)
-    assert r.el_analytic == pytest.approx(efficiency_loss(ds, p, 0.4), rel=1e-15)
+    assert r.el_analytic == r.info_true / r.info_masked_analytic
+    assert r.info_true == information_beta(ds, p)
+    assert r.info_masked_analytic == information_beta(ds, p, theta_star=0.4)
     assert r.el_empirical == 0.9
     assert r.moment_formula == "derived"
 
@@ -212,7 +197,6 @@ def _fit_stub(beta, converged=True):
         converged=converged,
         iterations=3,
         gradient_norm=0.0,
-        intercept_fitted=True,
     )
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -25,8 +26,9 @@ from geomasksim.experiments import (
     run_experiment,
     summarize_replications,
 )
-from geomasksim.geometry import Point, StudyArea
-from geomasksim.logit import LogitParams, wald_ci
+from geomasksim.efficiency import efficiency_report
+from geomasksim.geometry import Point
+from geomasksim.logit import wald_ci
 from geomasksim.masking import MaskSpec
 from geomasksim.population import assign_to_centroid, build_municipality_grid
 
@@ -149,6 +151,21 @@ def test_records_cover_every_cell_and_rep_sorted():
     got = [(r.theta_star, r.rep) for r in res.records]
     want = [(t, rep) for t in cfg.theta_values() for rep in range(10)]
     assert got == want
+
+
+def test_records_bytes_independent_of_block_size(monkeypatch, tmp_path):
+    import geomasksim.experiments as exp
+    from geomasksim.reports import write_records_csv
+
+    cfg = _config(n=150, replications=70)
+    outputs = set()
+    for block in (1, 64):
+        monkeypatch.setattr(exp, "_REP_BLOCK", block)
+        for workers in (1, 2):
+            res = run_attenuation_experiment(dataclasses.replace(cfg, workers=workers))
+            path = write_records_csv(res.records, tmp_path / f"records_b{block}_w{workers}.csv")
+            outputs.add(path.read_bytes())
+    assert len(outputs) == 1
 
 
 def test_run_deterministic_and_worker_independent():
@@ -331,6 +348,26 @@ def test_efficiency_empirical_near_one_at_zero_theta():
     # theta* = 0 leaves coordinates alone; both sides have the same sampling
     # law, so the variance ratio hovers around 1 (wide MC band at 60 reps)
     assert 0.5 <= run.reports[0].el_empirical <= 2.0
+
+
+@pytest.mark.parametrize("seed", [5, 7, 14])
+def test_efficiency_exactly_one_at_zero_theta_on_fitted_params(seed):
+    # both information sums go through one expression, so the ratio at
+    # theta* = 0 is 1.0 to the last bit, not 1 + 2**-52
+    cfg = ExperimentConfig(experiment="csr-population", n=1000, seed=seed)
+    ds = prepare_dataset(cfg)
+    assert efficiency_report(ds, run_baseline(cfg, ds).params, 0.0).el_analytic == 1.0
+
+
+@pytest.mark.parametrize("n", [8, 10])
+def test_efficiency_degenerate_regenerated_choices_count_as_nonconverged(n):
+    # at this size some regenerated choice vectors are all 0s or all 1s; such
+    # a replication has no estimate and must not abort the run
+    cfg = _config(n=n, seed=1)
+    run = run_efficiency_experiment(cfg, replications=100)
+    assert len(run.reports) == len(cfg.theta_values())
+    assert len(run.true_betas) >= 30
+    assert all(len(b) >= 30 for b in run.masked_betas)
 
 
 def test_efficiency_requires_enough_replications():

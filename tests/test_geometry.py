@@ -2,36 +2,21 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from geomasksim.geometry import (
-    TWO_PI,
-    AffineTransform,
-    DegenerateExtentError,
-    Displacement,
-    Point,
-    StudyArea,
-    array_to_points,
-    displace,
-    distance_matrix,
-    distorted_distance,
-    equivalent_circle_radius,
-    euclidean_distance,
-    points_to_array,
-    standardize_coordinates,
-)
-
-coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
+from geomasksim.geometry import Point, StudyArea, equivalent_circle_radius, facility_distances
 
 
 def test_euclidean_distance_345():
-    assert euclidean_distance(Point(0.0, 0.0), Point(0.3, 0.4)) == pytest.approx(0.5, abs=1e-15)
+    d = facility_distances(np.array([[0.3, 0.4]]), Point(0.0, 0.0))
+    assert d.shape == (1,) and d[0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_euclidean_distance_zero_and_diagonal():
-    assert euclidean_distance(Point(0.2, -0.1), Point(0.2, -0.1)) == 0.0
-    assert euclidean_distance(Point(0.0, 0.0), Point(1.0, 1.0)) == pytest.approx(math.sqrt(2.0))
+    d = facility_distances(np.array([[0.2, -0.1], [1.0, 1.0]]), Point(0.2, -0.1))
+    assert d[0] == 0.0
+    assert d[1] == pytest.approx(math.hypot(0.8, 1.1))
 
 
 def test_point_rejects_nonfinite():
@@ -39,67 +24,6 @@ def test_point_rejects_nonfinite():
         Point(float("nan"), 0.0)
     with pytest.raises(ValueError):
         Point(0.0, float("inf"))
-
-
-def test_displacement_normalizes_angle():
-    assert Displacement(1.0, -math.pi / 2).delta == pytest.approx(1.5 * math.pi)
-    assert Displacement(1.0, TWO_PI).delta == 0.0
-    assert Displacement(0.0, 3.0).theta == 0.0
-
-
-def test_displacement_rejects_negative_theta():
-    with pytest.raises(ValueError):
-        Displacement(-0.1, 0.0)
-
-
-def test_displace_east():
-    p = displace(Point(0.0, 0.0), Displacement(1.0, 0.0))
-    assert (p.x, p.y) == pytest.approx((1.0, 0.0), abs=1e-15)
-
-
-def test_displace_north():
-    p = displace(Point(0.2, 0.3), Displacement(0.3, math.pi / 2))
-    assert (p.x, p.y) == pytest.approx((0.2, 0.6), abs=1e-15)
-
-
-def test_displace_zero_is_identity():
-    p = Point(0.123, -0.456)
-    q = displace(p, Displacement(0.0, 2.345))
-    assert (q.x, q.y) == (p.x, p.y)
-
-
-@settings(max_examples=200)
-@given(coords, coords, st.floats(min_value=0.0, max_value=1e3, allow_nan=False), st.floats(min_value=-10.0, max_value=10.0, allow_nan=False))
-def test_displace_moves_exactly_theta(x, y, theta, delta):
-    p = Point(x, y)
-    q = displace(p, Displacement(theta, delta))
-    # |p - q| == theta up to cancellation at the coordinate magnitude
-    tol = 1e-12 * (1.0 + abs(x) + abs(y) + theta)
-    assert abs(euclidean_distance(p, q) - theta) <= tol
-
-
-def test_distorted_distance_additive_convention():
-    # point at (1, 0) seen from the origin, displaced by theta=1 along delta=pi:
-    # the offset is added, so the point lands on the origin and the distorted
-    # distance is 0 (the subtractive reading would give 2).
-    d = distorted_distance(Point(1.0, 0.0), Displacement(1.0, math.pi), Point(0.0, 0.0))
-    assert d == pytest.approx(0.0, abs=1e-12)
-
-
-def test_distorted_distance_matches_compose():
-    p, o = Point(0.3, -0.2), Point(-0.1, 0.4)
-    disp = Displacement(0.25, 1.1)
-    assert distorted_distance(p, disp, o) == euclidean_distance(displace(p, disp), o)
-
-
-@settings(max_examples=200)
-@given(coords, coords, coords, coords, st.floats(min_value=0.0, max_value=100.0, allow_nan=False), st.floats(min_value=0.0, max_value=TWO_PI, exclude_max=True, allow_nan=False))
-def test_distorted_distance_triangle_bounds(px, py, ox, oy, theta, delta):
-    p, o = Point(px, py), Point(ox, oy)
-    d = euclidean_distance(p, o)
-    dd = distorted_distance(p, Displacement(theta, delta), o)
-    assert dd >= max(0.0, d - theta) - 1e-9
-    assert dd <= d + theta + 1e-9
 
 
 def test_equivalent_circle_radius_pi():
@@ -119,50 +43,6 @@ def test_equivalent_circle_radius_rejects_nonpositive():
     for bad in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             equivalent_circle_radius(bad)
-
-
-def test_standardize_square_to_corners():
-    pts, tf = standardize_coordinates([Point(0.0, 0.0), Point(10.0, 10.0)])
-    assert (pts[0].x, pts[0].y) == pytest.approx((-0.5, -0.5))
-    assert (pts[1].x, pts[1].y) == pytest.approx((0.5, 0.5))
-    assert tf.scale == pytest.approx(0.1)
-
-
-def test_standardize_preserves_aspect_ratio():
-    # extent 10 x 5: long side maps to length 1, short side to 0.5
-    pts, _ = standardize_coordinates([Point(0.0, 0.0), Point(10.0, 5.0)])
-    assert (pts[0].x, pts[0].y) == pytest.approx((-0.5, -0.25))
-    assert (pts[1].x, pts[1].y) == pytest.approx((0.5, 0.25))
-
-
-def test_standardize_roundtrip():
-    raw = [Point(3.0, 7.0), Point(-2.0, 1.0), Point(5.5, -4.25)]
-    pts, tf = standardize_coordinates(raw)
-    back = [tf.invert(p) for p in pts]
-    for a, b in zip(raw, back):
-        assert (a.x, a.y) == pytest.approx((b.x, b.y), rel=1e-12, abs=1e-12)
-
-
-def test_standardize_idempotent_on_standardized():
-    pts, _ = standardize_coordinates([Point(0.0, 0.0), Point(10.0, 10.0)])
-    again, tf = standardize_coordinates(pts)
-    assert tf.scale == pytest.approx(1.0)
-    for a, b in zip(pts, again):
-        assert (a.x, a.y) == pytest.approx((b.x, b.y), abs=1e-15)
-
-
-def test_standardize_degenerate_inputs():
-    with pytest.raises(ValueError):
-        standardize_coordinates([Point(1.0, 1.0)])
-    with pytest.raises(DegenerateExtentError):
-        standardize_coordinates([Point(1.0, 1.0), Point(1.0, 1.0)])
-
-
-def test_affine_transform_apply_invert():
-    tf = AffineTransform(scale=0.25, cx=2.0, cy=-3.0)
-    p = Point(1.5, 0.5)
-    q = tf.invert(tf.apply(p))
-    assert (q.x, q.y) == pytest.approx((p.x, p.y), abs=1e-15)
 
 
 def test_study_area_unit_square():
@@ -194,31 +74,21 @@ def test_contains_xy_matches_scalar():
     area = StudyArea.unit_square()
     xy = np.array([[0.0, 0.0], [0.5, 0.5], [0.51, 0.0], [-0.6, -0.6]])
     expected = [area.contains(Point(x, y)) for x, y in xy]
-    assert distance_matrix is not None  # keep import exercised below
     np.testing.assert_array_equal(area.contains_xy(xy), expected)
 
 
-def test_distance_matrix_shape_and_values():
-    xy = np.array([[0.0, 0.0], [0.3, 0.4]])
-    fac = np.array([[0.0, 0.0], [1.0, 0.0]])
-    d = distance_matrix(xy, fac)
-    assert d.shape == (2, 2)
-    np.testing.assert_allclose(d, [[0.0, 1.0], [0.5, math.hypot(0.7, 0.4)]], atol=1e-15)
+def test_facility_distances_shape_and_values():
+    xy = np.array([[0.0, 0.0], [0.3, 0.4], [1.0, 0.0]])
+    d = facility_distances(xy, Point(1.0, 0.0))
+    assert d.shape == (3,)
+    np.testing.assert_allclose(d, [1.0, math.hypot(0.7, 0.4), 0.0], atol=1e-15)
 
 
-def test_distance_matrix_bitwise_matches_hypot():
-    # the matrix path must agree bit-for-bit with a direct hypot over a column
+def test_facility_distances_bitwise_match_hypot():
+    # datasets, choice simulation and the replication harness all take their
+    # distances from this expression, so it must stay bit-for-bit np.hypot
     rng = np.random.default_rng(7)
     xy = rng.uniform(-0.5, 0.5, size=(64, 2))
-    fac = np.array([[0.0, 0.0]])
-    d = distance_matrix(xy, fac)[:, 0]
-    direct = np.hypot(xy[:, 0] - 0.0, xy[:, 1] - 0.0)
+    d = facility_distances(xy, Point(0.1, -0.2))
+    direct = np.hypot(xy[:, 0] - 0.1, xy[:, 1] - -0.2)
     assert (d == direct).all()
-
-
-def test_points_array_roundtrip():
-    pts = [Point(0.1, 0.2), Point(-0.3, 0.4)]
-    arr = points_to_array(pts)
-    assert arr.shape == (2, 2) and arr.dtype == np.float64
-    back = array_to_points(arr)
-    assert all((a.x, a.y) == (b.x, b.y) for a, b in zip(pts, back))

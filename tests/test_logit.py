@@ -5,7 +5,7 @@ import pytest
 from scipy.special import expit
 
 from geomasksim.dataset import ChoiceDataset
-from geomasksim.geometry import StudyArea
+from geomasksim.geometry import Point
 from geomasksim.logit import (
     InvalidFitError,
     LogitFit,
@@ -14,7 +14,6 @@ from geomasksim.logit import (
     SingularInformationError,
     fit_distance_choice,
     fit_logit,
-    is_significant,
     log_likelihood,
     observed_information,
     score,
@@ -25,16 +24,8 @@ from geomasksim.logit import (
 LN_HALF = math.log(0.5)
 
 
-def _ds(d, y, fx=0.0):
-    d = np.asarray(d, dtype=float)
-    # place each point on the x-axis at distance d from the facility at (fx, 0)
-    pts = np.column_stack((fx + d, np.zeros_like(d)))
-    return ChoiceDataset(
-        points=pts,
-        facilities=np.array([[fx, 0.0]]),
-        choices=np.asarray(y),
-        area=StudyArea.rectangle(-1e6, 1e6, -1.0, 1.0),
-    )
+def _arrays(d, y):
+    return np.asarray(d, dtype=float), np.asarray(y, dtype=np.int64)
 
 
 def _sim(n, alpha=1.0, beta=-2.0, seed=0):
@@ -48,50 +39,48 @@ def _sim(n, alpha=1.0, beta=-2.0, seed=0):
 
 
 def test_loglik_symmetric_point():
-    ds = _ds([0.0], [1])
-    assert log_likelihood(ds, LogitParams(0.0, 0.0)) == pytest.approx(LN_HALF, abs=1e-12)
+    d, y = _arrays([0.0], [1])
+    assert log_likelihood(d, y, LogitParams(0.0, 0.0)) == pytest.approx(LN_HALF, abs=1e-12)
 
 
 def test_loglik_additivity():
-    ds = _ds([0.0, 0.0], [1, 0])
-    assert log_likelihood(ds, LogitParams(0.0, 0.0)) == pytest.approx(2 * LN_HALF, abs=1e-12)
+    d, y = _arrays([0.0, 0.0], [1, 0])
+    assert log_likelihood(d, y, LogitParams(0.0, 0.0)) == pytest.approx(2 * LN_HALF, abs=1e-12)
 
 
 def test_loglik_coefficients_cancel_at_half():
     # eta = 1 - 2*0.5 = 0
-    ds = _ds([0.5], [1])
-    assert log_likelihood(ds, LogitParams(1.0, -2.0)) == pytest.approx(LN_HALF, abs=1e-12)
+    d, y = _arrays([0.5], [1])
+    assert log_likelihood(d, y, LogitParams(1.0, -2.0)) == pytest.approx(LN_HALF, abs=1e-12)
 
 
 def test_loglik_nonpositive_and_stable_at_extreme_eta():
-    ds = _ds([1.0], [1])
-    ll = log_likelihood(ds, LogitParams(700.0, -1400.0))  # eta = -700, y = 1
+    d, y = _arrays([1.0], [1])
+    ll = log_likelihood(d, y, LogitParams(700.0, -1400.0))  # eta = -700, y = 1
     assert math.isfinite(ll) and ll == pytest.approx(-700.0, rel=1e-12)
-    assert log_likelihood(ds, LogitParams(0.3, 0.1)) <= 0.0
+    assert log_likelihood(d, y, LogitParams(0.3, 0.1)) <= 0.0
 
 
 def test_score_single_observation():
-    ds = _ds([0.3], [1])
-    np.testing.assert_allclose(score(ds, LogitParams(0.0, 0.0)), [0.5, 0.15], atol=1e-15)
+    d, y = _arrays([0.3], [1])
+    np.testing.assert_allclose(score(d, y, LogitParams(0.0, 0.0)), [0.5, 0.15], atol=1e-15)
 
 
 def test_score_zero_at_maximum():
     d, y = _sim(500, seed=1)
     fit = fit_distance_choice(d, y)
-    g = score(_ds(d, y), fit.params)
+    g = score(d, y, fit.params)
     assert np.abs(g).max() < 1e-8
 
 
 def test_information_single_observation():
-    ds = _ds([2.0], [1])
     np.testing.assert_allclose(
-        observed_information(ds, LogitParams(0.0, 0.0)), [[0.25, 0.5], [0.5, 1.0]], atol=1e-15
+        observed_information(np.array([2.0]), LogitParams(0.0, 0.0)), [[0.25, 0.5], [0.5, 1.0]], atol=1e-15
     )
 
 
 def test_information_saturates_to_zero():
-    ds = _ds([1.0, 2.0], [1, 0])
-    info = observed_information(ds, LogitParams(500.0, 100.0))
+    info = observed_information(np.array([1.0, 2.0]), LogitParams(500.0, 100.0))
     assert np.abs(info).max() < 1e-100
 
 
@@ -99,14 +88,13 @@ def test_score_matches_finite_differences():
     h = 1e-6
     for seed in range(10):
         d, y = _sim(200, seed=seed)
-        ds = _ds(d, y)
         rng = np.random.default_rng(1000 + seed)
         p = LogitParams(rng.uniform(-2, 2), rng.uniform(-4, 1))
-        g = score(ds, p)
+        g = score(d, y, p)
         fd = np.array(
             [
-                (log_likelihood(ds, LogitParams(p.alpha + h, p.beta)) - log_likelihood(ds, LogitParams(p.alpha - h, p.beta))) / (2 * h),
-                (log_likelihood(ds, LogitParams(p.alpha, p.beta + h)) - log_likelihood(ds, LogitParams(p.alpha, p.beta - h))) / (2 * h),
+                (log_likelihood(d, y, LogitParams(p.alpha + h, p.beta)) - log_likelihood(d, y, LogitParams(p.alpha - h, p.beta))) / (2 * h),
+                (log_likelihood(d, y, LogitParams(p.alpha, p.beta + h)) - log_likelihood(d, y, LogitParams(p.alpha, p.beta - h))) / (2 * h),
             ]
         )
         np.testing.assert_allclose(g, fd, rtol=1e-6, atol=1e-6)
@@ -118,34 +106,31 @@ def test_information_matches_finite_differences():
     h = 1e-6
     for seed in range(10):
         d, y = _sim(200, seed=seed)
-        ds = _ds(d, y)
         rng = np.random.default_rng(2000 + seed)
         p = LogitParams(rng.uniform(-2, 2), rng.uniform(-4, 1))
         fd = np.empty((2, 2))
-        fd[:, 0] = -(score(ds, LogitParams(p.alpha + h, p.beta)) - score(ds, LogitParams(p.alpha - h, p.beta))) / (2 * h)
-        fd[:, 1] = -(score(ds, LogitParams(p.alpha, p.beta + h)) - score(ds, LogitParams(p.alpha, p.beta - h))) / (2 * h)
-        np.testing.assert_allclose(observed_information(ds, p), fd, rtol=1e-5, atol=1e-7)
+        fd[:, 0] = -(score(d, y, LogitParams(p.alpha + h, p.beta)) - score(d, y, LogitParams(p.alpha - h, p.beta))) / (2 * h)
+        fd[:, 1] = -(score(d, y, LogitParams(p.alpha, p.beta + h)) - score(d, y, LogitParams(p.alpha, p.beta - h))) / (2 * h)
+        np.testing.assert_allclose(observed_information(d, p), fd, rtol=1e-5, atol=1e-7)
 
 
 def test_loglik_concavity_midpoint():
     d, y = _sim(100, seed=3)
-    ds = _ds(d, y)
     rng = np.random.default_rng(4)
     for _ in range(50):
         a = LogitParams(*rng.uniform(-5, 5, 2))
         b = LogitParams(*rng.uniform(-5, 5, 2))
         mid = LogitParams(0.5 * (a.alpha + b.alpha), 0.5 * (a.beta + b.beta))
-        lhs = log_likelihood(ds, mid)
-        rhs = 0.5 * (log_likelihood(ds, a) + log_likelihood(ds, b))
+        lhs = log_likelihood(d, y, mid)
+        rhs = 0.5 * (log_likelihood(d, y, a) + log_likelihood(d, y, b))
         assert lhs >= rhs - 1e-9 * (1.0 + abs(rhs))
 
 
 def test_information_psd_everywhere():
     d, y = _sim(100, seed=5)
-    ds = _ds(d, y)
     rng = np.random.default_rng(6)
     for _ in range(25):
-        info = observed_information(ds, LogitParams(*rng.uniform(-10, 10, 2)))
+        info = observed_information(d, LogitParams(*rng.uniform(-10, 10, 2)))
         eig = np.linalg.eigvalsh(info)
         assert eig.min() >= -1e-12
 
@@ -165,7 +150,7 @@ def test_fit_loglik_never_below_init():
     d, y = _sim(300, seed=8)
     init = LogitParams(0.5, 0.5)
     fit = fit_distance_choice(d, y, init=init)
-    assert fit.loglik >= log_likelihood(_ds(d, y), init)
+    assert fit.loglik >= log_likelihood(d, y, init)
 
 
 def test_fit_symmetric_data_converges_at_origin():
@@ -202,18 +187,6 @@ def test_fit_max_iter_respected():
     assert not fit.converged and fit.iterations == 1
 
 
-def test_fit_no_intercept_mode():
-    d, y = _sim(5_000, alpha=0.0, beta=-1.5, seed=10)
-    fit = fit_distance_choice(d, y, include_intercept=False)
-    assert fit.converged and not fit.intercept_fitted
-    assert fit.params.alpha == 0.0
-    assert math.isnan(fit.std_errors[0])
-    # beta solves the one-dimensional first-order condition
-    lam = expit(fit.params.beta * d)
-    assert abs(np.dot(y - lam, d)) < 1e-8
-    assert fit.std_errors[1] == pytest.approx(1.0 / math.sqrt((lam * (1 - lam) * d * d).sum()), rel=1e-12)
-
-
 def test_fit_standard_errors_from_information():
     d, y = _sim(2_000, seed=11)
     fit = fit_distance_choice(d, y)
@@ -248,7 +221,14 @@ def test_fit_scale_covariance():
 
 def test_fit_logit_uses_active_distances():
     d, y = _sim(400, seed=14)
-    ds = _ds(d, y)
+    # true points sit one unit off the x-axis; the masked (active) points lie
+    # on it at distance d from the facility at the origin
+    ds = ChoiceDataset(
+        points=np.column_stack((d, np.ones_like(d))),
+        facility=Point(0.0, 0.0),
+        choices=y,
+        masked_points=np.column_stack((d, np.zeros_like(d))),
+    )
     direct = fit_distance_choice(d, y)
     via_ds = fit_logit(ds)
     assert via_ds.params == direct.params
@@ -274,7 +254,6 @@ def _fit_stub(alpha=1.0, beta=-2.0, se=(0.2, 0.1), converged=True):
         converged=converged,
         iterations=5,
         gradient_norm=0.0,
-        intercept_fitted=True,
     )
 
 
@@ -298,14 +277,6 @@ def test_wald_ci_zero_se_degenerate():
 def test_wald_ci_requires_convergence():
     with pytest.raises(InvalidFitError):
         wald_ci(_fit_stub(converged=False))
-
-
-def test_is_significant():
-    assert is_significant(_fit_stub(beta=-2.0, se=(0.2, 0.1)))
-    assert not is_significant(_fit_stub(beta=-0.1, se=(0.2, 0.1)))
-    assert is_significant(_fit_stub(beta=-0.1, se=(0.2, 0.0)))  # zero-se edge
-    with pytest.raises(InvalidFitError):
-        is_significant(_fit_stub(converged=False))
 
 
 def test_logit_params_validation():

@@ -6,17 +6,14 @@ from scipy import stats
 
 from geomasksim.dataset import ChoiceDataset
 from geomasksim.geometry import TWO_PI, Point, StudyArea
-from geomasksim.masking import (
-    GAUSSIAN_CALIBRATION,
-    BoundaryExhaustionError,
-    MaskSpec,
-    draw_displacement,
-    draw_displacements,
-    mask_coordinates,
-    mask_dataset,
-    mask_point,
-)
+from geomasksim.masking import GAUSSIAN_CALIBRATION, BoundaryExhaustionError, MaskSpec, mask_coordinates
 from geomasksim.rng import derive_stream
+
+
+def _displacements(spec, stream, m):
+    """(theta, delta) of m unconstrained displacements, read off masked copies of the origin."""
+    offsets = mask_coordinates(np.zeros((m, 2)), spec, None, stream)
+    return np.hypot(offsets[:, 0], offsets[:, 1]), np.arctan2(offsets[:, 1], offsets[:, 0]) % TWO_PI
 
 
 def test_maskspec_validation():
@@ -38,20 +35,20 @@ def test_gaussian_calibration_constant():
 
 
 def test_zero_theta_star_draws_zero_displacement():
-    d = draw_displacement(MaskSpec(theta_star=0.0), derive_stream(0, 0, 0))
-    assert d.theta == 0.0
+    theta, _ = _displacements(MaskSpec(theta_star=0.0), derive_stream(0, 0, 0), 1)
+    assert theta[0] == 0.0
 
 
 def test_uniform_mean_radius():
     # theta ~ U(0, 0.6) so E[theta] = 0.30; MC sd of the mean ~ 1.7e-4
-    theta, _ = draw_displacements(MaskSpec(theta_star=0.6), derive_stream(11, 0, 0), 1_000_000)
+    theta, _ = _displacements(MaskSpec(theta_star=0.6), derive_stream(11, 0, 0), 1_000_000)
     assert theta.max() <= 0.6
     assert theta.mean() == pytest.approx(0.30, abs=1e-3)
 
 
 def test_uniform_radius_and_angle_distributions():
     spec = MaskSpec(theta_star=0.45)
-    theta, delta = draw_displacements(spec, derive_stream(12, 0, 0), 1_000_000)
+    theta, delta = _displacements(spec, derive_stream(12, 0, 0), 1_000_000)
     # radius/theta_star and angle/2pi are each uniform on [0, 1)
     assert stats.kstest(theta / spec.theta_star, "uniform").pvalue > 0.01
     assert stats.kstest(delta / TWO_PI, "uniform").pvalue > 0.01
@@ -61,7 +58,7 @@ def test_uniform_radius_and_angle_distributions():
 def test_gaussian_radius_calibration():
     # sigma is calibrated so P(radius <= theta_star) = 0.99
     spec = MaskSpec(mechanism="gaussian", theta_star=1.0)
-    theta, _ = draw_displacements(spec, derive_stream(13, 0, 0), 1_000_000)
+    theta, _ = _displacements(spec, derive_stream(13, 0, 0), 1_000_000)
     assert (theta <= 1.0).mean() == pytest.approx(0.99, abs=1e-3)
 
 
@@ -92,7 +89,7 @@ def test_gaussian_draw_order_contract():
 def test_corner_first_draw_acceptance():
     # from a corner of the unit square with theta_star = 0.5 <= side, a draw
     # stays inside exactly when the angle points into one quadrant: p = 1/4
-    theta, delta = draw_displacements(MaskSpec(theta_star=0.5), derive_stream(14, 0, 0), 100_000)
+    theta, delta = _displacements(MaskSpec(theta_star=0.5), derive_stream(14, 0, 0), 100_000)
     landed = np.column_stack((0.5 + theta * np.cos(delta), 0.5 + theta * np.sin(delta)))
     inside = StudyArea.unit_square().contains_xy(landed)
     assert inside.mean() == pytest.approx(0.25, abs=0.01)
@@ -166,34 +163,36 @@ def test_redraw_exhaustion():
 
 def test_mask_point_unconstrained_and_redraw():
     area = StudyArea.unit_square()
-    p = Point(0.49, 0.49)
-    q = mask_point(p, MaskSpec(theta_star=0.4, boundary="redraw"), area, derive_stream(23, 0, 0))
-    assert area.contains(q)
-    r = mask_point(p, MaskSpec(theta_star=0.4), area, derive_stream(23, 0, 0))
-    assert math.hypot(r.x - p.x, r.y - p.y) <= 0.4
+    xy = np.array([[0.49, 0.49]])
+    bounds = np.array([area.bounds])
+    q = mask_coordinates(xy, MaskSpec(theta_star=0.4, boundary="redraw"), bounds, derive_stream(23, 0, 0))
+    assert area.contains(Point(*q[0]))
+    r = mask_coordinates(xy, MaskSpec(theta_star=0.4), None, derive_stream(23, 0, 0))
+    assert math.hypot(*(r[0] - xy[0])) <= 0.4
 
 
 def _dataset(n=100, seed=6):
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-0.5, 0.5, size=(n, 2))
-    return ChoiceDataset(
-        points=pts,
-        facilities=np.array([[0.0, 0.0]]),
-        choices=rng.integers(0, 2, n),
-        area=StudyArea.unit_square(),
-    )
+    return ChoiceDataset(points=pts, facility=Point(0.0, 0.0), choices=rng.integers(0, 2, n))
+
+
+def _mask(ds, spec, stream, area=None):
+    """Mask a dataset the way the replication harness does: always from the true points."""
+    bounds = None if area is None else np.tile(np.asarray(area.bounds), (ds.n, 1))
+    return ds.with_masked_points(mask_coordinates(ds.points, spec, bounds, stream))
 
 
 def test_mask_dataset_zero_theta_reproduces_distances():
     ds = _dataset()
-    masked = mask_dataset(ds, MaskSpec(theta_star=0.0), derive_stream(24, 0, 0))
+    masked = _mask(ds, MaskSpec(theta_star=0.0), derive_stream(24, 0, 0))
     np.testing.assert_array_equal(masked.masked_points, ds.points)
     np.testing.assert_array_equal(masked.distances, ds.distances)
 
 
 def test_mask_dataset_keeps_choices_and_true_coords():
     ds = _dataset()
-    masked = mask_dataset(ds, MaskSpec(theta_star=0.25), derive_stream(25, 0, 0))
+    masked = _mask(ds, MaskSpec(theta_star=0.25), derive_stream(25, 0, 0))
     np.testing.assert_array_equal(masked.choices, ds.choices)
     np.testing.assert_array_equal(masked.points, ds.points)
     np.testing.assert_array_equal(masked.true_distances, ds.distances)
@@ -205,16 +204,18 @@ def test_mask_dataset_always_starts_from_true_coordinates():
     # masking a masked dataset re-masks the TRUE points, it does not compound
     ds = _dataset()
     spec = MaskSpec(theta_star=0.2)
-    once = mask_dataset(ds, spec, derive_stream(26, 0, 0))
-    twice = mask_dataset(once, spec, derive_stream(26, 0, 0))
+    once = _mask(ds, spec, derive_stream(26, 0, 0))
+    twice = _mask(once, spec, derive_stream(26, 0, 0))
+    np.testing.assert_array_equal(once.points, ds.points)
     np.testing.assert_array_equal(once.masked_points, twice.masked_points)
 
 
 def test_mask_dataset_redraw_respects_area():
     ds = _dataset(n=300, seed=7)
+    area = StudyArea.unit_square()
     spec = MaskSpec(theta_star=0.9, boundary="redraw")
-    masked = mask_dataset(ds, spec, derive_stream(27, 0, 0))
-    assert ds.area.contains_xy(masked.masked_points).all()
+    masked = _mask(ds, spec, derive_stream(27, 0, 0), area)
+    assert area.contains_xy(masked.masked_points).all()
 
 
 def test_masked_second_moment_via_mask_machinery():

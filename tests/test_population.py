@@ -12,9 +12,7 @@ from geomasksim.population import (
     OutOfGridError,
     assign_to_centroid,
     build_municipality_grid,
-    generate_csr,
     generate_csr_xy,
-    simulate_choices,
     simulate_choices_xy,
 )
 from geomasksim.rng import population_stream
@@ -49,12 +47,6 @@ def test_generate_csr_draw_order_contract():
     x = gen.uniform(-0.5, 0.5, 7)
     y = gen.uniform(-0.5, 0.5, 7)
     np.testing.assert_array_equal(xy, np.column_stack([x, y]))
-
-
-def test_generate_csr_points_match_xy():
-    pts = generate_csr(5, AREA, population_stream(3))
-    xy = generate_csr_xy(5, AREA, population_stream(3))
-    assert [(p.x, p.y) for p in pts] == [tuple(row) for row in xy]
 
 
 def test_csr_mean_near_center():
@@ -117,14 +109,6 @@ def test_simulate_choices_draw_order_contract():
     d = np.hypot(xy[:, 0] - 0.1, xy[:, 1] - 0.2)
     expected = (gen.uniform(0.0, 1.0, 9) < expit(1.0 - 2.0 * d)).astype(np.int64)
     np.testing.assert_array_equal(ds.choices, expected)
-
-
-def test_simulate_choices_list_front_end():
-    pts = generate_csr(6, AREA, population_stream(14))
-    a = simulate_choices(pts, Point(0.0, 0.0), LogitParams(1.0, -2.0), population_stream(15))
-    b = simulate_choices_xy(generate_csr_xy(6, AREA, population_stream(14)), Point(0.0, 0.0), LogitParams(1.0, -2.0), population_stream(15))
-    np.testing.assert_array_equal(a.choices, b.choices)
-    np.testing.assert_array_equal(a.points, b.points)
 
 
 # --- municipality grid ---
@@ -222,7 +206,7 @@ def test_assign_to_centroid_k1_collapses_to_center():
     ds = _choice_ds(100, 34)
     out = assign_to_centroid(ds, build_municipality_grid(AREA, 1))
     np.testing.assert_array_equal(out.masked_points, np.zeros((100, 2)))
-    np.testing.assert_array_equal(out.distances, np.zeros((100, 1)))
+    np.testing.assert_array_equal(out.distances, np.zeros(100))
 
 
 def test_assign_to_centroid_displacement_bounded_by_half_diagonal():
