@@ -192,7 +192,7 @@ def _cmd_mask(args) -> int:
         xmin, xmax, ymin, ymax = args.area
         if not (xmin < xmax and ymin < ymax):
             raise _CliError("--area must satisfy XMIN < XMAX and YMIN < YMAX")
-        bounds = np.tile(np.array([xmin, xmax, ymin, ymax]), (xy.shape[0], 1))
+        bounds = np.array([xmin, xmax, ymin, ymax])
     masked = mask_coordinates(xy, spec, bounds, derive_stream(args.seed or 0, 0, 0))
     write_points_csv(masked, args.out, choices=choices, ids=ids)
     print(f"wrote {args.out}")

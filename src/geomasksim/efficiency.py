@@ -30,7 +30,6 @@ without forcing the two onto one interpretation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,21 +152,3 @@ def efficiency_report(
         moment_formula=variant,
     )
 
-
-def masked_second_moment_mc(
-    d: float,
-    theta_star: float,
-    rng,
-    draws: int = 1_000_000,
-) -> float:
-    """Monte Carlo E(d_masked^2) for one true distance, unconstrained uniform
-    masking — the oracle that adjudicates between the moment variants.
-    """
-    if d < 0.0 or theta_star < 0.0:
-        raise ValueError("d and theta_star must be >= 0")
-    gen = rng.generator() if hasattr(rng, "generator") else rng
-    theta = gen.uniform(0.0, theta_star, draws)
-    delta = gen.uniform(0.0, 2.0 * math.pi, draws)
-    # place the true point at (d, 0): masked squared distance to the origin
-    sq = (d + theta * np.cos(delta)) ** 2 + (theta * np.sin(delta)) ** 2
-    return float(sq.mean())

@@ -21,7 +21,9 @@ attributable to locational error alone.
 
 Determinism: replication (theta_index, rep) owns a private stream derived
 from the run seed, so results are independent of worker count and schedule;
-records are emitted sorted by (theta_star, rep).
+records are emitted sorted by (theta_star, rep). Replications are fitted in
+row chunks by ``fit_rows``, whose rows do not depend on each other, so the
+records do not depend on the chunk size or the worker task size either.
 """
 
 from __future__ import annotations
@@ -44,12 +46,14 @@ from .efficiency import (
 )
 from .geometry import Point, StudyArea, equivalent_circle_radius, facility_distances
 from .logit import (
+    SEPARATED,
+    SINGULAR,
     LogitFit,
     LogitParams,
-    SeparationError,
-    SingularInformationError,
-    fit_distance_choice,
+    RowFits,
+    fit_distance_choice,  # noqa: F401  (bound here for perfbench/tracer.py, which wraps it by name)
     fit_logit,
+    fit_rows,
     wald_ci,
     z_quantile,
 )
@@ -78,6 +82,9 @@ FAST_REPLICATIONS = 200
 DEFAULT_GRID_K = 10
 
 _REP_BLOCK = 64  # replications per worker task
+# Points per fit_rows call: a chunk of max(1, _ROW_ELEMENTS // n) rows keeps
+# the kernel's (rows, n) work arrays in cache.
+_ROW_ELEMENTS = 16384
 _MIN_CELL_CONVERGENCE = 0.5
 _CI_LEVEL = 0.95
 
@@ -251,34 +258,31 @@ def _init_worker(payload: dict) -> None:
     _WORKER.update(payload)
 
 
-def _fit_or_none(d: np.ndarray, y: np.ndarray) -> LogitFit | None:
-    """The one failure policy for replicated fits.
+def _row_chunks(reps: range, n: int) -> list[range]:
+    """``reps`` cut into runs of at most max(1, _ROW_ELEMENTS // n), one
+    ``fit_rows`` call each."""
+    step = max(1, _ROW_ELEMENTS // n)
+    return [reps[i : i + step] for i in range(0, len(reps), step)]
 
-    Degenerate choices (all 0s or all 1s) and a singular information matrix
-    have no estimate; such a replication counts as non-converged (None)
-    instead of aborting the run.
+
+def _fit_or_none(fits: RowFits) -> list[LogitFit | None]:
+    """The one failure policy for replicated fits, row by row.
+
+    A row with degenerate choices (all 0s or all 1s) or a singular
+    information matrix has no estimate; such a replication counts as
+    non-converged (None) instead of aborting the run.
     """
-    try:
-        return fit_distance_choice(d, y)
-    except (SeparationError, SingularInformationError):
-        return None
+    return [None if fits.status[i] in (SEPARATED, SINGULAR) else fits.fit(i) for i in range(len(fits))]
 
 
-def _mask_and_fit(
-    xy: np.ndarray,
-    y: np.ndarray,
-    spec: MaskSpec,
-    bounds: np.ndarray | None,
-    facility: Point,
-    rng,
-) -> LogitFit | None:
-    """One replication: mask the coordinates, measure distances, refit."""
-    masked = mask_coordinates(xy, spec, bounds, rng)
-    return _fit_or_none(facility_distances(masked, facility), y)
+def _masked_distances(xy: np.ndarray, spec: MaskSpec, bounds: np.ndarray | None, facility: Point, rng) -> np.ndarray:
+    """One replication's distances: mask the coordinates, measure to the facility."""
+    return facility_distances(mask_coordinates(xy, spec, bounds, rng), facility)
 
 
 def _replicate_block(task: tuple[int, float, int, int], state: dict | None = None) -> list[ReplicationRecord]:
-    """Run replications [rep_start, rep_stop) of one theta* cell."""
+    """Run replications [rep_start, rep_stop) of one theta* cell, fitting
+    them in row chunks."""
     theta_index, theta_star, rep_start, rep_stop = task
     st = state if state is not None else _WORKER
     xy = st["xy"]
@@ -293,28 +297,31 @@ def _replicate_block(task: tuple[int, float, int, int], state: dict | None = Non
     seed = st["seed"]
 
     records = []
-    for rep in range(rep_start, rep_stop):
-        fit = _mask_and_fit(xy, y, spec, bounds, facility, derive_stream(seed, theta_index, rep))
-        if fit is None:
+    for reps in _row_chunks(range(rep_start, rep_stop), y.size):
+        D = np.stack([_masked_distances(xy, spec, bounds, facility, derive_stream(seed, theta_index, rep)) for rep in reps])
+        fits = _fit_or_none(fit_rows(D, y))
+        del D  # the next chunk masks without this one's distances alive
+        for rep, fit in zip(reps, fits):
+            if fit is None:
+                records.append(
+                    ReplicationRecord(theta_star, rep, math.nan, math.nan, math.nan, False, 0, False, False)
+                )
+                continue
+            beta = fit.params.beta
+            se = fit.std_errors[1]
             records.append(
-                ReplicationRecord(theta_star, rep, math.nan, math.nan, math.nan, False, 0, False, False)
+                ReplicationRecord(
+                    theta_star=theta_star,
+                    rep=rep,
+                    alpha_hat=fit.params.alpha,
+                    beta_hat=beta,
+                    se_beta=se,
+                    converged=fit.converged,
+                    iterations=fit.iterations,
+                    significant_beta=bool(fit.converged and se > 0.0 and abs(beta) / se >= z),
+                    outside_true_ci=bool(fit.converged and not ci_lo <= beta <= ci_hi),
+                )
             )
-            continue
-        beta = fit.params.beta
-        se = fit.std_errors[1]
-        records.append(
-            ReplicationRecord(
-                theta_star=theta_star,
-                rep=rep,
-                alpha_hat=fit.params.alpha,
-                beta_hat=beta,
-                se_beta=se,
-                converged=fit.converged,
-                iterations=fit.iterations,
-                significant_beta=bool(fit.converged and se > 0.0 and abs(beta) / se >= z),
-                outside_true_ci=bool(fit.converged and not ci_lo <= beta <= ci_hi),
-            )
-        )
     return records
 
 
@@ -389,10 +396,14 @@ def summarize_replications(records: list[ReplicationRecord], baseline: LogitFit 
             if r.outside_true_ci != (not lo <= r.beta_hat <= hi):
                 raise ValueError(f"record (theta*={r.theta_star:g}, rep={r.rep}) inconsistent with baseline CI")
     betas = np.array([r.beta_hat for r in ok])
+    abs_betas = np.abs(betas)
+    # Moments about the first estimate: a cell of identical estimates (the
+    # theta* = 0 cell) gets exactly that estimate as its mean and zero spread,
+    # whatever its bits; a plain mean of k equal values can round.
     return CurveRow(
         theta_star=records[0].theta_star,
-        mean_abs_beta=float(np.abs(betas).mean()),
-        sd_beta=float(np.std(betas, ddof=1)) if betas.size > 1 else 0.0,
+        mean_abs_beta=float(abs_betas[0] + (abs_betas - abs_betas[0]).mean()),
+        sd_beta=float(np.std(betas - betas[0], ddof=1)) if betas.size > 1 else 0.0,
         pct_outside_true_ci=100.0 * sum(r.outside_true_ci for r in ok) / len(ok),
         pct_nonsignificant=100.0 * sum(not r.significant_beta for r in ok) / len(ok),
         convergence_rate=len(ok) / len(records),
@@ -420,9 +431,7 @@ def run_attenuation_experiment(config: ExperimentConfig) -> ExperimentResult:
         raise ValueError("use run_centroid_experiment for the centroid analog")
     ds = prepare_dataset(config)
     baseline = run_baseline(config, ds)
-    bounds = None
-    if config.mask.boundary == "redraw":
-        bounds = np.tile(np.asarray(config.area.bounds, dtype=np.float64), (config.n, 1))
+    bounds = np.asarray(config.area.bounds, dtype=np.float64) if config.mask.boundary == "redraw" else None
     records = _run_cells(
         cells=list(enumerate(config.theta_values())),
         base_xy=ds.points,
@@ -525,17 +534,15 @@ def run_efficiency_experiment(
     params = baseline.params
     d_true = ds.true_distances
     prob = expit(config.generating_params.alpha + config.generating_params.beta * d_true)
-    bounds = None
-    if config.mask.boundary == "redraw":
-        bounds = np.tile(np.asarray(config.area.bounds, dtype=np.float64), (config.n, 1))
+    bounds = np.asarray(config.area.bounds, dtype=np.float64) if config.mask.boundary == "redraw" else None
 
     def regenerate_choices(gen: np.random.Generator) -> np.ndarray:
         return (gen.uniform(0.0, 1.0, config.n) < prob).astype(np.float64)
 
     true_fits = []
-    for rep in range(reps):
-        gen = efficiency_true_stream(config.seed, rep).generator()
-        true_fits.append(_fit_or_none(d_true, regenerate_choices(gen)))
+    for chunk in _row_chunks(range(reps), config.n):
+        Y = np.stack([regenerate_choices(efficiency_true_stream(config.seed, rep).generator()) for rep in chunk])
+        true_fits += _fit_or_none(fit_rows(d_true, Y))
     true_fits = [f for f in true_fits if f is not None]
     true_betas = np.array([f.params.beta for f in true_fits if f.converged])
 
@@ -544,10 +551,14 @@ def run_efficiency_experiment(
     for theta_index, theta_star in enumerate(config.theta_values()):
         spec = config.mask.with_theta_star(theta_star)
         masked_fits = []
-        for rep in range(reps):
-            gen = efficiency_masked_stream(config.seed, theta_index, rep).generator()
-            y_rep = regenerate_choices(gen)
-            masked_fits.append(_mask_and_fit(ds.points, y_rep, spec, bounds, ds.facility, gen))
+        for chunk in _row_chunks(range(reps), config.n):
+            D, Y = [], []
+            for rep in chunk:
+                # one stream per replication: its choices first, then its mask
+                gen = efficiency_masked_stream(config.seed, theta_index, rep).generator()
+                Y.append(regenerate_choices(gen))
+                D.append(_masked_distances(ds.points, spec, bounds, ds.facility, gen))
+            masked_fits += _fit_or_none(fit_rows(np.stack(D), np.stack(Y)))
         masked_fits = [f for f in masked_fits if f is not None]
         el_emp = empirical_variance_ratio(true_fits, masked_fits)
         reports.append(efficiency_report(ds, params, theta_star, variant=variant, el_empirical=el_emp))

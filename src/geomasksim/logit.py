@@ -4,8 +4,30 @@ information, and Newton-Raphson maximum likelihood with Wald inference.
 The model is P(y=1) = L(eta) with L the standardized logistic CDF and
 eta = alpha + beta * d. The log-likelihood is globally concave in
 (alpha, beta), so Newton iteration from the origin with step halving finds
-the unique maximum whenever one exists. All log terms use the stable
-log-sigmoid form, which is overflow-free for |eta| up to ~700.
+the unique maximum whenever one exists.
+
+One kernel, ``fit_rows``, fits an (R, n) block of (distance, choice) rows at
+once; every fit in the package goes through it, ``fit_distance_choice`` as a
+one-row block. Each Newton pass is fused. With e = exp(-|eta|):
+
+    log-likelihood  sum(y*eta - max(eta, 0) - log1p(e))
+    probability     p = where(eta >= 0, 1, e) * v  with  v = 1/(1 + e)
+    weight          w = p(1 - p) = e*v * v
+
+so a pass costs one ``exp`` and one ``log1p`` per point and overflows for no
+eta. The score (sum r, sum r*d) with r = y - p and the information
+(sum w, sum w*d, sum w*d^2) come from the same p and w. Step-halving
+candidates evaluate only the log-likelihood, and the accepted candidate's
+eta and e feed the next pass. ``log_likelihood``, ``score`` and
+``observed_information`` are one-row views of the same pass.
+
+Row independence: the bits of a row do not depend on the other rows of its
+block. Elementwise operations are exact per element, and every sum is a
+``.sum(axis=1)`` over a C-contiguous (rows, n) array, which reduces each row
+as the 1-D sum of that row would. Rows that stop are dropped by taking the
+subset of the remaining rows. A pass keeps four (rows, n) work arrays, so
+callers bound the block size: the replication harness passes
+max(1, 16384 // n) rows per call, which keeps them in cache.
 """
 
 from __future__ import annotations
@@ -15,7 +37,6 @@ from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
-from scipy.special import expit
 
 from .dataset import ChoiceDataset
 
@@ -24,6 +45,11 @@ DEFAULT_MAX_ITER = 100
 
 # Estimates beyond this magnitude are treated as runaway (quasi-separation).
 _DIVERGENCE_BOUND = 1e4
+# Step-halving candidates per Newton step: scales 1, 1/2, ..., 2**-39.
+_MAX_HALVINGS = 40
+
+#: Row statuses of a ``fit_rows`` block.
+CONVERGED, NOT_CONVERGED, SEPARATED, SINGULAR = range(4)
 
 
 class SeparationError(ValueError):
@@ -63,21 +89,111 @@ class LogitFit:
     gradient_norm: float
 
 
-def _eta(d: np.ndarray, p: LogitParams) -> np.ndarray:
-    return p.alpha + p.beta * d
+@dataclass
+class RowFits:
+    """Per-row results of ``fit_rows``; entry i belongs to row i of the block."""
+
+    alpha: np.ndarray
+    beta: np.ndarray
+    std_errors: np.ndarray  # (R, 2): (se_alpha, se_beta)
+    loglik: np.ndarray
+    information: np.ndarray  # (R, 2, 2)
+    iterations: np.ndarray
+    gradient_norm: np.ndarray
+    status: np.ndarray  # CONVERGED, NOT_CONVERGED, SEPARATED or SINGULAR
+
+    def __len__(self) -> int:
+        return self.status.size
+
+    def fit(self, i: int) -> LogitFit:
+        """Row i as a LogitFit; a separated or singular row raises its error."""
+        if self.status[i] == SEPARATED:
+            raise SeparationError("choices are all identical; the logit MLE does not exist")
+        info = self.information[i]
+        if self.status[i] == SINGULAR:
+            det = info[0, 0] * info[1, 1] - info[0, 1] ** 2
+            raise SingularInformationError(
+                f"information determinant {det} after {self.iterations[i]} iteration(s)"
+            )
+        return LogitFit(
+            params=LogitParams(float(self.alpha[i]), float(self.beta[i])),
+            std_errors=(float(self.std_errors[i, 0]), float(self.std_errors[i, 1])),
+            loglik=float(self.loglik[i]),
+            information=info.copy(),
+            converged=bool(self.status[i] == CONVERGED),
+            iterations=int(self.iterations[i]),
+            gradient_norm=float(self.gradient_norm[i]),
+        )
+
+
+def _block(d, y) -> tuple[np.ndarray, ...]:
+    """``d`` and ``y`` as float64 arrays broadcast to one (R, n) shape."""
+    D, Y = (np.atleast_2d(np.asarray(v, dtype=np.float64)) for v in (d, y))
+    return (D, Y) if D.shape == Y.shape else np.broadcast_arrays(D, Y)
+
+
+def _eta_exp(D, a, b, H, E) -> None:
+    """eta = a + b*d into H and e = exp(-|eta|) into E, with per-row a, b."""
+    np.multiply(D, b[:, None], out=H)
+    H += a[:, None]
+    np.abs(H, out=E)
+    np.negative(E, out=E)
+    np.exp(E, out=E)
+
+
+def _loglik(Y, H, E, T1, T2) -> np.ndarray:
+    """Per-row log-likelihood from eta (H) and e (E); overwrites T1 and T2.
+
+    Each point's term y*eta - max(eta, 0) - log1p(e) is <= 0, so the row sum
+    has no cancellation.
+    """
+    np.multiply(Y, H, out=T1)
+    T1 -= np.maximum(H, 0.0, out=T2)
+    T1 -= np.log1p(E, out=T2)
+    return T1.sum(axis=1)
+
+
+def _moments(D, Y, H, E, T1, T2) -> np.ndarray:
+    """(rows, 5) sums [r, r*d, w, w*d, w*d*d] with r = y - p, w = p(1 - p),
+    at the point whose eta and e are in H and E; overwrites E, T1 and T2."""
+    M = np.empty((H.shape[0], 5))
+    np.add(E, 1.0, out=T1)
+    np.reciprocal(T1, out=T1)  # v = 1/(1+e): p where eta >= 0, 1 - p elsewhere
+    E *= T1  # u = e*v: the other one
+    np.multiply(E, T1, out=T2)
+    M[:, 2] = T2.sum(axis=1)
+    T2 *= D
+    M[:, 3] = T2.sum(axis=1)
+    T2 *= D
+    M[:, 4] = T2.sum(axis=1)
+    # p = max(u, copysign(v, eta)) picks v where eta >= 0 (u <= 1/2 <= v)
+    # and u elsewhere, without a branch per point
+    np.copysign(T1, H, out=T1)
+    np.maximum(E, T1, out=T1)
+    np.subtract(Y, T1, out=T1)
+    M[:, 0] = T1.sum(axis=1)
+    T1 *= D
+    M[:, 1] = T1.sum(axis=1)
+    return M
+
+
+def _one_row(d, y, p: LogitParams) -> tuple[np.ndarray, ...]:
+    """(D, Y, H, E, T1, T2) of one row with eta and e at ``p`` filled in."""
+    D, Y = _block(d, y)
+    H, E, T1, T2 = np.empty((4,) + D.shape)
+    _eta_exp(D, np.array([p.alpha]), np.array([p.beta]), H, E)
+    return D, Y, H, E, T1, T2
 
 
 def log_likelihood(d: np.ndarray, y: np.ndarray, p: LogitParams) -> float:
     """Binomial log-likelihood of choices ``y`` at distances ``d``."""
-    eta = _eta(d, p)
-    # log L(eta) = -log(1+exp(-eta)); log(1-L(eta)) = -log(1+exp(eta))
-    return float(-(y * np.logaddexp(0.0, -eta) + (1 - y) * np.logaddexp(0.0, eta)).sum())
+    _, Y, H, E, T1, T2 = _one_row(d, y, p)
+    return float(_loglik(Y, H, E, T1, T2)[0])
 
 
 def score(d: np.ndarray, y: np.ndarray, p: LogitParams) -> np.ndarray:
     """Gradient of the log-likelihood: (sum(y - L), sum((y - L) d))."""
-    resid = y - expit(_eta(d, p))
-    return np.array([resid.sum(), (resid * d).sum()])
+    return _moments(*_one_row(d, y, p))[0, :2]
 
 
 def observed_information(d: np.ndarray, p: LogitParams) -> np.ndarray:
@@ -86,12 +202,153 @@ def observed_information(d: np.ndarray, p: LogitParams) -> np.ndarray:
     Positive semidefinite everywhere; positive definite unless the distances
     are all equal or the probabilities are fully saturated.
     """
-    lam = expit(_eta(d, p))
-    w = lam * (1.0 - lam)
-    sw = w.sum()
-    swd = (w * d).sum()
-    swd2 = (w * d * d).sum()
+    sw, swd, swd2 = _moments(*_one_row(d, 0.0, p))[0, 2:]
     return np.array([[sw, swd], [swd, swd2]])
+
+
+def _halve(D, Y, a, b, step_a, step_b, ll, H, E, T1, T2):
+    """Take each row's Newton step, halved until the log-likelihood is within
+    the slack of ``ll``; the last of the 40 candidates is taken regardless.
+
+    Returns the new (a, b, ll); H and E hold the accepted eta and e.
+    """
+    # The slack admits rounding-level decreases: near the optimum a Newton
+    # step improves the log-likelihood by less than the summation noise of
+    # computing it, and exact nondecrease would stall.
+    floor = ll - 1e-10 * (1.0 + np.abs(ll))
+    new_a, new_b = a + step_a, b + step_b
+    _eta_exp(D, new_a, new_b, H, E)
+    new_ll = _loglik(Y, H, E, T1, T2)
+    ok = new_ll >= floor
+    if ok.all():
+        return new_a, new_b, new_ll
+
+    pending = np.flatnonzero(~ok)
+    scale = 1.0
+    for attempt in range(1, _MAX_HALVINGS):
+        scale *= 0.5
+        ca = a[pending] + scale * step_a[pending]
+        cb = b[pending] + scale * step_b[pending]
+        if pending.size == a.size:
+            Dp, Yp, Hp, Ep = D, Y, H, E
+        else:
+            Dp, Yp = D[pending], Y[pending]
+            Hp, Ep = np.empty((2, pending.size, D.shape[1]))
+        _eta_exp(Dp, ca, cb, Hp, Ep)
+        llc = _loglik(Yp, Hp, Ep, T1[: pending.size], T2[: pending.size])
+        ok = llc >= floor[pending]
+        if attempt == _MAX_HALVINGS - 1:
+            ok[:] = True
+        took = pending[ok]
+        new_a[took], new_b[took], new_ll[took] = ca[ok], cb[ok], llc[ok]
+        if Hp is not H:
+            H[took], E[took] = Hp[ok], Ep[ok]
+        pending = pending[~ok]
+        if not pending.size:
+            break
+    return new_a, new_b, new_ll
+
+
+def fit_rows(
+    d: np.ndarray,
+    y: np.ndarray,
+    init: LogitParams = LogitParams(0.0, 0.0),
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> RowFits:
+    """Newton-Raphson ML fits of a block of (distance, choice) rows.
+
+    ``d`` and ``y`` broadcast to (R, n); a 1-D one is shared by every row.
+    Each row starts at ``init`` and stops on its own. It is CONVERGED when
+    its gradient max-norm drops below ``tol`` (``iterations`` then counts
+    the steps taken), NOT_CONVERGED after ``max_iter`` iterations or once an
+    estimate passes the divergence bound (quasi-separation), SEPARATED when
+    its choices are all equal and SINGULAR when its information determinant
+    is not positive. Each Newton step is halved until it does not decrease
+    the log-likelihood.
+    """
+    D, Y = _block(d, y)
+    R, n = D.shape
+    alpha, beta, loglik, gradient_norm = np.full((4, R), math.nan)
+    info = np.full((R, 3), math.nan)  # (sum w, sum w*d, sum w*d*d)
+    iterations = np.zeros(R, dtype=np.int64)
+    status = np.full(R, SEPARATED, dtype=np.int8)  # every other row is stored when it stops
+
+    def stop(sel, M, its, row_status):
+        """Store the results of the active rows ``sel`` (reads the current idx, a, b, ll, gnorm)."""
+        rows = idx[sel]
+        alpha[rows], beta[rows], loglik[rows], gradient_norm[rows] = a[sel], b[sel], ll[sel], gnorm[sel]
+        info[rows] = M[:, 2:]
+        iterations[rows], status[rows] = its, row_status
+
+    idx = np.flatnonzero(Y.min(axis=1) != Y.max(axis=1))
+    if idx.size < R:
+        D, Y = D[idx], Y[idx]
+    m = idx.size
+    H, E, T1, T2 = np.empty((4, m, n))
+    a, b = np.full(m, init.alpha), np.full(m, init.beta)
+    _eta_exp(D, a, b, H, E)
+    ll = _loglik(Y, H, E, T1, T2)
+    gnorm = np.full(m, math.inf)
+
+    it = 0
+    for it in range(1, max_iter + 1):
+        if not m:
+            break
+        M = _moments(D, Y, H, E, T1, T2)
+        gnorm = np.maximum(np.abs(M[:, 0]), np.abs(M[:, 1]))
+        det = M[:, 2] * M[:, 4] - M[:, 3] ** 2
+        converged = gnorm < tol
+        singular = ~(np.isfinite(det) & (det > 0.0))
+        done = converged | singular
+        if done.any():
+            # a converged pass only verified the previous step
+            stop(done, M[done], it - converged[done], np.where(singular[done], SINGULAR, CONVERGED))
+            keep = ~done
+            idx, a, b, ll, gnorm, M, det = (v[keep] for v in (idx, a, b, ll, gnorm, M, det))
+            m = idx.size
+            if not m:
+                break
+            D, Y = D[keep], Y[keep]
+            H, E, T1, T2 = (v[:m] for v in (H, E, T1, T2))
+
+        g0, g1, i00, i01, i11 = M.T
+        step_a = (i11 * g0 - i01 * g1) / det
+        step_b = (i00 * g1 - i01 * g0) / det
+        a, b, ll = _halve(D, Y, a, b, step_a, step_b, ll, H, E, T1, T2)
+
+        # runaway estimates: quasi-separation, report non-convergence
+        diverged = (np.abs(a) > _DIVERGENCE_BOUND) | (np.abs(b) > _DIVERGENCE_BOUND)
+        if diverged.any():
+            if diverged.all():
+                M = _moments(D, Y, H, E, T1, T2)
+            else:
+                Hd, Ed = H[diverged], E[diverged]
+                M = _moments(D[diverged], Y[diverged], Hd, Ed, np.empty_like(Hd), np.empty_like(Hd))
+            stop(diverged, M, it, NOT_CONVERGED)
+            keep = ~diverged
+            idx, a, b, ll, gnorm = (v[keep] for v in (idx, a, b, ll, gnorm))
+            m = idx.size
+            if m:
+                D, Y = D[keep], Y[keep]
+                H[:m], E[:m] = H[keep], E[keep]
+                H, E, T1, T2 = (v[:m] for v in (H, E, T1, T2))
+
+    if m:  # out of iterations
+        stop(slice(None), _moments(D, Y, H, E, T1, T2), it, NOT_CONVERGED)
+
+    sw, swd, swd2 = info.T
+    det = sw * swd2 - swd**2
+    return RowFits(
+        alpha=alpha,
+        beta=beta,
+        std_errors=np.sqrt(np.column_stack((swd2, sw)) / np.where(det > 0.0, det, math.nan)[:, None]),
+        loglik=loglik,
+        information=info[:, [0, 1, 1, 2]].reshape(R, 2, 2),
+        iterations=iterations,
+        gradient_norm=gradient_norm,
+        status=status,
+    )
 
 
 def fit_distance_choice(
@@ -101,79 +358,15 @@ def fit_distance_choice(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> LogitFit:
-    """Newton-Raphson ML fit on raw (distance, choice) arrays.
+    """Newton-Raphson ML fit on raw (distance, choice) arrays: ``fit_rows``
+    on one row.
 
-    Convergence is declared when the gradient max-norm drops below ``tol``.
-    Each Newton step is halved until it does not decrease the log-likelihood.
     Quasi-separated samples (probabilities saturating with unbounded step
     growth) are returned flagged ``converged=False`` instead of raising;
-    a truly singular information matrix raises.
+    all-equal choices raise SeparationError and a singular information
+    matrix raises SingularInformationError.
     """
-    d = np.asarray(d, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if y.min() == y.max():
-        raise SeparationError("choices are all identical; the logit MLE does not exist")
-
-    alpha, beta = init.alpha, init.beta
-    ll = log_likelihood(d, y, init)
-    converged = False
-    iterations = 0
-    grad_norm = math.inf
-
-    for iterations in range(1, max_iter + 1):
-        p = LogitParams(alpha, beta)
-        g = score(d, y, p)
-        info = observed_information(d, p)
-        grad_norm = float(np.abs(g).max())
-        if grad_norm < tol:
-            converged = True
-            iterations -= 1  # this pass only verified the previous step
-            break
-
-        det = info[0, 0] * info[1, 1] - info[0, 1] ** 2
-        if not math.isfinite(det) or det <= 0.0:
-            raise SingularInformationError(f"information determinant {det} at iteration {iterations}")
-        step_a = (info[1, 1] * g[0] - info[0, 1] * g[1]) / det
-        step_b = (info[0, 0] * g[1] - info[0, 1] * g[0]) / det
-
-        # Step halving guards against overshoot on near-separated samples.
-        # The acceptance slack admits rounding-level decreases: near the
-        # optimum a Newton step improves the log-likelihood by less than the
-        # summation noise of computing it, and exact nondecrease would stall.
-        slack = 1e-10 * (1.0 + abs(ll))
-        scale = 1.0
-        for _ in range(40):
-            cand = LogitParams(alpha + scale * step_a, beta + scale * step_b)
-            ll_cand = log_likelihood(d, y, cand)
-            if ll_cand >= ll - slack:
-                break
-            scale *= 0.5
-        alpha, beta = alpha + scale * step_a, beta + scale * step_b
-        ll = ll_cand
-
-        if abs(alpha) > _DIVERGENCE_BOUND or abs(beta) > _DIVERGENCE_BOUND:
-            break  # runaway estimates: quasi-separation, report non-convergence
-
-    params = LogitParams(alpha, beta)
-    info = observed_information(d, params)
-    det = info[0, 0] * info[1, 1] - info[0, 1] ** 2
-    if converged and (not math.isfinite(det) or det <= 0.0):
-        raise SingularInformationError(f"information determinant {det} at the optimum")
-    se = (
-        (math.sqrt(info[1, 1] / det), math.sqrt(info[0, 0] / det))
-        if det > 0.0
-        else (math.nan, math.nan)
-    )
-
-    return LogitFit(
-        params=params,
-        std_errors=se,
-        loglik=ll,
-        information=info,
-        converged=converged,
-        iterations=iterations,
-        gradient_norm=grad_norm,
-    )
+    return fit_rows(d, y, init, tol, max_iter).fit(0)
 
 
 def fit_logit(ds: ChoiceDataset) -> LogitFit:

@@ -82,11 +82,11 @@ def _draw_offsets(spec: MaskSpec, gen: np.random.Generator, m: int) -> np.ndarra
 
 
 def _inside(xy: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Membership of (m, 2) coordinates in per-point (m, 4) bounds."""
+    """Membership of (m, 2) coordinates in one (4,) rectangle or in per-point
+    (m, 4) bounds."""
     x, y = xy[:, 0], xy[:, 1]
-    return (
-        (bounds[:, 0] <= x) & (x <= bounds[:, 1]) & (bounds[:, 2] <= y) & (y <= bounds[:, 3])
-    )
+    x_min, x_max, y_min, y_max = bounds.T
+    return (x_min <= x) & (x <= x_max) & (y_min <= y) & (y <= y_max)
 
 
 def mask_coordinates(
@@ -95,12 +95,13 @@ def mask_coordinates(
     bounds: np.ndarray | None,
     rng: RngStream,
 ) -> np.ndarray:
-    """Mask an (m, 2) coordinate array, redrawing against per-point bounds.
+    """Mask an (m, 2) coordinate array, redrawing against bounds.
 
-    ``bounds`` is an (m, 4) array of (x_min, x_max, y_min, y_max) rows, or
-    None under the unconstrained policy. Under the redraw policy every input
-    point must start inside its own bounds; displacements are re-drawn until
-    the result falls back inside, up to ``spec.max_attempts`` per point.
+    ``bounds`` is one (x_min, x_max, y_min, y_max) rectangle shared by every
+    point, an (m, 4) array of such rows, one per point, or None under the
+    unconstrained policy. Under the redraw policy every input point must
+    start inside its bounds; displacements are re-drawn until the result
+    falls back inside, up to ``spec.max_attempts`` per point.
     """
     xy = np.asarray(xy, dtype=np.float64)
     gen = as_generator(rng)
@@ -121,6 +122,6 @@ def mask_coordinates(
         if attempts >= spec.max_attempts:
             raise BoundaryExhaustionError(pending.tolist(), spec.max_attempts)
         out[pending] = xy[pending] + _draw_offsets(spec, gen, pending.size)
-        pending = pending[~_inside(out[pending], bounds[pending])]
+        pending = pending[~_inside(out[pending], bounds if bounds.ndim == 1 else bounds[pending])]
         attempts += 1
     return out

@@ -20,7 +20,7 @@ import pytest
 from scipy.special import expit
 from scipy.stats import kstest
 
-from geomasksim.efficiency import expected_sq_masked_distance, masked_second_moment_mc
+from geomasksim.efficiency import expected_sq_masked_distance
 from geomasksim.experiments import (
     ExperimentConfig,
     prepare_dataset,
@@ -39,6 +39,7 @@ from geomasksim.logit import (
 from geomasksim.masking import MaskSpec, mask_coordinates
 from geomasksim.reports import write_records_csv
 from geomasksim.rng import derive_stream
+from moment_oracle import masked_second_moment_mc
 
 SEED = 0
 FULL_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)

@@ -12,13 +12,13 @@ from geomasksim.efficiency import (
     empirical_variance_ratio,
     expected_sq_masked_distance,
     information_beta,
-    masked_second_moment_mc,
 )
 from geomasksim.geometry import Point, StudyArea
 from geomasksim.logit import LogitParams, observed_information
 from geomasksim.masking import MaskSpec, mask_coordinates
 from geomasksim.population import generate_csr_xy, simulate_choices_xy
 from geomasksim.rng import derive_stream, population_stream
+from moment_oracle import masked_second_moment_mc
 
 AREA = StudyArea.unit_square()
 

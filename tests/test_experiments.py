@@ -161,10 +161,26 @@ def test_records_bytes_independent_of_block_size(monkeypatch, tmp_path):
     outputs = set()
     for block in (1, 64):
         monkeypatch.setattr(exp, "_REP_BLOCK", block)
-        for workers in (1, 2):
-            res = run_attenuation_experiment(dataclasses.replace(cfg, workers=workers))
-            path = write_records_csv(res.records, tmp_path / f"records_b{block}_w{workers}.csv")
-            outputs.add(path.read_bytes())
+        # rows per fit_rows call: 1, 3, and every replication of the block
+        for row_elements in (1, 3 * cfg.n, cfg.n * cfg.replications):
+            monkeypatch.setattr(exp, "_ROW_ELEMENTS", row_elements)
+            for workers in (1, 2):
+                res = run_attenuation_experiment(dataclasses.replace(cfg, workers=workers))
+                path = write_records_csv(res.records, tmp_path / f"records_b{block}_r{row_elements}_w{workers}.csv")
+                outputs.add(path.read_bytes())
+    assert len(outputs) == 1
+
+
+def test_efficiency_bytes_independent_of_row_chunks(monkeypatch, tmp_path):
+    import geomasksim.experiments as exp
+    from geomasksim.reports import write_efficiency_csv
+
+    cfg = _config(n=150, mask=MaskSpec(mechanism="gaussian", boundary="redraw"))
+    outputs = set()
+    for row_elements in (1, 3 * cfg.n, 40 * cfg.n):
+        monkeypatch.setattr(exp, "_ROW_ELEMENTS", row_elements)
+        run = run_efficiency_experiment(cfg, replications=40)
+        outputs.add(write_efficiency_csv(run.reports, tmp_path / f"eff_r{row_elements}.csv").read_bytes())
     assert len(outputs) == 1
 
 
@@ -195,12 +211,16 @@ def test_attenuation_rejects_centroid_config():
 
 def test_batch_convergence_error(monkeypatch):
     import geomasksim.experiments as exp
-    from geomasksim.logit import SingularInformationError
+    from geomasksim.logit import SINGULAR
+
+    real_fit_rows = exp.fit_rows
 
     def always_singular(d, y, **kw):
-        raise SingularInformationError("forced")
+        fits = real_fit_rows(d, y, **kw)
+        fits.status[:] = SINGULAR
+        return fits
 
-    monkeypatch.setattr(exp, "fit_distance_choice", always_singular)
+    monkeypatch.setattr(exp, "fit_rows", always_singular)
     with pytest.raises(BatchConvergenceError) as info:
         _run = exp.run_attenuation_experiment(_config(replications=8, theta_grid=(0.5,)))
     assert info.value.rate == 0.0
@@ -210,18 +230,20 @@ def test_masking_failures_recorded_not_fatal(monkeypatch):
     # a single failed fit inside a healthy cell must be carried as a
     # non-converged record, not abort the batch
     import geomasksim.experiments as exp
-    from geomasksim.logit import SingularInformationError
+    from geomasksim.logit import SINGULAR
 
-    real_fit = exp.fit_distance_choice
-    calls = {"k": 0}
+    real_fit_rows = exp.fit_rows
+    rows = {"k": 0}
 
     def flaky(d, y, **kw):
-        calls["k"] += 1
-        if calls["k"] == 3:
-            raise SingularInformationError("forced")
-        return real_fit(d, y, **kw)
+        fits = real_fit_rows(d, y, **kw)
+        for i in range(len(fits)):
+            rows["k"] += 1
+            if rows["k"] == 3:
+                fits.status[i] = SINGULAR
+        return fits
 
-    monkeypatch.setattr(exp, "fit_distance_choice", flaky)
+    monkeypatch.setattr(exp, "fit_rows", flaky)
     res = exp.run_attenuation_experiment(_config(replications=10, theta_grid=(0.5,)))
     bad = [r for r in res.records if not r.converged]
     assert len(bad) == 1

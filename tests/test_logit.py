@@ -2,11 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from geomasksim.dataset import ChoiceDataset
 from geomasksim.geometry import Point
 from geomasksim.logit import (
+    CONVERGED,
+    NOT_CONVERGED,
+    SEPARATED,
+    SINGULAR,
     InvalidFitError,
     LogitFit,
     LogitParams,
@@ -14,6 +20,7 @@ from geomasksim.logit import (
     SingularInformationError,
     fit_distance_choice,
     fit_logit,
+    fit_rows,
     log_likelihood,
     observed_information,
     score,
@@ -232,6 +239,167 @@ def test_fit_logit_uses_active_distances():
     direct = fit_distance_choice(d, y)
     via_ds = fit_logit(ds)
     assert via_ds.params == direct.params
+
+
+# --- the row-batched kernel ---
+
+_ROW_FIELDS = ("alpha", "beta", "std_errors", "loglik", "information", "iterations", "gradient_norm", "status")
+
+
+def _assert_rows_match_one_row_calls(D, Y, **kw):
+    """Every row of one fit_rows block is bit-identical to fitting that row alone."""
+    block = fit_rows(D, Y, **kw)
+    for i in range(D.shape[0]):
+        alone = fit_rows(D[i], Y[i], **kw)
+        for name in _ROW_FIELDS:
+            got, want = getattr(block, name)[i], getattr(alone, name)[0]
+            assert np.array_equal(got, want, equal_nan=True), (i, name, got, want)
+    return block
+
+
+def _mixed_block():
+    """Rows: ordinary, ordinary reversed, all-equal choices (separation),
+    constant distance (singular), quasi-separated (divergence)."""
+    n = 40
+    rng = np.random.default_rng(3)
+    d = rng.uniform(0.0, 1.0, n)
+    y = (rng.uniform(size=n) < expit(1.0 - 2.0 * d)).astype(float)
+    # the quasi-separated sample of test_fit_quasi_separation_flagged_not_raised, ten times over
+    quasi_d = np.tile([0.45, 0.499, 0.501, 0.55], 10)
+    quasi_y = np.tile([0.0, 0.0, 1.0, 1.0], 10)
+    D = np.stack([d, d[::-1], d, np.full(n, 0.5), quasi_d])
+    Y = np.stack([y, y, np.ones(n), np.tile([0.0, 1.0], n // 2), quasi_y])
+    return D, Y
+
+
+@pytest.mark.parametrize("max_iter", [100, 1])
+@pytest.mark.parametrize("init", [LogitParams(0.0, 0.0), LogitParams(2.0, 2.0)])
+def test_fit_rows_mixed_block_matches_one_row_calls(init, max_iter):
+    D, Y = _mixed_block()
+    block = _assert_rows_match_one_row_calls(D, Y, init=init, max_iter=max_iter)
+    first = CONVERGED if max_iter > 1 else NOT_CONVERGED
+    assert block.status.tolist() == [first, first, SEPARATED, SINGULAR, NOT_CONVERGED]
+    if max_iter > 1:
+        assert abs(block.beta[4]) > 1e4
+    # the same rows in another order and as subsets give the same bits
+    for order in ([4, 3, 2, 1, 0], [1, 4], [0]):
+        again = fit_rows(D[order], Y[order], init=init, max_iter=max_iter)
+        for name in _ROW_FIELDS:
+            assert np.array_equal(getattr(again, name), getattr(block, name)[order], equal_nan=True)
+    # the one-row front end reports the same rows, or raises for them
+    for i in range(D.shape[0]):
+        if block.status[i] == SEPARATED:
+            with pytest.raises(SeparationError):
+                fit_distance_choice(D[i], Y[i], init=init, max_iter=max_iter)
+        elif block.status[i] == SINGULAR:
+            with pytest.raises(SingularInformationError):
+                fit_distance_choice(D[i], Y[i], init=init, max_iter=max_iter)
+        else:
+            fit = fit_distance_choice(D[i], Y[i], init=init, max_iter=max_iter)
+            assert (fit.params.alpha, fit.params.beta) == (block.alpha[i], block.beta[i])
+            assert fit.std_errors == tuple(block.std_errors[i])
+            assert (fit.loglik, fit.iterations) == (block.loglik[i], block.iterations[i])
+
+
+def test_fit_rows_far_start_needs_step_halving():
+    # from (2, 2) the full Newton step of the ordinary row lowers the
+    # log-likelihood, so the mixed-block test at that start exercises halving
+    D, Y = _mixed_block()
+    d, y = D[0], Y[0]
+    p = LogitParams(2.0, 2.0)
+    step = np.linalg.solve(observed_information(d, p), score(d, y, p))
+    full = LogitParams(p.alpha + step[0], p.beta + step[1])
+    assert log_likelihood(d, y, full) < log_likelihood(d, y, p)
+    fit = fit_distance_choice(d, y, init=p, max_iter=1)
+    assert (fit.params.alpha, fit.params.beta) != (full.alpha, full.beta)
+    assert fit.loglik >= log_likelihood(d, y, p)
+
+
+def test_fit_rows_shared_distance_or_choices_broadcast():
+    D, Y = _mixed_block()
+    shared_d = fit_rows(D[0], Y[:2])
+    stacked = fit_rows(np.stack([D[0], D[0]]), Y[:2])
+    for name in _ROW_FIELDS:
+        assert np.array_equal(getattr(shared_d, name), getattr(stacked, name), equal_nan=True)
+
+
+def _reference_fit(d, y, max_iter=100, tol=1e-8):
+    """The textbook Newton loop, one point per call, with logaddexp and expit
+    arithmetic: the reference the fused kernel is compared against."""
+
+    def loglik(a, b):
+        eta = a + b * d
+        return -(y * np.logaddexp(0.0, -eta) + (1 - y) * np.logaddexp(0.0, eta)).sum()
+
+    a = b = 0.0
+    ll = loglik(a, b)
+    for it in range(1, max_iter + 1):
+        p = expit(a + b * d)
+        r, w = y - p, p * (1.0 - p)
+        g = np.array([r.sum(), (r * d).sum()])
+        info = np.array([[w.sum(), (w * d).sum()], [(w * d).sum(), (w * d * d).sum()]])
+        if np.abs(g).max() < tol:
+            return a, b, it - 1, True
+        step = np.linalg.solve(info, g)
+        scale = 1.0
+        for _ in range(40):
+            cand = loglik(a + scale * step[0], b + scale * step[1])
+            if cand >= ll - 1e-10 * (1.0 + abs(ll)):
+                break
+            scale *= 0.5
+        a, b, ll = a + scale * step[0], b + scale * step[1], cand
+        if abs(a) > 1e4 or abs(b) > 1e4:
+            return a, b, it, False
+    return a, b, max_iter, False
+
+
+def test_fused_pass_matches_reference_arithmetic():
+    # tolerances fixed from float64 rounding of 200-term sums, not measured
+    rng = np.random.default_rng(15)
+    for _ in range(50):
+        d, y = _sim(200, alpha=rng.uniform(-3, 3), beta=rng.uniform(-8, 8), seed=int(rng.integers(2**31)))
+        p = LogitParams(rng.uniform(-40, 40), rng.uniform(-80, 80))
+        eta = p.alpha + p.beta * d
+        lam = expit(eta)
+        ll = -(y * np.logaddexp(0.0, -eta) + (1 - y) * np.logaddexp(0.0, eta)).sum()
+        assert log_likelihood(d, y, p) == pytest.approx(ll, rel=1e-12, abs=1e-12)
+        np.testing.assert_allclose(score(d, y, p), [(y - lam).sum(), ((y - lam) * d).sum()], rtol=1e-12, atol=1e-12)
+        w = lam * (1.0 - lam)
+        want = [[w.sum(), (w * d).sum()], [(w * d).sum(), (w * d * d).sum()]]
+        np.testing.assert_allclose(observed_information(d, p), want, rtol=1e-9, atol=1e-12)
+
+
+def test_fits_match_reference_newton_loop():
+    # same stopping decisions; estimates within the 1e-7 the stop rule allows
+    # two correct implementations (see perfbench/checks.py)
+    rng = np.random.default_rng(16)
+    for k in range(60):
+        n = int(rng.choice([8, 30, 200, 1000]))
+        d, y = _sim(n, alpha=rng.uniform(-3, 3), beta=rng.uniform(-20, 20), seed=k)
+        if y.min() == y.max():
+            continue
+        a, b, iterations, converged = _reference_fit(d, y.astype(float))
+        fit = fit_distance_choice(d, y)
+        assert (fit.iterations, fit.converged) == (iterations, converged)
+        if converged:
+            assert fit.params.alpha == pytest.approx(a, abs=1e-7)
+            assert fit.params.beta == pytest.approx(b, abs=1e-7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 5),
+    n=st.integers(2, 12),
+    alpha=st.floats(-40.0, 40.0),
+    beta=st.floats(-80.0, 80.0),
+    max_iter=st.sampled_from([1, 3, 100]),
+)
+def test_fit_rows_rows_independent_property(seed, rows, n, alpha, beta, max_iter):
+    rng = np.random.default_rng(seed)
+    D = rng.uniform(0.0, 2.0, (rows, n))
+    Y = (rng.uniform(size=(rows, n)) < expit(alpha + beta * D)).astype(float)
+    _assert_rows_match_one_row_calls(D, Y, max_iter=max_iter)
 
 
 # --- intervals and tests ---

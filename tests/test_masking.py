@@ -130,6 +130,19 @@ def test_redraw_keeps_points_inside():
     assert np.hypot(*(out - xy).T).max() <= 0.7 + 1e-12
 
 
+@pytest.mark.parametrize("mechanism", ["uniform", "gaussian"])
+def test_shared_rectangle_matches_per_point_bounds(mechanism):
+    # one (4,) rectangle and the same rectangle tiled per point consume the
+    # stream identically, so the masked coordinates are the same bits
+    area = StudyArea.unit_square()
+    xy = np.random.default_rng(5).uniform(-0.5, 0.5, size=(500, 2))
+    spec = MaskSpec(mechanism=mechanism, theta_star=0.7, boundary="redraw")
+    shared = mask_coordinates(xy, spec, np.asarray(area.bounds), derive_stream(18, 1, 0))
+    tiled = mask_coordinates(xy, spec, np.tile(np.asarray(area.bounds), (500, 1)), derive_stream(18, 1, 0))
+    np.testing.assert_array_equal(shared, tiled)
+    assert area.contains_xy(shared).all()
+
+
 def test_redraw_matches_unconstrained_when_no_rejection():
     # interior point with theta_star smaller than any boundary gap: the first
     # draw is always accepted, so both policies consume the stream identically
@@ -179,7 +192,7 @@ def _dataset(n=100, seed=6):
 
 def _mask(ds, spec, stream, area=None):
     """Mask a dataset the way the replication harness does: always from the true points."""
-    bounds = None if area is None else np.tile(np.asarray(area.bounds), (ds.n, 1))
+    bounds = None if area is None else np.asarray(area.bounds)
     return ds.with_masked_points(mask_coordinates(ds.points, spec, bounds, stream))
 
 
