@@ -10,7 +10,8 @@ Subcommands:
     plot        render SVGs from previously written curve/record CSVs
 
 Exit codes: 0 success; 1 validation error (arguments, config, input data);
-2 runtime failure (convergence batch failure, masking exhaustion).
+2 runtime failure (a replication cell, efficiency cells included, converging
+on under 50% of its replications; masking exhaustion).
 """
 
 from __future__ import annotations
@@ -33,12 +34,11 @@ from .experiments import (
     FAST_REPLICATIONS,
     ExperimentConfig,
     prepare_dataset,
-    run_baseline,
     run_efficiency_experiment,
     run_experiment,
 )
 from .geometry import Point, facility_distances
-from .logit import InvalidFitError, LogitFit, SeparationError, fit_distance_choice, wald_ci
+from .logit import InvalidFitError, LogitFit, SeparationError, fit_distance_choice, fit_logit, wald_ci
 from .masking import BoundaryExhaustionError, MaskSpec, mask_coordinates
 from .reports import (
     RunManifest,
@@ -228,7 +228,7 @@ def _cmd_efficiency(args) -> int:
         reports = run.reports
     else:
         ds = prepare_dataset(config)
-        baseline = run_baseline(config, ds)
+        baseline = fit_logit(ds)
         reports = [
             efficiency_report(ds, baseline.params, t, variant=args.variant)
             for t in config.theta_values()

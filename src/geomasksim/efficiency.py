@@ -36,7 +36,7 @@ import numpy as np
 from scipy.special import expit
 
 from .dataset import ChoiceDataset
-from .logit import LogitFit, LogitParams
+from .logit import LogitParams
 
 MOMENT_VARIANTS = ("derived", "as-printed")
 DEFAULT_MOMENT_VARIANT = "derived"
@@ -108,20 +108,19 @@ def information_beta(
     return float((lam * (1.0 - lam) * expected_sq_masked_distance(d, theta_star, variant)).sum())
 
 
-def empirical_variance_ratio(true_fits: list[LogitFit], masked_fits: list[LogitFit]) -> float:
+def empirical_variance_ratio(true_betas: np.ndarray, masked_betas: np.ndarray) -> float:
     """var(beta_hat) over true-coordinate fits / var over masked fits.
 
-    Only converged fits enter; fewer than 30 on either side is an error.
+    Takes the converged estimates of each side; fewer than 30 on either
+    side is an error.
     """
-    true_b = [f.params.beta for f in true_fits if f.converged]
-    masked_b = [f.params.beta for f in masked_fits if f.converged]
-    if len(true_b) < _MIN_CONVERGED_FITS or len(masked_b) < _MIN_CONVERGED_FITS:
+    if len(true_betas) < _MIN_CONVERGED_FITS or len(masked_betas) < _MIN_CONVERGED_FITS:
         raise InsufficientDataError(
             f"need >= {_MIN_CONVERGED_FITS} converged fits on each side, "
-            f"got {len(true_b)} true / {len(masked_b)} masked"
+            f"got {len(true_betas)} true / {len(masked_betas)} masked"
         )
-    v_true = float(np.var(true_b, ddof=1))
-    v_masked = float(np.var(masked_b, ddof=1))
+    v_true = float(np.var(true_betas, ddof=1))
+    v_masked = float(np.var(masked_betas, ddof=1))
     if v_masked == 0.0:
         raise InsufficientDataError("masked-fit variance is zero; ratio undefined")
     return v_true / v_masked

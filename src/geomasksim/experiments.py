@@ -1,6 +1,6 @@
 """Monte Carlo experiment harness: mask coordinates, refit, aggregate.
 
-Three experiment kinds share one machinery:
+Three experiment kinds share one entry point, ``run_experiment``:
 
 * ``csr-population`` — CSR individuals on the unit square, one facility at
   the center, binary choices from the generating logit; coordinates are
@@ -14,16 +14,25 @@ Three experiment kinds share one machinery:
   re-masks every individual uniformly within its own cell with theta* equal
   to the cell's equivalent radius.
 
-Fixed-y design: choices are generated exactly once, before the baseline
-fit, and never regenerated afterward; a checksum of the choice vector is
-asserted inside every worker so that all cross-replication variation is
-attributable to locational error alone.
+Every replicated fit, the efficiency run's included, goes through one
+kernel: ``_run_cells`` cuts a run's cells into (cell, replication range)
+tasks and runs them in-process or in a worker pool; ``_replicate_block``
+draws each replication (choices, then mask) from its own stream, measures
+distances and fits its rows with ``fit_rows``; one failure policy and the
+50% cell-convergence rule apply to every cell. The attenuation run reads
+the per-replication columns as records, the efficiency run reads the
+converged estimates of its cells.
+
+Fixed-y design: the attenuation run generates choices exactly once, before
+the baseline fit, and never regenerates them; a checksum of the choice
+vector is asserted inside every worker so that all cross-replication
+variation is attributable to locational error alone.
 
 Determinism: replication (theta_index, rep) owns a private stream derived
 from the run seed, so results are independent of worker count and schedule;
 records are emitted sorted by (theta_star, rep). Replications are fitted in
 row chunks by ``fit_rows``, whose rows do not depend on each other, so the
-records do not depend on the chunk size or the worker task size either.
+outputs do not depend on the chunk size or the worker task size either.
 """
 
 from __future__ import annotations
@@ -46,11 +55,11 @@ from .efficiency import (
 )
 from .geometry import Point, StudyArea, equivalent_circle_radius, facility_distances
 from .logit import (
+    CONVERGED,
     SEPARATED,
     SINGULAR,
     LogitFit,
     LogitParams,
-    RowFits,
     fit_distance_choice,  # noqa: F401  (bound here for perfbench/tracer.py, which wraps it by name)
     fit_logit,
     fit_rows,
@@ -94,12 +103,14 @@ class EmptyCellError(ValueError):
 
 
 class BatchConvergenceError(RuntimeError):
-    """A theta* cell converged on fewer than half of its replications."""
+    """A cell converged on fewer than half of its replications; theta_star
+    is None for the efficiency run's true-coordinate cell."""
 
-    def __init__(self, theta_star: float, rate: float):
+    def __init__(self, theta_star: float | None, rate: float):
         self.theta_star = theta_star
         self.rate = rate
-        super().__init__(f"cell theta*={theta_star:g} converged on {rate:.1%} of replications")
+        cell = "true-coordinate cell" if theta_star is None else f"cell theta*={theta_star:g}"
+        super().__init__(f"{cell} converged on {rate:.1%} of replications")
 
 
 @dataclass(frozen=True)
@@ -236,22 +247,12 @@ def prepare_dataset(config: ExperimentConfig) -> ChoiceDataset:
     )
 
 
-def run_baseline(config: ExperimentConfig, ds: ChoiceDataset | None = None) -> LogitFit:
-    """Fit on the unmasked coordinates; its 95% CI is the comparison baseline.
-
-    For the centroid experiment the observed (not-distorted) data are the
-    centroid-assigned coordinates, so the baseline is fit on those.
-    """
-    if ds is None:
-        ds = prepare_dataset(config)
-        if config.experiment == "centroid":
-            ds = assign_to_centroid(ds, build_municipality_grid(config.area, config.grid_k))
-    return fit_logit(ds)
-
-
 # ----------------------------------------------------------------- workers
 
 _WORKER: dict = {}
+
+# Per-replication columns of the block kernel, in record order.
+_COLUMNS = ("alpha", "beta", "se_beta", "converged", "iterations")
 
 
 def _init_worker(payload: dict) -> None:
@@ -265,112 +266,103 @@ def _row_chunks(reps: range, n: int) -> list[range]:
     return [reps[i : i + step] for i in range(0, len(reps), step)]
 
 
-def _fit_or_none(fits: RowFits) -> list[LogitFit | None]:
-    """The one failure policy for replicated fits, row by row.
+def _replicate_block(task: tuple[int, float | None, int, int], state: dict | None = None) -> dict[str, np.ndarray]:
+    """Fit replications [rep_start, rep_stop) of one cell, in row chunks.
 
-    A row with degenerate choices (all 0s or all 1s) or a singular
-    information matrix has no estimate; such a replication counts as
-    non-converged (None) instead of aborting the run.
+    A cell is (theta_index, theta_star); theta_star None leaves the points
+    unmasked (the efficiency run's true-coordinate cell). Each replication
+    draws from its own stream: first its regenerated choices when the run
+    has generating probabilities instead of fixed choices, then its mask.
+    Returns the ``_COLUMNS`` of the block's rows under the one failure
+    policy: a row with degenerate choices (all 0s or all 1s) or a singular
+    information matrix has no estimate (NaN, not converged, 0 iterations)
+    instead of aborting the run.
     """
-    return [None if fits.status[i] in (SEPARATED, SINGULAR) else fits.fit(i) for i in range(len(fits))]
-
-
-def _masked_distances(xy: np.ndarray, spec: MaskSpec, bounds: np.ndarray | None, facility: Point, rng) -> np.ndarray:
-    """One replication's distances: mask the coordinates, measure to the facility."""
-    return facility_distances(mask_coordinates(xy, spec, bounds, rng), facility)
-
-
-def _replicate_block(task: tuple[int, float, int, int], state: dict | None = None) -> list[ReplicationRecord]:
-    """Run replications [rep_start, rep_stop) of one theta* cell, fitting
-    them in row chunks."""
     theta_index, theta_star, rep_start, rep_stop = task
     st = state if state is not None else _WORKER
-    xy = st["xy"]
-    y = st["y"]
-    if choices_checksum(y) != st["y_checksum"]:
+    xy, facility, bounds, seed, y, prob = (st[k] for k in ("xy", "facility", "bounds", "seed", "y", "prob"))
+    if y is not None and choices_checksum(y) != st["y_checksum"]:
         raise RuntimeError("choice vector changed after baseline; fixed-y contract violated")
-    spec = st["base_spec"].with_theta_star(theta_star)
-    bounds = st["bounds"]
-    facility = st["facility"]
-    ci_lo, ci_hi = st["baseline_ci"]
-    z = st["z"]
-    seed = st["seed"]
+    spec = None if theta_star is None else st["base_spec"].with_theta_star(theta_star)
+    d = facility_distances(xy, facility) if spec is None else None
 
-    records = []
-    for reps in _row_chunks(range(rep_start, rep_stop), y.size):
-        D = np.stack([_masked_distances(xy, spec, bounds, facility, derive_stream(seed, theta_index, rep)) for rep in reps])
-        fits = _fit_or_none(fit_rows(D, y))
-        del D  # the next chunk masks without this one's distances alive
-        for rep, fit in zip(reps, fits):
-            if fit is None:
-                records.append(
-                    ReplicationRecord(theta_star, rep, math.nan, math.nan, math.nan, False, 0, False, False)
-                )
-                continue
-            beta = fit.params.beta
-            se = fit.std_errors[1]
-            records.append(
-                ReplicationRecord(
-                    theta_star=theta_star,
-                    rep=rep,
-                    alpha_hat=fit.params.alpha,
-                    beta_hat=beta,
-                    se_beta=se,
-                    converged=fit.converged,
-                    iterations=fit.iterations,
-                    significant_beta=bool(fit.converged and se > 0.0 and abs(beta) / se >= z),
-                    outside_true_ci=bool(fit.converged and not ci_lo <= beta <= ci_hi),
-                )
-            )
-    return records
+    chunks = []
+    for reps in _row_chunks(range(rep_start, rep_stop), xy.shape[0]):
+        D, Y = [], []
+        for rep in reps:
+            if y is not None:
+                gen = derive_stream(seed, theta_index, rep).generator()
+            else:
+                if spec is None:
+                    gen = efficiency_true_stream(seed, rep).generator()
+                else:
+                    gen = efficiency_masked_stream(seed, theta_index, rep).generator()
+                Y.append((gen.uniform(0.0, 1.0, prob.size) < prob).astype(np.float64))
+            if spec is not None:
+                D.append(facility_distances(mask_coordinates(xy, spec, bounds, gen), facility))
+        fits = fit_rows(np.stack(D) if D else d, np.stack(Y) if Y else y)
+        del D, Y  # the next chunk draws without this one's rows alive
+        failed = (fits.status == SEPARATED) | (fits.status == SINGULAR)
+        chunks.append((
+            np.where(failed, math.nan, fits.alpha),
+            np.where(failed, math.nan, fits.beta),
+            np.where(failed, math.nan, fits.std_errors[:, 1]),
+            fits.status == CONVERGED,
+            np.where(failed, 0, fits.iterations),
+        ))
+    return {name: np.concatenate(column) for name, column in zip(_COLUMNS, zip(*chunks))}
 
 
 def _run_cells(
-    cells: list[tuple[int, float]],
-    base_xy: np.ndarray,
-    y: np.ndarray,
+    cells: list[tuple[int, float | None]],
+    xy: np.ndarray,
+    facility: Point,
     bounds: np.ndarray | None,
     base_spec: MaskSpec,
-    facility: Point,
-    baseline_ci: tuple[float, float],
     seed: int,
     replications: int,
     workers: int,
-) -> list[ReplicationRecord]:
-    """Execute all (cell, replication) tasks and return sorted records."""
+    *,
+    y: np.ndarray | None = None,
+    prob: np.ndarray | None = None,
+) -> dict[str, np.ndarray]:
+    """Fit every (cell, replication) of a run and return the ``_COLUMNS``,
+    each shaped (cells, replications).
+
+    Exactly one of ``y`` (fixed choices) and ``prob`` (generating
+    probabilities, redrawn per replication) is given. A cell that converged
+    on under half of its replications raises BatchConvergenceError.
+    """
     payload = {
-        "xy": np.ascontiguousarray(base_xy, dtype=np.float64),
-        "y": np.ascontiguousarray(y, dtype=np.float64),
-        "y_checksum": choices_checksum(y),
-        "base_spec": base_spec,
-        "bounds": bounds,
+        "xy": np.ascontiguousarray(xy, dtype=np.float64),
         "facility": facility,
-        "baseline_ci": baseline_ci,
-        "z": z_quantile(_CI_LEVEL),
+        "bounds": bounds,
         "seed": seed,
+        "y": None if y is None else np.ascontiguousarray(y, dtype=np.float64),
+        "y_checksum": None if y is None else choices_checksum(y),
+        "prob": prob,
+        "base_spec": base_spec,
     }
     tasks = [
         (theta_index, theta_star, start, min(start + _REP_BLOCK, replications))
         for theta_index, theta_star in cells
         for start in range(0, replications, _REP_BLOCK)
     ]
-
-    records: list[ReplicationRecord] = []
     if workers == 1:
-        for task in tasks:
-            records.extend(_replicate_block(task, state=payload))
+        blocks = [_replicate_block(task, state=payload) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(payload,)) as pool:
-            for block in pool.map(_replicate_block, tasks, chunksize=1):
-                records.extend(block)
+            blocks = list(pool.map(_replicate_block, tasks, chunksize=1))
 
-    records.sort(key=lambda r: (r.theta_star, r.rep))
-    for theta_index, theta_star in cells:
-        cell = [r for r in records if r.theta_star == theta_star]
-        rate = sum(r.converged for r in cell) / len(cell)
+    fits = {
+        name: np.concatenate([block[name] for block in blocks]).reshape(len(cells), replications)
+        for name in _COLUMNS
+    }
+    for (_, theta_star), converged in zip(cells, fits["converged"]):
+        rate = np.count_nonzero(converged) / replications
         if rate < _MIN_CELL_CONVERGENCE:
             raise BatchConvergenceError(theta_star, rate)
-    return records
+    return fits
 
 
 # -------------------------------------------------------------- experiments
@@ -419,31 +411,67 @@ def build_curve(records: list[ReplicationRecord], baseline: LogitFit | None = No
     return AttenuationCurve(rows=tuple(rows))
 
 
-def run_attenuation_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Mask-and-refit over the theta* grid (csr-population / fixed-area-grid).
+def _records(
+    cells: list[tuple[int, float]], fits: dict[str, np.ndarray], ci: tuple[float, float]
+) -> list[ReplicationRecord]:
+    """One record per (cell, replication) of a fixed-y run, in (theta*, rep) order."""
+    z = z_quantile(_CI_LEVEL)
+    ci_lo, ci_hi = ci
+    records = []
+    for c, (_, theta_star) in enumerate(cells):
+        rows = zip(*(fits[name][c].tolist() for name in _COLUMNS))
+        for rep, (alpha, beta, se, converged, iterations) in enumerate(rows):
+            records.append(
+                ReplicationRecord(
+                    theta_star=theta_star,
+                    rep=rep,
+                    alpha_hat=alpha,
+                    beta_hat=beta,
+                    se_beta=se,
+                    converged=converged,
+                    iterations=iterations,
+                    significant_beta=bool(converged and se > 0.0 and abs(beta) / se >= z),
+                    outside_true_ci=bool(converged and not ci_lo <= beta <= ci_hi),
+                )
+            )
+    return records
 
-    Per replication: mask the true coordinates under the config's mask
-    law at theta* = reference_radius x fraction, recompute distances to the
-    facility, refit, record. A cell with under 50% convergence aborts the
-    batch; individual failures are recorded and carried.
+
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+    """Mask-and-refit over the run's theta* cells with fixed choices.
+
+    Per replication: mask the observed coordinates under the mask law at
+    the cell's theta*, recompute distances to the facility, refit, record.
+    csr-population and fixed-area-grid mask the true coordinates at
+    theta* = reference_radius x fraction, redrawing inside the study area
+    under the redraw policy. The centroid analog observes each individual
+    at its cell centroid and re-masks it uniformly within its own cell
+    (redraw policy, theta* = the cell equivalent radius); the curve row's
+    pct_outside_true_ci complement is then the share of replications
+    statistically indistinguishable from the baseline. The baseline is
+    the fit on the observed dataset. A cell with under 50% convergence
+    aborts the batch; individual failures are recorded and carried.
     """
-    if config.experiment == "centroid":
-        raise ValueError("use run_centroid_experiment for the centroid analog")
     ds = prepare_dataset(config)
-    baseline = run_baseline(config, ds)
-    bounds = np.asarray(config.area.bounds, dtype=np.float64) if config.mask.boundary == "redraw" else None
-    records = _run_cells(
-        cells=list(enumerate(config.theta_values())),
-        base_xy=ds.points,
+    if config.experiment == "centroid":
+        grid = build_municipality_grid(config.area, config.grid_k)
+        ds = assign_to_centroid(ds, grid)
+        xy = ds.active_points
+        bounds = grid.cell_bounds()[grid.cell_indices(xy)]
+        cells = [(0, grid.cells[0].equivalent_radius)]
+        spec = dataclasses.replace(config.mask, boundary="redraw")
+    else:
+        xy = ds.points
+        bounds = np.asarray(config.area.bounds, dtype=np.float64) if config.mask.boundary == "redraw" else None
+        cells = list(enumerate(config.theta_values()))
+        spec = config.mask
+    baseline = fit_logit(ds)
+    ci = wald_ci(baseline, _CI_LEVEL)[1]  # a non-converged baseline fails before any replication
+    fits = _run_cells(
+        cells, xy, config.resolved_facility, bounds, spec, config.seed, config.replications, config.workers,
         y=ds.choices,
-        bounds=bounds,
-        base_spec=config.mask,
-        facility=config.resolved_facility,
-        baseline_ci=wald_ci(baseline, _CI_LEVEL)[1],
-        seed=config.seed,
-        replications=config.replications,
-        workers=config.workers,
     )
+    records = _records(cells, fits, ci)
     return ExperimentResult(
         config=config,
         baseline=baseline,
@@ -451,55 +479,6 @@ def run_attenuation_experiment(config: ExperimentConfig) -> ExperimentResult:
         curve=build_curve(records, baseline),
         dataset=ds,
     )
-
-
-def run_centroid_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Centroid-assignment analog: re-mask every individual within its cell.
-
-    The observed data place each individual at its cell centroid; the
-    baseline is fit on those coordinates. Each replication re-masks all
-    individuals uniformly with theta* = the cell equivalent radius,
-    redrawing until the displaced point stays inside its own cell, then
-    refits. The curve row's pct_outside_true_ci complement is the share of
-    replications statistically indistinguishable from the baseline.
-    """
-    if config.experiment != "centroid":
-        raise ValueError(f"config.experiment is {config.experiment!r}, expected 'centroid'")
-    grid = build_municipality_grid(config.area, config.grid_k)
-    ds = prepare_dataset(config)
-    observed = assign_to_centroid(ds, grid)
-    baseline = fit_logit(observed)
-
-    cell_idx = grid.cell_indices(observed.active_points)
-    bounds = grid.cell_bounds()[cell_idx]
-    cell_theta = grid.cells[0].equivalent_radius
-    base_spec = dataclasses.replace(config.mask, boundary="redraw")
-    records = _run_cells(
-        cells=[(0, cell_theta)],
-        base_xy=observed.active_points,
-        y=observed.choices,
-        bounds=bounds,
-        base_spec=base_spec,
-        facility=config.resolved_facility,
-        baseline_ci=wald_ci(baseline, _CI_LEVEL)[1],
-        seed=config.seed,
-        replications=config.replications,
-        workers=config.workers,
-    )
-    return ExperimentResult(
-        config=config,
-        baseline=baseline,
-        records=records,
-        curve=build_curve(records, baseline),
-        dataset=observed,
-    )
-
-
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Dispatch on the experiment kind."""
-    if config.experiment == "centroid":
-        return run_centroid_experiment(config)
-    return run_attenuation_experiment(config)
 
 
 def run_efficiency_experiment(
@@ -517,10 +496,11 @@ def run_efficiency_experiment(
     from the true coordinates for the numerator fits, and from the true
     coordinates but refit on freshly masked ones for the denominator — so
     both sides carry sampling variability (unlike the fixed-y attenuation
-    records, which would give the true coordinates zero variance). A
-    replication without an estimate counts as non-converged, as in the
-    attenuation harness; fewer than 30 converged fits on either side of a
-    ratio raises InsufficientDataError.
+    records, which would give the true coordinates zero variance). Both
+    sides are cells of one ``_run_cells`` call, under the attenuation
+    run's failure policy and worker count: a cell converging on under half
+    of its replications raises BatchConvergenceError, and fewer than 30
+    converged fits on either side of a ratio raises InsufficientDataError.
     """
     if ds is None:
         ds = prepare_dataset(config)
@@ -531,37 +511,20 @@ def run_efficiency_experiment(
     reps = replications if replications is not None else min(300, max(30, config.replications))
     if reps < 30:
         raise ValueError(f"need >= 30 efficiency replications, got {reps}")
-    params = baseline.params
-    d_true = ds.true_distances
-    prob = expit(config.generating_params.alpha + config.generating_params.beta * d_true)
+    prob = expit(config.generating_params.alpha + config.generating_params.beta * ds.true_distances)
     bounds = np.asarray(config.area.bounds, dtype=np.float64) if config.mask.boundary == "redraw" else None
-
-    def regenerate_choices(gen: np.random.Generator) -> np.ndarray:
-        return (gen.uniform(0.0, 1.0, config.n) < prob).astype(np.float64)
-
-    true_fits = []
-    for chunk in _row_chunks(range(reps), config.n):
-        Y = np.stack([regenerate_choices(efficiency_true_stream(config.seed, rep).generator()) for rep in chunk])
-        true_fits += _fit_or_none(fit_rows(d_true, Y))
-    true_fits = [f for f in true_fits if f is not None]
-    true_betas = np.array([f.params.beta for f in true_fits if f.converged])
-
-    reports = []
-    masked_betas = []
-    for theta_index, theta_star in enumerate(config.theta_values()):
-        spec = config.mask.with_theta_star(theta_star)
-        masked_fits = []
-        for chunk in _row_chunks(range(reps), config.n):
-            D, Y = [], []
-            for rep in chunk:
-                # one stream per replication: its choices first, then its mask
-                gen = efficiency_masked_stream(config.seed, theta_index, rep).generator()
-                Y.append(regenerate_choices(gen))
-                D.append(_masked_distances(ds.points, spec, bounds, ds.facility, gen))
-            masked_fits += _fit_or_none(fit_rows(np.stack(D), np.stack(Y)))
-        masked_fits = [f for f in masked_fits if f is not None]
-        el_emp = empirical_variance_ratio(true_fits, masked_fits)
-        reports.append(efficiency_report(ds, params, theta_star, variant=variant, el_empirical=el_emp))
-        masked_betas.append(np.array([f.params.beta for f in masked_fits if f.converged]))
-
+    thetas = config.theta_values()
+    fits = _run_cells(
+        [(0, None)] + list(enumerate(thetas)), ds.points, ds.facility, bounds, config.mask,
+        config.seed, reps, config.workers, prob=prob,
+    )
+    betas = [beta[converged] for beta, converged in zip(fits["beta"], fits["converged"])]
+    true_betas, masked_betas = betas[0], betas[1:]
+    reports = [
+        efficiency_report(
+            ds, baseline.params, theta_star, variant=variant,
+            el_empirical=empirical_variance_ratio(true_betas, masked),
+        )
+        for theta_star, masked in zip(thetas, masked_betas)
+    ]
     return EfficiencyRun(reports=reports, true_betas=true_betas, masked_betas=masked_betas)

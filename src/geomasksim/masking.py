@@ -45,6 +45,11 @@ class BoundaryExhaustionError(RuntimeError):
             f"{self.point_indices[:10]}"
         )
 
+    def __reduce__(self):
+        # rebuild from the constructor's arguments, so the error survives the
+        # pickle round trip from a pool worker to the parent
+        return type(self), (self.point_indices, self.max_attempts)
+
 
 @dataclass(frozen=True)
 class MaskSpec:

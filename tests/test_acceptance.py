@@ -24,9 +24,8 @@ from geomasksim.efficiency import expected_sq_masked_distance
 from geomasksim.experiments import (
     ExperimentConfig,
     prepare_dataset,
-    run_attenuation_experiment,
-    run_centroid_experiment,
     run_efficiency_experiment,
+    run_experiment,
 )
 from geomasksim.logit import (
     LogitParams,
@@ -59,7 +58,7 @@ def full_config():
 
 @pytest.fixture(scope="module")
 def full_run(full_config):
-    return run_attenuation_experiment(full_config)
+    return run_experiment(full_config)
 
 
 # --- 1: derivative correctness ---
@@ -311,7 +310,7 @@ def test_efficiency_loss_law(full_config, criterion_detail):
 
 @pytest.mark.criterion(7, "worker counts 1 and 8 produce byte-identical records CSVs")
 def test_records_identical_across_worker_counts(full_config, full_run, tmp_path, criterion_detail):
-    res8 = run_attenuation_experiment(dataclasses.replace(full_config, workers=8))
+    res8 = run_experiment(dataclasses.replace(full_config, workers=8))
     p1 = write_records_csv(full_run.records, tmp_path / "records_w1.csv")
     p8 = write_records_csv(res8.records, tmp_path / "records_w8.csv")
     b1, b8 = p1.read_bytes(), p8.read_bytes()
@@ -329,7 +328,7 @@ def test_centroid_grid_coarseness_trend(criterion_detail):
         cfg = ExperimentConfig(
             experiment="centroid", n=100_000, replications=150, grid_k=k, seed=SEED
         )
-        res = run_centroid_experiment(cfg)
+        res = run_experiment(cfg)
         conv = [r for r in res.records if r.converged]
         p = float(np.mean([not r.outside_true_ci for r in conv]))
         se = 100.0 * math.sqrt(max(p * (1.0 - p), 1e-12) / len(conv))

@@ -1,8 +1,12 @@
 import json
+import tempfile
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geomasksim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from geomasksim.geometry import Point, StudyArea
@@ -147,6 +151,76 @@ def test_simulate_batch_failure_exit_2(tmp_path, monkeypatch, capsys):
     assert "runtime failure" in capsys.readouterr().err
 
 
+
+def test_simulate_outputs_identical_across_workers(tmp_path):
+    cfg = _config_file(tmp_path)
+    for workers in ("1", "2"):
+        assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / workers), "--workers", workers]) == EXIT_OK
+    for name in ("run_records.csv", "run_curve.csv", "run_efficiency.csv"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
+EXHAUSTING = """\
+[experiment]
+kind = fixed-area-grid
+replications = 40
+
+[population]
+n = 300
+
+[mask]
+mechanism = uniform
+boundary = redraw
+max_attempts = 1
+"""
+
+
+def test_simulate_masking_exhaustion_exit_2_in_pool(tmp_path, capsys):
+    # the worker's BoundaryExhaustionError must reach the parent intact
+    cfg = _config_file(tmp_path, EXHAUSTING)
+    errors = []
+    for workers in ("1", "2"):
+        assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / workers), "--workers", workers]) == EXIT_RUNTIME
+        errors.append(capsys.readouterr().err)
+    assert errors[0].startswith("runtime failure: masking exhausted 1 redraw attempts")
+    assert errors[0] == errors[1]
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["csr-population", "fixed-area-grid", "centroid"]),
+    n=st.integers(2, 30),
+    seed=st.integers(0, 2**16),
+    mechanism=st.sampled_from(["uniform", "gaussian"]),
+    boundary=st.sampled_from(["unconstrained", "redraw"]),
+    max_attempts=st.sampled_from([1, 1000]),
+    fractions=st.lists(st.sampled_from([0.0, 0.1, 0.5, 1.0]), min_size=2, max_size=2, unique=True).map(sorted),
+)
+def test_simulate_exit_code_contract(kind, n, seed, mechanism, boundary, max_attempts, fractions):
+    # every input either completes or exits with its documented code, the
+    # same at any worker count; completed runs write the same CSVs
+    text = (
+        f"[experiment]\nkind = {kind}\nseed = {seed}\nreplications = 30\n\n[population]\nn = {n}\n\n"
+        f"[mask]\nmechanism = {mechanism}\nboundary = {boundary}\nmax_attempts = {max_attempts}\n\n"
+        f"[grid]\nfractions = {fractions[0]}, {fractions[1]}\n"
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        cfg = _config_file(tmp, text)
+        codes = [
+            main(["simulate", "--config", cfg, "--out-dir", str(tmp / workers), "--workers", workers])
+            for workers in ("1", "2")
+        ]
+        assert codes[0] == codes[1] and codes[0] in (EXIT_OK, EXIT_VALIDATION, EXIT_RUNTIME)
+        if codes[0] != EXIT_OK:
+            return
+        cells = 1 if kind == "centroid" else 2
+        assert len(read_records_csv(tmp / "1" / "run_records.csv")) == cells * 30
+        assert len(read_curve_csv(tmp / "1" / "run_curve.csv").rows) == cells
+        names = ["run_records.csv", "run_curve.csv"] + ([] if kind == "centroid" else ["run_efficiency.csv"])
+        for name in names:
+            assert (tmp / "1" / name).read_bytes() == (tmp / "2" / name).read_bytes()
+
 # --- mask ---
 
 
@@ -256,6 +330,24 @@ def test_efficiency_with_empirical(tmp_path):
     lines = (out / "run_efficiency.csv").read_text(encoding="utf-8").splitlines()
     assert all(line.split(",")[4] != "" for line in lines[1:])
 
+
+
+def test_efficiency_cell_convergence_exit_2(tmp_path, monkeypatch, capsys):
+    import geomasksim.experiments as exp
+    from geomasksim.logit import SINGULAR
+
+    real_fit_rows = exp.fit_rows
+
+    def always_singular(d, y, **kw):
+        fits = real_fit_rows(d, y, **kw)
+        fits.status[:] = SINGULAR
+        return fits
+
+    monkeypatch.setattr(exp, "fit_rows", always_singular)
+    cfg = _config_file(tmp_path)
+    rc = main(["efficiency", "--config", cfg, "--out-dir", str(tmp_path / "eff"), "--empirical-reps", "30"])
+    assert rc == EXIT_RUNTIME
+    assert "true-coordinate cell converged on 0.0%" in capsys.readouterr().err
 
 def test_efficiency_variant_flag(tmp_path):
     cfg = _config_file(tmp_path)

@@ -19,16 +19,13 @@ from geomasksim.experiments import (
     build_curve,
     choices_checksum,
     prepare_dataset,
-    run_attenuation_experiment,
-    run_baseline,
-    run_centroid_experiment,
     run_efficiency_experiment,
     run_experiment,
     summarize_replications,
 )
 from geomasksim.efficiency import efficiency_report
 from geomasksim.geometry import Point
-from geomasksim.logit import wald_ci
+from geomasksim.logit import fit_logit, wald_ci
 from geomasksim.masking import MaskSpec
 from geomasksim.population import assign_to_centroid, build_municipality_grid
 
@@ -114,17 +111,15 @@ def test_choices_checksum_tracks_content():
 
 def test_run_baseline_consistent_with_generator():
     cfg = _config(n=2_000, seed=3)
-    fit = run_baseline(cfg)
+    fit = fit_logit(prepare_dataset(cfg))
     assert fit.converged
     assert abs(fit.params.beta - (-2.0)) <= 3.0 * fit.std_errors[1]
 
 
 def test_run_baseline_centroid_uses_assigned_coordinates():
     cfg = _config(experiment="centroid", grid_k=10)
-    via_runner = run_baseline(cfg)
+    via_runner = run_experiment(cfg).baseline
     ds = assign_to_centroid(prepare_dataset(cfg), build_municipality_grid(cfg.area, 10))
-    from geomasksim.logit import fit_logit
-
     assert via_runner.params == fit_logit(ds).params
 
 
@@ -133,7 +128,7 @@ def test_run_baseline_centroid_uses_assigned_coordinates():
 
 def test_zero_theta_cell_reproduces_baseline_exactly():
     cfg = _config(theta_grid=(0.0, 1.0), replications=12)
-    res = run_attenuation_experiment(cfg)
+    res = run_experiment(cfg)
     zero_cell = [r for r in res.records if r.theta_star == 0.0]
     assert len(zero_cell) == 12
     for r in zero_cell:
@@ -165,7 +160,7 @@ def test_records_bytes_independent_of_block_size(monkeypatch, tmp_path):
         for row_elements in (1, 3 * cfg.n, cfg.n * cfg.replications):
             monkeypatch.setattr(exp, "_ROW_ELEMENTS", row_elements)
             for workers in (1, 2):
-                res = run_attenuation_experiment(dataclasses.replace(cfg, workers=workers))
+                res = run_experiment(dataclasses.replace(cfg, workers=workers))
                 path = write_records_csv(res.records, tmp_path / f"records_b{block}_r{row_elements}_w{workers}.csv")
                 outputs.add(path.read_bytes())
     assert len(outputs) == 1
@@ -177,36 +172,33 @@ def test_efficiency_bytes_independent_of_row_chunks(monkeypatch, tmp_path):
 
     cfg = _config(n=150, mask=MaskSpec(mechanism="gaussian", boundary="redraw"))
     outputs = set()
-    for row_elements in (1, 3 * cfg.n, 40 * cfg.n):
-        monkeypatch.setattr(exp, "_ROW_ELEMENTS", row_elements)
-        run = run_efficiency_experiment(cfg, replications=40)
-        outputs.add(write_efficiency_csv(run.reports, tmp_path / f"eff_r{row_elements}.csv").read_bytes())
+    for block in (1, 64):
+        monkeypatch.setattr(exp, "_REP_BLOCK", block)
+        for row_elements in (1, 3 * cfg.n, 40 * cfg.n):
+            monkeypatch.setattr(exp, "_ROW_ELEMENTS", row_elements)
+            for workers in (1, 2):
+                run = run_efficiency_experiment(dataclasses.replace(cfg, workers=workers), replications=40)
+                path = tmp_path / f"eff_b{block}_r{row_elements}_w{workers}.csv"
+                outputs.add(write_efficiency_csv(run.reports, path).read_bytes())
     assert len(outputs) == 1
 
 
 def test_run_deterministic_and_worker_independent():
     cfg = _config(n=150, replications=70)  # crosses the 64-rep task boundary
-    a = run_attenuation_experiment(cfg)
-    b = run_attenuation_experiment(cfg)
+    a = run_experiment(cfg)
+    b = run_experiment(cfg)
     assert a.records == b.records
-    c = run_attenuation_experiment(_config(n=150, replications=70, workers=2))
+    c = run_experiment(_config(n=150, replications=70, workers=2))
     assert a.records == c.records
 
 
 def test_attenuation_shrinks_mean_abs_beta():
     cfg = _config(n=500, replications=60, theta_grid=(0.1, 1.0))
-    res = run_attenuation_experiment(cfg)
+    res = run_experiment(cfg)
     rows = res.curve.rows
     assert rows[-1].mean_abs_beta < abs(res.baseline.params.beta)
     assert rows[-1].mean_abs_beta < rows[0].mean_abs_beta
     assert all(row.convergence_rate == 1.0 for row in rows)
-
-
-def test_attenuation_rejects_centroid_config():
-    with pytest.raises(ValueError):
-        run_attenuation_experiment(_config(experiment="centroid"))
-    with pytest.raises(ValueError):
-        run_centroid_experiment(_config())
 
 
 def test_batch_convergence_error(monkeypatch):
@@ -222,7 +214,7 @@ def test_batch_convergence_error(monkeypatch):
 
     monkeypatch.setattr(exp, "fit_rows", always_singular)
     with pytest.raises(BatchConvergenceError) as info:
-        _run = exp.run_attenuation_experiment(_config(replications=8, theta_grid=(0.5,)))
+        _run = exp.run_experiment(_config(replications=8, theta_grid=(0.5,)))
     assert info.value.rate == 0.0
 
 
@@ -244,7 +236,7 @@ def test_masking_failures_recorded_not_fatal(monkeypatch):
         return fits
 
     monkeypatch.setattr(exp, "fit_rows", flaky)
-    res = exp.run_attenuation_experiment(_config(replications=10, theta_grid=(0.5,)))
+    res = exp.run_experiment(_config(replications=10, theta_grid=(0.5,)))
     bad = [r for r in res.records if not r.converged]
     assert len(bad) == 1
     assert math.isnan(bad[0].beta_hat)
@@ -296,7 +288,7 @@ def test_summarize_rejects_empty_and_mixed_cells():
 
 def test_summarize_baseline_cross_check():
     cfg = _config(n=500)
-    baseline = run_baseline(cfg)
+    baseline = fit_logit(prepare_dataset(cfg))
     lo, hi = wald_ci(baseline)[1]
     good = _rec(0.3, 0, 0.5 * (lo + hi), outside=False)
     summarize_replications([good], baseline)  # consistent: no error
@@ -326,7 +318,7 @@ def test_curve_row_validation():
 
 def test_centroid_experiment_shape():
     cfg = _config(experiment="centroid", n=400, replications=40, grid_k=5)
-    res = run_centroid_experiment(cfg)
+    res = run_experiment(cfg)
     cell_radius = build_municipality_grid(cfg.area, 5).cells[0].equivalent_radius
     assert len(res.curve.rows) == 1
     assert res.curve.rows[0].theta_star == cell_radius
@@ -338,8 +330,8 @@ def test_centroid_experiment_shape():
 
 def test_centroid_experiment_deterministic():
     cfg = _config(experiment="centroid", n=300, replications=24, grid_k=5)
-    a = run_centroid_experiment(cfg)
-    b = run_experiment(cfg)  # dispatcher routes to the same runner
+    a = run_experiment(cfg)
+    b = run_experiment(cfg)
     assert a.records == b.records
     assert a.baseline.params == b.baseline.params
 
@@ -378,7 +370,7 @@ def test_efficiency_exactly_one_at_zero_theta_on_fitted_params(seed):
     # theta* = 0 is 1.0 to the last bit, not 1 + 2**-52
     cfg = ExperimentConfig(experiment="csr-population", n=1000, seed=seed)
     ds = prepare_dataset(cfg)
-    assert efficiency_report(ds, run_baseline(cfg, ds).params, 0.0).el_analytic == 1.0
+    assert efficiency_report(ds, fit_logit(ds).params, 0.0).el_analytic == 1.0
 
 
 @pytest.mark.parametrize("n", [8, 10])
@@ -403,3 +395,66 @@ def test_efficiency_deterministic():
     b = run_efficiency_experiment(cfg)
     assert [r.el_empirical for r in a.reports] == [r.el_empirical for r in b.reports]
     np.testing.assert_array_equal(a.true_betas, b.true_betas)
+
+
+def _singular_rows(when):
+    """A fit_rows stand-in marking SINGULAR every row of the calls for which
+    ``when(d)`` holds."""
+    import geomasksim.experiments as exp
+    from geomasksim.logit import SINGULAR
+
+    real_fit_rows = exp.fit_rows
+
+    def fit_rows(d, y, **kw):
+        fits = real_fit_rows(d, y, **kw)
+        if when(d):
+            fits.status[:] = SINGULAR
+        return fits
+
+    return fit_rows
+
+
+@pytest.mark.parametrize(
+    "when, theta_star, message",
+    [
+        (lambda d: True, None, "true-coordinate cell"),
+        # masked cells stack (rows, n) distances; the true cell shares one vector
+        (lambda d: np.ndim(d) == 2, 0.0, r"cell theta\*=0 "),
+    ],
+    ids=["true-cell", "masked-cell"],
+)
+def test_efficiency_cell_convergence_rule(monkeypatch, when, theta_star, message):
+    import geomasksim.experiments as exp
+
+    monkeypatch.setattr(exp, "fit_rows", _singular_rows(when))
+    with pytest.raises(BatchConvergenceError, match=message) as info:
+        run_efficiency_experiment(_config(n=150), replications=30)
+    assert info.value.theta_star == theta_star and info.value.rate == 0.0
+
+
+def test_efficiency_drops_nonconverged_fits(monkeypatch):
+    # non-converged and failed fits of a healthy cell stay out of the
+    # variance ratio's estimates
+    import geomasksim.experiments as exp
+    from geomasksim.logit import NOT_CONVERGED, SINGULAR
+
+    real_fit_rows = exp.fit_rows
+    rows = {"k": 0}
+
+    def flaky(d, y, **kw):
+        fits = real_fit_rows(d, y, **kw)
+        for i in range(len(fits)):
+            rows["k"] += 1
+            if rows["k"] in (2, 5):
+                fits.status[i] = NOT_CONVERGED
+            elif rows["k"] == 7:
+                fits.status[i] = SINGULAR
+        return fits
+
+    cfg = _config(n=150)
+    clean = run_efficiency_experiment(cfg, replications=40)
+    monkeypatch.setattr(exp, "fit_rows", flaky)
+    run = run_efficiency_experiment(cfg, replications=40)
+    np.testing.assert_array_equal(run.true_betas, np.delete(clean.true_betas, [1, 4, 6]))
+    for got, want in zip(run.masked_betas, clean.masked_betas):
+        np.testing.assert_array_equal(got, want)

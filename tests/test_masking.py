@@ -174,6 +174,17 @@ def test_redraw_exhaustion():
     assert info.value.max_attempts == 3
 
 
+
+def test_redraw_exhaustion_survives_pickle():
+    # a pool worker's error reaches the parent through pickle
+    import pickle
+
+    err = BoundaryExhaustionError([4, 9, 11], 7)
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is BoundaryExhaustionError
+    assert back.point_indices == [4, 9, 11] and back.max_attempts == 7
+    assert str(back) == str(err)
+
 def test_mask_point_unconstrained_and_redraw():
     area = StudyArea.unit_square()
     xy = np.array([[0.49, 0.49]])
