@@ -196,6 +196,38 @@ def test_empirical_variance_ratio_quarter_on_doubled_spread():
     assert empirical_variance_ratio(center, -2.0 + 2.0 * (center + 2.0)) == pytest.approx(0.25, rel=1e-12)
 
 
+def test_empirical_variance_ratio_skips_nonconverged(monkeypatch):
+    # non-converged and failed fits of a healthy cell stay out of the
+    # estimates the variance ratio is taken over
+    import geomasksim.experiments as exp
+    from geomasksim.logit import NOT_CONVERGED, SINGULAR
+
+    real_fit_rows = exp.fit_rows
+    rows = {"k": 0}
+
+    def flaky(d, y, **kw):
+        fits = real_fit_rows(d, y, **kw)
+        for i in range(len(fits)):
+            rows["k"] += 1
+            if rows["k"] in (2, 5):
+                fits.status[i] = NOT_CONVERGED
+            elif rows["k"] == 7:
+                fits.status[i] = SINGULAR
+        return fits
+
+    cfg = exp.ExperimentConfig(
+        experiment="csr-population", n=150, replications=24, theta_grid=(0.0, 0.5, 1.0), reference_radius=0.707, seed=7
+    )
+    clean = exp.run_efficiency_experiment(cfg, replications=40)
+    monkeypatch.setattr(exp, "fit_rows", flaky)
+    run = exp.run_efficiency_experiment(cfg, replications=40)
+    np.testing.assert_array_equal(run.true_betas, np.delete(clean.true_betas, [1, 4, 6]))
+    for got, want in zip(run.masked_betas, clean.masked_betas):
+        np.testing.assert_array_equal(got, want)
+    for report, masked in zip(run.reports, run.masked_betas):
+        assert report.el_empirical == empirical_variance_ratio(run.true_betas, masked)
+
+
 def test_empirical_variance_ratio_requires_enough_fits():
     betas = np.linspace(-2.5, -1.5, 29)
     with pytest.raises(InsufficientDataError):

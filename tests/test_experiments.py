@@ -430,31 +430,3 @@ def test_efficiency_cell_convergence_rule(monkeypatch, when, theta_star, message
     with pytest.raises(BatchConvergenceError, match=message) as info:
         run_efficiency_experiment(_config(n=150), replications=30)
     assert info.value.theta_star == theta_star and info.value.rate == 0.0
-
-
-def test_efficiency_drops_nonconverged_fits(monkeypatch):
-    # non-converged and failed fits of a healthy cell stay out of the
-    # variance ratio's estimates
-    import geomasksim.experiments as exp
-    from geomasksim.logit import NOT_CONVERGED, SINGULAR
-
-    real_fit_rows = exp.fit_rows
-    rows = {"k": 0}
-
-    def flaky(d, y, **kw):
-        fits = real_fit_rows(d, y, **kw)
-        for i in range(len(fits)):
-            rows["k"] += 1
-            if rows["k"] in (2, 5):
-                fits.status[i] = NOT_CONVERGED
-            elif rows["k"] == 7:
-                fits.status[i] = SINGULAR
-        return fits
-
-    cfg = _config(n=150)
-    clean = run_efficiency_experiment(cfg, replications=40)
-    monkeypatch.setattr(exp, "fit_rows", flaky)
-    run = run_efficiency_experiment(cfg, replications=40)
-    np.testing.assert_array_equal(run.true_betas, np.delete(clean.true_betas, [1, 4, 6]))
-    for got, want in zip(run.masked_betas, clean.masked_betas):
-        np.testing.assert_array_equal(got, want)
