@@ -17,11 +17,15 @@ Three experiment kinds share one entry point, ``run_experiment``:
 Every replicated fit, the efficiency run's included, goes through one
 kernel: ``_run_cells`` cuts a run's cells into (cell, replication range)
 tasks and runs them in-process or in a worker pool; ``_replicate_block``
-draws each replication (choices, then mask) from its own stream, measures
-distances and fits its rows with ``fit_rows``; one failure policy and the
-50% cell-convergence rule apply to every cell. The attenuation run reads
-the per-replication columns as records, the efficiency run reads the
-converged estimates of its cells.
+handles a task in row chunks. Per chunk it positions one pooled Philox
+generator per replication at the start of that replication's stream, draws
+each row's regenerated choices first (efficiency cells only), masks every
+row in one ``mask_coordinates`` call (whose redraw loop serves the whole
+chunk while each row draws from its own generator), takes the (rows, n)
+masked distances and fits the chunk with one ``fit_rows`` call. One
+failure policy and the 50% cell-convergence rule apply to every cell. The
+attenuation run reads the per-replication columns as records, the
+efficiency run reads the converged estimates of its cells.
 
 Fixed-y design: the attenuation run generates choices exactly once, before
 the baseline fit, and never regenerates them; a checksum of the choice
@@ -30,9 +34,10 @@ variation is attributable to locational error alone.
 
 Determinism: replication (theta_index, rep) owns a private stream derived
 from the run seed, so results are independent of worker count and schedule;
-records are emitted sorted by (theta_star, rep). Replications are fitted in
-row chunks by ``fit_rows``, whose rows do not depend on each other, so the
-outputs do not depend on the chunk size or the worker task size either.
+records are emitted sorted by (theta_star, rep). Replications are masked
+and fitted in row chunks; neither a row's draws nor its fit depend on the
+other rows, so the outputs do not depend on the chunk size or the worker
+task size either.
 """
 
 from __future__ import annotations
@@ -58,6 +63,7 @@ from .logit import (
     CONVERGED,
     SEPARATED,
     SINGULAR,
+    InvalidFitError,
     LogitFit,
     LogitParams,
     fit_distance_choice,  # noqa: F401  (bound here for perfbench/tracer.py, which wraps it by name)
@@ -74,7 +80,14 @@ from .population import (
     generate_csr_xy,
     simulate_choices_xy,
 )
-from .rng import choices_stream, derive_stream, efficiency_masked_stream, efficiency_true_stream, population_stream
+from .rng import (
+    GeneratorPool,
+    choices_stream,
+    derive_stream,
+    efficiency_masked_stream,
+    efficiency_true_stream,
+    population_stream,
+)
 
 EXPERIMENTS = ("centroid", "fixed-area-grid", "csr-population")
 
@@ -103,14 +116,25 @@ class EmptyCellError(ValueError):
 
 
 class BatchConvergenceError(RuntimeError):
-    """A cell converged on fewer than half of its replications; theta_star
-    is None for the efficiency run's true-coordinate cell."""
+    """A cell converged on fewer than half of its replications.
 
-    def __init__(self, theta_star: float | None, rate: float):
+    ``stage`` is "attenuation" (fixed choices) or "efficiency" (choices
+    regenerated per replication); theta_star is None for the efficiency
+    run's true-coordinate cell.
+    """
+
+    def __init__(self, theta_star: float | None, rate: float, stage: str):
         self.theta_star = theta_star
         self.rate = rate
+        self.stage = stage
         cell = "true-coordinate cell" if theta_star is None else f"cell theta*={theta_star:g}"
-        super().__init__(f"{cell} converged on {rate:.1%} of replications")
+        choices = "fixed" if stage == "attenuation" else "regenerated"
+        super().__init__(f"{stage} stage ({choices} choices): {cell} converged on {rate:.1%} of replications")
+
+    def __reduce__(self):
+        # rebuild from the constructor's arguments, so the error survives the
+        # pickle round trip from a pool worker to the parent
+        return type(self), (self.theta_star, self.rate, self.stage)
 
 
 @dataclass(frozen=True)
@@ -273,6 +297,9 @@ def _replicate_block(task: tuple[int, float | None, int, int], state: dict | Non
     unmasked (the efficiency run's true-coordinate cell). Each replication
     draws from its own stream: first its regenerated choices when the run
     has generating probabilities instead of fixed choices, then its mask.
+    Per chunk of rows: position one pooled generator per replication, draw
+    each row's choices, mask every row in one ``mask_coordinates`` call,
+    take the (rows, n) masked distances and fit them with ``fit_rows``.
     Returns the ``_COLUMNS`` of the block's rows under the one failure
     policy: a row with degenerate choices (all 0s or all 1s) or a singular
     information matrix has no estimate (NaN, not converged, 0 iterations)
@@ -288,19 +315,27 @@ def _replicate_block(task: tuple[int, float | None, int, int], state: dict | Non
 
     chunks = []
     for reps in _row_chunks(range(rep_start, rep_stop), xy.shape[0]):
-        D, Y = [], []
-        for rep in reps:
-            if y is not None:
-                gen = derive_stream(seed, theta_index, rep).generator()
-            else:
-                if spec is None:
-                    gen = efficiency_true_stream(seed, rep).generator()
-                else:
-                    gen = efficiency_masked_stream(seed, theta_index, rep).generator()
-                Y.append((gen.uniform(0.0, 1.0, prob.size) < prob).astype(np.float64))
-            if spec is not None:
-                D.append(facility_distances(mask_coordinates(xy, spec, bounds, gen), facility))
-        fits = fit_rows(np.stack(D) if D else d, np.stack(Y) if Y else y)
+        if y is not None:
+            streams = [derive_stream(seed, theta_index, rep) for rep in reps]
+        elif spec is None:
+            streams = [efficiency_true_stream(seed, rep) for rep in reps]
+        else:
+            streams = [efficiency_masked_stream(seed, theta_index, rep) for rep in reps]
+        gens = st["generators"].positioned(streams)
+        D, Y = d, y
+        if y is None:
+            # uniform(0, 1) draws, as `random` gives them
+            Y = np.empty((len(reps), prob.size))
+            for gen, row in zip(gens, Y):
+                gen.random(out=row)
+            Y = (Y < prob).astype(np.float64)
+        if spec is not None:
+            masked = mask_coordinates(xy, spec, bounds, gens)
+            masked[:, 0] -= facility.x
+            masked[:, 1] -= facility.y
+            D = np.hypot(masked[:, 0], masked[:, 1])  # facility_distances' expression, over (rows, n) planes
+            del masked
+        fits = fit_rows(D, Y)
         del D, Y  # the next chunk draws without this one's rows alive
         failed = (fits.status == SEPARATED) | (fits.status == SINGULAR)
         chunks.append((
@@ -330,8 +365,9 @@ def _run_cells(
     each shaped (cells, replications).
 
     Exactly one of ``y`` (fixed choices) and ``prob`` (generating
-    probabilities, redrawn per replication) is given. A cell that converged
-    on under half of its replications raises BatchConvergenceError.
+    probabilities, redrawn per replication) is given: the attenuation stage
+    passes ``y``, the efficiency stage ``prob``. A cell that converged on
+    under half of its replications raises BatchConvergenceError.
     """
     payload = {
         "xy": np.ascontiguousarray(xy, dtype=np.float64),
@@ -342,6 +378,7 @@ def _run_cells(
         "y_checksum": None if y is None else choices_checksum(y),
         "prob": prob,
         "base_spec": base_spec,
+        "generators": GeneratorPool(),
     }
     tasks = [
         (theta_index, theta_star, start, min(start + _REP_BLOCK, replications))
@@ -358,10 +395,11 @@ def _run_cells(
         name: np.concatenate([block[name] for block in blocks]).reshape(len(cells), replications)
         for name in _COLUMNS
     }
+    stage = "attenuation" if y is not None else "efficiency"
     for (_, theta_star), converged in zip(cells, fits["converged"]):
         rate = np.count_nonzero(converged) / replications
         if rate < _MIN_CELL_CONVERGENCE:
-            raise BatchConvergenceError(theta_star, rate)
+            raise BatchConvergenceError(theta_star, rate, stage)
     return fits
 
 
@@ -466,7 +504,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         cells = list(enumerate(config.theta_values()))
         spec = config.mask
     baseline = fit_logit(ds)
-    ci = wald_ci(baseline, _CI_LEVEL)[1]  # a non-converged baseline fails before any replication
+    if not baseline.converged:  # fail before any replication
+        raise InvalidFitError(
+            f"baseline fit did not converge on the generated data ({config.experiment}, n={config.n}, "
+            f"seed={config.seed}): {baseline.iterations} iterations, gradient norm {baseline.gradient_norm:.3g}"
+        )
+    ci = wald_ci(baseline, _CI_LEVEL)[1]
     fits = _run_cells(
         cells, xy, config.resolved_facility, bounds, spec, config.seed, config.replications, config.workers,
         y=ds.choices,

@@ -112,8 +112,9 @@ def equivalent_circle_radius(surface_area: float) -> float:
 def facility_distances(xy: np.ndarray, facility: Point) -> np.ndarray:
     """Distances from each row of an (n, 2) coordinate array to the facility.
 
-    Datasets, choice simulation, the replication harness and ``fit`` all take
-    their distances from this one expression, so a recomputed distance vector
+    Datasets, choice simulation, the replication harness (which applies it
+    to (rows, n) planes of masked x and y) and ``fit`` all take their
+    distances from this one expression, so a recomputed distance vector
     compares bit-for-bit with the original.
     """
     return np.hypot(xy[:, 0] - facility.x, xy[:, 1] - facility.y)

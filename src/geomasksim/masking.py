@@ -14,11 +14,23 @@ Draw order is part of the determinism contract. For each masking attempt
 over m pending points the stream is consumed as: m theta values then m
 delta values (uniform mechanism), or m x-offsets then m y-offsets
 (gaussian mechanism).
+
+``mask_coordinates`` masks one point set once per generator, R replication
+rows at a time, and keeps that per-row order: on the first attempt each
+row draws its 2n values in one call (``random`` for the uniform
+mechanism, ``standard_normal`` for the gaussian one) and the draws are
+scaled exactly as numpy's ``uniform(0, theta_star)`` and
+``normal(0, sigma)`` scale them. Under the redraw policy one attempt loop
+serves every row: it keeps the pending (row, point) pairs, and on each
+attempt every row still pending draws its 2m values from its own
+generator, in row order. A row's draws therefore do not depend on how many
+rows are masked with it.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,23 +86,28 @@ class MaskSpec:
         return MaskSpec(self.mechanism, theta_star, self.boundary, self.max_attempts)
 
 
-def _draw_offsets(spec: MaskSpec, gen: np.random.Generator, m: int) -> np.ndarray:
-    """(m, 2) Cartesian offsets under the spec's mechanism."""
+def _offsets(spec: MaskSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cartesian offsets (ox, oy) from raw draws ``u`` of shape (..., 2, m):
+    [..., 0, :] holds the m theta (uniform) or x (gaussian) draws and
+    [..., 1, :] the m delta or y draws. Scaled as 0.0 + scale * draw, as
+    numpy's ``uniform(0, theta_star)`` and ``normal(0, sigma)`` do, so the
+    offsets carry the bits of those calls."""
     if spec.mechanism == "uniform":
-        theta = gen.uniform(0.0, spec.theta_star, m)
-        delta = gen.uniform(0.0, TWO_PI, m)
-        return np.column_stack((theta * np.cos(delta), theta * np.sin(delta)))
+        # scale * draw >= +0.0 here, which adding 0.0 leaves as it is
+        theta = spec.theta_star * u[..., 0, :]
+        delta = TWO_PI * u[..., 1, :]
+        return theta * np.cos(delta), theta * np.sin(delta)
     sigma = spec.theta_star / GAUSSIAN_CALIBRATION
-    dx = gen.normal(0.0, sigma, m)
-    dy = gen.normal(0.0, sigma, m)
-    return np.column_stack((dx, dy))
+    return 0.0 + sigma * u[..., 0, :], 0.0 + sigma * u[..., 1, :]
 
 
-def _inside(xy: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Membership of (m, 2) coordinates in one (4,) rectangle or in per-point
-    (m, 4) bounds."""
-    x, y = xy[:, 0], xy[:, 1]
-    x_min, x_max, y_min, y_max = bounds.T
+def _inside(x: np.ndarray, y: np.ndarray, bounds: np.ndarray, points=slice(None)) -> np.ndarray:
+    """Membership of coordinates in one shared (4,) rectangle, or in the
+    ``points`` rows of (n, 4) per-point bounds."""
+    if bounds.ndim == 1:
+        x_min, x_max, y_min, y_max = bounds.tolist()
+    else:
+        x_min, x_max, y_min, y_max = bounds[points].T
     return (x_min <= x) & (x <= x_max) & (y_min <= y) & (y <= y_max)
 
 
@@ -98,35 +115,71 @@ def mask_coordinates(
     xy: np.ndarray,
     spec: MaskSpec,
     bounds: np.ndarray | None,
-    rng: RngStream,
+    rng: RngStream | np.random.Generator | Sequence[np.random.Generator],
 ) -> np.ndarray:
-    """Mask an (m, 2) coordinate array, redrawing against bounds.
+    """Mask an (n, 2) coordinate array once per replication row, redrawing
+    against bounds.
+
+    ``rng`` is one RngStream or Generator, which masks once and returns the
+    (n, 2) masked coordinates, or a sequence of R generators, one per row,
+    which returns an (R, 2, n) block: [:, 0] the masked x and [:, 1] the
+    masked y of each row, row r drawn from ``rng[r]`` alone.
 
     ``bounds`` is one (x_min, x_max, y_min, y_max) rectangle shared by every
-    point, an (m, 4) array of such rows, one per point, or None under the
+    point, an (n, 4) array of such rows, one per point, or None under the
     unconstrained policy. Under the redraw policy every input point must
     start inside its bounds; displacements are re-drawn until the result
-    falls back inside, up to ``spec.max_attempts`` per point.
+    falls back inside, up to ``spec.max_attempts`` per point. When they run
+    out, BoundaryExhaustionError names the pending points of the lowest
+    row still pending.
     """
     xy = np.asarray(xy, dtype=np.float64)
-    gen = as_generator(rng)
-    if spec.boundary == "unconstrained" or bounds is None:
-        if spec.boundary == "redraw" and bounds is None:
+    single = isinstance(rng, (RngStream, np.random.Generator))
+    gens = [as_generator(g) for g in ([rng] if single else rng)]
+    out = _mask_rows(xy[:, 0], xy[:, 1], spec, bounds, gens)
+    return out[0].T.copy() if single else out
+
+
+def _mask_rows(x, y, spec: MaskSpec, bounds, gens: list[np.random.Generator]) -> np.ndarray:
+    """The (R, 2, n) masked block of ``mask_coordinates`` for points (x, y)."""
+    if spec.boundary == "redraw":
+        if bounds is None:
             raise ValueError("redraw policy requires bounds")
-        return xy + _draw_offsets(spec, gen, xy.shape[0])
+        bounds = np.asarray(bounds, dtype=np.float64)
+        if not _inside(x, y, bounds).all():
+            outside = np.flatnonzero(~_inside(x, y, bounds))
+            raise ValueError(
+                f"redraw policy requires points inside their bounds; offending index(es) {outside[:10].tolist()}"
+            )
+    draw = np.random.Generator.random if spec.mechanism == "uniform" else np.random.Generator.standard_normal
 
-    bounds = np.asarray(bounds, dtype=np.float64)
-    if not _inside(xy, bounds).all():
-        outside = np.flatnonzero(~_inside(xy, bounds))
-        raise ValueError(f"redraw policy requires points inside their bounds; offending index(es) {outside[:10].tolist()}")
+    # each row's raw draws, turned into its masked coordinates in place
+    out = np.empty((len(gens), 2, x.size))
+    for gen, row in zip(gens, out):
+        draw(gen, out=row)
+    ox, oy = _offsets(spec, out)
+    np.add(x, ox, out=out[:, 0])
+    np.add(y, oy, out=out[:, 1])
+    if spec.boundary == "unconstrained":
+        return out
 
-    out = xy + _draw_offsets(spec, gen, xy.shape[0])
-    pending = np.flatnonzero(~_inside(out, bounds))
+    rows, points = np.nonzero(~_inside(out[:, 0], out[:, 1], bounds))
     attempts = 1
-    while pending.size:
+    while rows.size:
         if attempts >= spec.max_attempts:
-            raise BoundaryExhaustionError(pending.tolist(), spec.max_attempts)
-        out[pending] = xy[pending] + _draw_offsets(spec, gen, pending.size)
-        pending = pending[~_inside(out[pending], bounds if bounds.ndim == 1 else bounds[pending])]
+            raise BoundaryExhaustionError(points[rows == rows[0]].tolist(), spec.max_attempts)
+        # rows is ascending, so each pending row's points are one run of it
+        u = np.empty((2, rows.size))
+        stop = 0
+        for r, m in enumerate(np.bincount(rows).tolist()):
+            if m:
+                start, stop = stop, stop + m
+                draw(gens[r], out=u[0, start:stop])
+                draw(gens[r], out=u[1, start:stop])
+        ox, oy = _offsets(spec, u)
+        px, py = x[points] + ox, y[points] + oy
+        out[rows, 0, points], out[rows, 1, points] = px, py
+        keep = ~_inside(px, py, bounds, points)
+        rows, points = rows[keep], points[keep]
         attempts += 1
     return out

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import expit
 
 from .dataset import ChoiceDataset
-from .geometry import Point, StudyArea, equivalent_circle_radius, facility_distances
+from .geometry import Point, StudyArea, equivalent_circle_radius
 from .logit import LogitParams
 from .rng import RngStream, as_generator
 
@@ -141,10 +141,13 @@ def simulate_choices_xy(
 ) -> ChoiceDataset:
     """Bernoulli choices with P(y=1) = L(alpha + beta * d(point, facility))."""
     xy = np.asarray(xy, dtype=np.float64)
-    prob = expit(params.alpha + params.beta * facility_distances(xy, facility))
-    u = as_generator(rng).uniform(0.0, 1.0, xy.shape[0])
-    choices = (u < prob).astype(np.int64)
-    return ChoiceDataset(points=xy, facility=facility, choices=choices)
+    # the dataset's own distances drive the probabilities, so they are
+    # computed once; its placeholder choices are replaced by the 0/1 draws
+    ds = ChoiceDataset(points=xy, facility=facility, choices=np.zeros(xy.shape[0], dtype=np.int64))
+    prob = expit(params.alpha + params.beta * ds.distances)
+    u = as_generator(rng).uniform(0.0, 1.0, ds.n)
+    ds.choices = (u < prob).astype(np.int64)
+    return ds
 
 
 def assign_to_centroid(ds: ChoiceDataset, grid: MunicipalityGrid) -> ChoiceDataset:

@@ -21,6 +21,13 @@ with splitmix64 the bijective finalizer
 Because the finalizer is a bijection and the purpose/index packing is
 injective (indices < 2**28), distinct triples always map to distinct
 stream ids.
+
+Philox is counter-based, so a stream is exactly its (key, counter) pair
+(Salmon, Moraes, Dror & Shaw, "Parallel random numbers: as easy as 1, 2,
+3", SC '11). ``RngStream.generator`` builds a fresh generator at the start
+of a stream; ``GeneratorPool`` instead re-keys generators it already has
+(key (seed, stream_id), counter 0, empty buffer): the same bits, without
+building a new bit generator per replication.
 """
 
 from __future__ import annotations
@@ -32,6 +39,11 @@ import numpy as np
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+
+# Philox counter and output buffer of a stream's start (an empty buffer is
+# one whose read position is at its end).
+_ZERO4 = np.zeros(4, dtype=np.uint64)
+_BUFFER_SIZE = 4
 
 _INDEX_BITS = 28
 _MAX_INDEX = 1 << _INDEX_BITS
@@ -73,6 +85,36 @@ class RngStream:
         """Fresh generator positioned at the start of this stream."""
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
+
+    def position(self, gen: np.random.Generator) -> np.random.Generator:
+        """Re-key a Philox-backed ``gen`` to the start of this stream; it then
+        draws exactly what a fresh ``generator()`` draws."""
+        gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": _ZERO4, "key": np.array([self.seed, self.stream_id], dtype=np.uint64)},
+            "buffer": _ZERO4,
+            "buffer_pos": _BUFFER_SIZE,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return gen
+
+
+class GeneratorPool:
+    """Philox generators reused from one replication to the next.
+
+    ``positioned(streams)`` returns one generator per stream, each at the
+    start of its stream, re-keying pooled generators and building new ones
+    only when the pool is short. The generators it returns are valid until
+    the next ``positioned`` call, which re-keys them.
+    """
+
+    def __init__(self):
+        self._generators: list[np.random.Generator] = []
+
+    def positioned(self, streams: list[RngStream]) -> list[np.random.Generator]:
+        self._generators += [s.generator() for s in streams[len(self._generators):]]
+        return [s.position(gen) for s, gen in zip(streams, self._generators)]
 
 
 def _stream_for(seed: int, purpose: int, theta_index: int, rep_index: int) -> RngStream:

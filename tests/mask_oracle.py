@@ -1,0 +1,61 @@
+"""Per-replication reference for the batched masking kernel.
+
+``mask_one`` masks one replication the way the documented draw contract
+reads, one attempt loop per replication: each attempt over the m pending
+points draws m theta values then m delta values (uniform mechanism), or m
+x-offsets then m y-offsets (gaussian mechanism), through numpy's own
+``uniform`` and ``normal``. The batched ``mask_coordinates`` must give the
+same bits for every row, however many rows it masks at once.
+"""
+
+import numpy as np
+
+from geomasksim.geometry import TWO_PI, StudyArea
+from geomasksim.masking import GAUSSIAN_CALIBRATION, BoundaryExhaustionError
+from geomasksim.population import build_municipality_grid
+
+BOUNDS_KINDS = ("none", "shared", "per-point")
+
+
+def bounds_for(kind, xy):
+    """The bounds layouts the kernel takes, for points ``xy`` in the unit
+    square: none, the square shared by every point, or each point's cell
+    of a 4 x 4 grid."""
+    if kind == "none":
+        return None
+    if kind == "shared":
+        return np.asarray(StudyArea.unit_square().bounds)
+    grid = build_municipality_grid(StudyArea.unit_square(), 4)
+    return grid.cell_bounds()[grid.cell_indices(xy)]
+
+
+def _offsets(spec, gen, m):
+    if spec.mechanism == "uniform":
+        theta = gen.uniform(0.0, spec.theta_star, m)
+        delta = gen.uniform(0.0, TWO_PI, m)
+        return np.column_stack((theta * np.cos(delta), theta * np.sin(delta)))
+    sigma = spec.theta_star / GAUSSIAN_CALIBRATION
+    dx = gen.normal(0.0, sigma, m)
+    dy = gen.normal(0.0, sigma, m)
+    return np.column_stack((dx, dy))
+
+
+def _inside(xy, bounds):
+    x_min, x_max, y_min, y_max = bounds.T
+    return (x_min <= xy[:, 0]) & (xy[:, 0] <= x_max) & (y_min <= xy[:, 1]) & (xy[:, 1] <= y_max)
+
+
+def mask_one(xy, spec, bounds, gen):
+    """(n, 2) masked coordinates of one replication drawn from ``gen``."""
+    out = xy + _offsets(spec, gen, xy.shape[0])
+    if spec.boundary == "unconstrained":
+        return out
+    pending = np.flatnonzero(~_inside(out, bounds))
+    attempts = 1
+    while pending.size:
+        if attempts >= spec.max_attempts:
+            raise BoundaryExhaustionError(pending.tolist(), spec.max_attempts)
+        out[pending] = xy[pending] + _offsets(spec, gen, pending.size)
+        pending = pending[~_inside(out[pending], bounds if bounds.ndim == 1 else bounds[pending])]
+        attempts += 1
+    return out

@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 import textwrap
 from pathlib import Path
@@ -143,13 +144,34 @@ def test_simulate_batch_failure_exit_2(tmp_path, monkeypatch, capsys):
     from geomasksim.experiments import BatchConvergenceError
 
     def explode(config):
-        raise BatchConvergenceError(0.5, 0.25)
+        raise BatchConvergenceError(0.5, 0.25, "attenuation")
 
     monkeypatch.setattr(cli, "run_experiment", explode)
     cfg = _config_file(tmp_path)
     assert main(["simulate", "--config", cfg]) == EXIT_RUNTIME
     assert "runtime failure" in capsys.readouterr().err
 
+
+
+QUASI_SEPARATED = """\
+[experiment]
+kind = csr-population
+seed = 9
+replications = 30
+
+[population]
+n = 9
+"""
+
+
+def test_simulate_nonconverged_baseline_exit_1(tmp_path, capsys):
+    # at n = 9 and seed 9 the generated choices are quasi-separated, so the
+    # baseline fit stops unconverged before any replication
+    cfg = _config_file(tmp_path, QUASI_SEPARATED)
+    assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: baseline fit did not converge on the generated data (csr-population, n=9, seed=9): ")
+    assert re.search(r": \d+ iterations, gradient norm \S+\n$", err), err
 
 
 def test_simulate_outputs_identical_across_workers(tmp_path):

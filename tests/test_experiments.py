@@ -29,6 +29,8 @@ from geomasksim.logit import fit_logit, wald_ci
 from geomasksim.masking import MaskSpec
 from geomasksim.population import assign_to_centroid, build_municipality_grid
 
+from mask_oracle import BOUNDS_KINDS, bounds_for, mask_one
+
 
 def _config(**kw):
     base = dict(
@@ -152,18 +154,77 @@ def test_records_bytes_independent_of_block_size(monkeypatch, tmp_path):
     import geomasksim.experiments as exp
     from geomasksim.reports import write_records_csv
 
-    cfg = _config(n=150, replications=70)
-    outputs = set()
-    for block in (1, 64):
-        monkeypatch.setattr(exp, "_REP_BLOCK", block)
-        # rows per fit_rows call: 1, 3, and every replication of the block
-        for row_elements in (1, 3 * cfg.n, cfg.n * cfg.replications):
-            monkeypatch.setattr(exp, "_ROW_ELEMENTS", row_elements)
-            for workers in (1, 2):
-                res = run_experiment(dataclasses.replace(cfg, workers=workers))
-                path = write_records_csv(res.records, tmp_path / f"records_b{block}_r{row_elements}_w{workers}.csv")
-                outputs.add(path.read_bytes())
-    assert len(outputs) == 1
+    configs = {
+        "uniform": _config(n=150, replications=70),
+        "gaussian-redraw": _config(
+            experiment="fixed-area-grid", n=150, replications=70,
+            mask=MaskSpec(mechanism="gaussian", boundary="redraw"),
+        ),
+        # per-point bounds: each individual redraws inside its own cell
+        "centroid": _config(experiment="centroid", n=150, replications=70, grid_k=3),
+    }
+    for name, cfg in configs.items():
+        outputs = set()
+        for block in (1, 64):
+            monkeypatch.setattr(exp, "_REP_BLOCK", block)
+            # rows per fit_rows call: 1, 3, and every replication of the block
+            for row_elements in (1, 3 * cfg.n, cfg.n * cfg.replications):
+                monkeypatch.setattr(exp, "_ROW_ELEMENTS", row_elements)
+                for workers in (1, 2):
+                    res = run_experiment(dataclasses.replace(cfg, workers=workers))
+                    path = tmp_path / f"records_{name}_b{block}_r{row_elements}_w{workers}.csv"
+                    outputs.add(write_records_csv(res.records, path).read_bytes())
+        assert len(outputs) == 1, name
+
+
+def _harness_rows(monkeypatch, cell, xy, bounds, spec, reps, **choices):
+    """The (d, y) rows ``_run_cells`` hands to ``fit_rows`` for one cell, stacked."""
+    import geomasksim.experiments as exp
+
+    real_fit_rows = exp.fit_rows
+    seen = []
+
+    def capture(d, y, **kw):
+        seen.append(np.broadcast_arrays(np.atleast_2d(d), np.atleast_2d(y)))
+        return real_fit_rows(d, y, **kw)
+
+    monkeypatch.setattr(exp, "fit_rows", capture)
+    exp._run_cells([cell], xy, Point(0.0, 0.0), bounds, spec, 41, reps, 1, **choices)
+    return np.concatenate([d for d, _ in seen]), np.concatenate([y for _, y in seen])
+
+
+@pytest.mark.parametrize("rows", [1, 3, 16])
+@pytest.mark.parametrize("regenerated", [False, True], ids=["fixed-choices", "choices-first"])
+@pytest.mark.parametrize("bounds_kind", BOUNDS_KINDS)
+@pytest.mark.parametrize("mechanism", ["uniform", "gaussian"])
+def test_masked_distances_match_per_replication_oracle(monkeypatch, mechanism, bounds_kind, regenerated, rows):
+    # d~ of every replication, chunked by `rows`, is the bits of that
+    # replication masked alone by the per-replication oracle, after its
+    # regenerated choices when the cell draws them first
+    import geomasksim.experiments as exp
+    from scipy.special import expit
+
+    from geomasksim.geometry import facility_distances
+    from geomasksim.rng import derive_stream, efficiency_masked_stream
+
+    n, reps, cell = 200, 20, (2, 0.14 if bounds_kind == "per-point" else 0.6)
+    xy = np.random.default_rng(40).uniform(-0.5, 0.5, size=(n, 2))
+    bounds = bounds_for(bounds_kind, xy)
+    spec = MaskSpec(mechanism, 0.0, "unconstrained" if bounds is None else "redraw")
+    prob = expit(1.0 - 2.0 * facility_distances(xy, Point(0.0, 0.0)))
+    y = (np.random.default_rng(42).random(n) < prob).astype(np.float64)
+
+    monkeypatch.setattr(exp, "_ROW_ELEMENTS", rows * n)
+    choices = {"prob": prob} if regenerated else {"y": y}
+    D, Y = _harness_rows(monkeypatch, cell, xy, bounds, spec, reps, **choices)
+
+    masked_spec = spec.with_theta_star(cell[1])
+    for rep in range(reps):
+        gen = (efficiency_masked_stream if regenerated else derive_stream)(41, cell[0], rep).generator()
+        y_rep = (gen.uniform(0.0, 1.0, n) < prob).astype(np.float64) if regenerated else y
+        d_rep = facility_distances(mask_one(xy, masked_spec, bounds, gen), Point(0.0, 0.0))
+        np.testing.assert_array_equal(D[rep], d_rep)
+        np.testing.assert_array_equal(Y[rep], y_rep)
 
 
 def test_efficiency_bytes_independent_of_row_chunks(monkeypatch, tmp_path):
@@ -216,6 +277,35 @@ def test_batch_convergence_error(monkeypatch):
     with pytest.raises(BatchConvergenceError) as info:
         _run = exp.run_experiment(_config(replications=8, theta_grid=(0.5,)))
     assert info.value.rate == 0.0
+
+
+def test_batch_convergence_error_names_its_stage(monkeypatch):
+    # a theta* = 0 cell fails in both stages; only the stage tells a fixed-y
+    # attenuation cell from an efficiency cell with regenerated choices
+    import geomasksim.experiments as exp
+
+    monkeypatch.setattr(exp, "fit_rows", _singular_rows(lambda d: np.ndim(d) == 2))
+    cfg = _config(n=150, theta_grid=(0.0,), replications=30)
+    with pytest.raises(BatchConvergenceError) as attenuation:
+        run_experiment(cfg)
+    with pytest.raises(BatchConvergenceError) as efficiency:
+        run_efficiency_experiment(cfg, replications=30)
+    assert attenuation.value.stage == "attenuation"
+    assert str(attenuation.value) == "attenuation stage (fixed choices): cell theta*=0 converged on 0.0% of replications"
+    assert efficiency.value.stage == "efficiency"
+    assert str(efficiency.value) == "efficiency stage (regenerated choices): cell theta*=0 converged on 0.0% of replications"
+
+
+@pytest.mark.parametrize("theta_star, stage", [(0.5, "attenuation"), (None, "efficiency")])
+def test_batch_convergence_error_survives_pickle(theta_star, stage):
+    # a pool worker's error reaches the parent through pickle
+    import pickle
+
+    err = BatchConvergenceError(theta_star, 0.25, stage)
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is BatchConvergenceError
+    assert (back.theta_star, back.rate, back.stage) == (theta_star, 0.25, stage)
+    assert str(back) == str(err)
 
 
 def test_masking_failures_recorded_not_fatal(monkeypatch):

@@ -7,7 +7,9 @@ from scipy import stats
 from geomasksim.dataset import ChoiceDataset
 from geomasksim.geometry import TWO_PI, Point, StudyArea
 from geomasksim.masking import GAUSSIAN_CALIBRATION, BoundaryExhaustionError, MaskSpec, mask_coordinates
-from geomasksim.rng import derive_stream
+from geomasksim.rng import GeneratorPool, derive_stream
+
+from mask_oracle import BOUNDS_KINDS, bounds_for, mask_one
 
 
 def _displacements(spec, stream, m):
@@ -184,6 +186,48 @@ def test_redraw_exhaustion_survives_pickle():
     assert type(back) is BoundaryExhaustionError
     assert back.point_indices == [4, 9, 11] and back.max_attempts == 7
     assert str(back) == str(err)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 16])
+@pytest.mark.parametrize("bounds_kind", BOUNDS_KINDS)
+@pytest.mark.parametrize("mechanism", ["uniform", "gaussian"])
+def test_batched_rows_match_per_replication_oracle(mechanism, bounds_kind, rows):
+    # every row of one batched call carries the bits of its own replication
+    # masked alone, whatever the other rows draw and however long they redraw
+    xy = np.random.default_rng(31).uniform(-0.5, 0.5, size=(300, 2))
+    bounds = bounds_for(bounds_kind, xy)
+    theta_star = 0.14 if bounds_kind == "per-point" else 0.6
+    spec = MaskSpec(mechanism, theta_star, "unconstrained" if bounds is None else "redraw")
+    streams = [derive_stream(32, 4, rep) for rep in range(rows)]
+    out = mask_coordinates(xy, spec, bounds, GeneratorPool().positioned(streams))
+    assert out.shape == (rows, 2, 300)
+    for row, stream in zip(out, streams):
+        np.testing.assert_array_equal(row.T, mask_one(xy, spec, bounds, stream.generator()))
+
+
+@pytest.mark.parametrize("max_attempts", [1, 3])
+def test_batched_exhaustion_names_the_oracles_row(max_attempts):
+    # the batched loop raises for the lowest row still pending, with that
+    # row's points: the error the per-replication loop raises first
+    xy = np.random.default_rng(33).uniform(-0.5, 0.5, size=(40, 2))
+    bounds = np.asarray(StudyArea.unit_square().bounds)
+    spec = MaskSpec("uniform", 0.06, "redraw", max_attempts)
+    streams = [derive_stream(34, 0, rep) for rep in range(16)]
+    failing = {}
+    for row, stream in enumerate(streams):
+        try:
+            mask_one(xy, spec, bounds, stream.generator())
+        except BoundaryExhaustionError as exc:
+            failing[row] = exc.point_indices
+    first = min(failing)
+    # the setup is chosen so that the first failing row is not row 0 and no
+    # other failing row pends on the same points
+    assert first > 0 and all(failing[r] != failing[first] for r in failing if r != first)
+    with pytest.raises(BoundaryExhaustionError) as info:
+        mask_coordinates(xy, spec, bounds, GeneratorPool().positioned(streams))
+    assert info.value.point_indices == failing[first]
+    assert info.value.max_attempts == max_attempts
+
 
 def test_mask_point_unconstrained_and_redraw():
     area = StudyArea.unit_square()

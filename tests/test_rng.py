@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from geomasksim.rng import (
+    GeneratorPool,
     RngStream,
     as_generator,
     choices_stream,
@@ -101,3 +102,26 @@ def test_as_generator_passthrough_and_wrap():
     gen = s.generator()
     assert as_generator(gen) is gen
     np.testing.assert_array_equal(as_generator(s).uniform(size=4), s.generator().uniform(size=4))
+
+
+def _draws(gen):
+    """A mix of draws that reads whole and partial Philox output blocks."""
+    return np.concatenate([gen.random(5), gen.standard_normal(7), gen.uniform(0.0, 0.3, 3), gen.random(2, dtype=np.float32)])
+
+
+def test_pool_rekeys_to_what_a_fresh_generator_draws():
+    pool = GeneratorPool()
+    first = [derive_stream(5, 0, rep) for rep in range(3)]
+    gens = pool.positioned(first)
+    for stream, gen in zip(first, gens):
+        np.testing.assert_array_equal(_draws(gen), _draws(stream.generator()))
+    # right after serving other streams, mid-block and with a 32-bit draw
+    # pending, the pooled generators restart cleanly on new streams; the
+    # pool grows by one generator for the fourth stream
+    others = [efficiency_masked_stream(5, 1, rep) for rep in range(4)]
+    again = pool.positioned(others)
+    assert all(a is b for a, b in zip(again, gens))
+    for stream, gen in zip(others, again):
+        np.testing.assert_array_equal(_draws(gen), _draws(stream.generator()))
+    # and a stream served before draws its bits again from its start
+    np.testing.assert_array_equal(_draws(pool.positioned(first[:1])[0]), _draws(first[0].generator()))
