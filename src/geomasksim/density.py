@@ -38,6 +38,27 @@ class KdeEstimate:
         return float(np.interp(x, self.grid, self.density, left=0.0, right=0.0))
 
 
+def _quartiles(values: np.ndarray) -> tuple[float, float]:
+    """(q75, q25) of a sample of n >= 2 values, bit-equal to
+    ``np.percentile(values, [75.0, 25.0])``.
+
+    numpy's default "linear" rule: the q-quantile sits at position
+    h = q (n - 1) of the sorted sample, between a = s[floor(h)] and
+    b = s[floor(h) + 1] with weight t = h - floor(h), and is interpolated as
+    b - (b - a)(1 - t) when t >= 1/2 and a + (b - a) t otherwise. (numpy's
+    own percentile calls np.unique, which imports numpy.ma on first use.)
+    """
+    s = np.sort(values)
+    out = []
+    for q in (0.75, 0.25):
+        h = (s.size - 1) * q
+        i = int(h)
+        t = h - i
+        a, b = float(s[i]), float(s[i + 1])
+        out.append(b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t)
+    return out[0], out[1]
+
+
 def silverman_bandwidth(values: np.ndarray) -> float:
     """0.9 * min(sd, IQR/1.34) * n^(-1/5), with sd alone when the IQR is zero.
 
@@ -50,8 +71,8 @@ def silverman_bandwidth(values: np.ndarray) -> float:
         # rounds off by an ulp), so test degeneracy on the range, not the sd
         raise DegenerateSampleError("all values identical")
     sd = float(np.std(values, ddof=1))
-    q75, q25 = np.percentile(values, [75.0, 25.0])
-    iqr = float(q75 - q25)
+    q75, q25 = _quartiles(values)
+    iqr = q75 - q25
     spread = sd if iqr == 0.0 else min(sd, iqr / 1.34)
     return 0.9 * spread * len(values) ** (-0.2)
 

@@ -2,8 +2,9 @@
 efficiency loss induced by uniform geo-masking.
 
 Information is the no-intercept beta-beta entry sum L(1-L) d^2 with L
-evaluated at the TRUE distances (probabilities are treated as fixed by the
-generating geometry, not as functions of the perturbed coordinates). Under
+(``logit.choice_probability``) evaluated at the TRUE distances
+(probabilities are treated as fixed by the generating geometry, not as
+functions of the perturbed coordinates). Under
 masking, d^2 is replaced by its expectation over the displacement law, and
 the efficiency loss is the ratio
 
@@ -33,10 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .dataset import ChoiceDataset
-from .logit import LogitParams
+from .logit import LogitParams, choice_probability
 
 MOMENT_VARIANTS = ("derived", "as-printed")
 DEFAULT_MOMENT_VARIANT = "derived"
@@ -96,15 +96,15 @@ def information_beta(
     theta_star: float = 0.0,
     variant: str = DEFAULT_MOMENT_VARIANT,
 ) -> float:
-    """beta-information sum L(1-L) E(d_masked^2) with the logistic weights at
-    the true distances.
+    """beta-information sum L(1-L) E(d_masked^2) with the logistic weights
+    L = ``choice_probability(alpha + beta * d)`` at the true distances.
 
     theta_star = 0 gives the true-coordinate information sum L(1-L) d^2.
     Both sides of the efficiency ratio go through this one expression, so
     the ratio is exactly 1 at theta_star = 0.
     """
     d = ds.true_distances
-    lam = expit(p.alpha + p.beta * d)
+    lam = choice_probability(p.alpha + p.beta * d)
     return float((lam * (1.0 - lam) * expected_sq_masked_distance(d, theta_star, variant)).sum())
 
 

@@ -49,7 +49,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .dataset import ChoiceDataset
 from .efficiency import (
@@ -66,6 +65,7 @@ from .logit import (
     InvalidFitError,
     LogitFit,
     LogitParams,
+    choice_probability,
     fit_distance_choice,  # noqa: F401  (bound here for perfbench/tracer.py, which wraps it by name)
     fit_logit,
     fit_rows,
@@ -554,7 +554,7 @@ def run_efficiency_experiment(
     reps = replications if replications is not None else min(300, max(30, config.replications))
     if reps < 30:
         raise ValueError(f"need >= 30 efficiency replications, got {reps}")
-    prob = expit(config.generating_params.alpha + config.generating_params.beta * ds.true_distances)
+    prob = choice_probability(config.generating_params.alpha + config.generating_params.beta * ds.true_distances)
     bounds = np.asarray(config.area.bounds, dtype=np.float64) if config.mask.boundary == "redraw" else None
     thetas = config.theta_values()
     fits = _run_cells(

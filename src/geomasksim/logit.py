@@ -21,6 +21,10 @@ candidates evaluate only the log-likelihood, and the accepted candidate's
 eta and e feed the next pass. ``log_likelihood``, ``score`` and
 ``observed_information`` are one-row views of the same pass.
 
+``choice_probability`` is the package's one logistic function outside the
+fit: the generated and regenerated choices and the information weights all
+take L from it, in the same overflow-free form.
+
 Row independence: the bits of a row do not depend on the other rows of its
 block. Elementwise operations are exact per element, and every sum is a
 ``.sum(axis=1)`` over a C-contiguous (rows, n) array, which reduces each row
@@ -130,6 +134,19 @@ def _block(d, y) -> tuple[np.ndarray, ...]:
     """``d`` and ``y`` as float64 arrays broadcast to one (R, n) shape."""
     D, Y = (np.atleast_2d(np.asarray(v, dtype=np.float64)) for v in (d, y))
     return (D, Y) if D.shape == Y.shape else np.broadcast_arrays(D, Y)
+
+
+def choice_probability(eta) -> np.ndarray:
+    """L(eta) = 1/(1 + exp(-eta)) elementwise, as where(eta >= 0, 1, e)/(1 + e)
+    with e = exp(-|eta|).
+
+    exp never overflows, so L is finite for every finite eta, and L(0) is
+    exactly 1/2. Where eta < 0, e/(1 + e) rounds twice, so between adjacent
+    floats L can step down by an ulp.
+    """
+    eta = np.asarray(eta, dtype=np.float64)
+    e = np.exp(-np.abs(eta))
+    return np.where(eta >= 0.0, 1.0, e) / (1.0 + e)
 
 
 def _eta_exp(D, a, b, H, E) -> None:

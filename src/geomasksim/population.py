@@ -2,8 +2,9 @@
 
 Populations are complete-spatial-randomness (CSR) point fields: coordinates
 i.i.d. uniform over the study area. Choices are Bernoulli with success
-probability L(alpha + beta * d), d the distance to a single facility; the
-default generating coefficients are (1, -2) so that distance deters choice.
+probability L(alpha + beta * d) (``logit.choice_probability``), d the
+distance to a single facility; the default generating coefficients are
+(1, -2) so that distance deters choice.
 
 Municipality grids are the synthetic stand-in for administrative units in
 the centroid-assignment experiment: k x k equal square cells tiling the
@@ -20,11 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .dataset import ChoiceDataset
 from .geometry import Point, StudyArea, equivalent_circle_radius
-from .logit import LogitParams
+from .logit import LogitParams, choice_probability
 from .rng import RngStream, as_generator
 
 DEFAULT_GENERATING_PARAMS = LogitParams(1.0, -2.0)
@@ -144,7 +144,7 @@ def simulate_choices_xy(
     # the dataset's own distances drive the probabilities, so they are
     # computed once; its placeholder choices are replaced by the 0/1 draws
     ds = ChoiceDataset(points=xy, facility=facility, choices=np.zeros(xy.shape[0], dtype=np.int64))
-    prob = expit(params.alpha + params.beta * ds.distances)
+    prob = choice_probability(params.alpha + params.beta * ds.distances)
     u = as_generator(rng).uniform(0.0, 1.0, ds.n)
     ds.choices = (u < prob).astype(np.int64)
     return ds

@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # noqa: F401  (numpy loads it lazily on first use; every run draws from it)
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _MIX1 = 0xBF58476D1CE4E5B9

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import textwrap
 from pathlib import Path
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import geomasksim
 from geomasksim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from geomasksim.geometry import Point, StudyArea
 from geomasksim.logit import LogitParams
@@ -180,6 +184,25 @@ def test_simulate_outputs_identical_across_workers(tmp_path):
         assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / workers), "--workers", workers]) == EXIT_OK
     for name in ("run_records.csv", "run_curve.csv", "run_efficiency.csv"):
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
+def test_simulate_loads_no_scipy_and_no_numpy_ma(tmp_path):
+    # a fresh interpreter, so that modules pytest has already imported do not count
+    cfg = _config_file(tmp_path)
+    script = textwrap.dedent(f"""
+        import json, sys
+        import geomasksim.cli
+        code = geomasksim.cli.main(["simulate", "--config", {cfg!r}, "--out-dir", {str(tmp_path / "out")!r}])
+        loaded = [m for m in sys.modules if m.startswith("scipy") or m == "numpy.ma" or m.startswith("numpy.ma.")]
+        print(json.dumps({{"code": code, "loaded": sorted(loaded)}}))
+    """)
+    src = str(Path(geomasksim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120, check=False
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"code": EXIT_OK, "loaded": []}
 
 
 EXHAUSTING = """\

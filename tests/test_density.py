@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from geomasksim.density import (
     KDE_GRID_SIZE,
     DegenerateSampleError,
     KdeEstimate,
+    _quartiles,
     kde,
     silverman_bandwidth,
 )
@@ -32,6 +35,59 @@ def test_silverman_iqr_zero_falls_back_to_sd():
 def test_silverman_degenerate_sample():
     with pytest.raises(DegenerateSampleError):
         silverman_bandwidth(np.full(50, 3.14))
+
+
+def _with_outlier(n, value, outlier, at):
+    v = np.full(n, value)
+    v[at % n] = outlier
+    return v
+
+
+_TIED = st.lists(st.sampled_from([-1.5, 0.0, 0.25, 2.0, 7.0]), min_size=2, max_size=200)
+_CONSTANT_RUN = st.builds(
+    _with_outlier, st.integers(2, 200), st.floats(-1e3, 1e3), st.floats(-1e6, 1e6), st.integers(0, 199)
+)
+_PLAIN = st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=200)
+# magnitudes from 1e-300 to 1e300, both signs
+_WIDE = st.lists(
+    st.builds(
+        lambda sign, m, e: sign * m * 10.0**e,
+        st.sampled_from([-1.0, 1.0]), st.floats(1.0, 9.99), st.integers(-300, 299),
+    ),
+    min_size=2,
+    max_size=200,
+)
+
+
+def _silverman_reference(values):
+    """The bandwidth through np.percentile itself."""
+    sd = float(np.std(values, ddof=1))
+    q75, q25 = np.percentile(values, [75.0, 25.0])
+    iqr = float(q75 - q25)
+    spread = sd if iqr == 0.0 else min(sd, iqr / 1.34)
+    return 0.9 * spread * len(values) ** (-0.2)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_TIED, _CONSTANT_RUN, _PLAIN, _WIDE))
+def test_quartiles_bit_equal_to_percentile(values):
+    v = np.asarray(values, dtype=np.float64)
+    assert np.array(_quartiles(v)).tobytes() == np.percentile(v, [75.0, 25.0]).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_TIED, _CONSTANT_RUN, _PLAIN))
+def test_silverman_and_kde_grid_bit_equal_to_percentile_reference(values):
+    v = np.asarray(values, dtype=np.float64)
+    assume(v.min() != v.max())
+    bandwidth = _silverman_reference(v)
+    assert np.float64(silverman_bandwidth(v)).tobytes() == np.float64(bandwidth).tobytes()
+    # sd underflows to 0 when the spread is near 1e-300 and kde then refuses
+    # the zero bandwidth; the bandwidth's bits are compared above either way
+    assume(bandwidth > 0.0)
+    est, want = kde(v), kde(v, bandwidth=bandwidth)
+    assert est.grid.tobytes() == want.grid.tobytes()
+    assert est.density.tobytes() == want.density.tobytes()
 
 
 def test_kde_standard_normal_peak():

@@ -18,6 +18,7 @@ from geomasksim.logit import (
     LogitParams,
     SeparationError,
     SingularInformationError,
+    choice_probability,
     fit_distance_choice,
     fit_logit,
     fit_rows,
@@ -400,6 +401,57 @@ def test_fit_rows_rows_independent_property(seed, rows, n, alpha, beta, max_iter
     D = rng.uniform(0.0, 2.0, (rows, n))
     Y = (rng.uniform(size=(rows, n)) < expit(alpha + beta * D)).astype(float)
     _assert_rows_match_one_row_calls(D, Y, max_iter=max_iter)
+
+
+# --- the logistic function ---
+
+
+# signed zeros, and where exp(-|eta|) goes subnormal (709) and to 0 (745)
+_ETA_EDGES = (0.0, -0.0, 709.0, -709.0, 745.0, -745.0, 800.0, -800.0)
+
+
+def _eta_grid():
+    """A sorted sample of [-800, 800]: the edges, a fine even grid and random draws."""
+    rng = np.random.default_rng(17)
+    return np.sort(np.concatenate([
+        _ETA_EDGES,
+        np.linspace(-800.0, 800.0, 160_001),
+        rng.uniform(-800.0, 800.0, 100_000),
+        rng.uniform(-40.0, 40.0, 100_000),
+    ]))
+
+
+def test_choice_probability_matches_expit():
+    # each rounds two or three times, so they may differ by up to 2**-52
+    eps = np.finfo(np.float64).eps
+    eta = _eta_grid()
+    assert np.abs(choice_probability(eta) - expit(eta)).max() <= eps
+    for edge in _ETA_EDGES:
+        assert abs(float(choice_probability(edge)) - float(expit(edge))) <= eps
+
+
+def test_choice_probability_raises_no_floating_point_error():
+    # exp(-|eta|) only shrinks: it goes subnormal beyond |eta| ~ 708.4, which
+    # is the exact rounding of a tiny value, so underflow is let through;
+    # nothing overflows, divides by zero or goes invalid
+    with np.errstate(all="raise", under="ignore"):
+        p = choice_probability(_eta_grid())
+    assert np.isfinite(p).all()
+    with np.errstate(all="raise"):
+        choice_probability(np.linspace(-708.0, 708.0, 10_001))
+
+
+def test_choice_probability_half_at_zero():
+    assert float(choice_probability(0.0)) == 0.5
+    assert float(choice_probability(-0.0)) == 0.5
+    assert (choice_probability(np.zeros((2, 3))) == 0.5).all()
+
+
+def test_choice_probability_in_unit_interval_and_nondecreasing():
+    p = choice_probability(_eta_grid())
+    assert ((p >= 0.0) & (p <= 1.0)).all()
+    assert (np.diff(p) >= 0.0).all()
+    assert p[0] == 0.0 and p[-1] == 1.0
 
 
 # --- intervals and tests ---
