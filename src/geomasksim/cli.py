@@ -9,9 +9,11 @@ Subcommands:
     efficiency  emit the efficiency-loss table for a configured dataset
     plot        render SVGs from previously written curve/record CSVs
 
-Exit codes: 0 success; 1 validation error (arguments, config, input data);
-2 runtime failure (a replication cell, efficiency cells included, converging
-on under 50% of its replications; masking exhaustion).
+Exit codes: 0 success; 1 validation error (arguments, config, input data,
+a point file with a non-finite coordinate or one from which `fit` cannot
+identify the distance slope); 2 runtime failure (a replication cell,
+efficiency cells included, converging on under 50% of its replications;
+masking exhaustion).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunOptions, config_hash, parse_config, parse_run_options
+from .config import RunOptions, config_hash, parse_config, parse_run_options
 from .density import DegenerateSampleError, kde
 from .efficiency import DEFAULT_MOMENT_VARIANT, MOMENT_VARIANTS, efficiency_report
 from .experiments import (
@@ -38,7 +40,7 @@ from .experiments import (
     run_experiment,
 )
 from .geometry import Point, facility_distances
-from .logit import InvalidFitError, LogitFit, SeparationError, fit_distance_choice, fit_logit, wald_ci
+from .logit import LogitFit, SingularInformationError, fit_distance_choice, fit_logit, wald_ci
 from .masking import BoundaryExhaustionError, MaskSpec, mask_coordinates
 from .reports import (
     RunManifest,
@@ -206,8 +208,11 @@ def _cmd_fit(args) -> int:
     d = facility_distances(xy, Point(args.facility_x, args.facility_y))
     try:
         fit = fit_distance_choice(d, choices.astype(np.float64))
-    except SeparationError as exc:
-        raise _CliError(str(exc)) from exc
+    except SingularInformationError as exc:
+        # all-identical choices raise SeparationError, a ValueError main reports
+        raise _CliError(
+            f"the distance slope cannot be identified from these points: singular information matrix ({exc})"
+        ) from exc
     print(f"n={len(ids)} converged={str(fit.converged).lower()} iterations={fit.iterations}")
     print(f"alpha={fit.params.alpha:.6f} se={fit.std_errors[0]:.6f}")
     print(f"beta={fit.params.beta:.6f} se={fit.std_errors[1]:.6f}")
@@ -325,13 +330,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (ConfigError, FileNotFoundError, SeparationError, InvalidFitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ValueError as exc:
+    except (_CliError, FileNotFoundError, ValueError) as exc:
+        # ConfigError, SeparationError and InvalidFitError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (BatchConvergenceError, BoundaryExhaustionError) as exc:

@@ -38,7 +38,7 @@ from .experiments import (
     FIXED_AREA_REFERENCE_RADIUS,
     ExperimentConfig,
 )
-from .geometry import Point, StudyArea
+from .geometry import UNIT_SQUARE, Point
 from .logit import LogitParams
 from .masking import MECHANISMS, BOUNDARY_POLICIES, MaskSpec
 
@@ -145,9 +145,8 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     )
     facility_x = _get(s, "population", "facility_x", 0.0, float, math.isfinite, "finite")
     facility_y = _get(s, "population", "facility_y", 0.0, float, math.isfinite, "finite")
-    area = StudyArea.unit_square()
     facility = Point(facility_x, facility_y)
-    if not area.contains(facility):
+    if not UNIT_SQUARE.contains(facility):
         raise ConfigError(f"[population] facility ({facility_x}, {facility_y}) lies outside the study area")
 
     try:
@@ -175,7 +174,6 @@ def parse_config(path: str | Path) -> ExperimentConfig:
                       "64-bit unsigned"),
             workers=_get(s, "experiment", "workers", 1, int, lambda v: v >= 1, ">= 1"),
             grid_k=k,
-            area=area,
             facility=facility,
         )
     except ConfigError:
@@ -197,7 +195,7 @@ def parse_run_options(path: str | Path) -> RunOptions:
 def serialize_config(config: ExperimentConfig, options: RunOptions = RunOptions()) -> str:
     """Canonical INI rendering: every field explicit, fixed order,
     shortest round-trip float formatting."""
-    fac = config.resolved_facility
+    fac = config.facility
     lines = [
         "[experiment]",
         f"kind = {config.experiment}",

@@ -11,7 +11,8 @@ _EVAL_CHUNK = 256  # grid points per vectorized block; caps the n x grid buffer
 
 
 class DegenerateSampleError(ValueError):
-    """All sample values identical; no bandwidth exists."""
+    """No positive bandwidth exists: all sample values identical, or their
+    spread so small that the bandwidth underflows to 0."""
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,8 @@ def silverman_bandwidth(values: np.ndarray) -> float:
     """0.9 * min(sd, IQR/1.34) * n^(-1/5), with sd alone when the IQR is zero.
 
     The IQR fallback keeps the bandwidth positive for small or tie-heavy
-    samples that still have spread; fully degenerate samples are an error.
+    samples that still have spread; a sample without a positive bandwidth
+    is an error.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.min() == values.max():
@@ -74,7 +76,11 @@ def silverman_bandwidth(values: np.ndarray) -> float:
     q75, q25 = _quartiles(values)
     iqr = q75 - q25
     spread = sd if iqr == 0.0 else min(sd, iqr / 1.34)
-    return 0.9 * spread * len(values) ** (-0.2)
+    bandwidth = 0.9 * spread * len(values) ** (-0.2)
+    if not bandwidth > 0.0:
+        # a spread near 1e-300 underflows: the squared deviations round to 0
+        raise DegenerateSampleError(f"spread {spread!r} too small for a positive bandwidth")
+    return bandwidth
 
 
 def kde(values, bandwidth: float | None = None) -> KdeEstimate:

@@ -103,7 +103,7 @@ def information_beta(
     Both sides of the efficiency ratio go through this one expression, so
     the ratio is exactly 1 at theta_star = 0.
     """
-    d = ds.true_distances
+    d = ds.distances
     lam = choice_probability(p.alpha + p.beta * d)
     return float((lam * (1.0 - lam) * expected_sq_masked_distance(d, theta_star, variant)).sum())
 

@@ -57,7 +57,7 @@ from .efficiency import (
     efficiency_report,
     empirical_variance_ratio,
 )
-from .geometry import Point, StudyArea, equivalent_circle_radius, facility_distances
+from .geometry import UNIT_SQUARE, Point, equivalent_circle_radius, facility_distances
 from .logit import (
     CONVERGED,
     SEPARATED,
@@ -151,8 +151,7 @@ class ExperimentConfig:
     seed: int = 0
     workers: int = 1
     grid_k: int = DEFAULT_GRID_K
-    area: StudyArea = StudyArea.unit_square()
-    facility: Point | None = None
+    facility: Point = Point(0.0, 0.0)
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -175,10 +174,6 @@ class ExperimentConfig:
             raise ValueError(f"reference_radius must be > 0, got {self.reference_radius}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-
-    @property
-    def resolved_facility(self) -> Point:
-        return self.facility if self.facility is not None else self.area.center
 
     def theta_values(self) -> tuple[float, ...]:
         """Absolute masking radii: reference_radius x grid fractions."""
@@ -232,9 +227,6 @@ class AttenuationCurve:
         if thetas != sorted(thetas):
             raise ValueError("curve rows must be sorted by theta_star")
 
-    def theta_stars(self) -> list[float]:
-        return [r.theta_star for r in self.rows]
-
 
 @dataclass
 class ExperimentResult:
@@ -262,13 +254,8 @@ def choices_checksum(choices: np.ndarray) -> str:
 
 def prepare_dataset(config: ExperimentConfig) -> ChoiceDataset:
     """Generate the run's population and its once-and-for-all choices."""
-    xy = generate_csr_xy(config.n, config.area, population_stream(config.seed))
-    return simulate_choices_xy(
-        xy,
-        config.resolved_facility,
-        config.generating_params,
-        choices_stream(config.seed),
-    )
+    xy = generate_csr_xy(config.n, UNIT_SQUARE, population_stream(config.seed))
+    return simulate_choices_xy(xy, config.facility, config.generating_params, choices_stream(config.seed))
 
 
 # ----------------------------------------------------------------- workers
@@ -405,6 +392,11 @@ def _run_cells(
 
 # -------------------------------------------------------------- experiments
 
+def _area_bounds(mask: MaskSpec) -> np.ndarray | None:
+    """The study area's (4,) bounds under the redraw policy, None otherwise."""
+    return np.asarray(UNIT_SQUARE.bounds, dtype=np.float64) if mask.boundary == "redraw" else None
+
+
 def summarize_replications(records: list[ReplicationRecord], baseline: LogitFit | None = None) -> CurveRow:
     """Aggregate one theta* cell into a curve row.
 
@@ -492,15 +484,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """
     ds = prepare_dataset(config)
     if config.experiment == "centroid":
-        grid = build_municipality_grid(config.area, config.grid_k)
+        grid = build_municipality_grid(UNIT_SQUARE, config.grid_k)
         ds = assign_to_centroid(ds, grid)
-        xy = ds.active_points
-        bounds = grid.cell_bounds()[grid.cell_indices(xy)]
-        cells = [(0, grid.cells[0].equivalent_radius)]
+        bounds = grid.cell_bounds()[grid.cell_indices(ds.points)]
+        cells = [(0, grid.cell_radius)]
         spec = dataclasses.replace(config.mask, boundary="redraw")
     else:
-        xy = ds.points
-        bounds = np.asarray(config.area.bounds, dtype=np.float64) if config.mask.boundary == "redraw" else None
+        bounds = _area_bounds(config.mask)
         cells = list(enumerate(config.theta_values()))
         spec = config.mask
     baseline = fit_logit(ds)
@@ -511,7 +501,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         )
     ci = wald_ci(baseline, _CI_LEVEL)[1]
     fits = _run_cells(
-        cells, xy, config.resolved_facility, bounds, spec, config.seed, config.replications, config.workers,
+        cells, ds.points, config.facility, bounds, spec, config.seed, config.replications, config.workers,
         y=ds.choices,
     )
     records = _records(cells, fits, ci)
@@ -554,11 +544,10 @@ def run_efficiency_experiment(
     reps = replications if replications is not None else min(300, max(30, config.replications))
     if reps < 30:
         raise ValueError(f"need >= 30 efficiency replications, got {reps}")
-    prob = choice_probability(config.generating_params.alpha + config.generating_params.beta * ds.true_distances)
-    bounds = np.asarray(config.area.bounds, dtype=np.float64) if config.mask.boundary == "redraw" else None
+    prob = choice_probability(config.generating_params.alpha + config.generating_params.beta * ds.distances)
     thetas = config.theta_values()
     fits = _run_cells(
-        [(0, None)] + list(enumerate(thetas)), ds.points, ds.facility, bounds, config.mask,
+        [(0, None)] + list(enumerate(thetas)), ds.points, ds.facility, _area_bounds(config.mask), config.mask,
         config.seed, reps, config.workers, prob=prob,
     )
     betas = [beta[converged] for beta, converged in zip(fits["beta"], fits["converged"])]

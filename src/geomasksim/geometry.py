@@ -1,4 +1,4 @@
-"""Planar geometry: points, study areas, point-to-facility distances.
+"""Planar geometry: points, the rectangular study area, point-to-facility distances.
 
 Everything here is a pure function over immutable values, so it is safe to
 call from any number of workers without coordination.
@@ -28,78 +28,38 @@ class Point:
 
 @dataclass(frozen=True)
 class StudyArea:
-    """Axis-aligned rectangular study region.
+    """Axis-aligned rectangular study region."""
 
-    ``kind`` is either ``"unit-square-centered"`` (bounds fixed to
-    (-0.5, 0.5, -0.5, 0.5)) or ``"axis-aligned-rectangle"``.
-    """
-
-    kind: str
-    bounds: tuple[float, float, float, float]  # (x_min, x_max, y_min, y_max)
-
-    UNIT_SQUARE_BOUNDS = (-0.5, 0.5, -0.5, 0.5)
+    xmin: float
+    xmax: float
+    ymin: float
+    ymax: float
 
     def __post_init__(self):
-        if self.kind not in ("unit-square-centered", "axis-aligned-rectangle"):
-            raise ValueError(f"unknown study-area kind: {self.kind!r}")
-        x_min, x_max, y_min, y_max = self.bounds
         if not all(math.isfinite(b) for b in self.bounds):
             raise ValueError(f"bounds must be finite, got {self.bounds}")
-        if not (x_min < x_max and y_min < y_max):
+        if not (self.xmin < self.xmax and self.ymin < self.ymax):
             raise ValueError(f"bounds must satisfy x_min < x_max and y_min < y_max, got {self.bounds}")
-        if self.kind == "unit-square-centered" and self.bounds != self.UNIT_SQUARE_BOUNDS:
-            raise ValueError("unit-square-centered area must have bounds (-0.5, 0.5, -0.5, 0.5)")
-
-    @classmethod
-    def unit_square(cls) -> "StudyArea":
-        return cls("unit-square-centered", cls.UNIT_SQUARE_BOUNDS)
-
-    @classmethod
-    def rectangle(cls, x_min: float, x_max: float, y_min: float, y_max: float) -> "StudyArea":
-        return cls("axis-aligned-rectangle", (x_min, x_max, y_min, y_max))
 
     @property
-    def xmin(self) -> float:
-        return self.bounds[0]
-
-    @property
-    def xmax(self) -> float:
-        return self.bounds[1]
-
-    @property
-    def ymin(self) -> float:
-        return self.bounds[2]
-
-    @property
-    def ymax(self) -> float:
-        return self.bounds[3]
+    def bounds(self) -> tuple[float, float, float, float]:
+        """(x_min, x_max, y_min, y_max)."""
+        return self.xmin, self.xmax, self.ymin, self.ymax
 
     @property
     def width(self) -> float:
-        return self.bounds[1] - self.bounds[0]
+        return self.xmax - self.xmin
 
     @property
     def height(self) -> float:
-        return self.bounds[3] - self.bounds[2]
-
-    @property
-    def surface_area(self) -> float:
-        return self.width * self.height
-
-    @property
-    def center(self) -> Point:
-        x_min, x_max, y_min, y_max = self.bounds
-        return Point(0.5 * (x_min + x_max), 0.5 * (y_min + y_max))
+        return self.ymax - self.ymin
 
     def contains(self, p: Point) -> bool:
-        x_min, x_max, y_min, y_max = self.bounds
-        return x_min <= p.x <= x_max and y_min <= p.y <= y_max
+        return self.xmin <= p.x <= self.xmax and self.ymin <= p.y <= self.ymax
 
-    def contains_xy(self, xy: np.ndarray) -> np.ndarray:
-        """Vectorized membership test for an (m, 2) coordinate array."""
-        x_min, x_max, y_min, y_max = self.bounds
-        x, y = xy[:, 0], xy[:, 1]
-        return (x_min <= x) & (x <= x_max) & (y_min <= y) & (y <= y_max)
+
+#: The study area of every run: the unit square centered on the origin.
+UNIT_SQUARE = StudyArea(-0.5, 0.5, -0.5, 0.5)
 
 
 def equivalent_circle_radius(surface_area: float) -> float:

@@ -387,7 +387,7 @@ def fit_distance_choice(
 
 
 def fit_logit(ds: ChoiceDataset) -> LogitFit:
-    """Fit the logit model to a dataset's active distances."""
+    """Fit the logit model to a dataset's distances."""
     return fit_distance_choice(ds.distances, ds.choices)
 
 

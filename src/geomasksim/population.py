@@ -8,8 +8,9 @@ distance to a single facility; the default generating coefficients are
 
 Municipality grids are the synthetic stand-in for administrative units in
 the centroid-assignment experiment: k x k equal square cells tiling the
-study area, each with its center as centroid and the radius of the circle
-of equal surface as its size scale.
+study area, given as arrays in row-major order — (k^2, 4) cell bounds and
+(k^2, 2) cell centers as centroids — plus one cell radius, the radius of
+the circle of the same surface, as their size scale.
 
 Draw-order contract (per stream): generate_csr_xy draws all n x-coordinates,
 then all n y-coordinates; simulate_choices_xy draws n uniforms compared
@@ -18,7 +19,7 @@ against the per-point probabilities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,34 +42,27 @@ class OutOfGridError(ValueError):
 
 
 @dataclass(frozen=True)
-class GridCell:
-    """One square municipality: bounds, centroid, and equivalent radius."""
-
-    xmin: float
-    xmax: float
-    ymin: float
-    ymax: float
-    centroid: Point
-    equivalent_radius: float
-
-
-@dataclass(frozen=True)
 class MunicipalityGrid:
-    """k x k equal square cells tiling a study area, row-major from (xmin, ymin)."""
+    """k x k equal cells tiling a study area, row-major from (xmin, ymin):
+    cell iy * k + ix spans [xmin + ix * sx, xmin + ix * sx + sx] on x, and
+    likewise on y, for cell sides (sx, sy)."""
 
     area: StudyArea
     k: int
-    cells: tuple[GridCell, ...] = field(repr=False)
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if len(self.cells) != self.k * self.k:
-            raise ValueError(f"expected {self.k * self.k} cells, got {len(self.cells)}")
 
     @property
     def cell_side(self) -> tuple[float, float]:
         return self.area.width / self.k, self.area.height / self.k
+
+    @property
+    def cell_radius(self) -> float:
+        """Radius of the circle of the same surface as one cell."""
+        sx, sy = self.cell_side
+        return equivalent_circle_radius(sx * sy)
 
     def cell_indices(self, xy: np.ndarray) -> np.ndarray:
         """Row-major cell index per point; raises for points outside the area.
@@ -91,36 +85,23 @@ class MunicipalityGrid:
         iy = np.minimum(((xy[:, 1] - self.area.ymin) / sy).astype(np.int64), self.k - 1)
         return iy * self.k + ix
 
-    def centroids(self) -> np.ndarray:
-        return np.array([[c.centroid.x, c.centroid.y] for c in self.cells])
-
     def cell_bounds(self) -> np.ndarray:
         """(k^2, 4) array of (xmin, xmax, ymin, ymax) per cell, row-major."""
-        return np.array([[c.xmin, c.xmax, c.ymin, c.ymax] for c in self.cells])
+        sx, sy = self.cell_side
+        steps = np.arange(self.k)
+        x0, y0 = (v.ravel() for v in np.meshgrid(self.area.xmin + steps * sx, self.area.ymin + steps * sy))
+        return np.column_stack([x0, x0 + sx, y0, y0 + sy])
+
+    def centroids(self) -> np.ndarray:
+        """(k^2, 2) array of cell centers, row-major."""
+        sx, sy = self.cell_side
+        bounds = self.cell_bounds()
+        return np.column_stack([bounds[:, 0] + 0.5 * sx, bounds[:, 2] + 0.5 * sy])
 
 
 def build_municipality_grid(area: StudyArea, k: int) -> MunicipalityGrid:
     """Partition the area into k^2 equal rectangular cells (squares on a square area)."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    sx, sy = area.width / k, area.height / k
-    cell_radius = equivalent_circle_radius(sx * sy)
-    cells = []
-    for iy in range(k):
-        for ix in range(k):
-            xmin = area.xmin + ix * sx
-            ymin = area.ymin + iy * sy
-            cells.append(
-                GridCell(
-                    xmin=xmin,
-                    xmax=xmin + sx,
-                    ymin=ymin,
-                    ymax=ymin + sy,
-                    centroid=Point(xmin + 0.5 * sx, ymin + 0.5 * sy),
-                    equivalent_radius=cell_radius,
-                )
-            )
-    return MunicipalityGrid(area=area, k=k, cells=tuple(cells))
+    return MunicipalityGrid(area, k)
 
 
 def generate_csr_xy(n: int, area: StudyArea, rng: RngStream) -> np.ndarray:
@@ -151,9 +132,10 @@ def simulate_choices_xy(
 
 
 def assign_to_centroid(ds: ChoiceDataset, grid: MunicipalityGrid) -> ChoiceDataset:
-    """Replace active coordinates with cell centroids (the unintentional
-    locational error of administrative geocoding); choices unchanged,
-    distances recomputed. Idempotent: centroids map to themselves.
+    """The dataset observed at its cell centroids (the unintentional
+    locational error of administrative geocoding): each point replaced by
+    the centroid of its cell, choices unchanged, distances recomputed.
+    Idempotent: centroids map to themselves.
     """
-    idx = grid.cell_indices(ds.active_points)
-    return ds.with_masked_points(grid.centroids()[idx])
+    idx = grid.cell_indices(ds.points)
+    return ChoiceDataset(grid.centroids()[idx], ds.facility, ds.choices)

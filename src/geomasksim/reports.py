@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -209,8 +210,11 @@ def read_points_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarra
             if len(row) != len(header):
                 raise ValueError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
             ids.append(int(row[0]))
-            xs.append(float(row[1]))
-            ys.append(float(row[2]))
+            x, y = float(row[1]), float(row[2])
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"{path}:{lineno}: coordinates must be finite, got ({row[1]}, {row[2]})")
+            xs.append(x)
+            ys.append(y)
             if has_choice:
                 c = int(row[3])
                 if c not in (0, 1):
@@ -251,29 +255,7 @@ class RunManifest:
     outputs: list[str]
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "config_hash": self.config_hash,
-                "seed": self.seed,
-                "version": self.version,
-                "started_at": self.started_at,
-                "finished_at": self.finished_at,
-                "outputs": self.outputs,
-            },
-            indent=2,
-        ) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunManifest":
-        data = json.loads(text)
-        return cls(
-            config_hash=data["config_hash"],
-            seed=data["seed"],
-            version=data["version"],
-            started_at=data["started_at"],
-            finished_at=data["finished_at"],
-            outputs=list(data["outputs"]),
-        )
+        return json.dumps(asdict(self), indent=2) + "\n"
 
 
 def write_manifest(manifest: RunManifest, path: str | Path) -> Path:

@@ -10,7 +10,7 @@ same bits for every row, however many rows it masks at once.
 
 import numpy as np
 
-from geomasksim.geometry import TWO_PI, StudyArea
+from geomasksim.geometry import TWO_PI, UNIT_SQUARE
 from geomasksim.masking import GAUSSIAN_CALIBRATION, BoundaryExhaustionError
 from geomasksim.population import build_municipality_grid
 
@@ -24,8 +24,8 @@ def bounds_for(kind, xy):
     if kind == "none":
         return None
     if kind == "shared":
-        return np.asarray(StudyArea.unit_square().bounds)
-    grid = build_municipality_grid(StudyArea.unit_square(), 4)
+        return np.asarray(UNIT_SQUARE.bounds)
+    grid = build_municipality_grid(UNIT_SQUARE, 4)
     return grid.cell_bounds()[grid.cell_indices(xy)]
 
 

@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 
 import geomasksim
 from geomasksim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
-from geomasksim.geometry import Point, StudyArea
+from geomasksim.geometry import UNIT_SQUARE, Point
 from geomasksim.logit import LogitParams
+from geomasksim.masking import _inside
 from geomasksim.population import generate_csr_xy, simulate_choices_xy
 from geomasksim.reports import (
-    RunManifest,
     read_curve_csv,
     read_points_csv,
     read_records_csv,
@@ -47,7 +47,7 @@ def _config_file(tmp_path, text=TINY, name="run.ini"):
 
 
 def _points_file(tmp_path, n=400, seed=21, with_choices=True, name="points.csv"):
-    xy = generate_csr_xy(n, StudyArea.unit_square(), population_stream(seed))
+    xy = generate_csr_xy(n, UNIT_SQUARE, population_stream(seed))
     ds = simulate_choices_xy(xy, Point(0.0, 0.0), LogitParams(1.0, -2.0), population_stream(seed + 1))
     path = tmp_path / name
     write_points_csv(xy, path, choices=ds.choices if with_choices else None)
@@ -70,9 +70,9 @@ def test_simulate_writes_all_outputs(tmp_path, capsys):
     baseline = json.loads((out / "run_baseline.json").read_text(encoding="utf-8"))
     assert baseline["converged"] and baseline["beta"] < 0
 
-    manifest = RunManifest.from_json((out / "run_manifest.json").read_text(encoding="utf-8"))
-    assert manifest.seed == 11 and len(manifest.config_hash) == 64
-    assert any(p.endswith("run_records.csv") for p in manifest.outputs)
+    manifest = json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))
+    assert manifest["seed"] == 11 and len(manifest["config_hash"]) == 64
+    assert any(p.endswith("run_records.csv") for p in manifest["outputs"])
 
     assert (out / "run_efficiency.csv").is_file()
     assert (out / "run_attenuation.svg").read_text(encoding="utf-8").startswith("<svg")
@@ -121,8 +121,8 @@ def test_simulate_deterministic_outputs(tmp_path):
 def test_simulate_seed_override(tmp_path):
     cfg = _config_file(tmp_path)
     main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "a"), "--seed", "99"])
-    manifest = RunManifest.from_json((tmp_path / "a" / "run_manifest.json").read_text(encoding="utf-8"))
-    assert manifest.seed == 99
+    manifest = json.loads((tmp_path / "a" / "run_manifest.json").read_text(encoding="utf-8"))
+    assert manifest["seed"] == 99
     main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "b")])
     assert (tmp_path / "a" / "run_records.csv").read_bytes() != (tmp_path / "b" / "run_records.csv").read_bytes()
 
@@ -308,7 +308,7 @@ def test_mask_redraw_with_area(tmp_path):
     )
     assert rc == EXIT_OK
     _, xy1, _ = read_points_csv(out)
-    assert StudyArea.unit_square().contains_xy(xy1).all()
+    assert _inside(xy1[:, 0], xy1[:, 1], np.asarray(UNIT_SQUARE.bounds)).all()
 
 
 def test_mask_bad_area_string(tmp_path):
@@ -342,6 +342,30 @@ def test_fit_separation_exit_1(tmp_path, capsys):
     write_points_csv(xy, path, choices=np.array([1, 1, 1]))
     assert main(["fit", "--points", str(path)]) == EXIT_VALIDATION
     assert "identical" in capsys.readouterr().err
+
+
+def test_fit_singular_information_exit_1(tmp_path, capsys):
+    # every point at distance 1 from the facility, mixed choices: the
+    # intercept and distance columns are collinear, so the slope is not
+    # identified and the information matrix is singular
+    xy = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+    path = tmp_path / "singular.csv"
+    write_points_csv(xy, path, choices=np.array([0, 1, 1]))
+    assert main(["fit", "--points", str(path)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "cannot be identified" in err and "singular" in err
+
+
+@pytest.mark.parametrize("command", ["fit", "mask"])
+def test_nonfinite_point_file_exit_1(tmp_path, capsys, command):
+    path = tmp_path / "nonfinite.csv"
+    path.write_text("id,x,y,choice\n0,1,0,0\n1,nan,1,1\n2,-1,0,1\n", encoding="utf-8")
+    out = tmp_path / "masked.csv"
+    args = {"fit": ["fit", "--points", str(path)],
+            "mask": ["mask", "--points", str(path), "--out", str(out), "--theta-star", "0.1"]}[command]
+    assert main(args) == EXIT_VALIDATION
+    assert f"{path}:3: coordinates must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fit_nonconverged_exit_2(tmp_path, capsys):

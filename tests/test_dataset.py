@@ -22,20 +22,6 @@ def test_distances_autocomputed():
     assert ds.n == 3
 
 
-def test_active_points_switches_with_mask():
-    ds = _ds()
-    assert ds.active_points is ds.points
-    masked = ds.points + 0.01
-    dm = ds.with_masked_points(masked)
-    assert dm.active_points is dm.masked_points
-    # distances recomputed from the masked coordinates
-    np.testing.assert_array_equal(dm.distances, np.hypot(masked[:, 0], masked[:, 1]))
-    # true distances still recoverable
-    np.testing.assert_array_equal(dm.true_distances, ds.distances)
-    # original untouched
-    assert ds.masked_points is None
-
-
 def test_choice_validation():
     with pytest.raises(ValueError, match="0 or 1"):
         _ds(choices=np.array([0, 1, 2]))
@@ -48,8 +34,6 @@ def test_shape_validation():
         _ds(points=np.zeros((0, 2)))
     with pytest.raises(ValueError):
         _ds(points=np.zeros((3, 3)))
-    with pytest.raises(ValueError, match="masked_points"):
-        _ds(masked_points=np.zeros((2, 2)))
 
 
 def test_nonfinite_rejected():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -35,6 +36,17 @@ def test_silverman_iqr_zero_falls_back_to_sd():
 def test_silverman_degenerate_sample():
     with pytest.raises(DegenerateSampleError):
         silverman_bandwidth(np.full(50, 3.14))
+
+
+def test_silverman_underflowing_spread_is_degenerate():
+    # the squared deviations of a spread near 1e-300 round to 0, so sd is 0
+    # though the values differ; kde must refuse without a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateSampleError):
+            silverman_bandwidth(np.array([0.0, 6.2e-298]))
+        with pytest.raises(DegenerateSampleError):
+            kde(np.array([0.0, 6.2e-298]))
 
 
 def _with_outlier(n, value, outlier, at):
@@ -81,10 +93,14 @@ def test_silverman_and_kde_grid_bit_equal_to_percentile_reference(values):
     v = np.asarray(values, dtype=np.float64)
     assume(v.min() != v.max())
     bandwidth = _silverman_reference(v)
+    if not bandwidth > 0.0:
+        # sd underflows to 0 when the spread is near 1e-300: no bandwidth exists
+        with pytest.raises(DegenerateSampleError):
+            silverman_bandwidth(v)
+        with pytest.raises(DegenerateSampleError):
+            kde(v)
+        return
     assert np.float64(silverman_bandwidth(v)).tobytes() == np.float64(bandwidth).tobytes()
-    # sd underflows to 0 when the spread is near 1e-300 and kde then refuses
-    # the zero bandwidth; the bandwidth's bits are compared above either way
-    assume(bandwidth > 0.0)
     est, want = kde(v), kde(v, bandwidth=bandwidth)
     assert est.grid.tobytes() == want.grid.tobytes()
     assert est.density.tobytes() == want.density.tobytes()

@@ -13,14 +13,14 @@ from geomasksim.efficiency import (
     expected_sq_masked_distance,
     information_beta,
 )
-from geomasksim.geometry import Point, StudyArea
+from geomasksim.geometry import UNIT_SQUARE, Point
 from geomasksim.logit import LogitParams, observed_information
 from geomasksim.masking import MaskSpec, mask_coordinates
 from geomasksim.population import generate_csr_xy, simulate_choices_xy
 from geomasksim.rng import derive_stream, population_stream
 from moment_oracle import masked_second_moment_mc
 
-AREA = StudyArea.unit_square()
+AREA = UNIT_SQUARE
 
 
 def _point_ds(d_values, y=None):
@@ -106,16 +106,6 @@ def test_information_beta_matches_observed_information():
 def test_information_beta_zero_distances():
     ds = _point_ds([0.0, 0.0], [0, 1])
     assert information_beta(ds, LogitParams(0.0, 0.0)) == 0.0
-
-
-def test_information_beta_weights_stay_at_true_distances():
-    ds = _csr_ds(seed=52)
-    masked = ds.with_masked_points(mask_coordinates(ds.points, MaskSpec(theta_star=0.4), None, derive_stream(80, 0, 0)))
-    p = LogitParams(1.0, -2.0)
-    # masked coordinates present, but the weights must use the true distances
-    assert information_beta(masked, p, theta_star=0.2) == pytest.approx(
-        information_beta(ds, p, theta_star=0.2), rel=1e-15
-    )
 
 
 def test_information_beta_is_nonstochastic():

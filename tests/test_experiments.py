@@ -24,7 +24,7 @@ from geomasksim.experiments import (
     summarize_replications,
 )
 from geomasksim.efficiency import efficiency_report
-from geomasksim.geometry import Point
+from geomasksim.geometry import UNIT_SQUARE, Point
 from geomasksim.logit import fit_logit, wald_ci
 from geomasksim.masking import MaskSpec
 from geomasksim.population import assign_to_centroid, build_municipality_grid
@@ -85,10 +85,10 @@ def test_config_validation():
         _config(seed=2**64)
 
 
-def test_resolved_facility_defaults_to_center():
-    assert _config().resolved_facility == Point(0.0, 0.0)
+def test_facility_defaults_to_center():
+    assert _config().facility == Point(0.0, 0.0)
     cfg = _config(facility=Point(0.2, 0.1))
-    assert cfg.resolved_facility == Point(0.2, 0.1)
+    assert cfg.facility == Point(0.2, 0.1)
 
 
 # --- dataset and baseline ---
@@ -121,7 +121,7 @@ def test_run_baseline_consistent_with_generator():
 def test_run_baseline_centroid_uses_assigned_coordinates():
     cfg = _config(experiment="centroid", grid_k=10)
     via_runner = run_experiment(cfg).baseline
-    ds = assign_to_centroid(prepare_dataset(cfg), build_municipality_grid(cfg.area, 10))
+    ds = assign_to_centroid(prepare_dataset(cfg), build_municipality_grid(UNIT_SQUARE, 10))
     assert via_runner.params == fit_logit(ds).params
 
 
@@ -390,7 +390,7 @@ def test_summarize_baseline_cross_check():
 def test_build_curve_groups_and_sorts():
     records = [_rec(0.6, r, -1.0) for r in range(3)] + [_rec(0.2, r, -2.0) for r in range(3)]
     curve = build_curve(records)
-    assert curve.theta_stars() == [0.2, 0.6]
+    assert [r.theta_star for r in curve.rows] == [0.2, 0.6]
     assert curve.rows[0].mean_abs_beta == 2.0
 
 
@@ -409,13 +409,13 @@ def test_curve_row_validation():
 def test_centroid_experiment_shape():
     cfg = _config(experiment="centroid", n=400, replications=40, grid_k=5)
     res = run_experiment(cfg)
-    cell_radius = build_municipality_grid(cfg.area, 5).cells[0].equivalent_radius
+    cell_radius = build_municipality_grid(UNIT_SQUARE, 5).cell_radius
     assert len(res.curve.rows) == 1
     assert res.curve.rows[0].theta_star == cell_radius
     assert all(r.theta_star == cell_radius for r in res.records)
     # observed dataset is centroid-assigned
-    centroids = {tuple(row) for row in build_municipality_grid(cfg.area, 5).centroids()}
-    assert {tuple(row) for row in res.dataset.active_points} <= centroids
+    centroids = {tuple(row) for row in build_municipality_grid(UNIT_SQUARE, 5).centroids()}
+    assert {tuple(row) for row in res.dataset.points} <= centroids
 
 
 def test_centroid_experiment_deterministic():

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from geomasksim.geometry import Point, StudyArea, equivalent_circle_radius, facility_distances
+from geomasksim.geometry import UNIT_SQUARE, Point, StudyArea, equivalent_circle_radius, facility_distances
+from geomasksim.masking import _inside
 
 
 def test_euclidean_distance_345():
@@ -46,35 +47,33 @@ def test_equivalent_circle_radius_rejects_nonpositive():
 
 
 def test_study_area_unit_square():
-    area = StudyArea.unit_square()
+    area = UNIT_SQUARE
     assert area.bounds == (-0.5, 0.5, -0.5, 0.5)
-    assert area.surface_area == pytest.approx(1.0)
-    assert (area.center.x, area.center.y) == (0.0, 0.0)
+    assert area.width == 1.0 and area.height == 1.0
     assert area.contains(Point(0.5, 0.5))  # boundary inclusive
     assert not area.contains(Point(0.5000001, 0.0))
 
 
 def test_study_area_rectangle_properties():
-    area = StudyArea.rectangle(0.0, 4.0, -1.0, 1.0)
+    area = StudyArea(0.0, 4.0, -1.0, 1.0)
     assert area.width == 4.0 and area.height == 2.0
-    assert area.surface_area == 8.0
-    assert (area.xmin, area.xmax, area.ymin, area.ymax) == (0.0, 4.0, -1.0, 1.0)
+    assert area.bounds == (0.0, 4.0, -1.0, 1.0)
 
 
 def test_study_area_validation():
     with pytest.raises(ValueError):
-        StudyArea.rectangle(1.0, 0.0, 0.0, 1.0)  # x_min >= x_max
+        StudyArea(1.0, 0.0, 0.0, 1.0)  # x_min >= x_max
     with pytest.raises(ValueError):
-        StudyArea("unit-square-centered", (0.0, 1.0, 0.0, 1.0))  # wrong bounds for kind
+        StudyArea(0.0, 1.0, 0.5, 0.5)  # y_min >= y_max
     with pytest.raises(ValueError):
-        StudyArea("disk", (-0.5, 0.5, -0.5, 0.5))
+        StudyArea(0.0, 1.0, 0.0, float("inf"))
 
 
-def test_contains_xy_matches_scalar():
-    area = StudyArea.unit_square()
+def test_inside_matches_contains():
+    # the masking kernel's vectorized membership test agrees with the area's
     xy = np.array([[0.0, 0.0], [0.5, 0.5], [0.51, 0.0], [-0.6, -0.6]])
-    expected = [area.contains(Point(x, y)) for x, y in xy]
-    np.testing.assert_array_equal(area.contains_xy(xy), expected)
+    expected = [UNIT_SQUARE.contains(Point(x, y)) for x, y in xy]
+    np.testing.assert_array_equal(_inside(xy[:, 0], xy[:, 1], np.asarray(UNIT_SQUARE.bounds)), expected)
 
 
 def test_facility_distances_shape_and_values():

@@ -227,15 +227,13 @@ def test_fit_scale_covariance():
     assert f1.params.alpha == pytest.approx(f0.params.alpha, abs=1e-8)
 
 
-def test_fit_logit_uses_active_distances():
+def test_fit_logit_uses_dataset_distances():
     d, y = _sim(400, seed=14)
-    # true points sit one unit off the x-axis; the masked (active) points lie
-    # on it at distance d from the facility at the origin
+    # the points lie on the x-axis at distance d from the facility at the origin
     ds = ChoiceDataset(
-        points=np.column_stack((d, np.ones_like(d))),
+        points=np.column_stack((d, np.zeros_like(d))),
         facility=Point(0.0, 0.0),
         choices=y,
-        masked_points=np.column_stack((d, np.zeros_like(d))),
     )
     direct = fit_distance_choice(d, y)
     via_ds = fit_logit(ds)

@@ -5,11 +5,17 @@ import pytest
 from scipy import stats
 
 from geomasksim.dataset import ChoiceDataset
-from geomasksim.geometry import TWO_PI, Point, StudyArea
-from geomasksim.masking import GAUSSIAN_CALIBRATION, BoundaryExhaustionError, MaskSpec, mask_coordinates
+from geomasksim.geometry import TWO_PI, UNIT_SQUARE, Point, facility_distances
+from geomasksim.masking import GAUSSIAN_CALIBRATION, BoundaryExhaustionError, MaskSpec, _inside, mask_coordinates
 from geomasksim.rng import GeneratorPool, derive_stream
 
 from mask_oracle import BOUNDS_KINDS, bounds_for, mask_one
+
+SQUARE = np.asarray(UNIT_SQUARE.bounds)
+
+
+def _in_square(xy):
+    return _inside(xy[:, 0], xy[:, 1], SQUARE)
 
 
 def _displacements(spec, stream, m):
@@ -93,7 +99,7 @@ def test_corner_first_draw_acceptance():
     # stays inside exactly when the angle points into one quadrant: p = 1/4
     theta, delta = _displacements(MaskSpec(theta_star=0.5), derive_stream(14, 0, 0), 100_000)
     landed = np.column_stack((0.5 + theta * np.cos(delta), 0.5 + theta * np.sin(delta)))
-    inside = StudyArea.unit_square().contains_xy(landed)
+    inside = _in_square(landed)
     assert inside.mean() == pytest.approx(0.25, abs=0.01)
 
 
@@ -122,12 +128,11 @@ def test_mask_coordinates_deterministic():
 
 
 def test_redraw_keeps_points_inside():
-    area = StudyArea.unit_square()
     xy = np.random.default_rng(5).uniform(-0.5, 0.5, size=(200, 2))
-    bounds = np.tile(np.asarray(area.bounds), (200, 1))
+    bounds = np.tile(SQUARE, (200, 1))
     spec = MaskSpec(theta_star=0.7, boundary="redraw")
     out = mask_coordinates(xy, spec, bounds, derive_stream(18, 0, 0))
-    assert area.contains_xy(out).all()
+    assert _in_square(out).all()
     # displacement length still bounded by theta_star
     assert np.hypot(*(out - xy).T).max() <= 0.7 + 1e-12
 
@@ -136,13 +141,12 @@ def test_redraw_keeps_points_inside():
 def test_shared_rectangle_matches_per_point_bounds(mechanism):
     # one (4,) rectangle and the same rectangle tiled per point consume the
     # stream identically, so the masked coordinates are the same bits
-    area = StudyArea.unit_square()
     xy = np.random.default_rng(5).uniform(-0.5, 0.5, size=(500, 2))
     spec = MaskSpec(mechanism=mechanism, theta_star=0.7, boundary="redraw")
-    shared = mask_coordinates(xy, spec, np.asarray(area.bounds), derive_stream(18, 1, 0))
-    tiled = mask_coordinates(xy, spec, np.tile(np.asarray(area.bounds), (500, 1)), derive_stream(18, 1, 0))
+    shared = mask_coordinates(xy, spec, SQUARE, derive_stream(18, 1, 0))
+    tiled = mask_coordinates(xy, spec, np.tile(SQUARE, (500, 1)), derive_stream(18, 1, 0))
     np.testing.assert_array_equal(shared, tiled)
-    assert area.contains_xy(shared).all()
+    assert _in_square(shared).all()
 
 
 def test_redraw_matches_unconstrained_when_no_rejection():
@@ -210,7 +214,7 @@ def test_batched_exhaustion_names_the_oracles_row(max_attempts):
     # the batched loop raises for the lowest row still pending, with that
     # row's points: the error the per-replication loop raises first
     xy = np.random.default_rng(33).uniform(-0.5, 0.5, size=(40, 2))
-    bounds = np.asarray(StudyArea.unit_square().bounds)
+    bounds = SQUARE
     spec = MaskSpec("uniform", 0.06, "redraw", max_attempts)
     streams = [derive_stream(34, 0, rep) for rep in range(16)]
     failing = {}
@@ -230,11 +234,10 @@ def test_batched_exhaustion_names_the_oracles_row(max_attempts):
 
 
 def test_mask_point_unconstrained_and_redraw():
-    area = StudyArea.unit_square()
     xy = np.array([[0.49, 0.49]])
-    bounds = np.array([area.bounds])
+    bounds = np.array([UNIT_SQUARE.bounds])
     q = mask_coordinates(xy, MaskSpec(theta_star=0.4, boundary="redraw"), bounds, derive_stream(23, 0, 0))
-    assert area.contains(Point(*q[0]))
+    assert UNIT_SQUARE.contains(Point(*q[0]))
     r = mask_coordinates(xy, MaskSpec(theta_star=0.4), None, derive_stream(23, 0, 0))
     assert math.hypot(*(r[0] - xy[0])) <= 0.4
 
@@ -245,45 +248,31 @@ def _dataset(n=100, seed=6):
     return ChoiceDataset(points=pts, facility=Point(0.0, 0.0), choices=rng.integers(0, 2, n))
 
 
-def _mask(ds, spec, stream, area=None):
-    """Mask a dataset the way the replication harness does: always from the true points."""
-    bounds = None if area is None else np.asarray(area.bounds)
-    return ds.with_masked_points(mask_coordinates(ds.points, spec, bounds, stream))
+def _mask(ds, spec, stream, bounds=None):
+    """Mask a dataset's points the way the replication harness does."""
+    return mask_coordinates(ds.points, spec, bounds, stream)
 
 
 def test_mask_dataset_zero_theta_reproduces_distances():
     ds = _dataset()
     masked = _mask(ds, MaskSpec(theta_star=0.0), derive_stream(24, 0, 0))
-    np.testing.assert_array_equal(masked.masked_points, ds.points)
-    np.testing.assert_array_equal(masked.distances, ds.distances)
+    np.testing.assert_array_equal(masked, ds.points)
+    np.testing.assert_array_equal(facility_distances(masked, ds.facility), ds.distances)
 
 
-def test_mask_dataset_keeps_choices_and_true_coords():
+def test_mask_dataset_keeps_true_coords():
     ds = _dataset()
+    points = ds.points.copy()
     masked = _mask(ds, MaskSpec(theta_star=0.25), derive_stream(25, 0, 0))
-    np.testing.assert_array_equal(masked.choices, ds.choices)
-    np.testing.assert_array_equal(masked.points, ds.points)
-    np.testing.assert_array_equal(masked.true_distances, ds.distances)
-    assert masked.masked_points is not None
-    assert np.abs(masked.masked_points - ds.points).max() > 0.0
-
-
-def test_mask_dataset_always_starts_from_true_coordinates():
-    # masking a masked dataset re-masks the TRUE points, it does not compound
-    ds = _dataset()
-    spec = MaskSpec(theta_star=0.2)
-    once = _mask(ds, spec, derive_stream(26, 0, 0))
-    twice = _mask(once, spec, derive_stream(26, 0, 0))
-    np.testing.assert_array_equal(once.points, ds.points)
-    np.testing.assert_array_equal(once.masked_points, twice.masked_points)
+    np.testing.assert_array_equal(ds.points, points)
+    assert np.abs(masked - ds.points).max() > 0.0
 
 
 def test_mask_dataset_redraw_respects_area():
     ds = _dataset(n=300, seed=7)
-    area = StudyArea.unit_square()
     spec = MaskSpec(theta_star=0.9, boundary="redraw")
-    masked = _mask(ds, spec, derive_stream(27, 0, 0), area)
-    assert area.contains_xy(masked.masked_points).all()
+    masked = _mask(ds, spec, derive_stream(27, 0, 0), SQUARE)
+    assert _in_square(masked).all()
 
 
 def test_masked_second_moment_via_mask_machinery():

@@ -5,8 +5,9 @@ import pytest
 from scipy import stats
 from scipy.special import expit
 
-from geomasksim.geometry import Point, StudyArea, equivalent_circle_radius
+from geomasksim.geometry import UNIT_SQUARE, Point, StudyArea, equivalent_circle_radius, facility_distances
 from geomasksim.logit import LogitParams
+from geomasksim.masking import _inside
 from geomasksim.population import (
     DEFAULT_GENERATING_PARAMS,
     OutOfGridError,
@@ -17,7 +18,7 @@ from geomasksim.population import (
 )
 from geomasksim.rng import population_stream
 
-AREA = StudyArea.unit_square()
+AREA = UNIT_SQUARE
 
 # E[L(1 + beta*d)] for (alpha, beta) = (1, -2) and d the distance from a
 # uniform point on the centered unit square to the origin; frozen from an
@@ -32,7 +33,7 @@ def test_default_generating_params():
 def test_generate_csr_shape_and_support():
     xy = generate_csr_xy(10_000, AREA, population_stream(1))
     assert xy.shape == (10_000, 2)
-    assert AREA.contains_xy(xy).all()
+    assert _inside(xy[:, 0], xy[:, 1], np.asarray(AREA.bounds)).all()
 
 
 def test_generate_csr_rejects_empty():
@@ -70,9 +71,9 @@ def test_csr_chi_square_uniformity():
 
 
 def test_csr_rectangle_area_support():
-    area = StudyArea.rectangle(2.0, 3.0, -4.0, -2.0)
+    area = StudyArea(2.0, 3.0, -4.0, -2.0)
     xy = generate_csr_xy(5_000, area, population_stream(7))
-    assert area.contains_xy(xy).all()
+    assert _inside(xy[:, 0], xy[:, 1], np.asarray(area.bounds)).all()
     assert np.ptp(xy[:, 1]) > 1.0  # actually spreads over the taller side
 
 
@@ -116,11 +117,9 @@ def test_simulate_choices_draw_order_contract():
 
 def test_grid_k1_single_cell():
     grid = build_municipality_grid(AREA, 1)
-    assert len(grid.cells) == 1
-    c = grid.cells[0]
-    assert (c.centroid.x, c.centroid.y) == (0.0, 0.0)
-    assert (c.xmin, c.xmax, c.ymin, c.ymax) == (-0.5, 0.5, -0.5, 0.5)
-    assert c.equivalent_radius == pytest.approx(equivalent_circle_radius(1.0))
+    np.testing.assert_array_equal(grid.centroids(), [[0.0, 0.0]])
+    np.testing.assert_array_equal(grid.cell_bounds(), [[-0.5, 0.5, -0.5, 0.5]])
+    assert grid.cell_radius == pytest.approx(equivalent_circle_radius(1.0))
 
 
 def test_grid_k2_centroids():
@@ -131,21 +130,23 @@ def test_grid_k2_centroids():
 
 def test_grid_cells_tile_the_area():
     grid = build_municipality_grid(AREA, 7)
-    total = sum((c.xmax - c.xmin) * (c.ymax - c.ymin) for c in grid.cells)
-    assert total == pytest.approx(AREA.surface_area, abs=1e-12)
+    b = grid.cell_bounds()
+    total = ((b[:, 1] - b[:, 0]) * (b[:, 3] - b[:, 2])).sum()
+    assert total == pytest.approx(AREA.width * AREA.height, abs=1e-12)
 
 
 def test_grid_row_major_order():
     grid = build_municipality_grid(AREA, 3)
     # first cell is the bottom-left corner, iteration runs x-fastest
-    assert grid.cells[0].xmin == -0.5 and grid.cells[0].ymin == -0.5
-    assert grid.cells[1].xmin == pytest.approx(-0.5 + 1 / 3)
-    assert grid.cells[3].ymin == pytest.approx(-0.5 + 1 / 3)
+    b = grid.cell_bounds()
+    assert b[0, 0] == -0.5 and b[0, 2] == -0.5
+    assert b[1, 0] == pytest.approx(-0.5 + 1 / 3)
+    assert b[3, 2] == pytest.approx(-0.5 + 1 / 3)
 
 
 def test_grid_cell_radius_formula():
     grid = build_municipality_grid(AREA, 10)
-    assert grid.cells[0].equivalent_radius == pytest.approx(math.sqrt(0.01 / math.pi))
+    assert grid.cell_radius == pytest.approx(math.sqrt(0.01 / math.pi))
 
 
 def test_grid_rejects_bad_k():
@@ -168,12 +169,22 @@ def test_cell_indices_out_of_grid():
     assert info.value.point_indices == [1]
 
 
-def test_cell_bounds_row_alignment():
-    grid = build_municipality_grid(AREA, 4)
-    b = grid.cell_bounds()
-    assert b.shape == (16, 4)
-    for i, c in enumerate(grid.cells):
-        np.testing.assert_array_equal(b[i], [c.xmin, c.xmax, c.ymin, c.ymax])
+@pytest.mark.parametrize("area", [AREA, StudyArea(2.0, 3.0, -4.0, -2.0), StudyArea(-0.3, 0.7, 0.1, 2.9)])
+def test_cell_bounds_row_alignment(area):
+    # bit-equal to a row-major per-cell loop: x0 = xmin + ix * sx, then
+    # x0 + sx for the upper edge and x0 + 0.5 * sx for the centroid
+    for k in (1, 2, 3, 4, 5, 7, 10, 20, 33, 100):
+        grid = build_municipality_grid(area, k)
+        sx, sy = area.width / k, area.height / k
+        bounds, centroids = [], []
+        for iy in range(k):
+            for ix in range(k):
+                x0, y0 = area.xmin + ix * sx, area.ymin + iy * sy
+                bounds.append([x0, x0 + sx, y0, y0 + sy])
+                centroids.append([x0 + 0.5 * sx, y0 + 0.5 * sy])
+        assert grid.cell_bounds().shape == (k * k, 4)
+        assert grid.cell_bounds().tobytes() == np.array(bounds).tobytes()
+        assert grid.centroids().tobytes() == np.array(centroids).tobytes()
 
 
 # --- centroid assignment ---
@@ -187,11 +198,13 @@ def _choice_ds(n, seed, params=LogitParams(1.0, -2.0)):
 def test_assign_to_centroid_replaces_coordinates():
     ds = _choice_ds(500, 30)
     grid = build_municipality_grid(AREA, 10)
+    points = ds.points.copy()
     out = assign_to_centroid(ds, grid)
     centroids = {tuple(row) for row in grid.centroids()}
-    assert {tuple(row) for row in out.masked_points} <= centroids
+    assert {tuple(row) for row in out.points} <= centroids
+    np.testing.assert_array_equal(out.distances, facility_distances(out.points, ds.facility))
     np.testing.assert_array_equal(out.choices, ds.choices)
-    np.testing.assert_array_equal(out.points, ds.points)
+    np.testing.assert_array_equal(ds.points, points)  # the input dataset is left as it is
 
 
 def test_assign_to_centroid_idempotent():
@@ -199,13 +212,13 @@ def test_assign_to_centroid_idempotent():
     grid = build_municipality_grid(AREA, 10)
     once = assign_to_centroid(ds, grid)
     twice = assign_to_centroid(once, grid)
-    np.testing.assert_array_equal(once.masked_points, twice.masked_points)
+    np.testing.assert_array_equal(once.points, twice.points)
 
 
 def test_assign_to_centroid_k1_collapses_to_center():
     ds = _choice_ds(100, 34)
     out = assign_to_centroid(ds, build_municipality_grid(AREA, 1))
-    np.testing.assert_array_equal(out.masked_points, np.zeros((100, 2)))
+    np.testing.assert_array_equal(out.points, np.zeros((100, 2)))
     np.testing.assert_array_equal(out.distances, np.zeros(100))
 
 
@@ -213,7 +226,7 @@ def test_assign_to_centroid_displacement_bounded_by_half_diagonal():
     ds = _choice_ds(2_000, 36)
     grid = build_municipality_grid(AREA, 10)
     out = assign_to_centroid(ds, grid)
-    disp = np.hypot(*(out.masked_points - ds.points).T)
+    disp = np.hypot(*(out.points - ds.points).T)
     assert disp.max() <= 0.5 * math.hypot(0.1, 0.1) + 1e-12
 
 
@@ -225,5 +238,5 @@ def test_assign_to_centroid_mean_displacement():
     ds = simulate_choices_xy(xy, Point(0.0, 0.0), LogitParams(1.0, -2.0), population_stream(39))
     grid = build_municipality_grid(AREA, 10)
     out = assign_to_centroid(ds, grid)
-    disp = np.hypot(*(out.masked_points - ds.points).T)
+    disp = np.hypot(*(out.points - ds.points).T)
     assert disp.mean() == pytest.approx(0.038259785823210636, abs=5e-4)

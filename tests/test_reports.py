@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -128,7 +130,7 @@ def test_curve_roundtrip_with_reports(tmp_path):
     # None el_empirical serializes as an empty cell
     assert lines[2].split(",")[7] == ""
     back = read_curve_csv(path)
-    assert back.theta_stars() == [0.0, 0.3]
+    assert [r.theta_star for r in back.rows] == [0.0, 0.3]
     assert back.rows[0].mean_abs_beta == curve.rows[0].mean_abs_beta
 
 
@@ -218,6 +220,12 @@ def test_points_read_errors(tmp_path):
     with pytest.raises(ValueError, match="cells"):
         read_points_csv(ragged)
 
+    for i, (x, y) in enumerate((("nan", "0.2"), ("0.1", "inf"), ("-inf", "0.2"))):
+        nonfinite = tmp_path / f"nonfinite{i}.csv"
+        nonfinite.write_text(f"id,x,y\n0,0.1,0.2\n1,{x},{y}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{nonfinite}:3: coordinates must be finite")):
+            read_points_csv(nonfinite)
+
 
 # --- formatting ---
 
@@ -248,6 +256,7 @@ def test_manifest_roundtrip(tmp_path):
         outputs=["run_records.csv", "run_curve.csv"],
     )
     path = write_manifest(m, tmp_path / "m.json")
-    back = RunManifest.from_json(path.read_text(encoding="utf-8"))
-    assert back == m
+    data = json.loads(path.read_text(encoding="utf-8"))
+    assert list(data) == ["config_hash", "seed", "version", "started_at", "finished_at", "outputs"]
+    assert RunManifest(**data) == m
     assert path.read_text(encoding="utf-8").endswith("\n")
