@@ -205,14 +205,23 @@ def _cmd_fit(args) -> int:
     ids, xy, choices = read_points_csv(args.points)
     if choices is None:
         raise _CliError(f"{args.points} has no choice column; `fit` needs id,x,y,choice")
-    d = facility_distances(xy, Point(args.facility_x, args.facility_y))
-    try:
-        fit = fit_distance_choice(d, choices.astype(np.float64))
-    except SingularInformationError as exc:
-        # all-identical choices raise SeparationError, a ValueError main reports
-        raise _CliError(
-            f"the distance slope cannot be identified from these points: singular information matrix ({exc})"
-        ) from exc
+    # Points far from the facility overflow d*d (rejected below) or the
+    # information sums (classified singular); points very close to it can
+    # overflow a Newton step (not converged). The exit code reports each
+    # case, so numpy's warnings are not raised on top.
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = facility_distances(xy, Point(args.facility_x, args.facility_y))
+        if not np.isfinite(d).all():
+            raise _CliError(
+                f"{args.points}: a distance to the facility overflows; coordinates must lie within about 1e154 of it"
+            )
+        try:
+            fit = fit_distance_choice(d, choices.astype(np.float64))
+        except SingularInformationError as exc:
+            # all-identical choices raise SeparationError, a ValueError main reports
+            raise _CliError(
+                f"the distance slope cannot be identified from these points: singular information matrix ({exc})"
+            ) from exc
     print(f"n={len(ids)} converged={str(fit.converged).lower()} iterations={fit.iterations}")
     print(f"alpha={fit.params.alpha:.6f} se={fit.std_errors[0]:.6f}")
     print(f"beta={fit.params.beta:.6f} se={fit.std_errors[1]:.6f}")

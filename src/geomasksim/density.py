@@ -31,13 +31,6 @@ class KdeEstimate:
         if (self.density < 0.0).any():
             raise ValueError("density must be nonnegative")
 
-    def integral(self) -> float:
-        return float(np.trapezoid(self.density, self.grid))
-
-    def at(self, x: float) -> float:
-        """Linear interpolation on the grid (0 outside it)."""
-        return float(np.interp(x, self.grid, self.density, left=0.0, right=0.0))
-
 
 def _quartiles(values: np.ndarray) -> tuple[float, float]:
     """(q75, q25) of a sample of n >= 2 values, bit-equal to
@@ -108,8 +101,11 @@ def kde(values, bandwidth: float | None = None) -> KdeEstimate:
     density = np.empty(KDE_GRID_SIZE)
     for start in range(0, KDE_GRID_SIZE, _EVAL_CHUNK):
         block = grid[start : start + _EVAL_CHUNK]
-        z = (block[:, None] - values[None, :]) / bandwidth
-        density[start : start + block.size] = norm * np.exp(-0.5 * z * z).sum(axis=1)
+        # z, and z*z above all, overflow to inf for a grid point hundreds of
+        # orders of bandwidths from a value, where exp(-inf) = 0 is its kernel
+        with np.errstate(over="ignore"):
+            z = (block[:, None] - values[None, :]) / bandwidth
+            density[start : start + block.size] = norm * np.exp(-0.5 * z * z).sum(axis=1)
 
     density /= np.trapezoid(density, grid)
     return KdeEstimate(grid=grid, density=density, bandwidth=float(bandwidth))

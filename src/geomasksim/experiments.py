@@ -57,7 +57,7 @@ from .efficiency import (
     efficiency_report,
     empirical_variance_ratio,
 )
-from .geometry import UNIT_SQUARE, Point, equivalent_circle_radius, facility_distances
+from .geometry import UNIT_SQUARE, Point, equivalent_circle_radius, facility_distances, planar_norm
 from .logit import (
     CONVERGED,
     SEPARATED,
@@ -320,7 +320,7 @@ def _replicate_block(task: tuple[int, float | None, int, int], state: dict | Non
             masked = mask_coordinates(xy, spec, bounds, gens)
             masked[:, 0] -= facility.x
             masked[:, 1] -= facility.y
-            D = np.hypot(masked[:, 0], masked[:, 1])  # facility_distances' expression, over (rows, n) planes
+            D = planar_norm(masked[:, 0], masked[:, 1])  # facility_distances' expression, over (rows, n) planes
             del masked
         fits = fit_rows(D, Y)
         del D, Y  # the next chunk draws without this one's rows alive

@@ -69,12 +69,29 @@ def equivalent_circle_radius(surface_area: float) -> float:
     return math.sqrt(surface_area / math.pi)
 
 
+def planar_norm(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """sqrt(dx*dx + dy*dy) elementwise, as a new array; squares ``dx`` and
+    ``dy`` in place.
+
+    Four correctly rounded operations, several times cheaper than numpy's
+    ``hypot``; on a million offsets at each of several scales about 17% of
+    the results differ from ``hypot``'s by 1 ulp and none by more. Unlike
+    ``hypot`` it overflows to inf once dx*dx or dy*dy does (an
+    offset beyond about 1.3e154) and underflows to 0 where both squares do
+    (below about 2e-162).
+    """
+    np.multiply(dx, dx, out=dx)
+    np.multiply(dy, dy, out=dy)
+    d = np.add(dx, dy)
+    return np.sqrt(d, out=d)
+
+
 def facility_distances(xy: np.ndarray, facility: Point) -> np.ndarray:
     """Distances from each row of an (n, 2) coordinate array to the facility.
 
-    Datasets, choice simulation, the replication harness (which applies it
-    to (rows, n) planes of masked x and y) and ``fit`` all take their
-    distances from this one expression, so a recomputed distance vector
-    compares bit-for-bit with the original.
+    Datasets, choice simulation, the replication harness (which applies
+    ``planar_norm`` to (rows, n) planes of masked x and y) and ``fit`` all
+    take their distances from this one expression, so a recomputed distance
+    vector compares bit-for-bit with the original.
     """
-    return np.hypot(xy[:, 0] - facility.x, xy[:, 1] - facility.y)
+    return planar_norm(xy[:, 0] - facility.x, xy[:, 1] - facility.y)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -354,6 +355,22 @@ def test_fit_singular_information_exit_1(tmp_path, capsys):
     assert main(["fit", "--points", str(path)]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert "cannot be identified" in err and "singular" in err
+
+
+@pytest.mark.parametrize("scale, reason", [(1e200, "overflows"), (9e153, "singular"), (1e-200, "singular")])
+def test_fit_extreme_coordinates_exit_1_without_warning(tmp_path, capsys, scale, reason):
+    # at 1e200 the squared offsets overflow, so a distance is inf and the
+    # file is refused; at 9e153 the distances are finite but the information
+    # sums overflow, and at 1e-200 the squares underflow to 0, so every
+    # distance is 0: both leave a singular information matrix. None may warn.
+    path = tmp_path / "extreme.csv"
+    xy = np.random.default_rng(5).uniform(-1.0, 1.0, (20, 2)) * scale
+    write_points_csv(xy, path, choices=np.arange(20) % 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["fit", "--points", str(path)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and reason in err
 
 
 @pytest.mark.parametrize("command", ["fit", "mask"])

@@ -244,6 +244,24 @@ def test_efficiency_bytes_independent_of_row_chunks(monkeypatch, tmp_path):
     assert len(outputs) == 1
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "experiment, mask",
+    [("csr-population", MaskSpec()), ("fixed-area-grid", MaskSpec(mechanism="gaussian", boundary="redraw"))],
+    ids=["csr-uniform", "grid-gaussian-redraw"],
+)
+def test_theta_zero_records_reproduce_the_baseline_bitwise(experiment, mask, workers):
+    # at theta* = 0 every offset is zero, and the harness's masked distances
+    # and the dataset's come from one expression, so every theta* = 0 refit
+    # is the baseline fit to the bit
+    res = run_experiment(_config(experiment=experiment, mask=mask, n=300, replications=70, workers=workers))
+    base = res.baseline
+    want = (base.params.alpha, base.params.beta, base.std_errors[1], base.iterations, True)
+    zero = [(r.alpha_hat, r.beta_hat, r.se_beta, r.iterations, r.converged)
+            for r in res.records if r.theta_star == 0.0]
+    assert zero == [want] * 70
+
+
 def test_run_deterministic_and_worker_independent():
     cfg = _config(n=150, replications=70)  # crosses the 64-rep task boundary
     a = run_experiment(cfg)
@@ -319,7 +337,7 @@ def test_masking_failures_recorded_not_fatal(monkeypatch):
 
     def flaky(d, y, **kw):
         fits = real_fit_rows(d, y, **kw)
-        for i in range(len(fits)):
+        for i in range(fits.status.size):
             rows["k"] += 1
             if rows["k"] == 3:
                 fits.status[i] = SINGULAR

@@ -18,6 +18,10 @@ from geomasksim.logit import (
     LogitParams,
     SeparationError,
     SingularInformationError,
+    _block,
+    _loglik,
+    _moments,
+    _origin,
     choice_probability,
     fit_distance_choice,
     fit_logit,
@@ -399,6 +403,62 @@ def test_fit_rows_rows_independent_property(seed, rows, n, alpha, beta, max_iter
     D = rng.uniform(0.0, 2.0, (rows, n))
     Y = (rng.uniform(size=(rows, n)) < expit(alpha + beta * D)).astype(float)
     _assert_rows_match_one_row_calls(D, Y, max_iter=max_iter)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 5),
+    n=st.integers(1, 300),
+    scale=st.sampled_from([1e-3, 1.0, 50.0]),
+    signed=st.booleans(),
+    shared_y=st.booleans(),
+    singular=st.booleans(),
+)
+def test_origin_pass_bit_equal_to_general_pass(seed, rows, n, scale, signed, shared_y, singular):
+    # at alpha = beta = 0, eta = +0.0 and e = 1 at every point: the closed
+    # form must give the general helpers' log-likelihood and moments there
+    rng = np.random.default_rng(seed)
+    D = rng.uniform(-scale if signed else 0.0, scale, (rows, n))
+    if singular:
+        D[rng.integers(rows)] = rng.uniform(0.0, scale)  # equal distances: a singular row
+    Y = (rng.uniform(size=(1 if shared_y else rows, n)) < 0.5).astype(float)
+    D, Y = _block(D, Y[0] if shared_y else Y)
+    T1, T2 = np.empty((2, rows, n))
+    ll, M = _origin(D, Y, T1, T2)
+    H, E = np.zeros((rows, n)), np.ones((rows, n))
+    assert ll.tobytes() == _loglik(Y, H, E, T1, T2).tobytes()
+    assert M.tobytes() == _moments(D, Y, H, E, T1, T2).tobytes()
+
+
+def test_fit_rows_without_iterations_reports_the_origin():
+    # with max_iter = 0 no Newton step is taken, and every field describes
+    # the start point as the general helpers compute it
+    D, Y = _mixed_block()
+    fits = fit_rows(D, Y, max_iter=0)
+    H, E, T1, T2 = np.empty((4,) + D.shape)
+    H[:], E[:] = 0.0, 1.0
+    ll = _loglik(Y, H, E, T1, T2)
+    M = _moments(D, Y, H, E, T1, T2)
+    sw, swd, swd2 = M[:, 2:].T
+    det = sw * swd2 - swd**2
+    live = np.array([True, True, False, True, True])  # row 2 has all-equal choices
+    want = {
+        "alpha": np.where(live, 0.0, math.nan),
+        "beta": np.where(live, 0.0, math.nan),
+        "std_errors": np.where(
+            live[:, None], np.sqrt(np.column_stack((swd2, sw)) / np.where(det > 0.0, det, math.nan)[:, None]), math.nan
+        ),
+        "loglik": np.where(live, ll, math.nan),
+        "information": np.where(live[:, None, None], M[:, [2, 3, 3, 4]].reshape(-1, 2, 2), math.nan),
+        "iterations": np.zeros(5, dtype=np.int64),
+        "gradient_norm": np.where(live, math.inf, math.nan),
+        "status": np.where(live, NOT_CONVERGED, SEPARATED).astype(np.int8),
+    }
+    assert set(want) == set(_ROW_FIELDS)
+    for name, value in want.items():
+        got = getattr(fits, name)
+        assert got.dtype == value.dtype and got.tobytes() == value.tobytes(), name
 
 
 # --- the logistic function ---
