@@ -51,6 +51,10 @@ DEFAULT_MAX_ITER = 100
 
 # Estimates beyond this magnitude are treated as runaway (quasi-separation).
 _DIVERGENCE_BOUND = 1e4
+#: smallest normal float64: a determinant below _TINY * max(1, diagonal)
+#: is singular, since the standard errors sqrt(diagonal / det) would not be
+#: finite
+_TINY = float(np.finfo(np.float64).tiny)
 # Step-halving candidates per Newton step: scales 1, 1/2, ..., 2**-39.
 _MAX_HALVINGS = 40
 
@@ -307,10 +311,12 @@ def fit_rows(
     its gradient max-norm drops below ``tol`` (``iterations`` then counts
     the steps taken), NOT_CONVERGED after ``max_iter`` iterations or once an
     estimate passes the divergence bound (quasi-separation), SEPARATED when
-    its choices are all equal and SINGULAR when its information determinant
-    is not positive. Each Newton step is halved until it does not decrease
-    the log-likelihood. The distances must be finite: the start at the
-    origin is taken in closed form (``_origin``), which holds for finite d.
+    its choices are all equal and SINGULAR unless its information determinant
+    is finite and at least ``_TINY`` times max(1, its diagonal), so that it
+    is a normal number and the standard errors are finite. Each Newton step
+    is halved until it does not decrease the log-likelihood. The distances
+    must be finite: the start at the origin is taken in closed form
+    (``_origin``), which holds for finite d.
     """
     D, Y = _block(d, y)
     R, n = D.shape
@@ -350,7 +356,8 @@ def fit_rows(
         gnorm = np.maximum(np.abs(M[:, 0]), np.abs(M[:, 1]))
         det = M[:, 2] * M[:, 4] - M[:, 3] ** 2
         converged = gnorm < tol
-        singular = ~(np.isfinite(det) & (det > 0.0))
+        # M[:, 2:5:2] is the diagonal (sum w, sum w*d*d)
+        singular = ~(np.isfinite(det) & (det >= _TINY * M[:, 2:5:2].max(axis=1, initial=1.0)))
         done = converged | singular
         if done.any():
             # a converged pass only verified the previous step

@@ -4,14 +4,16 @@
 reads, one attempt loop per replication: each attempt over the m pending
 points draws m theta values then m delta values (uniform mechanism), or m
 x-offsets then m y-offsets (gaussian mechanism), through numpy's own
-``uniform`` and ``normal``. The batched ``mask_coordinates`` must give the
+``uniform``, ``random`` and ``normal``. The direction (cos delta, sin delta)
+of delta = TWO_PI * draw comes from the package's ``_direction``, the one
+place that evaluates it. The batched ``mask_coordinates`` must give the
 same bits for every row, however many rows it masks at once.
 """
 
 import numpy as np
 
-from geomasksim.geometry import TWO_PI, UNIT_SQUARE
-from geomasksim.masking import GAUSSIAN_CALIBRATION, BoundaryExhaustionError
+from geomasksim.geometry import UNIT_SQUARE
+from geomasksim.masking import GAUSSIAN_CALIBRATION, BoundaryExhaustionError, _direction
 from geomasksim.population import build_municipality_grid
 
 BOUNDS_KINDS = ("none", "shared", "per-point")
@@ -32,8 +34,8 @@ def bounds_for(kind, xy):
 def _offsets(spec, gen, m):
     if spec.mechanism == "uniform":
         theta = gen.uniform(0.0, spec.theta_star, m)
-        delta = gen.uniform(0.0, TWO_PI, m)
-        return np.column_stack((theta * np.cos(delta), theta * np.sin(delta)))
+        c, s = _direction(gen.random(m))
+        return np.column_stack((theta * c, theta * s))
     sigma = spec.theta_star / GAUSSIAN_CALIBRATION
     dx = gen.normal(0.0, sigma, m)
     dy = gen.normal(0.0, sigma, m)

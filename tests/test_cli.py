@@ -357,12 +357,17 @@ def test_fit_singular_information_exit_1(tmp_path, capsys):
     assert "cannot be identified" in err and "singular" in err
 
 
-@pytest.mark.parametrize("scale, reason", [(1e200, "overflows"), (9e153, "singular"), (1e-200, "singular")])
+@pytest.mark.parametrize(
+    "scale, reason",
+    [(1e200, "overflows"), (9e153, "singular"), (1e-154, "singular"), (1e-160, "singular"), (1e-200, "singular")],
+)
 def test_fit_extreme_coordinates_exit_1_without_warning(tmp_path, capsys, scale, reason):
     # at 1e200 the squared offsets overflow, so a distance is inf and the
     # file is refused; at 9e153 the distances are finite but the information
     # sums overflow, and at 1e-200 the squares underflow to 0, so every
-    # distance is 0: both leave a singular information matrix. None may warn.
+    # distance is 0: both leave a singular information matrix. At 1e-160 the
+    # determinant is subnormal and at 1e-154 it is normal but too small for
+    # finite standard errors: both are singular too. None may warn.
     path = tmp_path / "extreme.csv"
     xy = np.random.default_rng(5).uniform(-1.0, 1.0, (20, 2)) * scale
     write_points_csv(xy, path, choices=np.arange(20) % 2)

@@ -6,7 +6,14 @@ from scipy import stats
 
 from geomasksim.dataset import ChoiceDataset
 from geomasksim.geometry import TWO_PI, UNIT_SQUARE, Point, facility_distances
-from geomasksim.masking import GAUSSIAN_CALIBRATION, BoundaryExhaustionError, MaskSpec, _inside, mask_coordinates
+from geomasksim.masking import (
+    GAUSSIAN_CALIBRATION,
+    BoundaryExhaustionError,
+    MaskSpec,
+    _direction,
+    _inside,
+    mask_coordinates,
+)
 from geomasksim.rng import GeneratorPool, derive_stream
 
 from mask_oracle import BOUNDS_KINDS, bounds_for, mask_one
@@ -71,15 +78,33 @@ def test_gaussian_radius_calibration():
 
 
 def test_uniform_draw_order_contract():
-    # documented stream layout: m theta values then m delta values
+    # documented stream layout: m theta values then m delta values; delta is
+    # TWO_PI times its raw draw, turned into (cos delta, sin delta) by _direction
     spec = MaskSpec(theta_star=0.3)
     xy = np.tile([[0.1, -0.2]], (5, 1))
     out = mask_coordinates(xy, spec, None, derive_stream(21, 2, 3))
     gen = derive_stream(21, 2, 3).generator()
     theta = gen.uniform(0.0, 0.3, 5)
-    delta = gen.uniform(0.0, TWO_PI, 5)
-    expected = xy + np.column_stack((theta * np.cos(delta), theta * np.sin(delta)))
+    c, s = _direction(gen.random(5))
+    expected = xy + np.column_stack((theta * c, theta * s))
     np.testing.assert_array_equal(out, expected)
+
+
+def test_direction_within_2_eps_of_libm():
+    # the half-angle form against libm's cos and sin of the same angle, on
+    # 10**6 draws and the edge draws 0, 1/4, 1/2, 3/4 and 1 - 2**-53; at
+    # u = 1/2, t = tan(pi/2) is about 1.6e16 and t*t must not overflow
+    edges = [0.0, 0.25, 0.5, 0.75, 1.0 - 2.0**-53]
+    u = np.concatenate([np.random.default_rng(31).random(1_000_000), edges])
+    with np.errstate(all="raise"):
+        c, s = _direction(u.copy())
+    eps = np.finfo(np.float64).eps
+    delta = TWO_PI * u
+    assert np.abs(c - np.cos(delta)).max() <= 2 * eps
+    assert np.abs(s - np.sin(delta)).max() <= 2 * eps
+    assert np.abs(c).max() <= 1.0 and np.abs(s).max() <= 1.0
+    assert np.abs(c * c + s * s - 1.0).max() <= 3 * eps
+    assert (c[-5], s[-5]) == (1.0, 0.0) and c[-3] == -1.0
 
 
 def test_gaussian_draw_order_contract():
