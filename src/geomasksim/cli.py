@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .config import RunOptions, config_hash, parse_config, parse_run_options
 from .density import DegenerateSampleError, kde
-from .efficiency import DEFAULT_MOMENT_VARIANT, MOMENT_VARIANTS, efficiency_report
+from .efficiency import efficiency_report
 from .experiments import (
     BatchConvergenceError,
     FAST_REPLICATIONS,
@@ -124,7 +124,7 @@ def _cmd_simulate(args) -> int:
         outputs.append(str(path))
         return path
 
-    record(write_records_csv(result.records, out / f"{prefix}_records.csv"))
+    record(write_records_csv(result.theta_stars, result.columns, out / f"{prefix}_records.csv"))
     reports = eff_run.reports if eff_run is not None else None
     record(write_curve_csv(result.curve, reports, out / f"{prefix}_curve.csv"))
     if reports:
@@ -137,10 +137,10 @@ def _cmd_simulate(args) -> int:
 
     if options.write_plots:
         record(render_attenuation_svg(result.curve, result.baseline.params.beta, out / f"{prefix}_attenuation.svg"))
-        largest = max(r.theta_star for r in result.records)
-        betas = [r.beta_hat for r in result.records if r.theta_star == largest and r.converged]
+        # the last cell is the largest theta*
+        betas = result.columns["beta_hat"][-1][result.columns["converged"][-1]]
         try:
-            estimate = kde(np.array(betas))
+            estimate = kde(betas)
             record(
                 render_kde_svg(
                     estimate,
@@ -238,15 +238,12 @@ def _cmd_efficiency(args) -> int:
     config, options = _load_config(args)
     reps = args.empirical_reps
     if reps:
-        run = run_efficiency_experiment(config, replications=reps, variant=args.variant)
+        run = run_efficiency_experiment(config, replications=reps)
         reports = run.reports
     else:
         ds = prepare_dataset(config)
         baseline = fit_logit(ds)
-        reports = [
-            efficiency_report(ds, baseline.params, t, variant=args.variant)
-            for t in config.theta_values()
-        ]
+        reports = [efficiency_report(ds, baseline.params, t) for t in config.theta_values()]
     path = write_efficiency_csv(reports, Path(options.out_dir) / f"{options.prefix}_efficiency.csv")
     print(f"{'theta*':>10} {'info_true':>12} {'info_masked':>12} {'el_analytic':>12} {'el_empirical':>13}")
     for r in reports:
@@ -256,10 +253,26 @@ def _cmd_efficiency(args) -> int:
     return EXIT_OK
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _read_baseline(path: str, with_ci: bool) -> dict:
+    """The baseline JSON ``simulate`` writes, checked for the fields ``plot``
+    uses: a numeric ``beta`` and, ``with_ci``, a ``ci_beta`` of two numbers."""
+    baseline = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(baseline, dict) or not _is_number(baseline.get("beta")):
+        raise _CliError(f"{path}: baseline must be a JSON object with a numeric \"beta\"")
+    ci = baseline.get("ci_beta")
+    if with_ci and not (isinstance(ci, list) and len(ci) == 2 and all(map(_is_number, ci))):
+        raise _CliError(f"{path}: baseline needs \"ci_beta\" as a list of two numbers to plot records")
+    return baseline
+
+
 def _cmd_plot(args) -> int:
     if args.curve is None and args.records is None:
         raise _CliError("plot needs --curve and/or --records")
-    baseline = json.loads(Path(args.baseline).read_text(encoding="utf-8"))
+    baseline = _read_baseline(args.baseline, with_ci=args.records is not None)
     out = Path(args.out_dir)
     if args.curve is not None:
         curve = read_curve_csv(args.curve)
@@ -316,7 +329,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("efficiency", help="emit the efficiency-loss table for a configured dataset")
     add_run_flags(p)
-    p.add_argument("--variant", choices=list(MOMENT_VARIANTS), default=DEFAULT_MOMENT_VARIANT)
     p.add_argument(
         "--empirical-reps", type=int, default=0,
         help="replications for the empirical variance ratio (0 = analytic only)",

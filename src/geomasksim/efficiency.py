@@ -11,16 +11,14 @@ the efficiency loss is the ratio
     EL(theta*) = info(true) / info(masked moment)
 
 which equals 1 at theta* = 0 and decreases strictly as the masking radius
-grows. Two second-moment variants are implemented:
+grows. The second moment is
 
-    derived:    E(d_masked^2) = d^2 + theta*^2 / 3
-    as-printed: E(d_masked^2) = d^2 + theta*  / 3
+    E(d_masked^2) = d^2 + theta*^2 / 3
 
-The derived variant follows from expanding the displaced squared distance
-with radius ~ U(0, theta*) and angle ~ U(0, 2*pi) — cross terms average to
-zero and E[radius^2] = theta*^2/3 — and is the package default; the other
-form (a length added to an area) is kept for side-by-side comparison. Every
-report records which variant produced it.
+from expanding the displaced squared distance with radius ~ U(0, theta*)
+and angle ~ U(0, 2*pi): cross terms average to zero and E[radius^2] =
+theta*^2/3. (A printed d^2 + theta*/3 adds a length to an area; the
+Monte Carlo oracle of acceptance criterion 4 rejects it.)
 
 The empirical companion ratio var(beta_hat true) / var(beta_hat masked) is
 computed from replicated fits; note the analytic ratio as defined above is
@@ -37,9 +35,6 @@ import numpy as np
 
 from .dataset import ChoiceDataset
 from .logit import LogitParams, choice_probability
-
-MOMENT_VARIANTS = ("derived", "as-printed")
-DEFAULT_MOMENT_VARIANT = "derived"
 
 _MIN_CONVERGED_FITS = 30
 
@@ -61,32 +56,26 @@ class EfficiencyReport:
     info_masked_analytic: float
     el_analytic: float
     el_empirical: float | None
-    moment_formula: str
 
     def __post_init__(self):
-        if self.moment_formula not in MOMENT_VARIANTS:
-            raise ValueError(f"moment_formula must be one of {MOMENT_VARIANTS}")
         if not self.info_true > 0.0 or not self.info_masked_analytic > 0.0:
             raise ValueError("information values must be positive")
         if not 0.0 < self.el_analytic <= 1.0:
             raise ValueError(f"el_analytic must lie in (0, 1], got {self.el_analytic}")
 
 
-def expected_sq_masked_distance(d: float, theta_star: float, variant: str = DEFAULT_MOMENT_VARIANT):
-    """Expected squared distance after uniform masking of one endpoint.
+def expected_sq_masked_distance(d: float, theta_star: float):
+    """Expected squared distance d^2 + theta*^2 / 3 after uniform masking of
+    one endpoint.
 
-    Accepts scalars or arrays in ``d``. theta_star = 0 returns d^2 exactly
-    under either variant.
+    Accepts scalars or arrays in ``d``. theta_star = 0 returns d^2 exactly.
     """
-    if variant not in MOMENT_VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {MOMENT_VARIANTS}")
     if theta_star < 0.0:
         raise ValueError(f"theta_star must be >= 0, got {theta_star}")
     d = np.asarray(d, dtype=np.float64)
     if (d < 0.0).any():
         raise ValueError("distances must be >= 0")
-    inflation = theta_star * theta_star / 3.0 if variant == "derived" else theta_star / 3.0
-    out = d * d + inflation
+    out = d * d + theta_star * theta_star / 3.0
     return float(out) if out.ndim == 0 else out
 
 
@@ -94,7 +83,6 @@ def information_beta(
     ds: ChoiceDataset,
     p: LogitParams,
     theta_star: float = 0.0,
-    variant: str = DEFAULT_MOMENT_VARIANT,
 ) -> float:
     """beta-information sum L(1-L) E(d_masked^2) with the logistic weights
     L = ``choice_probability(alpha + beta * d)`` at the true distances.
@@ -105,7 +93,7 @@ def information_beta(
     """
     d = ds.distances
     lam = choice_probability(p.alpha + p.beta * d)
-    return float((lam * (1.0 - lam) * expected_sq_masked_distance(d, theta_star, variant)).sum())
+    return float((lam * (1.0 - lam) * expected_sq_masked_distance(d, theta_star)).sum())
 
 
 def empirical_variance_ratio(true_betas: np.ndarray, masked_betas: np.ndarray) -> float:
@@ -130,7 +118,6 @@ def efficiency_report(
     ds: ChoiceDataset,
     p: LogitParams,
     theta_star: float,
-    variant: str = DEFAULT_MOMENT_VARIANT,
     el_empirical: float | None = None,
 ) -> EfficiencyReport:
     """Bundle the analytic quantities (and an optional empirical ratio) for one theta*.
@@ -141,13 +128,12 @@ def efficiency_report(
     info_true = information_beta(ds, p)
     if info_true <= 0.0:
         raise DegenerateInformationError(f"true information is {info_true}")
-    info_masked = information_beta(ds, p, theta_star=theta_star, variant=variant)
+    info_masked = information_beta(ds, p, theta_star=theta_star)
     return EfficiencyReport(
         theta_star=theta_star,
         info_true=info_true,
         info_masked_analytic=info_masked,
         el_analytic=info_true / info_masked,
         el_empirical=el_empirical,
-        moment_formula=variant,
     )
 

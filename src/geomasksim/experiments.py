@@ -24,8 +24,9 @@ row in one ``mask_coordinates`` call (whose redraw loop serves the whole
 chunk while each row draws from its own generator), takes the (rows, n)
 masked distances and fits the chunk with one ``fit_rows`` call. One
 failure policy and the 50% cell-convergence rule apply to every cell. The
-attenuation run reads the per-replication columns as records, the
-efficiency run reads the converged estimates of its cells.
+attenuation run keeps the (cells, replications) columns, adds the two test
+flags and aggregates each cell from them; the efficiency run reads the
+converged estimates of its cells.
 
 Fixed-y design: the attenuation run generates choices exactly once, before
 the baseline fit, and never regenerates them; a checksum of the choice
@@ -34,10 +35,11 @@ variation is attributable to locational error alone.
 
 Determinism: replication (theta_index, rep) owns a private stream derived
 from the run seed, so results are independent of worker count and schedule;
-records are emitted sorted by (theta_star, rep). Replications are masked
-and fitted in row chunks; neither a row's draws nor its fit depend on the
-other rows, so the outputs do not depend on the chunk size or the worker
-task size either.
+the columns hold the cells in ascending theta* and each cell's replications
+in order, the records CSV's row order. Replications are masked and fitted
+in row chunks; neither a row's draws nor its fit depend on the other rows,
+so the outputs do not depend on the chunk size or the worker task size
+either.
 """
 
 from __future__ import annotations
@@ -51,12 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import ChoiceDataset
-from .efficiency import (
-    DEFAULT_MOMENT_VARIANT,
-    EfficiencyReport,
-    efficiency_report,
-    empirical_variance_ratio,
-)
+from .efficiency import EfficiencyReport, efficiency_report, empirical_variance_ratio
 from .geometry import UNIT_SQUARE, Point, equivalent_circle_radius, facility_distances, planar_norm
 from .logit import (
     CONVERGED,
@@ -109,10 +106,6 @@ _REP_BLOCK = 64  # replications per worker task
 _ROW_ELEMENTS = 16384
 _MIN_CELL_CONVERGENCE = 0.5
 _CI_LEVEL = 0.95
-
-
-class EmptyCellError(ValueError):
-    """No converged replication records for a theta* cell."""
 
 
 class BatchConvergenceError(RuntimeError):
@@ -181,24 +174,9 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class ReplicationRecord:
-    """One refit after one masking replication."""
-
-    theta_star: float
-    rep: int
-    alpha_hat: float
-    beta_hat: float
-    se_beta: float
-    converged: bool
-    iterations: int
-    significant_beta: bool
-    outside_true_ci: bool
-
-
-@dataclass(frozen=True)
 class CurveRow:
-    """Aggregates over one theta* cell (converged records only; the
-    convergence rate is over all records)."""
+    """Aggregates over one theta* cell (converged replications only; the
+    convergence rate is over all replications)."""
 
     theta_star: float
     mean_abs_beta: float
@@ -234,7 +212,8 @@ class ExperimentResult:
 
     config: ExperimentConfig
     baseline: LogitFit
-    records: list[ReplicationRecord]
+    theta_stars: tuple[float, ...]  # one per cell, ascending
+    columns: dict[str, np.ndarray]  # RECORD_COLUMNS, each (cells, replications)
     curve: AttenuationCurve
     dataset: ChoiceDataset
 
@@ -262,8 +241,10 @@ def prepare_dataset(config: ExperimentConfig) -> ChoiceDataset:
 
 _WORKER: dict = {}
 
-# Per-replication columns of the block kernel, in record order.
-_COLUMNS = ("alpha", "beta", "se_beta", "converged", "iterations")
+# Per-replication columns of the block kernel, named and ordered as in the
+# records CSV; the attenuation run adds the two flags.
+_COLUMNS = ("alpha_hat", "beta_hat", "se_beta", "converged", "iterations")
+RECORD_COLUMNS = _COLUMNS + ("significant_beta", "outside_true_ci")
 
 
 def _init_worker(payload: dict) -> None:
@@ -397,81 +378,64 @@ def _area_bounds(mask: MaskSpec) -> np.ndarray | None:
     return np.asarray(UNIT_SQUARE.bounds, dtype=np.float64) if mask.boundary == "redraw" else None
 
 
-def summarize_replications(records: list[ReplicationRecord], baseline: LogitFit | None = None) -> CurveRow:
-    """Aggregate one theta* cell into a curve row.
+def build_curve(
+    theta_stars: tuple[float, ...], columns: dict[str, np.ndarray], baseline: LogitFit | None = None
+) -> AttenuationCurve:
+    """One curve row per theta* cell of the (cells, replications) columns.
 
-    Moments and percentages use converged records only; the convergence rate
-    is over all records. With ``baseline`` given, each converged record's
-    outside_true_ci flag is cross-checked against the baseline CI.
+    Moments and percentages use converged replications only; the
+    convergence rate is over all of them. With ``baseline`` given, every
+    converged replication's outside_true_ci flag is cross-checked against
+    the baseline CI.
     """
-    if not records:
-        raise EmptyCellError("no records")
-    thetas = {r.theta_star for r in records}
-    if len(thetas) != 1:
-        raise ValueError(f"records span multiple theta* cells: {sorted(thetas)}")
-    ok = [r for r in records if r.converged]
-    if not ok:
-        raise EmptyCellError(f"no converged records at theta*={records[0].theta_star:g}")
+    beta, converged = columns["beta_hat"], columns["converged"]
     if baseline is not None:
         lo, hi = wald_ci(baseline, _CI_LEVEL)[1]
-        for r in ok:
-            if r.outside_true_ci != (not lo <= r.beta_hat <= hi):
-                raise ValueError(f"record (theta*={r.theta_star:g}, rep={r.rep}) inconsistent with baseline CI")
-    betas = np.array([r.beta_hat for r in ok])
-    abs_betas = np.abs(betas)
-    # Moments about the first estimate: a cell of identical estimates (the
-    # theta* = 0 cell) gets exactly that estimate as its mean and zero spread,
-    # whatever its bits; a plain mean of k equal values can round.
-    return CurveRow(
-        theta_star=records[0].theta_star,
-        mean_abs_beta=float(abs_betas[0] + (abs_betas - abs_betas[0]).mean()),
-        sd_beta=float(np.std(betas - betas[0], ddof=1)) if betas.size > 1 else 0.0,
-        pct_outside_true_ci=100.0 * sum(r.outside_true_ci for r in ok) / len(ok),
-        pct_nonsignificant=100.0 * sum(not r.significant_beta for r in ok) / len(ok),
-        convergence_rate=len(ok) / len(records),
-    )
-
-
-def build_curve(records: list[ReplicationRecord], baseline: LogitFit | None = None) -> AttenuationCurve:
-    """Group records by theta* and summarize each cell."""
-    cells: dict[float, list[ReplicationRecord]] = {}
-    for r in records:
-        cells.setdefault(r.theta_star, []).append(r)
-    rows = [summarize_replications(cells[t], baseline) for t in sorted(cells)]
+        inside = (lo <= beta) & (beta <= hi)
+        bad = np.argwhere(converged & (columns["outside_true_ci"] == inside))
+        if bad.size:
+            c, rep = bad[0]
+            raise ValueError(f"replication (theta*={theta_stars[c]:g}, rep={rep}) inconsistent with baseline CI")
+    rows = []
+    for c, theta_star in enumerate(theta_stars):
+        ok = converged[c]
+        k = np.count_nonzero(ok)
+        betas = beta[c][ok]
+        abs_betas = np.abs(betas)
+        # Moments about the first estimate: a cell of identical estimates (the
+        # theta* = 0 cell) gets exactly that estimate as its mean and zero
+        # spread, whatever its bits; a plain mean of k equal values can round.
+        rows.append(CurveRow(
+            theta_star=theta_star,
+            mean_abs_beta=float(abs_betas[0] + (abs_betas - abs_betas[0]).mean()),
+            sd_beta=float(np.std(betas - betas[0], ddof=1)) if k > 1 else 0.0,
+            pct_outside_true_ci=100.0 * np.count_nonzero(columns["outside_true_ci"][c][ok]) / k,
+            pct_nonsignificant=100.0 * np.count_nonzero(~columns["significant_beta"][c][ok]) / k,
+            convergence_rate=k / ok.size,
+        ))
     return AttenuationCurve(rows=tuple(rows))
 
 
-def _records(
-    cells: list[tuple[int, float]], fits: dict[str, np.ndarray], ci: tuple[float, float]
-) -> list[ReplicationRecord]:
-    """One record per (cell, replication) of a fixed-y run, in (theta*, rep) order."""
-    z = z_quantile(_CI_LEVEL)
-    ci_lo, ci_hi = ci
-    records = []
-    for c, (_, theta_star) in enumerate(cells):
-        rows = zip(*(fits[name][c].tolist() for name in _COLUMNS))
-        for rep, (alpha, beta, se, converged, iterations) in enumerate(rows):
-            records.append(
-                ReplicationRecord(
-                    theta_star=theta_star,
-                    rep=rep,
-                    alpha_hat=alpha,
-                    beta_hat=beta,
-                    se_beta=se,
-                    converged=converged,
-                    iterations=iterations,
-                    significant_beta=bool(converged and se > 0.0 and abs(beta) / se >= z),
-                    outside_true_ci=bool(converged and not ci_lo <= beta <= ci_hi),
-                )
-            )
-    return records
+def _add_flags(fits: dict[str, np.ndarray], ci: tuple[float, float]) -> dict[str, np.ndarray]:
+    """``fits`` with the two test flags of every replication added: beta
+    significant (Wald, |beta|/se >= z) and beta outside the baseline CI
+    ``ci`` (inclusive bounds). A replication that did not converge, failed
+    rows (NaN) included, is false in both."""
+    beta, se, converged = fits["beta_hat"], fits["se_beta"], fits["converged"]
+    tested = converged & (se > 0.0)
+    z_stat = np.divide(np.abs(beta), se, out=np.zeros_like(beta), where=tested)
+    lo, hi = ci
+    return fits | {
+        "significant_beta": tested & (z_stat >= z_quantile(_CI_LEVEL)),
+        "outside_true_ci": converged & ~((lo <= beta) & (beta <= hi)),
+    }
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Mask-and-refit over the run's theta* cells with fixed choices.
 
     Per replication: mask the observed coordinates under the mask law at
-    the cell's theta*, recompute distances to the facility, refit, record.
+    the cell's theta*, recompute distances to the facility, refit, flag.
     csr-population and fixed-area-grid mask the true coordinates at
     theta* = reference_radius x fraction, redrawing inside the study area
     under the redraw policy. The centroid analog observes each individual
@@ -480,7 +444,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     pct_outside_true_ci complement is then the share of replications
     statistically indistinguishable from the baseline. The baseline is
     the fit on the observed dataset. A cell with under 50% convergence
-    aborts the batch; individual failures are recorded and carried.
+    aborts the batch; individual failures are kept as non-converged rows.
     """
     ds = prepare_dataset(config)
     if config.experiment == "centroid":
@@ -499,17 +463,18 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             f"baseline fit did not converge on the generated data ({config.experiment}, n={config.n}, "
             f"seed={config.seed}): {baseline.iterations} iterations, gradient norm {baseline.gradient_norm:.3g}"
         )
-    ci = wald_ci(baseline, _CI_LEVEL)[1]
     fits = _run_cells(
         cells, ds.points, config.facility, bounds, spec, config.seed, config.replications, config.workers,
         y=ds.choices,
     )
-    records = _records(cells, fits, ci)
+    columns = _add_flags(fits, wald_ci(baseline, _CI_LEVEL)[1])
+    theta_stars = tuple(theta_star for _, theta_star in cells)
     return ExperimentResult(
         config=config,
         baseline=baseline,
-        records=records,
-        curve=build_curve(records, baseline),
+        theta_stars=theta_stars,
+        columns=columns,
+        curve=build_curve(theta_stars, columns, baseline),
         dataset=ds,
     )
 
@@ -519,7 +484,6 @@ def run_efficiency_experiment(
     baseline: LogitFit | None = None,
     ds: ChoiceDataset | None = None,
     replications: int | None = None,
-    variant: str = DEFAULT_MOMENT_VARIANT,
 ) -> EfficiencyRun:
     """Analytic efficiency loss over the theta* grid plus an empirical
     variance-ratio companion.
@@ -550,12 +514,11 @@ def run_efficiency_experiment(
         [(0, None)] + list(enumerate(thetas)), ds.points, ds.facility, _area_bounds(config.mask), config.mask,
         config.seed, reps, config.workers, prob=prob,
     )
-    betas = [beta[converged] for beta, converged in zip(fits["beta"], fits["converged"])]
+    betas = [beta[converged] for beta, converged in zip(fits["beta_hat"], fits["converged"])]
     true_betas, masked_betas = betas[0], betas[1:]
     reports = [
         efficiency_report(
-            ds, baseline.params, theta_star, variant=variant,
-            el_empirical=empirical_variance_ratio(true_betas, masked),
+            ds, baseline.params, theta_star, el_empirical=empirical_variance_ratio(true_betas, masked),
         )
         for theta_star, masked in zip(thetas, masked_betas)
     ]

@@ -2,18 +2,23 @@
 
 All emissions are deterministic for a fixed (seed, config, version): floats
 are printed with 17 significant digits (shortest exact round-trip for IEEE
-doubles), booleans as ``true``/``false``, missing values as empty cells;
-rows are sorted; files end with a trailing newline and are UTF-8.
+doubles; a failed fit's estimates as ``nan``), booleans as
+``true``/``false``, missing values as empty cells; rows are in ascending
+theta* (records: then by rep); files end with a trailing newline and are
+UTF-8. Every reader rejects a file whose header or whose field count on
+any row differs from its schema.
 
 Schemas:
 
     records:    theta_star,rep,alpha_hat,beta_hat,se_beta,converged,
                 iterations,significant_beta,outside_true_ci
+                (written from the run's (cells, replications) columns,
+                read back as ReplicationRecord rows)
     curve:      theta_star,mean_abs_beta,sd_beta,pct_outside_true_ci,
                 pct_nonsignificant,convergence_rate,el_analytic,
-                el_empirical,moment_variant
+                el_empirical
     efficiency: theta_star,info_true,info_masked_analytic,el_analytic,
-                el_empirical,moment_formula
+                el_empirical
     points:     id,x,y[,choice]
 """
 
@@ -28,21 +33,31 @@ from pathlib import Path
 import numpy as np
 
 from .efficiency import EfficiencyReport
-from .experiments import AttenuationCurve, CurveRow, ReplicationRecord
+from .experiments import RECORD_COLUMNS, AttenuationCurve, CurveRow
 
-RECORDS_HEADER = (
-    "theta_star", "rep", "alpha_hat", "beta_hat", "se_beta",
-    "converged", "iterations", "significant_beta", "outside_true_ci",
-)
+RECORDS_HEADER = ("theta_star", "rep") + RECORD_COLUMNS
 CURVE_HEADER = (
     "theta_star", "mean_abs_beta", "sd_beta", "pct_outside_true_ci",
     "pct_nonsignificant", "convergence_rate", "el_analytic", "el_empirical",
-    "moment_variant",
 )
 EFFICIENCY_HEADER = (
-    "theta_star", "info_true", "info_masked_analytic", "el_analytic",
-    "el_empirical", "moment_formula",
+    "theta_star", "info_true", "info_masked_analytic", "el_analytic", "el_empirical",
 )
+
+
+@dataclass(frozen=True)
+class ReplicationRecord:
+    """One row of a records CSV: one refit after one masking replication."""
+
+    theta_star: float
+    rep: int
+    alpha_hat: float
+    beta_hat: float
+    se_beta: float
+    converged: bool
+    iterations: int
+    significant_beta: bool
+    outside_true_ci: bool
 
 
 def _fmt(value) -> str:
@@ -66,20 +81,20 @@ def _write_rows(path: str | Path, header: tuple[str, ...], rows) -> Path:
     return path
 
 
-def write_records_csv(records: list[ReplicationRecord], path: str | Path) -> Path:
-    """Replication records, sorted by (theta_star, rep)."""
-    if not records:
+def write_records_csv(theta_stars: tuple[float, ...], columns: dict[str, np.ndarray], path: str | Path) -> Path:
+    """One row per (cell, replication) of the ``RECORD_COLUMNS``, each shaped
+    (cells, replications) with cell c at ``theta_stars[c]``; rows follow
+    the columns' order, cell by cell."""
+    if not theta_stars:
         raise ValueError("no records to write")
-    rows = sorted(records, key=lambda r: (r.theta_star, r.rep))
-    return _write_rows(
-        path,
-        RECORDS_HEADER,
-        (
-            (r.theta_star, r.rep, r.alpha_hat, r.beta_hat, r.se_beta,
-             r.converged, r.iterations, r.significant_beta, r.outside_true_ci)
-            for r in rows
-        ),
-    )
+
+    def rows():
+        for c, theta_star in enumerate(theta_stars):
+            values = [columns[name][c].tolist() for name in RECORD_COLUMNS]
+            for rep, row in enumerate(zip(*values)):
+                yield (theta_star, rep) + row
+
+    return _write_rows(path, RECORDS_HEADER, rows())
 
 
 def read_records_csv(path: str | Path) -> list[ReplicationRecord]:
@@ -128,7 +143,6 @@ def write_curve_csv(
                 row.pct_outside_true_ci, row.pct_nonsignificant, row.convergence_rate,
                 None if rep is None else rep.el_analytic,
                 None if rep is None else rep.el_empirical,
-                "" if rep is None else rep.moment_formula,
             )
 
     return _write_rows(path, CURVE_HEADER, cells())
@@ -159,8 +173,7 @@ def write_efficiency_csv(reports: list[EfficiencyReport], path: str | Path) -> P
         path,
         EFFICIENCY_HEADER,
         (
-            (r.theta_star, r.info_true, r.info_masked_analytic, r.el_analytic,
-             r.el_empirical, r.moment_formula)
+            (r.theta_star, r.info_true, r.info_masked_analytic, r.el_analytic, r.el_empirical)
             for r in rows
         ),
     )
@@ -235,12 +248,22 @@ def _parse_bool(raw: str) -> bool:
 
 
 def _read_rows(path: str | Path, header: tuple[str, ...]) -> list[dict[str, str]]:
+    """The data rows of a CSV with exactly ``header``, as dicts; blank lines
+    are skipped and any other row must have one field per column."""
     path = Path(path)
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != header:
-            raise ValueError(f"{path}: unexpected header {reader.fieldnames}; expected {header}")
-        return list(reader)
+        reader = csv.reader(fh)
+        found = next(reader, None)
+        if found is None or tuple(found) != header:
+            raise ValueError(f"{path}: unexpected header {found}; expected {header}")
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+            rows.append(dict(zip(header, row)))
+    return rows
 
 
 @dataclass

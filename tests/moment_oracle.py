@@ -1,5 +1,6 @@
 """Monte Carlo oracle for the masked second moment, shared by criterion 4
-and the efficiency unit tests."""
+and the efficiency unit tests, and the rejected printed formula it is
+checked against."""
 
 import math
 
@@ -10,7 +11,8 @@ from geomasksim.rng import as_generator
 
 def masked_second_moment_mc(d: float, theta_star: float, rng, draws: int = 1_000_000) -> float:
     """Monte Carlo E(d_masked^2) for one true distance, unconstrained uniform
-    masking — the oracle that adjudicates between the moment variants.
+    masking — the oracle that adjudicates between the derived moment and
+    ``as_printed_sq_masked_distance``.
 
     ``rng`` is an RngStream or a numpy Generator.
     """
@@ -22,3 +24,9 @@ def masked_second_moment_mc(d: float, theta_star: float, rng, draws: int = 1_000
     # place the true point at (d, 0): masked squared distance to the origin
     sq = (d + theta * np.cos(delta)) ** 2 + (theta * np.sin(delta)) ** 2
     return float(sq.mean())
+
+
+def as_printed_sq_masked_distance(d: float, theta_star: float) -> float:
+    """The printed second moment d^2 + theta*/3, a length added to an area;
+    criterion 4 checks that the Monte Carlo moment rejects it."""
+    return d * d + theta_star / 3.0

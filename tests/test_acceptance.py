@@ -38,7 +38,7 @@ from geomasksim.logit import (
 from geomasksim.masking import MaskSpec, mask_coordinates
 from geomasksim.reports import write_records_csv
 from geomasksim.rng import derive_stream
-from moment_oracle import masked_second_moment_mc
+from moment_oracle import as_printed_sq_masked_distance, masked_second_moment_mc
 
 SEED = 0
 FULL_GRID = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
@@ -208,8 +208,8 @@ def test_moment_variant_adjudication(criterion_detail):
     t0 = time.perf_counter()
     mc = masked_second_moment_mc(0.5, 0.3, derive_stream(404, 0, 0))
     elapsed = time.perf_counter() - t0
-    gap_derived = abs(mc - expected_sq_masked_distance(0.5, 0.3, "derived"))
-    gap_printed = abs(mc - expected_sq_masked_distance(0.5, 0.3, "as-printed"))
+    gap_derived = abs(mc - expected_sq_masked_distance(0.5, 0.3))
+    gap_printed = abs(mc - as_printed_sq_masked_distance(0.5, 0.3))
     criterion_detail(
         f"mc={mc:.6f}; |mc-0.28|={gap_derived:.1e}, |mc-0.35|={gap_printed:.1e}, {elapsed:.1f}s"
     )
@@ -251,8 +251,9 @@ def test_full_scale_attenuation_run(full_run, criterion_detail):
     # (d) share outside the baseline CI, pooled over the masked cells — the
     # 22% reference share has no stated aggregation, so the value at the
     # largest radius is reported alongside
-    masked = [r for r in full_run.records if r.theta_star > 0.0 and r.converged]
-    outside_pooled = 100.0 * float(np.mean([r.outside_true_ci for r in masked]))
+    cols, masked_cells = full_run.columns, np.array(full_run.theta_stars) > 0.0
+    masked = cols["converged"][masked_cells]
+    outside_pooled = 100.0 * float(np.mean(cols["outside_true_ci"][masked_cells][masked]))
     outside_top = rows[-1].pct_outside_true_ci
     part_d = abs(outside_pooled - 22.0) <= 10.0
 
@@ -311,10 +312,10 @@ def test_efficiency_loss_law(full_config, criterion_detail):
 @pytest.mark.criterion(7, "worker counts 1 and 8 produce byte-identical records CSVs")
 def test_records_identical_across_worker_counts(full_config, full_run, tmp_path, criterion_detail):
     res8 = run_experiment(dataclasses.replace(full_config, workers=8))
-    p1 = write_records_csv(full_run.records, tmp_path / "records_w1.csv")
-    p8 = write_records_csv(res8.records, tmp_path / "records_w8.csv")
+    p1 = write_records_csv(full_run.theta_stars, full_run.columns, tmp_path / "records_w1.csv")
+    p8 = write_records_csv(res8.theta_stars, res8.columns, tmp_path / "records_w8.csv")
     b1, b8 = p1.read_bytes(), p8.read_bytes()
-    criterion_detail(f"{len(full_run.records)} records, {len(b1)} bytes each")
+    criterion_detail(f"{full_run.columns['beta_hat'].size} records, {len(b1)} bytes each")
     assert b1 == b8, "records differ between workers=1 and workers=8"
 
 
@@ -329,9 +330,9 @@ def test_centroid_grid_coarseness_trend(criterion_detail):
             experiment="centroid", n=100_000, replications=150, grid_k=k, seed=SEED
         )
         res = run_experiment(cfg)
-        conv = [r for r in res.records if r.converged]
-        p = float(np.mean([not r.outside_true_ci for r in conv]))
-        se = 100.0 * math.sqrt(max(p * (1.0 - p), 1e-12) / len(conv))
+        conv = res.columns["converged"]
+        p = float(np.mean(~res.columns["outside_true_ci"][conv]))
+        se = 100.0 * math.sqrt(max(p * (1.0 - p), 1e-12) / np.count_nonzero(conv))
         shares[k] = (100.0 * p, se)
     diff = shares[20][0] - shares[5][0]
     threshold = 2.0 * math.hypot(shares[20][1], shares[5][1])

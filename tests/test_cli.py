@@ -440,12 +440,6 @@ def test_efficiency_cell_convergence_exit_2(tmp_path, monkeypatch, capsys):
     assert rc == EXIT_RUNTIME
     assert "true-coordinate cell converged on 0.0%" in capsys.readouterr().err
 
-def test_efficiency_variant_flag(tmp_path):
-    cfg = _config_file(tmp_path)
-    out = tmp_path / "eff"
-    assert main(["efficiency", "--config", cfg, "--out-dir", str(out), "--variant", "as-printed"]) == EXIT_OK
-    assert "as-printed" in (out / "run_efficiency.csv").read_text(encoding="utf-8")
-
 
 # --- plot ---
 
@@ -475,6 +469,60 @@ def test_plot_unknown_theta_exit_1(tmp_path, capsys):
     )
     assert rc == EXIT_VALIDATION
     assert "0.123" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "baseline, inputs, message",
+    [
+        ('{"alpha": 1}', ["--curve"], 'numeric "beta"'),
+        ("[1, 2]", ["--curve"], 'numeric "beta"'),
+        ('{"beta": "-2"}', ["--curve"], 'numeric "beta"'),
+        ('{"beta": -2.0}', ["--records"], '"ci_beta"'),
+        ('{"beta": -2.0, "ci_beta": [-2.5]}', ["--curve", "--records"], '"ci_beta"'),
+        ("not json", ["--curve"], "error:"),
+    ],
+)
+def test_plot_bad_baseline_exit_1(tmp_path, capsys, baseline, inputs, message):
+    cfg = _config_file(tmp_path)
+    out = tmp_path / "results"
+    main(["simulate", "--config", cfg, "--out-dir", str(out)])
+    capsys.readouterr()
+    bad = tmp_path / "baseline.json"
+    bad.write_text(baseline, encoding="utf-8")
+    files = {"--curve": out / "run_curve.csv", "--records": out / "run_records.csv"}
+    argv = ["plot", "--baseline", str(bad), "--out-dir", str(tmp_path / "p")]
+    for flag in inputs:
+        argv += [flag, str(files[flag])]
+    assert main(argv) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+
+
+def test_plot_curve_needs_only_beta(tmp_path):
+    cfg = _config_file(tmp_path)
+    out = tmp_path / "results"
+    main(["simulate", "--config", cfg, "--out-dir", str(out)])
+    baseline = tmp_path / "baseline.json"
+    baseline.write_text('{"beta": -2.0}', encoding="utf-8")
+    rc = main(["plot", "--curve", str(out / "run_curve.csv"), "--baseline", str(baseline), "--out-dir", str(tmp_path / "p")])
+    assert rc == EXIT_OK
+    assert (tmp_path / "p" / "attenuation.svg").is_file()
+
+
+@pytest.mark.parametrize("name", ["run_curve.csv", "run_records.csv"])
+def test_plot_short_csv_row_exit_1(tmp_path, capsys, name):
+    cfg = _config_file(tmp_path)
+    out = tmp_path / "results"
+    main(["simulate", "--config", cfg, "--out-dir", str(out)])
+    capsys.readouterr()
+    path = out / name
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[1] = lines[1].rsplit(",", 1)[0]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    flag = "--curve" if name == "run_curve.csv" else "--records"
+    rc = main(["plot", flag, str(path), "--baseline", str(out / "run_baseline.json"), "--out-dir", str(tmp_path / "p")])
+    assert rc == EXIT_VALIDATION
+    assert f"{path}:2: expected" in capsys.readouterr().err
 
 
 def test_plot_requires_some_input(tmp_path):

@@ -3,8 +3,6 @@ import pytest
 
 from geomasksim.dataset import ChoiceDataset
 from geomasksim.efficiency import (
-    DEFAULT_MOMENT_VARIANT,
-    MOMENT_VARIANTS,
     DegenerateInformationError,
     EfficiencyReport,
     InsufficientDataError,
@@ -38,24 +36,13 @@ def _csr_ds(n=500, seed=50, params=LogitParams(1.0, -2.0)):
 # --- moment formula ---
 
 
-def test_moment_variants_and_default():
-    assert MOMENT_VARIANTS == ("derived", "as-printed")
-    assert DEFAULT_MOMENT_VARIANT == "derived"
-
-
 def test_expected_sq_zero_theta_returns_d_squared():
-    for variant in MOMENT_VARIANTS:
-        assert expected_sq_masked_distance(0.5, 0.0, variant) == 0.25
+    assert expected_sq_masked_distance(0.5, 0.0) == 0.25
 
 
 def test_expected_sq_derived_value():
     # d^2 + theta*^2 / 3 = 0.25 + 0.03
-    assert expected_sq_masked_distance(0.5, 0.3, "derived") == pytest.approx(0.28, abs=1e-15)
-
-
-def test_expected_sq_as_printed_value():
-    # d^2 + theta* / 3 = 0.25 + 0.10
-    assert expected_sq_masked_distance(0.5, 0.3, "as-printed") == pytest.approx(0.35, abs=1e-15)
+    assert expected_sq_masked_distance(0.5, 0.3) == pytest.approx(0.28, abs=1e-15)
 
 
 def test_expected_sq_array_input():
@@ -68,8 +55,6 @@ def test_expected_sq_validation():
         expected_sq_masked_distance(0.5, -0.1)
     with pytest.raises(ValueError):
         expected_sq_masked_distance(-0.5, 0.1)
-    with pytest.raises(ValueError):
-        expected_sq_masked_distance(0.5, 0.3, variant="exact")
 
 
 def test_moment_mc_oracle_selects_derived():
@@ -123,12 +108,10 @@ def test_efficiency_loss_one_at_zero_theta():
 
 
 def test_efficiency_loss_single_point_value():
-    # L = 0.5, d = 1, theta* = 1: ratio = d^2 / (d^2 + 1/3) = 0.75 for the
-    # derived variant and for the as-printed variant alike (theta* = 1)
+    # L = 0.5, d = 1, theta* = 1: ratio = d^2 / (d^2 + 1/3) = 0.75
     ds = _point_ds([1.0], [1])
     p = LogitParams(0.0, 0.0)
-    for variant in MOMENT_VARIANTS:
-        assert efficiency_report(ds, p, 1.0, variant=variant).el_analytic == pytest.approx(0.75, abs=1e-12)
+    assert efficiency_report(ds, p, 1.0).el_analytic == pytest.approx(0.75, abs=1e-12)
 
 
 def test_efficiency_loss_strictly_decreasing_in_theta():
@@ -161,16 +144,13 @@ def test_efficiency_report_bundles_values():
     assert r.info_true == information_beta(ds, p)
     assert r.info_masked_analytic == information_beta(ds, p, theta_star=0.4)
     assert r.el_empirical == 0.9
-    assert r.moment_formula == "derived"
 
 
 def test_efficiency_report_validation():
     with pytest.raises(ValueError):
-        EfficiencyReport(0.1, 1.0, 2.0, 0.5, None, "guessed")
+        EfficiencyReport(0.1, 1.0, 2.0, 1.5, None)
     with pytest.raises(ValueError):
-        EfficiencyReport(0.1, 1.0, 2.0, 1.5, None, "derived")
-    with pytest.raises(ValueError):
-        EfficiencyReport(0.1, 0.0, 2.0, 0.5, None, "derived")
+        EfficiencyReport(0.1, 0.0, 2.0, 0.5, None)
 
 
 # --- empirical variance ratio ---

@@ -10,26 +10,32 @@ from geomasksim.experiments import (
     DEFAULT_THETA_GRID,
     FAST_REPLICATIONS,
     FIXED_AREA_REFERENCE_RADIUS,
+    RECORD_COLUMNS,
     AttenuationCurve,
     BatchConvergenceError,
     CurveRow,
-    EmptyCellError,
     ExperimentConfig,
-    ReplicationRecord,
+    _add_flags,
     build_curve,
     choices_checksum,
     prepare_dataset,
     run_efficiency_experiment,
     run_experiment,
-    summarize_replications,
 )
 from geomasksim.efficiency import efficiency_report
 from geomasksim.geometry import UNIT_SQUARE, Point
-from geomasksim.logit import fit_logit, wald_ci
+from geomasksim.logit import fit_logit, wald_ci, z_quantile
 from geomasksim.masking import MaskSpec
 from geomasksim.population import assign_to_centroid, build_municipality_grid
 
 from mask_oracle import BOUNDS_KINDS, bounds_for, mask_one
+
+
+def _assert_same_replications(a, b):
+    assert a.theta_stars == b.theta_stars
+    for name in RECORD_COLUMNS:
+        np.testing.assert_array_equal(a.columns[name], b.columns[name], err_msg=name)
+        assert a.columns[name].dtype == b.columns[name].dtype
 
 
 def _config(**kw):
@@ -131,21 +137,26 @@ def test_run_baseline_centroid_uses_assigned_coordinates():
 def test_zero_theta_cell_reproduces_baseline_exactly():
     cfg = _config(theta_grid=(0.0, 1.0), replications=12)
     res = run_experiment(cfg)
-    zero_cell = [r for r in res.records if r.theta_star == 0.0]
-    assert len(zero_cell) == 12
-    for r in zero_cell:
-        assert r.beta_hat == res.baseline.params.beta
-        assert r.alpha_hat == res.baseline.params.alpha
-        assert r.converged and not r.outside_true_ci
+    assert res.theta_stars[0] == 0.0
+    zero_cell = {name: res.columns[name][0] for name in RECORD_COLUMNS}
+    assert zero_cell["beta_hat"].size == 12
+    assert (zero_cell["beta_hat"] == res.baseline.params.beta).all()
+    assert (zero_cell["alpha_hat"] == res.baseline.params.alpha).all()
+    assert zero_cell["converged"].all() and not zero_cell["outside_true_ci"].any()
     assert res.curve.rows[0].mean_abs_beta == abs(res.baseline.params.beta)
     assert res.curve.rows[0].sd_beta == 0.0
     assert res.curve.rows[0].pct_outside_true_ci == 0.0
 
 
-def test_records_cover_every_cell_and_rep_sorted():
+def test_records_cover_every_cell_and_rep_sorted(tmp_path):
+    from geomasksim.reports import read_records_csv, write_records_csv
+
     cfg = _config(replications=10)
     res = run_experiment(cfg)
-    got = [(r.theta_star, r.rep) for r in res.records]
+    assert res.theta_stars == cfg.theta_values()
+    assert all(res.columns[name].shape == (3, 10) for name in RECORD_COLUMNS)
+    back = read_records_csv(write_records_csv(res.theta_stars, res.columns, tmp_path / "r.csv"))
+    got = [(r.theta_star, r.rep) for r in back]
     want = [(t, rep) for t in cfg.theta_values() for rep in range(10)]
     assert got == want
 
@@ -173,7 +184,7 @@ def test_records_bytes_independent_of_block_size(monkeypatch, tmp_path):
                 for workers in (1, 2):
                     res = run_experiment(dataclasses.replace(cfg, workers=workers))
                     path = tmp_path / f"records_{name}_b{block}_r{row_elements}_w{workers}.csv"
-                    outputs.add(write_records_csv(res.records, path).read_bytes())
+                    outputs.add(write_records_csv(res.theta_stars, res.columns, path).read_bytes())
         assert len(outputs) == 1, name
 
 
@@ -257,8 +268,9 @@ def test_theta_zero_records_reproduce_the_baseline_bitwise(experiment, mask, wor
     res = run_experiment(_config(experiment=experiment, mask=mask, n=300, replications=70, workers=workers))
     base = res.baseline
     want = (base.params.alpha, base.params.beta, base.std_errors[1], base.iterations, True)
-    zero = [(r.alpha_hat, r.beta_hat, r.se_beta, r.iterations, r.converged)
-            for r in res.records if r.theta_star == 0.0]
+    assert res.theta_stars[0] == 0.0
+    zero = list(zip(*(res.columns[name][0].tolist()
+                      for name in ("alpha_hat", "beta_hat", "se_beta", "iterations", "converged"))))
     assert zero == [want] * 70
 
 
@@ -266,9 +278,9 @@ def test_run_deterministic_and_worker_independent():
     cfg = _config(n=150, replications=70)  # crosses the 64-rep task boundary
     a = run_experiment(cfg)
     b = run_experiment(cfg)
-    assert a.records == b.records
+    _assert_same_replications(a, b)
     c = run_experiment(_config(n=150, replications=70, workers=2))
-    assert a.records == c.records
+    _assert_same_replications(a, c)
 
 
 def test_attenuation_shrinks_mean_abs_beta():
@@ -345,37 +357,69 @@ def test_masking_failures_recorded_not_fatal(monkeypatch):
 
     monkeypatch.setattr(exp, "fit_rows", flaky)
     res = exp.run_experiment(_config(replications=10, theta_grid=(0.5,)))
-    bad = [r for r in res.records if not r.converged]
-    assert len(bad) == 1
-    assert math.isnan(bad[0].beta_hat)
+    bad = ~res.columns["converged"]
+    assert np.count_nonzero(bad) == 1
+    assert np.isnan(res.columns["beta_hat"][bad]).all()
     assert res.curve.rows[0].convergence_rate == pytest.approx(0.9)
 
 
-# --- summaries ---
+# --- flags and summaries ---
 
 
-def _rec(theta, rep, beta, se=0.1, converged=True, significant=True, outside=False):
-    return ReplicationRecord(
-        theta_star=theta,
-        rep=rep,
-        alpha_hat=1.0,
-        beta_hat=beta,
-        se_beta=se,
-        converged=converged,
-        iterations=4,
-        significant_beta=significant,
-        outside_true_ci=outside,
+def _columns(betas, se=0.1, converged=None, significant=None, outside=None):
+    """One hand-built cell of record columns, shaped (1, len(betas))."""
+    k = len(betas)
+    cell = {
+        "alpha_hat": [1.0] * k,
+        "beta_hat": betas,
+        "se_beta": [se] * k,
+        "converged": [True] * k if converged is None else converged,
+        "iterations": [4] * k,
+        "significant_beta": [True] * k if significant is None else significant,
+        "outside_true_ci": [False] * k if outside is None else outside,
+    }
+    return {name: np.array([values]) for name, values in cell.items()}
+
+
+def test_flags_at_the_edges(tmp_path):
+    # beta exactly at either CI bound is inside; |beta|/se exactly z is
+    # significant; a failed row is false in both flags and written as nan
+    from geomasksim.reports import read_records_csv, write_records_csv
+
+    baseline = fit_logit(prepare_dataset(_config(n=500)))
+    lo, hi = wald_ci(baseline)[1]
+    z = z_quantile(0.95)
+    fits = {
+        "alpha_hat": np.array([[1.0, 1.0, 1.0, 1.0, math.nan]]),
+        "beta_hat": np.array([[lo, hi, -z, np.nextafter(-z, 0.0), math.nan]]),
+        "se_beta": np.array([[1e-3, 1e-3, 1.0, 1.0, math.nan]]),
+        "converged": np.array([[True, True, True, True, False]]),
+        "iterations": np.array([[3, 4, 5, 6, 0]]),
+    }
+    assert abs(lo) / 1e-3 > z and abs(hi) / 1e-3 > z
+    cols = _add_flags(fits, (lo, hi))
+    assert cols["significant_beta"].tolist() == [[True, True, True, False, False]]
+    outside = [not lo <= b <= hi for b in (-z, np.nextafter(-z, 0.0))]
+    assert cols["outside_true_ci"].tolist() == [[False, False, *outside, False]]
+    build_curve((0.3,), cols, baseline)  # the cross-check accepts its own flags
+
+    path = write_records_csv((0.3,), cols, tmp_path / "r.csv")
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[5] == "0.29999999999999999,4,nan,nan,nan,false,0,false,false"
+    assert [line.split(",")[6] for line in lines[1:]] == ["3", "4", "5", "6", "0"]
+    back = read_records_csv(path)
+    assert [r.iterations for r in back] == [3, 4, 5, 6, 0]
+    assert back[0].beta_hat == lo and back[1].beta_hat == hi
+
+
+def test_build_curve_hand_built_cell():
+    cols = _columns(
+        [-2.0, -1.0, 1.0, math.nan],
+        converged=[True, True, True, False],
+        significant=[True, True, False, False],
+        outside=[False, True, True, False],
     )
-
-
-def test_summarize_hand_built_cell():
-    records = [
-        _rec(0.3, 0, -2.0, significant=True, outside=False),
-        _rec(0.3, 1, -1.0, significant=True, outside=True),
-        _rec(0.3, 2, 1.0, significant=False, outside=True),
-        _rec(0.3, 3, math.nan, converged=False, significant=False, outside=False),
-    ]
-    row = summarize_replications(records)
+    (row,) = build_curve((0.3,), cols).rows
     assert row.theta_star == 0.3
     # converged betas: -2, -1, 1
     assert row.mean_abs_beta == pytest.approx(4.0 / 3.0)
@@ -385,29 +429,21 @@ def test_summarize_hand_built_cell():
     assert row.convergence_rate == 0.75
 
 
-def test_summarize_rejects_empty_and_mixed_cells():
-    with pytest.raises(EmptyCellError):
-        summarize_replications([])
-    with pytest.raises(EmptyCellError):
-        summarize_replications([_rec(0.3, 0, math.nan, converged=False)])
-    with pytest.raises(ValueError, match="multiple"):
-        summarize_replications([_rec(0.3, 0, -2.0), _rec(0.4, 1, -2.0)])
-
-
-def test_summarize_baseline_cross_check():
+def test_build_curve_baseline_cross_check():
     cfg = _config(n=500)
     baseline = fit_logit(prepare_dataset(cfg))
     lo, hi = wald_ci(baseline)[1]
-    good = _rec(0.3, 0, 0.5 * (lo + hi), outside=False)
-    summarize_replications([good], baseline)  # consistent: no error
-    bad = _rec(0.3, 1, 0.5 * (lo + hi), outside=True)
+    mid = 0.5 * (lo + hi)
+    build_curve((0.3,), _columns([mid], outside=[False]), baseline)  # consistent: no error
     with pytest.raises(ValueError, match="inconsistent"):
-        summarize_replications([good, bad], baseline)
+        build_curve((0.3,), _columns([mid, mid], outside=[False, True]), baseline)
+    # a non-converged row is not cross-checked
+    build_curve((0.3,), _columns([mid, mid], converged=[True, False], outside=[False, True]), baseline)
 
 
-def test_build_curve_groups_and_sorts():
-    records = [_rec(0.6, r, -1.0) for r in range(3)] + [_rec(0.2, r, -2.0) for r in range(3)]
-    curve = build_curve(records)
+def test_build_curve_one_row_per_cell():
+    cols = {name: np.concatenate([_columns([-2.0] * 3)[name], _columns([-1.0] * 3)[name]]) for name in RECORD_COLUMNS}
+    curve = build_curve((0.2, 0.6), cols)
     assert [r.theta_star for r in curve.rows] == [0.2, 0.6]
     assert curve.rows[0].mean_abs_beta == 2.0
 
@@ -430,7 +466,8 @@ def test_centroid_experiment_shape():
     cell_radius = build_municipality_grid(UNIT_SQUARE, 5).cell_radius
     assert len(res.curve.rows) == 1
     assert res.curve.rows[0].theta_star == cell_radius
-    assert all(r.theta_star == cell_radius for r in res.records)
+    assert res.theta_stars == (cell_radius,)
+    assert res.columns["beta_hat"].shape == (1, 40)
     # observed dataset is centroid-assigned
     centroids = {tuple(row) for row in build_municipality_grid(UNIT_SQUARE, 5).centroids()}
     assert {tuple(row) for row in res.dataset.points} <= centroids
@@ -440,7 +477,7 @@ def test_centroid_experiment_deterministic():
     cfg = _config(experiment="centroid", n=300, replications=24, grid_k=5)
     a = run_experiment(cfg)
     b = run_experiment(cfg)
-    assert a.records == b.records
+    _assert_same_replications(a, b)
     assert a.baseline.params == b.baseline.params
 
 

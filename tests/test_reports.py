@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from geomasksim.efficiency import EfficiencyReport
-from geomasksim.experiments import AttenuationCurve, CurveRow, ReplicationRecord
+from geomasksim.experiments import RECORD_COLUMNS, AttenuationCurve, CurveRow
 from geomasksim.reports import (
     CURVE_HEADER,
     EFFICIENCY_HEADER,
@@ -26,18 +26,26 @@ from geomasksim.reports import (
 )
 
 
-def _rec(theta, rep, beta=-1.987654321012345, converged=True):
-    return ReplicationRecord(
-        theta_star=theta,
-        rep=rep,
-        alpha_hat=1.0123456789012345,
-        beta_hat=beta,
-        se_beta=0.098765432101234567,
-        converged=converged,
-        iterations=6,
-        significant_beta=converged,
-        outside_true_ci=False,
-    )
+def _columns(cells, reps, failed=()):
+    """Record columns shaped (cells, reps); the (cell, rep) pairs in
+    ``failed`` are failed rows (nan estimates, not converged)."""
+    shape = (cells, reps)
+    cols = {
+        "alpha_hat": np.full(shape, 1.0123456789012345),
+        "beta_hat": np.full(shape, -1.987654321012345),
+        "se_beta": np.full(shape, 0.098765432101234567),
+        "converged": np.ones(shape, dtype=bool),
+        "iterations": np.full(shape, 6),
+        "significant_beta": np.ones(shape, dtype=bool),
+        "outside_true_ci": np.zeros(shape, dtype=bool),
+    }
+    for cell in failed:
+        for name in ("alpha_hat", "beta_hat", "se_beta"):
+            cols[name][cell] = math.nan
+        for name in ("converged", "significant_beta"):
+            cols[name][cell] = False
+        cols["iterations"][cell] = 0
+    return cols
 
 
 def _row(theta, **kw):
@@ -60,7 +68,6 @@ def _report(theta, el=0.9):
         info_masked_analytic=50.0 / el,
         el_analytic=el,
         el_empirical=None if theta == 0.3 else 0.87,
-        moment_formula="derived",
     )
 
 
@@ -68,39 +75,40 @@ def _report(theta, el=0.9):
 
 
 def test_records_roundtrip_bit_exact(tmp_path):
-    records = [_rec(0.1, r) for r in range(3)] + [_rec(0.2, 0, beta=float("nan"), converged=False)]
-    path = write_records_csv(records, tmp_path / "r.csv")
+    cols = _columns(2, 3, failed=[(1, 0)])
+    path = write_records_csv((0.1, 0.2), cols, tmp_path / "r.csv")
     back = read_records_csv(path)
-    assert len(back) == 4
-    for a, b in zip(records, back):
-        assert a.theta_star == b.theta_star and a.rep == b.rep
-        assert (a.beta_hat == b.beta_hat) or (math.isnan(a.beta_hat) and math.isnan(b.beta_hat))
-        assert a.alpha_hat == b.alpha_hat and a.se_beta == b.se_beta
-        assert (a.converged, a.iterations, a.significant_beta, a.outside_true_ci) == (
-            b.converged, b.iterations, b.significant_beta, b.outside_true_ci,
-        )
+    assert len(back) == 6
+    for b in back:
+        c = round(b.theta_star * 10) - 1
+        want = [cols[name][c, b.rep].item() for name in RECORD_COLUMNS]
+        got = [getattr(b, name) for name in RECORD_COLUMNS]
+        assert got == want or (c, b.rep) == (1, 0)
+    failed = back[3]
+    assert (failed.theta_star, failed.rep, failed.converged, failed.iterations) == (0.2, 0, False, 0)
+    assert math.isnan(failed.alpha_hat) and math.isnan(failed.beta_hat) and math.isnan(failed.se_beta)
+    assert not failed.significant_beta and not failed.outside_true_ci
 
 
-def test_records_written_sorted(tmp_path):
-    records = [_rec(0.2, 1), _rec(0.1, 5), _rec(0.2, 0), _rec(0.1, 2)]
-    path = write_records_csv(records, tmp_path / "r.csv")
+def test_records_written_in_column_order(tmp_path):
+    path = write_records_csv((0.1, 0.2), _columns(2, 3), tmp_path / "r.csv")
     back = read_records_csv(path)
-    assert [(r.theta_star, r.rep) for r in back] == [(0.1, 2), (0.1, 5), (0.2, 0), (0.2, 1)]
+    assert [(r.theta_star, r.rep) for r in back] == [(t, rep) for t in (0.1, 0.2) for rep in range(3)]
 
 
 def test_records_csv_layout(tmp_path):
-    path = write_records_csv([_rec(0.1, 0)], tmp_path / "r.csv")
+    path = write_records_csv((0.1,), _columns(1, 1), tmp_path / "r.csv")
     text = path.read_text(encoding="utf-8")
     lines = text.splitlines()
     assert len(lines) == 2  # header + one record
     assert lines[0] == ",".join(RECORDS_HEADER)
     assert text.endswith("\n")
-    assert "true" in lines[1] and "True" not in lines[1]
+    assert lines[1] == "0.10000000000000001,0,1.0123456789012344,-1.987654321012345,0.098765432101234563,true,6,true,false"
 
 
 def test_records_empty_error(tmp_path):
     with pytest.raises(ValueError):
-        write_records_csv([], tmp_path / "r.csv")
+        write_records_csv((), _columns(0, 1), tmp_path / "r.csv")
 
 
 def test_records_header_mismatch(tmp_path):
@@ -110,9 +118,21 @@ def test_records_header_mismatch(tmp_path):
         read_records_csv(p)
 
 
+@pytest.mark.parametrize("change", ["short", "long"])
+def test_records_and_curve_reject_rows_with_the_wrong_field_count(tmp_path, change):
+    records = write_records_csv((0.1,), _columns(1, 2), tmp_path / "r.csv")
+    curve = write_curve_csv(AttenuationCurve(rows=(_row(0.1), _row(0.2))), None, tmp_path / "c.csv")
+    for path, read in ((records, read_records_csv), (curve, read_curve_csv)):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] if change == "short" else lines[2] + ",1"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        got = len(lines[2].split(","))
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: expected {got + (1 if change == 'short' else -1)} fields, got {got}")):
+            read(path)
+
+
 def test_records_row_count_scales(tmp_path):
-    records = [_rec(t / 10, r) for t in range(1, 11) for r in range(100)]
-    path = write_records_csv(records, tmp_path / "big.csv")
+    path = write_records_csv(tuple(t / 10 for t in range(1, 11)), _columns(10, 100), tmp_path / "big.csv")
     assert len(path.read_text(encoding="utf-8").splitlines()) == 1001
 
 
@@ -138,7 +158,7 @@ def test_curve_without_reports_leaves_el_columns_empty(tmp_path):
     curve = AttenuationCurve(rows=(_row(0.1),))
     path = write_curve_csv(curve, None, tmp_path / "c.csv")
     cells = path.read_text(encoding="utf-8").splitlines()[1].split(",")
-    assert cells[6] == "" and cells[7] == "" and cells[8] == ""
+    assert cells[6:] == ["", ""]
 
 
 def test_curve_report_alignment_checked(tmp_path):
@@ -159,7 +179,6 @@ def test_efficiency_csv_layout(tmp_path):
     assert lines[0] == ",".join(EFFICIENCY_HEADER)
     # sorted by theta*
     assert lines[1].startswith("0,") and lines[2].startswith("0.4")
-    assert lines[1].split(",")[5] == "derived"
     with pytest.raises(ValueError):
         write_efficiency_csv([], tmp_path / "e2.csv")
 
