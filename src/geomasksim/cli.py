@@ -11,9 +11,10 @@ Subcommands:
 
 Exit codes: 0 success; 1 validation error (arguments, config, input data,
 a point file with a non-finite coordinate or one from which `fit` cannot
-identify the distance slope); 2 runtime failure (a replication cell,
-efficiency cells included, converging on under 50% of its replications;
-masking exhaustion).
+identify the distance slope, a `simulate` baseline fit that does not
+converge or has a singular information matrix); 2 runtime failure (a
+replication cell, efficiency cells included, converging on under 50% of its
+replications; masking exhaustion).
 """
 
 from __future__ import annotations

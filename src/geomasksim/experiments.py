@@ -62,6 +62,7 @@ from .logit import (
     InvalidFitError,
     LogitFit,
     LogitParams,
+    SingularInformationError,
     choice_probability,
     fit_distance_choice,  # noqa: F401  (bound here for perfbench/tracer.py, which wraps it by name)
     fit_logit,
@@ -443,8 +444,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     (redraw policy, theta* = the cell equivalent radius); the curve row's
     pct_outside_true_ci complement is then the share of replications
     statistically indistinguishable from the baseline. The baseline is
-    the fit on the observed dataset. A cell with under 50% convergence
-    aborts the batch; individual failures are kept as non-converged rows.
+    the fit on the observed dataset; one that does not converge or has a
+    singular information matrix raises InvalidFitError. A cell with under
+    50% convergence aborts the batch; individual failures are kept as
+    non-converged rows.
     """
     ds = prepare_dataset(config)
     if config.experiment == "centroid":
@@ -457,11 +460,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         bounds = _area_bounds(config.mask)
         cells = list(enumerate(config.theta_values()))
         spec = config.mask
-    baseline = fit_logit(ds)
-    if not baseline.converged:  # fail before any replication
+    # fail before any replication
+    data = f"the generated data ({config.experiment}, n={config.n}, seed={config.seed})"
+    try:
+        baseline = fit_logit(ds)
+    except SingularInformationError as exc:  # e.g. every centroid equidistant from the facility
+        raise InvalidFitError(f"baseline fit on {data} has a singular information matrix: {exc}") from exc
+    if not baseline.converged:
         raise InvalidFitError(
-            f"baseline fit did not converge on the generated data ({config.experiment}, n={config.n}, "
-            f"seed={config.seed}): {baseline.iterations} iterations, gradient norm {baseline.gradient_norm:.3g}"
+            f"baseline fit did not converge on {data}: {baseline.iterations} iterations, "
+            f"gradient norm {baseline.gradient_norm:.3g}"
         )
     fits = _run_cells(
         cells, ds.points, config.facility, bounds, spec, config.seed, config.replications, config.workers,

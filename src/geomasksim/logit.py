@@ -20,8 +20,12 @@ eta. The score (sum r, sum r*d) with r = y - p and the information
 candidates evaluate only the log-likelihood, and the accepted candidate's
 eta and e feed the next pass. A fit that starts at the origin, as every fit
 in the package does, takes its first pass in closed form (``_origin``).
-``log_likelihood``, ``score`` and
-``observed_information`` are one-row views of the same pass.
+``log_likelihood``, ``score`` and ``observed_information`` are one-row
+views of the same pass.
+
+Each pass decides at one site which rows stop (CONVERGED, NOT_CONVERGED or
+SINGULAR; SEPARATED rows never start). A row reports the steps it took and
+the log-likelihood, information and gradient norm at its estimate.
 
 ``choice_probability`` is the package's one logistic function outside the
 fit: the generated and regenerated choices and the information weights all
@@ -30,10 +34,11 @@ take L from it, in the same overflow-free form.
 Row independence: the bits of a row do not depend on the other rows of its
 block. Elementwise operations are exact per element, and every sum is a
 ``.sum(axis=1)`` over a C-contiguous (rows, n) array, which reduces each row
-as the 1-D sum of that row would. Rows that stop are dropped by taking the
-subset of the remaining rows. A pass keeps four (rows, n) work arrays, so
-callers bound the block size: the replication harness passes
-max(1, 16384 // n) rows per call, which keeps them in cache.
+as the 1-D sum of that row would. Rows that stop are dropped, and halved
+steps are tried on the rows that need them, by taking row subsets. A pass
+keeps four (rows, n) work arrays, so callers bound the block size: the
+replication harness passes max(1, 16384 // n) rows per call, which keeps
+them in cache.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ _DIVERGENCE_BOUND = 1e4
 #: finite
 _TINY = float(np.finfo(np.float64).tiny)
 # Step-halving candidates per Newton step: scales 1, 1/2, ..., 2**-39.
-_MAX_HALVINGS = 40
+_MIN_SCALE = 2.0**-39
 
 #: Row statuses of a ``fit_rows`` block.
 CONVERGED, NOT_CONVERGED, SEPARATED, SINGULAR = range(4)
@@ -267,33 +272,21 @@ def _halve(D, Y, a, b, step_a, step_b, ll, H, E, T1, T2):
     new_a, new_b = a + step_a, b + step_b
     _eta_exp(D, new_a, new_b, H, E)
     new_ll = _loglik(Y, H, E, T1, T2)
-    ok = new_ll >= floor
-    if ok.all():
-        return new_a, new_b, new_ll
-
-    pending = np.flatnonzero(~ok)
+    # a NaN candidate fails the comparison and is halved too
+    pending = np.flatnonzero(~(new_ll >= floor))
     scale = 1.0
-    for attempt in range(1, _MAX_HALVINGS):
+    while pending.size:
         scale *= 0.5
         ca = a[pending] + scale * step_a[pending]
         cb = b[pending] + scale * step_b[pending]
-        if pending.size == a.size:
-            Dp, Yp, Hp, Ep = D, Y, H, E
-        else:
-            Dp, Yp = D[pending], Y[pending]
-            Hp, Ep = np.empty((2, pending.size, D.shape[1]))
-        _eta_exp(Dp, ca, cb, Hp, Ep)
-        llc = _loglik(Yp, Hp, Ep, T1[: pending.size], T2[: pending.size])
-        ok = llc >= floor[pending]
-        if attempt == _MAX_HALVINGS - 1:
-            ok[:] = True
+        Hp, Ep = np.empty((2, pending.size, D.shape[1]))
+        _eta_exp(D[pending], ca, cb, Hp, Ep)
+        llc = _loglik(Y[pending], Hp, Ep, T1[: pending.size], T2[: pending.size])
+        ok = (llc >= floor[pending]) | (scale == _MIN_SCALE)
         took = pending[ok]
         new_a[took], new_b[took], new_ll[took] = ca[ok], cb[ok], llc[ok]
-        if Hp is not H:
-            H[took], E[took] = Hp[ok], Ep[ok]
+        H[took], E[took] = Hp[ok], Ep[ok]
         pending = pending[~ok]
-        if not pending.size:
-            break
     return new_a, new_b, new_ll
 
 
@@ -307,16 +300,17 @@ def fit_rows(
     """Newton-Raphson ML fits of a block of (distance, choice) rows.
 
     ``d`` and ``y`` broadcast to (R, n); a 1-D one is shared by every row.
-    Each row starts at ``init`` and stops on its own. It is CONVERGED when
-    its gradient max-norm drops below ``tol`` (``iterations`` then counts
-    the steps taken), NOT_CONVERGED after ``max_iter`` iterations or once an
-    estimate passes the divergence bound (quasi-separation), SEPARATED when
-    its choices are all equal and SINGULAR unless its information determinant
-    is finite and at least ``_TINY`` times max(1, its diagonal), so that it
-    is a normal number and the standard errors are finite. Each Newton step
-    is halved until it does not decrease the log-likelihood. The distances
-    must be finite: the start at the origin is taken in closed form
-    (``_origin``), which holds for finite d.
+    A row with all-equal choices is SEPARATED. Every other row starts at
+    ``init`` and stops before a Newton step: NOT_CONVERGED once ``max_iter``
+    steps are taken or the last step passed the divergence bound
+    (quasi-separation), else SINGULAR unless its information determinant is
+    finite and at least ``_TINY`` times max(1, its diagonal) (so that the
+    standard errors are finite), else CONVERGED once its gradient max-norm
+    is below ``tol``. ``iterations`` counts the steps taken, and ``loglik``,
+    ``information`` and ``gradient_norm`` are those of the reported
+    estimate. Each step is halved until it does not decrease the
+    log-likelihood. The distances must be finite: the start at the origin
+    is taken in closed form (``_origin``), which holds for finite d.
     """
     D, Y = _block(d, y)
     R, n = D.shape
@@ -325,45 +319,39 @@ def fit_rows(
     iterations = np.zeros(R, dtype=np.int64)
     status = np.full(R, SEPARATED, dtype=np.int8)  # every other row is stored when it stops
 
-    def stop(sel, M, its, row_status):
-        """Store the results of the active rows ``sel`` (reads the current idx, a, b, ll, gnorm)."""
-        rows = idx[sel]
-        alpha[rows], beta[rows], loglik[rows], gradient_norm[rows] = a[sel], b[sel], ll[sel], gnorm[sel]
-        info[rows] = M[:, 2:]
-        iterations[rows], status[rows] = its, row_status
-
     idx = np.flatnonzero(Y.min(axis=1) != Y.max(axis=1))
     if idx.size < R:
         D, Y = D[idx], Y[idx]
     m = idx.size
     H, E, T1, T2 = np.empty((4, m, n))
     a, b = np.full(m, init.alpha), np.full(m, init.beta)
-    # ll and M at the start point; later passes take M from H and E
-    if init.alpha == 0.0 and init.beta == 0.0:
-        ll, M = _origin(D, Y, T1, T2)
-    else:
+    at_origin = init.alpha == 0.0 and init.beta == 0.0
+    if not at_origin:
         _eta_exp(D, a, b, H, E)
         ll = _loglik(Y, H, E, T1, T2)
-        M = _moments(D, Y, H, E, T1, T2)
-    gnorm = np.full(m, math.inf)
+    ran_away = np.zeros(m, dtype=bool)
 
-    it = 0
-    for it in range(1, max_iter + 1):
+    for steps in range(max_iter + 1):
         if not m:
             break
-        if it > 1:
+        # the first pass at the origin is closed-form; later ones read H and E
+        if steps == 0 and at_origin:
+            ll, M = _origin(D, Y, T1, T2)
+        else:
             M = _moments(D, Y, H, E, T1, T2)
         gnorm = np.maximum(np.abs(M[:, 0]), np.abs(M[:, 1]))
         det = M[:, 2] * M[:, 4] - M[:, 3] ** 2
-        converged = gnorm < tol
+        out = ran_away | (steps == max_iter)
         # M[:, 2:5:2] is the diagonal (sum w, sum w*d*d)
         singular = ~(np.isfinite(det) & (det >= _TINY * M[:, 2:5:2].max(axis=1, initial=1.0)))
-        done = converged | singular
-        if done.any():
-            # a converged pass only verified the previous step
-            stop(done, M[done], it - converged[done], np.where(singular[done], SINGULAR, CONVERGED))
-            keep = ~done
-            idx, a, b, ll, gnorm, M, det = (v[keep] for v in (idx, a, b, ll, gnorm, M, det))
+        stopped = out | singular | (gnorm < tol)
+        if stopped.any():
+            rows = idx[stopped]
+            alpha[rows], beta[rows], loglik[rows] = a[stopped], b[stopped], ll[stopped]
+            gradient_norm[rows], info[rows], iterations[rows] = gnorm[stopped], M[stopped, 2:], steps
+            status[rows] = np.where(out[stopped], NOT_CONVERGED, np.where(singular[stopped], SINGULAR, CONVERGED))
+            keep = ~stopped
+            idx, a, b, ll, M, det = (v[keep] for v in (idx, a, b, ll, M, det))
             m = idx.size
             if not m:
                 break
@@ -374,26 +362,8 @@ def fit_rows(
         step_a = (i11 * g0 - i01 * g1) / det
         step_b = (i00 * g1 - i01 * g0) / det
         a, b, ll = _halve(D, Y, a, b, step_a, step_b, ll, H, E, T1, T2)
-
-        # runaway estimates: quasi-separation, report non-convergence
-        diverged = (np.abs(a) > _DIVERGENCE_BOUND) | (np.abs(b) > _DIVERGENCE_BOUND)
-        if diverged.any():
-            if diverged.all():
-                M = _moments(D, Y, H, E, T1, T2)
-            else:
-                Hd, Ed = H[diverged], E[diverged]
-                M = _moments(D[diverged], Y[diverged], Hd, Ed, np.empty_like(Hd), np.empty_like(Hd))
-            stop(diverged, M, it, NOT_CONVERGED)
-            keep = ~diverged
-            idx, a, b, ll, gnorm = (v[keep] for v in (idx, a, b, ll, gnorm))
-            m = idx.size
-            if m:
-                D, Y = D[keep], Y[keep]
-                H[:m], E[:m] = H[keep], E[keep]
-                H, E, T1, T2 = (v[:m] for v in (H, E, T1, T2))
-
-    if m:  # out of iterations; with max_iter = 0 still at the start point
-        stop(slice(None), _moments(D, Y, H, E, T1, T2) if it else M, it, NOT_CONVERGED)
+        # runaway estimates: quasi-separation, stopped as NOT_CONVERGED next pass
+        ran_away = (np.abs(a) > _DIVERGENCE_BOUND) | (np.abs(b) > _DIVERGENCE_BOUND)
 
     sw, swd, swd2 = info.T
     det = sw * swd2 - swd**2

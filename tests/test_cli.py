@@ -179,6 +179,20 @@ def test_simulate_nonconverged_baseline_exit_1(tmp_path, capsys):
     assert re.search(r": \d+ iterations, gradient norm \S+\n$", err), err
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_simulate_singular_centroid_baseline_exit_1(tmp_path, capsys, k):
+    # on a 1 x 1 or 2 x 2 grid every centroid is equidistant from the default
+    # facility, so the baseline cannot identify the distance slope
+    text = f"[experiment]\nkind = centroid\nseed = 1\nreplications = 30\n\n[population]\nn = 200\n\n[grid]\nk = {k}\n"
+    cfg = _config_file(tmp_path, text)
+    assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "error: baseline fit on the generated data (centroid, n=200, seed=1) has a singular information matrix: "
+    )
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_simulate_outputs_identical_across_workers(tmp_path):
     cfg = _config_file(tmp_path)
     for workers in ("1", "2"):

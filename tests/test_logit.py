@@ -250,13 +250,25 @@ _ROW_FIELDS = ("alpha", "beta", "std_errors", "loglik", "information", "iteratio
 
 
 def _assert_rows_match_one_row_calls(D, Y, **kw):
-    """Every row of one fit_rows block is bit-identical to fitting that row alone."""
+    """Every row of one fit_rows block is bit-identical to fitting that row
+    alone, and a row with an estimate stores the one-row helpers' values at
+    that estimate."""
     block = fit_rows(D, Y, **kw)
     for i in range(D.shape[0]):
         alone = fit_rows(D[i], Y[i], **kw)
         for name in _ROW_FIELDS:
             got, want = getattr(block, name)[i], getattr(alone, name)[0]
             assert np.array_equal(got, want, equal_nan=True), (i, name, got, want)
+        if block.status[i] in (CONVERGED, NOT_CONVERGED):
+            p = LogitParams(float(block.alpha[i]), float(block.beta[i]))
+            at_estimate = {
+                "loglik": log_likelihood(D[i], Y[i], p),
+                "information": observed_information(D[i], p),
+                "gradient_norm": np.abs(score(D[i], Y[i], p)).max(),
+            }
+            for name, want in at_estimate.items():
+                got = getattr(block, name)[i]
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (i, name, got, want)
     return block
 
 
@@ -282,6 +294,7 @@ def test_fit_rows_mixed_block_matches_one_row_calls(init, max_iter):
     block = _assert_rows_match_one_row_calls(D, Y, init=init, max_iter=max_iter)
     first = CONVERGED if max_iter > 1 else NOT_CONVERGED
     assert block.status.tolist() == [first, first, SEPARATED, SINGULAR, NOT_CONVERGED]
+    assert block.iterations[3] == 0  # singular at the start: no step taken
     if max_iter > 1:
         assert abs(block.beta[4]) > 1e4
     # the same rows in another order and as subsets give the same bits
@@ -394,11 +407,12 @@ def test_fits_match_reference_newton_loop():
     seed=st.integers(0, 2**32 - 1),
     rows=st.integers(1, 5),
     n=st.integers(2, 12),
-    alpha=st.floats(-40.0, 40.0),
-    beta=st.floats(-80.0, 80.0),
+    alpha=st.floats(-1e3, 1e3),
+    beta=st.floats(-1e4, 1e4),
     max_iter=st.sampled_from([1, 3, 100]),
 )
 def test_fit_rows_rows_independent_property(seed, rows, n, alpha, beta, max_iter):
+    # at these (alpha, beta) on d in [0, 2] many rows are separated or run away
     rng = np.random.default_rng(seed)
     D = rng.uniform(0.0, 2.0, (rows, n))
     Y = (rng.uniform(size=(rows, n)) < expit(alpha + beta * D)).astype(float)
@@ -433,7 +447,7 @@ def test_origin_pass_bit_equal_to_general_pass(seed, rows, n, scale, signed, sha
 
 def test_fit_rows_without_iterations_reports_the_origin():
     # with max_iter = 0 no Newton step is taken, and every field describes
-    # the start point as the general helpers compute it
+    # the start point as the general helpers compute it, gradient norm included
     D, Y = _mixed_block()
     fits = fit_rows(D, Y, max_iter=0)
     H, E, T1, T2 = np.empty((4,) + D.shape)
@@ -452,7 +466,7 @@ def test_fit_rows_without_iterations_reports_the_origin():
         "loglik": np.where(live, ll, math.nan),
         "information": np.where(live[:, None, None], M[:, [2, 3, 3, 4]].reshape(-1, 2, 2), math.nan),
         "iterations": np.zeros(5, dtype=np.int64),
-        "gradient_norm": np.where(live, math.inf, math.nan),
+        "gradient_norm": np.where(live, np.maximum(np.abs(M[:, 0]), np.abs(M[:, 1])), math.nan),
         "status": np.where(live, NOT_CONVERGED, SEPARATED).astype(np.int8),
     }
     assert set(want) == set(_ROW_FIELDS)
