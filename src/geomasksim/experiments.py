@@ -20,8 +20,9 @@ tasks and runs them in-process or in a worker pool; ``_replicate_block``
 handles a task in row chunks. Per chunk it positions one pooled Philox
 generator per replication at the start of that replication's stream, draws
 each row's regenerated choices first (efficiency cells only), masks every
-row in one ``mask_coordinates`` call (whose redraw loop serves the whole
-chunk while each row draws from its own generator), takes the (rows, n)
+row in one ``mask_rows`` call (whose redraw loop serves the whole chunk
+while each row draws from its own generator; ``_run_cells`` checks once
+per run that every point starts inside its bounds), takes the (rows, n)
 masked distances and fits the chunk with one ``fit_rows`` call. One
 failure policy and the 50% cell-convergence rule apply to every cell. The
 attenuation run keeps the (cells, replications) columns, adds the two test
@@ -70,7 +71,7 @@ from .logit import (
     wald_ci,
     z_quantile,
 )
-from .masking import MaskSpec, mask_coordinates
+from .masking import MaskSpec, checked_bounds, mask_rows
 from .population import (
     DEFAULT_GENERATING_PARAMS,
     assign_to_centroid,
@@ -242,6 +243,11 @@ def prepare_dataset(config: ExperimentConfig) -> ChoiceDataset:
 
 _WORKER: dict = {}
 
+# The kernel masks each chunk through this name, where perfbench/tracer.py
+# times the masking layer. It is the unchecked ``mask_rows``: ``_run_cells``
+# checks the start points once per run.
+mask_coordinates = mask_rows
+
 # Per-replication columns of the block kernel, named and ordered as in the
 # records CSV; the attenuation run adds the two flags.
 _COLUMNS = ("alpha_hat", "beta_hat", "se_beta", "converged", "iterations")
@@ -267,8 +273,9 @@ def _replicate_block(task: tuple[int, float | None, int, int], state: dict | Non
     draws from its own stream: first its regenerated choices when the run
     has generating probabilities instead of fixed choices, then its mask.
     Per chunk of rows: position one pooled generator per replication, draw
-    each row's choices, mask every row in one ``mask_coordinates`` call,
-    take the (rows, n) masked distances and fit them with ``fit_rows``.
+    each row's choices, mask every row in one call of the unchecked kernel
+    ``mask_rows`` (the bounds were checked by ``_run_cells``), take the
+    (rows, n) masked distances and fit them with ``fit_rows``.
     Returns the ``_COLUMNS`` of the block's rows under the one failure
     policy: a row with degenerate choices (all 0s or all 1s) or a singular
     information matrix has no estimate (NaN, not converged, 0 iterations)
@@ -335,13 +342,18 @@ def _run_cells(
 
     Exactly one of ``y`` (fixed choices) and ``prob`` (generating
     probabilities, redrawn per replication) is given: the attenuation stage
-    passes ``y``, the efficiency stage ``prob``. A cell that converged on
+    passes ``y``, the efficiency stage ``prob``. Under the redraw policy
+    every point must start inside ``bounds`` (one (4,) rectangle or (4, n)
+    per-point columns). That is checked once here, before any replication,
+    by ``checked_bounds``, the check ``masking.mask_coordinates`` makes on
+    every call (ValueError). A cell that converged on
     under half of its replications raises BatchConvergenceError.
     """
+    xy = np.ascontiguousarray(xy, dtype=np.float64)
     payload = {
-        "xy": np.ascontiguousarray(xy, dtype=np.float64),
+        "xy": xy,
         "facility": facility,
-        "bounds": bounds,
+        "bounds": checked_bounds(xy, base_spec, bounds),
         "seed": seed,
         "y": None if y is None else np.ascontiguousarray(y, dtype=np.float64),
         "y_checksum": None if y is None else choices_checksum(y),
@@ -453,7 +465,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     if config.experiment == "centroid":
         grid = build_municipality_grid(UNIT_SQUARE, config.grid_k)
         ds = assign_to_centroid(ds, grid)
-        bounds = grid.cell_bounds()[grid.cell_indices(ds.points)]
+        # each individual's cell bounds as (4, n) columns, gathered from the
+        # (4, k*k) per-cell columns so no (n, 4) copy is made
+        bounds = np.take(np.ascontiguousarray(grid.cell_bounds().T), grid.cell_indices(ds.points), axis=1)
         cells = [(0, grid.cell_radius)]
         spec = dataclasses.replace(config.mask, boundary="redraw")
     else:

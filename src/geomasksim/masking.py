@@ -26,6 +26,14 @@ serves every row: it keeps the pending (row, point) pairs, and on each
 attempt every row still pending draws its 2m values from its own
 generator, in row order. A row's draws therefore do not depend on how many
 rows are masked with it.
+
+Bounds are one (4,) rectangle (x_min, x_max, y_min, y_max) shared by every
+point or a C-contiguous (4, n) array whose four rows are the per-point
+x_min, x_max, y_min and y_max, so each attempt's membership test reads
+four contiguous columns. ``mask_coordinates`` checks on every call that
+each point starts inside its bounds (``checked_bounds``); the experiment
+harness checks once per run and calls the unchecked kernel ``mask_rows``
+for every chunk of rows.
 """
 
 from __future__ import annotations
@@ -131,12 +139,40 @@ def _offsets(spec: MaskSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _inside(x: np.ndarray, y: np.ndarray, bounds: np.ndarray, points=slice(None)) -> np.ndarray:
     """Membership of coordinates in one shared (4,) rectangle, or in the
-    ``points`` rows of (n, 4) per-point bounds."""
+    ``points`` columns of (4, n) per-point bounds."""
     if bounds.ndim == 1:
         x_min, x_max, y_min, y_max = bounds.tolist()
     else:
-        x_min, x_max, y_min, y_max = bounds[points].T
+        x_min, x_max, y_min, y_max = bounds[:, points]
     return (x_min <= x) & (x <= x_max) & (y_min <= y) & (y <= y_max)
+
+
+def checked_bounds(xy: np.ndarray, spec: MaskSpec, bounds) -> np.ndarray | None:
+    """The bounds ``mask_rows`` takes for the (n, 2) points ``xy`` under
+    ``spec``: None under the unconstrained policy, else ``bounds`` as
+    float64 once they are checked to be one (4,) rectangle or (4, n)
+    per-point columns that every point starts inside (ValueError
+    otherwise).
+
+    ``mask_coordinates`` checks on every call. The experiment harness masks
+    the same points against the same bounds for a whole run, so it checks
+    once per run and then calls ``mask_rows``.
+    """
+    if spec.boundary == "unconstrained":
+        return None
+    if bounds is None:
+        raise ValueError("redraw policy requires bounds")
+    bounds = np.asarray(bounds, dtype=np.float64)
+    n = xy.shape[0]
+    if bounds.shape not in ((4,), (4, n)):
+        raise ValueError(f"bounds must have shape (4,) or (4, n) = (4, {n}), got {bounds.shape}")
+    inside = _inside(xy[:, 0], xy[:, 1], bounds)
+    if not inside.all():
+        raise ValueError(
+            "redraw policy requires points inside their bounds; "
+            f"offending index(es) {np.flatnonzero(~inside)[:10].tolist()}"
+        )
+    return bounds
 
 
 def mask_coordinates(
@@ -154,31 +190,29 @@ def mask_coordinates(
     masked y of each row, row r drawn from ``rng[r]`` alone.
 
     ``bounds`` is one (x_min, x_max, y_min, y_max) rectangle shared by every
-    point, an (n, 4) array of such rows, one per point, or None under the
-    unconstrained policy. Under the redraw policy every input point must
-    start inside its bounds; displacements are re-drawn until the result
-    falls back inside, up to ``spec.max_attempts`` per point. When they run
-    out, BoundaryExhaustionError names the pending points of the lowest
-    row still pending.
+    point, a (4, n) array whose rows are the x_min, x_max, y_min and y_max
+    of each point, or None under the unconstrained policy. Under the redraw
+    policy every input point must start inside its bounds, which every call
+    checks (``checked_bounds``); displacements are re-drawn until the
+    result falls back inside, up to ``spec.max_attempts`` per point. When
+    they run out, BoundaryExhaustionError names the pending points of the
+    lowest row still pending.
     """
     xy = np.asarray(xy, dtype=np.float64)
     single = isinstance(rng, (RngStream, np.random.Generator))
     gens = [as_generator(g) for g in ([rng] if single else rng)]
-    out = _mask_rows(xy[:, 0], xy[:, 1], spec, bounds, gens)
+    out = mask_rows(xy, spec, checked_bounds(xy, spec, bounds), gens)
     return out[0].T.copy() if single else out
 
 
-def _mask_rows(x, y, spec: MaskSpec, bounds, gens: list[np.random.Generator]) -> np.ndarray:
-    """The (R, 2, n) masked block of ``mask_coordinates`` for points (x, y)."""
-    if spec.boundary == "redraw":
-        if bounds is None:
-            raise ValueError("redraw policy requires bounds")
-        bounds = np.asarray(bounds, dtype=np.float64)
-        if not _inside(x, y, bounds).all():
-            outside = np.flatnonzero(~_inside(x, y, bounds))
-            raise ValueError(
-                f"redraw policy requires points inside their bounds; offending index(es) {outside[:10].tolist()}"
-            )
+def mask_rows(
+    xy: np.ndarray, spec: MaskSpec, bounds: np.ndarray | None, gens: list[np.random.Generator]
+) -> np.ndarray:
+    """The (R, 2, n) masked block of ``mask_coordinates`` for the (n, 2)
+    float64 points ``xy``, one row per generator of ``gens``, against
+    ``bounds`` as ``checked_bounds`` returns them; nothing is checked here.
+    """
+    x, y = xy[:, 0], xy[:, 1]
     draw = np.random.Generator.random if spec.mechanism == "uniform" else np.random.Generator.standard_normal
 
     # each row's raw draws, turned into its masked coordinates in place
@@ -191,7 +225,8 @@ def _mask_rows(x, y, spec: MaskSpec, bounds, gens: list[np.random.Generator]) ->
     if spec.boundary == "unconstrained":
         return out
 
-    rows, points = np.nonzero(~_inside(out[:, 0], out[:, 1], bounds))
+    # pending (row, point) pairs in row-major order, so rows is ascending
+    rows, points = np.divmod(np.flatnonzero(~_inside(out[:, 0], out[:, 1], bounds)), x.size)
     attempts = 1
     while rows.size:
         if attempts >= spec.max_attempts:

@@ -13,7 +13,8 @@ Schemas:
     records:    theta_star,rep,alpha_hat,beta_hat,se_beta,converged,
                 iterations,significant_beta,outside_true_ci
                 (written from the run's (cells, replications) columns,
-                read back as ReplicationRecord rows)
+                each formatted whole by its dtype, and read back as
+                ReplicationRecord rows)
     curve:      theta_star,mean_abs_beta,sd_beta,pct_outside_true_ci,
                 pct_nonsignificant,convergence_rate,el_analytic,
                 el_empirical
@@ -28,6 +29,7 @@ import csv
 import json
 import math
 from dataclasses import asdict, dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -70,31 +72,47 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _write_rows(path: str | Path, header: tuple[str, ...], rows) -> Path:
+def _format_column(values: np.ndarray) -> list[str]:
+    """``_fmt`` of every value of a 1-d array, chosen once by its dtype:
+    ``true``/``false`` for bools, ``str`` for ints, ``.17g`` for floats."""
+    if values.dtype == np.bool_:
+        return np.where(values, "true", "false").tolist()
+    if values.dtype.kind in "iu":
+        return list(map(str, values.tolist()))
+    return [format(v, ".17g") for v in values.tolist()]
+
+
+def _write_csv(path: str | Path, header: tuple[str, ...], rows) -> Path:
+    """``header`` and then ``rows`` of formatted fields, one line each. No
+    formatted number, flag or empty cell holds a comma, quote or newline,
+    so the fields are joined as ``csv.writer`` would write them, unquoted."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) if not isinstance(v, str) else v for v in row])
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
     return path
+
+
+def _write_rows(path: str | Path, header: tuple[str, ...], rows) -> Path:
+    return _write_csv(path, header, ([_fmt(v) for v in row] for row in rows))
 
 
 def write_records_csv(theta_stars: tuple[float, ...], columns: dict[str, np.ndarray], path: str | Path) -> Path:
     """One row per (cell, replication) of the ``RECORD_COLUMNS``, each shaped
     (cells, replications) with cell c at ``theta_stars[c]``; rows follow
-    the columns' order, cell by cell."""
+    the columns' order, cell by cell. Each cell's columns are formatted
+    whole (``_format_column``), to the bytes ``_fmt`` gives per value."""
     if not theta_stars:
         raise ValueError("no records to write")
 
     def rows():
         for c, theta_star in enumerate(theta_stars):
-            values = [columns[name][c].tolist() for name in RECORD_COLUMNS]
-            for rep, row in enumerate(zip(*values)):
-                yield (theta_star, rep) + row
+            fields = [_format_column(columns[name][c]) for name in RECORD_COLUMNS]
+            reps = map(str, range(len(fields[0])))
+            yield from zip(repeat(_fmt(theta_star)), reps, *fields)
 
-    return _write_rows(path, RECORDS_HEADER, rows())
+    return _write_csv(path, RECORDS_HEADER, rows())
 
 
 def read_records_csv(path: str | Path) -> list[ReplicationRecord]:

@@ -22,13 +22,13 @@ BOUNDS_KINDS = ("none", "shared", "per-point")
 def bounds_for(kind, xy):
     """The bounds layouts the kernel takes, for points ``xy`` in the unit
     square: none, the square shared by every point, or each point's cell
-    of a 4 x 4 grid."""
+    of a 4 x 4 grid as C-contiguous (4, n) columns."""
     if kind == "none":
         return None
     if kind == "shared":
         return np.asarray(UNIT_SQUARE.bounds)
     grid = build_municipality_grid(UNIT_SQUARE, 4)
-    return grid.cell_bounds()[grid.cell_indices(xy)]
+    return np.ascontiguousarray(grid.cell_bounds()[grid.cell_indices(xy)].T)
 
 
 def _offsets(spec, gen, m):
@@ -48,10 +48,15 @@ def _inside(xy, bounds):
 
 
 def mask_one(xy, spec, bounds, gen):
-    """(n, 2) masked coordinates of one replication drawn from ``gen``."""
+    """(n, 2) masked coordinates of one replication drawn from ``gen``.
+
+    ``bounds`` are given in the kernel's layout, one (4,) rectangle or
+    (4, n) per-point columns, and read here as one (x_min, x_max, y_min,
+    y_max) row per point."""
     out = xy + _offsets(spec, gen, xy.shape[0])
     if spec.boundary == "unconstrained":
         return out
+    bounds = bounds if bounds.ndim == 1 else bounds.T
     pending = np.flatnonzero(~_inside(out, bounds))
     attempts = 1
     while pending.size:

@@ -326,6 +326,19 @@ def test_mask_redraw_with_area(tmp_path):
     assert _inside(xy1[:, 0], xy1[:, 1], np.asarray(UNIT_SQUARE.bounds)).all()
 
 
+def test_mask_redraw_point_outside_area_exit_1(tmp_path, capsys):
+    # points of the unit square masked inside its upper-right quadrant: the
+    # ones that start outside are named in one error line
+    src = _points_file(tmp_path)
+    rc = main(["mask", "--points", src, "--out", str(tmp_path / "m.csv"), "--theta-star", "0.1",
+               "--boundary", "redraw", "--area", "0", "0.5", "0", "0.5"])
+    assert rc == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: redraw policy requires points inside their bounds; offending index(es) [")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "m.csv").exists()
+
+
 def test_mask_bad_area_string(tmp_path):
     src = _points_file(tmp_path)
     rc = main(["mask", "--points", src, "--out", str(tmp_path / "m.csv"), "--theta-star", "0.1",

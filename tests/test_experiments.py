@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -236,6 +237,46 @@ def test_masked_distances_match_per_replication_oracle(monkeypatch, mechanism, b
         d_rep = facility_distances(mask_one(xy, masked_spec, bounds, gen), Point(0.0, 0.0))
         np.testing.assert_array_equal(D[rep], d_rep)
         np.testing.assert_array_equal(Y[rep], y_rep)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_cells_checks_start_points_once_before_any_block(monkeypatch, workers):
+    # the start points are checked once per run, in the parent, before any
+    # replication block or worker pool starts; the kernel does not re-check
+    import geomasksim.experiments as exp
+
+    xy = np.random.default_rng(43).uniform(-0.5, 0.5, size=(60, 2))
+    bounds = bounds_for("per-point", xy)
+    y = (np.random.default_rng(44).random(60) < 0.5).astype(np.float64)
+    spec = MaskSpec("uniform", 0.0, "redraw")
+    calls = {"checked_bounds": 0, "_replicate_block": 0, "ProcessPoolExecutor": 0}
+
+    def count(name, fn):
+        def counted(*args, **kw):
+            calls[name] += 1
+            return fn(*args, **kw)
+        return counted
+
+    originals = {name: getattr(exp, name) for name in calls}
+    for name, fn in originals.items():
+        monkeypatch.setattr(exp, name, count(name, fn))
+    monkeypatch.setattr(exp, "_ROW_ELEMENTS", 60)  # one row per chunk: 8 kernel calls per run
+    outside = xy.copy()
+    outside[17] = [0.6, 0.0]
+    with pytest.raises(ValueError, match=re.escape("requires points inside their bounds; offending index(es) [17]")):
+        exp._run_cells([(0, 0.1)], outside, Point(0.0, 0.0), bounds, spec, 41, 8, workers, y=y)
+    assert calls == {"checked_bounds": 1, "_replicate_block": 0, "ProcessPoolExecutor": 0}
+
+    if workers > 1:
+        # the pool pickles the block function by name, so it runs unwrapped
+        monkeypatch.setattr(exp, "_replicate_block", originals["_replicate_block"])
+    kernel_calls = []
+    monkeypatch.setattr(exp, "mask_coordinates", lambda *args: kernel_calls.append(1) or exp.mask_rows(*args))
+    exp._run_cells([(0, 0.1), (1, 0.2)], xy, Point(0.0, 0.0), bounds, spec, 41, 8, workers, y=y)
+    assert calls["checked_bounds"] == 2
+    assert calls["ProcessPoolExecutor"] == (workers > 1)
+    if workers == 1:
+        assert calls["_replicate_block"] == 2 and len(kernel_calls) == 16
 
 
 def test_efficiency_bytes_independent_of_row_chunks(monkeypatch, tmp_path):

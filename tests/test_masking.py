@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from geomasksim.dataset import ChoiceDataset
@@ -154,7 +156,7 @@ def test_mask_coordinates_deterministic():
 
 def test_redraw_keeps_points_inside():
     xy = np.random.default_rng(5).uniform(-0.5, 0.5, size=(200, 2))
-    bounds = np.tile(SQUARE, (200, 1))
+    bounds = np.tile(SQUARE[:, None], (1, 200))
     spec = MaskSpec(theta_star=0.7, boundary="redraw")
     out = mask_coordinates(xy, spec, bounds, derive_stream(18, 0, 0))
     assert _in_square(out).all()
@@ -164,12 +166,13 @@ def test_redraw_keeps_points_inside():
 
 @pytest.mark.parametrize("mechanism", ["uniform", "gaussian"])
 def test_shared_rectangle_matches_per_point_bounds(mechanism):
-    # one (4,) rectangle and the same rectangle tiled per point consume the
-    # stream identically, so the masked coordinates are the same bits
+    # one (4,) rectangle and the same rectangle tiled into (4, n) per-point
+    # columns consume the stream identically, so the masked coordinates are
+    # the same bits
     xy = np.random.default_rng(5).uniform(-0.5, 0.5, size=(500, 2))
     spec = MaskSpec(mechanism=mechanism, theta_star=0.7, boundary="redraw")
     shared = mask_coordinates(xy, spec, SQUARE, derive_stream(18, 1, 0))
-    tiled = mask_coordinates(xy, spec, np.tile(SQUARE, (500, 1)), derive_stream(18, 1, 0))
+    tiled = mask_coordinates(xy, spec, np.tile(SQUARE[:, None], (1, 500)), derive_stream(18, 1, 0))
     np.testing.assert_array_equal(shared, tiled)
     assert _in_square(shared).all()
 
@@ -178,7 +181,7 @@ def test_redraw_matches_unconstrained_when_no_rejection():
     # interior point with theta_star smaller than any boundary gap: the first
     # draw is always accepted, so both policies consume the stream identically
     xy = np.array([[0.0, 0.0]])
-    bounds = np.array([[-0.5, 0.5, -0.5, 0.5]])
+    bounds = np.array([[-0.5], [0.5], [-0.5], [0.5]])
     a = mask_coordinates(xy, MaskSpec(theta_star=0.3, boundary="redraw"), bounds, derive_stream(19, 0, 0))
     b = mask_coordinates(xy, MaskSpec(theta_star=0.3), None, derive_stream(19, 0, 0))
     np.testing.assert_array_equal(a, b)
@@ -190,14 +193,14 @@ def test_redraw_requires_bounds():
 
 
 def test_redraw_requires_start_inside():
-    bounds = np.array([[0.0, 0.1, 0.0, 0.1]])
+    bounds = np.array([[0.0], [0.1], [0.0], [0.1]])
     with pytest.raises(ValueError, match="inside"):
         mask_coordinates(np.array([[0.5, 0.5]]), MaskSpec(theta_star=0.1, boundary="redraw"), bounds, derive_stream(0, 0, 0))
 
 
 def test_redraw_exhaustion():
     # acceptance probability ~ (1e-9/1)**2 per attempt: 3 attempts always fail
-    bounds = np.array([[-1e-9, 1e-9, -1e-9, 1e-9]])
+    bounds = np.array([[-1e-9], [1e-9], [-1e-9], [1e-9]])
     spec = MaskSpec(theta_star=1.0, boundary="redraw", max_attempts=3)
     with pytest.raises(BoundaryExhaustionError) as info:
         mask_coordinates(np.array([[0.0, 0.0]]), spec, bounds, derive_stream(20, 0, 0))
@@ -258,9 +261,77 @@ def test_batched_exhaustion_names_the_oracles_row(max_attempts):
     assert info.value.max_attempts == max_attempts
 
 
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("mechanism", ["uniform", "gaussian"])
+def test_per_point_columns_at_n_4_match_oracle(mechanism, rows):
+    # at n = 4, (4, n) columns and (n, 4) rows have the same shape: the
+    # kernel must read column i as point i's bounds, as the oracle's rows do.
+    # Each point sits near a corner of its own 4 x 4 grid cell, so most
+    # first draws land outside and are redrawn against those bounds.
+    xy = np.array([[-0.49, -0.49], [0.01, -0.26], [0.24, 0.26], [-0.26, 0.49]])
+    bounds = bounds_for("per-point", xy)
+    assert bounds.shape == (4, 4) and not np.array_equal(bounds, bounds.T)
+    spec = MaskSpec(mechanism, 0.2, "redraw")
+    streams = [derive_stream(35, 1, rep) for rep in range(rows)]
+    out = mask_coordinates(xy, spec, bounds, GeneratorPool().positioned(streams))
+    for row, stream in zip(out, streams):
+        np.testing.assert_array_equal(row.T, mask_one(xy, spec, bounds, stream.generator()))
+        x_min, x_max, y_min, y_max = bounds
+        assert ((x_min <= row[0]) & (row[0] <= x_max) & (y_min <= row[1]) & (row[1] <= y_max)).all()
+
+
+def test_bounds_shape_is_checked():
+    # per-point bounds are (4, n) columns; the (n, 4) row layout is refused
+    xy = np.zeros((3, 2))
+    spec = MaskSpec(theta_star=0.1, boundary="redraw")
+    with pytest.raises(ValueError, match=r"\(4, n\) = \(4, 3\), got \(3, 4\)"):
+        mask_coordinates(xy, spec, np.tile(SQUARE, (3, 1)), derive_stream(0, 0, 0))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    mechanism=st.sampled_from(["uniform", "gaussian"]),
+    boundary=st.sampled_from(["unconstrained", "redraw"]),
+    bounds_kind=st.sampled_from(["shared", "per-point"]),
+    extents=st.sampled_from([1.0, math.sqrt(2.0), 2.0, 4.0]),
+    max_attempts=st.sampled_from([1, 2, 10, 1000]),
+    n=st.integers(1, 12),
+    rows=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_theta_star_beyond_the_area_property(mechanism, boundary, bounds_kind, extents, max_attempts, n, rows, seed):
+    # theta* at and beyond the extent of the bounds (the unit square, or a
+    # 1/4-wide grid cell): every row is the oracle's bits and, under redraw,
+    # inside its bounds; or redraw runs out, and the error names the points
+    # of the lowest row the oracle fails on
+    xy = np.random.default_rng(seed).uniform(-0.5, 0.5, size=(n, 2))
+    bounds = bounds_for(bounds_kind, xy)
+    theta_star = extents * (1.0 if bounds_kind == "shared" else 0.25)
+    spec = MaskSpec(mechanism, theta_star, boundary, max_attempts)
+    streams = [derive_stream(seed, 5, rep) for rep in range(rows)]
+    expected, failing = [], {}
+    for row, stream in enumerate(streams):
+        try:
+            expected.append(mask_one(xy, spec, bounds, stream.generator()))
+        except BoundaryExhaustionError as exc:
+            failing[row] = exc.point_indices
+    if failing:
+        with pytest.raises(BoundaryExhaustionError) as info:
+            mask_coordinates(xy, spec, bounds, GeneratorPool().positioned(streams))
+        assert info.value.point_indices == failing[min(failing)]
+        assert info.value.max_attempts == max_attempts
+        return
+    out = mask_coordinates(xy, spec, bounds, GeneratorPool().positioned(streams))
+    for row, want in zip(out, expected):
+        np.testing.assert_array_equal(row.T, want)
+    if boundary == "redraw":
+        x_min, x_max, y_min, y_max = bounds if bounds.ndim == 2 else bounds[:, None]
+        assert ((x_min <= out[:, 0]) & (out[:, 0] <= x_max) & (y_min <= out[:, 1]) & (out[:, 1] <= y_max)).all()
+
+
 def test_mask_point_unconstrained_and_redraw():
     xy = np.array([[0.49, 0.49]])
-    bounds = np.array([UNIT_SQUARE.bounds])
+    bounds = np.array([UNIT_SQUARE.bounds]).T
     q = mask_coordinates(xy, MaskSpec(theta_star=0.4, boundary="redraw"), bounds, derive_stream(23, 0, 0))
     assert UNIT_SQUARE.contains(Point(*q[0]))
     r = mask_coordinates(xy, MaskSpec(theta_star=0.4), None, derive_stream(23, 0, 0))

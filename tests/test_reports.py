@@ -15,6 +15,8 @@ from geomasksim.reports import (
     RECORDS_HEADER,
     RunManifest,
     _fmt,
+    _format_column,
+    _write_rows,
     read_curve_csv,
     read_points_csv,
     read_records_csv,
@@ -104,6 +106,32 @@ def test_records_csv_layout(tmp_path):
     assert lines[0] == ",".join(RECORDS_HEADER)
     assert text.endswith("\n")
     assert lines[1] == "0.10000000000000001,0,1.0123456789012344,-1.987654321012345,0.098765432101234563,true,6,true,false"
+
+
+def test_column_formatter_matches_the_fmt_row_path(tmp_path):
+    # each column formatted once by its dtype gives the bytes of _fmt applied
+    # to every value of every row, extreme floats and iteration counts included
+    cols = _columns(2, 6, failed=[(1, 2)])
+    cols["alpha_hat"][0] = [math.nan, -0.0, 5e-324, 1.7976931348623157e308, -5e-324, math.inf]
+    cols["beta_hat"][1] = [-math.inf, 0.0, -1.7976931348623157e308, 2.0**-1074, 1e16, 0.1]
+    cols["iterations"][0] = [0, 1, 2**62, np.iinfo(np.int64).max, 7, 0]
+    cols["converged"][0, ::2] = False
+    for name in RECORD_COLUMNS:
+        for column in cols[name]:
+            assert _format_column(column) == [_fmt(v) for v in column.tolist()], name
+    thetas = (0.0, 0.70710678118654757)
+    rows = (
+        (theta, rep) + tuple(cols[name][c, rep].item() for name in RECORD_COLUMNS)
+        for c, theta in enumerate(thetas)
+        for rep in range(6)
+    )
+    want = _write_rows(tmp_path / "rows.csv", RECORDS_HEADER, rows).read_bytes()
+    assert write_records_csv(thetas, cols, tmp_path / "columns.csv").read_bytes() == want
+    fields = [line.split(",") for line in want.decode().splitlines()[1:7]]
+    assert [f[2] for f in fields] == [
+        "nan", "-0", "4.9406564584124654e-324", "1.7976931348623157e+308", "-4.9406564584124654e-324", "inf",
+    ]
+    assert [f[6] for f in fields] == ["0", "1", str(2**62), "9223372036854775807", "7", "0"]
 
 
 def test_records_empty_error(tmp_path):
