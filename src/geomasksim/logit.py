@@ -10,22 +10,27 @@ One kernel, ``fit_rows``, fits an (R, n) block of (distance, choice) rows at
 once; every fit in the package goes through it, ``fit_distance_choice`` as a
 one-row block. Each Newton pass is fused. With e = exp(-|eta|):
 
-    log-likelihood  sum(y*eta - max(eta, 0) - log1p(e))
     probability     p = where(eta >= 0, 1, e) * v  with  v = 1/(1 + e)
     weight          w = p(1 - p) = e*v * v
+    log-likelihood  sum(y*eta - max(eta, 0) - log1p(e))
 
-so a pass costs one ``exp`` and one ``log1p`` per point and overflows for no
-eta. The score (sum r, sum r*d) with r = y - p and the information
-(sum w, sum w*d, sum w*d^2) come from the same p and w. Step-halving
-candidates evaluate only the log-likelihood, and the accepted candidate's
-eta and e feed the next pass. A fit that starts at the origin, as every fit
-in the package does, takes its first pass in closed form (``_origin``).
-``log_likelihood``, ``score`` and ``observed_information`` are one-row
-views of the same pass.
+so a pass costs one ``exp`` per point and overflows for no eta. The score
+(sum r, sum r*d) with r = y - p and the information (sum w, sum w*d,
+sum w*d^2) come from the same p and w. A Newton step s is accepted by the
+slope of the log-likelihood along s at its end, g_new . s, from the score
+the next pass needs anyway: the log-likelihood is concave along s, so
+ll(new) - ll(old) >= g_new . s, and a slope of at least -1e-10 meets the
+step-halving rule unhalved. Only a row that fails this test evaluates the
+log-likelihood (one ``log1p`` per point), at its old point and at
+step-halving candidates until one is within 1e-10 * (1 + |ll|) of the old
+value. A fit that starts at the origin, as every fit in the package does,
+takes its first pass in closed form (``_origin``). ``log_likelihood``,
+``score`` and ``observed_information`` are one-row views of the same pass.
 
 Each pass decides at one site which rows stop (CONVERGED, NOT_CONVERGED or
 SINGULAR; SEPARATED rows never start). A row reports the steps it took and
-the log-likelihood, information and gradient norm at its estimate.
+the information and gradient norm at its estimate; ``fit_distance_choice``
+adds the log-likelihood there.
 
 ``choice_probability`` is the package's one logistic function outside the
 fit: the generated and regenerated choices and the information weights all
@@ -62,6 +67,10 @@ _DIVERGENCE_BOUND = 1e4
 _TINY = float(np.finfo(np.float64).tiny)
 # Step-halving candidates per Newton step: scales 1, 1/2, ..., 2**-39.
 _MIN_SCALE = 2.0**-39
+# A candidate is accepted when the log-likelihood fell by at most
+# _SLACK * (1 + |ll|): near the optimum a Newton step improves it by less
+# than the summation noise of computing it, and exact nondecrease would stall.
+_SLACK = 1e-10
 
 #: Row statuses of a ``fit_rows`` block.
 CONVERGED, NOT_CONVERGED, SEPARATED, SINGULAR = range(4)
@@ -111,31 +120,10 @@ class RowFits:
     alpha: np.ndarray
     beta: np.ndarray
     std_errors: np.ndarray  # (R, 2): (se_alpha, se_beta)
-    loglik: np.ndarray
     information: np.ndarray  # (R, 2, 2)
     iterations: np.ndarray
     gradient_norm: np.ndarray
     status: np.ndarray  # CONVERGED, NOT_CONVERGED, SEPARATED or SINGULAR
-
-    def fit(self, i: int) -> LogitFit:
-        """Row i as a LogitFit; a separated or singular row raises its error."""
-        if self.status[i] == SEPARATED:
-            raise SeparationError("choices are all identical; the logit MLE does not exist")
-        info = self.information[i]
-        if self.status[i] == SINGULAR:
-            det = info[0, 0] * info[1, 1] - info[0, 1] ** 2
-            raise SingularInformationError(
-                f"information determinant {det} after {self.iterations[i]} iteration(s)"
-            )
-        return LogitFit(
-            params=LogitParams(float(self.alpha[i]), float(self.beta[i])),
-            std_errors=(float(self.std_errors[i, 0]), float(self.std_errors[i, 1])),
-            loglik=float(self.loglik[i]),
-            information=info.copy(),
-            converged=bool(self.status[i] == CONVERGED),
-            iterations=int(self.iterations[i]),
-            gradient_norm=float(self.gradient_norm[i]),
-        )
 
 
 def _block(d, y) -> tuple[np.ndarray, ...]:
@@ -202,22 +190,18 @@ def _moments(D, Y, H, E, T1, T2) -> np.ndarray:
     return M
 
 
-def _origin(D, Y, T1, T2) -> tuple[np.ndarray, np.ndarray]:
-    """``_loglik`` and ``_moments`` of every row at alpha = beta = 0, in
-    closed form; overwrites T1 and T2.
+def _origin(D, Y, T1, T2) -> np.ndarray:
+    """``_moments`` of every row at alpha = beta = 0, in closed form;
+    overwrites T1 and T2.
 
-    There eta = a + b*d is +0.0 and e = 1 at every finite d, so each point
-    contributes -log1p(1) to the log-likelihood, p = 1/2 and w = 1/4. The
-    constant sums are taken over one row filled with the constant, and the
-    rest as sum(y - 1/2), sum((y - 1/2)*d), sum(d*0.25) and
+    There eta = a + b*d is +0.0 and e = 1 at every finite d, so p = 1/2 and
+    w = 1/4 at every point. sum(w) is taken over one row filled with 1/4,
+    and the rest as sum(y - 1/2), sum((y - 1/2)*d), sum(d*0.25) and
     sum(d*0.25*d): the products and row sums of the general pass, bit for
-    bit, in 8 elementwise passes instead of 26.
+    bit, in 8 elementwise passes instead of 20.
     """
-    m = D.shape[0]
-    M = np.empty((m, 5))
-    T1[:1] = -np.log1p(1.0)
+    M = np.empty((D.shape[0], 5))
     T2[:1] = 0.25
-    ll = np.repeat(T1[:1].sum(axis=1), m)
     M[:, 2] = T2[:1].sum(axis=1)
     np.multiply(D, 0.25, out=T2)
     M[:, 3] = T2.sum(axis=1)
@@ -227,7 +211,7 @@ def _origin(D, Y, T1, T2) -> tuple[np.ndarray, np.ndarray]:
     M[:, 0] = T1.sum(axis=1)
     T1 *= D
     M[:, 1] = T1.sum(axis=1)
-    return ll, M
+    return M
 
 
 def _one_row(d, y, p: LogitParams) -> tuple[np.ndarray, ...]:
@@ -263,17 +247,13 @@ def _halve(D, Y, a, b, step_a, step_b, ll, H, E, T1, T2):
     """Take each row's Newton step, halved until the log-likelihood is within
     the slack of ``ll``; the last of the 40 candidates is taken regardless.
 
-    Returns the new (a, b, ll); H and E hold the accepted eta and e.
+    Returns the new (a, b); H and E hold the accepted eta and e.
     """
-    # The slack admits rounding-level decreases: near the optimum a Newton
-    # step improves the log-likelihood by less than the summation noise of
-    # computing it, and exact nondecrease would stall.
-    floor = ll - 1e-10 * (1.0 + np.abs(ll))
+    floor = ll - _SLACK * (1.0 + np.abs(ll))
     new_a, new_b = a + step_a, b + step_b
     _eta_exp(D, new_a, new_b, H, E)
-    new_ll = _loglik(Y, H, E, T1, T2)
     # a NaN candidate fails the comparison and is halved too
-    pending = np.flatnonzero(~(new_ll >= floor))
+    pending = np.flatnonzero(~(_loglik(Y, H, E, T1, T2) >= floor))
     scale = 1.0
     while pending.size:
         scale *= 0.5
@@ -284,10 +264,36 @@ def _halve(D, Y, a, b, step_a, step_b, ll, H, E, T1, T2):
         llc = _loglik(Y[pending], Hp, Ep, T1[: pending.size], T2[: pending.size])
         ok = (llc >= floor[pending]) | (scale == _MIN_SCALE)
         took = pending[ok]
-        new_a[took], new_b[took], new_ll[took] = ca[ok], cb[ok], llc[ok]
+        new_a[took], new_b[took] = ca[ok], cb[ok]
         H[took], E[took] = Hp[ok], Ep[ok]
         pending = pending[~ok]
-    return new_a, new_b, new_ll
+    return new_a, new_b
+
+
+def _step(D, Y, a, b, step_a, step_b, H, E, T1, T2):
+    """Take each row's Newton step and return the new (a, b) and the
+    ``_moments`` there; overwrites H, E, T1 and T2.
+
+    The full step is kept when the slope along it at the candidate,
+    g_new . step, is at least -_SLACK. The log-likelihood is concave along
+    the step, so then ll(new) >= ll(old) - _SLACK: ``_halve`` would keep it
+    too. The other rows evaluate ll at their old point and go through
+    ``_halve``, so every row's accepted point is the one ``_halve`` picks.
+    """
+    new_a, new_b = a + step_a, b + step_b
+    _eta_exp(D, new_a, new_b, H, E)
+    M = _moments(D, Y, H, E, T1, T2)
+    # a NaN slope fails the comparison and goes to _halve too
+    back = np.flatnonzero(~(M[:, 0] * step_a + M[:, 1] * step_b >= -_SLACK))
+    if back.size:
+        # every row's moments are taken, so H, E, T1 and T2 are free to reuse
+        Db, Yb, ab, bb = D[back], Y[back], a[back], b[back]
+        Hb, Eb, T1b, T2b = (v[: back.size] for v in (H, E, T1, T2))
+        _eta_exp(Db, ab, bb, Hb, Eb)
+        ll = _loglik(Yb, Hb, Eb, T1b, T2b)
+        new_a[back], new_b[back] = _halve(Db, Yb, ab, bb, step_a[back], step_b[back], ll, Hb, Eb, T1b, T2b)
+        M[back] = _moments(Db, Yb, Hb, Eb, T1b, T2b)
+    return new_a, new_b, M
 
 
 def fit_rows(
@@ -306,15 +312,18 @@ def fit_rows(
     (quasi-separation), else SINGULAR unless its information determinant is
     finite and at least ``_TINY`` times max(1, its diagonal) (so that the
     standard errors are finite), else CONVERGED once its gradient max-norm
-    is below ``tol``. ``iterations`` counts the steps taken, and ``loglik``,
+    is below ``tol``. ``iterations`` counts the steps taken, and
     ``information`` and ``gradient_norm`` are those of the reported
     estimate. Each step is halved until it does not decrease the
-    log-likelihood. The distances must be finite: the start at the origin
-    is taken in closed form (``_origin``), which holds for finite d.
+    log-likelihood by more than _SLACK * (1 + |ll|); a step whose slope at
+    its end is at least -_SLACK meets that rule unhalved, so only the other
+    rows evaluate a log-likelihood (``_step``). The distances must be
+    finite: the start at the origin is taken in closed form (``_origin``),
+    which holds for finite d.
     """
     D, Y = _block(d, y)
     R, n = D.shape
-    alpha, beta, loglik, gradient_norm = np.full((4, R), math.nan)
+    alpha, beta, gradient_norm = np.full((3, R), math.nan)
     info = np.full((R, 3), math.nan)  # (sum w, sum w*d, sum w*d*d)
     iterations = np.zeros(R, dtype=np.int64)
     status = np.full(R, SEPARATED, dtype=np.int8)  # every other row is stored when it stops
@@ -325,20 +334,16 @@ def fit_rows(
     m = idx.size
     H, E, T1, T2 = np.empty((4, m, n))
     a, b = np.full(m, init.alpha), np.full(m, init.beta)
-    at_origin = init.alpha == 0.0 and init.beta == 0.0
-    if not at_origin:
+    if init.alpha == 0.0 and init.beta == 0.0:
+        M = _origin(D, Y, T1, T2)
+    else:
         _eta_exp(D, a, b, H, E)
-        ll = _loglik(Y, H, E, T1, T2)
+        M = _moments(D, Y, H, E, T1, T2)
     ran_away = np.zeros(m, dtype=bool)
 
     for steps in range(max_iter + 1):
         if not m:
             break
-        # the first pass at the origin is closed-form; later ones read H and E
-        if steps == 0 and at_origin:
-            ll, M = _origin(D, Y, T1, T2)
-        else:
-            M = _moments(D, Y, H, E, T1, T2)
         gnorm = np.maximum(np.abs(M[:, 0]), np.abs(M[:, 1]))
         det = M[:, 2] * M[:, 4] - M[:, 3] ** 2
         out = ran_away | (steps == max_iter)
@@ -347,11 +352,11 @@ def fit_rows(
         stopped = out | singular | (gnorm < tol)
         if stopped.any():
             rows = idx[stopped]
-            alpha[rows], beta[rows], loglik[rows] = a[stopped], b[stopped], ll[stopped]
+            alpha[rows], beta[rows] = a[stopped], b[stopped]
             gradient_norm[rows], info[rows], iterations[rows] = gnorm[stopped], M[stopped, 2:], steps
             status[rows] = np.where(out[stopped], NOT_CONVERGED, np.where(singular[stopped], SINGULAR, CONVERGED))
             keep = ~stopped
-            idx, a, b, ll, M, det = (v[keep] for v in (idx, a, b, ll, M, det))
+            idx, a, b, M, det = (v[keep] for v in (idx, a, b, M, det))
             m = idx.size
             if not m:
                 break
@@ -361,7 +366,7 @@ def fit_rows(
         g0, g1, i00, i01, i11 = M.T
         step_a = (i11 * g0 - i01 * g1) / det
         step_b = (i00 * g1 - i01 * g0) / det
-        a, b, ll = _halve(D, Y, a, b, step_a, step_b, ll, H, E, T1, T2)
+        a, b, M = _step(D, Y, a, b, step_a, step_b, H, E, T1, T2)
         # runaway estimates: quasi-separation, stopped as NOT_CONVERGED next pass
         ran_away = (np.abs(a) > _DIVERGENCE_BOUND) | (np.abs(b) > _DIVERGENCE_BOUND)
 
@@ -371,7 +376,6 @@ def fit_rows(
         alpha=alpha,
         beta=beta,
         std_errors=np.sqrt(np.column_stack((swd2, sw)) / np.where(det > 0.0, det, math.nan)[:, None]),
-        loglik=loglik,
         information=info[:, [0, 1, 1, 2]].reshape(R, 2, 2),
         iterations=iterations,
         gradient_norm=gradient_norm,
@@ -387,14 +391,31 @@ def fit_distance_choice(
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> LogitFit:
     """Newton-Raphson ML fit on raw (distance, choice) arrays: ``fit_rows``
-    on one row.
+    on one row, with the log-likelihood at the estimate from
+    ``log_likelihood``.
 
     Quasi-separated samples (probabilities saturating with unbounded step
     growth) are returned flagged ``converged=False`` instead of raising;
     all-equal choices raise SeparationError and a singular information
     matrix raises SingularInformationError.
     """
-    return fit_rows(d, y, init, tol, max_iter).fit(0)
+    fits = fit_rows(d, y, init, tol, max_iter)
+    if fits.status[0] == SEPARATED:
+        raise SeparationError("choices are all identical; the logit MLE does not exist")
+    info = fits.information[0]
+    if fits.status[0] == SINGULAR:
+        det = info[0, 0] * info[1, 1] - info[0, 1] ** 2
+        raise SingularInformationError(f"information determinant {det} after {fits.iterations[0]} iteration(s)")
+    params = LogitParams(float(fits.alpha[0]), float(fits.beta[0]))
+    return LogitFit(
+        params=params,
+        std_errors=(float(fits.std_errors[0, 0]), float(fits.std_errors[0, 1])),
+        loglik=log_likelihood(d, y, params),
+        information=info,
+        converged=bool(fits.status[0] == CONVERGED),
+        iterations=int(fits.iterations[0]),
+        gradient_norm=float(fits.gradient_norm[0]),
+    )
 
 
 def fit_logit(ds: ChoiceDataset) -> LogitFit:

@@ -10,6 +10,7 @@ from geomasksim.dataset import ChoiceDataset
 from geomasksim.geometry import Point
 from geomasksim.logit import (
     CONVERGED,
+    DEFAULT_TOL,
     NOT_CONVERGED,
     SEPARATED,
     SINGULAR,
@@ -18,6 +19,7 @@ from geomasksim.logit import (
     LogitParams,
     SeparationError,
     SingularInformationError,
+    _TINY,
     _block,
     _loglik,
     _moments,
@@ -246,13 +248,17 @@ def test_fit_logit_uses_dataset_distances():
 
 # --- the row-batched kernel ---
 
-_ROW_FIELDS = ("alpha", "beta", "std_errors", "loglik", "information", "iterations", "gradient_norm", "status")
+_ROW_FIELDS = ("alpha", "beta", "std_errors", "information", "iterations", "gradient_norm", "status")
+
+
+def _bits(value):
+    return np.asarray(value, dtype=np.float64).tobytes()
 
 
 def _assert_rows_match_one_row_calls(D, Y, **kw):
     """Every row of one fit_rows block is bit-identical to fitting that row
     alone, and a row with an estimate stores the one-row helpers' values at
-    that estimate."""
+    that estimate; fit_distance_choice reports the log-likelihood there."""
     block = fit_rows(D, Y, **kw)
     for i in range(D.shape[0]):
         alone = fit_rows(D[i], Y[i], **kw)
@@ -262,13 +268,87 @@ def _assert_rows_match_one_row_calls(D, Y, **kw):
         if block.status[i] in (CONVERGED, NOT_CONVERGED):
             p = LogitParams(float(block.alpha[i]), float(block.beta[i]))
             at_estimate = {
-                "loglik": log_likelihood(D[i], Y[i], p),
                 "information": observed_information(D[i], p),
                 "gradient_norm": np.abs(score(D[i], Y[i], p)).max(),
             }
             for name, want in at_estimate.items():
                 got = getattr(block, name)[i]
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (i, name, got, want)
+            fit = fit_distance_choice(D[i], Y[i], **kw)
+            assert fit.params == p
+            assert _bits(fit.loglik) == _bits(log_likelihood(D[i], Y[i], p)), (i, fit.loglik)
+    return block
+
+
+def _oracle_fit(d, y, init=LogitParams(0.0, 0.0), tol=DEFAULT_TOL, max_iter=100):
+    """One row's Newton loop with the documented rules applied literally,
+    from the public one-row helpers: stop on divergence or max_iter, then
+    on a singular information, then on a small gradient; take a step's
+    candidate iff its log-likelihood is at least ll - 1e-10 * (1 + |ll|),
+    halving the step down to 2**-39, whose candidate is taken regardless.
+
+    Returns the row's fit_rows fields and the log-likelihood at the
+    estimate (None for a separated row)."""
+    nan = math.nan
+    if y.min() == y.max():
+        return {
+            "alpha": nan, "beta": nan, "std_errors": [nan, nan], "information": np.full((2, 2), nan),
+            "iterations": 0, "gradient_norm": nan, "status": SEPARATED,
+        }, None
+
+    def loglik(a, b):
+        # a non-finite candidate has no log-likelihood and fails the comparison
+        return log_likelihood(d, y, LogitParams(a, b)) if math.isfinite(a) and math.isfinite(b) else nan
+
+    a, b, ran_away = init.alpha, init.beta, False
+    for steps in range(max_iter + 1):
+        p = LogitParams(a, b)
+        g, info = score(d, y, p), observed_information(d, p)
+        det = info[0, 0] * info[1, 1] - info[0, 1] * info[0, 1]
+        out = ran_away or steps == max_iter
+        singular = not (np.isfinite(det) and det >= _TINY * max(1.0, info[0, 0], info[1, 1]))
+        if out or singular or np.abs(g).max() < tol:
+            break
+        step_a = (info[1, 1] * g[0] - info[0, 1] * g[1]) / det
+        step_b = (info[0, 0] * g[1] - info[0, 1] * g[0]) / det
+        ll = log_likelihood(d, y, p)
+        scale = 1.0
+        while True:
+            ca, cb = a + scale * step_a, b + scale * step_b
+            if loglik(ca, cb) >= ll - 1e-10 * (1.0 + abs(ll)) or scale == 2.0**-39:
+                break
+            scale *= 0.5
+        a, b = ca, cb
+        ran_away = abs(a) > 1e4 or abs(b) > 1e4
+    return {
+        "alpha": a,
+        "beta": b,
+        "std_errors": np.sqrt(np.array([info[1, 1], info[0, 0]]) / (det if det > 0.0 else nan)),
+        "information": info,
+        "iterations": steps,
+        "gradient_norm": np.abs(g).max(),
+        "status": NOT_CONVERGED if out else SINGULAR if singular else CONVERGED,
+    }, log_likelihood(d, y, p)
+
+
+def _assert_rows_match_oracle(D, Y, **kw):
+    """Every field of every fit_rows row, and fit_distance_choice's
+    log-likelihood, are the oracle's bits."""
+    block = fit_rows(D, Y, **kw)
+    for i in range(D.shape[0]):
+        want, loglik = _oracle_fit(D[i], Y[i], **kw)
+        assert set(want) == set(_ROW_FIELDS)
+        for name, value in want.items():
+            got = getattr(block, name)[i]
+            assert got.tobytes() == np.asarray(value, dtype=got.dtype).tobytes(), (i, name, got, value)
+        if block.status[i] == SEPARATED:
+            with pytest.raises(SeparationError):
+                fit_distance_choice(D[i], Y[i], **kw)
+        elif block.status[i] == SINGULAR:
+            with pytest.raises(SingularInformationError):
+                fit_distance_choice(D[i], Y[i], **kw)
+        else:
+            assert _bits(fit_distance_choice(D[i], Y[i], **kw).loglik) == _bits(loglik), i
     return block
 
 
@@ -292,6 +372,7 @@ def _mixed_block():
 def test_fit_rows_mixed_block_matches_one_row_calls(init, max_iter):
     D, Y = _mixed_block()
     block = _assert_rows_match_one_row_calls(D, Y, init=init, max_iter=max_iter)
+    _assert_rows_match_oracle(D, Y, init=init, max_iter=max_iter)
     first = CONVERGED if max_iter > 1 else NOT_CONVERGED
     assert block.status.tolist() == [first, first, SEPARATED, SINGULAR, NOT_CONVERGED]
     assert block.iterations[3] == 0  # singular at the start: no step taken
@@ -314,7 +395,8 @@ def test_fit_rows_mixed_block_matches_one_row_calls(init, max_iter):
             fit = fit_distance_choice(D[i], Y[i], init=init, max_iter=max_iter)
             assert (fit.params.alpha, fit.params.beta) == (block.alpha[i], block.beta[i])
             assert fit.std_errors == tuple(block.std_errors[i])
-            assert (fit.loglik, fit.iterations) == (block.loglik[i], block.iterations[i])
+            assert fit.iterations == block.iterations[i]
+            assert _bits(fit.loglik) == _bits(log_likelihood(D[i], Y[i], fit.params))
 
 
 def test_fit_rows_far_start_needs_step_halving():
@@ -329,6 +411,85 @@ def test_fit_rows_far_start_needs_step_halving():
     fit = fit_distance_choice(d, y, init=p, max_iter=1)
     assert (fit.params.alpha, fit.params.beta) != (full.alpha, full.beta)
     assert fit.loglik >= log_likelihood(d, y, p)
+
+
+def _full_step(d, y, p):
+    """The full Newton candidate from p, with fit_rows' arithmetic, and the
+    slope of the log-likelihood along the step there."""
+    g, info = score(d, y, p), observed_information(d, p)
+    det = info[0, 0] * info[1, 1] - info[0, 1] * info[0, 1]
+    step = np.array([info[1, 1] * g[0] - info[0, 1] * g[1], info[0, 0] * g[1] - info[0, 1] * g[0]]) / det
+    full = LogitParams(p.alpha + step[0], p.beta + step[1])
+    return full, float(score(d, y, full) @ step)
+
+
+@pytest.fixture
+def loglik_rows(monkeypatch):
+    """Rows of every log-likelihood the fit evaluates, one entry per call."""
+    import geomasksim.logit as logit
+
+    calls = []
+    real = logit._loglik
+
+    def counted(Y, *args):
+        calls.append(Y.shape[0])
+        return real(Y, *args)
+
+    monkeypatch.setattr(logit, "_loglik", counted)
+    return calls
+
+
+def test_overshooting_step_kept_without_halving(loglik_rows):
+    # from (0, 2) the full step of row 0 passes the maximum along the step
+    # (negative slope at its end) yet raises the log-likelihood: the slope
+    # test sends it to the halving rule, which keeps the full step. Row 1
+    # (distances doubled) is lowered by its full step and halved; row 2
+    # passes the slope test and evaluates no log-likelihood.
+    D, Y = _mixed_block()
+    D, Y = np.stack([D[0], 2.0 * D[0], D[4]]), Y[[0, 0, 4]]
+    init = LogitParams(0.0, 2.0)
+    ll0 = [log_likelihood(d, y, init) for d, y in zip(D, Y)]
+    full, slope = zip(*(_full_step(d, y, init) for d, y in zip(D, Y)))
+    ll1 = [log_likelihood(d, y, p) for d, y, p in zip(D, Y, full)]
+    assert slope[0] < -1e-10 and ll1[0] > ll0[0]
+    assert ll1[1] < ll0[1]
+    assert slope[2] >= -1e-10
+    # rows, and the rows of its first log-likelihood evaluation: the old
+    # point of the rows that fail the slope test
+    for rows, first in (([0], [1]), ([1], [1]), ([2], []), ([0, 1, 2], [2])):
+        loglik_rows.clear()
+        fits = fit_rows(D[rows], Y[rows], init=init, max_iter=1)
+        took_full = [(fits.alpha[k], fits.beta[k]) == (full[i].alpha, full[i].beta) for k, i in enumerate(rows)]
+        assert took_full == [i != 1 for i in rows]
+        assert loglik_rows[:1] == first
+        for max_iter in (1, 100):
+            _assert_rows_match_oracle(D[rows], Y[rows], init=init, max_iter=max_iter)
+
+
+def test_replicated_fits_evaluate_no_loglik(loglik_rows):
+    import geomasksim.experiments as exp
+    from geomasksim.masking import MaskSpec
+
+    sims = [_sim(1000, seed=seed) for seed in range(16)]
+    D, Y = np.stack([d for d, _ in sims]), np.stack([y for _, y in sims])
+    assert (fit_rows(D, Y).status == CONVERGED).all()
+    assert (fit_rows(*_sim(100_000, seed=7)).status == CONVERGED).all()
+    # one fit_rows chunk of the replication kernel: 16 rows at n = 1000
+    xy = np.random.default_rng(45).uniform(-0.5, 0.5, size=(1000, 2))
+    y = (np.random.default_rng(46).random(1000) < expit(1.0 - 2.0 * np.hypot(*xy.T))).astype(np.float64)
+    assert exp._row_chunks(range(16), 1000) == [range(16)]
+    spec = MaskSpec("uniform", 0.0, "unconstrained")
+    fits = exp._run_cells([(0, 0.1)], xy, Point(0.0, 0.0), None, spec, 41, 16, 1, y=y)
+    assert fits["converged"].all()
+    assert loglik_rows == []
+    # the one-row front end evaluates the log-likelihood once, at its estimate
+    for k in range(3):
+        fit_distance_choice(*_sim(500, seed=k))
+        assert len(loglik_rows) == k + 1
+    # a start whose full steps lower the log-likelihood evaluates it
+    loglik_rows.clear()
+    fit_rows(*_mixed_block(), init=LogitParams(2.0, 2.0))
+    assert loglik_rows
 
 
 def test_fit_rows_shared_distance_or_choices_broadcast():
@@ -402,6 +563,13 @@ def test_fits_match_reference_newton_loop():
             assert fit.params.beta == pytest.approx(b, abs=1e-7)
 
 
+def _extreme_block(seed, rows, n, alpha, beta):
+    # at these (alpha, beta) on d in [0, 2] many rows are separated or run away
+    rng = np.random.default_rng(seed)
+    D = rng.uniform(0.0, 2.0, (rows, n))
+    return D, (rng.uniform(size=(rows, n)) < expit(alpha + beta * D)).astype(float)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -412,11 +580,21 @@ def test_fits_match_reference_newton_loop():
     max_iter=st.sampled_from([1, 3, 100]),
 )
 def test_fit_rows_rows_independent_property(seed, rows, n, alpha, beta, max_iter):
-    # at these (alpha, beta) on d in [0, 2] many rows are separated or run away
-    rng = np.random.default_rng(seed)
-    D = rng.uniform(0.0, 2.0, (rows, n))
-    Y = (rng.uniform(size=(rows, n)) < expit(alpha + beta * D)).astype(float)
-    _assert_rows_match_one_row_calls(D, Y, max_iter=max_iter)
+    _assert_rows_match_one_row_calls(*_extreme_block(seed, rows, n, alpha, beta), max_iter=max_iter)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 5),
+    n=st.integers(2, 12),
+    alpha=st.floats(-1e3, 1e3),
+    beta=st.floats(-1e4, 1e4),
+    init=st.sampled_from([LogitParams(0.0, 0.0), LogitParams(2.0, 2.0)]),
+    max_iter=st.sampled_from([1, 3, 100]),
+)
+def test_fit_rows_matches_halving_rule_oracle_property(seed, rows, n, alpha, beta, init, max_iter):
+    _assert_rows_match_oracle(*_extreme_block(seed, rows, n, alpha, beta), init=init, max_iter=max_iter)
 
 
 @settings(max_examples=100, deadline=None)
@@ -431,7 +609,7 @@ def test_fit_rows_rows_independent_property(seed, rows, n, alpha, beta, max_iter
 )
 def test_origin_pass_bit_equal_to_general_pass(seed, rows, n, scale, signed, shared_y, singular):
     # at alpha = beta = 0, eta = +0.0 and e = 1 at every point: the closed
-    # form must give the general helpers' log-likelihood and moments there
+    # form must give the general helpers' moments there
     rng = np.random.default_rng(seed)
     D = rng.uniform(-scale if signed else 0.0, scale, (rows, n))
     if singular:
@@ -439,15 +617,15 @@ def test_origin_pass_bit_equal_to_general_pass(seed, rows, n, scale, signed, sha
     Y = (rng.uniform(size=(1 if shared_y else rows, n)) < 0.5).astype(float)
     D, Y = _block(D, Y[0] if shared_y else Y)
     T1, T2 = np.empty((2, rows, n))
-    ll, M = _origin(D, Y, T1, T2)
+    M = _origin(D, Y, T1, T2)
     H, E = np.zeros((rows, n)), np.ones((rows, n))
-    assert ll.tobytes() == _loglik(Y, H, E, T1, T2).tobytes()
     assert M.tobytes() == _moments(D, Y, H, E, T1, T2).tobytes()
 
 
 def test_fit_rows_without_iterations_reports_the_origin():
     # with max_iter = 0 no Newton step is taken, and every field describes
-    # the start point as the general helpers compute it, gradient norm included
+    # the start point as the general helpers compute it, gradient norm
+    # included; fit_distance_choice reports the log-likelihood there
     D, Y = _mixed_block()
     fits = fit_rows(D, Y, max_iter=0)
     H, E, T1, T2 = np.empty((4,) + D.shape)
@@ -463,7 +641,6 @@ def test_fit_rows_without_iterations_reports_the_origin():
         "std_errors": np.where(
             live[:, None], np.sqrt(np.column_stack((swd2, sw)) / np.where(det > 0.0, det, math.nan)[:, None]), math.nan
         ),
-        "loglik": np.where(live, ll, math.nan),
         "information": np.where(live[:, None, None], M[:, [2, 3, 3, 4]].reshape(-1, 2, 2), math.nan),
         "iterations": np.zeros(5, dtype=np.int64),
         "gradient_norm": np.where(live, np.maximum(np.abs(M[:, 0]), np.abs(M[:, 1])), math.nan),
@@ -473,6 +650,8 @@ def test_fit_rows_without_iterations_reports_the_origin():
     for name, value in want.items():
         got = getattr(fits, name)
         assert got.dtype == value.dtype and got.tobytes() == value.tobytes(), name
+    for i in np.flatnonzero(live):
+        assert _bits(fit_distance_choice(D[i], Y[i], max_iter=0).loglik) == _bits(ll[i]), i
 
 
 # --- the logistic function ---
