@@ -23,7 +23,8 @@ each row's regenerated choices first (efficiency cells only), masks every
 row in one ``mask_rows`` call (whose redraw loop serves the whole chunk
 while each row draws from its own generator; ``_run_cells`` checks once
 per run that every point starts inside its bounds), takes the (rows, n)
-masked distances and fits the chunk with one ``fit_rows`` call. One
+masked distances from the block's contiguous x and y planes and fits the
+chunk with one ``fit_rows`` call. One
 failure policy and the 50% cell-convergence rule apply to every cell. The
 attenuation run keeps the (cells, replications) columns, adds the two test
 flags and aggregates each cell from them; the efficiency run reads the
@@ -273,9 +274,11 @@ def _replicate_block(task: tuple[int, float | None, int, int], state: dict | Non
     draws from its own stream: first its regenerated choices when the run
     has generating probabilities instead of fixed choices, then its mask.
     Per chunk of rows: position one pooled generator per replication, draw
-    each row's choices, mask every row in one call of the unchecked kernel
-    ``mask_rows`` (the bounds were checked by ``_run_cells``), take the
-    (rows, n) masked distances and fit them with ``fit_rows``.
+    each row's choices and compare them with the probabilities in place,
+    mask every row in one call of the unchecked kernel ``mask_rows`` (the
+    bounds were checked by ``_run_cells``), take the (rows, n) masked
+    distances from its contiguous x and y planes and fit them with
+    ``fit_rows``.
     Returns the ``_COLUMNS`` of the block's rows under the one failure
     policy: a row with degenerate choices (all 0s or all 1s) or a singular
     information matrix has no estimate (NaN, not converged, 0 iterations)
@@ -304,7 +307,7 @@ def _replicate_block(task: tuple[int, float | None, int, int], state: dict | Non
             Y = np.empty((len(reps), prob.size))
             for gen, row in zip(gens, Y):
                 gen.random(out=row)
-            Y = (Y < prob).astype(np.float64)
+            np.less(Y, prob, out=Y)  # the 0.0/1.0 choices, written over their draws
         if spec is not None:
             masked = mask_coordinates(xy, spec, bounds, gens)
             masked[:, 0] -= facility.x

@@ -18,8 +18,10 @@ delta values (uniform mechanism), or m x-offsets then m y-offsets
 
 ``mask_coordinates`` masks one point set once per generator, R replication
 rows at a time, and keeps that per-row order: on the first attempt each
-row draws its 2n values in one call (``random`` for the uniform
-mechanism, ``standard_normal`` for the gaussian one) and the draws are
+row draws its n theta (or x) values and then its n delta (or y) values
+(``random`` for the uniform mechanism, ``standard_normal`` for the
+gaussian one), into the x and y planes of a plane-major (2, R, n) block
+so that every ufunc runs on contiguous (R, n) planes, and the draws are
 scaled exactly as numpy's ``uniform(0, theta_star)`` and
 ``normal(0, sigma)`` scale them. Under the redraw policy one attempt loop
 serves every row: it keeps the pending (row, point) pairs, and on each
@@ -118,23 +120,25 @@ def _direction(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _offsets(spec: MaskSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cartesian offsets (ox, oy) from raw draws ``u`` of shape (..., 2, m):
-    [..., 0, :] holds the m theta (uniform) or x (gaussian) draws and
-    [..., 1, :] the m delta or y draws. Scaled as 0.0 + scale * draw, as
-    numpy's ``uniform(0, theta_star)`` and ``normal(0, sigma)`` do.
+    """Cartesian offsets (ox, oy) from raw draws ``u`` of shape (2, ..., m):
+    ``u[0]`` holds the theta (uniform) or x (gaussian) draws and ``u[1]``
+    the delta or y draws. Scaled as 0.0 + scale * draw, as numpy's
+    ``uniform(0, theta_star)`` and ``normal(0, sigma)`` do.
 
     Uniform mechanism: theta = theta_star * draw carries the bits of
     ``uniform(0, theta_star)``, and (cos delta, sin delta) come from
-    ``_direction``. The offsets theta * cos delta and theta * sin delta are
-    written into ``u`` in place of the draws."""
+    ``_direction``. Both mechanisms write the offsets into ``u`` in place
+    of the draws and return views of it."""
     if spec.mechanism == "uniform":
         # scale * draw >= +0.0 here, which adding 0.0 leaves as it is
-        theta = np.multiply(u[..., 0, :], spec.theta_star, out=u[..., 0, :])
-        c, s = _direction(u[..., 1, :])
+        theta = np.multiply(u[0], spec.theta_star, out=u[0])
+        c, s = _direction(u[1])
         oy = np.multiply(theta, s, out=s)
         return np.multiply(theta, c, out=theta), oy
-    sigma = spec.theta_star / GAUSSIAN_CALIBRATION
-    return 0.0 + sigma * u[..., 0, :], 0.0 + sigma * u[..., 1, :]
+    # the bits of 0.0 + sigma * draw: adding 0.0 turns a -0.0 product into +0.0
+    u *= spec.theta_star / GAUSSIAN_CALIBRATION
+    u += 0.0
+    return u[0], u[1]
 
 
 def _inside(x: np.ndarray, y: np.ndarray, bounds: np.ndarray, points=slice(None)) -> np.ndarray:
@@ -187,7 +191,9 @@ def mask_coordinates(
     ``rng`` is one RngStream or Generator, which masks once and returns the
     (n, 2) masked coordinates, or a sequence of R generators, one per row,
     which returns an (R, 2, n) block: [:, 0] the masked x and [:, 1] the
-    masked y of each row, row r drawn from ``rng[r]`` alone.
+    masked y of each row, row r drawn from ``rng[r]`` alone. The block is a
+    view of plane-major (2, R, n) storage, so [:, 0] and [:, 1] are
+    C-contiguous (R, n) planes.
 
     ``bounds`` is one (x_min, x_max, y_min, y_max) rectangle shared by every
     point, a (4, n) array whose rows are the x_min, x_max, y_min and y_max
@@ -211,22 +217,28 @@ def mask_rows(
     """The (R, 2, n) masked block of ``mask_coordinates`` for the (n, 2)
     float64 points ``xy``, one row per generator of ``gens``, against
     ``bounds`` as ``checked_bounds`` returns them; nothing is checked here.
+
+    The block is stored plane-major, (2, R, n), and returned as its
+    (R, 2, n) transpose: the x and y planes stay C-contiguous, so every
+    offset, add and membership ufunc runs on contiguous (R, n) arrays.
     """
     x, y = xy[:, 0], xy[:, 1]
     draw = np.random.Generator.random if spec.mechanism == "uniform" else np.random.Generator.standard_normal
 
-    # each row's raw draws, turned into its masked coordinates in place
-    out = np.empty((len(gens), 2, x.size))
-    for gen, row in zip(gens, out):
-        draw(gen, out=row)
+    # each row's raw draws, turned into its masked coordinates in place;
+    # two calls per row consume its stream as one call of 2n values would
+    out = np.empty((2, len(gens), x.size))
+    for gen, row_x, row_y in zip(gens, out[0], out[1]):
+        draw(gen, out=row_x)
+        draw(gen, out=row_y)
     ox, oy = _offsets(spec, out)
-    np.add(x, ox, out=out[:, 0])
-    np.add(y, oy, out=out[:, 1])
+    np.add(x, ox, out=out[0])
+    np.add(y, oy, out=out[1])
     if spec.boundary == "unconstrained":
-        return out
+        return out.transpose(1, 0, 2)
 
     # pending (row, point) pairs in row-major order, so rows is ascending
-    rows, points = np.divmod(np.flatnonzero(~_inside(out[:, 0], out[:, 1], bounds)), x.size)
+    rows, points = np.divmod(np.flatnonzero(~_inside(out[0], out[1], bounds)), x.size)
     attempts = 1
     while rows.size:
         if attempts >= spec.max_attempts:
@@ -241,8 +253,8 @@ def mask_rows(
                 draw(gens[r], out=u[1, start:stop])
         ox, oy = _offsets(spec, u)
         px, py = x[points] + ox, y[points] + oy
-        out[rows, 0, points], out[rows, 1, points] = px, py
+        out[0, rows, points], out[1, rows, points] = px, py
         keep = ~_inside(px, py, bounds, points)
         rows, points = rows[keep], points[keep]
         attempts += 1
-    return out
+    return out.transpose(1, 0, 2)

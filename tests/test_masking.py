@@ -14,6 +14,7 @@ from geomasksim.masking import (
     MaskSpec,
     _direction,
     _inside,
+    _offsets,
     mask_coordinates,
 )
 from geomasksim.rng import GeneratorPool, derive_stream
@@ -235,6 +236,38 @@ def test_batched_rows_match_per_replication_oracle(mechanism, bounds_kind, rows)
     assert out.shape == (rows, 2, 300)
     for row, stream in zip(out, streams):
         np.testing.assert_array_equal(row.T, mask_one(xy, spec, bounds, stream.generator()))
+
+
+@pytest.mark.parametrize("rows", [2, 16])
+@pytest.mark.parametrize("boundary", ["unconstrained", "redraw"])
+@pytest.mark.parametrize("mechanism", ["uniform", "gaussian"])
+def test_batched_block_has_contiguous_planes(mechanism, boundary, rows):
+    # the (R, 2, n) block is a view of plane-major storage: its x and y
+    # planes are C-contiguous (R, n) arrays, redrawn points included
+    xy = np.random.default_rng(36).uniform(-0.5, 0.5, size=(200, 2))
+    spec = MaskSpec(mechanism, 0.6, boundary)
+    bounds = SQUARE if boundary == "redraw" else None
+    streams = [derive_stream(37, 0, rep) for rep in range(rows)]
+    out = mask_coordinates(xy, spec, bounds, GeneratorPool().positioned(streams))
+    assert out.shape == (rows, 2, 200)
+    assert out[:, 0].flags.c_contiguous and out[:, 1].flags.c_contiguous
+
+
+@pytest.mark.parametrize("theta_star", [0.4, 0.0])
+@pytest.mark.parametrize("mechanism", ["uniform", "gaussian"])
+def test_offsets_are_written_into_the_draw_block(mechanism, theta_star):
+    # both mechanisms return views of the (2, R, m) draws they overwrite;
+    # gaussian offsets scaled in place keep the bits of numpy's
+    # normal(0, sigma), whose zero products are +0.0
+    gen = np.random.default_rng(38)
+    u = gen.random((2, 3, 50)) if mechanism == "uniform" else gen.standard_normal((2, 3, 50))
+    ox, oy = _offsets(MaskSpec(mechanism, theta_star), u)
+    assert ox.shape == oy.shape == (3, 50)
+    assert np.shares_memory(ox, u[0]) and np.shares_memory(oy, u[1])
+    if mechanism == "gaussian":
+        expected = np.random.default_rng(38).normal(0.0, theta_star / GAUSSIAN_CALIBRATION, (2, 3, 50))
+        np.testing.assert_array_equal(u, expected)
+        np.testing.assert_array_equal(np.signbit(u), np.signbit(expected))
 
 
 @pytest.mark.parametrize("max_attempts", [1, 3])
