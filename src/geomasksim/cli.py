@@ -40,7 +40,7 @@ from .experiments import (
     run_efficiency_experiment,
     run_experiment,
 )
-from .geometry import Point, facility_distances
+from .geometry import Point, StudyArea, facility_distances
 from .logit import LogitFit, SingularInformationError, fit_distance_choice, fit_logit, wald_ci
 from .masking import BoundaryExhaustionError, MaskSpec, mask_coordinates
 from .reports import (
@@ -192,10 +192,7 @@ def _cmd_mask(args) -> int:
     if args.boundary == "redraw":
         if args.area is None:
             raise _CliError("--boundary redraw requires --area XMIN XMAX YMIN YMAX")
-        xmin, xmax, ymin, ymax = args.area
-        if not (xmin < xmax and ymin < ymax):
-            raise _CliError("--area must satisfy XMIN < XMAX and YMIN < YMAX")
-        bounds = np.array([xmin, xmax, ymin, ymax])
+        bounds = StudyArea(*args.area).bounds
     masked = mask_coordinates(xy, spec, bounds, derive_stream(args.seed or 0, 0, 0))
     write_points_csv(masked, args.out, choices=choices, ids=ids)
     print(f"wrote {args.out}")

@@ -8,12 +8,21 @@ The format is INI with five sections:
     [grid]        fractions, reference_radius, k
     [output]      out_dir, prefix, write_plots
 
-Only ``[experiment] kind`` is required; everything else has a documented
-default. Unknown sections or keys, duplicate keys, and out-of-range values
-are hard errors that name the offending field. ``reference_radius`` defaults
-by experiment kind: 0.707 (half-diagonal as printed) for csr-population,
+Only ``[experiment] kind`` is required. Every other key sets one field of
+``ExperimentConfig`` (or, in [output], of ``RunOptions``) and defaults to
+that field's default, except ``reference_radius``, whose default depends on
+the experiment kind: 0.707 (half-diagonal as printed) for csr-population,
 the study region's equivalent circle radius for fixed-area-grid, and the
 cell equivalent radius implied by k for centroid.
+
+This module only parses: it reads the text, converts each value and sets
+the field its key names. Validation lives in the dataclasses
+(``ExperimentConfig``, ``MaskSpec``, ``LogitParams``, ``Point``), so a
+config file rejects exactly what ``ExperimentConfig`` rejects. Keys are set
+one at a time on a config that is already valid, so a value that fails to
+convert or that a dataclass rejects raises a ``ConfigError`` naming its
+``[section] key``. Unknown sections or keys and duplicate keys are errors
+too.
 
 ``serialize_config`` emits a canonical rendering (fixed section and key
 order, shortest round-trip floats) such that parse -> serialize -> parse is
@@ -25,35 +34,16 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-import math
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .experiments import (
-    CSR_REFERENCE_RADIUS,
-    DEFAULT_GRID_K,
-    DEFAULT_REPLICATIONS,
-    DEFAULT_THETA_GRID,
-    EXPERIMENTS,
-    FIXED_AREA_REFERENCE_RADIUS,
-    ExperimentConfig,
-)
-from .geometry import UNIT_SQUARE, Point
-from .logit import LogitParams
-from .masking import MECHANISMS, BOUNDARY_POLICIES, MaskSpec
+from .experiments import CSR_REFERENCE_RADIUS, FIXED_AREA_REFERENCE_RADIUS, ExperimentConfig
 
 
 class ConfigError(ValueError):
     """Malformed or invalid configuration, with a field-level message."""
 
-
-_SCHEMA: dict[str, tuple[str, ...]] = {
-    "experiment": ("kind", "seed", "replications", "workers"),
-    "population": ("n", "alpha", "beta", "facility_x", "facility_y"),
-    "mask": ("mechanism", "boundary", "max_attempts"),
-    "grid": ("fractions", "reference_radius", "k"),
-    "output": ("out_dir", "prefix", "write_plots"),
-}
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
@@ -65,6 +55,44 @@ class RunOptions:
     out_dir: str = "results"
     prefix: str = "run"
     write_plots: bool = True
+
+
+def _parse_bool(raw: str) -> bool:
+    v = _BOOL.get(raw.strip().lower())
+    if v is None:
+        raise ValueError(f"expected a boolean (true/false), got {raw!r}")
+    return v
+
+
+def _parse_fractions(raw: str) -> tuple[float, ...]:
+    return tuple(float(p) for p in raw.split(",") if p.strip())
+
+
+# (section, key, converter, field it sets): "a.b" is field b of field a.
+# [experiment] kind is not listed: it is required and builds the config.
+_CONFIG_KEYS = (
+    ("experiment", "seed", int, "seed"),
+    ("experiment", "replications", int, "replications"),
+    ("experiment", "workers", int, "workers"),
+    ("population", "n", int, "n"),
+    ("population", "alpha", float, "generating_params.alpha"),
+    ("population", "beta", float, "generating_params.beta"),
+    ("population", "facility_x", float, "facility.x"),
+    ("population", "facility_y", float, "facility.y"),
+    ("mask", "mechanism", str, "mask.mechanism"),
+    ("mask", "boundary", str, "mask.boundary"),
+    ("mask", "max_attempts", int, "mask.max_attempts"),
+    ("grid", "fractions", _parse_fractions, "theta_grid"),
+    ("grid", "reference_radius", float, "reference_radius"),
+    ("grid", "k", int, "grid_k"),
+)
+_OUTPUT_KEYS = (
+    ("output", "out_dir", str, "out_dir"),
+    ("output", "prefix", str, "prefix"),
+    ("output", "write_plots", _parse_bool, "write_plots"),
+)
+_KEYS = {("experiment", "kind")} | {(section, key) for section, key, _, _ in _CONFIG_KEYS + _OUTPUT_KEYS}
+_SECTIONS = sorted({section for section, _ in _KEYS})
 
 
 def _read_sections(path: str | Path) -> dict[str, dict[str, str]]:
@@ -82,114 +110,68 @@ def _read_sections(path: str | Path) -> dict[str, dict[str, str]]:
 
     sections: dict[str, dict[str, str]] = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown section [{section}] (expected one of {sorted(_SCHEMA)})")
+        if section not in _SECTIONS:
+            raise ConfigError(f"unknown section [{section}] (expected one of {_SECTIONS})")
         for key in parser[section]:
-            if key not in _SCHEMA[section]:
-                raise ConfigError(
-                    f"unknown key {key!r} in [{section}] (expected one of {sorted(_SCHEMA[section])})"
-                )
+            if (section, key) not in _KEYS:
+                expected = sorted(k for s, k in _KEYS if s == section)
+                raise ConfigError(f"unknown key {key!r} in [{section}] (expected one of {expected})")
         sections[section] = dict(parser[section])
     return sections
 
 
-def _get(sections, section, key, default, convert, check=None, describe=""):
-    raw = sections.get(section, {}).get(key)
-    if raw is None:
-        value = default
-    else:
-        try:
-            value = convert(raw)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} ({exc})") from exc
-    if check is not None and not check(value):
-        raise ConfigError(f"[{section}] {key}: {value!r} out of range ({describe})")
-    return value
+@contextmanager
+def _naming(section: str, key: str):
+    """Raise a ValueError from the block again as a ConfigError that names
+    ``[section] key``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {key}: {exc}") from exc
 
 
-def _parse_bool(raw: str) -> bool:
-    v = _BOOL.get(raw.strip().lower())
-    if v is None:
-        raise ValueError(f"expected a boolean (true/false), got {raw!r}")
-    return v
+def _with_field(obj, field: str, value):
+    """A copy of the dataclass ``obj`` with ``field`` ("a.b": field b of
+    field a) set to ``value``; each dataclass on the way validates it."""
+    name, _, rest = field.partition(".")
+    return replace(obj, **{name: _with_field(getattr(obj, name), rest, value) if rest else value})
 
 
-def _parse_fractions(raw: str) -> tuple[float, ...]:
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("empty fraction list")
-    return tuple(float(p) for p in parts)
+def _apply(sections: dict[str, dict[str, str]], obj, keys):
+    """``obj`` with every key of ``keys`` that the file sets applied in turn.
+    Each key is set on a value that is already valid, so a rejection names
+    the key it belongs to."""
+    for section, key, convert, field in keys:
+        raw = sections.get(section, {}).get(key)
+        if raw is not None:
+            with _naming(section, key):
+                obj = _with_field(obj, field, convert(raw))
+    return obj
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:
-    """Load and validate a config file into an ExperimentConfig."""
+    """Load a config file into an ExperimentConfig."""
     s = _read_sections(path)
-
-    kind = _get(s, "experiment", "kind", None, str)
+    kind = s.get("experiment", {}).get("kind")
     if kind is None:
         raise ConfigError("[experiment] kind is required")
-    if kind not in EXPERIMENTS:
-        raise ConfigError(f"[experiment] kind: {kind!r} is not one of {EXPERIMENTS}")
-
-    k = _get(s, "grid", "k", DEFAULT_GRID_K, int, lambda v: v >= 1, ">= 1")
-    default_reference = {
-        "csr-population": CSR_REFERENCE_RADIUS,
-        "fixed-area-grid": FIXED_AREA_REFERENCE_RADIUS,
-        "centroid": FIXED_AREA_REFERENCE_RADIUS / k,
-    }[kind]
-
-    fractions = _get(
-        s, "grid", "fractions", DEFAULT_THETA_GRID, _parse_fractions,
-        lambda fs: all(0.0 <= f <= 1.0 for f in fs) and list(fs) == sorted(set(fs)),
-        "fractions must be strictly ascending within [0, 1]",
-    )
-    facility_x = _get(s, "population", "facility_x", 0.0, float, math.isfinite, "finite")
-    facility_y = _get(s, "population", "facility_y", 0.0, float, math.isfinite, "finite")
-    facility = Point(facility_x, facility_y)
-    if not UNIT_SQUARE.contains(facility):
-        raise ConfigError(f"[population] facility ({facility_x}, {facility_y}) lies outside the study area")
-
-    try:
-        mask = MaskSpec(
-            mechanism=_get(s, "mask", "mechanism", "uniform", str, lambda v: v in MECHANISMS,
-                           f"one of {MECHANISMS}"),
-            boundary=_get(s, "mask", "boundary", "unconstrained", str, lambda v: v in BOUNDARY_POLICIES,
-                          f"one of {BOUNDARY_POLICIES}"),
-            max_attempts=_get(s, "mask", "max_attempts", 1000, int, lambda v: v >= 1, ">= 1"),
-        )
-        return ExperimentConfig(
-            experiment=kind,
-            n=_get(s, "population", "n", 1000, int, lambda v: v >= 1, ">= 1"),
-            replications=_get(s, "experiment", "replications", DEFAULT_REPLICATIONS, int,
-                              lambda v: v >= 1, ">= 1"),
-            theta_grid=fractions,
-            reference_radius=_get(s, "grid", "reference_radius", default_reference, float,
-                                  lambda v: v > 0.0 and math.isfinite(v), "> 0"),
-            generating_params=LogitParams(
-                alpha=_get(s, "population", "alpha", 1.0, float, math.isfinite, "finite"),
-                beta=_get(s, "population", "beta", -2.0, float, math.isfinite, "finite"),
-            ),
-            mask=mask,
-            seed=_get(s, "experiment", "seed", 0, int, lambda v: 0 <= v < 2**64,
-                      "64-bit unsigned"),
-            workers=_get(s, "experiment", "workers", 1, int, lambda v: v >= 1, ">= 1"),
-            grid_k=k,
-            facility=facility,
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    with _naming("experiment", "kind"):
+        config = ExperimentConfig(experiment=kind)
+    config = _apply(s, config, _CONFIG_KEYS)
+    if "reference_radius" not in s.get("grid", {}):
+        # the kind and k are valid by now, so the lookup and the division are safe
+        radius = {
+            "csr-population": CSR_REFERENCE_RADIUS,
+            "fixed-area-grid": FIXED_AREA_REFERENCE_RADIUS,
+            "centroid": FIXED_AREA_REFERENCE_RADIUS / config.grid_k,
+        }[config.experiment]
+        config = replace(config, reference_radius=radius)
+    return config
 
 
 def parse_run_options(path: str | Path) -> RunOptions:
     """Load the [output] section (CLI writing options)."""
-    s = _read_sections(path)
-    return RunOptions(
-        out_dir=_get(s, "output", "out_dir", "results", str),
-        prefix=_get(s, "output", "prefix", "run", str),
-        write_plots=_get(s, "output", "write_plots", True, _parse_bool),
-    )
+    return _apply(_read_sections(path), RunOptions(), _OUTPUT_KEYS)
 
 
 def serialize_config(config: ExperimentConfig, options: RunOptions = RunOptions()) -> str:

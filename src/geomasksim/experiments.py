@@ -135,7 +135,8 @@ class BatchConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Complete description of one simulation run."""
+    """Complete description of one simulation run. Its checks, with those of
+    the fields' own dataclasses, are the only rules a config file must meet."""
 
     experiment: str
     n: int = 1000
@@ -166,10 +167,12 @@ class ExperimentConfig:
             raise ValueError(f"theta_grid fractions must lie in [0, 1], got {self.theta_grid}")
         if list(self.theta_grid) != sorted(set(self.theta_grid)):
             raise ValueError("theta_grid must be strictly ascending")
-        if not self.reference_radius > 0.0:
-            raise ValueError(f"reference_radius must be > 0, got {self.reference_radius}")
+        if not 0.0 < self.reference_radius < math.inf:
+            raise ValueError(f"reference_radius must be positive and finite, got {self.reference_radius}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        if not UNIT_SQUARE.contains(self.facility):
+            raise ValueError(f"facility ({self.facility.x}, {self.facility.y}) lies outside the study area")
 
     def theta_values(self) -> tuple[float, ...]:
         """Absolute masking radii: reference_radius x grid fractions."""

@@ -5,8 +5,9 @@ are printed with 17 significant digits (shortest exact round-trip for IEEE
 doubles; a failed fit's estimates as ``nan``), booleans as
 ``true``/``false``, missing values as empty cells; rows are in ascending
 theta* (records: then by rep); files end with a trailing newline and are
-UTF-8. Every reader rejects a file whose header or whose field count on
-any row differs from its schema.
+UTF-8. Every reader goes through ``_read_rows``: it rejects a file whose
+header or whose field count on any row differs from its schema, and names
+the line of a row whose values it cannot read.
 
 Schemas:
 
@@ -45,6 +46,7 @@ CURVE_HEADER = (
 EFFICIENCY_HEADER = (
     "theta_star", "info_true", "info_masked_analytic", "el_analytic", "el_empirical",
 )
+POINTS_HEADER = ("id", "x", "y")  # and an optional "choice" column
 
 
 @dataclass(frozen=True)
@@ -115,22 +117,22 @@ def write_records_csv(theta_stars: tuple[float, ...], columns: dict[str, np.ndar
     return _write_csv(path, RECORDS_HEADER, rows())
 
 
+def _record(row: dict[str, str]) -> ReplicationRecord:
+    return ReplicationRecord(
+        theta_star=float(row["theta_star"]),
+        rep=int(row["rep"]),
+        alpha_hat=float(row["alpha_hat"]),
+        beta_hat=float(row["beta_hat"]),
+        se_beta=float(row["se_beta"]),
+        converged=_parse_bool(row["converged"]),
+        iterations=int(row["iterations"]),
+        significant_beta=_parse_bool(row["significant_beta"]),
+        outside_true_ci=_parse_bool(row["outside_true_ci"]),
+    )
+
+
 def read_records_csv(path: str | Path) -> list[ReplicationRecord]:
-    rows = _read_rows(path, RECORDS_HEADER)
-    return [
-        ReplicationRecord(
-            theta_star=float(row["theta_star"]),
-            rep=int(row["rep"]),
-            alpha_hat=float(row["alpha_hat"]),
-            beta_hat=float(row["beta_hat"]),
-            se_beta=float(row["se_beta"]),
-            converged=_parse_bool(row["converged"]),
-            iterations=int(row["iterations"]),
-            significant_beta=_parse_bool(row["significant_beta"]),
-            outside_true_ci=_parse_bool(row["outside_true_ci"]),
-        )
-        for row in rows
-    ]
+    return _read_rows(path, _record, RECORDS_HEADER)
 
 
 def write_curve_csv(
@@ -166,21 +168,19 @@ def write_curve_csv(
     return _write_rows(path, CURVE_HEADER, cells())
 
 
-def read_curve_csv(path: str | Path) -> AttenuationCurve:
-    rows = _read_rows(path, CURVE_HEADER)
-    return AttenuationCurve(
-        rows=tuple(
-            CurveRow(
-                theta_star=float(row["theta_star"]),
-                mean_abs_beta=float(row["mean_abs_beta"]),
-                sd_beta=float(row["sd_beta"]),
-                pct_outside_true_ci=float(row["pct_outside_true_ci"]),
-                pct_nonsignificant=float(row["pct_nonsignificant"]),
-                convergence_rate=float(row["convergence_rate"]),
-            )
-            for row in rows
-        )
+def _curve_row(row: dict[str, str]) -> CurveRow:
+    return CurveRow(
+        theta_star=float(row["theta_star"]),
+        mean_abs_beta=float(row["mean_abs_beta"]),
+        sd_beta=float(row["sd_beta"]),
+        pct_outside_true_ci=float(row["pct_outside_true_ci"]),
+        pct_nonsignificant=float(row["pct_nonsignificant"]),
+        convergence_rate=float(row["convergence_rate"]),
     )
+
+
+def read_curve_csv(path: str | Path) -> AttenuationCurve:
+    return AttenuationCurve(rows=tuple(_read_rows(path, _curve_row, CURVE_HEADER)))
 
 
 def write_efficiency_csv(reports: list[EfficiencyReport], path: str | Path) -> Path:
@@ -211,7 +211,7 @@ def write_points_csv(
     ids = np.arange(n) if ids is None else np.asarray(ids)
     if ids.shape != (n,):
         raise ValueError("ids length must match xy")
-    header = ("id", "x", "y") if choices is None else ("id", "x", "y", "choice")
+    header = POINTS_HEADER if choices is None else POINTS_HEADER + ("choice",)
     if choices is None:
         rows = ((int(i), x, y) for i, (x, y) in zip(ids, xy))
     else:
@@ -222,39 +222,26 @@ def write_points_csv(
     return _write_rows(path, header, rows)
 
 
+def _point(row: dict[str, str]) -> tuple[int, float, float, int | None]:
+    x, y = float(row["x"]), float(row["y"])
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"coordinates must be finite, got ({row['x']}, {row['y']})")
+    if "choice" not in row:
+        return int(row["id"]), x, y, None
+    c = int(row["choice"])
+    if c not in (0, 1):
+        raise ValueError(f"choice must be 0 or 1, got {row['choice']}")
+    return int(row["id"]), x, y, c
+
+
 def read_points_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Returns (ids, xy, choices-or-None)."""
-    path = Path(path)
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        if tuple(header) not in (("id", "x", "y"), ("id", "x", "y", "choice")):
-            raise ValueError(f"{path}: unexpected header {header}; expected id,x,y[,choice]")
-        has_choice = len(header) == 4
-        ids, xs, ys, cs = [], [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}")
-            ids.append(int(row[0]))
-            x, y = float(row[1]), float(row[2])
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ValueError(f"{path}:{lineno}: coordinates must be finite, got ({row[1]}, {row[2]})")
-            xs.append(x)
-            ys.append(y)
-            if has_choice:
-                c = int(row[3])
-                if c not in (0, 1):
-                    raise ValueError(f"{path}:{lineno}: choice must be 0 or 1, got {row[3]}")
-                cs.append(c)
-    if not ids:
+    rows = _read_rows(path, _point, POINTS_HEADER, POINTS_HEADER + ("choice",))
+    if not rows:
         raise ValueError(f"{path}: no data rows")
+    ids, xs, ys, choices = zip(*rows)
     xy = np.column_stack([np.array(xs), np.array(ys)])
-    return np.array(ids), xy, (np.array(cs, dtype=np.int64) if has_choice else None)
+    return np.array(ids), xy, (None if choices[0] is None else np.array(choices, dtype=np.int64))
 
 
 def _parse_bool(raw: str) -> bool:
@@ -265,22 +252,30 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected true/false, got {raw!r}")
 
 
-def _read_rows(path: str | Path, header: tuple[str, ...]) -> list[dict[str, str]]:
-    """The data rows of a CSV with exactly ``header``, as dicts; blank lines
-    are skipped and any other row must have one field per column."""
+def _read_rows(path: str | Path, convert, *headers: tuple[str, ...]) -> list:
+    """``convert`` of each data row of a CSV whose header is one of
+    ``headers``, the row given as a dict keyed by that header. Blank lines
+    are skipped, any other row must have one field per column, and a
+    ValueError from ``convert`` is raised again with the row's line."""
     path = Path(path)
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        found = next(reader, None)
-        if found is None or tuple(found) != header:
-            raise ValueError(f"{path}: unexpected header {found}; expected {header}")
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
+        header = tuple(header)
+        if header not in headers:
+            raise ValueError(f"{path}: unexpected header {header}; expected {' or '.join(map(str, headers))}")
         rows = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(header):
                 raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            rows.append(dict(zip(header, row)))
+            try:
+                rows.append(convert(dict(zip(header, row))))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return rows
 
 

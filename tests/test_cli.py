@@ -346,6 +346,19 @@ def test_mask_bad_area_string(tmp_path):
     assert rc == EXIT_VALIDATION
 
 
+def test_mask_infinite_area_exit_1(tmp_path, capsys):
+    # every point lies inside [0, inf) x [0, 1], but a study area must be finite
+    src = tmp_path / "points.csv"
+    write_points_csv(np.random.default_rng(3).uniform(0.2, 0.8, (50, 2)), src)
+    out = tmp_path / "m.csv"
+    rc = main(["mask", "--points", str(src), "--out", str(out), "--theta-star", "0.1",
+               "--boundary", "redraw", "--area", "0", "inf", "0", "1"])
+    assert rc == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: bounds must be finite") and err.count("\n") == 1
+    assert not out.exists()
+
+
 # --- fit ---
 
 

@@ -1,0 +1,117 @@
+"""A config file rejects exactly what ExperimentConfig rejects.
+
+The rules live in the dataclasses; ``parse_config`` only converts text and
+names the ``[section] key`` a rejected value came from.
+"""
+
+import math
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from geomasksim.cli import EXIT_VALIDATION, main
+from geomasksim.config import ConfigError, parse_config, serialize_config
+from geomasksim.experiments import EXPERIMENTS, ExperimentConfig
+from geomasksim.geometry import UNIT_SQUARE, Point
+from geomasksim.logit import LogitParams
+from geomasksim.masking import BOUNDARY_POLICIES, MECHANISMS, MaskSpec
+
+# (kind, section, key, value, the same value given to ExperimentConfig)
+REJECTED = [
+    ("csr-population", "population", "n", "0", lambda: ExperimentConfig("csr-population", n=0)),
+    ("csr-population", "experiment", "replications", "0",
+     lambda: ExperimentConfig("csr-population", replications=0)),
+    ("csr-population", "experiment", "workers", "0", lambda: ExperimentConfig("csr-population", workers=0)),
+    ("centroid", "grid", "k", "0", lambda: ExperimentConfig("centroid", grid_k=0)),
+    ("centroid", "grid", "k", "-2", lambda: ExperimentConfig("centroid", grid_k=-2)),
+    ("csr-population", "grid", "fractions", "0.5, 1.5",
+     lambda: ExperimentConfig("csr-population", theta_grid=(0.5, 1.5))),
+    ("csr-population", "grid", "fractions", "0.5, 0.2",
+     lambda: ExperimentConfig("csr-population", theta_grid=(0.5, 0.2))),
+    ("csr-population", "grid", "reference_radius", "0",
+     lambda: ExperimentConfig("csr-population", reference_radius=0.0)),
+    ("csr-population", "grid", "reference_radius", "inf",
+     lambda: ExperimentConfig("csr-population", reference_radius=math.inf)),
+    ("csr-population", "grid", "reference_radius", "nan",
+     lambda: ExperimentConfig("csr-population", reference_radius=math.nan)),
+    ("csr-population", "population", "alpha", "nan",
+     lambda: ExperimentConfig("csr-population", generating_params=LogitParams(math.nan, -2.0))),
+    ("csr-population", "population", "facility_x", "inf",
+     lambda: ExperimentConfig("csr-population", facility=Point(math.inf, 0.0))),
+    ("csr-population", "population", "facility_x", "0.9",
+     lambda: ExperimentConfig("csr-population", facility=Point(0.9, 0.0))),
+    ("csr-population", "experiment", "seed", "-3", lambda: ExperimentConfig("csr-population", seed=-3)),
+    ("csr-population", "experiment", "seed", str(2**64), lambda: ExperimentConfig("csr-population", seed=2**64)),
+    ("csr-population", "mask", "mechanism", "jitter",
+     lambda: ExperimentConfig("csr-population", mask=MaskSpec(mechanism="jitter"))),
+    ("csr-population", "mask", "boundary", "clip",
+     lambda: ExperimentConfig("csr-population", mask=MaskSpec(boundary="clip"))),
+    ("csr-population", "mask", "max_attempts", "0",
+     lambda: ExperimentConfig("csr-population", mask=MaskSpec(max_attempts=0))),
+]
+
+
+def _config_text(kind, section, key, value):
+    if section == "experiment":
+        return f"[experiment]\nkind = {kind}\n{key} = {value}\n"
+    return f"[experiment]\nkind = {kind}\n\n[{section}]\n{key} = {value}\n"
+
+
+@pytest.mark.parametrize(
+    "kind, section, key, value, build", REJECTED, ids=[f"{key}={value}" for _, _, key, value, _ in REJECTED]
+)
+def test_rejected_value(tmp_path, capsys, kind, section, key, value, build):
+    path = tmp_path / "run.ini"
+    path.write_text(_config_text(kind, section, key, value), encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"^\\[{section}\\] {key}: "):
+        parse_config(path)
+
+    assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: [{section}] {key}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+    with pytest.raises(ValueError):
+        build()
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_COORD = st.floats(UNIT_SQUARE.xmin, UNIT_SQUARE.xmax)
+_COUNT = st.integers(1, 2**40)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    config=st.builds(
+        ExperimentConfig,
+        experiment=st.sampled_from(EXPERIMENTS),
+        n=_COUNT,
+        replications=_COUNT,
+        theta_grid=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12, unique=True).map(
+            lambda fs: tuple(sorted(fs))
+        ),
+        reference_radius=st.floats(0.0, exclude_min=True, allow_infinity=False),
+        generating_params=st.builds(LogitParams, _FINITE, _FINITE),
+        mask=st.builds(
+            MaskSpec,
+            mechanism=st.sampled_from(MECHANISMS),
+            boundary=st.sampled_from(BOUNDARY_POLICIES),
+            max_attempts=_COUNT,
+        ),
+        seed=st.integers(0, 2**64 - 1),
+        workers=_COUNT,
+        grid_k=_COUNT,
+        facility=st.builds(Point, _COORD, _COORD),
+    )
+)
+def test_every_valid_config_round_trips(config):
+    # the parser adds no rule of its own: whatever the dataclass accepts,
+    # the canonical text of it parses back to the same config
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.ini"
+        path.write_text(serialize_config(config), encoding="utf-8")
+        assert parse_config(path) == config
