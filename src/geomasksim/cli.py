@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -46,10 +45,12 @@ from .masking import BoundaryExhaustionError, MaskSpec, mask_coordinates
 from .reports import (
     RunManifest,
     read_curve_csv,
+    read_json,
     read_points_csv,
     read_records_csv,
     write_curve_csv,
     write_efficiency_csv,
+    write_json,
     write_manifest,
     write_points_csv,
     write_records_csv,
@@ -131,10 +132,7 @@ def _cmd_simulate(args) -> int:
     if reports:
         record(write_efficiency_csv(reports, out / f"{prefix}_efficiency.csv"))
 
-    baseline_path = out / f"{prefix}_baseline.json"
-    baseline_path.parent.mkdir(parents=True, exist_ok=True)
-    baseline_path.write_text(json.dumps(_baseline_payload(result.baseline), indent=2) + "\n", encoding="utf-8")
-    record(baseline_path)
+    record(write_json(_baseline_payload(result.baseline), out / f"{prefix}_baseline.json"))
 
     if options.write_plots:
         record(render_attenuation_svg(result.curve, result.baseline.params.beta, out / f"{prefix}_attenuation.svg"))
@@ -258,7 +256,7 @@ def _is_number(value) -> bool:
 def _read_baseline(path: str, with_ci: bool) -> dict:
     """The baseline JSON ``simulate`` writes, checked for the fields ``plot``
     uses: a numeric ``beta`` and, ``with_ci``, a ``ci_beta`` of two numbers."""
-    baseline = json.loads(Path(path).read_text(encoding="utf-8"))
+    baseline = read_json(path)
     if not isinstance(baseline, dict) or not _is_number(baseline.get("beta")):
         raise _CliError(f"{path}: baseline must be a JSON object with a numeric \"beta\"")
     ci = baseline.get("ci_beta")

@@ -24,16 +24,21 @@ convert or that a dataclass rejects raises a ``ConfigError`` naming its
 ``[section] key``. Unknown sections or keys and duplicate keys are errors
 too.
 
-``serialize_config`` emits a canonical rendering (fixed section and key
-order, shortest round-trip floats) such that parse -> serialize -> parse is
-a fixed point; the run manifest's config hash is the SHA-256 of that
-canonical text.
+One key table (``_CONFIG_KEYS``, ``_OUTPUT_KEYS``: section, key, converter,
+field) drives both directions. ``serialize_config`` walks it and writes
+every field with the inverse of its key's converter, giving a canonical
+rendering (fixed section and key order, shortest round-trip floats) such
+that parse -> serialize -> parse is a fixed point; the run manifest's
+config hash is the SHA-256 of that canonical text. ``RunOptions`` rejects
+an ``out_dir`` or ``prefix`` that one INI line cannot carry back.
 """
 
 from __future__ import annotations
 
 import configparser
+import functools
 import hashlib
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -48,13 +53,31 @@ class ConfigError(ValueError):
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
 
+# What an INI value line cannot carry back: a `#` or `;` that opens an
+# inline comment (at the start of the value or after whitespace), a line
+# break, whitespace at either end (the parser strips it), or a lone
+# surrogate, which UTF-8 cannot encode (undecodable bytes of a command-line
+# argument arrive as one).
+_UNWRITABLE = re.compile(r"(^|\s)[#;]|[\r\n\ud800-\udfff]|^\s|\s$")
+
+
 @dataclass(frozen=True)
 class RunOptions:
-    """[output] section: where and what the CLI writes."""
+    """[output] section: where and what the CLI writes. The two names must
+    read back unchanged from their config line."""
 
     out_dir: str = "results"
     prefix: str = "run"
     write_plots: bool = True
+
+    def __post_init__(self):
+        for name in ("out_dir", "prefix"):
+            value = getattr(self, name)
+            if _UNWRITABLE.search(value):
+                raise ValueError(
+                    f"{name} {value!r} cannot be written to a config line: it must not start or end "
+                    "with whitespace, hold a line break or a lone surrogate, or hold '#' or ';' at its start or after whitespace"
+                )
 
 
 def _parse_bool(raw: str) -> bool:
@@ -91,6 +114,11 @@ _OUTPUT_KEYS = (
     ("output", "prefix", str, "prefix"),
     ("output", "write_plots", _parse_bool, "write_plots"),
 )
+# The text of a value for each converter that ``str`` does not invert.
+_UNPARSE = {
+    _parse_fractions: lambda fractions: ", ".join(map(str, fractions)),
+    _parse_bool: lambda flag: "true" if flag else "false",
+}
 _KEYS = {("experiment", "kind")} | {(section, key) for section, key, _, _ in _CONFIG_KEYS + _OUTPUT_KEYS}
 _SECTIONS = sorted({section for section, _ in _KEYS})
 
@@ -175,40 +203,17 @@ def parse_run_options(path: str | Path) -> RunOptions:
 
 
 def serialize_config(config: ExperimentConfig, options: RunOptions = RunOptions()) -> str:
-    """Canonical INI rendering: every field explicit, fixed order,
-    shortest round-trip float formatting."""
-    fac = config.facility
-    lines = [
-        "[experiment]",
-        f"kind = {config.experiment}",
-        f"seed = {config.seed}",
-        f"replications = {config.replications}",
-        f"workers = {config.workers}",
-        "",
-        "[population]",
-        f"n = {config.n}",
-        f"alpha = {config.generating_params.alpha!r}",
-        f"beta = {config.generating_params.beta!r}",
-        f"facility_x = {fac.x!r}",
-        f"facility_y = {fac.y!r}",
-        "",
-        "[mask]",
-        f"mechanism = {config.mask.mechanism}",
-        f"boundary = {config.mask.boundary}",
-        f"max_attempts = {config.mask.max_attempts}",
-        "",
-        "[grid]",
-        f"fractions = {', '.join(repr(f) for f in config.theta_grid)}",
-        f"reference_radius = {config.reference_radius!r}",
-        f"k = {config.grid_k}",
-        "",
-        "[output]",
-        f"out_dir = {options.out_dir}",
-        f"prefix = {options.prefix}",
-        f"write_plots = {'true' if options.write_plots else 'false'}",
-        "",
-    ]
-    return "\n".join(lines)
+    """Canonical INI rendering: every key of the key tables in their order,
+    each value written by the inverse of its key's converter."""
+    section, lines = "experiment", ["[experiment]", f"kind = {config.experiment}"]
+    for obj, keys in ((config, _CONFIG_KEYS), (options, _OUTPUT_KEYS)):
+        for key_section, key, convert, field in keys:
+            if key_section != section:
+                section = key_section
+                lines += ["", f"[{section}]"]
+            value = functools.reduce(getattr, field.split("."), obj)  # "a.b": field b of field a
+            lines.append(f"{key} = {_UNPARSE.get(convert, str)(value)}")
+    return "\n".join(lines) + "\n"
 
 
 def config_hash(config: ExperimentConfig, options: RunOptions = RunOptions()) -> str:

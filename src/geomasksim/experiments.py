@@ -180,6 +180,21 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
+class ReplicationRecord:
+    """One refit after one masking replication: a row of the records CSV."""
+
+    theta_star: float
+    rep: int
+    alpha_hat: float
+    beta_hat: float
+    se_beta: float
+    converged: bool
+    iterations: int
+    significant_beta: bool
+    outside_true_ci: bool
+
+
+@dataclass(frozen=True)
 class CurveRow:
     """Aggregates over one theta* cell (converged replications only; the
     convergence rate is over all replications)."""
@@ -252,10 +267,11 @@ _WORKER: dict = {}
 # checks the start points once per run.
 mask_coordinates = mask_rows
 
-# Per-replication columns of the block kernel, named and ordered as in the
-# records CSV; the attenuation run adds the two flags.
-_COLUMNS = ("alpha_hat", "beta_hat", "se_beta", "converged", "iterations")
-RECORD_COLUMNS = _COLUMNS + ("significant_beta", "outside_true_ci")
+# Per-replication columns of a run: the fields of a record after its
+# (theta_star, rep). The block kernel fills all but the two flags, which the
+# attenuation run adds.
+RECORD_COLUMNS = tuple(f.name for f in dataclasses.fields(ReplicationRecord))[2:]
+_COLUMNS = RECORD_COLUMNS[:-2]
 
 
 def _init_worker(payload: dict) -> None:

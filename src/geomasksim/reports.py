@@ -1,27 +1,27 @@
-"""CSV emission/ingestion and the run manifest.
+"""CSV and JSON emission, CSV ingestion and the run manifest.
 
-All emissions are deterministic for a fixed (seed, config, version): floats
-are printed with 17 significant digits (shortest exact round-trip for IEEE
-doubles; a failed fit's estimates as ``nan``), booleans as
-``true``/``false``, missing values as empty cells; rows are in ascending
-theta* (records: then by rep); files end with a trailing newline and are
-UTF-8. Every reader goes through ``_read_rows``: it rejects a file whose
-header or whose field count on any row differs from its schema, and names
-the line of a row whose values it cannot read.
+All emissions are deterministic for a fixed (seed, config, version). Every
+CSV writer builds its columns and formats each whole through one formatter,
+``_format_column``: floats with 17 significant digits (enough to read any
+IEEE double back exactly; a failed fit's estimates as ``nan``), booleans as
+``true``/``false``, ints in decimal and missing values as empty cells. Rows
+are in ascending theta* (records: then by rep); files end with a trailing
+newline and are UTF-8. Every reader goes through ``_read_rows``: it rejects
+a file whose header or whose field count on any row differs from its
+schema, and names the line of a row whose values it cannot read.
 
-Schemas:
+Schemas (each CSV's columns are the fields of its row dataclass, in order,
+and its writer and reader are derived from that one list):
 
-    records:    theta_star,rep,alpha_hat,beta_hat,se_beta,converged,
-                iterations,significant_beta,outside_true_ci
-                (written from the run's (cells, replications) columns,
-                each formatted whole by its dtype, and read back as
-                ReplicationRecord rows)
-    curve:      theta_star,mean_abs_beta,sd_beta,pct_outside_true_ci,
-                pct_nonsignificant,convergence_rate,el_analytic,
-                el_empirical
-    efficiency: theta_star,info_true,info_masked_analytic,el_analytic,
-                el_empirical
+    records:    the fields of ReplicationRecord (written from the run's
+                (cells, replications) columns, read back as rows)
+    curve:      the fields of CurveRow, then el_analytic and el_empirical
+                of the cell's EfficiencyReport (empty when there is none)
+    efficiency: the fields of EfficiencyReport
     points:     id,x,y[,choice]
+
+The baseline fit and the run manifest are JSON objects, each written by
+``write_json``.
 """
 
 from __future__ import annotations
@@ -29,110 +29,76 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass
-from itertools import repeat
+import typing
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .efficiency import EfficiencyReport
-from .experiments import RECORD_COLUMNS, AttenuationCurve, CurveRow
+from .experiments import RECORD_COLUMNS, AttenuationCurve, CurveRow, ReplicationRecord
 
-RECORDS_HEADER = ("theta_star", "rep") + RECORD_COLUMNS
-CURVE_HEADER = (
-    "theta_star", "mean_abs_beta", "sd_beta", "pct_outside_true_ci",
-    "pct_nonsignificant", "convergence_rate", "el_analytic", "el_empirical",
-)
-EFFICIENCY_HEADER = (
-    "theta_star", "info_true", "info_masked_analytic", "el_analytic", "el_empirical",
-)
+
+def _names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+RECORDS_HEADER = _names(ReplicationRecord)
+EFFICIENCY_HEADER = _names(EfficiencyReport)
+_EL_COLUMNS = EFFICIENCY_HEADER[-2:]  # el_analytic, el_empirical
+CURVE_HEADER = _names(CurveRow) + _EL_COLUMNS
 POINTS_HEADER = ("id", "x", "y")  # and an optional "choice" column
 
 
-@dataclass(frozen=True)
-class ReplicationRecord:
-    """One row of a records CSV: one refit after one masking replication."""
-
-    theta_star: float
-    rep: int
-    alpha_hat: float
-    beta_hat: float
-    se_beta: float
-    converged: bool
-    iterations: int
-    significant_beta: bool
-    outside_true_ci: bool
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool) or isinstance(value, np.bool_):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
-
-
-def _format_column(values: np.ndarray) -> list[str]:
-    """``_fmt`` of every value of a 1-d array, chosen once by its dtype:
-    ``true``/``false`` for bools, ``str`` for ints, ``.17g`` for floats."""
+def _format_column(values) -> list[str]:
+    """The CSV field of every value of a 1-d column, the format chosen once
+    by its dtype: ``true``/``false`` for bools, ``str`` for ints, ``.17g``
+    for floats, and an empty cell for a missing (None) value."""
+    values = np.asarray(values)
     if values.dtype == np.bool_:
         return np.where(values, "true", "false").tolist()
     if values.dtype.kind in "iu":
         return list(map(str, values.tolist()))
-    return [format(v, ".17g") for v in values.tolist()]
+    return ["" if v is None else format(v, ".17g") for v in values.tolist()]
 
 
-def _write_csv(path: str | Path, header: tuple[str, ...], rows) -> Path:
-    """``header`` and then ``rows`` of formatted fields, one line each. No
-    formatted number, flag or empty cell holds a comma, quote or newline,
-    so the fields are joined as ``csv.writer`` would write them, unquoted."""
+def _write_csv(path: str | Path, header: tuple[str, ...], blocks) -> Path:
+    """``header`` and then the rows of each block: a block is one list of
+    fields per column, as ``_format_column`` gives them. No formatted
+    number, flag or empty cell holds a comma, quote or newline, so the
+    fields are joined as ``csv.writer`` would write them, unquoted."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in rows)
+        for columns in blocks:
+            fh.writelines(",".join(row) + "\n" for row in zip(*columns))
     return path
 
 
-def _write_rows(path: str | Path, header: tuple[str, ...], rows) -> Path:
-    return _write_csv(path, header, ([_fmt(v) for v in row] for row in rows))
+def _format_fields(rows, names: tuple[str, ...]) -> list[list[str]]:
+    """Each named field of ``rows`` as one formatted column; a row that is
+    None gives empty cells."""
+    return [_format_column([getattr(row, name, None) for row in rows]) for name in names]
 
 
 def write_records_csv(theta_stars: tuple[float, ...], columns: dict[str, np.ndarray], path: str | Path) -> Path:
     """One row per (cell, replication) of the ``RECORD_COLUMNS``, each shaped
     (cells, replications) with cell c at ``theta_stars[c]``; rows follow
-    the columns' order, cell by cell. Each cell's columns are formatted
-    whole (``_format_column``), to the bytes ``_fmt`` gives per value."""
+    the columns' order, one block of rows per cell. The theta* and rep
+    fields are formatted once and repeated in every cell."""
     if not theta_stars:
         raise ValueError("no records to write")
-
-    def rows():
-        for c, theta_star in enumerate(theta_stars):
-            fields = [_format_column(columns[name][c]) for name in RECORD_COLUMNS]
-            reps = map(str, range(len(fields[0])))
-            yield from zip(repeat(_fmt(theta_star)), reps, *fields)
-
-    return _write_csv(path, RECORDS_HEADER, rows())
-
-
-def _record(row: dict[str, str]) -> ReplicationRecord:
-    return ReplicationRecord(
-        theta_star=float(row["theta_star"]),
-        rep=int(row["rep"]),
-        alpha_hat=float(row["alpha_hat"]),
-        beta_hat=float(row["beta_hat"]),
-        se_beta=float(row["se_beta"]),
-        converged=_parse_bool(row["converged"]),
-        iterations=int(row["iterations"]),
-        significant_beta=_parse_bool(row["significant_beta"]),
-        outside_true_ci=_parse_bool(row["outside_true_ci"]),
+    reps = _format_column(range(columns[RECORD_COLUMNS[0]].shape[1]))
+    blocks = (
+        [[theta_star] * len(reps), reps, *(_format_column(columns[name][c]) for name in RECORD_COLUMNS)]
+        for c, theta_star in enumerate(_format_column(theta_stars))
     )
+    return _write_csv(path, RECORDS_HEADER, blocks)
 
 
 def read_records_csv(path: str | Path) -> list[ReplicationRecord]:
-    return _read_rows(path, _record, RECORDS_HEADER)
+    return _read_rows(path, _converter(ReplicationRecord), RECORDS_HEADER)
 
 
 def write_curve_csv(
@@ -143,58 +109,25 @@ def write_curve_csv(
     """One row per theta*; efficiency columns are empty when no reports are
     supplied (e.g. centroid runs). Reports, when given, must cover the same
     theta* grid in the same order."""
-    reports: list[EfficiencyReport | None]
-    if efficiency_reports is None:
-        reports = [None] * len(curve.rows)
-    else:
-        if len(efficiency_reports) != len(curve.rows):
-            raise ValueError(
-                f"{len(efficiency_reports)} efficiency reports for {len(curve.rows)} curve rows"
-            )
-        for row, rep in zip(curve.rows, efficiency_reports):
-            if abs(row.theta_star - rep.theta_star) > 1e-12:
-                raise ValueError(f"report theta* {rep.theta_star} does not match row {row.theta_star}")
-        reports = list(efficiency_reports)
-
-    def cells():
-        for row, rep in zip(curve.rows, reports):
-            yield (
-                row.theta_star, row.mean_abs_beta, row.sd_beta,
-                row.pct_outside_true_ci, row.pct_nonsignificant, row.convergence_rate,
-                None if rep is None else rep.el_analytic,
-                None if rep is None else rep.el_empirical,
-            )
-
-    return _write_rows(path, CURVE_HEADER, cells())
-
-
-def _curve_row(row: dict[str, str]) -> CurveRow:
-    return CurveRow(
-        theta_star=float(row["theta_star"]),
-        mean_abs_beta=float(row["mean_abs_beta"]),
-        sd_beta=float(row["sd_beta"]),
-        pct_outside_true_ci=float(row["pct_outside_true_ci"]),
-        pct_nonsignificant=float(row["pct_nonsignificant"]),
-        convergence_rate=float(row["convergence_rate"]),
-    )
+    reports = [None] * len(curve.rows) if efficiency_reports is None else efficiency_reports
+    if len(reports) != len(curve.rows):
+        raise ValueError(f"{len(reports)} efficiency reports for {len(curve.rows)} curve rows")
+    for row, rep in zip(curve.rows, reports):
+        if rep is not None and abs(row.theta_star - rep.theta_star) > 1e-12:
+            raise ValueError(f"report theta* {rep.theta_star} does not match row {row.theta_star}")
+    columns = _format_fields(curve.rows, _names(CurveRow)) + _format_fields(reports, _EL_COLUMNS)
+    return _write_csv(path, CURVE_HEADER, [columns])
 
 
 def read_curve_csv(path: str | Path) -> AttenuationCurve:
-    return AttenuationCurve(rows=tuple(_read_rows(path, _curve_row, CURVE_HEADER)))
+    return AttenuationCurve(rows=tuple(_read_rows(path, _converter(CurveRow), CURVE_HEADER)))
 
 
 def write_efficiency_csv(reports: list[EfficiencyReport], path: str | Path) -> Path:
     if not reports:
         raise ValueError("no efficiency reports to write")
     rows = sorted(reports, key=lambda r: r.theta_star)
-    return _write_rows(
-        path,
-        EFFICIENCY_HEADER,
-        (
-            (r.theta_star, r.info_true, r.info_masked_analytic, r.el_analytic, r.el_empirical)
-            for r in rows
-        ),
-    )
+    return _write_csv(path, EFFICIENCY_HEADER, [_format_fields(rows, EFFICIENCY_HEADER)])
 
 
 def write_points_csv(
@@ -211,15 +144,13 @@ def write_points_csv(
     ids = np.arange(n) if ids is None else np.asarray(ids)
     if ids.shape != (n,):
         raise ValueError("ids length must match xy")
-    header = POINTS_HEADER if choices is None else POINTS_HEADER + ("choice",)
-    if choices is None:
-        rows = ((int(i), x, y) for i, (x, y) in zip(ids, xy))
-    else:
+    header, columns = POINTS_HEADER, [ids.astype(np.int64), xy[:, 0], xy[:, 1]]
+    if choices is not None:
         choices = np.asarray(choices)
         if choices.shape != (n,):
             raise ValueError("choices length must match xy")
-        rows = ((int(i), x, y, int(c)) for i, (x, y), c in zip(ids, xy, choices))
-    return _write_rows(path, header, rows)
+        header, columns = header + ("choice",), columns + [choices.astype(np.int64)]
+    return _write_csv(path, header, [list(map(_format_column, columns))])
 
 
 def _point(row: dict[str, str]) -> tuple[int, float, float, int | None]:
@@ -250,6 +181,16 @@ def _parse_bool(raw: str) -> bool:
     if raw == "false":
         return False
     raise ValueError(f"expected true/false, got {raw!r}")
+
+
+_PARSERS = {float: float, int: int, bool: _parse_bool}
+
+
+def _converter(cls):
+    """The ``cls`` of a row dict keyed by the CSV header, each field parsed
+    by its annotated type."""
+    parsers = [(name, _PARSERS[kind]) for name, kind in typing.get_type_hints(cls).items()]
+    return lambda row: cls(**{name: parse(row[name]) for name, parse in parsers})
 
 
 def _read_rows(path: str | Path, convert, *headers: tuple[str, ...]) -> list:
@@ -290,12 +231,18 @@ class RunManifest:
     finished_at: str
     outputs: list[str]
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2) + "\n"
+
+def write_json(payload: dict, path: str | Path) -> Path:
+    """``payload`` as JSON indented by two spaces, with a trailing newline."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    return path
+
+
+def read_json(path: str | Path):
+    return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
 def write_manifest(manifest: RunManifest, path: str | Path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(manifest.to_json(), encoding="utf-8")
-    return path
+    return write_json(asdict(manifest), path)

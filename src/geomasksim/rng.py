@@ -155,8 +155,9 @@ def efficiency_masked_stream(seed: int, theta_index: int, rep_index: int) -> Rng
 def as_generator(rng) -> np.random.Generator:
     """Accept either an RngStream or an already-positioned numpy Generator.
 
-    Lets compound operations (e.g. regenerate choices, then mask, from one
-    replication stream) share a single sequential draw source.
+    The population draws (``generate_csr_xy``, ``simulate_choices_xy``) pass
+    their streams through it, and ``mask_coordinates`` passes each stream or
+    already-positioned generator it is given (one, or one per row).
     """
     if isinstance(rng, np.random.Generator):
         return rng

@@ -5,6 +5,7 @@ names the ``[section] key`` a rejected value came from.
 """
 
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geomasksim.cli import EXIT_VALIDATION, main
-from geomasksim.config import ConfigError, parse_config, serialize_config
+from geomasksim.config import ConfigError, RunOptions, parse_config, parse_run_options, serialize_config
 from geomasksim.experiments import EXPERIMENTS, ExperimentConfig
 from geomasksim.geometry import UNIT_SQUARE, Point
 from geomasksim.logit import LogitParams
@@ -115,3 +116,44 @@ def test_every_valid_config_round_trips(config):
         path = Path(tmp) / "run.ini"
         path.write_text(serialize_config(config), encoding="utf-8")
         assert parse_config(path) == config
+
+
+# text that an INI value line handles specially, mixed into arbitrary text
+_OUTPUT_TEXT = st.text(st.characters() | st.sampled_from(" \t\r\n\x0b\x85\u2028\xa0\udcff#;=:%[]"), max_size=12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(out_dir=_OUTPUT_TEXT, prefix=_OUTPUT_TEXT, write_plots=st.booleans())
+def test_every_valid_output_section_round_trips(out_dir, prefix, write_plots):
+    # RunOptions accepts only the names one config line carries back unchanged
+    try:
+        options = RunOptions(out_dir=out_dir, prefix=prefix, write_plots=write_plots)
+    except ValueError:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.ini"
+        path.write_text(serialize_config(ExperimentConfig("csr-population"), options), encoding="utf-8")
+        assert parse_run_options(path) == options
+
+
+@pytest.mark.parametrize("out_dir", ["runs #1", "runs ;1", "#x", " p", "p ", "a\nb", "a\rb", "r\udcff"])
+def test_unwritable_output_names_are_rejected(out_dir):
+    for field in ("out_dir", "prefix"):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            RunOptions(**{field: out_dir})
+
+
+def test_simulate_rejects_an_out_dir_the_config_cannot_carry(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.ini").write_text("[experiment]\nkind = csr-population\n", encoding="utf-8")
+    assert main(["simulate", "--config", "run.ini", "--out-dir", "runs #1"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: out_dir 'runs #1' ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [tmp_path / "run.ini"]
+
+
+def test_readme_default_config_is_the_serialized_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"The full default set.*?```ini\n(.*?)```", readme, re.S).group(1)
+    text = "".join(line.split(";")[0].rstrip() + "\n" for line in block.splitlines())
+    assert text == serialize_config(ExperimentConfig("csr-population"))

@@ -14,9 +14,7 @@ from geomasksim.reports import (
     EFFICIENCY_HEADER,
     RECORDS_HEADER,
     RunManifest,
-    _fmt,
     _format_column,
-    _write_rows,
     read_curve_csv,
     read_points_csv,
     read_records_csv,
@@ -108,9 +106,22 @@ def test_records_csv_layout(tmp_path):
     assert lines[1] == "0.10000000000000001,0,1.0123456789012344,-1.987654321012345,0.098765432101234563,true,6,true,false"
 
 
-def test_column_formatter_matches_the_fmt_row_path(tmp_path):
-    # each column formatted once by its dtype gives the bytes of _fmt applied
-    # to every value of every row, extreme floats and iteration counts included
+def _field(value) -> str:
+    """The CSV field of one value, as the reports module documents it: the
+    per-value oracle for the column-at-a-time formatter."""
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".17g")
+
+
+def test_column_formatter_matches_a_per_value_oracle(tmp_path):
+    # each column formatted once by its dtype gives the bytes of the oracle
+    # applied to every value of every row, extreme floats and iteration
+    # counts included
     cols = _columns(2, 6, failed=[(1, 2)])
     cols["alpha_hat"][0] = [math.nan, -0.0, 5e-324, 1.7976931348623157e308, -5e-324, math.inf]
     cols["beta_hat"][1] = [-math.inf, 0.0, -1.7976931348623157e308, 2.0**-1074, 1e16, 0.1]
@@ -118,14 +129,15 @@ def test_column_formatter_matches_the_fmt_row_path(tmp_path):
     cols["converged"][0, ::2] = False
     for name in RECORD_COLUMNS:
         for column in cols[name]:
-            assert _format_column(column) == [_fmt(v) for v in column.tolist()], name
+            assert _format_column(column) == [_field(v) for v in column.tolist()], name
     thetas = (0.0, 0.70710678118654757)
     rows = (
         (theta, rep) + tuple(cols[name][c, rep].item() for name in RECORD_COLUMNS)
         for c, theta in enumerate(thetas)
         for rep in range(6)
     )
-    want = _write_rows(tmp_path / "rows.csv", RECORDS_HEADER, rows).read_bytes()
+    lines = [RECORDS_HEADER, *(map(_field, row) for row in rows)]
+    want = "".join(",".join(fields) + "\n" for fields in lines).encode()
     assert write_records_csv(thetas, cols, tmp_path / "columns.csv").read_bytes() == want
     fields = [line.split(",") for line in want.decode().splitlines()[1:7]]
     assert [f[2] for f in fields] == [
@@ -222,6 +234,9 @@ def test_points_roundtrip_with_choices(tmp_path):
     np.testing.assert_array_equal(ids, [0, 1])
     np.testing.assert_array_equal(xy2, xy)  # %.17g round-trips float64 exactly
     np.testing.assert_array_equal(c2, choices)
+    # boolean choices are written as 0/1 too
+    flags = write_points_csv(xy, tmp_path / "b.csv", choices=choices.astype(bool))
+    assert flags.read_bytes() == path.read_bytes()
 
 
 def test_points_roundtrip_without_choices(tmp_path):
@@ -277,17 +292,18 @@ def test_points_read_errors(tmp_path):
 # --- formatting ---
 
 
-def test_fmt_special_values():
-    assert _fmt(None) == ""
-    assert _fmt(True) == "true" and _fmt(False) == "false"
-    assert _fmt(np.bool_(True)) == "true"
-    assert _fmt(7) == "7" and _fmt(np.int64(7)) == "7"
-    assert _fmt(0.1) == "0.10000000000000001"
+def test_format_column_special_values():
+    assert _format_column([0.5, None]) == ["0.5", ""]
+    assert _format_column([None]) == [""]
+    assert _format_column([True, False]) == ["true", "false"]
+    assert _format_column(np.array([True])) == ["true"]
+    assert _format_column([7]) == ["7"] and _format_column(np.array([7], dtype=np.int64)) == ["7"]
+    assert _format_column([0.1]) == ["0.10000000000000001"]
 
 
-@given(st.floats(allow_nan=False, allow_infinity=False))
-def test_fmt_floats_roundtrip(x):
-    assert float(_fmt(x)) == x
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1))
+def test_format_column_floats_roundtrip(xs):
+    assert [float(field) for field in _format_column(xs)] == xs
 
 
 # --- manifest ---
