@@ -11,10 +11,10 @@ Subcommands:
 
 Exit codes: 0 success; 1 validation error (arguments, config, input data,
 a point file with a non-finite coordinate or one from which `fit` cannot
-identify the distance slope, a `simulate` baseline fit that does not
-converge or has a singular information matrix); 2 runtime failure (a
-replication cell, efficiency cells included, converging on under 50% of its
-replications; masking exhaustion).
+identify the distance slope, a `simulate` or `efficiency` baseline fit
+that does not converge or has a singular information matrix); 2 runtime
+failure (a replication cell, efficiency cells included, converging on under
+50% of its replications; masking exhaustion).
 """
 
 from __future__ import annotations
@@ -35,12 +35,13 @@ from .experiments import (
     BatchConvergenceError,
     FAST_REPLICATIONS,
     ExperimentConfig,
+    fit_baseline,
     prepare_dataset,
     run_efficiency_experiment,
     run_experiment,
 )
 from .geometry import Point, StudyArea, facility_distances
-from .logit import LogitFit, SingularInformationError, fit_distance_choice, fit_logit, wald_ci
+from .logit import LogitFit, SingularInformationError, fit_distance_choice, wald_ci
 from .masking import BoundaryExhaustionError, MaskSpec, mask_coordinates
 from .reports import (
     RunManifest,
@@ -191,7 +192,7 @@ def _cmd_mask(args) -> int:
         if args.area is None:
             raise _CliError("--boundary redraw requires --area XMIN XMAX YMIN YMAX")
         bounds = StudyArea(*args.area).bounds
-    masked = mask_coordinates(xy, spec, bounds, derive_stream(args.seed or 0, 0, 0))
+    masked = mask_coordinates(xy, spec, bounds, derive_stream(args.seed, 0, 0))
     write_points_csv(masked, args.out, choices=choices, ids=ids)
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -226,19 +227,17 @@ def _cmd_fit(args) -> int:
         print(f"ci95_alpha=[{alo:.6f}, {ahi:.6f}] ci95_beta=[{blo:.6f}, {bhi:.6f}]")
         print(f"loglik={fit.loglik:.6f}")
         return EXIT_OK
-    print("fit did not converge", file=sys.stderr)
+    print("runtime failure: fit did not converge", file=sys.stderr)
     return EXIT_RUNTIME
 
 
 def _cmd_efficiency(args) -> int:
     config, options = _load_config(args)
-    reps = args.empirical_reps
-    if reps:
-        run = run_efficiency_experiment(config, replications=reps)
-        reports = run.reports
+    if args.empirical_reps:
+        reports = run_efficiency_experiment(config, replications=args.empirical_reps).reports
     else:
         ds = prepare_dataset(config)
-        baseline = fit_logit(ds)
+        baseline = fit_baseline(config, ds)
         reports = [efficiency_report(ds, baseline.params, t) for t in config.theta_values()]
     path = write_efficiency_csv(reports, Path(options.out_dir) / f"{options.prefix}_efficiency.csv")
     print(f"{'theta*':>10} {'info_true':>12} {'info_masked':>12} {'el_analytic':>12} {'el_empirical':>13}")

@@ -76,9 +76,9 @@ def silverman_bandwidth(values: np.ndarray) -> float:
     return bandwidth
 
 
-def kde(values, bandwidth: float | None = None) -> KdeEstimate:
-    """Gaussian-kernel density on 512 equally spaced points spanning the
-    data range plus 3 bandwidths each side.
+def kde(values) -> KdeEstimate:
+    """Gaussian-kernel density, at the Silverman bandwidth, on 512 equally
+    spaced points spanning the data range plus 3 bandwidths each side.
 
     The grid truncates a small amount of kernel mass for tiny samples, so
     the evaluated density is renormalized to integrate to exactly 1 over
@@ -89,12 +89,7 @@ def kde(values, bandwidth: float | None = None) -> KdeEstimate:
         raise ValueError(f"need >= 2 values, got {values.size}")
     if not np.isfinite(values).all():
         raise ValueError("values must be finite")
-    if bandwidth is None:
-        bandwidth = silverman_bandwidth(values)
-    elif not bandwidth > 0.0:
-        raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
-    if values.min() == values.max():
-        raise DegenerateSampleError("all values identical")
+    bandwidth = silverman_bandwidth(values)
 
     grid = np.linspace(values.min() - 3.0 * bandwidth, values.max() + 3.0 * bandwidth, KDE_GRID_SIZE)
     norm = 1.0 / (values.size * bandwidth * np.sqrt(2.0 * np.pi))
@@ -108,4 +103,4 @@ def kde(values, bandwidth: float | None = None) -> KdeEstimate:
             density[start : start + block.size] = norm * np.exp(-0.5 * z * z).sum(axis=1)
 
     density /= np.trapezoid(density, grid)
-    return KdeEstimate(grid=grid, density=density, bandwidth=float(bandwidth))
+    return KdeEstimate(grid=grid, density=density, bandwidth=bandwidth)

@@ -11,8 +11,9 @@ Three experiment kinds share one entry point, ``run_experiment``:
   fixed administrative-unit scale.
 * ``centroid`` — individuals are first collapsed to the centroids of a
   k x k cell grid (unintentional locational error); each replication then
-  re-masks every individual uniformly within its own cell with theta* equal
-  to the cell's equivalent radius.
+  re-masks every individual under the ``[mask] mechanism``, redrawn until it
+  lands inside its own cell, with theta* equal to the cell's equivalent
+  radius.
 
 Every replicated fit, the efficiency run's included, goes through one
 kernel: ``_run_cells`` cuts a run's cells into (cell, replication range)
@@ -61,6 +62,7 @@ from .logit import (
     CONVERGED,
     SEPARATED,
     SINGULAR,
+    Z_95,
     InvalidFitError,
     LogitFit,
     LogitParams,
@@ -70,7 +72,6 @@ from .logit import (
     fit_logit,
     fit_rows,
     wald_ci,
-    z_quantile,
 )
 from .masking import MaskSpec, checked_bounds, mask_rows
 from .population import (
@@ -108,7 +109,6 @@ _REP_BLOCK = 64  # replications per worker task
 # the kernel's (rows, n) work arrays in cache.
 _ROW_ELEMENTS = 16384
 _MIN_CELL_CONVERGENCE = 0.5
-_CI_LEVEL = 0.95
 
 
 class BatchConvergenceError(RuntimeError):
@@ -425,7 +425,7 @@ def build_curve(
     """
     beta, converged = columns["beta_hat"], columns["converged"]
     if baseline is not None:
-        lo, hi = wald_ci(baseline, _CI_LEVEL)[1]
+        lo, hi = wald_ci(baseline)[1]
         inside = (lo <= beta) & (beta <= hi)
         bad = np.argwhere(converged & (columns["outside_true_ci"] == inside))
         if bad.size:
@@ -461,9 +461,26 @@ def _add_flags(fits: dict[str, np.ndarray], ci: tuple[float, float]) -> dict[str
     z_stat = np.divide(np.abs(beta), se, out=np.zeros_like(beta), where=tested)
     lo, hi = ci
     return fits | {
-        "significant_beta": tested & (z_stat >= z_quantile(_CI_LEVEL)),
+        "significant_beta": tested & (z_stat >= Z_95),
         "outside_true_ci": converged & ~((lo <= beta) & (beta <= hi)),
     }
+
+
+def fit_baseline(config: ExperimentConfig, ds: ChoiceDataset) -> LogitFit:
+    """The baseline fit on the run's observed dataset ``ds``; one that does
+    not converge or has a singular information matrix raises
+    InvalidFitError."""
+    data = f"the generated data ({config.experiment}, n={config.n}, seed={config.seed})"
+    try:
+        baseline = fit_logit(ds)
+    except SingularInformationError as exc:  # e.g. every centroid equidistant from the facility
+        raise InvalidFitError(f"baseline fit on {data} has a singular information matrix: {exc}") from exc
+    if not baseline.converged:
+        raise InvalidFitError(
+            f"baseline fit did not converge on {data}: {baseline.iterations} iterations, "
+            f"gradient norm {baseline.gradient_norm:.3g}"
+        )
+    return baseline
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -474,14 +491,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     csr-population and fixed-area-grid mask the true coordinates at
     theta* = reference_radius x fraction, redrawing inside the study area
     under the redraw policy. The centroid analog observes each individual
-    at its cell centroid and re-masks it uniformly within its own cell
-    (redraw policy, theta* = the cell equivalent radius); the curve row's
-    pct_outside_true_ci complement is then the share of replications
-    statistically indistinguishable from the baseline. The baseline is
-    the fit on the observed dataset; one that does not converge or has a
-    singular information matrix raises InvalidFitError. A cell with under
-    50% convergence aborts the batch; individual failures are kept as
-    non-converged rows.
+    at its cell centroid and re-masks it under the configured mechanism,
+    always redrawn inside its own cell (theta* = the cell equivalent
+    radius); the curve row's pct_outside_true_ci complement is then the
+    share of replications statistically indistinguishable from the
+    baseline. The baseline is ``fit_baseline`` on the observed dataset. A
+    cell with under 50% convergence aborts the batch; individual failures
+    are kept as non-converged rows.
     """
     ds = prepare_dataset(config)
     if config.experiment == "centroid":
@@ -496,22 +512,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         bounds = _area_bounds(config.mask)
         cells = list(enumerate(config.theta_values()))
         spec = config.mask
-    # fail before any replication
-    data = f"the generated data ({config.experiment}, n={config.n}, seed={config.seed})"
-    try:
-        baseline = fit_logit(ds)
-    except SingularInformationError as exc:  # e.g. every centroid equidistant from the facility
-        raise InvalidFitError(f"baseline fit on {data} has a singular information matrix: {exc}") from exc
-    if not baseline.converged:
-        raise InvalidFitError(
-            f"baseline fit did not converge on {data}: {baseline.iterations} iterations, "
-            f"gradient norm {baseline.gradient_norm:.3g}"
-        )
+    baseline = fit_baseline(config, ds)  # fail before any replication
     fits = _run_cells(
         cells, ds.points, config.facility, bounds, spec, config.seed, config.replications, config.workers,
         y=ds.choices,
     )
-    columns = _add_flags(fits, wald_ci(baseline, _CI_LEVEL)[1])
+    columns = _add_flags(fits, wald_ci(baseline)[1])
     theta_stars = tuple(theta_star for _, theta_star in cells)
     return ExperimentResult(
         config=config,
@@ -533,20 +539,21 @@ def run_efficiency_experiment(
     variance-ratio companion.
 
     The analytic ratio uses the fixed dataset and the baseline (fitted)
-    parameters. The empirical side regenerates choices per replication —
-    from the true coordinates for the numerator fits, and from the true
-    coordinates but refit on freshly masked ones for the denominator — so
-    both sides carry sampling variability (unlike the fixed-y attenuation
-    records, which would give the true coordinates zero variance). Both
-    sides are cells of one ``_run_cells`` call, under the attenuation
-    run's failure policy and worker count: a cell converging on under half
-    of its replications raises BatchConvergenceError, and fewer than 30
-    converged fits on either side of a ratio raises InsufficientDataError.
+    parameters, from ``fit_baseline`` when no ``baseline`` is given. The
+    empirical side regenerates choices per replication — from the true
+    coordinates for the numerator fits, and from the true coordinates but
+    refit on freshly masked ones for the denominator — so both sides carry
+    sampling variability (unlike the fixed-y attenuation records, which
+    would give the true coordinates zero variance). Both sides are cells of
+    one ``_run_cells`` call, under the attenuation run's failure policy and
+    worker count: a cell converging on under half of its replications
+    raises BatchConvergenceError, and fewer than 30 converged fits on
+    either side of a ratio raises InsufficientDataError.
     """
     if ds is None:
         ds = prepare_dataset(config)
     if baseline is None:
-        baseline = fit_logit(ds)
+        baseline = fit_baseline(config, ds)
     # derived default tracks the attenuation run but stays within what the
     # variance ratio can tolerate; an explicit replications= is taken as-is
     reps = replications if replications is not None else min(300, max(30, config.replications))

@@ -58,6 +58,8 @@ from .dataset import ChoiceDataset
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 100
+#: two-sided 95% normal quantile of the Wald intervals and tests
+Z_95 = NormalDist().inv_cdf(0.975)
 
 # Estimates beyond this magnitude are treated as runaway (quasi-separation).
 _DIVERGENCE_BOUND = 1e4
@@ -300,7 +302,6 @@ def fit_rows(
     d: np.ndarray,
     y: np.ndarray,
     init: LogitParams = LogitParams(0.0, 0.0),
-    tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> RowFits:
     """Newton-Raphson ML fits of a block of (distance, choice) rows.
@@ -312,7 +313,7 @@ def fit_rows(
     (quasi-separation), else SINGULAR unless its information determinant is
     finite and at least ``_TINY`` times max(1, its diagonal) (so that the
     standard errors are finite), else CONVERGED once its gradient max-norm
-    is below ``tol``. ``iterations`` counts the steps taken, and
+    is below ``DEFAULT_TOL``. ``iterations`` counts the steps taken, and
     ``information`` and ``gradient_norm`` are those of the reported
     estimate. Each step is halved until it does not decrease the
     log-likelihood by more than _SLACK * (1 + |ll|); a step whose slope at
@@ -349,7 +350,7 @@ def fit_rows(
         out = ran_away | (steps == max_iter)
         # M[:, 2:5:2] is the diagonal (sum w, sum w*d*d)
         singular = ~(np.isfinite(det) & (det >= _TINY * M[:, 2:5:2].max(axis=1, initial=1.0)))
-        stopped = out | singular | (gnorm < tol)
+        stopped = out | singular | (gnorm < DEFAULT_TOL)
         if stopped.any():
             rows = idx[stopped]
             alpha[rows], beta[rows] = a[stopped], b[stopped]
@@ -387,7 +388,6 @@ def fit_distance_choice(
     d: np.ndarray,
     y: np.ndarray,
     init: LogitParams = LogitParams(0.0, 0.0),
-    tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> LogitFit:
     """Newton-Raphson ML fit on raw (distance, choice) arrays: ``fit_rows``
@@ -399,7 +399,7 @@ def fit_distance_choice(
     all-equal choices raise SeparationError and a singular information
     matrix raises SingularInformationError.
     """
-    fits = fit_rows(d, y, init, tol, max_iter)
+    fits = fit_rows(d, y, init, max_iter)
     if fits.status[0] == SEPARATED:
         raise SeparationError("choices are all identical; the logit MLE does not exist")
     info = fits.information[0]
@@ -423,19 +423,9 @@ def fit_logit(ds: ChoiceDataset) -> LogitFit:
     return fit_distance_choice(ds.distances, ds.choices)
 
 
-def z_quantile(level: float) -> float:
-    """Two-sided normal quantile for a confidence level in (0, 1)."""
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level}")
-    return NormalDist().inv_cdf(0.5 * (1.0 + level))
-
-
-def wald_ci(fit: LogitFit, level: float = 0.95) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Wald confidence intervals (alpha interval, beta interval)."""
+def wald_ci(fit: LogitFit) -> tuple[tuple[float, float], tuple[float, float]]:
+    """95% Wald confidence intervals (alpha interval, beta interval)."""
     if not fit.converged:
         raise InvalidFitError("confidence intervals require a converged fit")
-    z = z_quantile(level)
-    intervals = []
-    for estimate, se in zip((fit.params.alpha, fit.params.beta), fit.std_errors):
-        intervals.append((estimate - z * se, estimate + z * se))
-    return intervals[0], intervals[1]
+    (se_a, se_b), p = fit.std_errors, fit.params
+    return (p.alpha - Z_95 * se_a, p.alpha + Z_95 * se_a), (p.beta - Z_95 * se_b, p.beta + Z_95 * se_b)

@@ -16,9 +16,9 @@ over m pending points the stream is consumed as: m theta values then m
 delta values (uniform mechanism), or m x-offsets then m y-offsets
 (gaussian mechanism).
 
-``mask_coordinates`` masks one point set once per generator, R replication
-rows at a time, and keeps that per-row order: on the first attempt each
-row draws its n theta (or x) values and then its n delta (or y) values
+``mask_rows`` masks one point set once per generator, R replication rows
+at a time, and keeps that per-row order: on the first attempt each row
+draws its n theta (or x) values and then its n delta (or y) values
 (``random`` for the uniform mechanism, ``standard_normal`` for the
 gaussian one), into the x and y planes of a plane-major (2, R, n) block
 so that every ufunc runs on contiguous (R, n) planes, and the draws are
@@ -27,7 +27,8 @@ scaled exactly as numpy's ``uniform(0, theta_star)`` and
 serves every row: it keeps the pending (row, point) pairs, and on each
 attempt every row still pending draws its 2m values from its own
 generator, in row order. A row's draws therefore do not depend on how many
-rows are masked with it.
+rows are masked with it. ``mask_coordinates`` is its one-row form: one
+stream, (n, 2) in and out.
 
 Bounds are one (4,) rectangle (x_min, x_max, y_min, y_max) shared by every
 point or a C-contiguous (4, n) array whose four rows are the per-point
@@ -41,12 +42,11 @@ for every chunk of rows.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import RngStream, as_generator
+from .rng import RngStream
 
 #: sqrt(2*ln(100)); sigma = theta_star / GAUSSIAN_CALIBRATION puts 99% of
 #: gaussian displacement radii inside theta_star.
@@ -179,48 +179,35 @@ def checked_bounds(xy: np.ndarray, spec: MaskSpec, bounds) -> np.ndarray | None:
     return bounds
 
 
-def mask_coordinates(
-    xy: np.ndarray,
-    spec: MaskSpec,
-    bounds: np.ndarray | None,
-    rng: RngStream | np.random.Generator | Sequence[np.random.Generator],
-) -> np.ndarray:
-    """Mask an (n, 2) coordinate array once per replication row, redrawing
-    against bounds.
-
-    ``rng`` is one RngStream or Generator, which masks once and returns the
-    (n, 2) masked coordinates, or a sequence of R generators, one per row,
-    which returns an (R, 2, n) block: [:, 0] the masked x and [:, 1] the
-    masked y of each row, row r drawn from ``rng[r]`` alone. The block is a
-    view of plane-major (2, R, n) storage, so [:, 0] and [:, 1] are
-    C-contiguous (R, n) planes.
+def mask_coordinates(xy: np.ndarray, spec: MaskSpec, bounds: np.ndarray | None, stream: RngStream) -> np.ndarray:
+    """The (n, 2) coordinates ``xy`` masked once from the start of ``stream``.
 
     ``bounds`` is one (x_min, x_max, y_min, y_max) rectangle shared by every
     point, a (4, n) array whose rows are the x_min, x_max, y_min and y_max
     of each point, or None under the unconstrained policy. Under the redraw
     policy every input point must start inside its bounds, which every call
     checks (``checked_bounds``); displacements are re-drawn until the
-    result falls back inside, up to ``spec.max_attempts`` per point. When
-    they run out, BoundaryExhaustionError names the pending points of the
-    lowest row still pending.
+    result falls back inside, up to ``spec.max_attempts`` per point, and
+    BoundaryExhaustionError names the points still outside when they run
+    out.
     """
     xy = np.asarray(xy, dtype=np.float64)
-    single = isinstance(rng, (RngStream, np.random.Generator))
-    gens = [as_generator(g) for g in ([rng] if single else rng)]
-    out = mask_rows(xy, spec, checked_bounds(xy, spec, bounds), gens)
-    return out[0].T.copy() if single else out
+    return mask_rows(xy, spec, checked_bounds(xy, spec, bounds), [stream.generator()])[0].T.copy()
 
 
 def mask_rows(
     xy: np.ndarray, spec: MaskSpec, bounds: np.ndarray | None, gens: list[np.random.Generator]
 ) -> np.ndarray:
-    """The (R, 2, n) masked block of ``mask_coordinates`` for the (n, 2)
-    float64 points ``xy``, one row per generator of ``gens``, against
-    ``bounds`` as ``checked_bounds`` returns them; nothing is checked here.
+    """The (n, 2) float64 points ``xy`` masked once per generator of
+    ``gens``, against ``bounds`` as ``checked_bounds`` returns them; nothing
+    is checked here. Row r draws from ``gens[r]`` alone.
 
-    The block is stored plane-major, (2, R, n), and returned as its
-    (R, 2, n) transpose: the x and y planes stay C-contiguous, so every
-    offset, add and membership ufunc runs on contiguous (R, n) arrays.
+    Returns an (R, 2, n) block: [:, 0] the masked x and [:, 1] the masked y
+    of each row. It is the transpose of plane-major (2, R, n) storage, so
+    the x and y planes stay C-contiguous and every offset, add and
+    membership ufunc runs on contiguous (R, n) arrays. When the redraw
+    attempts run out, BoundaryExhaustionError names the pending points of
+    the lowest row still pending.
     """
     x, y = xy[:, 0], xy[:, 1]
     draw = np.random.Generator.random if spec.mechanism == "uniform" else np.random.Generator.standard_normal

@@ -26,7 +26,7 @@ import numpy as np
 from .dataset import ChoiceDataset
 from .geometry import Point, StudyArea, equivalent_circle_radius
 from .logit import LogitParams, choice_probability
-from .rng import RngStream, as_generator
+from .rng import RngStream
 
 DEFAULT_GENERATING_PARAMS = LogitParams(1.0, -2.0)
 
@@ -104,11 +104,11 @@ def build_municipality_grid(area: StudyArea, k: int) -> MunicipalityGrid:
     return MunicipalityGrid(area, k)
 
 
-def generate_csr_xy(n: int, area: StudyArea, rng: RngStream) -> np.ndarray:
+def generate_csr_xy(n: int, area: StudyArea, stream: RngStream) -> np.ndarray:
     """(n, 2) i.i.d. uniform coordinates over the area."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    gen = as_generator(rng)
+    gen = stream.generator()
     x = gen.uniform(area.xmin, area.xmax, n)
     y = gen.uniform(area.ymin, area.ymax, n)
     return np.column_stack([x, y])
@@ -118,7 +118,7 @@ def simulate_choices_xy(
     xy: np.ndarray,
     facility: Point,
     params: LogitParams,
-    rng: RngStream,
+    stream: RngStream,
 ) -> ChoiceDataset:
     """Bernoulli choices with P(y=1) = L(alpha + beta * d(point, facility))."""
     xy = np.asarray(xy, dtype=np.float64)
@@ -126,7 +126,7 @@ def simulate_choices_xy(
     # computed once; its placeholder choices are replaced by the 0/1 draws
     ds = ChoiceDataset(points=xy, facility=facility, choices=np.zeros(xy.shape[0], dtype=np.int64))
     prob = choice_probability(params.alpha + params.beta * ds.distances)
-    u = as_generator(rng).uniform(0.0, 1.0, ds.n)
+    u = stream.generator().uniform(0.0, 1.0, ds.n)
     ds.choices = (u < prob).astype(np.int64)
     return ds
 

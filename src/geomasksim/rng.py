@@ -151,14 +151,3 @@ def efficiency_masked_stream(seed: int, theta_index: int, rep_index: int) -> Rng
     """Stream for one regenerated-and-masked replication."""
     return _stream_for(seed, PURPOSE_EFF_MASKED, theta_index, rep_index)
 
-
-def as_generator(rng) -> np.random.Generator:
-    """Accept either an RngStream or an already-positioned numpy Generator.
-
-    The population draws (``generate_csr_xy``, ``simulate_choices_xy``) pass
-    their streams through it, and ``mask_coordinates`` passes each stream or
-    already-positioned generator it is given (one, or one per row).
-    """
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return rng.generator()

@@ -179,6 +179,29 @@ def test_simulate_nonconverged_baseline_exit_1(tmp_path, capsys):
     assert re.search(r": \d+ iterations, gradient norm \S+\n$", err), err
 
 
+N7_SEED7 = """\
+[experiment]
+kind = csr-population
+seed = 7
+
+[population]
+n = 7
+"""
+
+
+@pytest.mark.parametrize("extra", [[], ["--empirical-reps", "30"]])
+def test_efficiency_nonconverged_baseline_exit_1(tmp_path, capsys, extra):
+    # the baseline `simulate` rejects on this config is rejected by both
+    # forms of `efficiency` too, before any replication
+    cfg = _config_file(tmp_path, N7_SEED7)
+    assert main(["simulate", "--fast", "--config", cfg, "--out-dir", str(tmp_path / "sim")]) == EXIT_VALIDATION
+    expected = capsys.readouterr().err
+    assert expected.startswith("error: baseline fit did not converge on the generated data (csr-population, n=7, seed=7): ")
+    assert main(["efficiency", "--config", cfg, "--out-dir", str(tmp_path / "eff"), *extra]) == EXIT_VALIDATION
+    assert capsys.readouterr().err == expected
+    assert not (tmp_path / "eff").exists()
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_simulate_singular_centroid_baseline_exit_1(tmp_path, capsys, k):
     # on a 1 x 1 or 2 x 2 grid every centroid is equidistant from the default

@@ -101,9 +101,10 @@ def test_silverman_and_kde_grid_bit_equal_to_percentile_reference(values):
             kde(v)
         return
     assert np.float64(silverman_bandwidth(v)).tobytes() == np.float64(bandwidth).tobytes()
-    est, want = kde(v), kde(v, bandwidth=bandwidth)
-    assert est.grid.tobytes() == want.grid.tobytes()
-    assert est.density.tobytes() == want.density.tobytes()
+    est = kde(v)
+    assert np.float64(est.bandwidth).tobytes() == np.float64(bandwidth).tobytes()
+    want = np.linspace(v.min() - 3.0 * bandwidth, v.max() + 3.0 * bandwidth, KDE_GRID_SIZE)
+    assert est.grid.tobytes() == want.tobytes()
 
 
 def _at(est, x):
@@ -146,27 +147,20 @@ def test_kde_integral_is_one():
 def test_kde_grid_shape_and_span():
     rng = np.random.default_rng(4)
     v = rng.normal(size=256)
-    est = kde(v, bandwidth=0.25)
+    est = kde(v)
+    assert est.bandwidth == silverman_bandwidth(v)
     assert est.grid.shape == (KDE_GRID_SIZE,)
-    assert est.grid[0] == pytest.approx(v.min() - 0.75)
-    assert est.grid[-1] == pytest.approx(v.max() + 0.75)
-    assert est.bandwidth == 0.25
+    assert est.grid[0] == pytest.approx(v.min() - 3.0 * est.bandwidth)
+    assert est.grid[-1] == pytest.approx(v.max() + 3.0 * est.bandwidth)
 
 
 def test_kde_bimodal_sample():
-    # two sharp modes near -1 and 1, a trough between
+    # two sharp modes near -1 and 1, a trough between (bandwidth about 0.23)
     v = np.concatenate([np.full(500, -1.0), np.full(500, 1.0)])
-    est = kde(v, bandwidth=0.1)
+    est = kde(v)
     assert _at(est, -1.0) > 5 * _at(est, 0.0)
     assert _at(est, 1.0) > 5 * _at(est, 0.0)
     assert _at(est, -1.0) == pytest.approx(_at(est, 1.0), rel=1e-6)
-
-
-def test_kde_explicit_bandwidth_validation():
-    with pytest.raises(ValueError):
-        kde(np.array([0.0, 1.0]), bandwidth=0.0)
-    with pytest.raises(ValueError):
-        kde(np.array([0.0, 1.0]), bandwidth=-1.0)
 
 
 def test_kde_input_validation():
@@ -179,7 +173,7 @@ def test_kde_input_validation():
 
 
 def test_kde_at_outside_grid_is_zero():
-    est = kde(np.array([0.0, 1.0]), bandwidth=0.1)
+    est = kde(np.array([0.0, 1.0]))
     assert _at(est, est.grid[0] - 1.0) == 0.0
     assert _at(est, est.grid[-1] + 1.0) == 0.0
 
@@ -207,8 +201,9 @@ def test_kde_matches_direct_sum_small_sample():
     v = rng.normal(size=300)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        est = kde(v, bandwidth=0.3)
-    z = (est.grid[:, None] - v[None, :]) / 0.3
-    direct = 1.0 / (300 * 0.3 * np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * z * z).sum(axis=1)
+        est = kde(v)
+    b = est.bandwidth
+    z = (est.grid[:, None] - v[None, :]) / b
+    direct = 1.0 / (300 * b * np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * z * z).sum(axis=1)
     direct /= np.trapezoid(direct, est.grid)
     assert est.density.tobytes() == direct.tobytes()

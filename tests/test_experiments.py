@@ -25,7 +25,7 @@ from geomasksim.experiments import (
 )
 from geomasksim.efficiency import efficiency_report
 from geomasksim.geometry import UNIT_SQUARE, Point
-from geomasksim.logit import fit_logit, wald_ci, z_quantile
+from geomasksim.logit import Z_95, fit_logit, wald_ci
 from geomasksim.masking import MaskSpec
 from geomasksim.population import assign_to_centroid, build_municipality_grid
 
@@ -429,7 +429,7 @@ def test_flags_at_the_edges(tmp_path):
 
     baseline = fit_logit(prepare_dataset(_config(n=500)))
     lo, hi = wald_ci(baseline)[1]
-    z = z_quantile(0.95)
+    z = Z_95
     fits = {
         "alpha_hat": np.array([[1.0, 1.0, 1.0, 1.0, math.nan]]),
         "beta_hat": np.array([[lo, hi, -z, np.nextafter(-z, 0.0), math.nan]]),

@@ -14,6 +14,7 @@ from geomasksim.logit import (
     NOT_CONVERGED,
     SEPARATED,
     SINGULAR,
+    Z_95,
     InvalidFitError,
     LogitFit,
     LogitParams,
@@ -32,7 +33,6 @@ from geomasksim.logit import (
     observed_information,
     score,
     wald_ci,
-    z_quantile,
 )
 
 LN_HALF = math.log(0.5)
@@ -708,12 +708,8 @@ def test_choice_probability_in_unit_interval_and_nondecreasing():
 # --- intervals and tests ---
 
 
-def test_z_quantile():
-    assert z_quantile(0.95) == pytest.approx(1.959964, abs=1e-6)
-    assert z_quantile(0.6827) == pytest.approx(1.0, abs=1e-3)
-    for bad in (0.0, 1.0, -0.1, 1.1):
-        with pytest.raises(ValueError):
-            z_quantile(bad)
+def test_z_95_is_the_two_sided_95_percent_quantile():
+    assert Z_95 == pytest.approx(1.959964, abs=1e-6)
 
 
 def _fit_stub(alpha=1.0, beta=-2.0, se=(0.2, 0.1), converged=True):
@@ -729,15 +725,8 @@ def _fit_stub(alpha=1.0, beta=-2.0, se=(0.2, 0.1), converged=True):
 
 
 def test_wald_ci_values():
-    (_, _), (lo, hi) = wald_ci(_fit_stub(), level=0.95)
+    (_, _), (lo, hi) = wald_ci(_fit_stub())
     assert (lo, hi) == pytest.approx((-2.196, -1.804), abs=1e-3)
-
-
-def test_wald_ci_one_sigma_level():
-    fit = _fit_stub()
-    (_, _), (lo, hi) = wald_ci(fit, level=0.6827)
-    assert lo == pytest.approx(fit.params.beta - 0.1, abs=1e-3 * 0.1)
-    assert hi == pytest.approx(fit.params.beta + 0.1, abs=1e-3 * 0.1)
 
 
 def test_wald_ci_zero_se_degenerate():

@@ -15,7 +15,9 @@ from geomasksim.masking import (
     _direction,
     _inside,
     _offsets,
+    checked_bounds,
     mask_coordinates,
+    mask_rows,
 )
 from geomasksim.rng import GeneratorPool, derive_stream
 
@@ -232,7 +234,7 @@ def test_batched_rows_match_per_replication_oracle(mechanism, bounds_kind, rows)
     theta_star = 0.14 if bounds_kind == "per-point" else 0.6
     spec = MaskSpec(mechanism, theta_star, "unconstrained" if bounds is None else "redraw")
     streams = [derive_stream(32, 4, rep) for rep in range(rows)]
-    out = mask_coordinates(xy, spec, bounds, GeneratorPool().positioned(streams))
+    out = mask_rows(xy, spec, checked_bounds(xy, spec, bounds), GeneratorPool().positioned(streams))
     assert out.shape == (rows, 2, 300)
     for row, stream in zip(out, streams):
         np.testing.assert_array_equal(row.T, mask_one(xy, spec, bounds, stream.generator()))
@@ -248,7 +250,7 @@ def test_batched_block_has_contiguous_planes(mechanism, boundary, rows):
     spec = MaskSpec(mechanism, 0.6, boundary)
     bounds = SQUARE if boundary == "redraw" else None
     streams = [derive_stream(37, 0, rep) for rep in range(rows)]
-    out = mask_coordinates(xy, spec, bounds, GeneratorPool().positioned(streams))
+    out = mask_rows(xy, spec, checked_bounds(xy, spec, bounds), GeneratorPool().positioned(streams))
     assert out.shape == (rows, 2, 200)
     assert out[:, 0].flags.c_contiguous and out[:, 1].flags.c_contiguous
 
@@ -289,7 +291,7 @@ def test_batched_exhaustion_names_the_oracles_row(max_attempts):
     # other failing row pends on the same points
     assert first > 0 and all(failing[r] != failing[first] for r in failing if r != first)
     with pytest.raises(BoundaryExhaustionError) as info:
-        mask_coordinates(xy, spec, bounds, GeneratorPool().positioned(streams))
+        mask_rows(xy, spec, checked_bounds(xy, spec, bounds), GeneratorPool().positioned(streams))
     assert info.value.point_indices == failing[first]
     assert info.value.max_attempts == max_attempts
 
@@ -306,7 +308,7 @@ def test_per_point_columns_at_n_4_match_oracle(mechanism, rows):
     assert bounds.shape == (4, 4) and not np.array_equal(bounds, bounds.T)
     spec = MaskSpec(mechanism, 0.2, "redraw")
     streams = [derive_stream(35, 1, rep) for rep in range(rows)]
-    out = mask_coordinates(xy, spec, bounds, GeneratorPool().positioned(streams))
+    out = mask_rows(xy, spec, checked_bounds(xy, spec, bounds), GeneratorPool().positioned(streams))
     for row, stream in zip(out, streams):
         np.testing.assert_array_equal(row.T, mask_one(xy, spec, bounds, stream.generator()))
         x_min, x_max, y_min, y_max = bounds
@@ -350,11 +352,11 @@ def test_theta_star_beyond_the_area_property(mechanism, boundary, bounds_kind, e
             failing[row] = exc.point_indices
     if failing:
         with pytest.raises(BoundaryExhaustionError) as info:
-            mask_coordinates(xy, spec, bounds, GeneratorPool().positioned(streams))
+            mask_rows(xy, spec, checked_bounds(xy, spec, bounds), GeneratorPool().positioned(streams))
         assert info.value.point_indices == failing[min(failing)]
         assert info.value.max_attempts == max_attempts
         return
-    out = mask_coordinates(xy, spec, bounds, GeneratorPool().positioned(streams))
+    out = mask_rows(xy, spec, checked_bounds(xy, spec, bounds), GeneratorPool().positioned(streams))
     for row, want in zip(out, expected):
         np.testing.assert_array_equal(row.T, want)
     if boundary == "redraw":

@@ -4,7 +4,6 @@ import pytest
 from geomasksim.rng import (
     GeneratorPool,
     RngStream,
-    as_generator,
     choices_stream,
     derive_stream,
     efficiency_masked_stream,
@@ -95,13 +94,6 @@ def test_generator_restarts_at_stream_origin():
     first = s.generator().uniform(size=3)
     # a fresh generator starts over; it does not continue the previous one
     np.testing.assert_array_equal(s.generator().uniform(size=3), first)
-
-
-def test_as_generator_passthrough_and_wrap():
-    s = derive_stream(5, 1, 2)
-    gen = s.generator()
-    assert as_generator(gen) is gen
-    np.testing.assert_array_equal(as_generator(s).uniform(size=4), s.generator().uniform(size=4))
 
 
 def _draws(gen):
