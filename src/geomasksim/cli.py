@@ -12,9 +12,11 @@ Subcommands:
 Exit codes: 0 success; 1 validation error (arguments, config, input data,
 a point file with a non-finite coordinate or one from which `fit` cannot
 identify the distance slope, a `simulate` or `efficiency` baseline fit
-that does not converge or has a singular information matrix); 2 runtime
-failure (a replication cell, efficiency cells included, converging on under
-50% of its replications; masking exhaustion).
+that does not converge or has a singular information matrix, an
+`efficiency` config of the centroid kind, a path the operating system
+refuses, such as a directory given as an input file); 2 runtime failure
+(a replication cell, efficiency cells included, converging on under 50% of
+its replications; masking exhaustion).
 """
 
 from __future__ import annotations
@@ -233,6 +235,8 @@ def _cmd_fit(args) -> int:
 
 def _cmd_efficiency(args) -> int:
     config, options = _load_config(args)
+    if config.experiment == "centroid":
+        raise _CliError("efficiency does not run the centroid kind; simulate writes no efficiency table for it")
     if args.empirical_reps:
         reports = run_efficiency_experiment(config, replications=args.empirical_reps).reports
     else:
@@ -249,18 +253,18 @@ def _cmd_efficiency(args) -> int:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max  # no bool, NaN, inf or huge int
 
 
 def _read_baseline(path: str, with_ci: bool) -> dict:
     """The baseline JSON ``simulate`` writes, checked for the fields ``plot``
-    uses: a numeric ``beta`` and, ``with_ci``, a ``ci_beta`` of two numbers."""
+    uses: a finite ``beta`` and, ``with_ci``, a ``ci_beta`` of two finite numbers."""
     baseline = read_json(path)
     if not isinstance(baseline, dict) or not _is_number(baseline.get("beta")):
-        raise _CliError(f"{path}: baseline must be a JSON object with a numeric \"beta\"")
+        raise _CliError(f"{path}: baseline must be a JSON object with a finite numeric \"beta\"")
     ci = baseline.get("ci_beta")
     if with_ci and not (isinstance(ci, list) and len(ci) == 2 and all(map(_is_number, ci))):
-        raise _CliError(f"{path}: baseline needs \"ci_beta\" as a list of two numbers to plot records")
+        raise _CliError(f"{path}: baseline needs \"ci_beta\" as a list of two finite numbers to plot records")
     return baseline
 
 
@@ -346,7 +350,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (_CliError, FileNotFoundError, ValueError) as exc:
+    except (_CliError, OSError, ValueError) as exc:
         # ConfigError, SeparationError and InvalidFitError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

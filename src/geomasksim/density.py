@@ -89,9 +89,13 @@ def kde(values) -> KdeEstimate:
         raise ValueError(f"need >= 2 values, got {values.size}")
     if not np.isfinite(values).all():
         raise ValueError("values must be finite")
-    bandwidth = silverman_bandwidth(values)
+    with np.errstate(over="ignore"):  # a spread near the float range overflows the sd or the grid
+        bandwidth = silverman_bandwidth(values)
+        lo, hi = values.min() - 3.0 * bandwidth, values.max() + 3.0 * bandwidth
+        if not np.isfinite(hi - lo):
+            raise ValueError("values spread too wide for a finite grid")
 
-    grid = np.linspace(values.min() - 3.0 * bandwidth, values.max() + 3.0 * bandwidth, KDE_GRID_SIZE)
+    grid = np.linspace(lo, hi, KDE_GRID_SIZE)
     norm = 1.0 / (values.size * bandwidth * np.sqrt(2.0 * np.pi))
     density = np.empty(KDE_GRID_SIZE)
     for start in range(0, KDE_GRID_SIZE, _EVAL_CHUNK):

@@ -231,7 +231,6 @@ class AttenuationCurve:
 class ExperimentResult:
     """Everything one run produces, pre-serialization."""
 
-    config: ExperimentConfig
     baseline: LogitFit
     theta_stars: tuple[float, ...]  # one per cell, ascending
     columns: dict[str, np.ndarray]  # RECORD_COLUMNS, each (cells, replications)
@@ -254,7 +253,7 @@ def choices_checksum(choices: np.ndarray) -> str:
 
 def prepare_dataset(config: ExperimentConfig) -> ChoiceDataset:
     """Generate the run's population and its once-and-for-all choices."""
-    xy = generate_csr_xy(config.n, UNIT_SQUARE, population_stream(config.seed))
+    xy = generate_csr_xy(config.n, population_stream(config.seed))
     return simulate_choices_xy(xy, config.facility, config.generating_params, choices_stream(config.seed))
 
 
@@ -308,7 +307,7 @@ def _replicate_block(task: tuple[int, float | None, int, int], state: dict | Non
     xy, facility, bounds, seed, y, prob = (st[k] for k in ("xy", "facility", "bounds", "seed", "y", "prob"))
     if y is not None and choices_checksum(y) != st["y_checksum"]:
         raise RuntimeError("choice vector changed after baseline; fixed-y contract violated")
-    spec = None if theta_star is None else st["base_spec"].with_theta_star(theta_star)
+    spec = None if theta_star is None else dataclasses.replace(st["base_spec"], theta_star=theta_star)
     d = facility_distances(xy, facility) if spec is None else None
 
     chunks = []
@@ -350,7 +349,7 @@ def _run_cells(
     cells: list[tuple[int, float | None]],
     xy: np.ndarray,
     facility: Point,
-    bounds: np.ndarray | None,
+    bounds: tuple[float, float, float, float] | np.ndarray,
     base_spec: MaskSpec,
     seed: int,
     replications: int,
@@ -407,11 +406,6 @@ def _run_cells(
 
 
 # -------------------------------------------------------------- experiments
-
-def _area_bounds(mask: MaskSpec) -> np.ndarray | None:
-    """The study area's (4,) bounds under the redraw policy, None otherwise."""
-    return np.asarray(UNIT_SQUARE.bounds, dtype=np.float64) if mask.boundary == "redraw" else None
-
 
 def build_curve(
     theta_stars: tuple[float, ...], columns: dict[str, np.ndarray], baseline: LogitFit | None = None
@@ -501,15 +495,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """
     ds = prepare_dataset(config)
     if config.experiment == "centroid":
-        grid = build_municipality_grid(UNIT_SQUARE, config.grid_k)
+        grid = build_municipality_grid(config.grid_k)
         ds = assign_to_centroid(ds, grid)
-        # each individual's cell bounds as (4, n) columns, gathered from the
-        # (4, k*k) per-cell columns so no (n, 4) copy is made
-        bounds = np.take(np.ascontiguousarray(grid.cell_bounds().T), grid.cell_indices(ds.points), axis=1)
+        # each individual's cell bounds as C-contiguous (4, n) columns,
+        # gathered from the (4, k*k) per-cell columns
+        bounds = np.take(grid.cell_bounds(), grid.cell_indices(ds.points), axis=1)
         cells = [(0, grid.cell_radius)]
         spec = dataclasses.replace(config.mask, boundary="redraw")
     else:
-        bounds = _area_bounds(config.mask)
+        bounds = UNIT_SQUARE.bounds
         cells = list(enumerate(config.theta_values()))
         spec = config.mask
     baseline = fit_baseline(config, ds)  # fail before any replication
@@ -520,7 +514,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     columns = _add_flags(fits, wald_ci(baseline)[1])
     theta_stars = tuple(theta_star for _, theta_star in cells)
     return ExperimentResult(
-        config=config,
         baseline=baseline,
         theta_stars=theta_stars,
         columns=columns,
@@ -562,7 +555,7 @@ def run_efficiency_experiment(
     prob = choice_probability(config.generating_params.alpha + config.generating_params.beta * ds.distances)
     thetas = config.theta_values()
     fits = _run_cells(
-        [(0, None)] + list(enumerate(thetas)), ds.points, ds.facility, _area_bounds(config.mask), config.mask,
+        [(0, None)] + list(enumerate(thetas)), ds.points, ds.facility, UNIT_SQUARE.bounds, config.mask,
         config.seed, reps, config.workers, prob=prob,
     )
     betas = [beta[converged] for beta, converged in zip(fits["beta_hat"], fits["converged"])]

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
-
 
 @dataclass(frozen=True)
 class Point:
@@ -45,14 +43,6 @@ class StudyArea:
     def bounds(self) -> tuple[float, float, float, float]:
         """(x_min, x_max, y_min, y_max)."""
         return self.xmin, self.xmax, self.ymin, self.ymax
-
-    @property
-    def width(self) -> float:
-        return self.xmax - self.xmin
-
-    @property
-    def height(self) -> float:
-        return self.ymax - self.ymin
 
     def contains(self, p: Point) -> bool:
         return self.xmin <= p.x <= self.xmax and self.ymin <= p.y <= self.ymax

@@ -92,17 +92,14 @@ class MaskSpec:
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
 
-    def with_theta_star(self, theta_star: float) -> "MaskSpec":
-        return MaskSpec(self.mechanism, theta_star, self.boundary, self.max_attempts)
-
 
 def _direction(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(cos delta, sin delta) of delta = TWO_PI * u for raw uniform draws
+    """(cos delta, sin delta) of delta = 2 * pi * u for raw uniform draws
     ``u`` in [0, 1), from the half-angle tangent t = tan(pi * u):
     cos delta = (1 - t*t) / (1 + t*t) and sin delta = 2t / (1 + t*t).
 
-    pi * u is exactly half of TWO_PI * u (scaling by 2 is exact), so delta
-    is the angle numpy's ``uniform(0, TWO_PI)`` draws; only its cosine and
+    pi * u is exactly half of 2 * pi * u (scaling by 2 is exact), so delta
+    is the angle numpy's ``uniform(0, 2 * pi)`` draws; only its cosine and
     sine are evaluated differently from libm's, within 1 eps absolute on
     the draws measured. One vectorised ``tan`` replaces ``cos`` and ``sin``.
     t stays finite: its largest magnitude, about 1.6e16 at u = 1/2, squares

@@ -1,16 +1,17 @@
 """Synthetic populations and the distance-driven choice generator.
 
 Populations are complete-spatial-randomness (CSR) point fields: coordinates
-i.i.d. uniform over the study area. Choices are Bernoulli with success
-probability L(alpha + beta * d) (``logit.choice_probability``), d the
-distance to a single facility; the default generating coefficients are
-(1, -2) so that distance deters choice.
+i.i.d. uniform over the study area ``UNIT_SQUARE``. Choices are Bernoulli
+with success probability L(alpha + beta * d) (``logit.choice_probability``),
+d the distance to a single facility; the default generating coefficients
+are (1, -2) so that distance deters choice.
 
 Municipality grids are the synthetic stand-in for administrative units in
-the centroid-assignment experiment: k x k equal square cells tiling the
-study area, given as arrays in row-major order — (k^2, 4) cell bounds and
-(k^2, 2) cell centers as centroids — plus one cell radius, the radius of
-the circle of the same surface, as their size scale.
+the centroid-assignment experiment: k x k equal square cells tiling
+``UNIT_SQUARE``, given as arrays in row-major order — C-contiguous (4, k^2)
+cell bounds, the per-cell columns masking reads, and (k^2, 2) cell centers
+as centroids — plus one cell radius, the radius of the circle of the same
+surface, as their size scale.
 
 Draw-order contract (per stream): generate_csr_xy draws all n x-coordinates,
 then all n y-coordinates; simulate_choices_xy draws n uniforms compared
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import ChoiceDataset
-from .geometry import Point, StudyArea, equivalent_circle_radius
+from .geometry import UNIT_SQUARE, Point, equivalent_circle_radius
 from .logit import LogitParams, choice_probability
 from .rng import RngStream
 
@@ -43,11 +44,10 @@ class OutOfGridError(ValueError):
 
 @dataclass(frozen=True)
 class MunicipalityGrid:
-    """k x k equal cells tiling a study area, row-major from (xmin, ymin):
-    cell iy * k + ix spans [xmin + ix * sx, xmin + ix * sx + sx] on x, and
-    likewise on y, for cell sides (sx, sy)."""
+    """k x k equal square cells tiling ``UNIT_SQUARE``, row-major from its
+    (xmin, ymin) corner: cell iy * k + ix spans [xmin + ix * side,
+    xmin + ix * side + side] on x, and likewise on y."""
 
-    area: StudyArea
     k: int
 
     def __post_init__(self):
@@ -55,14 +55,13 @@ class MunicipalityGrid:
             raise ValueError(f"k must be >= 1, got {self.k}")
 
     @property
-    def cell_side(self) -> tuple[float, float]:
-        return self.area.width / self.k, self.area.height / self.k
+    def side(self) -> float:
+        return (UNIT_SQUARE.xmax - UNIT_SQUARE.xmin) / self.k
 
     @property
     def cell_radius(self) -> float:
         """Radius of the circle of the same surface as one cell."""
-        sx, sy = self.cell_side
-        return equivalent_circle_radius(sx * sy)
+        return equivalent_circle_radius(self.side * self.side)
 
     def cell_indices(self, xy: np.ndarray) -> np.ndarray:
         """Row-major cell index per point; raises for points outside the area.
@@ -72,45 +71,39 @@ class MunicipalityGrid:
         tile the closed area exactly.
         """
         xy = np.asarray(xy, dtype=np.float64)
-        inside = (
-            (xy[:, 0] >= self.area.xmin)
-            & (xy[:, 0] <= self.area.xmax)
-            & (xy[:, 1] >= self.area.ymin)
-            & (xy[:, 1] <= self.area.ymax)
-        )
+        xmin, xmax, ymin, ymax = UNIT_SQUARE.bounds
+        inside = (xy[:, 0] >= xmin) & (xy[:, 0] <= xmax) & (xy[:, 1] >= ymin) & (xy[:, 1] <= ymax)
         if not inside.all():
             raise OutOfGridError(np.flatnonzero(~inside))
-        sx, sy = self.cell_side
-        ix = np.minimum(((xy[:, 0] - self.area.xmin) / sx).astype(np.int64), self.k - 1)
-        iy = np.minimum(((xy[:, 1] - self.area.ymin) / sy).astype(np.int64), self.k - 1)
+        ix = np.minimum(((xy[:, 0] - xmin) / self.side).astype(np.int64), self.k - 1)
+        iy = np.minimum(((xy[:, 1] - ymin) / self.side).astype(np.int64), self.k - 1)
         return iy * self.k + ix
 
     def cell_bounds(self) -> np.ndarray:
-        """(k^2, 4) array of (xmin, xmax, ymin, ymax) per cell, row-major."""
-        sx, sy = self.cell_side
-        steps = np.arange(self.k)
-        x0, y0 = (v.ravel() for v in np.meshgrid(self.area.xmin + steps * sx, self.area.ymin + steps * sy))
-        return np.column_stack([x0, x0 + sx, y0, y0 + sy])
+        """C-contiguous (4, k^2) array whose rows are the xmin, xmax, ymin
+        and ymax of each cell, row-major."""
+        steps = np.arange(self.k) * self.side
+        x0, y0 = (v.ravel() for v in np.meshgrid(UNIT_SQUARE.xmin + steps, UNIT_SQUARE.ymin + steps))
+        return np.stack([x0, x0 + self.side, y0, y0 + self.side])
 
     def centroids(self) -> np.ndarray:
         """(k^2, 2) array of cell centers, row-major."""
-        sx, sy = self.cell_side
-        bounds = self.cell_bounds()
-        return np.column_stack([bounds[:, 0] + 0.5 * sx, bounds[:, 2] + 0.5 * sy])
+        x_min, _, y_min, _ = self.cell_bounds()
+        return np.column_stack([x_min + 0.5 * self.side, y_min + 0.5 * self.side])
 
 
-def build_municipality_grid(area: StudyArea, k: int) -> MunicipalityGrid:
-    """Partition the area into k^2 equal rectangular cells (squares on a square area)."""
-    return MunicipalityGrid(area, k)
+def build_municipality_grid(k: int) -> MunicipalityGrid:
+    """Partition ``UNIT_SQUARE`` into k^2 equal square cells."""
+    return MunicipalityGrid(k)
 
 
-def generate_csr_xy(n: int, area: StudyArea, stream: RngStream) -> np.ndarray:
-    """(n, 2) i.i.d. uniform coordinates over the area."""
+def generate_csr_xy(n: int, stream: RngStream) -> np.ndarray:
+    """(n, 2) i.i.d. uniform coordinates over ``UNIT_SQUARE``."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     gen = stream.generator()
-    x = gen.uniform(area.xmin, area.xmax, n)
-    y = gen.uniform(area.ymin, area.ymax, n)
+    x = gen.uniform(UNIT_SQUARE.xmin, UNIT_SQUARE.xmax, n)
+    y = gen.uniform(UNIT_SQUARE.ymin, UNIT_SQUARE.ymax, n)
     return np.column_stack([x, y])
 
 

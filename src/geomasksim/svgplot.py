@@ -19,13 +19,10 @@ _WIDTH, _HEIGHT = 640, 420
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 20, 30, 55
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
-    """1-2-5 tick positions covering [lo, hi]."""
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("tick range must be finite")
-    if hi <= lo:
-        hi = lo + (abs(lo) if lo != 0.0 else 1.0)
-    raw = (hi - lo) / max(target - 1, 1)
+def _nice_ticks(lo: float, hi: float) -> list[float]:
+    """About six 1-2-5 tick positions covering [lo, hi], a range that
+    ``_Frame`` has checked."""
+    raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         step = mult * mag
@@ -40,10 +37,6 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     return ticks
 
 
-def _fmt_tick(value: float) -> str:
-    return f"{value:.6g}"
-
-
 class _Frame:
     """Maps data coordinates onto the plot box and accumulates SVG elements."""
 
@@ -52,6 +45,10 @@ class _Frame:
         pad_y = 0.05 * (y_hi - y_lo) if y_hi > y_lo else 0.5 * (abs(y_hi) if y_hi else 1.0)
         self.x_lo, self.x_hi = x_lo - pad_x, x_hi + pad_x
         self.y_lo, self.y_hi = y_lo - pad_y, y_hi + pad_y
+        for lo, hi in ((self.x_lo, self.x_hi), (self.y_lo, self.y_hi)):
+            # a tick step under an ulp of the range would leave a tick where it is
+            if not (math.isfinite(hi - lo) and hi - lo > 8 * math.ulp(max(abs(lo), abs(hi)))):
+                raise ValueError(f"plot range [{lo!r}, {hi!r}] is not finite or too narrow for its magnitude")
         self.parts: list[str] = []
         self._axes(x_label, y_label, title)
 
@@ -75,13 +72,13 @@ class _Frame:
             x = self.px(t)
             p.append(f'<line x1="{x:.2f}" y1="{bottom}" x2="{x:.2f}" y2="{bottom + 5}" stroke="black"/>')
             p.append(
-                f'<text x="{x:.2f}" y="{bottom + 18}" font-size="11" text-anchor="middle">{_fmt_tick(t)}</text>'
+                f'<text x="{x:.2f}" y="{bottom + 18}" font-size="11" text-anchor="middle">{t:.6g}</text>'
             )
         for t in _nice_ticks(self.y_lo, self.y_hi):
             y = self.py(t)
             p.append(f'<line x1="{left - 5}" y1="{y:.2f}" x2="{left}" y2="{y:.2f}" stroke="black"/>')
             p.append(
-                f'<text x="{left - 8}" y="{y + 4:.2f}" font-size="11" text-anchor="end">{_fmt_tick(t)}</text>'
+                f'<text x="{left - 8}" y="{y + 4:.2f}" font-size="11" text-anchor="end">{t:.6g}</text>'
             )
         p.append(
             f'<text x="{(left + right) / 2}" y="{_HEIGHT - 12}" font-size="13" text-anchor="middle">{x_label}</text>'
@@ -99,15 +96,15 @@ class _Frame:
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="{width}"{dash_attr}/>'
         )
 
-    def hline(self, y, color="gray", dash="6,4"):
-        self.polyline([self.x_lo, self.x_hi], [y, y], color=color, width=1.2, dash=dash)
+    def hline(self, y):
+        self.polyline([self.x_lo, self.x_hi], [y, y], color="gray", width=1.2, dash="6,4")
 
-    def vline(self, x, color="black", dash=None):
-        self.polyline([x, x], [self.y_lo, self.y_hi], color=color, width=1.2, dash=dash)
+    def vline(self, x, dash=None):
+        self.polyline([x, x], [self.y_lo, self.y_hi], color="black", width=1.2, dash=dash)
 
-    def markers(self, xs, ys, color="steelblue", r=3.0):
+    def markers(self, xs, ys):
         for x, y in zip(xs, ys):
-            self.parts.append(f'<circle cx="{self.px(x):.2f}" cy="{self.py(y):.2f}" r="{r}" fill="{color}"/>')
+            self.parts.append(f'<circle cx="{self.px(x):.2f}" cy="{self.py(y):.2f}" r="3.0" fill="steelblue"/>')
 
     def render(self) -> str:
         body = "\n".join(self.parts)
@@ -164,7 +161,7 @@ def render_kde_svg(
         title="Monte Carlo distribution of the distance coefficient",
     )
     frame.polyline(xs, ys)
-    frame.vline(baseline_beta, color="black")
-    frame.vline(lo, color="black", dash="6,4")
-    frame.vline(hi, color="black", dash="6,4")
+    frame.vline(baseline_beta)
+    frame.vline(lo, dash="6,4")
+    frame.vline(hi, dash="6,4")
     return _write(path, frame.render())

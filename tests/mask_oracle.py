@@ -5,7 +5,7 @@ reads, one attempt loop per replication: each attempt over the m pending
 points draws m theta values then m delta values (uniform mechanism), or m
 x-offsets then m y-offsets (gaussian mechanism), through numpy's own
 ``uniform``, ``random`` and ``normal``. The direction (cos delta, sin delta)
-of delta = TWO_PI * draw comes from the package's ``_direction``, the one
+of delta = 2 * pi * draw comes from the package's ``_direction``, the one
 place that evaluates it. The batched ``mask_coordinates`` must give the
 same bits for every row, however many rows it masks at once.
 """
@@ -27,8 +27,8 @@ def bounds_for(kind, xy):
         return None
     if kind == "shared":
         return np.asarray(UNIT_SQUARE.bounds)
-    grid = build_municipality_grid(UNIT_SQUARE, 4)
-    return np.ascontiguousarray(grid.cell_bounds()[grid.cell_indices(xy)].T)
+    grid = build_municipality_grid(4)
+    return np.take(grid.cell_bounds(), grid.cell_indices(xy), axis=1)
 
 
 def _offsets(spec, gen, m):

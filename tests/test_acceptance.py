@@ -223,9 +223,9 @@ def test_moment_variant_adjudication(criterion_detail):
 
 
 @pytest.mark.criterion(5, "full-scale attenuation run: baseline recovery, decay, tail shares")
-def test_full_scale_attenuation_run(full_run, criterion_detail):
+def test_full_scale_attenuation_run(full_config, full_run, criterion_detail):
     rows = full_run.curve.rows
-    reps = full_run.config.replications
+    reps = full_config.replications
 
     # (a) the zero-radius cell reproduces the unmasked fit
     assert rows[0].theta_star == 0.0

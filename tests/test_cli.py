@@ -20,6 +20,7 @@ from geomasksim.logit import LogitParams
 from geomasksim.masking import _inside
 from geomasksim.population import generate_csr_xy, simulate_choices_xy
 from geomasksim.reports import (
+    CURVE_HEADER,
     read_curve_csv,
     read_points_csv,
     read_records_csv,
@@ -48,7 +49,7 @@ def _config_file(tmp_path, text=TINY, name="run.ini"):
 
 
 def _points_file(tmp_path, n=400, seed=21, with_choices=True, name="points.csv"):
-    xy = generate_csr_xy(n, UNIT_SQUARE, population_stream(seed))
+    xy = generate_csr_xy(n, population_stream(seed))
     ds = simulate_choices_xy(xy, Point(0.0, 0.0), LogitParams(1.0, -2.0), population_stream(seed + 1))
     path = tmp_path / name
     write_points_csv(xy, path, choices=ds.choices if with_choices else None)
@@ -504,6 +505,25 @@ def test_efficiency_cell_convergence_exit_2(tmp_path, monkeypatch, capsys):
     assert "true-coordinate cell converged on 0.0%" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", [[], ["--empirical-reps", "30"]])
+def test_efficiency_rejects_centroid_kind_exit_1(tmp_path, monkeypatch, capsys, extra):
+    # simulate writes no efficiency table for a centroid run, so neither form
+    # of `efficiency` prints one; the kind is rejected before any data is made
+    import geomasksim.cli as cli
+
+    def generate(*args, **kwargs):
+        raise AssertionError("data generated for a rejected kind")
+
+    monkeypatch.setattr(cli, "prepare_dataset", generate)
+    monkeypatch.setattr(cli, "run_efficiency_experiment", generate)
+    cfg = _config_file(tmp_path, "[experiment]\nkind = centroid\nseed = 1\n[population]\nn = 500\n[grid]\nk = 5\n")
+    assert main(["efficiency", "--config", cfg, "--out-dir", str(tmp_path / "eff"), *extra]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err == "error: efficiency does not run the centroid kind; simulate writes no efficiency table for it\n"
+    assert captured.out == ""
+    assert not (tmp_path / "eff").exists()
+
+
 # --- plot ---
 
 
@@ -543,6 +563,12 @@ def test_plot_unknown_theta_exit_1(tmp_path, capsys):
         ('{"beta": -2.0}', ["--records"], '"ci_beta"'),
         ('{"beta": -2.0, "ci_beta": [-2.5]}', ["--curve", "--records"], '"ci_beta"'),
         ("not json", ["--curve"], "error:"),
+        ('{"beta": NaN}', ["--curve"], 'numeric "beta"'),
+        ('{"beta": -Infinity}', ["--curve"], 'numeric "beta"'),
+        ('{"beta": -1e400}', ["--curve"], 'numeric "beta"'),
+        ('{"beta": -1' + "0" * 400 + "}", ["--curve"], 'numeric "beta"'),
+        ('{"beta": true}', ["--curve"], 'numeric "beta"'),
+        ('{"beta": -2.0, "ci_beta": [-Infinity, 0]}', ["--records"], '"ci_beta"'),
     ],
 )
 def test_plot_bad_baseline_exit_1(tmp_path, capsys, baseline, inputs, message):
@@ -586,6 +612,21 @@ def test_plot_short_csv_row_exit_1(tmp_path, capsys, name):
     rc = main(["plot", flag, str(path), "--baseline", str(out / "run_baseline.json"), "--out-dir", str(tmp_path / "p")])
     assert rc == EXIT_VALIDATION
     assert f"{path}:2: expected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("thetas", [["1e17"], ["1e16", "10000000000000002"]])
+def test_plot_range_below_float_resolution_exit_1(tmp_path, capsys, thetas):
+    # a range a few ulps wide leaves no room for distinct ticks: one row at
+    # 1e17 pads to a zero-width axis, and two rows an ulp apart once gave a
+    # tick step that adding to a tick left unchanged
+    curve = tmp_path / "curve.csv"
+    rows = [",".join(CURVE_HEADER)] + [f"{t},1.0,0.1,1.0,1.0,1.0,," for t in thetas]
+    curve.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    baseline = tmp_path / "baseline.json"
+    baseline.write_text('{"beta": -2.0}', encoding="utf-8")
+    rc = main(["plot", "--curve", str(curve), "--baseline", str(baseline), "--out-dir", str(tmp_path / "p")])
+    assert rc == EXIT_VALIDATION
+    assert re.fullmatch(r"error: plot range \[.*\] is not finite or too narrow for its magnitude\n", capsys.readouterr().err)
 
 
 def test_plot_requires_some_input(tmp_path):

@@ -172,6 +172,17 @@ def test_kde_input_validation():
         kde(np.full(10, 2.0))
 
 
+@pytest.mark.parametrize(
+    "values",
+    [[1e308, -2.0, -1.5], [1.7e308, 1.7e308, -1.7e308], [-1e308, 1e308, 0.0], [-1e308, 1e308, *np.linspace(0.0, 1.0, 50)]],
+)
+def test_kde_spread_beyond_float_range_raises_value_error(values):
+    # the sd or the grid span overflows; this is a ValueError, and no
+    # RuntimeWarning (an error under this suite's warning filter) comes first
+    with pytest.raises(ValueError, match="too wide for a finite grid"):
+        kde(np.array(values))
+
+
 def test_kde_at_outside_grid_is_zero():
     est = kde(np.array([0.0, 1.0]))
     assert _at(est, est.grid[0] - 1.0) == 0.0

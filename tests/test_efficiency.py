@@ -11,15 +11,12 @@ from geomasksim.efficiency import (
     expected_sq_masked_distance,
     information_beta,
 )
-from geomasksim.geometry import UNIT_SQUARE, Point
+from geomasksim.geometry import Point
 from geomasksim.logit import LogitParams, observed_information
 from geomasksim.masking import MaskSpec, mask_coordinates
 from geomasksim.population import generate_csr_xy, simulate_choices_xy
 from geomasksim.rng import derive_stream, population_stream
 from moment_oracle import masked_second_moment_mc
-
-AREA = UNIT_SQUARE
-
 
 def _point_ds(d_values, y=None):
     d = np.asarray(d_values, dtype=float)
@@ -29,7 +26,7 @@ def _point_ds(d_values, y=None):
 
 
 def _csr_ds(n=500, seed=50, params=LogitParams(1.0, -2.0)):
-    xy = generate_csr_xy(n, AREA, population_stream(seed))
+    xy = generate_csr_xy(n, population_stream(seed))
     return simulate_choices_xy(xy, Point(0.0, 0.0), params, population_stream(seed + 1))
 
 

@@ -11,6 +11,7 @@ import io
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -117,3 +118,87 @@ def test_point_commands_keep_the_exit_code_contract(
         else:
             argv = ["fit", "--points", str(points), "--facility-x", facility[0], "--facility-y", facility[1]]
         _assert_contract(*_run(argv))
+
+
+# one row of each plot input that has the field may be spoiled: a
+# non-finite or unparsable value, a share out of range, or a missing field (None)
+_PLOT_SPOILERS = [
+    None, None, ("theta_star", "nan"), ("mean_abs_beta", "inf"), ("beta_hat", "-inf"), ("beta_hat", "1e308"),
+    ("theta_star", "1e17"), ("mean_abs_beta", "1.7e308"), ("converged", "maybe"), ("pct_outside_true_ci", "150"),
+    ("rep", "1.5"), ("sd_beta", None), ("se_beta", None),
+]
+_BASELINES = [
+    '{{"beta": {b!r}, "ci_beta": [{lo!r}, {hi!r}]}}', '{{"beta": {b!r}}}', '{{"beta": {b!r}, "ci_beta": [{hi!r}, 9.0]}}',
+    '{{"beta": "{b}"}}', '{{"beta": NaN, "ci_beta": [-1, 1]}}', "[1, 2]", "{{",
+]
+
+
+def _csv_text(rows, spoiler) -> str:
+    header = tuple(rows[0])
+    if spoiler is not None and spoiler[0] in header:
+        field, value = spoiler
+        rows[0][field] = value
+    lines = [",".join(header)] + [",".join(row[f] for f in header if row[f] is not None) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    thetas=st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.5]), min_size=1, max_size=3, unique=True).map(sorted),
+    betas=st.lists(st.floats(-4.0, 0.0), min_size=1, max_size=12),
+    failed=st.sets(st.integers(0, 11), max_size=4),
+    spoiler=st.sampled_from(_PLOT_SPOILERS),
+    baseline=st.sampled_from(_BASELINES),
+    inputs=st.sampled_from([("curve", "records"), ("curve",), ("records",), ()]),
+    theta_star=st.sampled_from([None, "0.1", "0.5", "5", "nan"]),
+    directory=st.sampled_from([None, None, "curve", "records", "baseline"]),
+)
+def test_plot_keeps_the_exit_code_contract(thetas, betas, failed, spoiler, baseline, inputs, theta_star, directory):
+    betas = [b - 0.01 * i for i, b in enumerate(betas)]  # distinct, so a KDE can be built from two of them
+    beta = sum(betas) / len(betas)
+    curve_rows = [
+        {"theta_star": repr(t), "mean_abs_beta": repr(abs(beta) / (1 + t)), "sd_beta": "0.25",
+         "pct_outside_true_ci": "10.0", "pct_nonsignificant": "5.0", "convergence_rate": "1.0",
+         "el_analytic": "", "el_empirical": ""}
+        for t in thetas
+    ]
+    record_rows = [
+        {"theta_star": repr(t), "rep": str(rep), "alpha_hat": "1.0", "beta_hat": repr(b), "se_beta": "0.5",
+         "converged": str(rep not in failed).lower(), "iterations": "4", "significant_beta": "true",
+         "outside_true_ci": "false"}
+        for t in thetas
+        for rep, b in enumerate(betas)
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: Path(tmp) / f"{name}.txt" for name in ("curve", "records", "baseline")}
+        paths["curve"].write_text(_csv_text(curve_rows, spoiler), encoding="utf-8")
+        paths["records"].write_text(_csv_text(record_rows, spoiler), encoding="utf-8")
+        paths["baseline"].write_text(baseline.format(b=beta, lo=beta - 0.5, hi=beta + 0.5), encoding="utf-8")
+        if directory is not None:
+            paths[directory] = Path(tmp)
+        argv = ["plot", "--baseline", str(paths["baseline"]), "--out-dir", str(Path(tmp) / "plots")]
+        for name in inputs:
+            argv += [f"--{name}", str(paths[name])]
+        if theta_star is not None:
+            argv += ["--theta-star", theta_star]
+        _assert_contract(*_run(argv))
+
+
+@pytest.mark.parametrize("case", ["fit-points-dir", "mask-points-dir", "simulate-out-is-file", "simulate-out-under-file"])
+def test_paths_the_system_refuses_exit_1(tmp_path, case):
+    # a directory given as an input file, or an output directory that is or
+    # lies under a regular file, is a validation error, not a traceback
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[experiment]\nseed = 1\nreplications = 2\n[population]\nn = 60\n[grid]\nfractions = 0.5\n",
+                   encoding="utf-8")
+    a_file = tmp_path / "a_file"
+    a_file.write_text("", encoding="utf-8")
+    argv = {
+        "fit-points-dir": ["fit", "--points", str(tmp_path)],
+        "mask-points-dir": ["mask", "--points", str(tmp_path), "--out", str(tmp_path / "m.csv"), "--theta-star", "0.1"],
+        "simulate-out-is-file": ["simulate", "--config", str(cfg), "--out-dir", str(a_file)],
+        "simulate-out-under-file": ["simulate", "--config", str(cfg), "--out-dir", str(a_file / "out")],
+    }[case]
+    code, err = _run(argv)
+    _assert_contract(code, err)
+    assert code == EXIT_VALIDATION

@@ -24,7 +24,7 @@ from geomasksim.experiments import (
     run_experiment,
 )
 from geomasksim.efficiency import efficiency_report
-from geomasksim.geometry import UNIT_SQUARE, Point
+from geomasksim.geometry import Point
 from geomasksim.logit import Z_95, fit_logit, wald_ci
 from geomasksim.masking import MaskSpec
 from geomasksim.population import assign_to_centroid, build_municipality_grid
@@ -128,7 +128,7 @@ def test_run_baseline_consistent_with_generator():
 def test_run_baseline_centroid_uses_assigned_coordinates():
     cfg = _config(experiment="centroid", grid_k=10)
     via_runner = run_experiment(cfg).baseline
-    ds = assign_to_centroid(prepare_dataset(cfg), build_municipality_grid(UNIT_SQUARE, 10))
+    ds = assign_to_centroid(prepare_dataset(cfg), build_municipality_grid(10))
     assert via_runner.params == fit_logit(ds).params
 
 
@@ -230,7 +230,7 @@ def test_masked_distances_match_per_replication_oracle(monkeypatch, mechanism, b
     choices = {"prob": prob} if regenerated else {"y": y}
     D, Y = _harness_rows(monkeypatch, cell, xy, bounds, spec, reps, **choices)
 
-    masked_spec = spec.with_theta_star(cell[1])
+    masked_spec = dataclasses.replace(spec, theta_star=cell[1])
     for rep in range(reps):
         gen = (efficiency_masked_stream if regenerated else derive_stream)(41, cell[0], rep).generator()
         y_rep = (gen.uniform(0.0, 1.0, n) < prob).astype(np.float64) if regenerated else y
@@ -504,13 +504,13 @@ def test_curve_row_validation():
 def test_centroid_experiment_shape():
     cfg = _config(experiment="centroid", n=400, replications=40, grid_k=5)
     res = run_experiment(cfg)
-    cell_radius = build_municipality_grid(UNIT_SQUARE, 5).cell_radius
+    cell_radius = build_municipality_grid(5).cell_radius
     assert len(res.curve.rows) == 1
     assert res.curve.rows[0].theta_star == cell_radius
     assert res.theta_stars == (cell_radius,)
     assert res.columns["beta_hat"].shape == (1, 40)
     # observed dataset is centroid-assigned
-    centroids = {tuple(row) for row in build_municipality_grid(UNIT_SQUARE, 5).centroids()}
+    centroids = {tuple(row) for row in build_municipality_grid(5).centroids()}
     assert {tuple(row) for row in res.dataset.points} <= centroids
 
 

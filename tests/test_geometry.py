@@ -49,14 +49,12 @@ def test_equivalent_circle_radius_rejects_nonpositive():
 def test_study_area_unit_square():
     area = UNIT_SQUARE
     assert area.bounds == (-0.5, 0.5, -0.5, 0.5)
-    assert area.width == 1.0 and area.height == 1.0
     assert area.contains(Point(0.5, 0.5))  # boundary inclusive
     assert not area.contains(Point(0.5000001, 0.0))
 
 
 def test_study_area_rectangle_properties():
     area = StudyArea(0.0, 4.0, -1.0, 1.0)
-    assert area.width == 4.0 and area.height == 2.0
     assert area.bounds == (0.0, 4.0, -1.0, 1.0)
 
 

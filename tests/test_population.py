@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 from scipy.special import expit
 
-from geomasksim.geometry import UNIT_SQUARE, Point, StudyArea, equivalent_circle_radius, facility_distances
+from geomasksim.geometry import UNIT_SQUARE, Point, equivalent_circle_radius, facility_distances
 from geomasksim.logit import LogitParams
 from geomasksim.masking import _inside
 from geomasksim.population import (
@@ -31,19 +31,19 @@ def test_default_generating_params():
 
 
 def test_generate_csr_shape_and_support():
-    xy = generate_csr_xy(10_000, AREA, population_stream(1))
+    xy = generate_csr_xy(10_000, population_stream(1))
     assert xy.shape == (10_000, 2)
     assert _inside(xy[:, 0], xy[:, 1], np.asarray(AREA.bounds)).all()
 
 
 def test_generate_csr_rejects_empty():
     with pytest.raises(ValueError):
-        generate_csr_xy(0, AREA, population_stream(0))
+        generate_csr_xy(0, population_stream(0))
 
 
 def test_generate_csr_draw_order_contract():
     # stream layout: all n x-coordinates, then all n y-coordinates
-    xy = generate_csr_xy(7, AREA, population_stream(2))
+    xy = generate_csr_xy(7, population_stream(2))
     gen = population_stream(2).generator()
     x = gen.uniform(-0.5, 0.5, 7)
     y = gen.uniform(-0.5, 0.5, 7)
@@ -52,39 +52,32 @@ def test_generate_csr_draw_order_contract():
 
 def test_csr_mean_near_center():
     # mean of 1e5 uniforms on [-0.5, 0.5]: sd of the mean ~ 9e-4
-    xy = generate_csr_xy(100_000, AREA, population_stream(4))
+    xy = generate_csr_xy(100_000, population_stream(4))
     assert abs(xy[:, 0].mean()) < 0.005
     assert abs(xy[:, 1].mean()) < 0.005
 
 
 def test_csr_quadrant_balance():
-    xy = generate_csr_xy(1_000_000, AREA, population_stream(5))
+    xy = generate_csr_xy(1_000_000, population_stream(5))
     q = (xy[:, 0] > 0).astype(int) * 2 + (xy[:, 1] > 0).astype(int)
     freq = np.bincount(q, minlength=4) / xy.shape[0]
     np.testing.assert_allclose(freq, 0.25, atol=0.002)
 
 
 def test_csr_chi_square_uniformity():
-    xy = generate_csr_xy(1_000_000, AREA, population_stream(6))
+    xy = generate_csr_xy(1_000_000, population_stream(6))
     counts, _, _ = np.histogram2d(xy[:, 0], xy[:, 1], bins=10, range=[[-0.5, 0.5], [-0.5, 0.5]])
     assert stats.chisquare(counts.ravel()).pvalue > 0.01
 
 
-def test_csr_rectangle_area_support():
-    area = StudyArea(2.0, 3.0, -4.0, -2.0)
-    xy = generate_csr_xy(5_000, area, population_stream(7))
-    assert _inside(xy[:, 0], xy[:, 1], np.asarray(area.bounds)).all()
-    assert np.ptp(xy[:, 1]) > 1.0  # actually spreads over the taller side
-
-
 def test_simulate_choices_zero_beta_rate():
-    xy = generate_csr_xy(1_000_000, AREA, population_stream(8))
+    xy = generate_csr_xy(1_000_000, population_stream(8))
     ds = simulate_choices_xy(xy, Point(0.0, 0.0), LogitParams(0.0, 0.0), population_stream(9))
     assert ds.choices.mean() == pytest.approx(0.5, abs=0.002)
 
 
 def test_simulate_choices_rate_matches_quadrature():
-    xy = generate_csr_xy(1_000_000, AREA, population_stream(10))
+    xy = generate_csr_xy(1_000_000, population_stream(10))
     ds = simulate_choices_xy(xy, Point(0.0, 0.0), LogitParams(1.0, -2.0), population_stream(11))
     # binomial sd of the mean is below 5e-4; allow 4 sigma plus the MC error
     # of the empirical distance distribution
@@ -104,7 +97,7 @@ def test_simulate_choices_marginal_probability_at_fixed_point():
 
 
 def test_simulate_choices_draw_order_contract():
-    xy = generate_csr_xy(9, AREA, population_stream(12))
+    xy = generate_csr_xy(9, population_stream(12))
     ds = simulate_choices_xy(xy, Point(0.1, 0.2), LogitParams(1.0, -2.0), population_stream(13))
     gen = population_stream(13).generator()
     d = np.hypot(xy[:, 0] - 0.1, xy[:, 1] - 0.2)
@@ -116,46 +109,45 @@ def test_simulate_choices_draw_order_contract():
 
 
 def test_grid_k1_single_cell():
-    grid = build_municipality_grid(AREA, 1)
+    grid = build_municipality_grid(1)
     np.testing.assert_array_equal(grid.centroids(), [[0.0, 0.0]])
-    np.testing.assert_array_equal(grid.cell_bounds(), [[-0.5, 0.5, -0.5, 0.5]])
+    np.testing.assert_array_equal(grid.cell_bounds(), [[-0.5], [0.5], [-0.5], [0.5]])
     assert grid.cell_radius == pytest.approx(equivalent_circle_radius(1.0))
 
 
 def test_grid_k2_centroids():
-    grid = build_municipality_grid(AREA, 2)
+    grid = build_municipality_grid(2)
     got = {tuple(row) for row in grid.centroids()}
     assert got == {(-0.25, -0.25), (0.25, -0.25), (-0.25, 0.25), (0.25, 0.25)}
 
 
 def test_grid_cells_tile_the_area():
-    grid = build_municipality_grid(AREA, 7)
-    b = grid.cell_bounds()
-    total = ((b[:, 1] - b[:, 0]) * (b[:, 3] - b[:, 2])).sum()
-    assert total == pytest.approx(AREA.width * AREA.height, abs=1e-12)
+    grid = build_municipality_grid(7)
+    x_min, x_max, y_min, y_max = grid.cell_bounds()
+    assert ((x_max - x_min) * (y_max - y_min)).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_grid_row_major_order():
-    grid = build_municipality_grid(AREA, 3)
+    grid = build_municipality_grid(3)
     # first cell is the bottom-left corner, iteration runs x-fastest
-    b = grid.cell_bounds()
-    assert b[0, 0] == -0.5 and b[0, 2] == -0.5
-    assert b[1, 0] == pytest.approx(-0.5 + 1 / 3)
-    assert b[3, 2] == pytest.approx(-0.5 + 1 / 3)
+    x_min, _, y_min, _ = grid.cell_bounds()
+    assert x_min[0] == -0.5 and y_min[0] == -0.5
+    assert x_min[1] == pytest.approx(-0.5 + 1 / 3)
+    assert y_min[3] == pytest.approx(-0.5 + 1 / 3)
 
 
 def test_grid_cell_radius_formula():
-    grid = build_municipality_grid(AREA, 10)
+    grid = build_municipality_grid(10)
     assert grid.cell_radius == pytest.approx(math.sqrt(0.01 / math.pi))
 
 
 def test_grid_rejects_bad_k():
     with pytest.raises(ValueError):
-        build_municipality_grid(AREA, 0)
+        build_municipality_grid(0)
 
 
 def test_cell_indices_interior_edges_go_up():
-    grid = build_municipality_grid(AREA, 2)
+    grid = build_municipality_grid(2)
     idx = grid.cell_indices(np.array([[0.0, 0.0], [-0.25, -0.25], [0.5, 0.5], [-0.5, -0.5]]))
     # the shared edge at 0 belongs to the upper cell; the outer max corner is
     # clamped into the last cell
@@ -163,27 +155,28 @@ def test_cell_indices_interior_edges_go_up():
 
 
 def test_cell_indices_out_of_grid():
-    grid = build_municipality_grid(AREA, 2)
+    grid = build_municipality_grid(2)
     with pytest.raises(OutOfGridError) as info:
         grid.cell_indices(np.array([[0.0, 0.0], [0.6, 0.0]]))
     assert info.value.point_indices == [1]
 
 
-@pytest.mark.parametrize("area", [AREA, StudyArea(2.0, 3.0, -4.0, -2.0), StudyArea(-0.3, 0.7, 0.1, 2.9)])
-def test_cell_bounds_row_alignment(area):
-    # bit-equal to a row-major per-cell loop: x0 = xmin + ix * sx, then
-    # x0 + sx for the upper edge and x0 + 0.5 * sx for the centroid
+def test_cell_bounds_row_alignment():
+    # bit-equal to a row-major per-cell loop: x0 = xmin + ix * side, then
+    # x0 + side for the upper edge and x0 + 0.5 * side for the centroid;
+    # the bounds come as C-contiguous (4, k*k) columns
     for k in (1, 2, 3, 4, 5, 7, 10, 20, 33, 100):
-        grid = build_municipality_grid(area, k)
-        sx, sy = area.width / k, area.height / k
+        grid = build_municipality_grid(k)
+        side = 1.0 / k
         bounds, centroids = [], []
         for iy in range(k):
             for ix in range(k):
-                x0, y0 = area.xmin + ix * sx, area.ymin + iy * sy
-                bounds.append([x0, x0 + sx, y0, y0 + sy])
-                centroids.append([x0 + 0.5 * sx, y0 + 0.5 * sy])
-        assert grid.cell_bounds().shape == (k * k, 4)
-        assert grid.cell_bounds().tobytes() == np.array(bounds).tobytes()
+                x0, y0 = AREA.xmin + ix * side, AREA.ymin + iy * side
+                bounds.append([x0, x0 + side, y0, y0 + side])
+                centroids.append([x0 + 0.5 * side, y0 + 0.5 * side])
+        assert grid.side == side
+        assert grid.cell_bounds().shape == (4, k * k) and grid.cell_bounds().flags.c_contiguous
+        assert grid.cell_bounds().tobytes() == np.array(bounds).T.copy().tobytes()
         assert grid.centroids().tobytes() == np.array(centroids).tobytes()
 
 
@@ -191,13 +184,13 @@ def test_cell_bounds_row_alignment(area):
 
 
 def _choice_ds(n, seed, params=LogitParams(1.0, -2.0)):
-    xy = generate_csr_xy(n, AREA, population_stream(seed))
+    xy = generate_csr_xy(n, population_stream(seed))
     return simulate_choices_xy(xy, Point(0.0, 0.0), params, population_stream(seed + 1))
 
 
 def test_assign_to_centroid_replaces_coordinates():
     ds = _choice_ds(500, 30)
-    grid = build_municipality_grid(AREA, 10)
+    grid = build_municipality_grid(10)
     points = ds.points.copy()
     out = assign_to_centroid(ds, grid)
     centroids = {tuple(row) for row in grid.centroids()}
@@ -209,7 +202,7 @@ def test_assign_to_centroid_replaces_coordinates():
 
 def test_assign_to_centroid_idempotent():
     ds = _choice_ds(500, 32)
-    grid = build_municipality_grid(AREA, 10)
+    grid = build_municipality_grid(10)
     once = assign_to_centroid(ds, grid)
     twice = assign_to_centroid(once, grid)
     np.testing.assert_array_equal(once.points, twice.points)
@@ -217,14 +210,14 @@ def test_assign_to_centroid_idempotent():
 
 def test_assign_to_centroid_k1_collapses_to_center():
     ds = _choice_ds(100, 34)
-    out = assign_to_centroid(ds, build_municipality_grid(AREA, 1))
+    out = assign_to_centroid(ds, build_municipality_grid(1))
     np.testing.assert_array_equal(out.points, np.zeros((100, 2)))
     np.testing.assert_array_equal(out.distances, np.zeros(100))
 
 
 def test_assign_to_centroid_displacement_bounded_by_half_diagonal():
     ds = _choice_ds(2_000, 36)
-    grid = build_municipality_grid(AREA, 10)
+    grid = build_municipality_grid(10)
     out = assign_to_centroid(ds, grid)
     disp = np.hypot(*(out.points - ds.points).T)
     assert disp.max() <= 0.5 * math.hypot(0.1, 0.1) + 1e-12
@@ -234,9 +227,9 @@ def test_assign_to_centroid_mean_displacement():
     # uniform point in a square of side a to its center: E = (a/6)(sqrt(2) +
     # ln(1 + sqrt(2))) = 0.0382597858... for a = 0.1; MC sd of the mean over
     # 1e5 points is ~6e-5
-    xy = generate_csr_xy(100_000, AREA, population_stream(38))
+    xy = generate_csr_xy(100_000, population_stream(38))
     ds = simulate_choices_xy(xy, Point(0.0, 0.0), LogitParams(1.0, -2.0), population_stream(39))
-    grid = build_municipality_grid(AREA, 10)
+    grid = build_municipality_grid(10)
     out = assign_to_centroid(ds, grid)
     disp = np.hypot(*(out.points - ds.points).T)
     assert disp.mean() == pytest.approx(0.038259785823210636, abs=5e-4)
