@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .config import RunOptions, config_hash, parse_config, parse_run_options
-from .density import DegenerateSampleError, kde
+from .density import kde
 from .efficiency import efficiency_report
 from .experiments import (
     BatchConvergenceError,
@@ -110,6 +110,11 @@ def _load_config(args) -> tuple[ExperimentConfig, RunOptions]:
     options = parse_run_options(args.config)
     if args.out_dir is not None:
         options = dataclasses.replace(options, out_dir=args.out_dir)
+    # refused before any data is generated, and without creating it
+    out = Path(options.out_dir)
+    blocker = next(p for p in (out, *out.parents) if p.exists())
+    if not blocker.is_dir():
+        raise _CliError(f"out dir {out}: {blocker} is not a directory")
     return _apply_overrides(config, args), options
 
 
@@ -151,7 +156,7 @@ def _cmd_simulate(args) -> int:
                     out / f"{prefix}_kde.svg",
                 )
             )
-        except (DegenerateSampleError, ValueError):
+        except ValueError:  # DegenerateSampleError included
             print("note: replication estimates degenerate at the largest theta*; KDE plot skipped")
 
     manifest = RunManifest(
@@ -285,7 +290,7 @@ def _cmd_plot(args) -> int:
             raise _CliError(f"no converged records at theta*={theta:g} in {args.records}")
         try:
             estimate = kde(np.array(betas))
-        except (DegenerateSampleError, ValueError) as exc:
+        except ValueError as exc:  # DegenerateSampleError included
             raise _CliError(f"cannot build KDE at theta*={theta:g}: {exc}") from exc
         path = render_kde_svg(estimate, baseline["beta"], tuple(baseline["ci_beta"]), out / "kde.svg")
         print(f"wrote {path}")

@@ -50,6 +50,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -126,11 +127,6 @@ class BatchConvergenceError(RuntimeError):
         cell = "true-coordinate cell" if theta_star is None else f"cell theta*={theta_star:g}"
         choices = "fixed" if stage == "attenuation" else "regenerated"
         super().__init__(f"{stage} stage ({choices} choices): {cell} converged on {rate:.1%} of replications")
-
-    def __reduce__(self):
-        # rebuild from the constructor's arguments, so the error survives the
-        # pickle round trip from a pool worker to the parent
-        return type(self), (self.theta_star, self.rate, self.stage)
 
 
 @dataclass(frozen=True)
@@ -367,8 +363,10 @@ def _run_cells(
     every point must start inside ``bounds`` (one (4,) rectangle or (4, n)
     per-point columns). That is checked once here, before any replication,
     by ``checked_bounds``, the check ``masking.mask_coordinates`` makes on
-    every call (ValueError). A cell that converged on
-    under half of its replications raises BatchConvergenceError.
+    every call (ValueError). The tasks run in-process or in a pool of at
+    most ``workers`` processes, no more than there are tasks or CPUs. A
+    cell that converged on under half of its replications raises
+    BatchConvergenceError.
     """
     xy = np.ascontiguousarray(xy, dtype=np.float64)
     payload = {
@@ -387,10 +385,11 @@ def _run_cells(
         for theta_index, theta_star in cells
         for start in range(0, replications, _REP_BLOCK)
     ]
-    if workers == 1:
+    processes = min(workers, len(tasks), os.cpu_count() or 1)
+    if processes == 1:
         blocks = [_replicate_block(task, state=payload) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(payload,)) as pool:
+        with ProcessPoolExecutor(max_workers=processes, initializer=_init_worker, initargs=(payload,)) as pool:
             blocks = list(pool.map(_replicate_block, tasks, chunksize=1))
 
     fits = {

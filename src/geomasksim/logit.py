@@ -16,9 +16,10 @@ one-row block. Each Newton pass is fused. With e = exp(-|eta|):
 
 so a pass costs one ``exp`` per point and overflows for no eta. The score
 (sum r, sum r*d) with r = y - p and the information (sum w, sum w*d,
-sum w*d^2) come from the same p and w. A Newton step s is accepted by the
-slope of the log-likelihood along s at its end, g_new . s, from the score
-the next pass needs anyway: the log-likelihood is concave along s, so
+sum w*d^2) come from the same p and w. One routine, ``_step``, takes each
+Newton step s, halved where needed. The full step is accepted by the slope
+of the log-likelihood along s at its end, g_new . s, from the score the
+next pass needs anyway: the log-likelihood is concave along s, so
 ll(new) - ll(old) >= g_new . s, and a slope of at least -1e-10 meets the
 step-halving rule unhalved. Only a row that fails this test evaluates the
 log-likelihood (one ``log1p`` per point), at its old point and at
@@ -27,10 +28,12 @@ value. A fit that starts at the origin, as every fit in the package does,
 takes its first pass in closed form (``_origin``). ``log_likelihood``,
 ``score`` and ``observed_information`` are one-row views of the same pass.
 
-Each pass decides at one site which rows stop (CONVERGED, NOT_CONVERGED or
-SINGULAR; SEPARATED rows never start). A row reports the steps it took and
-the information and gradient norm at its estimate; ``fit_distance_choice``
-adds the log-likelihood there.
+Each pass decides at one site, from the current estimate, which rows stop
+(CONVERGED, NOT_CONVERGED or SINGULAR; SEPARATED rows never start); an
+estimate beyond the divergence bound is runaway (quasi-separation) and
+stops NOT_CONVERGED. A row reports the steps it took and the information
+and gradient norm at its estimate; ``fit_distance_choice`` adds the
+log-likelihood there.
 
 ``choice_probability`` is the package's one logistic function outside the
 fit: the generated and regenerated choices and the information weights all
@@ -50,7 +53,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
@@ -59,7 +61,7 @@ from .dataset import ChoiceDataset
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 100
 #: two-sided 95% normal quantile of the Wald intervals and tests
-Z_95 = NormalDist().inv_cdf(0.975)
+Z_95 = 1.9599639845400536  # statistics.NormalDist().inv_cdf(0.975)
 
 # Estimates beyond this magnitude are treated as runaway (quasi-separation).
 _DIVERGENCE_BOUND = 1e4
@@ -245,56 +247,43 @@ def observed_information(d: np.ndarray, p: LogitParams) -> np.ndarray:
     return np.array([[sw, swd], [swd, swd2]])
 
 
-def _halve(D, Y, a, b, step_a, step_b, ll, H, E, T1, T2):
-    """Take each row's Newton step, halved until the log-likelihood is within
-    the slack of ``ll``; the last of the 40 candidates is taken regardless.
-
-    Returns the new (a, b); H and E hold the accepted eta and e.
-    """
-    floor = ll - _SLACK * (1.0 + np.abs(ll))
-    new_a, new_b = a + step_a, b + step_b
-    _eta_exp(D, new_a, new_b, H, E)
-    # a NaN candidate fails the comparison and is halved too
-    pending = np.flatnonzero(~(_loglik(Y, H, E, T1, T2) >= floor))
-    scale = 1.0
-    while pending.size:
-        scale *= 0.5
-        ca = a[pending] + scale * step_a[pending]
-        cb = b[pending] + scale * step_b[pending]
-        Hp, Ep = np.empty((2, pending.size, D.shape[1]))
-        _eta_exp(D[pending], ca, cb, Hp, Ep)
-        llc = _loglik(Y[pending], Hp, Ep, T1[: pending.size], T2[: pending.size])
-        ok = (llc >= floor[pending]) | (scale == _MIN_SCALE)
-        took = pending[ok]
-        new_a[took], new_b[took] = ca[ok], cb[ok]
-        H[took], E[took] = Hp[ok], Ep[ok]
-        pending = pending[~ok]
-    return new_a, new_b
-
-
 def _step(D, Y, a, b, step_a, step_b, H, E, T1, T2):
-    """Take each row's Newton step and return the new (a, b) and the
-    ``_moments`` there; overwrites H, E, T1 and T2.
+    """Take each row's Newton step, halved until the log-likelihood is within
+    _SLACK * (1 + |ll|) of its old value ``ll``, and return the new (a, b)
+    and the ``_moments`` there; overwrites H, E, T1 and T2.
 
-    The full step is kept when the slope along it at the candidate,
-    g_new . step, is at least -_SLACK. The log-likelihood is concave along
-    the step, so then ll(new) >= ll(old) - _SLACK: ``_halve`` would keep it
-    too. The other rows evaluate ll at their old point and go through
-    ``_halve``, so every row's accepted point is the one ``_halve`` picks.
+    Scales run 1, 1/2, ..., _MIN_SCALE, and the last is taken regardless. The
+    full step is kept without evaluating ll when the slope along it at the
+    candidate, g_new . step, is at least -_SLACK: the log-likelihood is
+    concave along the step, so then ll(new) >= ll(old) - _SLACK. The other
+    rows evaluate ll at their old point and at each scale until one is
+    accepted; their eta, e and moments are then recomputed at the accepted
+    point, the same bits as the accepted candidate's.
     """
     new_a, new_b = a + step_a, b + step_b
     _eta_exp(D, new_a, new_b, H, E)
     M = _moments(D, Y, H, E, T1, T2)
-    # a NaN slope fails the comparison and goes to _halve too
+    # a NaN slope fails the comparison and is halved too
     back = np.flatnonzero(~(M[:, 0] * step_a + M[:, 1] * step_b >= -_SLACK))
     if back.size:
         # every row's moments are taken, so H, E, T1 and T2 are free to reuse
-        Db, Yb, ab, bb = D[back], Y[back], a[back], b[back]
-        Hb, Eb, T1b, T2b = (v[: back.size] for v in (H, E, T1, T2))
-        _eta_exp(Db, ab, bb, Hb, Eb)
-        ll = _loglik(Yb, Hb, Eb, T1b, T2b)
-        new_a[back], new_b[back] = _halve(Db, Yb, ab, bb, step_a[back], step_b[back], ll, Hb, Eb, T1b, T2b)
-        M[back] = _moments(Db, Yb, Hb, Eb, T1b, T2b)
+        D, Y, a, b, step_a, step_b = (v[back] for v in (D, Y, a, b, step_a, step_b))
+        H, E, T1, T2 = (v[: back.size] for v in (H, E, T1, T2))
+        _eta_exp(D, a, b, H, E)
+        ll = _loglik(Y, H, E, T1, T2)
+        floor = ll - _SLACK * (1.0 + np.abs(ll))
+        pending, scale = np.arange(back.size), 1.0
+        while pending.size:
+            k = pending.size
+            ca, cb = a[pending] + scale * step_a[pending], b[pending] + scale * step_b[pending]
+            _eta_exp(D[pending], ca, cb, H[:k], E[:k])
+            # a NaN candidate fails the comparison and is halved too
+            ok = (_loglik(Y[pending], H[:k], E[:k], T1[:k], T2[:k]) >= floor[pending]) | (scale == _MIN_SCALE)
+            took = back[pending[ok]]
+            new_a[took], new_b[took] = ca[ok], cb[ok]
+            pending, scale = pending[~ok], scale * 0.5
+        _eta_exp(D, new_a[back], new_b[back], H, E)
+        M[back] = _moments(D, Y, H, E, T1, T2)
     return new_a, new_b, M
 
 
@@ -309,18 +298,15 @@ def fit_rows(
     ``d`` and ``y`` broadcast to (R, n); a 1-D one is shared by every row.
     A row with all-equal choices is SEPARATED. Every other row starts at
     ``init`` and stops before a Newton step: NOT_CONVERGED once ``max_iter``
-    steps are taken or the last step passed the divergence bound
-    (quasi-separation), else SINGULAR unless its information determinant is
-    finite and at least ``_TINY`` times max(1, its diagonal) (so that the
-    standard errors are finite), else CONVERGED once its gradient max-norm
-    is below ``DEFAULT_TOL``. ``iterations`` counts the steps taken, and
-    ``information`` and ``gradient_norm`` are those of the reported
-    estimate. Each step is halved until it does not decrease the
-    log-likelihood by more than _SLACK * (1 + |ll|); a step whose slope at
-    its end is at least -_SLACK meets that rule unhalved, so only the other
-    rows evaluate a log-likelihood (``_step``). The distances must be
-    finite: the start at the origin is taken in closed form (``_origin``),
-    which holds for finite d.
+    steps are taken or its estimate lies beyond the divergence bound
+    (quasi-separation; a start beyond it stops at once), else SINGULAR
+    unless its information determinant is finite and at least ``_TINY``
+    times max(1, its diagonal) (so that the standard errors are finite),
+    else CONVERGED once its gradient max-norm is below ``DEFAULT_TOL``.
+    ``iterations`` counts the steps taken, and ``information`` and
+    ``gradient_norm`` are those of the reported estimate. Each step is
+    halved by ``_step``. The distances must be finite: the start at the
+    origin is taken in closed form (``_origin``), which holds for finite d.
     """
     D, Y = _block(d, y)
     R, n = D.shape
@@ -340,14 +326,14 @@ def fit_rows(
     else:
         _eta_exp(D, a, b, H, E)
         M = _moments(D, Y, H, E, T1, T2)
-    ran_away = np.zeros(m, dtype=bool)
 
     for steps in range(max_iter + 1):
         if not m:
             break
         gnorm = np.maximum(np.abs(M[:, 0]), np.abs(M[:, 1]))
         det = M[:, 2] * M[:, 4] - M[:, 3] ** 2
-        out = ran_away | (steps == max_iter)
+        # a runaway estimate is quasi-separation
+        out = (steps == max_iter) | (np.abs(a) > _DIVERGENCE_BOUND) | (np.abs(b) > _DIVERGENCE_BOUND)
         # M[:, 2:5:2] is the diagonal (sum w, sum w*d*d)
         singular = ~(np.isfinite(det) & (det >= _TINY * M[:, 2:5:2].max(axis=1, initial=1.0)))
         stopped = out | singular | (gnorm < DEFAULT_TOL)
@@ -368,8 +354,6 @@ def fit_rows(
         step_a = (i11 * g0 - i01 * g1) / det
         step_b = (i00 * g1 - i01 * g0) / det
         a, b, M = _step(D, Y, a, b, step_a, step_b, H, E, T1, T2)
-        # runaway estimates: quasi-separation, stopped as NOT_CONVERGED next pass
-        ran_away = (np.abs(a) > _DIVERGENCE_BOUND) | (np.abs(b) > _DIVERGENCE_BOUND)
 
     sw, swd, swd2 = info.T
     det = sw * swd2 - swd**2

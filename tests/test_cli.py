@@ -21,6 +21,7 @@ from geomasksim.masking import _inside
 from geomasksim.population import generate_csr_xy, simulate_choices_xy
 from geomasksim.reports import (
     CURVE_HEADER,
+    RECORDS_HEADER,
     read_curve_csv,
     read_points_csv,
     read_records_csv,
@@ -143,6 +144,16 @@ def test_simulate_fast_flag(tmp_path):
 def test_simulate_bad_config_exit_1(tmp_path):
     cfg = _config_file(tmp_path, "[experiment]\nkind = nope\n")
     assert main(["simulate", "--config", cfg]) == EXIT_VALIDATION
+
+
+def test_simulate_single_point_theta_grid_skips_the_kde_plot(tmp_path, capsys):
+    # at theta* = 0 every refit is the baseline fit, so the estimates have no
+    # spread for a KDE: the run completes without that plot
+    cfg = _config_file(tmp_path, TINY.replace("0.0, 0.5, 1.0", "0"))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == EXIT_OK
+    assert "note: replication estimates degenerate at the largest theta*; KDE plot skipped\n" in capsys.readouterr().out
+    assert (out / "run_attenuation.svg").is_file() and not (out / "run_kde.svg").exists()
 
 
 def test_simulate_batch_failure_exit_2(tmp_path, monkeypatch, capsys):
@@ -627,6 +638,42 @@ def test_plot_range_below_float_resolution_exit_1(tmp_path, capsys, thetas):
     rc = main(["plot", "--curve", str(curve), "--baseline", str(baseline), "--out-dir", str(tmp_path / "p")])
     assert rc == EXIT_VALIDATION
     assert re.fullmatch(r"error: plot range \[.*\] is not finite or too narrow for its magnitude\n", capsys.readouterr().err)
+
+
+def _plot_files(tmp_path, baseline, curve_rows=None, record_rows=None) -> list[str]:
+    """``plot`` arguments for a baseline JSON text and curve and records
+    CSVs of the given data rows (None leaves that input out)."""
+    path = tmp_path / "baseline.json"
+    path.write_text(baseline, encoding="utf-8")
+    argv = ["plot", "--baseline", str(path), "--out-dir", str(tmp_path / "p")]
+    for flag, header, rows in (("--curve", CURVE_HEADER, curve_rows), ("--records", RECORDS_HEADER, record_rows)):
+        if rows is not None:
+            path = tmp_path / f"{flag[2:]}.csv"
+            path.write_text("\n".join([",".join(header), *rows]) + "\n", encoding="utf-8")
+            argv += [flag, str(path)]
+    return argv
+
+
+_VARYING_RECORDS = [f"0.5,{i},1.0,{-2.0 + 0.1 * i},0.3,true,5,true,false" for i in range(5)]
+
+
+def test_plot_empty_curve_exit_1(tmp_path, capsys):
+    assert main(_plot_files(tmp_path, '{"beta": -2.0}', curve_rows=[])) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: curve is empty\n"
+
+
+def test_plot_baseline_outside_its_interval_exit_1(tmp_path, capsys):
+    argv = _plot_files(tmp_path, '{"beta": -2.0, "ci_beta": [-1.5, -1.0]}', record_rows=_VARYING_RECORDS)
+    assert main(argv) == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: baseline -2.0 outside its own interval (-1.5, -1.0)\n"
+
+
+def test_plot_records_flag_not_true_or_false_exit_1(tmp_path, capsys):
+    rows = list(_VARYING_RECORDS)
+    rows[1] = rows[1].replace("true", "yes", 1)  # the converged column of line 3
+    argv = _plot_files(tmp_path, '{"beta": -2.0, "ci_beta": [-2.5, -1.5]}', record_rows=rows)
+    assert main(argv) == EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {tmp_path / 'records.csv'}:3: expected true/false, got 'yes'\n"
 
 
 def test_plot_requires_some_input(tmp_path):

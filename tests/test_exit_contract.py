@@ -184,21 +184,40 @@ def test_plot_keeps_the_exit_code_contract(thetas, betas, failed, spoiler, basel
         _assert_contract(*_run(argv))
 
 
-@pytest.mark.parametrize("case", ["fit-points-dir", "mask-points-dir", "simulate-out-is-file", "simulate-out-under-file"])
-def test_paths_the_system_refuses_exit_1(tmp_path, case):
+@pytest.mark.parametrize(
+    "case",
+    ["fit-points-dir", "mask-points-dir"]
+    + [f"{command}-out-{where}" for command in _RUN_COMMANDS for where in ("is-file", "under-file")],
+)
+def test_paths_the_system_refuses_exit_1(tmp_path, monkeypatch, case):
     # a directory given as an input file, or an output directory that is or
-    # lies under a regular file, is a validation error, not a traceback
+    # lies under a regular file, is a validation error, not a traceback; the
+    # output directory is refused before any data is generated
+    import geomasksim.cli as cli
+    import geomasksim.experiments as exp
+
+    def never(*args, **kw):
+        raise AssertionError("data generated before the out dir was checked")
+
+    for module, name in ((cli, "run_experiment"), (cli, "prepare_dataset"), (exp, "prepare_dataset")):
+        monkeypatch.setattr(module, name, never)
     cfg = tmp_path / "run.ini"
-    cfg.write_text("[experiment]\nseed = 1\nreplications = 2\n[population]\nn = 60\n[grid]\nfractions = 0.5\n",
-                   encoding="utf-8")
+    cfg.write_text(
+        "[experiment]\nkind = csr-population\nseed = 1\nreplications = 2\n[population]\nn = 60\n[grid]\nfractions = 0.5\n",
+        encoding="utf-8",
+    )
     a_file = tmp_path / "a_file"
     a_file.write_text("", encoding="utf-8")
     argv = {
         "fit-points-dir": ["fit", "--points", str(tmp_path)],
         "mask-points-dir": ["mask", "--points", str(tmp_path), "--out", str(tmp_path / "m.csv"), "--theta-star", "0.1"],
-        "simulate-out-is-file": ["simulate", "--config", str(cfg), "--out-dir", str(a_file)],
-        "simulate-out-under-file": ["simulate", "--config", str(cfg), "--out-dir", str(a_file / "out")],
+        **{
+            f"{command}-out-{where}": [*args, "--config", str(cfg), "--out-dir", str(out)]
+            for command, args in _RUN_COMMANDS.items()
+            for where, out in (("is-file", a_file), ("under-file", a_file / "out"))
+        },
     }[case]
     code, err = _run(argv)
     _assert_contract(code, err)
     assert code == EXIT_VALIDATION
+    assert str(a_file if "-out-" in case else tmp_path) in err

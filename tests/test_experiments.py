@@ -261,6 +261,7 @@ def test_run_cells_checks_start_points_once_before_any_block(monkeypatch, worker
     for name, fn in originals.items():
         monkeypatch.setattr(exp, name, count(name, fn))
     monkeypatch.setattr(exp, "_ROW_ELEMENTS", 60)  # one row per chunk: 8 kernel calls per run
+    monkeypatch.setattr(exp.os, "cpu_count", lambda: 2)  # a pool at workers = 2 on any host
     outside = xy.copy()
     outside[17] = [0.6, 0.0]
     with pytest.raises(ValueError, match=re.escape("requires points inside their bounds; offending index(es) [17]")):
@@ -277,6 +278,44 @@ def test_run_cells_checks_start_points_once_before_any_block(monkeypatch, worker
     assert calls["ProcessPoolExecutor"] == (workers > 1)
     if workers == 1:
         assert calls["_replicate_block"] == 2 and len(kernel_calls) == 16
+
+
+@pytest.mark.parametrize(
+    "workers, cpus, cells, processes",
+    [(5000, 8, 2, 2), (5000, 3, 5, 3), (2, 8, 5, 2), (5000, None, 5, 1), (4, 8, 1, 1)],
+)
+def test_run_cells_starts_at_most_one_process_per_task_and_cpu(monkeypatch, workers, cpus, cells, processes):
+    # the pool forks all its processes at the first task, so `workers` is only
+    # an upper bound; a stand-in pool records its size and starts no process
+    import geomasksim.experiments as exp
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(exp, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(exp, "_WORKER", {})
+    monkeypatch.setattr(exp.os, "cpu_count", lambda: cpus)
+    xy = np.random.default_rng(45).uniform(-0.5, 0.5, size=(40, 2))
+    y = (np.random.default_rng(46).random(40) < 0.5).astype(np.float64)
+    run = [[(i, 0.1 * i) for i in range(cells)], xy, Point(0.0, 0.0), None, MaskSpec(), 41, 5]  # one task per cell
+    fits = exp._run_cells(*run, workers, y=y)
+    assert sizes == ([processes] if processes > 1 else [])
+    in_process = exp._run_cells(*run, 1, y=y)
+    for name, column in in_process.items():
+        np.testing.assert_array_equal(fits[name], column, err_msg=name)
 
 
 def test_efficiency_bytes_independent_of_row_chunks(monkeypatch, tmp_path):
@@ -367,16 +406,20 @@ def test_batch_convergence_error_names_its_stage(monkeypatch):
     assert str(efficiency.value) == "efficiency stage (regenerated choices): cell theta*=0 converged on 0.0% of replications"
 
 
-@pytest.mark.parametrize("theta_star, stage", [(0.5, "attenuation"), (None, "efficiency")])
-def test_batch_convergence_error_survives_pickle(theta_star, stage):
-    # a pool worker's error reaches the parent through pickle
-    import pickle
+def test_choices_written_during_a_run_break_the_fixed_y_contract(monkeypatch):
+    # every block checks the fixed choices against the checksum taken before
+    # the first, so a fit that writes into them stops the run at the next block
+    import geomasksim.experiments as exp
 
-    err = BatchConvergenceError(theta_star, 0.25, stage)
-    back = pickle.loads(pickle.dumps(err))
-    assert type(back) is BatchConvergenceError
-    assert (back.theta_star, back.rate, back.stage) == (theta_star, 0.25, stage)
-    assert str(back) == str(err)
+    real_fit_rows = exp.fit_rows
+
+    def tampering(d, y, **kw):
+        y[0] = 1.0 - y[0]
+        return real_fit_rows(d, y, **kw)
+
+    monkeypatch.setattr(exp, "fit_rows", tampering)
+    with pytest.raises(RuntimeError, match="fixed-y contract violated"):
+        run_experiment(_config(n=150, replications=10))
 
 
 def test_masking_failures_recorded_not_fatal(monkeypatch):

@@ -413,6 +413,16 @@ def test_fit_rows_far_start_needs_step_halving():
     assert fit.loglik >= log_likelihood(d, y, p)
 
 
+def test_fit_rows_start_beyond_divergence_bound_stops_at_once():
+    # the runaway rule reads the current estimate, so a start past the bound
+    # is reported as it is, NOT_CONVERGED after no step
+    D, Y = _mixed_block()
+    fits = fit_rows(D, Y, init=LogitParams(0.0, -2e4))
+    separated = fits.status == SEPARATED
+    assert (fits.status[~separated] == NOT_CONVERGED).all() and (fits.iterations == 0).all()
+    assert (fits.beta[~separated] == -2e4).all()
+
+
 def _full_step(d, y, p):
     """The full Newton candidate from p, with fit_rows' arithmetic, and the
     slope of the log-likelihood along the step there."""

@@ -247,6 +247,17 @@ def test_points_roundtrip_without_choices(tmp_path):
     np.testing.assert_array_equal(xy2, xy)
 
 
+def test_points_blank_lines_skipped(tmp_path):
+    xy = np.array([[0.1, 0.2], [0.3, 0.4]])
+    path = write_points_csv(xy, tmp_path / "p.csv", choices=np.array([1, 0]))
+    header, first, second = path.read_text(encoding="utf-8").splitlines()
+    path.write_text(f"{header}\n\n{first}\n\n{second}\n\n", encoding="utf-8")
+    ids, xy2, c2 = read_points_csv(path)
+    np.testing.assert_array_equal(ids, [0, 1])
+    np.testing.assert_array_equal(xy2, xy)
+    np.testing.assert_array_equal(c2, [1, 0])
+
+
 def test_points_validation(tmp_path):
     with pytest.raises(ValueError):
         write_points_csv(np.zeros((2, 3)), tmp_path / "p.csv")

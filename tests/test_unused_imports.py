@@ -1,13 +1,17 @@
-"""No module of the package imports or defines a private name it never uses.
+"""No module of the package imports or defines a private name it never uses,
+or catches a class together with one of its bases.
 
 A stand-in for a linter's F401 check: every name an ``import`` binds in
 ``src/geomasksim`` must be read somewhere in its module, unless the import
 line carries ``# noqa: F401`` with its reason. Likewise every module-level
 function, class or assigned name with one leading underscore must be read
-in its own module, since no other module is meant to use it.
+in its own module, since no other module is meant to use it. And, as
+flake8-bugbear's B014, no ``except`` tuple names a class and one of its
+bases: the base alone catches both.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -99,6 +103,50 @@ def test_the_private_name_checker_flags_what_it_should():
     assert unused_private_names(source) == [(2, "_unused"), (5, "_b"), (12, "_orphan"), (17, "_Gone")]
 
 
+def redundant_except_classes(source: str, namespace: dict) -> list[tuple[int, str, str]]:
+    """(line, name, base) of each class that an ``except`` tuple of ``source``
+    names together with ``base``, one of its bases or itself again; the
+    names resolve in ``namespace`` and builtins."""
+    scope = dict(namespace)  # eval adds __builtins__ to its globals
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ExceptHandler) and isinstance(node.type, ast.Tuple):
+            named = [(ast.unparse(elt), eval(ast.unparse(elt), scope)) for elt in node.type.elts]
+            found += [
+                (node.lineno, name, base)
+                for i, (name, cls) in enumerate(named)
+                for j, (base, parent) in enumerate(named)
+                if i != j and issubclass(cls, parent)
+            ]
+    return found
+
+
+def test_the_except_checker_flags_what_it_should():
+    class Narrow(ValueError):
+        pass
+
+    source = (
+        "try:\n"
+        "    pass\n"
+        "except (Narrow, ValueError):\n"
+        "    pass\n"
+        "except (KeyError, ValueError, OSError):\n"
+        "    pass\n"
+        "except (KeyError, LookupError) as exc:\n"
+        "    pass\n"
+        "except (OSError, OSError):\n"
+        "    pass\n"
+        "except Narrow:\n"
+        "    pass\n"
+    )
+    assert redundant_except_classes(source, {"Narrow": Narrow}) == [
+        (3, "Narrow", "ValueError"),
+        (7, "KeyError", "LookupError"),
+        (9, "OSError", "OSError"),
+        (9, "OSError", "OSError"),
+    ]
+
+
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
@@ -107,3 +155,10 @@ def test_no_unused_imports(module):
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_no_unused_private_names(module):
     assert unused_private_names((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_redundant_except_classes(module):
+    name = "geomasksim" if module == "__init__.py" else f"geomasksim.{module[:-3]}"
+    namespace = vars(importlib.import_module(name))
+    assert redundant_except_classes((PACKAGE / module).read_text(encoding="utf-8"), namespace) == []
