@@ -44,7 +44,7 @@ from .experiments import (
 )
 from .geometry import Point, StudyArea, facility_distances
 from .logit import LogitFit, SingularInformationError, fit_distance_choice, wald_ci
-from .masking import BoundaryExhaustionError, MaskSpec, mask_coordinates
+from .masking import BOUNDARY_POLICIES, MECHANISMS, BoundaryExhaustionError, MaskSpec, mask_coordinates
 from .reports import (
     RunManifest,
     read_curve_csv,
@@ -246,8 +246,9 @@ def _cmd_efficiency(args) -> int:
         reports = run_efficiency_experiment(config, replications=args.empirical_reps).reports
     else:
         ds = prepare_dataset(config)
-        baseline = fit_baseline(config, ds)
-        reports = [efficiency_report(ds, baseline.params, t) for t in config.theta_values()]
+        params = fit_baseline(config, ds).params
+        reports = [efficiency_report(ds, params, dataclasses.replace(config.mask, theta_star=t))
+                   for t in config.theta_values()]
     path = write_efficiency_csv(reports, Path(options.out_dir) / f"{options.prefix}_efficiency.csv")
     print(f"{'theta*':>10} {'info_true':>12} {'info_masked':>12} {'el_analytic':>12} {'el_empirical':>13}")
     for r in reports:
@@ -317,8 +318,8 @@ def build_parser() -> _Parser:
     p.add_argument("--points", required=True, help="input CSV (id,x,y[,choice])")
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--theta-star", type=float, required=True, help="maximum displacement distance")
-    p.add_argument("--mechanism", choices=["uniform", "gaussian"], default="uniform")
-    p.add_argument("--boundary", choices=["unconstrained", "redraw"], default="unconstrained")
+    p.add_argument("--mechanism", choices=MECHANISMS, default="uniform")
+    p.add_argument("--boundary", choices=BOUNDARY_POLICIES, default="unconstrained")
     p.add_argument("--area", type=float, nargs=4, default=None,
                    metavar=("XMIN", "XMAX", "YMIN", "YMAX"),
                    help="study-area bounds for --boundary redraw")

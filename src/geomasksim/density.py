@@ -94,9 +94,11 @@ def kde(values) -> KdeEstimate:
         lo, hi = values.min() - 3.0 * bandwidth, values.max() + 3.0 * bandwidth
         if not np.isfinite(hi - lo):
             raise ValueError("values spread too wide for a finite grid")
+        # a near-subnormal bandwidth overflows norm; the density is renormalized below, so 1 serves there
+        norm = 1.0 / (values.size * bandwidth * np.sqrt(2.0 * np.pi))
+    norm = norm if np.isfinite(norm) else 1.0
 
     grid = np.linspace(lo, hi, KDE_GRID_SIZE)
-    norm = 1.0 / (values.size * bandwidth * np.sqrt(2.0 * np.pi))
     density = np.empty(KDE_GRID_SIZE)
     for start in range(0, KDE_GRID_SIZE, _EVAL_CHUNK):
         block = grid[start : start + _EVAL_CHUNK]

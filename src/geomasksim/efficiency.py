@@ -1,30 +1,32 @@
 """Fisher information for the distance coefficient and the analytic
-efficiency loss induced by uniform geo-masking.
+efficiency loss induced by geo-masking.
 
 Information is the no-intercept beta-beta entry sum L(1-L) d^2 with L
 (``logit.choice_probability``) evaluated at the TRUE distances
 (probabilities are treated as fixed by the generating geometry, not as
-functions of the perturbed coordinates). Under
-masking, d^2 is replaced by its expectation over the displacement law, and
-the efficiency loss is the ratio
+functions of the perturbed coordinates). Under masking, d^2 is replaced
+by its expectation over the displacement law, and the efficiency loss is
+the ratio
 
     EL(theta*) = info(true) / info(masked moment)
 
 which equals 1 at theta* = 0 and decreases strictly as the masking radius
 grows. The second moment is
 
-    E(d_masked^2) = d^2 + theta*^2 / 3
+    E(d_masked^2) = d^2 + E|o|^2
 
-from expanding the displaced squared distance with radius ~ U(0, theta*)
-and angle ~ U(0, 2*pi): cross terms average to zero and E[radius^2] =
-theta*^2/3. (A printed d^2 + theta*/3 adds a length to an area; the
-Monte Carlo oracle of acceptance criterion 4 rejects it.)
+from expanding the squared distance displaced by a centred offset o: the
+cross term averages to zero. E|o|^2 is the mask law's
+``MaskSpec.second_moment``: theta*^2/3 for uniform (radius ~ U(0, theta*))
+and 2 sigma^2 = theta*^2 / ln 100 for gaussian. (A printed d^2 + theta*/3
+adds a length to an area; the Monte Carlo oracle of acceptance criterion 4
+rejects it.) It is the unconstrained law's moment: under the redraw policy
+the empirical ratio masks with the truncated law, while EL stays the
+unconstrained law's design-stage ratio.
 
-The empirical companion ratio var(beta_hat true) / var(beta_hat masked) is
-computed from replicated fits; note the analytic ratio as defined above is
-an information ratio (true over masked), so values below 1 mean the masked
-information is LARGER — the empirical variance ratio is reported alongside
-without forcing the two onto one interpretation.
+The empirical companion var(beta_hat true) / var(beta_hat masked) comes
+from replicated fits and is reported next to EL, a design-stage information
+ratio, without forcing the two onto one interpretation.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import numpy as np
 
 from .dataset import ChoiceDataset
 from .logit import LogitParams, choice_probability
+from .masking import MaskSpec
 
 _MIN_CONVERGED_FITS = 30
 
@@ -64,36 +67,29 @@ class EfficiencyReport:
             raise ValueError(f"el_analytic must lie in (0, 1], got {self.el_analytic}")
 
 
-def expected_sq_masked_distance(d: float, theta_star: float):
-    """Expected squared distance d^2 + theta*^2 / 3 after uniform masking of
-    one endpoint.
-
-    Accepts scalars or arrays in ``d``. theta_star = 0 returns d^2 exactly.
-    """
-    if theta_star < 0.0:
-        raise ValueError(f"theta_star must be >= 0, got {theta_star}")
+def expected_sq_masked_distance(d: float, spec: MaskSpec):
+    """d^2 + E|o|^2 for scalar or array ``d``: the expected squared distance
+    after masking one endpoint under ``spec``'s unconstrained law, and d^2
+    exactly at theta_star = 0."""
     d = np.asarray(d, dtype=np.float64)
     if (d < 0.0).any():
         raise ValueError("distances must be >= 0")
-    out = d * d + theta_star * theta_star / 3.0
+    out = d * d + spec.second_moment
     return float(out) if out.ndim == 0 else out
 
 
-def information_beta(
-    ds: ChoiceDataset,
-    p: LogitParams,
-    theta_star: float = 0.0,
-) -> float:
-    """beta-information sum L(1-L) E(d_masked^2) with the logistic weights
-    L = ``choice_probability(alpha + beta * d)`` at the true distances.
+def information_beta(ds: ChoiceDataset, p: LogitParams, spec: MaskSpec = MaskSpec()) -> float:
+    """beta-information sum L(1-L) E(d_masked^2) under ``spec``, with the
+    logistic weights L = ``choice_probability(alpha + beta * d)`` at the
+    true distances.
 
-    theta_star = 0 gives the true-coordinate information sum L(1-L) d^2.
-    Both sides of the efficiency ratio go through this one expression, so
-    the ratio is exactly 1 at theta_star = 0.
+    The default spec (theta_star = 0) gives the true-coordinate sum
+    L(1-L) d^2. Both sides of the efficiency ratio go through this one
+    expression, so the ratio is exactly 1 at theta_star = 0.
     """
     d = ds.distances
     lam = choice_probability(p.alpha + p.beta * d)
-    return float((lam * (1.0 - lam) * expected_sq_masked_distance(d, theta_star)).sum())
+    return float((lam * (1.0 - lam) * expected_sq_masked_distance(d, spec)).sum())
 
 
 def empirical_variance_ratio(true_betas: np.ndarray, masked_betas: np.ndarray) -> float:
@@ -115,22 +111,17 @@ def empirical_variance_ratio(true_betas: np.ndarray, masked_betas: np.ndarray) -
 
 
 def efficiency_report(
-    ds: ChoiceDataset,
-    p: LogitParams,
-    theta_star: float,
-    el_empirical: float | None = None,
+    ds: ChoiceDataset, p: LogitParams, spec: MaskSpec, el_empirical: float | None = None
 ) -> EfficiencyReport:
-    """Bundle the analytic quantities (and an optional empirical ratio) for one theta*.
-
-    el_analytic = info(true) / info(masked moment): 1 at theta* = 0 and
-    decreasing in theta*.
-    """
+    """The analytic quantities (and an optional empirical ratio) for the
+    mask law ``spec`` at its theta*. el_analytic = info(true) /
+    info(masked moment) is 1 at theta* = 0 and decreasing in theta*."""
     info_true = information_beta(ds, p)
     if info_true <= 0.0:
         raise DegenerateInformationError(f"true information is {info_true}")
-    info_masked = information_beta(ds, p, theta_star=theta_star)
+    info_masked = information_beta(ds, p, spec)
     return EfficiencyReport(
-        theta_star=theta_star,
+        theta_star=spec.theta_star,
         info_true=info_true,
         info_masked_analytic=info_masked,
         el_analytic=info_true / info_masked,

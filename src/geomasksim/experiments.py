@@ -560,9 +560,8 @@ def run_efficiency_experiment(
     betas = [beta[converged] for beta, converged in zip(fits["beta_hat"], fits["converged"])]
     true_betas, masked_betas = betas[0], betas[1:]
     reports = [
-        efficiency_report(
-            ds, baseline.params, theta_star, el_empirical=empirical_variance_ratio(true_betas, masked),
-        )
+        efficiency_report(ds, baseline.params, dataclasses.replace(config.mask, theta_star=theta_star),
+                          el_empirical=empirical_variance_ratio(true_betas, masked))
         for theta_star, masked in zip(thetas, masked_betas)
     ]
     return EfficiencyRun(reports=reports, true_betas=true_betas, masked_betas=masked_betas)

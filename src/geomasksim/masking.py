@@ -1,29 +1,28 @@
 """Random displacement of point coordinates (geo-masking).
 
-Two mechanisms are supported:
+Two mechanisms are supported, each defined once in the table ``_LAWS`` by
+its raw draw, its offset transform and its offset's second moment E|o|^2:
 
 * ``uniform``: displacement distance theta ~ U(0, theta_star) and angle
   delta ~ U(0, 2*pi), drawn independently, so theta_star bounds the error
-  exactly. cos delta and sin delta are taken from the half-angle tangent
-  tan(delta / 2) (``_direction``), within 1 eps of libm's values.
+  exactly; E|o|^2 = theta_star^2 / 3. cos delta and sin delta are taken
+  from the half-angle tangent tan(delta / 2) (``_direction``), within 1 eps
+  of libm's values.
 * ``gaussian``: Cartesian offsets drawn from a centered bivariate normal
   with independent components and common sigma = theta_star / sqrt(2*ln 100),
   the unique sigma for which the displacement radius stays within
-  theta_star with probability 0.99.
+  theta_star with probability 0.99; E|o|^2 = 2 sigma^2 = theta_star^2 / ln 100.
 
 Draw order is part of the determinism contract. For each masking attempt
 over m pending points the stream is consumed as: m theta values then m
 delta values (uniform mechanism), or m x-offsets then m y-offsets
-(gaussian mechanism).
+(gaussian mechanism), scaled exactly as numpy's ``uniform(0, theta_star)``
+and ``normal(0, sigma)`` scale them.
 
 ``mask_rows`` masks one point set once per generator, R replication rows
-at a time, and keeps that per-row order: on the first attempt each row
-draws its n theta (or x) values and then its n delta (or y) values
-(``random`` for the uniform mechanism, ``standard_normal`` for the
-gaussian one), into the x and y planes of a plane-major (2, R, n) block
-so that every ufunc runs on contiguous (R, n) planes, and the draws are
-scaled exactly as numpy's ``uniform(0, theta_star)`` and
-``normal(0, sigma)`` scale them. Under the redraw policy one attempt loop
+at a time, and keeps that per-row order. The first attempt draws into the
+x and y planes of a plane-major (2, R, n) block, so that every ufunc runs
+on contiguous (R, n) planes. Under the redraw policy one attempt loop
 serves every row: it keeps the pending (row, point) pairs, and on each
 attempt every row still pending draws its 2m values from its own
 generator, in row order. A row's draws therefore do not depend on how many
@@ -45,6 +44,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import Generator
 
 from .rng import RngStream
 
@@ -52,7 +52,6 @@ from .rng import RngStream
 #: gaussian displacement radii inside theta_star.
 GAUSSIAN_CALIBRATION = math.sqrt(2.0 * math.log(100.0))
 
-MECHANISMS = ("uniform", "gaussian")
 BOUNDARY_POLICIES = ("unconstrained", "redraw")
 
 
@@ -92,6 +91,11 @@ class MaskSpec:
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
 
+    @property
+    def second_moment(self) -> float:
+        """E|o|^2 of the mechanism's unconstrained offset at theta_star."""
+        return _LAWS[self.mechanism][2](self.theta_star)
+
 
 def _direction(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(cos delta, sin delta) of delta = 2 * pi * u for raw uniform draws
@@ -116,26 +120,30 @@ def _direction(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return c, s
 
 
-def _offsets(spec: MaskSpec, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cartesian offsets (ox, oy) from raw draws ``u`` of shape (2, ..., m):
-    ``u[0]`` holds the theta (uniform) or x (gaussian) draws and ``u[1]``
-    the delta or y draws. Scaled as 0.0 + scale * draw, as numpy's
-    ``uniform(0, theta_star)`` and ``normal(0, sigma)`` do.
+def _uniform_offsets(theta_star: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """theta = theta_star * u[0], with the bits of ``uniform(0, theta_star)``,
+    along (cos delta, sin delta) of the delta draws ``u[1]``."""
+    # scale * draw >= +0.0 here, which adding 0.0 leaves as it is
+    theta = np.multiply(u[0], theta_star, out=u[0])
+    c, s = _direction(u[1])
+    oy = np.multiply(theta, s, out=s)
+    return np.multiply(theta, c, out=theta), oy
 
-    Uniform mechanism: theta = theta_star * draw carries the bits of
-    ``uniform(0, theta_star)``, and (cos delta, sin delta) come from
-    ``_direction``. Both mechanisms write the offsets into ``u`` in place
-    of the draws and return views of it."""
-    if spec.mechanism == "uniform":
-        # scale * draw >= +0.0 here, which adding 0.0 leaves as it is
-        theta = np.multiply(u[0], spec.theta_star, out=u[0])
-        c, s = _direction(u[1])
-        oy = np.multiply(theta, s, out=s)
-        return np.multiply(theta, c, out=theta), oy
-    # the bits of 0.0 + sigma * draw: adding 0.0 turns a -0.0 product into +0.0
-    u *= spec.theta_star / GAUSSIAN_CALIBRATION
+
+def _gaussian_offsets(theta_star: float, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sigma * u, plus 0.0 as in ``normal(0, sigma)``, which turns a -0.0 product into +0.0."""
+    u *= theta_star / GAUSSIAN_CALIBRATION
     u += 0.0
     return u[0], u[1]
+
+
+#: mechanism -> (raw draw, offset transform, E|o|^2 at theta_star). The transform
+#: writes the offsets (ox, oy) of raw draws u of shape (2, ..., m) into u, returning views.
+_LAWS = {
+    "uniform": (Generator.random, _uniform_offsets, lambda t: t * t / 3.0),
+    "gaussian": (Generator.standard_normal, _gaussian_offsets, lambda t: 2.0 * (t / GAUSSIAN_CALIBRATION) ** 2),
+}
+MECHANISMS = tuple(_LAWS)
 
 
 def _inside(x: np.ndarray, y: np.ndarray, bounds: np.ndarray, points=slice(None)) -> np.ndarray:
@@ -192,9 +200,7 @@ def mask_coordinates(xy: np.ndarray, spec: MaskSpec, bounds: np.ndarray | None, 
     return mask_rows(xy, spec, checked_bounds(xy, spec, bounds), [stream.generator()])[0].T.copy()
 
 
-def mask_rows(
-    xy: np.ndarray, spec: MaskSpec, bounds: np.ndarray | None, gens: list[np.random.Generator]
-) -> np.ndarray:
+def mask_rows(xy: np.ndarray, spec: MaskSpec, bounds: np.ndarray | None, gens: list[Generator]) -> np.ndarray:
     """The (n, 2) float64 points ``xy`` masked once per generator of
     ``gens``, against ``bounds`` as ``checked_bounds`` returns them; nothing
     is checked here. Row r draws from ``gens[r]`` alone.
@@ -207,7 +213,7 @@ def mask_rows(
     the lowest row still pending.
     """
     x, y = xy[:, 0], xy[:, 1]
-    draw = np.random.Generator.random if spec.mechanism == "uniform" else np.random.Generator.standard_normal
+    draw, offsets, _ = _LAWS[spec.mechanism]
 
     # each row's raw draws, turned into its masked coordinates in place;
     # two calls per row consume its stream as one call of 2n values would
@@ -215,7 +221,7 @@ def mask_rows(
     for gen, row_x, row_y in zip(gens, out[0], out[1]):
         draw(gen, out=row_x)
         draw(gen, out=row_y)
-    ox, oy = _offsets(spec, out)
+    ox, oy = offsets(spec.theta_star, out)
     np.add(x, ox, out=out[0])
     np.add(y, oy, out=out[1])
     if spec.boundary == "unconstrained":
@@ -235,7 +241,7 @@ def mask_rows(
                 start, stop = stop, stop + m
                 draw(gens[r], out=u[0, start:stop])
                 draw(gens[r], out=u[1, start:stop])
-        ox, oy = _offsets(spec, u)
+        ox, oy = offsets(spec.theta_star, u)
         px, py = x[points] + ox, y[points] + oy
         out[0, rows, points], out[1, rows, points] = px, py
         keep = ~_inside(px, py, bounds, points)

@@ -1,11 +1,12 @@
-"""Monte Carlo oracle for the masked second moment, shared by criterion 4
-and the efficiency unit tests, and the rejected printed formula it is
+"""Monte Carlo oracles for the masked second moment, shared by criterion 4
+and the efficiency unit tests, and the rejected printed formula they are
 checked against."""
 
 import math
 
 import numpy as np
 
+from geomasksim.masking import MaskSpec, mask_coordinates
 from geomasksim.rng import RngStream
 
 
@@ -28,3 +29,16 @@ def as_printed_sq_masked_distance(d: float, theta_star: float) -> float:
     """The printed second moment d^2 + theta*/3, a length added to an area;
     criterion 4 checks that the Monte Carlo moment rejects it."""
     return d * d + theta_star / 3.0
+
+
+def masked_sq_shift_mc(d: float, spec: MaskSpec, stream: RngStream, draws: int = 1_000_000) -> tuple[float, float]:
+    """Mean and standard error of d_masked^2 - d^2 over ``draws`` copies of
+    the point (d, 0), masked once through ``mask_coordinates`` under the
+    unconstrained policy, with the facility at the origin. Its mean
+    estimates the offset second moment E|o|^2 of ``spec``'s mechanism.
+    """
+    xy = np.zeros((draws, 2))
+    xy[:, 0] = d
+    masked = mask_coordinates(xy, spec, None, stream)
+    shift = (masked * masked).sum(axis=1) - d * d
+    return float(shift.mean()), float(shift.std(ddof=1) / math.sqrt(draws))

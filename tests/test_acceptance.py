@@ -208,7 +208,7 @@ def test_moment_variant_adjudication(criterion_detail):
     t0 = time.perf_counter()
     mc = masked_second_moment_mc(0.5, 0.3, derive_stream(404, 0, 0))
     elapsed = time.perf_counter() - t0
-    gap_derived = abs(mc - expected_sq_masked_distance(0.5, 0.3))
+    gap_derived = abs(mc - expected_sq_masked_distance(0.5, MaskSpec(theta_star=0.3)))
     gap_printed = abs(mc - as_printed_sq_masked_distance(0.5, 0.3))
     criterion_detail(
         f"mc={mc:.6f}; |mc-0.28|={gap_derived:.1e}, |mc-0.35|={gap_printed:.1e}, {elapsed:.1f}s"

@@ -489,6 +489,22 @@ def test_efficiency_analytic_only(tmp_path, capsys):
     assert "el_analytic" not in lines[1]
 
 
+@pytest.mark.parametrize("extra", [[], ["--empirical-reps", "30"]])
+@pytest.mark.parametrize("mechanism, el", [("uniform", "0.500753"), ("gaussian", "0.606251")])
+def test_efficiency_el_analytic_follows_the_mask_mechanism(tmp_path, capsys, extra, mechanism, el):
+    # at n = 1000, seed 0 and theta* = 0.707 the gaussian moment 2 sigma^2
+    # gives 0.6063; the uniform moment theta*^2/3, once used for every
+    # mechanism, gives 0.5008
+    cfg = _config_file(
+        tmp_path,
+        "[experiment]\nkind = csr-population\nseed = 0\n[population]\nn = 1000\n[grid]\nfractions = 1.0\n"
+        f"[mask]\nmechanism = {mechanism}\n",
+    )
+    assert main(["efficiency", "--config", cfg, "--out-dir", str(tmp_path / "eff"), *extra]) == EXIT_OK
+    row = capsys.readouterr().out.splitlines()[1].split()
+    assert row[0] == "0.7070" and row[3] == el
+
+
 def test_efficiency_with_empirical(tmp_path):
     cfg = _config_file(tmp_path)
     out = tmp_path / "eff"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,11 +14,11 @@ from geomasksim.efficiency import (
     information_beta,
 )
 from geomasksim.geometry import Point
-from geomasksim.logit import LogitParams, observed_information
-from geomasksim.masking import MaskSpec, mask_coordinates
+from geomasksim.logit import LogitParams, choice_probability, observed_information
+from geomasksim.masking import MECHANISMS, MaskSpec, mask_coordinates
 from geomasksim.population import generate_csr_xy, simulate_choices_xy
 from geomasksim.rng import derive_stream, population_stream
-from moment_oracle import masked_second_moment_mc
+from moment_oracle import masked_second_moment_mc, masked_sq_shift_mc
 
 def _point_ds(d_values, y=None):
     d = np.asarray(d_values, dtype=float)
@@ -34,24 +36,24 @@ def _csr_ds(n=500, seed=50, params=LogitParams(1.0, -2.0)):
 
 
 def test_expected_sq_zero_theta_returns_d_squared():
-    assert expected_sq_masked_distance(0.5, 0.0) == 0.25
+    assert expected_sq_masked_distance(0.5, MaskSpec()) == 0.25
 
 
 def test_expected_sq_derived_value():
     # d^2 + theta*^2 / 3 = 0.25 + 0.03
-    assert expected_sq_masked_distance(0.5, 0.3) == pytest.approx(0.28, abs=1e-15)
+    assert expected_sq_masked_distance(0.5, MaskSpec(theta_star=0.3)) == pytest.approx(0.28, abs=1e-15)
 
 
 def test_expected_sq_array_input():
-    out = expected_sq_masked_distance(np.array([0.0, 0.5, 1.0]), 0.3)
+    out = expected_sq_masked_distance(np.array([0.0, 0.5, 1.0]), MaskSpec(theta_star=0.3))
     np.testing.assert_allclose(out, [0.03, 0.28, 1.03], atol=1e-15)
 
 
 def test_expected_sq_validation():
     with pytest.raises(ValueError):
-        expected_sq_masked_distance(0.5, -0.1)
+        expected_sq_masked_distance(0.5, MaskSpec(theta_star=-0.1))
     with pytest.raises(ValueError):
-        expected_sq_masked_distance(-0.5, 0.1)
+        expected_sq_masked_distance(-0.5, MaskSpec(theta_star=0.1))
 
 
 def test_moment_mc_oracle_selects_derived():
@@ -67,6 +69,22 @@ def test_moment_mc_matches_masking_machinery():
     out = mask_coordinates(xy, MaskSpec(theta_star=0.3), None, derive_stream(78, 0, 0))
     sq = (out**2).sum(axis=1)
     assert sq.mean() == pytest.approx(masked_second_moment_mc(0.5, 0.3, derive_stream(79, 0, 0)), abs=2e-3)
+
+
+# the closed form of E|o|^2 at theta* = 0.5 for each mechanism: theta*^2/3
+# and 2 sigma^2 = theta*^2 / ln 100
+_MOMENT_AT_HALF = {"uniform": 0.25 / 3.0, "gaussian": 0.25 / math.log(100.0)}
+
+
+@pytest.mark.parametrize("mechanism", MECHANISMS)
+def test_second_moment_matches_masking_monte_carlo(mechanism):
+    # each law's table moment is its closed form, and the mean of
+    # d_masked^2 - d^2 over 10^6 masked copies of one point lands within 10
+    # standard errors of it (about 0.0833 uniform, 0.0543 gaussian)
+    spec = MaskSpec(mechanism, theta_star=0.5)
+    assert spec.second_moment == pytest.approx(_MOMENT_AT_HALF[mechanism], rel=1e-12)
+    mean, se = masked_sq_shift_mc(0.5, spec, derive_stream(80, 0, 0))
+    assert abs(mean - spec.second_moment) < 10.0 * se
 
 
 # --- beta information ---
@@ -93,7 +111,7 @@ def test_information_beta_zero_distances():
 def test_information_beta_is_nonstochastic():
     ds = _csr_ds(seed=54)
     p = LogitParams(1.0, -2.0)
-    assert information_beta(ds, p, theta_star=0.5) == information_beta(ds, p, theta_star=0.5)
+    assert information_beta(ds, p, MaskSpec(theta_star=0.5)) == information_beta(ds, p, MaskSpec(theta_star=0.5))
 
 
 # --- efficiency loss ---
@@ -101,20 +119,20 @@ def test_information_beta_is_nonstochastic():
 
 def test_efficiency_loss_one_at_zero_theta():
     ds = _csr_ds(seed=56)
-    assert efficiency_report(ds, LogitParams(1.0, -2.0), 0.0).el_analytic == 1.0
+    assert efficiency_report(ds, LogitParams(1.0, -2.0), MaskSpec()).el_analytic == 1.0
 
 
 def test_efficiency_loss_single_point_value():
     # L = 0.5, d = 1, theta* = 1: ratio = d^2 / (d^2 + 1/3) = 0.75
     ds = _point_ds([1.0], [1])
     p = LogitParams(0.0, 0.0)
-    assert efficiency_report(ds, p, 1.0).el_analytic == pytest.approx(0.75, abs=1e-12)
+    assert efficiency_report(ds, p, MaskSpec(theta_star=1.0)).el_analytic == pytest.approx(0.75, abs=1e-12)
 
 
 def test_efficiency_loss_strictly_decreasing_in_theta():
     ds = _csr_ds(seed=58)
     p = LogitParams(1.0, -2.0)
-    values = [efficiency_report(ds, p, t).el_analytic for t in np.linspace(0.0, 1.0, 11)]
+    values = [efficiency_report(ds, p, MaskSpec(theta_star=t)).el_analytic for t in np.linspace(0.0, 1.0, 11)]
     assert values[0] == 1.0
     assert all(a > b for a, b in zip(values, values[1:]))
 
@@ -122,25 +140,41 @@ def test_efficiency_loss_strictly_decreasing_in_theta():
 def test_efficiency_loss_in_unit_interval():
     ds = _csr_ds(seed=60)
     for t in (0.1, 0.5, 1.0, 2.0):
-        el = efficiency_report(ds, LogitParams(1.0, -2.0), t).el_analytic
+        el = efficiency_report(ds, LogitParams(1.0, -2.0), MaskSpec(theta_star=t)).el_analytic
         assert 0.0 < el < 1.0
 
 
 def test_efficiency_loss_degenerate_information():
     ds = _point_ds([0.0, 0.0], [0, 1])
     with pytest.raises(DegenerateInformationError):
-        efficiency_report(ds, LogitParams(0.0, 0.0), 0.5)
+        efficiency_report(ds, LogitParams(0.0, 0.0), MaskSpec(theta_star=0.5))
 
 
 def test_efficiency_report_bundles_values():
     ds = _csr_ds(seed=62)
     p = LogitParams(1.0, -2.0)
-    r = efficiency_report(ds, p, 0.4, el_empirical=0.9)
+    r = efficiency_report(ds, p, MaskSpec(theta_star=0.4), el_empirical=0.9)
     assert r.theta_star == 0.4
     assert r.el_analytic == r.info_true / r.info_masked_analytic
     assert r.info_true == information_beta(ds, p)
-    assert r.info_masked_analytic == information_beta(ds, p, theta_star=0.4)
+    assert r.info_masked_analytic == information_beta(ds, p, MaskSpec(theta_star=0.4))
     assert r.el_empirical == 0.9
+
+
+def test_uniform_report_keeps_the_theta_squared_over_three_sums():
+    # the uniform law's report is sum L(1-L)(d^2 + theta*^2/3) over
+    # sum L(1-L) d^2, bit for bit, over the default theta* grid and 0
+    ds = _csr_ds(seed=64)
+    p = LogitParams(1.0, -2.0)
+    d = ds.distances
+    lam = choice_probability(p.alpha + p.beta * d)
+    w = lam * (1.0 - lam)
+    for t in [0.707 * round(i / 10, 1) for i in range(11)]:
+        assert MaskSpec(theta_star=t).second_moment == t * t / 3.0
+        r = efficiency_report(ds, p, MaskSpec(theta_star=t))
+        assert r.info_true == float((w * (d * d + 0.0)).sum())
+        assert r.info_masked_analytic == float((w * (d * d + t * t / 3.0)).sum())
+        assert r.el_analytic == r.info_true / r.info_masked_analytic
 
 
 def test_efficiency_report_validation():

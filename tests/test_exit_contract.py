@@ -184,6 +184,21 @@ def test_plot_keeps_the_exit_code_contract(thetas, betas, failed, spoiler, basel
         _assert_contract(*_run(argv))
 
 
+def test_plot_records_kde_at_a_subnormal_bandwidth_exit_0(tmp_path):
+    # five estimates whose IQR is one subnormal give a 5e-324 Silverman
+    # bandwidth, whose kernel norm overflows; the KDE plot is still drawn
+    header = "theta_star,rep,alpha_hat,beta_hat,se_beta,converged,iterations,significant_beta,outside_true_ci"
+    rows = [f"0.5,{rep},1.0,{beta!r},0.5,true,4,true,false" for rep, beta in enumerate([0.0, 0.0, 0.0, 1.0, 5e-324])]
+    records = tmp_path / "records.csv"
+    records.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    baseline = tmp_path / "baseline.json"
+    baseline.write_text('{"beta": 0.2, "ci_beta": [-0.3, 0.7]}', encoding="utf-8")
+    out = tmp_path / "plots"
+    code, err = _run(["plot", "--records", str(records), "--baseline", str(baseline), "--out-dir", str(out)])
+    _assert_contract(code, err)
+    assert code == EXIT_OK and (out / "kde.svg").is_file()
+
+
 @pytest.mark.parametrize(
     "case",
     ["fit-points-dir", "mask-points-dir"]

@@ -26,7 +26,7 @@ from geomasksim.experiments import (
 from geomasksim.efficiency import efficiency_report
 from geomasksim.geometry import Point
 from geomasksim.logit import Z_95, fit_logit, wald_ci
-from geomasksim.masking import MaskSpec
+from geomasksim.masking import MECHANISMS, MaskSpec
 from geomasksim.population import assign_to_centroid, build_municipality_grid
 
 from mask_oracle import BOUNDS_KINDS, bounds_for, mask_one
@@ -593,13 +593,14 @@ def test_efficiency_empirical_near_one_at_zero_theta():
     assert 0.5 <= run.reports[0].el_empirical <= 2.0
 
 
+@pytest.mark.parametrize("mechanism", MECHANISMS)
 @pytest.mark.parametrize("seed", [5, 7, 14])
-def test_efficiency_exactly_one_at_zero_theta_on_fitted_params(seed):
+def test_efficiency_exactly_one_at_zero_theta_on_fitted_params(seed, mechanism):
     # both information sums go through one expression, so the ratio at
-    # theta* = 0 is 1.0 to the last bit, not 1 + 2**-52
+    # theta* = 0 is 1.0 to the last bit, not 1 + 2**-52, under either law
     cfg = ExperimentConfig(experiment="csr-population", n=1000, seed=seed)
     ds = prepare_dataset(cfg)
-    assert efficiency_report(ds, fit_logit(ds).params, 0.0).el_analytic == 1.0
+    assert efficiency_report(ds, fit_logit(ds).params, MaskSpec(mechanism)).el_analytic == 1.0
 
 
 @pytest.mark.parametrize("n", [8, 10])

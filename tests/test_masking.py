@@ -11,10 +11,10 @@ from geomasksim.geometry import UNIT_SQUARE, Point, facility_distances
 from geomasksim.masking import (
     GAUSSIAN_CALIBRATION,
     BoundaryExhaustionError,
+    _LAWS,
     MaskSpec,
     _direction,
     _inside,
-    _offsets,
     checked_bounds,
     mask_coordinates,
     mask_rows,
@@ -257,12 +257,13 @@ def test_batched_block_has_contiguous_planes(mechanism, boundary, rows):
 @pytest.mark.parametrize("theta_star", [0.4, 0.0])
 @pytest.mark.parametrize("mechanism", ["uniform", "gaussian"])
 def test_offsets_are_written_into_the_draw_block(mechanism, theta_star):
-    # both mechanisms return views of the (2, R, m) draws they overwrite;
-    # gaussian offsets scaled in place keep the bits of numpy's
+    # both mechanisms' transforms return views of the (2, R, m) draws they
+    # overwrite; gaussian offsets scaled in place keep the bits of numpy's
     # normal(0, sigma), whose zero products are +0.0
-    gen = np.random.default_rng(38)
-    u = gen.random((2, 3, 50)) if mechanism == "uniform" else gen.standard_normal((2, 3, 50))
-    ox, oy = _offsets(MaskSpec(mechanism, theta_star), u)
+    draw, offsets, _ = _LAWS[mechanism]
+    u = np.empty((2, 3, 50))
+    draw(np.random.default_rng(38), out=u)
+    ox, oy = offsets(theta_star, u)
     assert ox.shape == oy.shape == (3, 50)
     assert np.shares_memory(ox, u[0]) and np.shares_memory(oy, u[1])
     if mechanism == "gaussian":
