@@ -16,13 +16,15 @@ that does not converge or has a singular information matrix, an
 `efficiency` config of the centroid kind, a path the operating system
 refuses, such as a directory given as an input file); 2 runtime failure
 (a replication cell, efficiency cells included, converging on under 50% of
-its replications; masking exhaustion).
+its replications; masking exhaustion); 130 interrupted (SIGINT; the
+outputs are written after the run, so an interrupt during it leaves none).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import signal
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -64,6 +66,7 @@ from .svgplot import render_attenuation_svg, render_kde_svg
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 
 class _CliError(Exception):
@@ -363,6 +366,10 @@ def main(argv: list[str] | None = None) -> int:
     except (BatchConvergenceError, BoundaryExhaustionError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except KeyboardInterrupt:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # a second Ctrl-C must not cut the exit short
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -51,7 +51,7 @@ import dataclasses
 import hashlib
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -270,6 +270,9 @@ _COLUMNS = RECORD_COLUMNS[:-2]
 
 
 def _init_worker(payload: dict) -> None:
+    # an interrupt is the parent's to handle: it cancels the pool's pending
+    # tasks and lets the running ones finish
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     _WORKER.update(payload)
 
 
@@ -364,8 +367,11 @@ def _run_cells(
     per-point columns). That is checked once here, before any replication,
     by ``checked_bounds``, the check ``masking.mask_coordinates`` makes on
     every call (ValueError). The tasks run in-process or in a pool of at
-    most ``workers`` processes, no more than there are tasks or CPUs. A
-    cell that converged on under half of its replications raises
+    most ``workers`` processes, no more than there are tasks or CPUs; only
+    a run that starts a pool loads the pool stack. The workers ignore
+    SIGINT: on KeyboardInterrupt the parent cancels the pending tasks,
+    waits for the running ones with SIGINT ignored and re-raises. A cell
+    that converged on under half of its replications raises
     BatchConvergenceError.
     """
     xy = np.ascontiguousarray(xy, dtype=np.float64)
@@ -389,8 +395,21 @@ def _run_cells(
     if processes == 1:
         blocks = [_replicate_block(task, state=payload) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=processes, initializer=_init_worker, initargs=(payload,)) as pool:
-            blocks = list(pool.map(_replicate_block, tasks, chunksize=1))
+        from concurrent import futures  # here, so that a run that starts no pool never loads the pool stack
+
+        with futures.ProcessPoolExecutor(max_workers=processes, initializer=_init_worker, initargs=(payload,)) as pool:
+            try:
+                blocks = list(pool.map(_replicate_block, tasks, chunksize=1))
+            except KeyboardInterrupt:
+                # A second interrupt inside the shutdown's join makes CPython
+                # mark the pool's manager thread stopped while it still runs;
+                # its queues are then closed under it and the exit hangs.
+                previous = signal.signal(signal.SIGINT, signal.SIG_IGN)
+                try:
+                    pool.shutdown(cancel_futures=True)
+                finally:
+                    signal.signal(signal.SIGINT, previous)
+                raise
 
     fits = {
         name: np.concatenate([block[name] for block in blocks]).reshape(len(cells), replications)

@@ -236,14 +236,16 @@ def test_simulate_outputs_identical_across_workers(tmp_path):
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
-def test_simulate_loads_no_scipy_and_no_numpy_ma(tmp_path):
-    # a fresh interpreter, so that modules pytest has already imported do not count
+def _modules_loaded_by_simulate(tmp_path, packages: tuple[str, ...], *args: str) -> dict:
+    """Exit code of one ``simulate`` on TINY in a fresh interpreter (so that
+    modules pytest has already imported do not count), and which modules of
+    ``packages`` it loaded."""
     cfg = _config_file(tmp_path)
     script = textwrap.dedent(f"""
         import json, sys
         import geomasksim.cli
-        code = geomasksim.cli.main(["simulate", "--config", {cfg!r}, "--out-dir", {str(tmp_path / "out")!r}])
-        loaded = [m for m in sys.modules if m.startswith("scipy") or m == "numpy.ma" or m.startswith("numpy.ma.")]
+        code = geomasksim.cli.main(["simulate", "--config", {cfg!r}, "--out-dir", {str(tmp_path / "out")!r}, *{args!r}])
+        loaded = [m for m in sys.modules if any(m == p or m.startswith(p + ".") for p in {packages!r})]
         print(json.dumps({{"code": code, "loaded": sorted(loaded)}}))
     """)
     src = str(Path(geomasksim.__file__).resolve().parents[1])
@@ -252,7 +254,18 @@ def test_simulate_loads_no_scipy_and_no_numpy_ma(tmp_path):
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120, check=False
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == {"code": EXIT_OK, "loaded": []}
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_simulate_loads_no_scipy_and_no_numpy_ma(tmp_path):
+    assert _modules_loaded_by_simulate(tmp_path, ("scipy", "numpy.ma")) == {"code": EXIT_OK, "loaded": []}
+
+
+def test_simulate_without_a_pool_loads_no_pool_stack(tmp_path):
+    # the process-pool stack is about a tenth of start-up, and only a run
+    # that starts a pool (workers > 1) needs it
+    loaded = _modules_loaded_by_simulate(tmp_path, ("concurrent.futures", "multiprocessing"), "--workers", "1")
+    assert loaded == {"code": EXIT_OK, "loaded": []}
 
 
 EXHAUSTING = """\

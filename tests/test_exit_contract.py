@@ -4,18 +4,27 @@ Every documented input either completes (exit 0) or fails with its
 documented code: 1 for a validation error, 2 for a runtime failure. A
 failure prints exactly one ``error:`` or ``runtime failure:`` line on
 stderr and no traceback; an uncaught exception fails the test outright.
+An interrupted run (SIGINT) exits 130 with one ``interrupted`` line and
+writes no output.
 """
 
 import contextlib
 import io
+import os
+import re
+import signal
+import subprocess
+import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from geomasksim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
+import geomasksim
+from geomasksim.cli import EXIT_INTERRUPTED, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 
 _FAILURE_PREFIXES = ("error:", "runtime failure:")
 
@@ -236,3 +245,78 @@ def test_paths_the_system_refuses_exit_1(tmp_path, monkeypatch, case):
     _assert_contract(code, err)
     assert code == EXIT_VALIDATION
     assert str(a_file if "-out-" in case else tmp_path) in err
+
+
+def test_an_interrupted_run_exits_130_and_writes_nothing(tmp_path, monkeypatch):
+    import geomasksim.cli as cli
+
+    def interrupted(config):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "run_experiment", interrupted)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[experiment]\nkind = csr-population\nreplications = 2\n[population]\nn = 60\n", encoding="utf-8")
+    out = tmp_path / "out"
+    previous = signal.getsignal(signal.SIGINT)
+    try:
+        assert _run(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == (EXIT_INTERRUPTED, "interrupted\n")
+        assert signal.getsignal(signal.SIGINT) == signal.SIG_IGN  # until the process exits
+    finally:
+        signal.signal(signal.SIGINT, previous)
+    assert not out.exists()
+
+
+def _workers_ignoring_sigint(pid: int) -> int:
+    """How many child processes of ``pid`` ignore SIGINT (0 while one vanishes)."""
+    try:
+        children = [c for task in Path(f"/proc/{pid}/task").iterdir() for c in (task / "children").read_text().split()]
+        masks = [re.search(r"^SigIgn:\s*(\w+)$", Path(f"/proc/{c}/status").read_text(), re.M)[1] for c in children]
+    except OSError:
+        return 0
+    return sum(int(mask, 16) >> (signal.SIGINT - 1) & 1 for mask in masks)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or (os.cpu_count() or 1) < 2,
+                    reason="reads worker signal masks from /proc and needs a two-process pool")
+def test_an_interrupted_pool_run_exits_130_without_hanging(tmp_path):
+    # Ctrl-C at a terminal signals the whole process group: the parent, then
+    # again (as `timeout -s INT` does), and each worker. The run must neither
+    # hang in the pool's shutdown nor print a traceback from any process.
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(
+        "[experiment]\nkind = csr-population\nseed = 3\nreplications = 640\nworkers = 2\n[population]\nn = 50000\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    # SIGINT raises KeyboardInterrupt in the run even if this process was started with it ignored
+    script = (
+        "import signal, sys; signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+        "from geomasksim.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    src = str(Path(geomasksim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, "simulate", "--config", str(cfg), "--out-dir", str(out)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env, cwd=tmp_path, start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 30.0
+        # signal once both workers have set their own handling and taken a
+        # task: a task at n = 50000 runs for about 0.4 s, so the second
+        # signal comes while the parent waits for the running tasks
+        while _workers_ignoring_sigint(proc.pid) < 2:
+            assert proc.poll() is None and time.monotonic() < deadline, "the pool never started"
+            time.sleep(0.01)
+        time.sleep(0.1)
+        os.killpg(proc.pid, signal.SIGINT)
+        time.sleep(0.05)
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=10.0)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+    assert "Traceback" not in err
+    assert (proc.returncode, err) == (EXIT_INTERRUPTED, "interrupted\n")
+    assert not out.exists()

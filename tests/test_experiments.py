@@ -243,6 +243,8 @@ def test_masked_distances_match_per_replication_oracle(monkeypatch, mechanism, b
 def test_run_cells_checks_start_points_once_before_any_block(monkeypatch, workers):
     # the start points are checked once per run, in the parent, before any
     # replication block or worker pool starts; the kernel does not re-check
+    import concurrent.futures
+
     import geomasksim.experiments as exp
 
     xy = np.random.default_rng(43).uniform(-0.5, 0.5, size=(60, 2))
@@ -257,9 +259,11 @@ def test_run_cells_checks_start_points_once_before_any_block(monkeypatch, worker
             return fn(*args, **kw)
         return counted
 
-    originals = {name: getattr(exp, name) for name in calls}
+    # the pool branch looks the pool class up in concurrent.futures at call time
+    homes = {"checked_bounds": exp, "_replicate_block": exp, "ProcessPoolExecutor": concurrent.futures}
+    originals = {name: getattr(homes[name], name) for name in calls}
     for name, fn in originals.items():
-        monkeypatch.setattr(exp, name, count(name, fn))
+        monkeypatch.setattr(homes[name], name, count(name, fn))
     monkeypatch.setattr(exp, "_ROW_ELEMENTS", 60)  # one row per chunk: 8 kernel calls per run
     monkeypatch.setattr(exp.os, "cpu_count", lambda: 2)  # a pool at workers = 2 on any host
     outside = xy.copy()
@@ -287,6 +291,8 @@ def test_run_cells_checks_start_points_once_before_any_block(monkeypatch, worker
 def test_run_cells_starts_at_most_one_process_per_task_and_cpu(monkeypatch, workers, cpus, cells, processes):
     # the pool forks all its processes at the first task, so `workers` is only
     # an upper bound; a stand-in pool records its size and starts no process
+    import concurrent.futures
+
     import geomasksim.experiments as exp
 
     sizes = []
@@ -305,7 +311,7 @@ def test_run_cells_starts_at_most_one_process_per_task_and_cpu(monkeypatch, work
         def map(self, fn, tasks, chunksize):
             return map(fn, tasks)
 
-    monkeypatch.setattr(exp, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(exp, "_WORKER", {})
     monkeypatch.setattr(exp.os, "cpu_count", lambda: cpus)
     xy = np.random.default_rng(45).uniform(-0.5, 0.5, size=(40, 2))
