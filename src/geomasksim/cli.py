@@ -39,6 +39,7 @@ from .experiments import (
     BatchConvergenceError,
     FAST_REPLICATIONS,
     ExperimentConfig,
+    check_efficiency_kind,
     fit_baseline,
     prepare_dataset,
     run_efficiency_experiment,
@@ -125,9 +126,9 @@ def _cmd_simulate(args) -> int:
     config, options = _load_config(args)
     started = _utcnow()
     result = run_experiment(config)
-    eff_run = None
+    reports = None
     if config.experiment != "centroid":
-        eff_run = run_efficiency_experiment(config, baseline=result.baseline, ds=result.dataset)
+        reports = run_efficiency_experiment(config, baseline=result.baseline, ds=result.dataset).reports
 
     out = Path(options.out_dir)
     prefix = options.prefix
@@ -138,7 +139,6 @@ def _cmd_simulate(args) -> int:
         return path
 
     record(write_records_csv(result.theta_stars, result.columns, out / f"{prefix}_records.csv"))
-    reports = eff_run.reports if eff_run is not None else None
     record(write_curve_csv(result.curve, reports, out / f"{prefix}_curve.csv"))
     if reports:
         record(write_efficiency_csv(reports, out / f"{prefix}_efficiency.csv"))
@@ -243,8 +243,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_efficiency(args) -> int:
     config, options = _load_config(args)
-    if config.experiment == "centroid":
-        raise _CliError("efficiency does not run the centroid kind; simulate writes no efficiency table for it")
+    check_efficiency_kind(config)  # before any data is generated
     if args.empirical_reps:
         reports = run_efficiency_experiment(config, replications=args.empirical_reps).reports
     else:

@@ -10,10 +10,9 @@ The format is INI with five sections:
 
 Only ``[experiment] kind`` is required. Every other key sets one field of
 ``ExperimentConfig`` (or, in [output], of ``RunOptions``) and defaults to
-that field's default, except ``reference_radius``, whose default depends on
-the experiment kind: 0.707 (half-diagonal as printed) for csr-population,
-the study region's equivalent circle radius for fixed-area-grid, and the
-cell equivalent radius implied by k for centroid.
+that field's default. A file without ``reference_radius`` gets the kind's
+default at the file's ``k``, which ``ExperimentConfig`` resolves, so a file
+and the library give one kind the same default.
 
 This module only parses: it reads the text, converts each value and sets
 the field its key names. Validation lives in the dataclasses
@@ -43,7 +42,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .experiments import CSR_REFERENCE_RADIUS, FIXED_AREA_REFERENCE_RADIUS, ExperimentConfig
+from .experiments import ExperimentConfig
 
 
 class ConfigError(ValueError):
@@ -186,15 +185,8 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     with _naming("experiment", "kind"):
         config = ExperimentConfig(experiment=kind)
     config = _apply(s, config, _CONFIG_KEYS)
-    if "reference_radius" not in s.get("grid", {}):
-        # the kind and k are valid by now, so the lookup and the division are safe
-        radius = {
-            "csr-population": CSR_REFERENCE_RADIUS,
-            "fixed-area-grid": FIXED_AREA_REFERENCE_RADIUS,
-            "centroid": FIXED_AREA_REFERENCE_RADIUS / config.grid_k,
-        }[config.experiment]
-        config = replace(config, reference_radius=radius)
-    return config
+    # a radius the file leaves out is the kind's default at the file's k, not at the default k
+    return config if "reference_radius" in s.get("grid", {}) else replace(config, reference_radius=None)
 
 
 def parse_run_options(path: str | Path) -> RunOptions:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 KDE_GRID_SIZE = 512
-_EVAL_CHUNK = 256  # grid points per vectorized block; caps the n x grid buffer
+_EVAL_ELEMENTS = 1 << 15  # grid points x values per block: 256 KB temporaries, one grid point for larger samples
 
 
 class DegenerateSampleError(ValueError):
@@ -100,8 +100,9 @@ def kde(values) -> KdeEstimate:
 
     grid = np.linspace(lo, hi, KDE_GRID_SIZE)
     density = np.empty(KDE_GRID_SIZE)
-    for start in range(0, KDE_GRID_SIZE, _EVAL_CHUNK):
-        block = grid[start : start + _EVAL_CHUNK]
+    step = max(1, _EVAL_ELEMENTS // values.size)  # a grid point sums its own row: no bit depends on step
+    for start in range(0, KDE_GRID_SIZE, step):
+        block = grid[start : start + step]
         # z, and z*z above all, overflow to inf for a grid point hundreds of
         # orders of bandwidths from a value, where exp(-inf) = 0 is its kernel
         with np.errstate(over="ignore"):

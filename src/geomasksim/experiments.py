@@ -13,7 +13,11 @@ Three experiment kinds share one entry point, ``run_experiment``:
   k x k cell grid (unintentional locational error); each replication then
   re-masks every individual under the ``[mask] mechanism``, redrawn until it
   lands inside its own cell, with theta* equal to the cell's equivalent
-  radius.
+  radius. It has no efficiency run.
+
+Each kind is set up here alone: its default reference radius
+(``_DEFAULT_RADIUS``), its observed data and bounds (``run_experiment``) and
+the centroid kind's refusal of an efficiency run (``check_efficiency_kind``).
 
 Every replicated fit, the efficiency run's included, goes through one
 kernel: ``_run_cells`` cuts a run's cells into (cell, replication range)
@@ -91,15 +95,17 @@ from .rng import (
     population_stream,
 )
 
-EXPERIMENTS = ("centroid", "fixed-area-grid", "csr-population")
-
 DEFAULT_THETA_GRID = tuple(round(i / 10, 1) for i in range(1, 11))
-# Half-diagonal of the unit square as printed (0.707), the reference scale
-# for the CSR experiment's theta* grid.
+# Each kind's default reference radius at grid size k: the unit square's half-diagonal as
+# printed, its equivalent circle radius (a fixed administrative unit's scale), that over k.
 CSR_REFERENCE_RADIUS = 0.707
-# Equivalent circle radius of the unit study region, the analog of a fixed
-# administrative-unit scale.
 FIXED_AREA_REFERENCE_RADIUS = equivalent_circle_radius(1.0)
+_DEFAULT_RADIUS = {
+    "centroid": lambda k: FIXED_AREA_REFERENCE_RADIUS / k,
+    "fixed-area-grid": lambda k: FIXED_AREA_REFERENCE_RADIUS,
+    "csr-population": lambda k: CSR_REFERENCE_RADIUS,
+}
+EXPERIMENTS = tuple(_DEFAULT_RADIUS)
 
 DEFAULT_REPLICATIONS = 1000
 FAST_REPLICATIONS = 200
@@ -132,13 +138,14 @@ class BatchConvergenceError(RuntimeError):
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Complete description of one simulation run. Its checks, with those of
-    the fields' own dataclasses, are the only rules a config file must meet."""
+    the fields' own dataclasses, are the only rules a config file must meet.
+    A ``reference_radius`` of None becomes the kind's default at ``grid_k``."""
 
     experiment: str
     n: int = 1000
     replications: int = DEFAULT_REPLICATIONS
     theta_grid: tuple[float, ...] = DEFAULT_THETA_GRID
-    reference_radius: float = CSR_REFERENCE_RADIUS
+    reference_radius: float | None = None
     generating_params: LogitParams = DEFAULT_GENERATING_PARAMS
     mask: MaskSpec = MaskSpec()
     seed: int = 0
@@ -163,6 +170,8 @@ class ExperimentConfig:
             raise ValueError(f"theta_grid fractions must lie in [0, 1], got {self.theta_grid}")
         if list(self.theta_grid) != sorted(set(self.theta_grid)):
             raise ValueError("theta_grid must be strictly ascending")
+        if self.reference_radius is None:
+            object.__setattr__(self, "reference_radius", _DEFAULT_RADIUS[self.experiment](self.grid_k))
         if not 0.0 < self.reference_radius < math.inf:
             raise ValueError(f"reference_radius must be positive and finite, got {self.reference_radius}")
         if not 0 <= self.seed < 2**64:
@@ -514,10 +523,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     ds = prepare_dataset(config)
     if config.experiment == "centroid":
         grid = build_municipality_grid(config.grid_k)
-        ds = assign_to_centroid(ds, grid)
-        # each individual's cell bounds as C-contiguous (4, n) columns,
-        # gathered from the (4, k*k) per-cell columns
-        bounds = np.take(grid.cell_bounds(), grid.cell_indices(ds.points), axis=1)
+        ds, bounds = assign_to_centroid(ds, grid)
         cells = [(0, grid.cell_radius)]
         spec = dataclasses.replace(config.mask, boundary="redraw")
     else:
@@ -540,6 +546,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     )
 
 
+def check_efficiency_kind(config: ExperimentConfig) -> None:
+    """Refuse (ValueError) the centroid kind: the efficiency run masks true coordinates."""
+    if config.experiment == "centroid":
+        raise ValueError("efficiency does not run the centroid kind; simulate writes no efficiency table for it")
+
+
 def run_efficiency_experiment(
     config: ExperimentConfig,
     baseline: LogitFit | None = None,
@@ -559,8 +571,9 @@ def run_efficiency_experiment(
     one ``_run_cells`` call, under the attenuation run's failure policy and
     worker count: a cell converging on under half of its replications
     raises BatchConvergenceError, and fewer than 30 converged fits on
-    either side of a ratio raises InsufficientDataError.
-    """
+    either side of a ratio raises InsufficientDataError. The centroid kind
+    is refused first (``check_efficiency_kind``)."""
+    check_efficiency_kind(config)
     if ds is None:
         ds = prepare_dataset(config)
     if baseline is None:

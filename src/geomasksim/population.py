@@ -8,10 +8,11 @@ are (1, -2) so that distance deters choice.
 
 Municipality grids are the synthetic stand-in for administrative units in
 the centroid-assignment experiment: k x k equal square cells tiling
-``UNIT_SQUARE``, given as arrays in row-major order — C-contiguous (4, k^2)
-cell bounds, the per-cell columns masking reads, and (k^2, 2) cell centers
-as centroids — plus one cell radius, the radius of the circle of the same
-surface, as their size scale.
+``UNIT_SQUARE``, with one cell radius, the radius of the circle of the same
+surface, as their size scale. A grid gives each point the bounds of its own
+cell as C-contiguous (4, n) columns, the per-point bounds masking reads; a
+point's centroid is its cell's center. Nothing of size k^2 is built, so a
+fine grid costs no more memory than a coarse one.
 
 Draw-order contract (per stream): generate_csr_xy draws all n x-coordinates,
 then all n y-coordinates; simulate_choices_xy draws n uniforms compared
@@ -44,9 +45,9 @@ class OutOfGridError(ValueError):
 
 @dataclass(frozen=True)
 class MunicipalityGrid:
-    """k x k equal square cells tiling ``UNIT_SQUARE``, row-major from its
-    (xmin, ymin) corner: cell iy * k + ix spans [xmin + ix * side,
-    xmin + ix * side + side] on x, and likewise on y."""
+    """k x k equal square cells tiling ``UNIT_SQUARE`` from its (xmin, ymin)
+    corner: the cell in column ix spans [xmin + ix * side, xmin + ix * side
+    + side] on x, and the cell in row iy likewise on y."""
 
     k: int
 
@@ -63,33 +64,25 @@ class MunicipalityGrid:
         """Radius of the circle of the same surface as one cell."""
         return equivalent_circle_radius(self.side * self.side)
 
-    def cell_indices(self, xy: np.ndarray) -> np.ndarray:
-        """Row-major cell index per point; raises for points outside the area.
+    def cell_bounds(self, xy: np.ndarray) -> np.ndarray:
+        """C-contiguous (4, n) array whose rows are the xmin, xmax, ymin and
+        ymax of each point's cell; raises for points outside the area.
 
         Points on interior cell edges belong to the upper cell; the area's
         outer max edges are clamped into the last row/column so the cells
         tile the closed area exactly.
         """
-        xy = np.asarray(xy, dtype=np.float64)
         xmin, xmax, ymin, ymax = UNIT_SQUARE.bounds
         inside = (xy[:, 0] >= xmin) & (xy[:, 0] <= xmax) & (xy[:, 1] >= ymin) & (xy[:, 1] <= ymax)
         if not inside.all():
             raise OutOfGridError(np.flatnonzero(~inside))
-        ix = np.minimum(((xy[:, 0] - xmin) / self.side).astype(np.int64), self.k - 1)
-        iy = np.minimum(((xy[:, 1] - ymin) / self.side).astype(np.int64), self.k - 1)
-        return iy * self.k + ix
-
-    def cell_bounds(self) -> np.ndarray:
-        """C-contiguous (4, k^2) array whose rows are the xmin, xmax, ymin
-        and ymax of each cell, row-major."""
-        steps = np.arange(self.k) * self.side
-        x0, y0 = (v.ravel() for v in np.meshgrid(UNIT_SQUARE.xmin + steps, UNIT_SQUARE.ymin + steps))
-        return np.stack([x0, x0 + self.side, y0, y0 + self.side])
-
-    def centroids(self) -> np.ndarray:
-        """(k^2, 2) array of cell centers, row-major."""
-        x_min, _, y_min, _ = self.cell_bounds()
-        return np.column_stack([x_min + 0.5 * self.side, y_min + 0.5 * self.side])
+        bounds = np.empty((4, xy.shape[0]))
+        for row, coord, low in ((0, xy[:, 0], xmin), (2, xy[:, 1], ymin)):
+            index = np.minimum(((coord - low) / self.side).astype(np.int64), self.k - 1)  # ix, then iy
+            np.multiply(index, self.side, out=bounds[row])
+            bounds[row] += low
+            np.add(bounds[row], self.side, out=bounds[row + 1])
+        return bounds
 
 
 def build_municipality_grid(k: int) -> MunicipalityGrid:
@@ -124,11 +117,13 @@ def simulate_choices_xy(
     return ds
 
 
-def assign_to_centroid(ds: ChoiceDataset, grid: MunicipalityGrid) -> ChoiceDataset:
+def assign_to_centroid(ds: ChoiceDataset, grid: MunicipalityGrid) -> tuple[ChoiceDataset, np.ndarray]:
     """The dataset observed at its cell centroids (the unintentional
-    locational error of administrative geocoding): each point replaced by
-    the centroid of its cell, choices unchanged, distances recomputed.
-    Idempotent: centroids map to themselves.
+    locational error of administrative geocoding), with the (4, n) bounds of
+    each point's cell (``MunicipalityGrid.cell_bounds``): each point is
+    replaced by the center of its cell, choices unchanged, distances
+    recomputed. Idempotent: centroids map to themselves.
     """
-    idx = grid.cell_indices(ds.points)
-    return ChoiceDataset(grid.centroids()[idx], ds.facility, ds.choices)
+    bounds = grid.cell_bounds(ds.points)
+    half = 0.5 * grid.side
+    return ChoiceDataset(np.column_stack([bounds[0] + half, bounds[2] + half]), ds.facility, ds.choices), bounds

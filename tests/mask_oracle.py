@@ -27,8 +27,22 @@ def bounds_for(kind, xy):
         return None
     if kind == "shared":
         return np.asarray(UNIT_SQUARE.bounds)
-    grid = build_municipality_grid(4)
-    return np.take(grid.cell_bounds(), grid.cell_indices(xy), axis=1)
+    return build_municipality_grid(4).cell_bounds(xy)
+
+
+def grid_cells(k):
+    """(bounds, centroids) of the k x k grid's cells from a row-major loop
+    over them: (k*k, 4) rows x0, x0 + side, y0, y0 + side with
+    x0 = xmin + ix * side (likewise y0), and (k*k, 2) centers
+    x0 + 0.5 * side, y0 + 0.5 * side."""
+    side = 1.0 / k
+    bounds, centroids = [], []
+    for iy in range(k):
+        for ix in range(k):
+            x0, y0 = UNIT_SQUARE.xmin + ix * side, UNIT_SQUARE.ymin + iy * side
+            bounds.append([x0, x0 + side, y0, y0 + side])
+            centroids.append([x0 + 0.5 * side, y0 + 0.5 * side])
+    return np.array(bounds), np.array(centroids)
 
 
 def _offsets(spec, gen, m):

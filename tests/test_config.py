@@ -15,7 +15,9 @@ from geomasksim.experiments import (
     CSR_REFERENCE_RADIUS,
     DEFAULT_REPLICATIONS,
     DEFAULT_THETA_GRID,
+    EXPERIMENTS,
     FIXED_AREA_REFERENCE_RADIUS,
+    ExperimentConfig,
 )
 from geomasksim.geometry import Point
 from geomasksim.logit import LogitParams
@@ -108,6 +110,16 @@ def test_reference_radius_defaults_by_kind(tmp_path):
     assert fixed.reference_radius == pytest.approx(math.sqrt(1.0 / math.pi))
     cent = parse_config(_write(tmp_path, "[experiment]\nkind = centroid\n\n[grid]\nk = 20\n", "b.ini"))
     assert cent.reference_radius == pytest.approx(FIXED_AREA_REFERENCE_RADIUS / 20)
+
+
+@pytest.mark.parametrize("k", [1, 7, 10, 20])
+@pytest.mark.parametrize("kind", EXPERIMENTS)
+def test_file_and_library_give_a_kind_the_same_defaults(tmp_path, kind, k):
+    # the file's k is set after the kind, so its radius follows k as the library's does
+    cfg = parse_config(_write(tmp_path, f"[experiment]\nkind = {kind}\n\n[grid]\nk = {k}\n"))
+    assert cfg == ExperimentConfig(kind, grid_k=k)
+    if k == 10:  # the default k: a file without [grid] too
+        assert parse_config(_write(tmp_path, f"[experiment]\nkind = {kind}\n", "b.ini")) == ExperimentConfig(kind)
 
 
 def test_unknown_section_and_key(tmp_path):

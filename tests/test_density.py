@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -138,6 +139,29 @@ def test_kde_standard_normal_peak():
     rng = np.random.default_rng(2)
     est = kde(rng.normal(size=100_000))
     assert _at(est, 0.0) == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), abs=0.02)
+
+
+def test_kde_memory_does_not_grow_with_the_sample():
+    # each block of the grid-by-values evaluation holds a bounded number of
+    # elements, not a bounded number of grid points times the sample size
+    values = np.random.default_rng(1).normal(size=20_000)
+    tracemalloc.start()
+    try:
+        kde(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+def test_kde_density_bits_do_not_depend_on_the_block_size(monkeypatch):
+    import geomasksim.density as density
+
+    values = np.random.default_rng(4).standard_cauchy(size=3_000)
+    expected = kde(values).density.tobytes()
+    for elements in (1, 2_999, 3_000, 3_001, 10**6, 10**7):
+        monkeypatch.setattr(density, "_EVAL_ELEMENTS", elements)
+        assert kde(values).density.tobytes() == expected, elements
 
 
 def test_kde_integral_is_one():

@@ -320,3 +320,28 @@ def test_an_interrupted_pool_run_exits_130_without_hanging(tmp_path):
     assert "Traceback" not in err
     assert (proc.returncode, err) == (EXIT_INTERRUPTED, "interrupted\n")
     assert not out.exists()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="caps the run's address space with RLIMIT_AS")
+def test_a_centroid_run_on_a_fine_grid_exits_0(tmp_path):
+    # k = 50000 cuts the area into 2.5e9 cells, of which the 1000 points
+    # use at most 1000: the run must build nothing of size k^2. Its address
+    # space is capped at 3 GiB, so an array over all the cells fails at once
+    # instead of paging.
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(
+        "[experiment]\nkind = centroid\nseed = 2\nreplications = 30\n[population]\nn = 1000\n[grid]\nk = 50000\n",
+        encoding="utf-8",
+    )
+    script = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+        "from geomasksim.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    src = str(Path(geomasksim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60.0,
+    )
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    assert (tmp_path / "out" / "run_records.csv").exists()

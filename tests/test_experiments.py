@@ -29,7 +29,7 @@ from geomasksim.logit import Z_95, fit_logit, wald_ci
 from geomasksim.masking import MECHANISMS, MaskSpec
 from geomasksim.population import assign_to_centroid, build_municipality_grid
 
-from mask_oracle import BOUNDS_KINDS, bounds_for, mask_one
+from mask_oracle import BOUNDS_KINDS, bounds_for, grid_cells, mask_one
 
 
 def _assert_same_replications(a, b):
@@ -128,7 +128,7 @@ def test_run_baseline_consistent_with_generator():
 def test_run_baseline_centroid_uses_assigned_coordinates():
     cfg = _config(experiment="centroid", grid_k=10)
     via_runner = run_experiment(cfg).baseline
-    ds = assign_to_centroid(prepare_dataset(cfg), build_municipality_grid(10))
+    ds, _ = assign_to_centroid(prepare_dataset(cfg), build_municipality_grid(10))
     assert via_runner.params == fit_logit(ds).params
 
 
@@ -559,8 +559,7 @@ def test_centroid_experiment_shape():
     assert res.theta_stars == (cell_radius,)
     assert res.columns["beta_hat"].shape == (1, 40)
     # observed dataset is centroid-assigned
-    centroids = {tuple(row) for row in build_municipality_grid(5).centroids()}
-    assert {tuple(row) for row in res.dataset.points} <= centroids
+    assert {tuple(row) for row in res.dataset.points} <= {tuple(row) for row in grid_cells(5)[1]}
 
 
 def test_centroid_experiment_deterministic():
@@ -618,6 +617,18 @@ def test_efficiency_degenerate_regenerated_choices_count_as_nonconverged(n):
     assert len(run.reports) == len(cfg.theta_values())
     assert len(run.true_betas) >= 30
     assert all(len(b) >= 30 for b in run.masked_betas)
+
+
+def test_efficiency_refuses_the_centroid_kind_before_generating_data(monkeypatch):
+    import geomasksim.experiments as exp
+
+    def generate(*args, **kwargs):
+        raise AssertionError("data generated for a refused kind")
+
+    monkeypatch.setattr(exp, "generate_csr_xy", generate)
+    monkeypatch.setattr(exp, "_run_cells", generate)
+    with pytest.raises(ValueError, match="^efficiency does not run the centroid kind"):
+        run_efficiency_experiment(ExperimentConfig("centroid"))
 
 
 def test_efficiency_requires_enough_replications():

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 from scipy.special import expit
 
+from geomasksim.dataset import ChoiceDataset
 from geomasksim.geometry import UNIT_SQUARE, Point, equivalent_circle_radius, facility_distances
 from geomasksim.logit import LogitParams
 from geomasksim.masking import _inside
@@ -17,6 +19,7 @@ from geomasksim.population import (
     simulate_choices_xy,
 )
 from geomasksim.rng import population_stream
+from mask_oracle import grid_cells
 
 AREA = UNIT_SQUARE
 
@@ -110,30 +113,37 @@ def test_simulate_choices_draw_order_contract():
 
 def test_grid_k1_single_cell():
     grid = build_municipality_grid(1)
-    np.testing.assert_array_equal(grid.centroids(), [[0.0, 0.0]])
-    np.testing.assert_array_equal(grid.cell_bounds(), [[-0.5], [0.5], [-0.5], [0.5]])
+    xy = np.array([[-0.5, -0.5], [0.1, 0.3], [0.5, 0.5]])
+    np.testing.assert_array_equal(grid.cell_bounds(xy), np.tile([[-0.5], [0.5], [-0.5], [0.5]], 3))
     assert grid.cell_radius == pytest.approx(equivalent_circle_radius(1.0))
 
 
 def test_grid_k2_centroids():
     grid = build_municipality_grid(2)
-    got = {tuple(row) for row in grid.centroids()}
-    assert got == {(-0.25, -0.25), (0.25, -0.25), (-0.25, 0.25), (0.25, 0.25)}
+    quadrants = ChoiceDataset(np.array([[-0.4, -0.1], [0.3, -0.2], [-0.1, 0.4], [0.2, 0.2]]), Point(0.0, 0.0),
+                              np.array([0, 1, 0, 1]))
+    out, _ = assign_to_centroid(quadrants, grid)
+    assert [tuple(row) for row in out.points] == [(-0.25, -0.25), (0.25, -0.25), (-0.25, 0.25), (0.25, 0.25)]
 
 
 def test_grid_cells_tile_the_area():
+    # one point at the center of each cell: the cells are all different and
+    # their surfaces sum to the area's
     grid = build_municipality_grid(7)
-    x_min, x_max, y_min, y_max = grid.cell_bounds()
+    _, centers = grid_cells(7)
+    x_min, x_max, y_min, y_max = grid.cell_bounds(centers)
+    assert len({tuple(column) for column in grid.cell_bounds(centers).T}) == 49
     assert ((x_max - x_min) * (y_max - y_min)).sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_grid_row_major_order():
+def test_grid_column_follows_x_and_row_follows_y():
     grid = build_municipality_grid(3)
-    # first cell is the bottom-left corner, iteration runs x-fastest
-    x_min, _, y_min, _ = grid.cell_bounds()
+    # the bottom-left cell starts at the area's corner; the next column is
+    # one side along x, the next row one side along y
+    x_min, _, y_min, _ = grid.cell_bounds(np.array([[-0.4, -0.4], [0.0, -0.4], [-0.4, 0.0]]))
     assert x_min[0] == -0.5 and y_min[0] == -0.5
-    assert x_min[1] == pytest.approx(-0.5 + 1 / 3)
-    assert y_min[3] == pytest.approx(-0.5 + 1 / 3)
+    assert x_min[1] == pytest.approx(-0.5 + 1 / 3) and y_min[1] == -0.5
+    assert x_min[2] == -0.5 and y_min[2] == pytest.approx(-0.5 + 1 / 3)
 
 
 def test_grid_cell_radius_formula():
@@ -146,38 +156,50 @@ def test_grid_rejects_bad_k():
         build_municipality_grid(0)
 
 
-def test_cell_indices_interior_edges_go_up():
+def test_cell_bounds_interior_edges_go_up():
     grid = build_municipality_grid(2)
-    idx = grid.cell_indices(np.array([[0.0, 0.0], [-0.25, -0.25], [0.5, 0.5], [-0.5, -0.5]]))
+    bounds = grid.cell_bounds(np.array([[0.0, 0.0], [-0.25, -0.25], [0.5, 0.5], [-0.5, -0.5]]))
     # the shared edge at 0 belongs to the upper cell; the outer max corner is
     # clamped into the last cell
-    np.testing.assert_array_equal(idx, [3, 0, 3, 0])
+    lower, upper = [-0.5, 0.0, -0.5, 0.0], [0.0, 0.5, 0.0, 0.5]
+    np.testing.assert_array_equal(bounds.T, [upper, lower, upper, lower])
 
 
-def test_cell_indices_out_of_grid():
+def test_cell_bounds_out_of_grid():
     grid = build_municipality_grid(2)
     with pytest.raises(OutOfGridError) as info:
-        grid.cell_indices(np.array([[0.0, 0.0], [0.6, 0.0]]))
+        grid.cell_bounds(np.array([[0.0, 0.0], [0.6, 0.0]]))
     assert info.value.point_indices == [1]
 
 
 def test_cell_bounds_row_alignment():
-    # bit-equal to a row-major per-cell loop: x0 = xmin + ix * side, then
-    # x0 + side for the upper edge and x0 + 0.5 * side for the centroid;
-    # the bounds come as C-contiguous (4, k*k) columns
+    # bit-equal to a row-major per-cell loop (x0 = xmin + ix * side, then
+    # x0 + side for the upper edge and x0 + 0.5 * side for the centroid), for
+    # one point at each cell's center, given as C-contiguous (4, n) columns
     for k in (1, 2, 3, 4, 5, 7, 10, 20, 33, 100):
         grid = build_municipality_grid(k)
-        side = 1.0 / k
-        bounds, centroids = [], []
-        for iy in range(k):
-            for ix in range(k):
-                x0, y0 = AREA.xmin + ix * side, AREA.ymin + iy * side
-                bounds.append([x0, x0 + side, y0, y0 + side])
-                centroids.append([x0 + 0.5 * side, y0 + 0.5 * side])
-        assert grid.side == side
-        assert grid.cell_bounds().shape == (4, k * k) and grid.cell_bounds().flags.c_contiguous
-        assert grid.cell_bounds().tobytes() == np.array(bounds).T.copy().tobytes()
-        assert grid.centroids().tobytes() == np.array(centroids).tobytes()
+        bounds, centroids = grid_cells(k)
+        ds = ChoiceDataset(centroids, Point(0.0, 0.0), np.zeros(k * k, dtype=np.int64))
+        got = grid.cell_bounds(centroids)
+        assert grid.side == 1.0 / k
+        assert got.shape == (4, k * k) and got.flags.c_contiguous
+        assert got.tobytes() == bounds.T.copy().tobytes()
+        assert assign_to_centroid(ds, grid)[0].points.tobytes() == centroids.tobytes()
+
+
+def test_cell_bounds_memory_follows_the_points_not_the_grid():
+    # a 50,000 x 50,000 grid: only the 1,000 points' cells are built
+    xy = generate_csr_xy(1000, population_stream(3))
+    grid = build_municipality_grid(50_000)
+    tracemalloc.start()
+    try:
+        bounds = grid.cell_bounds(xy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bounds.shape == (4, 1000)
+    assert _inside(xy[:, 0], xy[:, 1], bounds).all()
+    assert peak < 200_000
 
 
 # --- centroid assignment ---
@@ -192,9 +214,9 @@ def test_assign_to_centroid_replaces_coordinates():
     ds = _choice_ds(500, 30)
     grid = build_municipality_grid(10)
     points = ds.points.copy()
-    out = assign_to_centroid(ds, grid)
-    centroids = {tuple(row) for row in grid.centroids()}
-    assert {tuple(row) for row in out.points} <= centroids
+    out, bounds = assign_to_centroid(ds, grid)
+    assert {tuple(row) for row in out.points} <= {tuple(row) for row in grid_cells(10)[1]}
+    np.testing.assert_array_equal(bounds, grid.cell_bounds(points))
     np.testing.assert_array_equal(out.distances, facility_distances(out.points, ds.facility))
     np.testing.assert_array_equal(out.choices, ds.choices)
     np.testing.assert_array_equal(ds.points, points)  # the input dataset is left as it is
@@ -203,14 +225,15 @@ def test_assign_to_centroid_replaces_coordinates():
 def test_assign_to_centroid_idempotent():
     ds = _choice_ds(500, 32)
     grid = build_municipality_grid(10)
-    once = assign_to_centroid(ds, grid)
-    twice = assign_to_centroid(once, grid)
+    once, bounds = assign_to_centroid(ds, grid)
+    twice, same_bounds = assign_to_centroid(once, grid)
     np.testing.assert_array_equal(once.points, twice.points)
+    np.testing.assert_array_equal(bounds, same_bounds)
 
 
 def test_assign_to_centroid_k1_collapses_to_center():
     ds = _choice_ds(100, 34)
-    out = assign_to_centroid(ds, build_municipality_grid(1))
+    out, _ = assign_to_centroid(ds, build_municipality_grid(1))
     np.testing.assert_array_equal(out.points, np.zeros((100, 2)))
     np.testing.assert_array_equal(out.distances, np.zeros(100))
 
@@ -218,7 +241,7 @@ def test_assign_to_centroid_k1_collapses_to_center():
 def test_assign_to_centroid_displacement_bounded_by_half_diagonal():
     ds = _choice_ds(2_000, 36)
     grid = build_municipality_grid(10)
-    out = assign_to_centroid(ds, grid)
+    out, _ = assign_to_centroid(ds, grid)
     disp = np.hypot(*(out.points - ds.points).T)
     assert disp.max() <= 0.5 * math.hypot(0.1, 0.1) + 1e-12
 
@@ -230,6 +253,6 @@ def test_assign_to_centroid_mean_displacement():
     xy = generate_csr_xy(100_000, population_stream(38))
     ds = simulate_choices_xy(xy, Point(0.0, 0.0), LogitParams(1.0, -2.0), population_stream(39))
     grid = build_municipality_grid(10)
-    out = assign_to_centroid(ds, grid)
+    out, _ = assign_to_centroid(ds, grid)
     disp = np.hypot(*(out.points - ds.points).T)
     assert disp.mean() == pytest.approx(0.038259785823210636, abs=5e-4)
