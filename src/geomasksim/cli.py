@@ -2,7 +2,8 @@
 
 Subcommands:
 
-    simulate    run a configured experiment; emit records/curve CSVs,
+    simulate    run a configured experiment, its efficiency run included, in
+                one `run_experiment` call; emit records/curve CSVs,
                 efficiency table, SVG plots, baseline JSON, and a manifest
     mask        mask a point CSV once and emit the masked CSV
     fit         fit the distance logit on a point+choice CSV
@@ -16,7 +17,8 @@ that does not converge or has a singular information matrix, an
 `efficiency` config of the centroid kind, a path the operating system
 refuses, such as a directory given as an input file); 2 runtime failure
 (a replication cell, efficiency cells included, converging on under 50% of
-its replications; masking exhaustion); 130 interrupted (SIGINT; the
+its replications; masking exhaustion; a pool worker process that dies,
+say by the out-of-memory killer's SIGKILL); 130 interrupted (SIGINT; the
 outputs are written after the run, so an interrupt during it leaves none).
 """
 
@@ -39,6 +41,7 @@ from .experiments import (
     BatchConvergenceError,
     FAST_REPLICATIONS,
     ExperimentConfig,
+    WorkerLostError,
     check_efficiency_kind,
     fit_baseline,
     prepare_dataset,
@@ -126,9 +129,7 @@ def _cmd_simulate(args) -> int:
     config, options = _load_config(args)
     started = _utcnow()
     result = run_experiment(config)
-    reports = None
-    if config.experiment != "centroid":
-        reports = run_efficiency_experiment(config, baseline=result.baseline, ds=result.dataset).reports
+    reports = result.efficiency.reports if result.efficiency else None
 
     out = Path(options.out_dir)
     prefix = options.prefix
@@ -362,7 +363,7 @@ def main(argv: list[str] | None = None) -> int:
         # ConfigError, SeparationError and InvalidFitError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (BatchConvergenceError, BoundaryExhaustionError) as exc:
+    except (BatchConvergenceError, BoundaryExhaustionError, WorkerLostError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except KeyboardInterrupt:

@@ -16,13 +16,13 @@ Three experiment kinds share one entry point, ``run_experiment``:
   radius. It has no efficiency run.
 
 Each kind is set up here alone: its default reference radius
-(``_DEFAULT_RADIUS``), its observed data and bounds (``run_experiment``) and
-the centroid kind's refusal of an efficiency run (``check_efficiency_kind``).
+(``_DEFAULT_RADIUS``), its observed data, bounds and stages
+(``run_experiment``) and the centroid kind's refusal of an efficiency run.
 
-Every replicated fit, the efficiency run's included, goes through one
-kernel: ``_run_cells`` cuts a run's cells into (cell, replication range)
-tasks and runs them in-process or in a worker pool; ``_replicate_block``
-handles a task in row chunks. Per chunk it positions one pooled Philox
+Every replicated fit, the efficiency stage's included, goes through one
+kernel: ``_run_cells`` cuts a run's stages into one list of (cell,
+replication range) tasks and runs it in-process or in one worker pool;
+``_replicate_block`` handles a task in row chunks. Per chunk it positions one pooled Philox
 generator per replication at the start of that replication's stream, draws
 each row's regenerated choices first (efficiency cells only), masks every
 row in one ``mask_rows`` call (whose redraw loop serves the whole chunk
@@ -31,9 +31,9 @@ per run that every point starts inside its bounds), takes the (rows, n)
 masked distances from the block's contiguous x and y planes and fits the
 chunk with one ``fit_rows`` call. One
 failure policy and the 50% cell-convergence rule apply to every cell. The
-attenuation run keeps the (cells, replications) columns, adds the two test
-flags and aggregates each cell from them; the efficiency run reads the
-converged estimates of its cells.
+attenuation stage keeps the (cells, replications) columns, adds the two
+test flags and aggregates each cell from them; the efficiency stage reads
+the converged estimates of its cells.
 
 Fixed-y design: the attenuation run generates choices exactly once, before
 the baseline fit, and never regenerates them; a checksum of the choice
@@ -116,6 +116,10 @@ _REP_BLOCK = 64  # replications per worker task
 # the kernel's (rows, n) work arrays in cache.
 _ROW_ELEMENTS = 16384
 _MIN_CELL_CONVERGENCE = 0.5
+
+
+class WorkerLostError(RuntimeError):
+    """A pool worker process died, say by the out-of-memory killer's SIGKILL, before its tasks finished."""
 
 
 class BatchConvergenceError(RuntimeError):
@@ -241,6 +245,7 @@ class ExperimentResult:
     columns: dict[str, np.ndarray]  # RECORD_COLUMNS, each (cells, replications)
     curve: AttenuationCurve
     dataset: ChoiceDataset
+    efficiency: EfficiencyRun | None  # None for the centroid kind
 
 
 @dataclass
@@ -292,13 +297,13 @@ def _row_chunks(reps: range, n: int) -> list[range]:
     return [reps[i : i + step] for i in range(0, len(reps), step)]
 
 
-def _replicate_block(task: tuple[int, float | None, int, int], state: dict | None = None) -> dict[str, np.ndarray]:
+def _replicate_block(task: tuple[int, float | None, int, int, bool], state: dict | None = None) -> dict:
     """Fit replications [rep_start, rep_stop) of one cell, in row chunks.
 
     A cell is (theta_index, theta_star); theta_star None leaves the points
     unmasked (the efficiency run's true-coordinate cell). Each replication
-    draws from its own stream: first its regenerated choices when the run
-    has generating probabilities instead of fixed choices, then its mask.
+    draws from its own stream: first its regenerated choices when the task
+    is not ``fixed`` (efficiency), then its mask.
     Per chunk of rows: position one pooled generator per replication, draw
     each row's choices and compare them with the probabilities in place,
     mask every row in one call of the unchecked kernel ``mask_rows`` (the
@@ -310,17 +315,17 @@ def _replicate_block(task: tuple[int, float | None, int, int], state: dict | Non
     information matrix has no estimate (NaN, not converged, 0 iterations)
     instead of aborting the run.
     """
-    theta_index, theta_star, rep_start, rep_stop = task
+    theta_index, theta_star, rep_start, rep_stop, fixed = task
     st = state if state is not None else _WORKER
     xy, facility, bounds, seed, y, prob = (st[k] for k in ("xy", "facility", "bounds", "seed", "y", "prob"))
-    if y is not None and choices_checksum(y) != st["y_checksum"]:
+    if fixed and choices_checksum(y) != st["y_checksum"]:
         raise RuntimeError("choice vector changed after baseline; fixed-y contract violated")
     spec = None if theta_star is None else dataclasses.replace(st["base_spec"], theta_star=theta_star)
     d = facility_distances(xy, facility) if spec is None else None
 
     chunks = []
     for reps in _row_chunks(range(rep_start, rep_stop), xy.shape[0]):
-        if y is not None:
+        if fixed:
             streams = [derive_stream(seed, theta_index, rep) for rep in reps]
         elif spec is None:
             streams = [efficiency_true_stream(seed, rep) for rep in reps]
@@ -328,7 +333,7 @@ def _replicate_block(task: tuple[int, float | None, int, int], state: dict | Non
             streams = [efficiency_masked_stream(seed, theta_index, rep) for rep in reps]
         gens = st["generators"].positioned(streams)
         D, Y = d, y
-        if y is None:
+        if not fixed:
             # uniform(0, 1) draws, as `random` gives them
             Y = np.empty((len(reps), prob.size))
             for gen, row in zip(gens, Y):
@@ -354,34 +359,34 @@ def _replicate_block(task: tuple[int, float | None, int, int], state: dict | Non
 
 
 def _run_cells(
-    cells: list[tuple[int, float | None]],
+    stages: list[tuple[list[tuple[int, float | None]], int, bool]],
     xy: np.ndarray,
     facility: Point,
     bounds: tuple[float, float, float, float] | np.ndarray,
     base_spec: MaskSpec,
     seed: int,
-    replications: int,
     workers: int,
     *,
     y: np.ndarray | None = None,
     prob: np.ndarray | None = None,
-) -> dict[str, np.ndarray]:
-    """Fit every (cell, replication) of a run and return the ``_COLUMNS``,
-    each shaped (cells, replications).
+) -> list[dict[str, np.ndarray]]:
+    """Fit every (cell, replication) of a run's stages and return, per stage,
+    the ``_COLUMNS``, each shaped (cells, replications).
 
-    Exactly one of ``y`` (fixed choices) and ``prob`` (generating
-    probabilities, redrawn per replication) is given: the attenuation stage
-    passes ``y``, the efficiency stage ``prob``. Under the redraw policy
-    every point must start inside ``bounds`` (one (4,) rectangle or (4, n)
-    per-point columns). That is checked once here, before any replication,
-    by ``checked_bounds``, the check ``masking.mask_coordinates`` makes on
-    every call (ValueError). The tasks run in-process or in a pool of at
-    most ``workers`` processes, no more than there are tasks or CPUs; only
-    a run that starts a pool loads the pool stack. The workers ignore
-    SIGINT: on KeyboardInterrupt the parent cancels the pending tasks,
-    waits for the running ones with SIGINT ignored and re-raises. A cell
-    that converged on under half of its replications raises
-    BatchConvergenceError.
+    A stage is (cells, replications, fixed): a ``fixed`` one (attenuation)
+    refits the choices ``y``, the others (efficiency) redraw them per
+    replication from the generating probabilities ``prob``. Under the
+    redraw policy every point must start inside ``bounds`` (one (4,)
+    rectangle or (4, n) per-point columns). That is checked once here,
+    before any replication, by ``checked_bounds``, the check
+    ``masking.mask_coordinates`` makes on every call (ValueError). The tasks of all stages, in stage order, run
+    in-process or in one pool of at most ``workers`` processes, no more
+    than there are tasks or CPUs this process may use; only a run that
+    starts a pool loads the pool stack. The workers ignore SIGINT: on
+    KeyboardInterrupt the parent cancels the pending tasks, waits for the
+    running ones with SIGINT ignored and re-raises; a dead worker raises
+    WorkerLostError. A cell converging on under half of its replications
+    raises BatchConvergenceError, the stages checked in order.
     """
     xy = np.ascontiguousarray(xy, dtype=np.float64)
     payload = {
@@ -396,11 +401,13 @@ def _run_cells(
         "generators": GeneratorPool(),
     }
     tasks = [
-        (theta_index, theta_star, start, min(start + _REP_BLOCK, replications))
+        (theta_index, theta_star, start, min(start + _REP_BLOCK, replications), fixed)
+        for cells, replications, fixed in stages
         for theta_index, theta_star in cells
         for start in range(0, replications, _REP_BLOCK)
     ]
-    processes = min(workers, len(tasks), os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    processes = min(workers, len(tasks), cpus)
     if processes == 1:
         blocks = [_replicate_block(task, state=payload) for task in tasks]
     else:
@@ -419,17 +426,20 @@ def _run_cells(
                 finally:
                     signal.signal(signal.SIGINT, previous)
                 raise
+            except futures.BrokenExecutor as exc:
+                raise WorkerLostError(f"a worker process died before the run finished ({exc})") from exc
 
-    fits = {
-        name: np.concatenate([block[name] for block in blocks]).reshape(len(cells), replications)
-        for name in _COLUMNS
-    }
-    stage = "attenuation" if y is not None else "efficiency"
-    for (_, theta_star), converged in zip(cells, fits["converged"]):
-        rate = np.count_nonzero(converged) / replications
-        if rate < _MIN_CELL_CONVERGENCE:
-            raise BatchConvergenceError(theta_star, rate, stage)
-    return fits
+    results = []
+    for cells, replications, fixed in stages:
+        k = len(cells) * len(range(0, replications, _REP_BLOCK))  # the stage's tasks
+        own, blocks = blocks[:k], blocks[k:]
+        fits = {name: np.concatenate([b[name] for b in own]).reshape(len(cells), replications) for name in _COLUMNS}
+        for (_, theta_star), converged in zip(cells, fits["converged"]):
+            rate = np.count_nonzero(converged) / replications
+            if rate < _MIN_CELL_CONVERGENCE:
+                raise BatchConvergenceError(theta_star, rate, "attenuation" if fixed else "efficiency")
+        results.append(fits)
+    return results
 
 
 # -------------------------------------------------------------- experiments
@@ -505,7 +515,8 @@ def fit_baseline(config: ExperimentConfig, ds: ChoiceDataset) -> LogitFit:
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Mask-and-refit over the run's theta* cells with fixed choices.
+    """Mask-and-refit over the run's theta* cells with fixed choices, and
+    the efficiency run of every kind but centroid.
 
     Per replication: mask the observed coordinates under the mask law at
     the cell's theta*, recompute distances to the facility, refit, flag.
@@ -518,22 +529,24 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     share of replications statistically indistinguishable from the
     baseline. The baseline is ``fit_baseline`` on the observed dataset. A
     cell with under 50% convergence aborts the batch; individual failures
-    are kept as non-converged rows.
-    """
+    are kept as non-converged rows. ``run_efficiency_experiment``'s cells
+    follow in the same ``_run_cells`` call."""
     ds = prepare_dataset(config)
     if config.experiment == "centroid":
         grid = build_municipality_grid(config.grid_k)
         ds, bounds = assign_to_centroid(ds, grid)
         cells = [(0, grid.cell_radius)]
         spec = dataclasses.replace(config.mask, boundary="redraw")
+        efficiency, prob = [], None
     else:
         bounds = UNIT_SQUARE.bounds
         cells = list(enumerate(config.theta_values()))
         spec = config.mask
+        *efficiency, prob = _efficiency_stage(config, ds)
     baseline = fit_baseline(config, ds)  # fail before any replication
-    fits = _run_cells(
-        cells, ds.points, config.facility, bounds, spec, config.seed, config.replications, config.workers,
-        y=ds.choices,
+    fits, *efficiency_fits = _run_cells(
+        [(cells, config.replications, True), *efficiency], ds.points, config.facility, bounds, spec, config.seed,
+        config.workers, y=ds.choices, prob=prob,
     )
     columns = _add_flags(fits, wald_ci(baseline)[1])
     theta_stars = tuple(theta_star for _, theta_star in cells)
@@ -543,6 +556,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         columns=columns,
         curve=build_curve(theta_stars, columns, baseline),
         dataset=ds,
+        efficiency=_efficiency_run(config, ds, baseline, *efficiency_fits) if efficiency_fits else None,
     )
 
 
@@ -552,48 +566,51 @@ def check_efficiency_kind(config: ExperimentConfig) -> None:
         raise ValueError("efficiency does not run the centroid kind; simulate writes no efficiency table for it")
 
 
-def run_efficiency_experiment(
-    config: ExperimentConfig,
-    baseline: LogitFit | None = None,
-    ds: ChoiceDataset | None = None,
-    replications: int | None = None,
-) -> EfficiencyRun:
-    """Analytic efficiency loss over the theta* grid plus an empirical
-    variance-ratio companion.
-
-    The analytic ratio uses the fixed dataset and the baseline (fitted)
-    parameters, from ``fit_baseline`` when no ``baseline`` is given. The
-    empirical side regenerates choices per replication — from the true
-    coordinates for the numerator fits, and from the true coordinates but
-    refit on freshly masked ones for the denominator — so both sides carry
-    sampling variability (unlike the fixed-y attenuation records, which
-    would give the true coordinates zero variance). Both sides are cells of
-    one ``_run_cells`` call, under the attenuation run's failure policy and
-    worker count: a cell converging on under half of its replications
-    raises BatchConvergenceError, and fewer than 30 converged fits on
-    either side of a ratio raises InsufficientDataError. The centroid kind
-    is refused first (``check_efficiency_kind``)."""
-    check_efficiency_kind(config)
-    if ds is None:
-        ds = prepare_dataset(config)
-    if baseline is None:
-        baseline = fit_baseline(config, ds)
-    # derived default tracks the attenuation run but stays within what the
-    # variance ratio can tolerate; an explicit replications= is taken as-is
+def _efficiency_stage(config: ExperimentConfig, ds: ChoiceDataset, replications: int | None = None) -> tuple:
+    """The efficiency stage and the generating probabilities its choices are
+    redrawn from. The default replications track the attenuation run within
+    what the variance ratio tolerates; an explicit number is taken as-is."""
     reps = replications if replications is not None else min(300, max(30, config.replications))
     if reps < 30:
         raise ValueError(f"need >= 30 efficiency replications, got {reps}")
-    prob = choice_probability(config.generating_params.alpha + config.generating_params.beta * ds.distances)
-    thetas = config.theta_values()
-    fits = _run_cells(
-        [(0, None)] + list(enumerate(thetas)), ds.points, ds.facility, UNIT_SQUARE.bounds, config.mask,
-        config.seed, reps, config.workers, prob=prob,
-    )
+    eta = config.generating_params.alpha + config.generating_params.beta * ds.distances
+    return ([(0, None), *enumerate(config.theta_values())], reps, False), choice_probability(eta)
+
+
+def _efficiency_run(config: ExperimentConfig, ds: ChoiceDataset, baseline: LogitFit, fits: dict) -> EfficiencyRun:
+    """The efficiency stage's reports from its columns ``fits``."""
     betas = [beta[converged] for beta, converged in zip(fits["beta_hat"], fits["converged"])]
     true_betas, masked_betas = betas[0], betas[1:]
     reports = [
         efficiency_report(ds, baseline.params, dataclasses.replace(config.mask, theta_star=theta_star),
                           el_empirical=empirical_variance_ratio(true_betas, masked))
-        for theta_star, masked in zip(thetas, masked_betas)
+        for theta_star, masked in zip(config.theta_values(), masked_betas)
     ]
     return EfficiencyRun(reports=reports, true_betas=true_betas, masked_betas=masked_betas)
+
+
+def run_efficiency_experiment(config: ExperimentConfig, replications: int | None = None) -> EfficiencyRun:
+    """Analytic efficiency loss over the theta* grid plus an empirical
+    variance-ratio companion: the efficiency stage of ``run_experiment``
+    alone, for ``geomasksim efficiency``.
+
+    The analytic ratio uses the fixed dataset and the baseline (fitted)
+    parameters from ``fit_baseline``. The empirical side regenerates
+    choices per replication — from the true coordinates for the numerator
+    fits, and from the true coordinates but refit on freshly masked ones
+    for the denominator — so both sides carry sampling variability (unlike
+    the fixed-y attenuation records, which would give the true coordinates
+    zero variance). Both sides are cells of
+    one ``_run_cells`` stage, under the attenuation run's failure policy and
+    worker count: a cell converging on under half of its replications
+    raises BatchConvergenceError, and fewer than 30 converged fits on
+    either side of a ratio raises InsufficientDataError. The centroid kind
+    is refused first (``check_efficiency_kind``)."""
+    check_efficiency_kind(config)
+    ds = prepare_dataset(config)
+    baseline = fit_baseline(config, ds)
+    stage, prob = _efficiency_stage(config, ds, replications)
+    (fits,) = _run_cells(
+        [stage], ds.points, config.facility, UNIT_SQUARE.bounds, config.mask, config.seed, config.workers, prob=prob
+    )
+    return _efficiency_run(config, ds, baseline, fits)

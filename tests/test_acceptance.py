@@ -24,7 +24,6 @@ from geomasksim.efficiency import expected_sq_masked_distance
 from geomasksim.experiments import (
     ExperimentConfig,
     prepare_dataset,
-    run_efficiency_experiment,
     run_experiment,
 )
 from geomasksim.logit import (
@@ -289,8 +288,10 @@ def _bootstrap_ratio_interval(true_betas, masked_betas, draws=4000, seed=12345):
 
 
 @pytest.mark.criterion(6, "efficiency loss: exactly 1 at zero, strictly decreasing; empirical brackets 1")
-def test_efficiency_loss_law(full_config, criterion_detail):
-    run = run_efficiency_experiment(full_config)
+def test_efficiency_loss_law(full_run, criterion_detail):
+    # the full run's efficiency stage: run_efficiency_experiment(full_config)
+    # to the bit (tests/test_experiments.py checks that equality)
+    run = full_run.efficiency
     els = [r.el_analytic for r in run.reports]
     assert run.reports[0].theta_star == 0.0
     exact_at_zero = els[0] == 1.0

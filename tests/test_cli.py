@@ -236,6 +236,27 @@ def test_simulate_outputs_identical_across_workers(tmp_path):
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
+def test_simulate_starts_one_pool_for_both_stages(tmp_path, monkeypatch):
+    # the attenuation and efficiency cells are one task list, so a workers = 2
+    # run forks one pool, not one per stage
+    import concurrent.futures
+
+    pools = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    cfg = _config_file(tmp_path)
+    assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "out"), "--workers", "2"]) == EXIT_OK
+    assert (tmp_path / "out" / "run_efficiency.csv").is_file()
+    assert pools == [2]
+
+
 def _modules_loaded_by_simulate(tmp_path, packages: tuple[str, ...], *args: str) -> dict:
     """Exit code of one ``simulate`` on TINY in a fresh interpreter (so that
     modules pytest has already imported do not count), and which modules of

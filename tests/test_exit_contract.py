@@ -10,6 +10,7 @@ writes no output.
 
 import contextlib
 import io
+import multiprocessing
 import os
 import re
 import signal
@@ -319,6 +320,34 @@ def test_an_interrupted_pool_run_exits_130_without_hanging(tmp_path):
         proc.communicate()
     assert "Traceback" not in err
     assert (proc.returncode, err) == (EXIT_INTERRUPTED, "interrupted\n")
+    assert not out.exists()
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the killing kernel reaches the pool workers only through fork")
+def test_a_run_whose_pool_worker_dies_exits_2_and_writes_nothing(tmp_path, monkeypatch):
+    # a worker SIGKILLed mid-run, as the out-of-memory killer would, breaks
+    # the pool; the run must report it as a runtime failure, not a traceback
+    import geomasksim.experiments as exp
+
+    parent, real_fit_rows = os.getpid(), exp.fit_rows
+
+    def fit_rows(d, y, **kw):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real_fit_rows(d, y, **kw)
+
+    monkeypatch.setattr(exp, "fit_rows", fit_rows)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)  # a pool on any host
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[experiment]\nkind = csr-population\nreplications = 40\nworkers = 2\n[population]\nn = 60\n",
+                   encoding="utf-8")
+    out = tmp_path / "out"
+    code, err = _run(["simulate", "--config", str(cfg), "--out-dir", str(out)])
+    _assert_contract(code, err)
+    assert code == EXIT_RUNTIME
+    assert err.startswith("runtime failure: a worker process died before the run finished")
     assert not out.exists()
 
 

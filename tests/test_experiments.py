@@ -201,7 +201,7 @@ def _harness_rows(monkeypatch, cell, xy, bounds, spec, reps, **choices):
         return real_fit_rows(d, y, **kw)
 
     monkeypatch.setattr(exp, "fit_rows", capture)
-    exp._run_cells([cell], xy, Point(0.0, 0.0), bounds, spec, 41, reps, 1, **choices)
+    exp._run_cells([([cell], reps, "y" in choices)], xy, Point(0.0, 0.0), bounds, spec, 41, 1, **choices)
     return np.concatenate([d for d, _ in seen]), np.concatenate([y for _, y in seen])
 
 
@@ -265,11 +265,12 @@ def test_run_cells_checks_start_points_once_before_any_block(monkeypatch, worker
     for name, fn in originals.items():
         monkeypatch.setattr(homes[name], name, count(name, fn))
     monkeypatch.setattr(exp, "_ROW_ELEMENTS", 60)  # one row per chunk: 8 kernel calls per run
-    monkeypatch.setattr(exp.os, "cpu_count", lambda: 2)  # a pool at workers = 2 on any host
+    # a pool at workers = 2 on any host
+    monkeypatch.setattr(exp.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     outside = xy.copy()
     outside[17] = [0.6, 0.0]
     with pytest.raises(ValueError, match=re.escape("requires points inside their bounds; offending index(es) [17]")):
-        exp._run_cells([(0, 0.1)], outside, Point(0.0, 0.0), bounds, spec, 41, 8, workers, y=y)
+        exp._run_cells([([(0, 0.1)], 8, True)], outside, Point(0.0, 0.0), bounds, spec, 41, workers, y=y)
     assert calls == {"checked_bounds": 1, "_replicate_block": 0, "ProcessPoolExecutor": 0}
 
     if workers > 1:
@@ -277,7 +278,7 @@ def test_run_cells_checks_start_points_once_before_any_block(monkeypatch, worker
         monkeypatch.setattr(exp, "_replicate_block", originals["_replicate_block"])
     kernel_calls = []
     monkeypatch.setattr(exp, "mask_coordinates", lambda *args: kernel_calls.append(1) or exp.mask_rows(*args))
-    exp._run_cells([(0, 0.1), (1, 0.2)], xy, Point(0.0, 0.0), bounds, spec, 41, 8, workers, y=y)
+    exp._run_cells([([(0, 0.1), (1, 0.2)], 8, True)], xy, Point(0.0, 0.0), bounds, spec, 41, workers, y=y)
     assert calls["checked_bounds"] == 2
     assert calls["ProcessPoolExecutor"] == (workers > 1)
     if workers == 1:
@@ -286,11 +287,14 @@ def test_run_cells_checks_start_points_once_before_any_block(monkeypatch, worker
 
 @pytest.mark.parametrize(
     "workers, cpus, cells, processes",
-    [(5000, 8, 2, 2), (5000, 3, 5, 3), (2, 8, 5, 2), (5000, None, 5, 1), (4, 8, 1, 1)],
+    [(5000, 8, 2, 2), (5000, 3, 5, 3), (2, 8, 5, 2), (5000, None, 5, 1), (4, 8, 1, 1), (2, 1, 5, 1)],
 )
 def test_run_cells_starts_at_most_one_process_per_task_and_cpu(monkeypatch, workers, cpus, cells, processes):
     # the pool forks all its processes at the first task, so `workers` is only
-    # an upper bound; a stand-in pool records its size and starts no process
+    # an upper bound; a stand-in pool records its size and starts no process.
+    # `cpus` is the affinity mask's size, which bounds the pool where the
+    # host has more CPUs than the process may use (`taskset -c 0` gives 1);
+    # None is a platform with no mask and no CPU count.
     import concurrent.futures
 
     import geomasksim.experiments as exp
@@ -313,13 +317,18 @@ def test_run_cells_starts_at_most_one_process_per_task_and_cpu(monkeypatch, work
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(exp, "_WORKER", {})
-    monkeypatch.setattr(exp.os, "cpu_count", lambda: cpus)
+    if cpus is None:
+        monkeypatch.delattr(exp.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(exp.os, "cpu_count", lambda: None)
+    else:
+        monkeypatch.setattr(exp.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(exp.os, "cpu_count", lambda: 64)
     xy = np.random.default_rng(45).uniform(-0.5, 0.5, size=(40, 2))
     y = (np.random.default_rng(46).random(40) < 0.5).astype(np.float64)
-    run = [[(i, 0.1 * i) for i in range(cells)], xy, Point(0.0, 0.0), None, MaskSpec(), 41, 5]  # one task per cell
-    fits = exp._run_cells(*run, workers, y=y)
+    run = [[([(i, 0.1 * i) for i in range(cells)], 5, True)], xy, Point(0.0, 0.0), None, MaskSpec(), 41]  # a task a cell
+    (fits,) = exp._run_cells(*run, workers, y=y)
     assert sizes == ([processes] if processes > 1 else [])
-    in_process = exp._run_cells(*run, 1, y=y)
+    (in_process,) = exp._run_cells(*run, 1, y=y)
     for name, column in in_process.items():
         np.testing.assert_array_equal(fits[name], column, err_msg=name)
 
@@ -558,6 +567,7 @@ def test_centroid_experiment_shape():
     assert res.curve.rows[0].theta_star == cell_radius
     assert res.theta_stars == (cell_radius,)
     assert res.columns["beta_hat"].shape == (1, 40)
+    assert res.efficiency is None  # the centroid kind has no efficiency run
     # observed dataset is centroid-assigned
     assert {tuple(row) for row in res.dataset.points} <= {tuple(row) for row in grid_cells(5)[1]}
 
@@ -642,6 +652,28 @@ def test_efficiency_deterministic():
     b = run_efficiency_experiment(cfg)
     assert [r.el_empirical for r in a.reports] == [r.el_empirical for r in b.reports]
     np.testing.assert_array_equal(a.true_betas, b.true_betas)
+
+
+@pytest.mark.parametrize(
+    "experiment, mask, workers",
+    [("csr-population", MaskSpec(), 1), ("fixed-area-grid", MaskSpec(mechanism="gaussian", boundary="redraw"), 2)],
+    ids=["csr-uniform-w1", "grid-gaussian-redraw-w2"],
+)
+def test_run_experiment_efficiency_is_the_efficiency_run(monkeypatch, experiment, mask, workers):
+    # the efficiency stage that shares run_experiment's task list gives the
+    # bits run_efficiency_experiment gives alone, field for field; 7-rep
+    # tasks give the stages 3 and 5 tasks a cell (20 and 30 replications)
+    import geomasksim.experiments as exp
+
+    monkeypatch.setattr(exp, "_REP_BLOCK", 7)
+    cfg = _config(experiment=experiment, mask=mask, n=150, replications=20, workers=workers)
+    joint, alone = run_experiment(cfg).efficiency, run_efficiency_experiment(cfg)
+    assert [f.name for f in dataclasses.fields(joint)] == ["reports", "true_betas", "masked_betas"]
+    assert joint.reports == alone.reports
+    np.testing.assert_array_equal(joint.true_betas, alone.true_betas)
+    assert len(joint.masked_betas) == len(alone.masked_betas) == len(cfg.theta_grid)
+    for a, b in zip(joint.masked_betas, alone.masked_betas):
+        np.testing.assert_array_equal(a, b)
 
 
 def _singular_rows(when):

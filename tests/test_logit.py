@@ -489,7 +489,7 @@ def test_replicated_fits_evaluate_no_loglik(loglik_rows):
     y = (np.random.default_rng(46).random(1000) < expit(1.0 - 2.0 * np.hypot(*xy.T))).astype(np.float64)
     assert exp._row_chunks(range(16), 1000) == [range(16)]
     spec = MaskSpec("uniform", 0.0, "unconstrained")
-    fits = exp._run_cells([(0, 0.1)], xy, Point(0.0, 0.0), None, spec, 41, 16, 1, y=y)
+    (fits,) = exp._run_cells([([(0, 0.1)], 16, True)], xy, Point(0.0, 0.0), None, spec, 41, 1, y=y)
     assert fits["converged"].all()
     assert loglik_rows == []
     # the one-row front end evaluates the log-likelihood once, at its estimate
