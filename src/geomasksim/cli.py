@@ -7,7 +7,7 @@ Subcommands:
                 efficiency table, SVG plots, baseline JSON, and a manifest
     mask        mask a point CSV once and emit the masked CSV
     fit         fit the distance logit on a point+choice CSV
-    efficiency  emit the efficiency-loss table for a configured dataset
+    efficiency  emit the efficiency-loss table in one `run_efficiency_experiment` call
     plot        render SVGs from previously written curve/record CSVs
 
 Exit codes: 0 success; 1 validation error (arguments, config, input data,
@@ -36,15 +36,11 @@ import numpy as np
 from . import __version__
 from .config import RunOptions, config_hash, parse_config, parse_run_options
 from .density import kde
-from .efficiency import efficiency_report
 from .experiments import (
     BatchConvergenceError,
     FAST_REPLICATIONS,
     ExperimentConfig,
     WorkerLostError,
-    check_efficiency_kind,
-    fit_baseline,
-    prepare_dataset,
     run_efficiency_experiment,
     run_experiment,
 )
@@ -244,14 +240,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_efficiency(args) -> int:
     config, options = _load_config(args)
-    check_efficiency_kind(config)  # before any data is generated
-    if args.empirical_reps:
-        reports = run_efficiency_experiment(config, replications=args.empirical_reps).reports
-    else:
-        ds = prepare_dataset(config)
-        params = fit_baseline(config, ds).params
-        reports = [efficiency_report(ds, params, dataclasses.replace(config.mask, theta_star=t))
-                   for t in config.theta_values()]
+    reports = run_efficiency_experiment(config, args.empirical_reps).reports
     path = write_efficiency_csv(reports, Path(options.out_dir) / f"{options.prefix}_efficiency.csv")
     print(f"{'theta*':>10} {'info_true':>12} {'info_masked':>12} {'el_analytic':>12} {'el_empirical':>13}")
     for r in reports:

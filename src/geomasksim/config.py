@@ -11,8 +11,8 @@ The format is INI with five sections:
 Only ``[experiment] kind`` is required. Every other key sets one field of
 ``ExperimentConfig`` (or, in [output], of ``RunOptions``) and defaults to
 that field's default. A file without ``reference_radius`` gets the kind's
-default at the file's ``k``, which ``ExperimentConfig`` resolves, so a file
-and the library give one kind the same default.
+default, which ``ExperimentConfig`` resolves, so a file and the library give
+one kind the same default; a centroid config always masks at its k's cell.
 
 This module only parses: it reads the text, converts each value and sets
 the field its key names. Validation lives in the dataclasses
@@ -184,9 +184,7 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError("[experiment] kind is required")
     with _naming("experiment", "kind"):
         config = ExperimentConfig(experiment=kind)
-    config = _apply(s, config, _CONFIG_KEYS)
-    # a radius the file leaves out is the kind's default at the file's k, not at the default k
-    return config if "reference_radius" in s.get("grid", {}) else replace(config, reference_radius=None)
+    return _apply(s, config, _CONFIG_KEYS)
 
 
 def parse_run_options(path: str | Path) -> RunOptions:

@@ -15,9 +15,9 @@ Three experiment kinds share one entry point, ``run_experiment``:
   lands inside its own cell, with theta* equal to the cell's equivalent
   radius. It has no efficiency run.
 
-Each kind is set up here alone: its default reference radius
-(``_DEFAULT_RADIUS``), its observed data, bounds and stages
-(``run_experiment``) and the centroid kind's refusal of an efficiency run.
+Each kind is set up here alone: its default radius (``_DEFAULT_RADIUS``), a
+centroid config's one cell (``ExperimentConfig``), its data, bounds and stages
+(``run_experiment``) and its efficiency run (``run_efficiency_experiment``).
 
 Every replicated fit, the efficiency stage's included, goes through one
 kernel: ``_run_cells`` cuts a run's stages into one list of (cell,
@@ -81,6 +81,7 @@ from .logit import (
 from .masking import MaskSpec, checked_bounds, mask_rows
 from .population import (
     DEFAULT_GENERATING_PARAMS,
+    MunicipalityGrid,
     assign_to_centroid,
     build_municipality_grid,
     generate_csr_xy,
@@ -97,11 +98,11 @@ from .rng import (
 
 DEFAULT_THETA_GRID = tuple(round(i / 10, 1) for i in range(1, 11))
 # Each kind's default reference radius at grid size k: the unit square's half-diagonal as
-# printed, its equivalent circle radius (a fixed administrative unit's scale), that over k.
+# printed, its equivalent circle radius (a fixed administrative unit's scale), a grid cell's.
 CSR_REFERENCE_RADIUS = 0.707
 FIXED_AREA_REFERENCE_RADIUS = equivalent_circle_radius(1.0)
 _DEFAULT_RADIUS = {
-    "centroid": lambda k: FIXED_AREA_REFERENCE_RADIUS / k,
+    "centroid": lambda k: MunicipalityGrid(k).cell_radius,
     "fixed-area-grid": lambda k: FIXED_AREA_REFERENCE_RADIUS,
     "csr-population": lambda k: CSR_REFERENCE_RADIUS,
 }
@@ -143,7 +144,9 @@ class BatchConvergenceError(RuntimeError):
 class ExperimentConfig:
     """Complete description of one simulation run. Its checks, with those of
     the fields' own dataclasses, are the only rules a config file must meet.
-    A ``reference_radius`` of None becomes the kind's default at ``grid_k``."""
+    A ``reference_radius`` of None becomes the kind's default at ``grid_k``.
+    A centroid config, its given values checked, is set to the run it makes:
+    ``theta_grid`` (1.0,) at the grid's cell radius, under the redraw policy."""
 
     experiment: str
     n: int = 1000
@@ -182,6 +185,10 @@ class ExperimentConfig:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if not UNIT_SQUARE.contains(self.facility):
             raise ValueError(f"facility ({self.facility.x}, {self.facility.y}) lies outside the study area")
+        if self.experiment == "centroid":
+            object.__setattr__(self, "theta_grid", (1.0,))
+            object.__setattr__(self, "reference_radius", _DEFAULT_RADIUS["centroid"](self.grid_k))
+            object.__setattr__(self, "mask", dataclasses.replace(self.mask, boundary="redraw"))
 
     def theta_values(self) -> tuple[float, ...]:
         """Absolute masking radii: reference_radius x grid fractions."""
@@ -244,7 +251,6 @@ class ExperimentResult:
     theta_stars: tuple[float, ...]  # one per cell, ascending
     columns: dict[str, np.ndarray]  # RECORD_COLUMNS, each (cells, replications)
     curve: AttenuationCurve
-    dataset: ChoiceDataset
     efficiency: EfficiencyRun | None  # None for the centroid kind
 
 
@@ -518,81 +524,70 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Mask-and-refit over the run's theta* cells with fixed choices, and
     the efficiency run of every kind but centroid.
 
-    Per replication: mask the observed coordinates under the mask law at
-    the cell's theta*, recompute distances to the facility, refit, flag.
-    csr-population and fixed-area-grid mask the true coordinates at
-    theta* = reference_radius x fraction, redrawing inside the study area
-    under the redraw policy. The centroid analog observes each individual
-    at its cell centroid and re-masks it under the configured mechanism,
-    always redrawn inside its own cell (theta* = the cell equivalent
-    radius); the curve row's pct_outside_true_ci complement is then the
-    share of replications statistically indistinguishable from the
-    baseline. The baseline is ``fit_baseline`` on the observed dataset. A
-    cell with under 50% convergence aborts the batch; individual failures
-    are kept as non-converged rows. ``run_efficiency_experiment``'s cells
-    follow in the same ``_run_cells`` call."""
-    ds = prepare_dataset(config)
+    Per replication: mask the observed coordinates under ``config.mask`` at
+    the cell's theta* (``config.theta_values()``), recompute distances to
+    the facility, refit, flag. Redraws stay inside the study area, or, for
+    the centroid analog, which observes each individual at its cell
+    centroid, inside the individual's own cell; there the curve row's
+    pct_outside_true_ci complement is the share of replications
+    statistically indistinguishable from the baseline. The baseline is
+    ``fit_baseline`` on the observed dataset. A cell with under 50%
+    convergence aborts the batch; individual failures are kept as
+    non-converged rows. The efficiency cells, at min(300, max(30,
+    replications)) replications, follow in the same ``_run_cells`` call."""
+    ds, bounds = prepare_dataset(config), UNIT_SQUARE.bounds
     if config.experiment == "centroid":
-        grid = build_municipality_grid(config.grid_k)
-        ds, bounds = assign_to_centroid(ds, grid)
-        cells = [(0, grid.cell_radius)]
-        spec = dataclasses.replace(config.mask, boundary="redraw")
+        ds, bounds = assign_to_centroid(ds, build_municipality_grid(config.grid_k))
         efficiency, prob = [], None
     else:
-        bounds = UNIT_SQUARE.bounds
-        cells = list(enumerate(config.theta_values()))
-        spec = config.mask
-        *efficiency, prob = _efficiency_stage(config, ds)
+        *efficiency, prob = _efficiency_stage(config, ds, min(300, max(30, config.replications)))
     baseline = fit_baseline(config, ds)  # fail before any replication
+    theta_stars = config.theta_values()
     fits, *efficiency_fits = _run_cells(
-        [(cells, config.replications, True), *efficiency], ds.points, config.facility, bounds, spec, config.seed,
-        config.workers, y=ds.choices, prob=prob,
+        [(list(enumerate(theta_stars)), config.replications, True), *efficiency], ds.points, config.facility,
+        bounds, config.mask, config.seed, config.workers, y=ds.choices, prob=prob,
     )
     columns = _add_flags(fits, wald_ci(baseline)[1])
-    theta_stars = tuple(theta_star for _, theta_star in cells)
     return ExperimentResult(
         baseline=baseline,
         theta_stars=theta_stars,
         columns=columns,
         curve=build_curve(theta_stars, columns, baseline),
-        dataset=ds,
         efficiency=_efficiency_run(config, ds, baseline, *efficiency_fits) if efficiency_fits else None,
     )
 
 
-def check_efficiency_kind(config: ExperimentConfig) -> None:
-    """Refuse (ValueError) the centroid kind: the efficiency run masks true coordinates."""
-    if config.experiment == "centroid":
-        raise ValueError("efficiency does not run the centroid kind; simulate writes no efficiency table for it")
-
-
-def _efficiency_stage(config: ExperimentConfig, ds: ChoiceDataset, replications: int | None = None) -> tuple:
-    """The efficiency stage and the generating probabilities its choices are
-    redrawn from. The default replications track the attenuation run within
-    what the variance ratio tolerates; an explicit number is taken as-is."""
-    reps = replications if replications is not None else min(300, max(30, config.replications))
-    if reps < 30:
-        raise ValueError(f"need >= 30 efficiency replications, got {reps}")
+def _efficiency_stage(config: ExperimentConfig, ds: ChoiceDataset, replications: int) -> tuple:
+    """The efficiency stage at ``replications`` (at least 30) and the
+    generating probabilities its choices are redrawn from."""
+    if replications < 30:
+        raise ValueError(f"need >= 30 efficiency replications, got {replications}")
     eta = config.generating_params.alpha + config.generating_params.beta * ds.distances
-    return ([(0, None), *enumerate(config.theta_values())], reps, False), choice_probability(eta)
+    return ([(0, None), *enumerate(config.theta_values())], replications, False), choice_probability(eta)
 
 
-def _efficiency_run(config: ExperimentConfig, ds: ChoiceDataset, baseline: LogitFit, fits: dict) -> EfficiencyRun:
-    """The efficiency stage's reports from its columns ``fits``."""
-    betas = [beta[converged] for beta, converged in zip(fits["beta_hat"], fits["converged"])]
+def _efficiency_run(config: ExperimentConfig, ds: ChoiceDataset, baseline: LogitFit, fits: dict | None) -> EfficiencyRun:
+    """The efficiency reports, with el_empirical from the stage's columns
+    ``fits``; without them (no replications) analytic alone."""
+    if fits is None:
+        betas = [np.empty(0)] * (len(config.theta_grid) + 1)
+    else:
+        betas = [beta[converged] for beta, converged in zip(fits["beta_hat"], fits["converged"])]
     true_betas, masked_betas = betas[0], betas[1:]
     reports = [
         efficiency_report(ds, baseline.params, dataclasses.replace(config.mask, theta_star=theta_star),
-                          el_empirical=empirical_variance_ratio(true_betas, masked))
+                          el_empirical=None if fits is None else empirical_variance_ratio(true_betas, masked))
         for theta_star, masked in zip(config.theta_values(), masked_betas)
     ]
     return EfficiencyRun(reports=reports, true_betas=true_betas, masked_betas=masked_betas)
 
 
-def run_efficiency_experiment(config: ExperimentConfig, replications: int | None = None) -> EfficiencyRun:
+def run_efficiency_experiment(config: ExperimentConfig, replications: int) -> EfficiencyRun:
     """Analytic efficiency loss over the theta* grid plus an empirical
     variance-ratio companion: the efficiency stage of ``run_experiment``
-    alone, for ``geomasksim efficiency``.
+    alone, for ``geomasksim efficiency``. At 0 ``replications`` the reports
+    are analytic alone (el_empirical None); any other count under 30 raises
+    ValueError.
 
     The analytic ratio uses the fixed dataset and the baseline (fitted)
     parameters from ``fit_baseline``. The empirical side regenerates
@@ -605,10 +600,13 @@ def run_efficiency_experiment(config: ExperimentConfig, replications: int | None
     worker count: a cell converging on under half of its replications
     raises BatchConvergenceError, and fewer than 30 converged fits on
     either side of a ratio raises InsufficientDataError. The centroid kind
-    is refused first (``check_efficiency_kind``)."""
-    check_efficiency_kind(config)
+    is refused (ValueError) before any data is generated."""
+    if config.experiment == "centroid":
+        raise ValueError("efficiency does not run the centroid kind; simulate writes no efficiency table for it")
     ds = prepare_dataset(config)
     baseline = fit_baseline(config, ds)
+    if replications == 0:
+        return _efficiency_run(config, ds, baseline, None)
     stage, prob = _efficiency_stage(config, ds, replications)
     (fits,) = _run_cells(
         [stage], ds.points, config.facility, UNIT_SQUARE.bounds, config.mask, config.seed, config.workers, prob=prob

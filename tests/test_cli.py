@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import geomasksim
 from geomasksim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
+from geomasksim.config import config_hash, parse_config
 from geomasksim.geometry import UNIT_SQUARE, Point
 from geomasksim.logit import LogitParams
 from geomasksim.masking import _inside
@@ -226,6 +227,25 @@ def test_simulate_singular_centroid_baseline_exit_1(tmp_path, capsys, k):
         "error: baseline fit on the generated data (centroid, n=200, seed=1) has a singular information matrix: "
     )
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_centroid_files_differing_only_in_keys_the_run_ignores_make_one_run(tmp_path):
+    # a centroid run masks one cell at its grid's cell radius under the redraw
+    # policy, so the fractions, reference radius and boundary a file gives
+    # change neither its config, nor its hash, nor its outputs
+    base = "[experiment]\nkind = centroid\nseed = 4\nreplications = 30\n\n[population]\nn = 300\n\n[grid]\nk = 5\n"
+    files = [
+        _config_file(tmp_path, base + "fractions = 0.5\nreference_radius = 0.1\n\n[mask]\nboundary = redraw\n", "a.ini"),
+        _config_file(tmp_path, base + "fractions = 0.2, 0.6, 1.0\nreference_radius = 0.3\n\n[mask]\nboundary = unconstrained\n",
+                     "b.ini"),
+    ]
+    a, b = (parse_config(f) for f in files)
+    assert a == b
+    assert config_hash(a) == config_hash(b)
+    for name, f in zip("ab", files):
+        assert main(["simulate", "--config", f, "--out-dir", str(tmp_path / name)]) == EXIT_OK
+    for output in ("run_records.csv", "run_curve.csv"):
+        assert (tmp_path / "a" / output).read_bytes() == (tmp_path / "b" / output).read_bytes()
 
 
 def test_simulate_outputs_identical_across_workers(tmp_path):
@@ -570,13 +590,12 @@ def test_efficiency_cell_convergence_exit_2(tmp_path, monkeypatch, capsys):
 def test_efficiency_rejects_centroid_kind_exit_1(tmp_path, monkeypatch, capsys, extra):
     # simulate writes no efficiency table for a centroid run, so neither form
     # of `efficiency` prints one; the kind is rejected before any data is made
-    import geomasksim.cli as cli
+    import geomasksim.experiments as exp
 
     def generate(*args, **kwargs):
         raise AssertionError("data generated for a rejected kind")
 
-    monkeypatch.setattr(cli, "prepare_dataset", generate)
-    monkeypatch.setattr(cli, "run_efficiency_experiment", generate)
+    monkeypatch.setattr(exp, "generate_csr_xy", generate)
     cfg = _config_file(tmp_path, "[experiment]\nkind = centroid\nseed = 1\n[population]\nn = 500\n[grid]\nk = 5\n")
     assert main(["efficiency", "--config", cfg, "--out-dir", str(tmp_path / "eff"), *extra]) == EXIT_VALIDATION
     captured = capsys.readouterr()

@@ -16,11 +16,11 @@ from geomasksim.experiments import (
     DEFAULT_REPLICATIONS,
     DEFAULT_THETA_GRID,
     EXPERIMENTS,
-    FIXED_AREA_REFERENCE_RADIUS,
     ExperimentConfig,
 )
 from geomasksim.geometry import Point
 from geomasksim.logit import LogitParams
+from geomasksim.population import MunicipalityGrid
 
 
 def _write(tmp_path, text, name="run.ini"):
@@ -109,7 +109,7 @@ def test_reference_radius_defaults_by_kind(tmp_path):
     fixed = parse_config(_write(tmp_path, "[experiment]\nkind = fixed-area-grid\n", "a.ini"))
     assert fixed.reference_radius == pytest.approx(math.sqrt(1.0 / math.pi))
     cent = parse_config(_write(tmp_path, "[experiment]\nkind = centroid\n\n[grid]\nk = 20\n", "b.ini"))
-    assert cent.reference_radius == pytest.approx(FIXED_AREA_REFERENCE_RADIUS / 20)
+    assert cent.reference_radius == MunicipalityGrid(20).cell_radius  # the cell radius the run masks at, every bit
 
 
 @pytest.mark.parametrize("k", [1, 7, 10, 20])

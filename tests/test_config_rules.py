@@ -28,6 +28,11 @@ REJECTED = [
     ("csr-population", "experiment", "workers", "0", lambda: ExperimentConfig("csr-population", workers=0)),
     ("centroid", "grid", "k", "0", lambda: ExperimentConfig("centroid", grid_k=0)),
     ("centroid", "grid", "k", "-2", lambda: ExperimentConfig("centroid", grid_k=-2)),
+    # checked before a centroid config is set to its one cell at the cell radius, under redraw
+    ("centroid", "grid", "reference_radius", "-1", lambda: ExperimentConfig("centroid", reference_radius=-1.0)),
+    ("centroid", "grid", "fractions", "2", lambda: ExperimentConfig("centroid", theta_grid=(2.0,))),
+    ("centroid", "mask", "boundary", "sideways",
+     lambda: ExperimentConfig("centroid", mask=MaskSpec(boundary="sideways"))),
     ("csr-population", "grid", "fractions", "0.5, 1.5",
      lambda: ExperimentConfig("csr-population", theta_grid=(0.5, 1.5))),
     ("csr-population", "grid", "fractions", "0.5, 0.2",

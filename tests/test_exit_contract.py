@@ -224,7 +224,7 @@ def test_paths_the_system_refuses_exit_1(tmp_path, monkeypatch, case):
     def never(*args, **kw):
         raise AssertionError("data generated before the out dir was checked")
 
-    for module, name in ((cli, "run_experiment"), (cli, "prepare_dataset"), (exp, "prepare_dataset")):
+    for module, name in ((cli, "run_experiment"), (exp, "prepare_dataset"), (exp, "generate_csr_xy")):
         monkeypatch.setattr(module, name, never)
     cfg = tmp_path / "run.ini"
     cfg.write_text(

@@ -27,9 +27,9 @@ from geomasksim.efficiency import efficiency_report
 from geomasksim.geometry import Point
 from geomasksim.logit import Z_95, fit_logit, wald_ci
 from geomasksim.masking import MECHANISMS, MaskSpec
-from geomasksim.population import assign_to_centroid, build_municipality_grid
+from geomasksim.population import MunicipalityGrid, assign_to_centroid, build_municipality_grid
 
-from mask_oracle import BOUNDS_KINDS, bounds_for, grid_cells, mask_one
+from mask_oracle import BOUNDS_KINDS, bounds_for, mask_one
 
 
 def _assert_same_replications(a, b):
@@ -164,7 +164,7 @@ def test_records_cover_every_cell_and_rep_sorted(tmp_path):
 
 def test_records_bytes_independent_of_block_size(monkeypatch, tmp_path):
     import geomasksim.experiments as exp
-    from geomasksim.reports import write_records_csv
+    from geomasksim.reports import write_efficiency_csv, write_records_csv
 
     configs = {
         "uniform": _config(n=150, replications=70),
@@ -176,7 +176,7 @@ def test_records_bytes_independent_of_block_size(monkeypatch, tmp_path):
         "centroid": _config(experiment="centroid", n=150, replications=70, grid_k=3),
     }
     for name, cfg in configs.items():
-        outputs = set()
+        outputs, efficiency = set(), set()
         for block in (1, 64):
             monkeypatch.setattr(exp, "_REP_BLOCK", block)
             # rows per fit_rows call: 1, 3, and every replication of the block
@@ -186,7 +186,11 @@ def test_records_bytes_independent_of_block_size(monkeypatch, tmp_path):
                     res = run_experiment(dataclasses.replace(cfg, workers=workers))
                     path = tmp_path / f"records_{name}_b{block}_r{row_elements}_w{workers}.csv"
                     outputs.add(write_records_csv(res.theta_stars, res.columns, path).read_bytes())
+                    if res.efficiency is not None:  # the centroid kind has none
+                        path = path.with_name(f"efficiency_{path.name}")
+                        efficiency.add(write_efficiency_csv(res.efficiency.reports, path).read_bytes())
         assert len(outputs) == 1, name
+        assert len(efficiency) == (0 if cfg.experiment == "centroid" else 1), name
 
 
 def _harness_rows(monkeypatch, cell, xy, bounds, spec, reps, **choices):
@@ -568,8 +572,10 @@ def test_centroid_experiment_shape():
     assert res.theta_stars == (cell_radius,)
     assert res.columns["beta_hat"].shape == (1, 40)
     assert res.efficiency is None  # the centroid kind has no efficiency run
-    # observed dataset is centroid-assigned
-    assert {tuple(row) for row in res.dataset.points} <= {tuple(row) for row in grid_cells(5)[1]}
+    # the baseline is fitted on the centroid-observed dataset
+    want = fit_logit(assign_to_centroid(prepare_dataset(cfg), MunicipalityGrid(5))[0])
+    for field in dataclasses.fields(want):
+        np.testing.assert_array_equal(getattr(res.baseline, field.name), getattr(want, field.name), err_msg=field.name)
 
 
 def test_centroid_experiment_deterministic():
@@ -585,7 +591,7 @@ def test_centroid_experiment_deterministic():
 
 def test_efficiency_reports_aligned_with_grid():
     cfg = _config(n=250, replications=40)
-    run = run_efficiency_experiment(cfg)
+    run = run_efficiency_experiment(cfg, 40)
     assert [r.theta_star for r in run.reports] == list(cfg.theta_values())
     assert len(run.masked_betas) == len(run.reports)
     assert all(len(b) >= 30 for b in run.masked_betas)
@@ -594,7 +600,7 @@ def test_efficiency_reports_aligned_with_grid():
 
 def test_efficiency_analytic_unit_at_zero_and_decreasing():
     cfg = _config(n=250, replications=40)
-    run = run_efficiency_experiment(cfg)
+    run = run_efficiency_experiment(cfg, 40)
     els = [r.el_analytic for r in run.reports]
     assert els[0] == 1.0  # theta* = 0
     assert all(a > b for a, b in zip(els, els[1:]))
@@ -602,7 +608,7 @@ def test_efficiency_analytic_unit_at_zero_and_decreasing():
 
 def test_efficiency_empirical_near_one_at_zero_theta():
     cfg = _config(n=250, replications=60)
-    run = run_efficiency_experiment(cfg)
+    run = run_efficiency_experiment(cfg, 60)
     # theta* = 0 leaves coordinates alone; both sides have the same sampling
     # law, so the variance ratio hovers around 1 (wide MC band at 60 reps)
     assert 0.5 <= run.reports[0].el_empirical <= 2.0
@@ -638,7 +644,28 @@ def test_efficiency_refuses_the_centroid_kind_before_generating_data(monkeypatch
     monkeypatch.setattr(exp, "generate_csr_xy", generate)
     monkeypatch.setattr(exp, "_run_cells", generate)
     with pytest.raises(ValueError, match="^efficiency does not run the centroid kind"):
-        run_efficiency_experiment(ExperimentConfig("centroid"))
+        run_efficiency_experiment(ExperimentConfig("centroid"), 300)
+
+
+@pytest.mark.parametrize("mask", [MaskSpec(), MaskSpec(mechanism="gaussian", boundary="redraw")])
+def test_efficiency_at_zero_replications_is_the_analytic_table(monkeypatch, mask):
+    # `geomasksim efficiency` without --empirical-reps: the analytic reports on
+    # the generated dataset at the baseline's parameters, and no replication
+    import geomasksim.experiments as exp
+
+    cfg = _config(n=250, mask=mask)
+    ds = prepare_dataset(cfg)
+    params = exp.fit_baseline(cfg, ds).params
+    want = [efficiency_report(ds, params, dataclasses.replace(mask, theta_star=t)) for t in cfg.theta_values()]
+
+    def no_replications(*args, **kwargs):
+        raise AssertionError("replications run for an analytic table")
+
+    monkeypatch.setattr(exp, "_run_cells", no_replications)
+    run = run_efficiency_experiment(cfg, 0)
+    assert run.reports == want
+    assert all(r.el_empirical is None for r in run.reports)
+    assert run.true_betas.size == 0 and [b.size for b in run.masked_betas] == [0] * len(want)
 
 
 def test_efficiency_requires_enough_replications():
@@ -648,8 +675,8 @@ def test_efficiency_requires_enough_replications():
 
 def test_efficiency_deterministic():
     cfg = _config(n=200, replications=40)
-    a = run_efficiency_experiment(cfg)
-    b = run_efficiency_experiment(cfg)
+    a = run_efficiency_experiment(cfg, 40)
+    b = run_efficiency_experiment(cfg, 40)
     assert [r.el_empirical for r in a.reports] == [r.el_empirical for r in b.reports]
     np.testing.assert_array_equal(a.true_betas, b.true_betas)
 
@@ -667,7 +694,7 @@ def test_run_experiment_efficiency_is_the_efficiency_run(monkeypatch, experiment
 
     monkeypatch.setattr(exp, "_REP_BLOCK", 7)
     cfg = _config(experiment=experiment, mask=mask, n=150, replications=20, workers=workers)
-    joint, alone = run_experiment(cfg).efficiency, run_efficiency_experiment(cfg)
+    joint, alone = run_experiment(cfg).efficiency, run_efficiency_experiment(cfg, 30)
     assert [f.name for f in dataclasses.fields(joint)] == ["reports", "true_betas", "masked_betas"]
     assert joint.reports == alone.reports
     np.testing.assert_array_equal(joint.true_betas, alone.true_betas)
