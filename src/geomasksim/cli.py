@@ -10,6 +10,10 @@ Subcommands:
     efficiency  emit the efficiency-loss table in one `run_efficiency_experiment` call
     plot        render SVGs from previously written curve/record CSVs
 
+`--workers` and `--out-dir`, like a config's `[experiment] workers` and
+[output] keys, are run options: they change neither the outputs' bits nor
+the manifest's config hash.
+
 Exit codes: 0 success; 1 validation error (arguments, config, input data,
 a point file with a non-finite coordinate or one from which `fit` cannot
 identify the distance slope, a `simulate` or `efficiency` baseline fit
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import signal
 import sys
 from datetime import datetime, timezone
@@ -97,34 +102,36 @@ def _baseline_payload(fit: LogitFit) -> dict:
     }
 
 
-def _apply_overrides(config: ExperimentConfig, args) -> ExperimentConfig:
-    changes = {}
-    if args.seed is not None:
-        changes["seed"] = args.seed
-    if args.workers is not None:
-        changes["workers"] = args.workers
-    if getattr(args, "fast", False):
-        changes["replications"] = FAST_REPLICATIONS
-    return dataclasses.replace(config, **changes) if changes else config
+def _wrote(path) -> None:
+    """Print ``wrote <path>`` so that stdout can encode it: a byte the file
+    system gave that is not UTF-8 prints as ``\\xff``, a valid path as is."""
+    print(f"wrote {os.fsencode(path).decode('utf-8', 'backslashreplace')}")
+
+
+def _given(**flags) -> dict:
+    return {name: value for name, value in flags.items() if value is not None}
 
 
 def _load_config(args) -> tuple[ExperimentConfig, RunOptions]:
+    """The --config file's experiment and run options, with the run flags
+    given set: --workers and --out-dir on the options, --seed and --fast on
+    the experiment."""
     config = parse_config(args.config)
     options = parse_run_options(args.config)
-    if args.out_dir is not None:
-        options = dataclasses.replace(options, out_dir=args.out_dir)
+    options = dataclasses.replace(options, **_given(workers=args.workers, out_dir=args.out_dir))
     # refused before any data is generated, and without creating it
     out = Path(options.out_dir)
     blocker = next(p for p in (out, *out.parents) if p.exists())
     if not blocker.is_dir():
         raise _CliError(f"out dir {out}: {blocker} is not a directory")
-    return _apply_overrides(config, args), options
+    fast = FAST_REPLICATIONS if getattr(args, "fast", False) else None
+    return dataclasses.replace(config, **_given(seed=args.seed, replications=fast)), options
 
 
 def _cmd_simulate(args) -> int:
     config, options = _load_config(args)
     started = _utcnow()
-    result = run_experiment(config)
+    result = run_experiment(config, workers=options.workers)
     reports = result.efficiency.reports if result.efficiency else None
 
     out = Path(options.out_dir)
@@ -160,7 +167,7 @@ def _cmd_simulate(args) -> int:
             print("note: replication estimates degenerate at the largest theta*; KDE plot skipped")
 
     manifest = RunManifest(
-        config_hash=config_hash(config, options),
+        config_hash=config_hash(config),
         seed=config.seed,
         version=__version__,
         started_at=started,
@@ -172,7 +179,7 @@ def _cmd_simulate(args) -> int:
     b = result.baseline
     print(
         f"experiment={config.experiment} n={config.n} replications={config.replications} "
-        f"seed={config.seed} workers={config.workers}"
+        f"seed={config.seed} workers={options.workers}"
     )
     lo, hi = wald_ci(b)[1]
     print(
@@ -187,7 +194,7 @@ def _cmd_simulate(args) -> int:
             f"{row.convergence_rate:>6.1%}"
         )
     for path in outputs:
-        print(f"wrote {path}")
+        _wrote(path)
     return EXIT_OK
 
 
@@ -201,7 +208,7 @@ def _cmd_mask(args) -> int:
         bounds = StudyArea(*args.area).bounds
     masked = mask_coordinates(xy, spec, bounds, derive_stream(args.seed, 0, 0))
     write_points_csv(masked, args.out, choices=choices, ids=ids)
-    print(f"wrote {args.out}")
+    _wrote(args.out)
     return EXIT_OK
 
 
@@ -240,13 +247,13 @@ def _cmd_fit(args) -> int:
 
 def _cmd_efficiency(args) -> int:
     config, options = _load_config(args)
-    reports = run_efficiency_experiment(config, args.empirical_reps).reports
+    reports = run_efficiency_experiment(config, args.empirical_reps, workers=options.workers).reports
     path = write_efficiency_csv(reports, Path(options.out_dir) / f"{options.prefix}_efficiency.csv")
     print(f"{'theta*':>10} {'info_true':>12} {'info_masked':>12} {'el_analytic':>12} {'el_empirical':>13}")
     for r in reports:
         emp = f"{r.el_empirical:>13.4f}" if r.el_empirical is not None else f"{'-':>13}"
         print(f"{r.theta_star:>10.4f} {r.info_true:>12.4f} {r.info_masked_analytic:>12.4f} {r.el_analytic:>12.6f} {emp}")
-    print(f"wrote {path}")
+    _wrote(path)
     return EXIT_OK
 
 
@@ -274,7 +281,7 @@ def _cmd_plot(args) -> int:
     if args.curve is not None:
         curve = read_curve_csv(args.curve)
         path = render_attenuation_svg(curve, baseline["beta"], out / "attenuation.svg")
-        print(f"wrote {path}")
+        _wrote(path)
     if args.records is not None:
         records = read_records_csv(args.records)
         theta = args.theta_star if args.theta_star is not None else max(r.theta_star for r in records)
@@ -286,7 +293,7 @@ def _cmd_plot(args) -> int:
         except ValueError as exc:  # DegenerateSampleError included
             raise _CliError(f"cannot build KDE at theta*={theta:g}: {exc}") from exc
         path = render_kde_svg(estimate, baseline["beta"], tuple(baseline["ci_beta"]), out / "kde.svg")
-        print(f"wrote {path}")
+        _wrote(path)
     return EXIT_OK
 
 

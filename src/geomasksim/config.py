@@ -9,27 +9,29 @@ The format is INI with five sections:
     [output]      out_dir, prefix, write_plots
 
 Only ``[experiment] kind`` is required. Every other key sets one field of
-``ExperimentConfig`` (or, in [output], of ``RunOptions``) and defaults to
-that field's default. A file without ``reference_radius`` gets the kind's
-default, which ``ExperimentConfig`` resolves, so a file and the library give
-one kind the same default; a centroid config always masks at its k's cell.
+``ExperimentConfig`` (or, for ``[experiment] workers`` and [output], of
+``RunOptions``) and defaults to that field's default. A file without
+``reference_radius`` gets the kind's default, which ``ExperimentConfig``
+resolves, so a file and the library give one kind the same default; a
+centroid config always masks at its k's cell.
 
 This module only parses: it reads the text, converts each value and sets
 the field its key names. Validation lives in the dataclasses
-(``ExperimentConfig``, ``MaskSpec``, ``LogitParams``, ``Point``), so a
-config file rejects exactly what ``ExperimentConfig`` rejects. Keys are set
-one at a time on a config that is already valid, so a value that fails to
-convert or that a dataclass rejects raises a ``ConfigError`` naming its
-``[section] key``. Unknown sections or keys and duplicate keys are errors
-too.
+(``ExperimentConfig``, ``MaskSpec``, ``LogitParams``, ``Point``,
+``RunOptions``), so a config file rejects exactly what they reject. Keys
+are set one at a time on a value that is already valid, so a value that
+fails to convert or that a dataclass rejects raises a ``ConfigError``
+naming its ``[section] key``. Unknown sections or keys and duplicate keys
+are errors too.
 
-One key table (``_CONFIG_KEYS``, ``_OUTPUT_KEYS``: section, key, converter,
-field) drives both directions. ``serialize_config`` walks it and writes
-every field with the inverse of its key's converter, giving a canonical
-rendering (fixed section and key order, shortest round-trip floats) such
-that parse -> serialize -> parse is a fixed point; the run manifest's
-config hash is the SHA-256 of that canonical text. ``RunOptions`` rejects
-an ``out_dir`` or ``prefix`` that one INI line cannot carry back.
+Two key tables (``_CONFIG_KEYS``, ``_RUN_OPTION_KEYS``: section, key,
+converter, field) drive the parsing. ``serialize_config`` walks
+``_CONFIG_KEYS`` and writes every field with the inverse of its key's
+converter, giving a canonical rendering (fixed section and key order,
+shortest round-trip floats) such that parse -> serialize -> parse is a
+fixed point; the run manifest's config hash is the SHA-256 of that
+canonical text. Run options move no output bit, so they are neither
+serialized nor hashed.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from __future__ import annotations
 import configparser
 import functools
 import hashlib
-import re
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -52,31 +53,19 @@ class ConfigError(ValueError):
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
 
-# What an INI value line cannot carry back: a `#` or `;` that opens an
-# inline comment (at the start of the value or after whitespace), a line
-# break, whitespace at either end (the parser strips it), or a lone
-# surrogate, which UTF-8 cannot encode (undecodable bytes of a command-line
-# argument arrive as one).
-_UNWRITABLE = re.compile(r"(^|\s)[#;]|[\r\n\ud800-\udfff]|^\s|\s$")
-
-
 @dataclass(frozen=True)
 class RunOptions:
-    """[output] section: where and what the CLI writes. The two names must
-    read back unchanged from their config line."""
+    """How and where a run goes: its worker count and the [output] section.
+    None of it changes the outputs' bits."""
 
+    workers: int = 1
     out_dir: str = "results"
     prefix: str = "run"
     write_plots: bool = True
 
     def __post_init__(self):
-        for name in ("out_dir", "prefix"):
-            value = getattr(self, name)
-            if _UNWRITABLE.search(value):
-                raise ValueError(
-                    f"{name} {value!r} cannot be written to a config line: it must not start or end "
-                    "with whitespace, hold a line break or a lone surrogate, or hold '#' or ';' at its start or after whitespace"
-                )
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 def _parse_bool(raw: str) -> bool:
@@ -95,7 +84,6 @@ def _parse_fractions(raw: str) -> tuple[float, ...]:
 _CONFIG_KEYS = (
     ("experiment", "seed", int, "seed"),
     ("experiment", "replications", int, "replications"),
-    ("experiment", "workers", int, "workers"),
     ("population", "n", int, "n"),
     ("population", "alpha", float, "generating_params.alpha"),
     ("population", "beta", float, "generating_params.beta"),
@@ -108,17 +96,15 @@ _CONFIG_KEYS = (
     ("grid", "reference_radius", float, "reference_radius"),
     ("grid", "k", int, "grid_k"),
 )
-_OUTPUT_KEYS = (
+_RUN_OPTION_KEYS = (
+    ("experiment", "workers", int, "workers"),
     ("output", "out_dir", str, "out_dir"),
     ("output", "prefix", str, "prefix"),
     ("output", "write_plots", _parse_bool, "write_plots"),
 )
 # The text of a value for each converter that ``str`` does not invert.
-_UNPARSE = {
-    _parse_fractions: lambda fractions: ", ".join(map(str, fractions)),
-    _parse_bool: lambda flag: "true" if flag else "false",
-}
-_KEYS = {("experiment", "kind")} | {(section, key) for section, key, _, _ in _CONFIG_KEYS + _OUTPUT_KEYS}
+_UNPARSE = {_parse_fractions: lambda fractions: ", ".join(map(str, fractions))}
+_KEYS = {("experiment", "kind")} | {(section, key) for section, key, _, _ in _CONFIG_KEYS + _RUN_OPTION_KEYS}
 _SECTIONS = sorted({section for section, _ in _KEYS})
 
 
@@ -188,24 +174,23 @@ def parse_config(path: str | Path) -> ExperimentConfig:
 
 
 def parse_run_options(path: str | Path) -> RunOptions:
-    """Load the [output] section (CLI writing options)."""
-    return _apply(_read_sections(path), RunOptions(), _OUTPUT_KEYS)
+    """Load the run options: ``[experiment] workers`` and the [output] section."""
+    return _apply(_read_sections(path), RunOptions(), _RUN_OPTION_KEYS)
 
 
-def serialize_config(config: ExperimentConfig, options: RunOptions = RunOptions()) -> str:
-    """Canonical INI rendering: every key of the key tables in their order,
+def serialize_config(config: ExperimentConfig) -> str:
+    """Canonical INI rendering: every key of ``_CONFIG_KEYS`` in its order,
     each value written by the inverse of its key's converter."""
     section, lines = "experiment", ["[experiment]", f"kind = {config.experiment}"]
-    for obj, keys in ((config, _CONFIG_KEYS), (options, _OUTPUT_KEYS)):
-        for key_section, key, convert, field in keys:
-            if key_section != section:
-                section = key_section
-                lines += ["", f"[{section}]"]
-            value = functools.reduce(getattr, field.split("."), obj)  # "a.b": field b of field a
-            lines.append(f"{key} = {_UNPARSE.get(convert, str)(value)}")
+    for key_section, key, convert, field in _CONFIG_KEYS:
+        if key_section != section:
+            section = key_section
+            lines += ["", f"[{section}]"]
+        value = functools.reduce(getattr, field.split("."), config)  # "a.b": field b of field a
+        lines.append(f"{key} = {_UNPARSE.get(convert, str)(value)}")
     return "\n".join(lines) + "\n"
 
 
-def config_hash(config: ExperimentConfig, options: RunOptions = RunOptions()) -> str:
+def config_hash(config: ExperimentConfig) -> str:
     """SHA-256 of the canonical serialization."""
-    return hashlib.sha256(serialize_config(config, options).encode("utf-8")).hexdigest()
+    return hashlib.sha256(serialize_config(config).encode("utf-8")).hexdigest()

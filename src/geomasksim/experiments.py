@@ -142,8 +142,10 @@ class BatchConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Complete description of one simulation run. Its checks, with those of
-    the fields' own dataclasses, are the only rules a config file must meet.
+    """Everything that decides a run's outputs; the worker count, which
+    moves no output bit, is an argument of the run instead. Its checks, with
+    those of the fields' own dataclasses, are the only rules a config file's
+    experiment keys must meet.
     A ``reference_radius`` of None becomes the kind's default at ``grid_k``.
     A centroid config, its given values checked, is set to the run it makes:
     ``theta_grid`` (1.0,) at the grid's cell radius, under the redraw policy."""
@@ -156,7 +158,6 @@ class ExperimentConfig:
     generating_params: LogitParams = DEFAULT_GENERATING_PARAMS
     mask: MaskSpec = MaskSpec()
     seed: int = 0
-    workers: int = 1
     grid_k: int = DEFAULT_GRID_K
     facility: Point = Point(0.0, 0.0)
 
@@ -167,8 +168,6 @@ class ExperimentConfig:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.grid_k < 1:
             raise ValueError(f"grid_k must be >= 1, got {self.grid_k}")
         if not self.theta_grid:
@@ -450,24 +449,13 @@ def _run_cells(
 
 # -------------------------------------------------------------- experiments
 
-def build_curve(
-    theta_stars: tuple[float, ...], columns: dict[str, np.ndarray], baseline: LogitFit | None = None
-) -> AttenuationCurve:
+def build_curve(theta_stars: tuple[float, ...], columns: dict[str, np.ndarray]) -> AttenuationCurve:
     """One curve row per theta* cell of the (cells, replications) columns.
 
     Moments and percentages use converged replications only; the
-    convergence rate is over all of them. With ``baseline`` given, every
-    converged replication's outside_true_ci flag is cross-checked against
-    the baseline CI.
+    convergence rate is over all of them.
     """
     beta, converged = columns["beta_hat"], columns["converged"]
-    if baseline is not None:
-        lo, hi = wald_ci(baseline)[1]
-        inside = (lo <= beta) & (beta <= hi)
-        bad = np.argwhere(converged & (columns["outside_true_ci"] == inside))
-        if bad.size:
-            c, rep = bad[0]
-            raise ValueError(f"replication (theta*={theta_stars[c]:g}, rep={rep}) inconsistent with baseline CI")
     rows = []
     for c, theta_star in enumerate(theta_stars):
         ok = converged[c]
@@ -520,7 +508,7 @@ def fit_baseline(config: ExperimentConfig, ds: ChoiceDataset) -> LogitFit:
     return baseline
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Mask-and-refit over the run's theta* cells with fixed choices, and
     the efficiency run of every kind but centroid.
 
@@ -534,7 +522,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     ``fit_baseline`` on the observed dataset. A cell with under 50%
     convergence aborts the batch; individual failures are kept as
     non-converged rows. The efficiency cells, at min(300, max(30,
-    replications)) replications, follow in the same ``_run_cells`` call."""
+    replications)) replications, follow in the same ``_run_cells`` call, in
+    at most ``workers`` processes; the outputs are the same bits for any
+    count."""
     ds, bounds = prepare_dataset(config), UNIT_SQUARE.bounds
     if config.experiment == "centroid":
         ds, bounds = assign_to_centroid(ds, build_municipality_grid(config.grid_k))
@@ -545,14 +535,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     theta_stars = config.theta_values()
     fits, *efficiency_fits = _run_cells(
         [(list(enumerate(theta_stars)), config.replications, True), *efficiency], ds.points, config.facility,
-        bounds, config.mask, config.seed, config.workers, y=ds.choices, prob=prob,
+        bounds, config.mask, config.seed, workers, y=ds.choices, prob=prob,
     )
     columns = _add_flags(fits, wald_ci(baseline)[1])
     return ExperimentResult(
         baseline=baseline,
         theta_stars=theta_stars,
         columns=columns,
-        curve=build_curve(theta_stars, columns, baseline),
+        curve=build_curve(theta_stars, columns),
         efficiency=_efficiency_run(config, ds, baseline, *efficiency_fits) if efficiency_fits else None,
     )
 
@@ -582,7 +572,7 @@ def _efficiency_run(config: ExperimentConfig, ds: ChoiceDataset, baseline: Logit
     return EfficiencyRun(reports=reports, true_betas=true_betas, masked_betas=masked_betas)
 
 
-def run_efficiency_experiment(config: ExperimentConfig, replications: int) -> EfficiencyRun:
+def run_efficiency_experiment(config: ExperimentConfig, replications: int, workers: int = 1) -> EfficiencyRun:
     """Analytic efficiency loss over the theta* grid plus an empirical
     variance-ratio companion: the efficiency stage of ``run_experiment``
     alone, for ``geomasksim efficiency``. At 0 ``replications`` the reports
@@ -595,10 +585,10 @@ def run_efficiency_experiment(config: ExperimentConfig, replications: int) -> Ef
     fits, and from the true coordinates but refit on freshly masked ones
     for the denominator — so both sides carry sampling variability (unlike
     the fixed-y attenuation records, which would give the true coordinates
-    zero variance). Both sides are cells of
-    one ``_run_cells`` stage, under the attenuation run's failure policy and
-    worker count: a cell converging on under half of its replications
-    raises BatchConvergenceError, and fewer than 30 converged fits on
+    zero variance). Both sides are cells of one ``_run_cells`` stage in at
+    most ``workers`` processes, under the attenuation run's failure policy:
+    a cell converging on under half of its replications raises
+    BatchConvergenceError, and fewer than 30 converged fits on
     either side of a ratio raises InsufficientDataError. The centroid kind
     is refused (ValueError) before any data is generated."""
     if config.experiment == "centroid":
@@ -609,6 +599,6 @@ def run_efficiency_experiment(config: ExperimentConfig, replications: int) -> Ef
         return _efficiency_run(config, ds, baseline, None)
     stage, prob = _efficiency_stage(config, ds, replications)
     (fits,) = _run_cells(
-        [stage], ds.points, config.facility, UNIT_SQUARE.bounds, config.mask, config.seed, config.workers, prob=prob
+        [stage], ds.points, config.facility, UNIT_SQUARE.bounds, config.mask, config.seed, workers, prob=prob
     )
     return _efficiency_run(config, ds, baseline, fits)

@@ -6,8 +6,9 @@ tier-1 even when it moves them alike on both sides of every relative check.
 
 * ``simulate`` on ``CONFIGS`` (the three kinds, both mechanisms, both
   boundary policies), digesting the records, curve and efficiency CSVs, the
-  baseline JSON and the KDE SVG, and recording the ``config_hash`` of each
-  config file (the manifest, whose timestamps vary, is left out);
+  baseline JSON and the KDE SVG, and recording the ``config_hash`` that the
+  run's manifest carries (the manifest file, whose timestamps vary, is not
+  digested);
 * ``fit`` on a fixed point file (its stdout) and ``mask`` on the same file
   (the masked CSV), under both mechanisms.
 
@@ -18,9 +19,9 @@ the dispatch targets this CPU supports. Regenerate the file with
 
     PYTHONPATH=src python tests/golden.py
 
-which adds or replaces the entry for this host's fingerprint and keeps the
-others. A change that moves bits on purpose regenerates it and says which
-digests moved and why.
+which adds or replaces the entry for this host's fingerprint, keeps the
+others and prints the names of the digests that moved. A change that moves
+bits on purpose regenerates it and says which digests moved and why.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ import numpy as np
 from numpy._core import _multiarray_umath
 
 from geomasksim.cli import EXIT_OK, main
-from geomasksim.config import config_hash, parse_config, parse_run_options
 
 DIGESTS_PATH = Path(__file__).resolve().parent / "golden_digests.json"
 
@@ -209,8 +209,8 @@ def compute_digests() -> dict[str, str]:
                 path = out / f"run_{output}"
                 if path.exists():
                     digests[f"{name}/{output}"] = _sha256(path.read_bytes())
-            # the manifest's hash covers the out dir, a temporary one here, so the file's own is taken
-            digests[f"{name}/config_hash"] = config_hash(parse_config(config), parse_run_options(config))
+            manifest = json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))
+            digests[f"{name}/config_hash"] = manifest["config_hash"]
 
         points = tmp / "points.csv"
         points.write_text(_points_text(), encoding="utf-8")
@@ -230,15 +230,22 @@ def load() -> list[dict]:
     return json.loads(DIGESTS_PATH.read_text(encoding="utf-8"))["entries"]
 
 
-def regenerate() -> dict:
+def regenerate() -> tuple[dict, list[str]]:
     """Compute this host's digests and store them under its fingerprint,
-    replacing an entry of the same fingerprint and keeping the others."""
+    replacing an entry of the same fingerprint and keeping the others.
+    Returns the entry and the names of the digests that differ from the
+    replaced entry's (all of them when there was none)."""
     entry = {"fingerprint": fingerprint(), "digests": compute_digests()}
-    entries = [e for e in load() if e["fingerprint"] != entry["fingerprint"]] + [entry]
+    stored = load()
+    old = next((e["digests"] for e in stored if e["fingerprint"] == entry["fingerprint"]), {})
+    new = entry["digests"]
+    moved = sorted(name for name in old.keys() | new.keys() if old.get(name) != new.get(name))
+    entries = [e for e in stored if e["fingerprint"] != entry["fingerprint"]] + [entry]
     DIGESTS_PATH.write_text(json.dumps({"entries": entries}, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return entry
+    return entry, moved
 
 
 if __name__ == "__main__":
-    written = regenerate()
+    written, moved = regenerate()
     print(f"wrote {len(written['digests'])} digests for {written['fingerprint']} to {DIGESTS_PATH}")
+    print(f"{len(moved)} changed" + "".join(f"\n  {name}" for name in moved))

@@ -11,7 +11,6 @@ as stated and is expected to fail — the assertion message carries the
 measured shares under each aggregation we could defend.
 """
 
-import dataclasses
 import math
 import time
 
@@ -51,7 +50,6 @@ def full_config():
         replications=1000,
         theta_grid=FULL_GRID,
         seed=SEED,
-        workers=1,
     )
 
 
@@ -312,7 +310,7 @@ def test_efficiency_loss_law(full_run, criterion_detail):
 
 @pytest.mark.criterion(7, "worker counts 1 and 8 produce byte-identical records CSVs")
 def test_records_identical_across_worker_counts(full_config, full_run, tmp_path, criterion_detail):
-    res8 = run_experiment(dataclasses.replace(full_config, workers=8))
+    res8 = run_experiment(full_config, workers=8)
     p1 = write_records_csv(full_run.theta_stars, full_run.columns, tmp_path / "records_w1.csv")
     p8 = write_records_csv(res8.theta_stars, res8.columns, tmp_path / "records_w8.csv")
     b1, b8 = p1.read_bytes(), p8.read_bytes()

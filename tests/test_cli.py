@@ -161,7 +161,7 @@ def test_simulate_batch_failure_exit_2(tmp_path, monkeypatch, capsys):
     import geomasksim.cli as cli
     from geomasksim.experiments import BatchConvergenceError
 
-    def explode(config):
+    def explode(config, workers):
         raise BatchConvergenceError(0.5, 0.25, "attenuation")
 
     monkeypatch.setattr(cli, "run_experiment", explode)
@@ -254,6 +254,40 @@ def test_simulate_outputs_identical_across_workers(tmp_path):
         assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / workers), "--workers", workers]) == EXIT_OK
     for name in ("run_records.csv", "run_curve.csv", "run_efficiency.csv"):
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
+def test_manifests_carry_one_config_hash_for_any_run_options(tmp_path):
+    # the worker count, out dir, prefix and plot switch move no output bit,
+    # so two runs that differ in them alone carry one hash
+    hashes = set()
+    for workers, prefix, plots in (("1", "run", "true"), ("2", "job", "false")):
+        cfg = _config_file(tmp_path, TINY + f"\n[output]\nprefix = {prefix}\nwrite_plots = {plots}\n", f"{prefix}.ini")
+        out = tmp_path / f"runs #{workers}"
+        assert main(["simulate", "--config", cfg, "--out-dir", str(out), "--workers", workers]) == EXIT_OK
+        hashes.add(json.loads((out / f"{prefix}_manifest.json").read_text(encoding="utf-8"))["config_hash"])
+    assert hashes == {config_hash(parse_config(cfg))}
+
+
+def test_wrote_lines_print_under_a_strict_utf8_stdout(tmp_path):
+    # a path byte that is not UTF-8 prints as \xff, so each command exits 0
+    # with its files written
+    _config_file(tmp_path)
+    points = _points_file(tmp_path)
+    src = str(Path(geomasksim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONIOENCODING": "utf-8:strict",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    commands = {
+        b"sim\xff/run_curve.csv": ["simulate", "--config", "run.ini", "--out-dir", b"sim\xff"],
+        b"m\xff.csv": ["mask", "--points", points, "--out", b"m\xff.csv", "--theta-star", "0.1"],
+        b"pl\xff/attenuation.svg": ["plot", "--curve", b"sim\xff/run_curve.csv",
+                                     "--baseline", b"sim\xff/run_baseline.json", "--out-dir", b"pl\xff"],
+    }
+    for written, args in commands.items():
+        proc = subprocess.run([sys.executable, "-m", "geomasksim.cli", *args], capture_output=True, env=env,
+                              cwd=tmp_path, timeout=120, check=False)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert os.path.isfile(os.path.join(os.fsencode(tmp_path), written))
+        assert b"wrote " + written.replace(b"\xff", b"\\xff") + b"\n" in proc.stdout
 
 
 def test_simulate_starts_one_pool_for_both_stages(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import textwrap
 
@@ -20,6 +21,7 @@ from geomasksim.experiments import (
 )
 from geomasksim.geometry import Point
 from geomasksim.logit import LogitParams
+from geomasksim.masking import MaskSpec
 from geomasksim.population import MunicipalityGrid
 
 
@@ -45,8 +47,9 @@ def test_minimal_config_defaults(tmp_path):
     assert cfg.generating_params == LogitParams(1.0, -2.0)
     assert cfg.mask.mechanism == "uniform"
     assert cfg.mask.boundary == "unconstrained"
-    assert cfg.seed == 0 and cfg.workers == 1
+    assert cfg.seed == 0
     assert cfg.facility == Point(0.0, 0.0)
+    assert parse_run_options(tmp_path / "run.ini") == RunOptions(workers=1, out_dir="results", prefix="run", write_plots=True)
 
 
 def test_kind_required(tmp_path):
@@ -93,7 +96,7 @@ def test_full_config_roundtrip_values(tmp_path):
     cfg = parse_config(path)
     opts = parse_run_options(path)
     assert cfg.experiment == "fixed-area-grid"
-    assert cfg.seed == 42 and cfg.replications == 250 and cfg.workers == 4
+    assert cfg.seed == 42 and cfg.replications == 250
     assert cfg.n == 500
     assert cfg.generating_params == LogitParams(0.5, -1.5)
     assert cfg.facility == Point(0.1, -0.2)
@@ -102,7 +105,7 @@ def test_full_config_roundtrip_values(tmp_path):
     assert cfg.theta_grid == (0.2, 0.6, 1.0)
     assert cfg.reference_radius == 0.3
     assert cfg.grid_k == 8
-    assert opts == RunOptions(out_dir="out/here", prefix="job1", write_plots=False)
+    assert opts == RunOptions(workers=4, out_dir="out/here", prefix="job1", write_plots=False)
 
 
 def test_reference_radius_defaults_by_kind(tmp_path):
@@ -184,14 +187,11 @@ def test_serialize_parse_fixed_point(tmp_path):
         """,
     )
     cfg = parse_config(path)
-    opts = parse_run_options(path)
-    text1 = serialize_config(cfg, opts)
-    path2 = _write(tmp_path, text1, "canon.ini")
-    cfg2 = parse_config(path2)
-    opts2 = parse_run_options(path2)
-    assert cfg2 == cfg and opts2 == opts
+    text1 = serialize_config(cfg)
+    cfg2 = parse_config(_write(tmp_path, text1, "canon.ini"))
+    assert cfg2 == cfg
     # second serialization is byte-identical: a fixed point
-    assert serialize_config(cfg2, opts2) == text1
+    assert serialize_config(cfg2) == text1
 
 
 def test_config_hash_stability_and_sensitivity(tmp_path):
@@ -201,11 +201,34 @@ def test_config_hash_stability_and_sensitivity(tmp_path):
     c = parse_config(_write(tmp_path, "[experiment]\nkind = csr-population\nseed = 1\n", "c.ini"))
     assert config_hash(a) != config_hash(c)
     assert len(config_hash(a)) == 64
+    # every field moves it
+    changed = [
+        ExperimentConfig("fixed-area-grid"),
+        dataclasses.replace(a, n=999),
+        dataclasses.replace(a, replications=999),
+        dataclasses.replace(a, theta_grid=(0.5, 1.0)),
+        dataclasses.replace(a, reference_radius=0.5),
+        dataclasses.replace(a, generating_params=LogitParams(1.0, -1.0)),
+        dataclasses.replace(a, generating_params=LogitParams(0.5, -2.0)),
+        dataclasses.replace(a, mask=MaskSpec(mechanism="gaussian")),
+        dataclasses.replace(a, mask=MaskSpec(boundary="redraw")),
+        dataclasses.replace(a, mask=MaskSpec(max_attempts=7)),
+        dataclasses.replace(a, grid_k=3),
+        dataclasses.replace(a, facility=Point(0.1, 0.0)),
+        dataclasses.replace(a, facility=Point(0.0, 0.1)),
+    ]
+    hashes = {config_hash(cfg) for cfg in [a, *changed]}
+    assert len(hashes) == len(changed) + 1
+    # the run options move no output bit, so no hash bit either
+    d = parse_config(_write(tmp_path, MINIMAL + "workers = 3\n[output]\nout_dir = x\nprefix = y\nwrite_plots = no\n", "d.ini"))
+    assert config_hash(d) == config_hash(a)
 
 
 def test_serialized_text_is_complete_ini(tmp_path):
     cfg = parse_config(_write(tmp_path, MINIMAL))
     text = serialize_config(cfg)
     assert text.endswith("\n")
-    for section in ("[experiment]", "[population]", "[mask]", "[grid]", "[output]"):
+    for section in ("[experiment]", "[population]", "[mask]", "[grid]"):
         assert section in text
+    # run options are not serialized
+    assert "[output]" not in text and "workers" not in text

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geomasksim.cli import EXIT_VALIDATION, main
+from geomasksim.cli import EXIT_OK, EXIT_VALIDATION, main
 from geomasksim.config import ConfigError, RunOptions, parse_config, parse_run_options, serialize_config
 from geomasksim.experiments import EXPERIMENTS, ExperimentConfig
 from geomasksim.geometry import UNIT_SQUARE, Point
@@ -25,7 +25,6 @@ REJECTED = [
     ("csr-population", "population", "n", "0", lambda: ExperimentConfig("csr-population", n=0)),
     ("csr-population", "experiment", "replications", "0",
      lambda: ExperimentConfig("csr-population", replications=0)),
-    ("csr-population", "experiment", "workers", "0", lambda: ExperimentConfig("csr-population", workers=0)),
     ("centroid", "grid", "k", "0", lambda: ExperimentConfig("centroid", grid_k=0)),
     ("centroid", "grid", "k", "-2", lambda: ExperimentConfig("centroid", grid_k=-2)),
     # checked before a centroid config is set to its one cell at the cell radius, under redraw
@@ -109,7 +108,6 @@ _COUNT = st.integers(1, 2**40)
             max_attempts=_COUNT,
         ),
         seed=st.integers(0, 2**64 - 1),
-        workers=_COUNT,
         grid_k=_COUNT,
         facility=st.builds(Point, _COORD, _COORD),
     )
@@ -123,38 +121,36 @@ def test_every_valid_config_round_trips(config):
         assert parse_config(path) == config
 
 
-# text that an INI value line handles specially, mixed into arbitrary text
-_OUTPUT_TEXT = st.text(st.characters() | st.sampled_from(" \t\r\n\x0b\x85\u2028\xa0\udcff#;=:%[]"), max_size=12)
+def test_workers_is_a_run_option_with_its_own_rule(tmp_path, capsys):
+    path = tmp_path / "run.ini"
+    path.write_text(_config_text("csr-population", "experiment", "workers", "0"), encoding="utf-8")
+    parse_config(path)  # the experiment is valid
+    with pytest.raises(ConfigError, match=r"^\[experiment\] workers: "):
+        parse_run_options(path)
 
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(out_dir=_OUTPUT_TEXT, prefix=_OUTPUT_TEXT, write_plots=st.booleans())
-def test_every_valid_output_section_round_trips(out_dir, prefix, write_plots):
-    # RunOptions accepts only the names one config line carries back unchanged
-    try:
-        options = RunOptions(out_dir=out_dir, prefix=prefix, write_plots=write_plots)
-    except ValueError:
-        return
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "run.ini"
-        path.write_text(serialize_config(ExperimentConfig("csr-population"), options), encoding="utf-8")
-        assert parse_run_options(path) == options
-
-
-@pytest.mark.parametrize("out_dir", ["runs #1", "runs ;1", "#x", " p", "p ", "a\nb", "a\rb", "r\udcff"])
-def test_unwritable_output_names_are_rejected(out_dir):
-    for field in ("out_dir", "prefix"):
-        with pytest.raises(ValueError, match=f"^{field} "):
-            RunOptions(**{field: out_dir})
-
-
-def test_simulate_rejects_an_out_dir_the_config_cannot_carry(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "run.ini").write_text("[experiment]\nkind = csr-population\n", encoding="utf-8")
-    assert main(["simulate", "--config", "run.ini", "--out-dir", "runs #1"]) == EXIT_VALIDATION
+    assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_VALIDATION
     err = capsys.readouterr().err
-    assert err.startswith("error: out_dir 'runs #1' ") and err.count("\n") == 1
-    assert list(tmp_path.iterdir()) == [tmp_path / "run.ini"]
+    assert err.startswith("error: [experiment] workers: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+    with pytest.raises(ValueError):
+        RunOptions(workers=0)
+
+
+@pytest.mark.parametrize("out_dir", ["runs #1", "runs ;1", "#x", " p", "p ", "a\nb", "a\rb"])
+def test_simulate_writes_under_any_out_dir_name(tmp_path, capsys, monkeypatch, out_dir):
+    # the out dir is a run option, never written to a config line, so it may
+    # hold what an INI value line cannot carry
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.ini").write_text(
+        "[experiment]\nkind = csr-population\nreplications = 30\n[population]\nn = 100\n"
+        "[grid]\nfractions = 1.0\n[output]\nwrite_plots = false\n",
+        encoding="utf-8",
+    )
+    assert main(["simulate", "--config", "run.ini", "--out-dir", out_dir]) == EXIT_OK
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["run.ini", out_dir])
+    assert (tmp_path / out_dir / "run_records.csv").is_file()
+    assert f"wrote {Path(out_dir) / 'run_records.csv'}\n" in capsys.readouterr().out
 
 
 def test_readme_default_config_is_the_serialized_default():

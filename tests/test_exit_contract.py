@@ -251,7 +251,7 @@ def test_paths_the_system_refuses_exit_1(tmp_path, monkeypatch, case):
 def test_an_interrupted_run_exits_130_and_writes_nothing(tmp_path, monkeypatch):
     import geomasksim.cli as cli
 
-    def interrupted(config):
+    def interrupted(config, workers):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(cli, "run_experiment", interrupted)

@@ -75,8 +75,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         _config(replications=0)
     with pytest.raises(ValueError):
-        _config(workers=0)
-    with pytest.raises(ValueError):
         _config(grid_k=0)
     with pytest.raises(ValueError):
         _config(theta_grid=())
@@ -183,7 +181,7 @@ def test_records_bytes_independent_of_block_size(monkeypatch, tmp_path):
             for row_elements in (1, 3 * cfg.n, cfg.n * cfg.replications):
                 monkeypatch.setattr(exp, "_ROW_ELEMENTS", row_elements)
                 for workers in (1, 2):
-                    res = run_experiment(dataclasses.replace(cfg, workers=workers))
+                    res = run_experiment(cfg, workers=workers)
                     path = tmp_path / f"records_{name}_b{block}_r{row_elements}_w{workers}.csv"
                     outputs.add(write_records_csv(res.theta_stars, res.columns, path).read_bytes())
                     if res.efficiency is not None:  # the centroid kind has none
@@ -348,7 +346,7 @@ def test_efficiency_bytes_independent_of_row_chunks(monkeypatch, tmp_path):
         for row_elements in (1, 3 * cfg.n, 40 * cfg.n):
             monkeypatch.setattr(exp, "_ROW_ELEMENTS", row_elements)
             for workers in (1, 2):
-                run = run_efficiency_experiment(dataclasses.replace(cfg, workers=workers), replications=40)
+                run = run_efficiency_experiment(cfg, replications=40, workers=workers)
                 path = tmp_path / f"eff_b{block}_r{row_elements}_w{workers}.csv"
                 outputs.add(write_efficiency_csv(run.reports, path).read_bytes())
     assert len(outputs) == 1
@@ -364,7 +362,7 @@ def test_theta_zero_records_reproduce_the_baseline_bitwise(experiment, mask, wor
     # at theta* = 0 every offset is zero, and the harness's masked distances
     # and the dataset's come from one expression, so every theta* = 0 refit
     # is the baseline fit to the bit
-    res = run_experiment(_config(experiment=experiment, mask=mask, n=300, replications=70, workers=workers))
+    res = run_experiment(_config(experiment=experiment, mask=mask, n=300, replications=70), workers=workers)
     base = res.baseline
     want = (base.params.alpha, base.params.beta, base.std_errors[1], base.iterations, True)
     assert res.theta_stars[0] == 0.0
@@ -378,7 +376,7 @@ def test_run_deterministic_and_worker_independent():
     a = run_experiment(cfg)
     b = run_experiment(cfg)
     _assert_same_replications(a, b)
-    c = run_experiment(_config(n=150, replications=70, workers=2))
+    c = run_experiment(cfg, workers=2)
     _assert_same_replications(a, c)
 
 
@@ -504,7 +502,6 @@ def test_flags_at_the_edges(tmp_path):
     assert cols["significant_beta"].tolist() == [[True, True, True, False, False]]
     outside = [not lo <= b <= hi for b in (-z, np.nextafter(-z, 0.0))]
     assert cols["outside_true_ci"].tolist() == [[False, False, *outside, False]]
-    build_curve((0.3,), cols, baseline)  # the cross-check accepts its own flags
 
     path = write_records_csv((0.3,), cols, tmp_path / "r.csv")
     lines = path.read_text(encoding="utf-8").splitlines()
@@ -530,18 +527,6 @@ def test_build_curve_hand_built_cell():
     assert row.pct_outside_true_ci == pytest.approx(200.0 / 3.0)
     assert row.pct_nonsignificant == pytest.approx(100.0 / 3.0)
     assert row.convergence_rate == 0.75
-
-
-def test_build_curve_baseline_cross_check():
-    cfg = _config(n=500)
-    baseline = fit_logit(prepare_dataset(cfg))
-    lo, hi = wald_ci(baseline)[1]
-    mid = 0.5 * (lo + hi)
-    build_curve((0.3,), _columns([mid], outside=[False]), baseline)  # consistent: no error
-    with pytest.raises(ValueError, match="inconsistent"):
-        build_curve((0.3,), _columns([mid, mid], outside=[False, True]), baseline)
-    # a non-converged row is not cross-checked
-    build_curve((0.3,), _columns([mid, mid], converged=[True, False], outside=[False, True]), baseline)
 
 
 def test_build_curve_one_row_per_cell():
@@ -693,8 +678,8 @@ def test_run_experiment_efficiency_is_the_efficiency_run(monkeypatch, experiment
     import geomasksim.experiments as exp
 
     monkeypatch.setattr(exp, "_REP_BLOCK", 7)
-    cfg = _config(experiment=experiment, mask=mask, n=150, replications=20, workers=workers)
-    joint, alone = run_experiment(cfg).efficiency, run_efficiency_experiment(cfg, 30)
+    cfg = _config(experiment=experiment, mask=mask, n=150, replications=20)
+    joint, alone = run_experiment(cfg, workers=workers).efficiency, run_efficiency_experiment(cfg, 30, workers=workers)
     assert [f.name for f in dataclasses.fields(joint)] == ["reports", "true_betas", "masked_betas"]
     assert joint.reports == alone.reports
     np.testing.assert_array_equal(joint.true_betas, alone.true_betas)
