@@ -121,20 +121,38 @@ def test_every_valid_config_round_trips(config):
         assert parse_config(path) == config
 
 
-def test_workers_is_a_run_option_with_its_own_rule(tmp_path, capsys):
+# (section, key, value, the same value given to RunOptions, or None where the
+# text does not convert)
+REJECTED_RUN_OPTIONS = [
+    ("experiment", "workers", "0", lambda: RunOptions(workers=0)),
+    ("experiment", "workers", "-2", lambda: RunOptions(workers=-2)),
+    ("experiment", "workers", "two", None),
+    ("output", "write_plots", "maybe", None),
+]
+
+
+@pytest.mark.parametrize(
+    "section, key, value, build",
+    REJECTED_RUN_OPTIONS,
+    ids=[f"{key}={value}" for _, key, value, _ in REJECTED_RUN_OPTIONS],
+)
+def test_run_option_rejected_with_its_own_rule(tmp_path, capsys, section, key, value, build):
+    # workers and [output] are run options: the experiment stays valid
     path = tmp_path / "run.ini"
-    path.write_text(_config_text("csr-population", "experiment", "workers", "0"), encoding="utf-8")
-    parse_config(path)  # the experiment is valid
-    with pytest.raises(ConfigError, match=r"^\[experiment\] workers: "):
+    path.write_text(_config_text("csr-population", section, key, value), encoding="utf-8")
+    parse_config(path)
+    with pytest.raises(ConfigError, match=f"^\\[{section}\\] {key}: "):
         parse_run_options(path)
 
     assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_VALIDATION
     err = capsys.readouterr().err
-    assert err.startswith("error: [experiment] workers: ") and err.count("\n") == 1
+    assert err.startswith(f"error: [{section}] {key}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
-    with pytest.raises(ValueError):
-        RunOptions(workers=0)
+    if build is not None:
+        with pytest.raises(ValueError):
+            build()
 
 
 @pytest.mark.parametrize("out_dir", ["runs #1", "runs ;1", "#x", " p", "p ", "a\nb", "a\rb"])
