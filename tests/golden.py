@@ -6,9 +6,13 @@ tier-1 even when it moves them alike on both sides of every relative check.
 
 * ``simulate`` on ``CONFIGS`` (the three kinds, both mechanisms, both
   boundary policies), digesting the records, curve and efficiency CSVs, the
-  baseline JSON and the KDE SVG, and recording the ``config_hash`` that the
-  run's manifest carries (the manifest file, whose timestamps vary, is not
+  baseline JSON, both SVGs and the stdout without its ``wrote`` lines (whose
+  temporary paths vary), and recording the ``config_hash`` that the run's
+  manifest carries (the manifest file, whose timestamps vary, is not
   digested);
+* ``efficiency`` on the ``EFFICIENCY_CONFIG`` entry of ``CONFIGS`` at each
+  of ``EFFICIENCY_REPS``, digesting its CSV and its stdout without the
+  ``wrote`` line;
 * ``fit`` on a fixed point file (its stdout) and ``mask`` on the same file
   (the masked CSV), under both mechanisms.
 
@@ -144,7 +148,11 @@ CONFIGS = {
 
 # outputs of one `simulate` run (prefix "run"); the efficiency CSV is not
 # written for the centroid kind
-SIMULATE_OUTPUTS = ("records.csv", "curve.csv", "efficiency.csv", "baseline.json", "kde.svg")
+SIMULATE_OUTPUTS = ("records.csv", "curve.csv", "efficiency.csv", "baseline.json", "attenuation.svg", "kde.svg")
+
+# the config `efficiency` runs, analytic alone and with empirical replications
+EFFICIENCY_CONFIG = "csr-uniform-unconstrained"
+EFFICIENCY_REPS = (0, 30)
 
 # (name, arguments after `mask --points P --out O`)
 MASK_RUNS = {
@@ -195,6 +203,11 @@ def _main(argv: list[str]) -> str:
     return out.getvalue()
 
 
+def _without_wrote(stdout: str) -> bytes:
+    """stdout without its ``wrote <path>`` lines, as UTF-8."""
+    return "".join(line for line in stdout.splitlines(keepends=True) if not line.startswith("wrote ")).encode("utf-8")
+
+
 def compute_digests() -> dict[str, str]:
     """Digest of every golden output, by "<run>/<output>" name."""
     digests = {}
@@ -204,13 +217,21 @@ def compute_digests() -> dict[str, str]:
             config = tmp / f"{name}.ini"
             config.write_text("\n".join(line.strip() for line in text.strip().splitlines()) + "\n", encoding="utf-8")
             out = tmp / name
-            _main(["simulate", "--config", str(config), "--out-dir", str(out)])
+            stdout = _main(["simulate", "--config", str(config), "--out-dir", str(out)])
+            digests[f"{name}/stdout"] = _sha256(_without_wrote(stdout))
             for output in SIMULATE_OUTPUTS:
                 path = out / f"run_{output}"
                 if path.exists():
                     digests[f"{name}/{output}"] = _sha256(path.read_bytes())
             manifest = json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))
             digests[f"{name}/config_hash"] = manifest["config_hash"]
+
+        for reps in EFFICIENCY_REPS:
+            name, out = f"efficiency-{EFFICIENCY_CONFIG}-reps{reps}", tmp / f"efficiency-{reps}"
+            stdout = _main(["efficiency", "--config", str(tmp / f"{EFFICIENCY_CONFIG}.ini"), "--out-dir", str(out),
+                            "--empirical-reps", str(reps)])
+            digests[f"{name}/stdout"] = _sha256(_without_wrote(stdout))
+            digests[f"{name}/efficiency.csv"] = _sha256((out / "run_efficiency.csv").read_bytes())
 
         points = tmp / "points.csv"
         points.write_text(_points_text(), encoding="utf-8")
