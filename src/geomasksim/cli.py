@@ -102,10 +102,11 @@ def _baseline_payload(fit: LogitFit) -> dict:
     }
 
 
-def _wrote(path) -> None:
-    """Print ``wrote <path>`` so that stdout can encode it: a byte the file
-    system gave that is not UTF-8 prints as ``\\xff``, a valid path as is."""
-    print(f"wrote {os.fsencode(path).decode('utf-8', 'backslashreplace')}")
+def _path_text(path) -> str:
+    """``path`` as text that UTF-8 can encode, for the ``wrote`` lines and
+    the manifest: a byte the file system gave that is not UTF-8 reads
+    ``\\xff``, a valid path as is."""
+    return os.fsencode(path).decode("utf-8", "backslashreplace")
 
 
 def _given(**flags) -> dict:
@@ -139,7 +140,7 @@ def _cmd_simulate(args) -> int:
     outputs = []
 
     def record(path: Path):
-        outputs.append(str(path))
+        outputs.append(_path_text(path))
         return path
 
     record(write_records_csv(result.theta_stars, result.columns, out / f"{prefix}_records.csv"))
@@ -193,8 +194,8 @@ def _cmd_simulate(args) -> int:
             f"{row.pct_outside_true_ci:>9.1f} {row.pct_nonsignificant:>9.1f} "
             f"{row.convergence_rate:>6.1%}"
         )
-    for path in outputs:
-        _wrote(path)
+    for text in outputs:
+        print(f"wrote {text}")
     return EXIT_OK
 
 
@@ -208,7 +209,7 @@ def _cmd_mask(args) -> int:
         bounds = StudyArea(*args.area).bounds
     masked = mask_coordinates(xy, spec, bounds, derive_stream(args.seed, 0, 0))
     write_points_csv(masked, args.out, choices=choices, ids=ids)
-    _wrote(args.out)
+    print(f"wrote {_path_text(args.out)}")
     return EXIT_OK
 
 
@@ -253,7 +254,7 @@ def _cmd_efficiency(args) -> int:
     for r in reports:
         emp = f"{r.el_empirical:>13.4f}" if r.el_empirical is not None else f"{'-':>13}"
         print(f"{r.theta_star:>10.4f} {r.info_true:>12.4f} {r.info_masked_analytic:>12.4f} {r.el_analytic:>12.6f} {emp}")
-    _wrote(path)
+    print(f"wrote {_path_text(path)}")
     return EXIT_OK
 
 
@@ -281,9 +282,11 @@ def _cmd_plot(args) -> int:
     if args.curve is not None:
         curve = read_curve_csv(args.curve)
         path = render_attenuation_svg(curve, baseline["beta"], out / "attenuation.svg")
-        _wrote(path)
+        print(f"wrote {_path_text(path)}")
     if args.records is not None:
         records = read_records_csv(args.records)
+        if not records:
+            raise _CliError(f"{args.records} has no records")
         theta = args.theta_star if args.theta_star is not None else max(r.theta_star for r in records)
         betas = [r.beta_hat for r in records if r.converged and abs(r.theta_star - theta) <= 1e-12]
         if not betas:
@@ -293,7 +296,7 @@ def _cmd_plot(args) -> int:
         except ValueError as exc:  # DegenerateSampleError included
             raise _CliError(f"cannot build KDE at theta*={theta:g}: {exc}") from exc
         path = render_kde_svg(estimate, baseline["beta"], tuple(baseline["ci_beta"]), out / "kde.svg")
-        _wrote(path)
+        print(f"wrote {_path_text(path)}")
     return EXIT_OK
 
 

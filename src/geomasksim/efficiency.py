@@ -35,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import ChoiceDataset
 from .logit import LogitParams, choice_probability
 from .masking import MaskSpec
 
@@ -78,16 +77,15 @@ def expected_sq_masked_distance(d: float, spec: MaskSpec):
     return float(out) if out.ndim == 0 else out
 
 
-def information_beta(ds: ChoiceDataset, p: LogitParams, spec: MaskSpec = MaskSpec()) -> float:
+def information_beta(d: np.ndarray, p: LogitParams, spec: MaskSpec = MaskSpec()) -> float:
     """beta-information sum L(1-L) E(d_masked^2) under ``spec``, with the
     logistic weights L = ``choice_probability(alpha + beta * d)`` at the
-    true distances.
+    true distances ``d``.
 
     The default spec (theta_star = 0) gives the true-coordinate sum
     L(1-L) d^2. Both sides of the efficiency ratio go through this one
     expression, so the ratio is exactly 1 at theta_star = 0.
     """
-    d = ds.distances
     lam = choice_probability(p.alpha + p.beta * d)
     return float((lam * (1.0 - lam) * expected_sq_masked_distance(d, spec)).sum())
 
@@ -111,15 +109,15 @@ def empirical_variance_ratio(true_betas: np.ndarray, masked_betas: np.ndarray) -
 
 
 def efficiency_report(
-    ds: ChoiceDataset, p: LogitParams, spec: MaskSpec, el_empirical: float | None = None
+    d: np.ndarray, p: LogitParams, spec: MaskSpec, el_empirical: float | None = None
 ) -> EfficiencyReport:
-    """The analytic quantities (and an optional empirical ratio) for the
-    mask law ``spec`` at its theta*. el_analytic = info(true) /
+    """The analytic quantities (and an optional empirical ratio) at the true
+    distances ``d`` for the mask law ``spec`` at its theta*. el_analytic = info(true) /
     info(masked moment) is 1 at theta* = 0 and decreasing in theta*."""
-    info_true = information_beta(ds, p)
+    info_true = information_beta(d, p)
     if info_true <= 0.0:
         raise DegenerateInformationError(f"true information is {info_true}")
-    info_masked = information_beta(ds, p, spec)
+    info_masked = information_beta(d, p, spec)
     return EfficiencyReport(
         theta_star=spec.theta_star,
         info_true=info_true,

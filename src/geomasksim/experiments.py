@@ -18,6 +18,8 @@ Three experiment kinds share one entry point, ``run_experiment``:
 Each kind is set up here alone: its default radius (``_DEFAULT_RADIUS``), a
 centroid config's one cell (``ExperimentConfig``), its data, bounds and stages
 (``run_experiment``) and its efficiency run (``run_efficiency_experiment``).
+A run's data is three arrays (``prepare_dataset``): the (n, 2) coordinates,
+their (n,) distances to the facility and the (n,) 0/1 choices.
 
 Every replicated fit, the efficiency stage's included, goes through one
 kernel: ``_run_cells`` cuts a run's stages into one list of (cell,
@@ -60,7 +62,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import ChoiceDataset
 from .efficiency import EfficiencyReport, efficiency_report, empirical_variance_ratio
 from .geometry import UNIT_SQUARE, Point, equivalent_circle_radius, facility_distances, planar_norm
 from .logit import (
@@ -73,8 +74,7 @@ from .logit import (
     LogitParams,
     SingularInformationError,
     choice_probability,
-    fit_distance_choice,  # noqa: F401  (bound here for perfbench/tracer.py, which wraps it by name)
-    fit_logit,
+    fit_distance_choice,
     fit_rows,
     wald_ci,
 )
@@ -266,10 +266,12 @@ def choices_checksum(choices: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(choices, dtype=np.int64).tobytes()).hexdigest()
 
 
-def prepare_dataset(config: ExperimentConfig) -> ChoiceDataset:
-    """Generate the run's population and its once-and-for-all choices."""
+def prepare_dataset(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The run's population ``xy`` (n, 2), its distances ``d`` (n,) to the
+    facility and its once-and-for-all choices ``y`` (n,)."""
     xy = generate_csr_xy(config.n, population_stream(config.seed))
-    return simulate_choices_xy(xy, config.facility, config.generating_params, choices_stream(config.seed))
+    d = facility_distances(xy, config.facility)
+    return xy, d, simulate_choices_xy(d, config.generating_params, choices_stream(config.seed))
 
 
 # ----------------------------------------------------------------- workers
@@ -280,6 +282,8 @@ _WORKER: dict = {}
 # times the masking layer. It is the unchecked ``mask_rows``: ``_run_cells``
 # checks the start points once per run.
 mask_coordinates = mask_rows
+# perfbench/tracer.py times the fit layer under this name too; ``fit_baseline`` calls ``fit_distance_choice``.
+fit_logit = fit_distance_choice
 
 # Per-replication columns of a run: the fields of a record after its
 # (theta_star, rep). The block kernel fills all but the two flags, which the
@@ -491,13 +495,13 @@ def _add_flags(fits: dict[str, np.ndarray], ci: tuple[float, float]) -> dict[str
     }
 
 
-def fit_baseline(config: ExperimentConfig, ds: ChoiceDataset) -> LogitFit:
-    """The baseline fit on the run's observed dataset ``ds``; one that does
-    not converge or has a singular information matrix raises
-    InvalidFitError."""
+def fit_baseline(config: ExperimentConfig, d: np.ndarray, y: np.ndarray) -> LogitFit:
+    """The baseline fit on the run's observed distances ``d`` and choices
+    ``y``; one that does not converge or has a singular information matrix
+    raises InvalidFitError."""
     data = f"the generated data ({config.experiment}, n={config.n}, seed={config.seed})"
     try:
-        baseline = fit_logit(ds)
+        baseline = fit_distance_choice(d, y)
     except SingularInformationError as exc:  # e.g. every centroid equidistant from the facility
         raise InvalidFitError(f"baseline fit on {data} has a singular information matrix: {exc}") from exc
     if not baseline.converged:
@@ -519,23 +523,24 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     centroid, inside the individual's own cell; there the curve row's
     pct_outside_true_ci complement is the share of replications
     statistically indistinguishable from the baseline. The baseline is
-    ``fit_baseline`` on the observed dataset. A cell with under 50%
+    ``fit_baseline`` on the observed distances. A cell with under 50%
     convergence aborts the batch; individual failures are kept as
     non-converged rows. The efficiency cells, at min(300, max(30,
     replications)) replications, follow in the same ``_run_cells`` call, in
     at most ``workers`` processes; the outputs are the same bits for any
     count."""
-    ds, bounds = prepare_dataset(config), UNIT_SQUARE.bounds
+    (xy, d, y), bounds = prepare_dataset(config), UNIT_SQUARE.bounds
     if config.experiment == "centroid":
-        ds, bounds = assign_to_centroid(ds, build_municipality_grid(config.grid_k))
+        xy, bounds = assign_to_centroid(xy, build_municipality_grid(config.grid_k))
+        d = facility_distances(xy, config.facility)
         efficiency, prob = [], None
     else:
-        *efficiency, prob = _efficiency_stage(config, ds, min(300, max(30, config.replications)))
-    baseline = fit_baseline(config, ds)  # fail before any replication
+        *efficiency, prob = _efficiency_stage(config, d, min(300, max(30, config.replications)))
+    baseline = fit_baseline(config, d, y)  # fail before any replication
     theta_stars = config.theta_values()
     fits, *efficiency_fits = _run_cells(
-        [(list(enumerate(theta_stars)), config.replications, True), *efficiency], ds.points, config.facility,
-        bounds, config.mask, config.seed, workers, y=ds.choices, prob=prob,
+        [(list(enumerate(theta_stars)), config.replications, True), *efficiency], xy, config.facility,
+        bounds, config.mask, config.seed, workers, y=y, prob=prob,
     )
     columns = _add_flags(fits, wald_ci(baseline)[1])
     return ExperimentResult(
@@ -543,20 +548,21 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
         theta_stars=theta_stars,
         columns=columns,
         curve=build_curve(theta_stars, columns),
-        efficiency=_efficiency_run(config, ds, baseline, *efficiency_fits) if efficiency_fits else None,
+        efficiency=_efficiency_run(config, d, baseline, *efficiency_fits) if efficiency_fits else None,
     )
 
 
-def _efficiency_stage(config: ExperimentConfig, ds: ChoiceDataset, replications: int) -> tuple:
+def _efficiency_stage(config: ExperimentConfig, d: np.ndarray, replications: int) -> tuple:
     """The efficiency stage at ``replications`` (at least 30) and the
-    generating probabilities its choices are redrawn from."""
+    generating probabilities at the true distances ``d`` its choices are
+    redrawn from."""
     if replications < 30:
         raise ValueError(f"need >= 30 efficiency replications, got {replications}")
-    eta = config.generating_params.alpha + config.generating_params.beta * ds.distances
+    eta = config.generating_params.alpha + config.generating_params.beta * d
     return ([(0, None), *enumerate(config.theta_values())], replications, False), choice_probability(eta)
 
 
-def _efficiency_run(config: ExperimentConfig, ds: ChoiceDataset, baseline: LogitFit, fits: dict | None) -> EfficiencyRun:
+def _efficiency_run(config: ExperimentConfig, d: np.ndarray, baseline: LogitFit, fits: dict | None) -> EfficiencyRun:
     """The efficiency reports, with el_empirical from the stage's columns
     ``fits``; without them (no replications) analytic alone."""
     if fits is None:
@@ -565,7 +571,7 @@ def _efficiency_run(config: ExperimentConfig, ds: ChoiceDataset, baseline: Logit
         betas = [beta[converged] for beta, converged in zip(fits["beta_hat"], fits["converged"])]
     true_betas, masked_betas = betas[0], betas[1:]
     reports = [
-        efficiency_report(ds, baseline.params, dataclasses.replace(config.mask, theta_star=theta_star),
+        efficiency_report(d, baseline.params, dataclasses.replace(config.mask, theta_star=theta_star),
                           el_empirical=None if fits is None else empirical_variance_ratio(true_betas, masked))
         for theta_star, masked in zip(config.theta_values(), masked_betas)
     ]
@@ -579,7 +585,7 @@ def run_efficiency_experiment(config: ExperimentConfig, replications: int, worke
     are analytic alone (el_empirical None); any other count under 30 raises
     ValueError.
 
-    The analytic ratio uses the fixed dataset and the baseline (fitted)
+    The analytic ratio uses the true distances and the baseline (fitted)
     parameters from ``fit_baseline``. The empirical side regenerates
     choices per replication — from the true coordinates for the numerator
     fits, and from the true coordinates but refit on freshly masked ones
@@ -593,12 +599,10 @@ def run_efficiency_experiment(config: ExperimentConfig, replications: int, worke
     is refused (ValueError) before any data is generated."""
     if config.experiment == "centroid":
         raise ValueError("efficiency does not run the centroid kind; simulate writes no efficiency table for it")
-    ds = prepare_dataset(config)
-    baseline = fit_baseline(config, ds)
+    xy, d, y = prepare_dataset(config)
+    baseline = fit_baseline(config, d, y)
     if replications == 0:
-        return _efficiency_run(config, ds, baseline, None)
-    stage, prob = _efficiency_stage(config, ds, replications)
-    (fits,) = _run_cells(
-        [stage], ds.points, config.facility, UNIT_SQUARE.bounds, config.mask, config.seed, workers, prob=prob
-    )
-    return _efficiency_run(config, ds, baseline, fits)
+        return _efficiency_run(config, d, baseline, None)
+    stage, prob = _efficiency_stage(config, d, replications)
+    (fits,) = _run_cells([stage], xy, config.facility, UNIT_SQUARE.bounds, config.mask, config.seed, workers, prob=prob)
+    return _efficiency_run(config, d, baseline, fits)

@@ -79,9 +79,10 @@ def planar_norm(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
 def facility_distances(xy: np.ndarray, facility: Point) -> np.ndarray:
     """Distances from each row of an (n, 2) coordinate array to the facility.
 
-    Datasets, choice simulation, the replication harness (which applies
-    ``planar_norm`` to (rows, n) planes of masked x and y) and ``fit`` all
-    take their distances from this one expression, so a recomputed distance
+    A run's distances (``experiments.prepare_dataset`` and the centroid
+    set-up), the replication harness (which applies ``planar_norm`` to
+    (rows, n) planes of masked x and y) and ``fit`` all take their
+    distances from this one expression, so a recomputed distance
     vector compares bit-for-bit with the original.
     """
     return planar_norm(xy[:, 0] - facility.x, xy[:, 1] - facility.y)

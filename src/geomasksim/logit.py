@@ -56,8 +56,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import ChoiceDataset
-
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 100
 #: two-sided 95% normal quantile of the Wald intervals and tests
@@ -400,11 +398,6 @@ def fit_distance_choice(
         iterations=int(fits.iterations[0]),
         gradient_norm=float(fits.gradient_norm[0]),
     )
-
-
-def fit_logit(ds: ChoiceDataset) -> LogitFit:
-    """Fit the logit model to a dataset's distances."""
-    return fit_distance_choice(ds.distances, ds.choices)
 
 
 def wald_ci(fit: LogitFit) -> tuple[tuple[float, float], tuple[float, float]]:

@@ -1,18 +1,19 @@
 """Synthetic populations and the distance-driven choice generator.
 
 Populations are complete-spatial-randomness (CSR) point fields: coordinates
-i.i.d. uniform over the study area ``UNIT_SQUARE``. Choices are Bernoulli
-with success probability L(alpha + beta * d) (``logit.choice_probability``),
-d the distance to a single facility; the default generating coefficients
-are (1, -2) so that distance deters choice.
+i.i.d. uniform over the study area ``UNIT_SQUARE``, an (n, 2) array.
+Choices are an (n,) 0/1 array, Bernoulli with success probability
+L(alpha + beta * d) (``logit.choice_probability``), d the (n,) distances to
+a single facility; the default generating coefficients are (1, -2) so that
+distance deters choice.
 
 Municipality grids are the synthetic stand-in for administrative units in
 the centroid-assignment experiment: k x k equal square cells tiling
 ``UNIT_SQUARE``, with one cell radius, the radius of the circle of the same
 surface, as their size scale. A grid gives each point the bounds of its own
-cell as C-contiguous (4, n) columns, the per-point bounds masking reads; a
-point's centroid is its cell's center. Nothing of size k^2 is built, so a
-fine grid costs no more memory than a coarse one.
+cell as C-contiguous (4, n) columns, the per-point bounds masking reads;
+centroid assignment returns the cell centers and those bounds. Nothing of
+size k^2 is built, so a fine grid costs no more memory than a coarse one.
 
 Draw-order contract (per stream): generate_csr_xy draws all n x-coordinates,
 then all n y-coordinates; simulate_choices_xy draws n uniforms compared
@@ -25,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import ChoiceDataset
-from .geometry import UNIT_SQUARE, Point, equivalent_circle_radius
+from .geometry import UNIT_SQUARE, equivalent_circle_radius
 from .logit import LogitParams, choice_probability
 from .rng import RngStream
 
@@ -100,30 +100,21 @@ def generate_csr_xy(n: int, stream: RngStream) -> np.ndarray:
     return np.column_stack([x, y])
 
 
-def simulate_choices_xy(
-    xy: np.ndarray,
-    facility: Point,
-    params: LogitParams,
-    stream: RngStream,
-) -> ChoiceDataset:
-    """Bernoulli choices with P(y=1) = L(alpha + beta * d(point, facility))."""
-    xy = np.asarray(xy, dtype=np.float64)
-    # the dataset's own distances drive the probabilities, so they are
-    # computed once; its placeholder choices are replaced by the 0/1 draws
-    ds = ChoiceDataset(points=xy, facility=facility, choices=np.zeros(xy.shape[0], dtype=np.int64))
-    prob = choice_probability(params.alpha + params.beta * ds.distances)
-    u = stream.generator().uniform(0.0, 1.0, ds.n)
-    ds.choices = (u < prob).astype(np.int64)
-    return ds
+def simulate_choices_xy(d: np.ndarray, params: LogitParams, stream: RngStream) -> np.ndarray:
+    """(n,) 0/1 choices with P(y=1) = L(alpha + beta * d) for the (n,)
+    distances ``d``."""
+    prob = choice_probability(params.alpha + params.beta * d)
+    u = stream.generator().uniform(0.0, 1.0, d.size)
+    return (u < prob).astype(np.int64)
 
 
-def assign_to_centroid(ds: ChoiceDataset, grid: MunicipalityGrid) -> tuple[ChoiceDataset, np.ndarray]:
-    """The dataset observed at its cell centroids (the unintentional
-    locational error of administrative geocoding), with the (4, n) bounds of
-    each point's cell (``MunicipalityGrid.cell_bounds``): each point is
-    replaced by the center of its cell, choices unchanged, distances
-    recomputed. Idempotent: centroids map to themselves.
+def assign_to_centroid(xy: np.ndarray, grid: MunicipalityGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, 2) coordinates ``xy`` observed at their cell centroids (the
+    unintentional locational error of administrative geocoding), with the
+    (4, n) bounds of each point's cell (``MunicipalityGrid.cell_bounds``):
+    each point is replaced by the center of its cell. Idempotent: centroids
+    map to themselves.
     """
-    bounds = grid.cell_bounds(ds.points)
+    bounds = grid.cell_bounds(xy)
     half = 0.5 * grid.side
-    return ChoiceDataset(np.column_stack([bounds[0] + half, bounds[2] + half]), ds.facility, ds.choices), bounds
+    return np.column_stack([bounds[0] + half, bounds[2] + half]), bounds

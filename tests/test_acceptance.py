@@ -28,7 +28,6 @@ from geomasksim.experiments import (
 from geomasksim.logit import (
     LogitParams,
     fit_distance_choice,
-    fit_logit,
     log_likelihood,
     observed_information,
     score,
@@ -189,7 +188,8 @@ def test_estimates_consistent_at_scale(criterion_detail):
         cfg = ExperimentConfig(
             experiment="csr-population", n=100_000, replications=1, seed=seed
         )
-        fit = fit_logit(prepare_dataset(cfg))
+        _, d, y = prepare_dataset(cfg)
+        fit = fit_distance_choice(d, y)
         z_alpha = abs(fit.params.alpha - 1.0) / fit.std_errors[0]
         z_beta = abs(fit.params.beta + 2.0) / fit.std_errors[1]
         hits += int(fit.converged and z_alpha <= 3.0 and z_beta <= 3.0)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import geomasksim
 from geomasksim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from geomasksim.config import config_hash, parse_config
-from geomasksim.geometry import UNIT_SQUARE, Point
+from geomasksim.geometry import UNIT_SQUARE, Point, facility_distances
 from geomasksim.logit import LogitParams
 from geomasksim.masking import _inside
 from geomasksim.population import generate_csr_xy, simulate_choices_xy
@@ -52,9 +52,9 @@ def _config_file(tmp_path, text=TINY, name="run.ini"):
 
 def _points_file(tmp_path, n=400, seed=21, with_choices=True, name="points.csv"):
     xy = generate_csr_xy(n, population_stream(seed))
-    ds = simulate_choices_xy(xy, Point(0.0, 0.0), LogitParams(1.0, -2.0), population_stream(seed + 1))
+    y = simulate_choices_xy(facility_distances(xy, Point(0.0, 0.0)), LogitParams(1.0, -2.0), population_stream(seed + 1))
     path = tmp_path / name
-    write_points_csv(xy, path, choices=ds.choices if with_choices else None)
+    write_points_csv(xy, path, choices=y if with_choices else None)
     return str(path)
 
 
@@ -288,6 +288,20 @@ def test_wrote_lines_print_under_a_strict_utf8_stdout(tmp_path):
         assert proc.returncode == EXIT_OK, proc.stderr
         assert os.path.isfile(os.path.join(os.fsencode(tmp_path), written))
         assert b"wrote " + written.replace(b"\xff", b"\\xff") + b"\n" in proc.stdout
+
+
+def test_manifest_outputs_are_the_wrote_lines_in_utf8(tmp_path, capsys):
+    # an out dir byte that is not UTF-8 enters the manifest as its wrote line
+    # prints it, \xff, not as a lone surrogate that strict UTF-8 rejects
+    cfg = _config_file(tmp_path)
+    out = tmp_path / os.fsdecode(b"o\xff")
+    assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == EXIT_OK
+    wrote = [line.removeprefix("wrote ") for line in capsys.readouterr().out.splitlines() if line.startswith("wrote ")]
+    outputs = json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))["outputs"]
+    for text in outputs:
+        text.encode("utf-8")  # strict: a lone surrogate raises
+    assert outputs == sorted(wrote[:-1])  # every wrote line but the manifest's own
+    assert f"{tmp_path}/o\\xff/run_records.csv" in outputs
 
 
 def test_simulate_starts_one_pool_for_both_stages(tmp_path, monkeypatch):

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from geomasksim.dataset import ChoiceDataset
 from geomasksim.efficiency import (
     DegenerateInformationError,
     EfficiencyReport,
@@ -13,23 +12,16 @@ from geomasksim.efficiency import (
     expected_sq_masked_distance,
     information_beta,
 )
-from geomasksim.geometry import Point
+from geomasksim.geometry import Point, facility_distances
 from geomasksim.logit import LogitParams, choice_probability, observed_information
 from geomasksim.masking import MECHANISMS, MaskSpec, mask_coordinates
-from geomasksim.population import generate_csr_xy, simulate_choices_xy
+from geomasksim.population import generate_csr_xy
 from geomasksim.rng import derive_stream, population_stream
 from moment_oracle import masked_second_moment_mc, masked_sq_shift_mc
 
-def _point_ds(d_values, y=None):
-    d = np.asarray(d_values, dtype=float)
-    if y is None:
-        y = ([0, 1] * d.size)[: d.size]
-    return ChoiceDataset(points=np.column_stack((d, np.zeros_like(d))), facility=Point(0.0, 0.0), choices=np.asarray(y))
-
-
-def _csr_ds(n=500, seed=50, params=LogitParams(1.0, -2.0)):
-    xy = generate_csr_xy(n, population_stream(seed))
-    return simulate_choices_xy(xy, Point(0.0, 0.0), params, population_stream(seed + 1))
+def _csr_d(n=500, seed=50):
+    """Distances from n CSR points to a facility at the origin."""
+    return facility_distances(generate_csr_xy(n, population_stream(seed)), Point(0.0, 0.0))
 
 
 # --- moment formula ---
@@ -92,86 +84,85 @@ def test_second_moment_matches_masking_monte_carlo(mechanism):
 
 def test_information_beta_single_observation():
     # L = 0.5, d = 2: w * d^2 = 0.25 * 4 = 1
-    ds = _point_ds([2.0], [1])
-    assert information_beta(ds, LogitParams(0.0, 0.0)) == pytest.approx(1.0, abs=1e-15)
+    d = np.array([2.0])
+    assert information_beta(d, LogitParams(0.0, 0.0)) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_information_beta_matches_observed_information():
-    ds = _csr_ds()
+    d = _csr_d()
     p = LogitParams(1.0, -2.0)
-    full = observed_information(ds.distances, p)
-    assert information_beta(ds, p) == pytest.approx(full[1, 1], rel=1e-12)
+    full = observed_information(d, p)
+    assert information_beta(d, p) == pytest.approx(full[1, 1], rel=1e-12)
 
 
 def test_information_beta_zero_distances():
-    ds = _point_ds([0.0, 0.0], [0, 1])
-    assert information_beta(ds, LogitParams(0.0, 0.0)) == 0.0
+    d = np.array([0.0, 0.0])
+    assert information_beta(d, LogitParams(0.0, 0.0)) == 0.0
 
 
 def test_information_beta_is_nonstochastic():
-    ds = _csr_ds(seed=54)
+    d = _csr_d(seed=54)
     p = LogitParams(1.0, -2.0)
-    assert information_beta(ds, p, MaskSpec(theta_star=0.5)) == information_beta(ds, p, MaskSpec(theta_star=0.5))
+    assert information_beta(d, p, MaskSpec(theta_star=0.5)) == information_beta(d, p, MaskSpec(theta_star=0.5))
 
 
 # --- efficiency loss ---
 
 
 def test_efficiency_loss_one_at_zero_theta():
-    ds = _csr_ds(seed=56)
-    assert efficiency_report(ds, LogitParams(1.0, -2.0), MaskSpec()).el_analytic == 1.0
+    d = _csr_d(seed=56)
+    assert efficiency_report(d, LogitParams(1.0, -2.0), MaskSpec()).el_analytic == 1.0
 
 
 def test_efficiency_loss_single_point_value():
     # L = 0.5, d = 1, theta* = 1: ratio = d^2 / (d^2 + 1/3) = 0.75
-    ds = _point_ds([1.0], [1])
+    d = np.array([1.0])
     p = LogitParams(0.0, 0.0)
-    assert efficiency_report(ds, p, MaskSpec(theta_star=1.0)).el_analytic == pytest.approx(0.75, abs=1e-12)
+    assert efficiency_report(d, p, MaskSpec(theta_star=1.0)).el_analytic == pytest.approx(0.75, abs=1e-12)
 
 
 def test_efficiency_loss_strictly_decreasing_in_theta():
-    ds = _csr_ds(seed=58)
+    d = _csr_d(seed=58)
     p = LogitParams(1.0, -2.0)
-    values = [efficiency_report(ds, p, MaskSpec(theta_star=t)).el_analytic for t in np.linspace(0.0, 1.0, 11)]
+    values = [efficiency_report(d, p, MaskSpec(theta_star=t)).el_analytic for t in np.linspace(0.0, 1.0, 11)]
     assert values[0] == 1.0
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
 def test_efficiency_loss_in_unit_interval():
-    ds = _csr_ds(seed=60)
+    d = _csr_d(seed=60)
     for t in (0.1, 0.5, 1.0, 2.0):
-        el = efficiency_report(ds, LogitParams(1.0, -2.0), MaskSpec(theta_star=t)).el_analytic
+        el = efficiency_report(d, LogitParams(1.0, -2.0), MaskSpec(theta_star=t)).el_analytic
         assert 0.0 < el < 1.0
 
 
 def test_efficiency_loss_degenerate_information():
-    ds = _point_ds([0.0, 0.0], [0, 1])
+    d = np.array([0.0, 0.0])
     with pytest.raises(DegenerateInformationError):
-        efficiency_report(ds, LogitParams(0.0, 0.0), MaskSpec(theta_star=0.5))
+        efficiency_report(d, LogitParams(0.0, 0.0), MaskSpec(theta_star=0.5))
 
 
 def test_efficiency_report_bundles_values():
-    ds = _csr_ds(seed=62)
+    d = _csr_d(seed=62)
     p = LogitParams(1.0, -2.0)
-    r = efficiency_report(ds, p, MaskSpec(theta_star=0.4), el_empirical=0.9)
+    r = efficiency_report(d, p, MaskSpec(theta_star=0.4), el_empirical=0.9)
     assert r.theta_star == 0.4
     assert r.el_analytic == r.info_true / r.info_masked_analytic
-    assert r.info_true == information_beta(ds, p)
-    assert r.info_masked_analytic == information_beta(ds, p, MaskSpec(theta_star=0.4))
+    assert r.info_true == information_beta(d, p)
+    assert r.info_masked_analytic == information_beta(d, p, MaskSpec(theta_star=0.4))
     assert r.el_empirical == 0.9
 
 
 def test_uniform_report_keeps_the_theta_squared_over_three_sums():
     # the uniform law's report is sum L(1-L)(d^2 + theta*^2/3) over
     # sum L(1-L) d^2, bit for bit, over the default theta* grid and 0
-    ds = _csr_ds(seed=64)
+    d = _csr_d(seed=64)
     p = LogitParams(1.0, -2.0)
-    d = ds.distances
     lam = choice_probability(p.alpha + p.beta * d)
     w = lam * (1.0 - lam)
     for t in [0.707 * round(i / 10, 1) for i in range(11)]:
         assert MaskSpec(theta_star=t).second_moment == t * t / 3.0
-        r = efficiency_report(ds, p, MaskSpec(theta_star=t))
+        r = efficiency_report(d, p, MaskSpec(theta_star=t))
         assert r.info_true == float((w * (d * d + 0.0)).sum())
         assert r.info_masked_analytic == float((w * (d * d + t * t / 3.0)).sum())
         assert r.el_analytic == r.info_true / r.info_masked_analytic

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 import geomasksim
 from geomasksim.cli import EXIT_INTERRUPTED, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
+from geomasksim.reports import RECORDS_HEADER
 
 _FAILURE_PREFIXES = ("error:", "runtime failure:")
 
@@ -207,6 +208,18 @@ def test_plot_records_kde_at_a_subnormal_bandwidth_exit_0(tmp_path):
     code, err = _run(["plot", "--records", str(records), "--baseline", str(baseline), "--out-dir", str(out)])
     _assert_contract(code, err)
     assert code == EXIT_OK and (out / "kde.svg").is_file()
+
+
+def test_plot_records_without_data_rows_exit_1_naming_the_file(tmp_path):
+    # a header-only records CSV has no cell to take the largest theta* of
+    records = tmp_path / "records.csv"
+    records.write_text(",".join(RECORDS_HEADER) + "\n", encoding="utf-8")
+    baseline = tmp_path / "baseline.json"
+    baseline.write_text('{"beta": 0.2, "ci_beta": [-0.3, 0.7]}', encoding="utf-8")
+    code, err = _run(["plot", "--records", str(records), "--baseline", str(baseline), "--out-dir", str(tmp_path)])
+    _assert_contract(code, err)
+    assert code == EXIT_VALIDATION
+    assert err == f"error: {records} has no records\n"
 
 
 @pytest.mark.parametrize(

@@ -24,8 +24,8 @@ from geomasksim.experiments import (
     run_experiment,
 )
 from geomasksim.efficiency import efficiency_report
-from geomasksim.geometry import Point
-from geomasksim.logit import Z_95, fit_logit, wald_ci
+from geomasksim.geometry import Point, facility_distances
+from geomasksim.logit import Z_95, fit_distance_choice, wald_ci
 from geomasksim.masking import MECHANISMS, MaskSpec
 from geomasksim.population import MunicipalityGrid, assign_to_centroid, build_municipality_grid
 
@@ -100,25 +100,26 @@ def test_facility_defaults_to_center():
 
 
 def test_prepare_dataset_deterministic():
-    a = prepare_dataset(_config())
-    b = prepare_dataset(_config())
-    np.testing.assert_array_equal(a.points, b.points)
-    np.testing.assert_array_equal(a.choices, b.choices)
-    c = prepare_dataset(_config(seed=8))
-    assert not np.array_equal(a.choices, c.choices)
+    a_xy, _, a_y = prepare_dataset(_config())
+    b_xy, _, b_y = prepare_dataset(_config())
+    np.testing.assert_array_equal(a_xy, b_xy)
+    np.testing.assert_array_equal(a_y, b_y)
+    _, _, c_y = prepare_dataset(_config(seed=8))
+    assert not np.array_equal(a_y, c_y)
 
 
 def test_choices_checksum_tracks_content():
-    a = prepare_dataset(_config())
-    assert choices_checksum(a.choices) == choices_checksum(a.choices.copy())
-    flipped = a.choices.copy()
+    _, _, y = prepare_dataset(_config())
+    assert choices_checksum(y) == choices_checksum(y.copy())
+    flipped = y.copy()
     flipped[0] = 1 - flipped[0]
-    assert choices_checksum(a.choices) != choices_checksum(flipped)
+    assert choices_checksum(y) != choices_checksum(flipped)
 
 
 def test_run_baseline_consistent_with_generator():
     cfg = _config(n=2_000, seed=3)
-    fit = fit_logit(prepare_dataset(cfg))
+    _, d, y = prepare_dataset(cfg)
+    fit = fit_distance_choice(d, y)
     assert fit.converged
     assert abs(fit.params.beta - (-2.0)) <= 3.0 * fit.std_errors[1]
 
@@ -126,8 +127,9 @@ def test_run_baseline_consistent_with_generator():
 def test_run_baseline_centroid_uses_assigned_coordinates():
     cfg = _config(experiment="centroid", grid_k=10)
     via_runner = run_experiment(cfg).baseline
-    ds, _ = assign_to_centroid(prepare_dataset(cfg), build_municipality_grid(10))
-    assert via_runner.params == fit_logit(ds).params
+    xy, _, y = prepare_dataset(cfg)
+    centroids, _ = assign_to_centroid(xy, build_municipality_grid(10))
+    assert via_runner.params == fit_distance_choice(facility_distances(centroids, cfg.facility), y).params
 
 
 # --- replication records ---
@@ -360,7 +362,7 @@ def test_efficiency_bytes_independent_of_row_chunks(monkeypatch, tmp_path):
 )
 def test_theta_zero_records_reproduce_the_baseline_bitwise(experiment, mask, workers):
     # at theta* = 0 every offset is zero, and the harness's masked distances
-    # and the dataset's come from one expression, so every theta* = 0 refit
+    # and the run's come from one expression, so every theta* = 0 refit
     # is the baseline fit to the bit
     res = run_experiment(_config(experiment=experiment, mask=mask, n=300, replications=70), workers=workers)
     base = res.baseline
@@ -487,7 +489,8 @@ def test_flags_at_the_edges(tmp_path):
     # significant; a failed row is false in both flags and written as nan
     from geomasksim.reports import read_records_csv, write_records_csv
 
-    baseline = fit_logit(prepare_dataset(_config(n=500)))
+    _, d, y = prepare_dataset(_config(n=500))
+    baseline = fit_distance_choice(d, y)
     lo, hi = wald_ci(baseline)[1]
     z = Z_95
     fits = {
@@ -558,7 +561,8 @@ def test_centroid_experiment_shape():
     assert res.columns["beta_hat"].shape == (1, 40)
     assert res.efficiency is None  # the centroid kind has no efficiency run
     # the baseline is fitted on the centroid-observed dataset
-    want = fit_logit(assign_to_centroid(prepare_dataset(cfg), MunicipalityGrid(5))[0])
+    xy, _, y = prepare_dataset(cfg)
+    want = fit_distance_choice(facility_distances(assign_to_centroid(xy, MunicipalityGrid(5))[0], cfg.facility), y)
     for field in dataclasses.fields(want):
         np.testing.assert_array_equal(getattr(res.baseline, field.name), getattr(want, field.name), err_msg=field.name)
 
@@ -605,8 +609,8 @@ def test_efficiency_exactly_one_at_zero_theta_on_fitted_params(seed, mechanism):
     # both information sums go through one expression, so the ratio at
     # theta* = 0 is 1.0 to the last bit, not 1 + 2**-52, under either law
     cfg = ExperimentConfig(experiment="csr-population", n=1000, seed=seed)
-    ds = prepare_dataset(cfg)
-    assert efficiency_report(ds, fit_logit(ds).params, MaskSpec(mechanism)).el_analytic == 1.0
+    _, d, y = prepare_dataset(cfg)
+    assert efficiency_report(d, fit_distance_choice(d, y).params, MaskSpec(mechanism)).el_analytic == 1.0
 
 
 @pytest.mark.parametrize("n", [8, 10])
@@ -639,9 +643,9 @@ def test_efficiency_at_zero_replications_is_the_analytic_table(monkeypatch, mask
     import geomasksim.experiments as exp
 
     cfg = _config(n=250, mask=mask)
-    ds = prepare_dataset(cfg)
-    params = exp.fit_baseline(cfg, ds).params
-    want = [efficiency_report(ds, params, dataclasses.replace(mask, theta_star=t)) for t in cfg.theta_values()]
+    _, d, y = prepare_dataset(cfg)
+    params = exp.fit_baseline(cfg, d, y).params
+    want = [efficiency_report(d, params, dataclasses.replace(mask, theta_star=t)) for t in cfg.theta_values()]
 
     def no_replications(*args, **kwargs):
         raise AssertionError("replications run for an analytic table")

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from geomasksim.dataset import ChoiceDataset
 from geomasksim.geometry import Point
 from geomasksim.logit import (
     CONVERGED,
@@ -27,7 +26,6 @@ from geomasksim.logit import (
     _origin,
     choice_probability,
     fit_distance_choice,
-    fit_logit,
     fit_rows,
     log_likelihood,
     observed_information,
@@ -231,19 +229,6 @@ def test_fit_scale_covariance():
     f1 = fit_distance_choice(c * d, y)
     assert f1.params.beta == pytest.approx(f0.params.beta / c, abs=1e-8)
     assert f1.params.alpha == pytest.approx(f0.params.alpha, abs=1e-8)
-
-
-def test_fit_logit_uses_dataset_distances():
-    d, y = _sim(400, seed=14)
-    # the points lie on the x-axis at distance d from the facility at the origin
-    ds = ChoiceDataset(
-        points=np.column_stack((d, np.zeros_like(d))),
-        facility=Point(0.0, 0.0),
-        choices=y,
-    )
-    direct = fit_distance_choice(d, y)
-    via_ds = fit_logit(ds)
-    assert via_ds.params == direct.params
 
 
 # --- the row-batched kernel ---

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from geomasksim.dataset import ChoiceDataset
 from geomasksim.geometry import UNIT_SQUARE, Point, facility_distances
 from geomasksim.masking import (
     GAUSSIAN_CALIBRATION,
@@ -373,36 +372,29 @@ def test_mask_point_unconstrained_and_redraw():
     assert math.hypot(*(r[0] - xy[0])) <= 0.4
 
 
-def _dataset(n=100, seed=6):
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-0.5, 0.5, size=(n, 2))
-    return ChoiceDataset(points=pts, facility=Point(0.0, 0.0), choices=rng.integers(0, 2, n))
-
-
-def _mask(ds, spec, stream, bounds=None):
-    """Mask a dataset's points the way the replication harness does."""
-    return mask_coordinates(ds.points, spec, bounds, stream)
+def _points(n=100, seed=6):
+    return np.random.default_rng(seed).uniform(-0.5, 0.5, size=(n, 2))
 
 
 def test_mask_dataset_zero_theta_reproduces_distances():
-    ds = _dataset()
-    masked = _mask(ds, MaskSpec(theta_star=0.0), derive_stream(24, 0, 0))
-    np.testing.assert_array_equal(masked, ds.points)
-    np.testing.assert_array_equal(facility_distances(masked, ds.facility), ds.distances)
+    xy = _points()
+    masked = mask_coordinates(xy, MaskSpec(theta_star=0.0), None, derive_stream(24, 0, 0))
+    np.testing.assert_array_equal(masked, xy)
+    np.testing.assert_array_equal(facility_distances(masked, Point(0.0, 0.0)), facility_distances(xy, Point(0.0, 0.0)))
 
 
 def test_mask_dataset_keeps_true_coords():
-    ds = _dataset()
-    points = ds.points.copy()
-    masked = _mask(ds, MaskSpec(theta_star=0.25), derive_stream(25, 0, 0))
-    np.testing.assert_array_equal(ds.points, points)
-    assert np.abs(masked - ds.points).max() > 0.0
+    xy = _points()
+    points = xy.copy()
+    masked = mask_coordinates(xy, MaskSpec(theta_star=0.25), None, derive_stream(25, 0, 0))
+    np.testing.assert_array_equal(xy, points)
+    assert np.abs(masked - xy).max() > 0.0
 
 
 def test_mask_dataset_redraw_respects_area():
-    ds = _dataset(n=300, seed=7)
+    xy = _points(n=300, seed=7)
     spec = MaskSpec(theta_star=0.9, boundary="redraw")
-    masked = _mask(ds, spec, derive_stream(27, 0, 0), SQUARE)
+    masked = mask_coordinates(xy, spec, SQUARE, derive_stream(27, 0, 0))
     assert _in_square(masked).all()
 
 

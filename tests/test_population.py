@@ -6,7 +6,6 @@ import pytest
 from scipy import stats
 from scipy.special import expit
 
-from geomasksim.dataset import ChoiceDataset
 from geomasksim.geometry import UNIT_SQUARE, Point, equivalent_circle_radius, facility_distances
 from geomasksim.logit import LogitParams
 from geomasksim.masking import _inside
@@ -75,37 +74,37 @@ def test_csr_chi_square_uniformity():
 
 def test_simulate_choices_zero_beta_rate():
     xy = generate_csr_xy(1_000_000, population_stream(8))
-    ds = simulate_choices_xy(xy, Point(0.0, 0.0), LogitParams(0.0, 0.0), population_stream(9))
-    assert ds.choices.mean() == pytest.approx(0.5, abs=0.002)
+    y = simulate_choices_xy(facility_distances(xy, Point(0.0, 0.0)), LogitParams(0.0, 0.0), population_stream(9))
+    assert y.mean() == pytest.approx(0.5, abs=0.002)
 
 
 def test_simulate_choices_rate_matches_quadrature():
     xy = generate_csr_xy(1_000_000, population_stream(10))
-    ds = simulate_choices_xy(xy, Point(0.0, 0.0), LogitParams(1.0, -2.0), population_stream(11))
+    y = simulate_choices_xy(facility_distances(xy, Point(0.0, 0.0)), LogitParams(1.0, -2.0), population_stream(11))
     # binomial sd of the mean is below 5e-4; allow 4 sigma plus the MC error
     # of the empirical distance distribution
-    assert ds.choices.mean() == pytest.approx(CHOICE_RATE_QUADRATURE, abs=0.003)
+    assert y.mean() == pytest.approx(CHOICE_RATE_QUADRATURE, abs=0.003)
 
 
 def test_simulate_choices_marginal_probability_at_fixed_point():
     # a single point at distance 0.5 under (1, -2) has eta = 0: P(y=1) = 0.5
-    xy = np.tile([[0.3, 0.4]], (1, 1))
+    d = facility_distances(np.tile([[0.3, 0.4]], (1, 1)), Point(0.0, 0.0))
     hits = 0
     reps = 4_000
     for rep in range(reps):
-        ds = simulate_choices_xy(xy, Point(0.0, 0.0), LogitParams(1.0, -2.0), population_stream(20 + rep))
-        hits += int(ds.choices[0])
+        y = simulate_choices_xy(d, LogitParams(1.0, -2.0), population_stream(20 + rep))
+        hits += int(y[0])
     # 4 sigma binomial band around 0.5
     assert abs(hits / reps - 0.5) <= 4.0 * math.sqrt(0.25 / reps)
 
 
 def test_simulate_choices_draw_order_contract():
     xy = generate_csr_xy(9, population_stream(12))
-    ds = simulate_choices_xy(xy, Point(0.1, 0.2), LogitParams(1.0, -2.0), population_stream(13))
+    y = simulate_choices_xy(facility_distances(xy, Point(0.1, 0.2)), LogitParams(1.0, -2.0), population_stream(13))
     gen = population_stream(13).generator()
     d = np.hypot(xy[:, 0] - 0.1, xy[:, 1] - 0.2)
     expected = (gen.uniform(0.0, 1.0, 9) < expit(1.0 - 2.0 * d)).astype(np.int64)
-    np.testing.assert_array_equal(ds.choices, expected)
+    np.testing.assert_array_equal(y, expected)
 
 
 # --- municipality grid ---
@@ -120,10 +119,9 @@ def test_grid_k1_single_cell():
 
 def test_grid_k2_centroids():
     grid = build_municipality_grid(2)
-    quadrants = ChoiceDataset(np.array([[-0.4, -0.1], [0.3, -0.2], [-0.1, 0.4], [0.2, 0.2]]), Point(0.0, 0.0),
-                              np.array([0, 1, 0, 1]))
+    quadrants = np.array([[-0.4, -0.1], [0.3, -0.2], [-0.1, 0.4], [0.2, 0.2]])
     out, _ = assign_to_centroid(quadrants, grid)
-    assert [tuple(row) for row in out.points] == [(-0.25, -0.25), (0.25, -0.25), (-0.25, 0.25), (0.25, 0.25)]
+    assert [tuple(row) for row in out] == [(-0.25, -0.25), (0.25, -0.25), (-0.25, 0.25), (0.25, 0.25)]
 
 
 def test_grid_cells_tile_the_area():
@@ -179,12 +177,11 @@ def test_cell_bounds_row_alignment():
     for k in (1, 2, 3, 4, 5, 7, 10, 20, 33, 100):
         grid = build_municipality_grid(k)
         bounds, centroids = grid_cells(k)
-        ds = ChoiceDataset(centroids, Point(0.0, 0.0), np.zeros(k * k, dtype=np.int64))
         got = grid.cell_bounds(centroids)
         assert grid.side == 1.0 / k
         assert got.shape == (4, k * k) and got.flags.c_contiguous
         assert got.tobytes() == bounds.T.copy().tobytes()
-        assert assign_to_centroid(ds, grid)[0].points.tobytes() == centroids.tobytes()
+        assert assign_to_centroid(centroids, grid)[0].tobytes() == centroids.tobytes()
 
 
 def test_cell_bounds_memory_follows_the_points_not_the_grid():
@@ -205,44 +202,37 @@ def test_cell_bounds_memory_follows_the_points_not_the_grid():
 # --- centroid assignment ---
 
 
-def _choice_ds(n, seed, params=LogitParams(1.0, -2.0)):
-    xy = generate_csr_xy(n, population_stream(seed))
-    return simulate_choices_xy(xy, Point(0.0, 0.0), params, population_stream(seed + 1))
-
-
 def test_assign_to_centroid_replaces_coordinates():
-    ds = _choice_ds(500, 30)
+    xy = generate_csr_xy(500, population_stream(30))
     grid = build_municipality_grid(10)
-    points = ds.points.copy()
-    out, bounds = assign_to_centroid(ds, grid)
-    assert {tuple(row) for row in out.points} <= {tuple(row) for row in grid_cells(10)[1]}
+    points = xy.copy()
+    out, bounds = assign_to_centroid(xy, grid)
+    assert {tuple(row) for row in out} <= {tuple(row) for row in grid_cells(10)[1]}
     np.testing.assert_array_equal(bounds, grid.cell_bounds(points))
-    np.testing.assert_array_equal(out.distances, facility_distances(out.points, ds.facility))
-    np.testing.assert_array_equal(out.choices, ds.choices)
-    np.testing.assert_array_equal(ds.points, points)  # the input dataset is left as it is
+    np.testing.assert_array_equal(xy, points)  # the input coordinates are left as they are
 
 
 def test_assign_to_centroid_idempotent():
-    ds = _choice_ds(500, 32)
+    xy = generate_csr_xy(500, population_stream(32))
     grid = build_municipality_grid(10)
-    once, bounds = assign_to_centroid(ds, grid)
+    once, bounds = assign_to_centroid(xy, grid)
     twice, same_bounds = assign_to_centroid(once, grid)
-    np.testing.assert_array_equal(once.points, twice.points)
+    np.testing.assert_array_equal(once, twice)
     np.testing.assert_array_equal(bounds, same_bounds)
 
 
 def test_assign_to_centroid_k1_collapses_to_center():
-    ds = _choice_ds(100, 34)
-    out, _ = assign_to_centroid(ds, build_municipality_grid(1))
-    np.testing.assert_array_equal(out.points, np.zeros((100, 2)))
-    np.testing.assert_array_equal(out.distances, np.zeros(100))
+    xy = generate_csr_xy(100, population_stream(34))
+    out, _ = assign_to_centroid(xy, build_municipality_grid(1))
+    np.testing.assert_array_equal(out, np.zeros((100, 2)))
+    np.testing.assert_array_equal(facility_distances(out, Point(0.0, 0.0)), np.zeros(100))
 
 
 def test_assign_to_centroid_displacement_bounded_by_half_diagonal():
-    ds = _choice_ds(2_000, 36)
+    xy = generate_csr_xy(2_000, population_stream(36))
     grid = build_municipality_grid(10)
-    out, _ = assign_to_centroid(ds, grid)
-    disp = np.hypot(*(out.points - ds.points).T)
+    out, _ = assign_to_centroid(xy, grid)
+    disp = np.hypot(*(out - xy).T)
     assert disp.max() <= 0.5 * math.hypot(0.1, 0.1) + 1e-12
 
 
@@ -251,8 +241,7 @@ def test_assign_to_centroid_mean_displacement():
     # ln(1 + sqrt(2))) = 0.0382597858... for a = 0.1; MC sd of the mean over
     # 1e5 points is ~6e-5
     xy = generate_csr_xy(100_000, population_stream(38))
-    ds = simulate_choices_xy(xy, Point(0.0, 0.0), LogitParams(1.0, -2.0), population_stream(39))
     grid = build_municipality_grid(10)
-    out, _ = assign_to_centroid(ds, grid)
-    disp = np.hypot(*(out.points - ds.points).T)
+    out, _ = assign_to_centroid(xy, grid)
+    disp = np.hypot(*(out - xy).T)
     assert disp.mean() == pytest.approx(0.038259785823210636, abs=5e-4)
