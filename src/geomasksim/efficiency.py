@@ -112,8 +112,9 @@ def efficiency_report(
     d: np.ndarray, p: LogitParams, spec: MaskSpec, el_empirical: float | None = None
 ) -> EfficiencyReport:
     """The analytic quantities (and an optional empirical ratio) at the true
-    distances ``d`` for the mask law ``spec`` at its theta*. el_analytic = info(true) /
-    info(masked moment) is 1 at theta* = 0 and decreasing in theta*."""
+    distances ``d`` for the mask law ``spec`` at its theta*. el_analytic =
+    info(true) / info(masked moment) is 1 at theta* = 0 and decreasing in
+    theta*."""
     info_true = information_beta(d, p)
     if info_true <= 0.0:
         raise DegenerateInformationError(f"true information is {info_true}")

@@ -82,7 +82,7 @@ def facility_distances(xy: np.ndarray, facility: Point) -> np.ndarray:
     A run's distances (``experiments.prepare_dataset`` and the centroid
     set-up), the replication harness (which applies ``planar_norm`` to
     (rows, n) planes of masked x and y) and ``fit`` all take their
-    distances from this one expression, so a recomputed distance
-    vector compares bit-for-bit with the original.
+    distances from this one expression, so a recomputed distance vector
+    compares bit-for-bit with the original.
     """
     return planar_norm(xy[:, 0] - facility.x, xy[:, 1] - facility.y)
