@@ -1,48 +1,101 @@
+"""A run's data: the (n, 2) coordinates ``xy``, their (n,) distances ``d``
+to the facility and the (n,) 0/1 choices ``y`` that ``prepare_dataset``
+returns, and the layers that read them as bare arrays."""
+
 import numpy as np
 import pytest
 
-from geomasksim.dataset import ChoiceDataset
-from geomasksim.geometry import Point
+from geomasksim.efficiency import efficiency_report
+from geomasksim.experiments import ExperimentConfig, fit_baseline, prepare_dataset
+from geomasksim.geometry import Point, facility_distances
+from geomasksim.logit import InvalidFitError, LogitParams, fit_distance_choice
+from geomasksim.masking import MaskSpec
+from geomasksim.population import generate_csr_xy, simulate_choices_xy
+from geomasksim.rng import choices_stream, population_stream
 
 
-def _ds(**kw):
+def _config(**kw):
     base = dict(
-        points=np.array([[0.0, 0.0], [0.3, 0.4], [-0.2, 0.1]]),
-        facility=Point(0.0, 0.0),
-        choices=np.array([1, 0, 1]),
+        experiment="csr-population",
+        n=300,
+        replications=24,
+        theta_grid=(0.0, 0.5, 1.0),
+        reference_radius=0.707,
+        seed=7,
     )
     base.update(kw)
-    return ChoiceDataset(**base)
+    return ExperimentConfig(**base)
 
 
 def test_distances_autocomputed():
-    ds = _ds()
-    assert ds.distances.shape == (3,)
-    np.testing.assert_allclose(ds.distances, [0.0, 0.5, np.hypot(0.2, 0.1)], atol=1e-15)
-    assert ds.n == 3
-
-
-def test_choice_validation():
-    with pytest.raises(ValueError, match="0 or 1"):
-        _ds(choices=np.array([0, 1, 2]))
-    with pytest.raises(ValueError, match="shape"):
-        _ds(choices=np.array([0, 1]))
-
-
-def test_shape_validation():
-    with pytest.raises(ValueError):
-        _ds(points=np.zeros((0, 2)))
-    with pytest.raises(ValueError):
-        _ds(points=np.zeros((3, 3)))
-
-
-def test_nonfinite_rejected():
-    pts = np.array([[0.0, 0.0], [np.nan, 0.4], [-0.2, 0.1]])
-    with pytest.raises(ValueError, match="finite"):
-        _ds(points=pts)
+    cfg = _config(facility=Point(0.2, -0.1))
+    xy, d, _ = prepare_dataset(cfg)
+    np.testing.assert_array_equal(d, facility_distances(xy, cfg.facility))
+    np.testing.assert_allclose(d, np.hypot(xy[:, 0] - 0.2, xy[:, 1] + 0.1), rtol=0, atol=1e-15)
 
 
 def test_dtype_coercion():
-    ds = _ds(choices=np.array([1.0, 0.0, 1.0]))
-    assert ds.choices.dtype == np.int64
-    assert ds.points.dtype == np.float64
+    xy, d, y = prepare_dataset(_config())
+    assert xy.dtype == np.float64 and xy.flags.c_contiguous
+    assert d.dtype == np.float64
+    assert y.dtype == np.int64
+    # the choices are int64 whatever the float width of the distances
+    narrow = simulate_choices_xy(d.astype(np.float32), LogitParams(1.0, -2.0), choices_stream(7))
+    assert narrow.dtype == np.int64
+
+
+@pytest.mark.parametrize("n", [1, 7, 300])
+def test_prepare_dataset_array_shapes(n):
+    xy, d, y = prepare_dataset(_config(n=n))
+    assert xy.shape == (n, 2)
+    assert d.shape == (n,)
+    assert y.shape == (n,)
+
+
+def test_choices_are_zero_or_one():
+    d = facility_distances(np.random.default_rng(3).uniform(-0.5, 0.5, (500, 2)), Point(0.0, 0.0))
+    y = simulate_choices_xy(d, LogitParams(1.0, -2.0), choices_stream(3))
+    assert set(np.unique(y)) == {0, 1}
+    # L(40) rounds to 1 and L(-40) to 4e-18: every uniform draw falls below
+    # the first and above the second
+    np.testing.assert_array_equal(simulate_choices_xy(d, LogitParams(40.0, 0.0), choices_stream(3)), np.ones(500))
+    np.testing.assert_array_equal(simulate_choices_xy(d, LogitParams(-40.0, 0.0), choices_stream(3)), np.zeros(500))
+
+
+def test_prepare_dataset_choices_follow_its_distances():
+    cfg = _config(seed=11)
+    xy, d, y = prepare_dataset(cfg)
+    np.testing.assert_array_equal(xy, generate_csr_xy(cfg.n, population_stream(cfg.seed)))
+    np.testing.assert_array_equal(y, simulate_choices_xy(d, cfg.generating_params, choices_stream(cfg.seed)))
+
+
+def test_facility_moves_the_distances_not_the_points():
+    a_xy, a_d, _ = prepare_dataset(_config())
+    b_xy, b_d, _ = prepare_dataset(_config(facility=Point(0.3, 0.3)))
+    np.testing.assert_array_equal(a_xy, b_xy)
+    assert not np.array_equal(a_d, b_d)
+
+
+def test_fit_baseline_on_arrays_matches_fit_distance_choice():
+    cfg = _config(n=2_000, seed=3)
+    _, d, y = prepare_dataset(cfg)
+    assert fit_baseline(cfg, d, y).params == fit_distance_choice(d, y).params
+
+
+def test_fit_baseline_singular_names_the_data():
+    # every individual at the facility: d carries no information on beta
+    cfg = _config()
+    _, _, y = prepare_dataset(cfg)
+    with pytest.raises(InvalidFitError, match=r"\(csr-population, n=300, seed=7\) has a singular information"):
+        fit_baseline(cfg, np.zeros(cfg.n), y)
+
+
+def test_efficiency_report_reads_only_the_distances():
+    # the mirror image of a population through the facility has the same
+    # distances, so the same report
+    xy, d, _ = prepare_dataset(_config())
+    mirrored = facility_distances(-xy, Point(0.0, 0.0))
+    np.testing.assert_array_equal(mirrored, d)
+    spec = MaskSpec(theta_star=0.5)
+    p = LogitParams(1.0, -2.0)
+    assert efficiency_report(mirrored, p, spec) == efficiency_report(d, p, spec)
