@@ -64,6 +64,7 @@ from .reports import (
     write_manifest,
     write_points_csv,
     write_records_csv,
+    write_text,
 )
 from .rng import derive_stream
 from .svgplot import render_attenuation_svg, render_kde_svg
@@ -151,19 +152,13 @@ def _cmd_simulate(args) -> int:
     record(write_json(_baseline_payload(result.baseline), out / f"{prefix}_baseline.json"))
 
     if options.write_plots:
-        record(render_attenuation_svg(result.curve, result.baseline.params.beta, out / f"{prefix}_attenuation.svg"))
+        beta = result.baseline.params.beta
+        record(write_text(render_attenuation_svg(result.curve, beta), out / f"{prefix}_attenuation.svg"))
         # the last cell is the largest theta*
         betas = result.columns["beta_hat"][-1][result.columns["converged"][-1]]
         try:
-            estimate = kde(betas)
-            record(
-                render_kde_svg(
-                    estimate,
-                    result.baseline.params.beta,
-                    wald_ci(result.baseline)[1],
-                    out / f"{prefix}_kde.svg",
-                )
-            )
+            svg = render_kde_svg(kde(betas), beta, wald_ci(result.baseline)[1])
+            record(write_text(svg, out / f"{prefix}_kde.svg"))
         except ValueError:  # DegenerateSampleError included
             print("note: replication estimates degenerate at the largest theta*; KDE plot skipped")
 
@@ -281,7 +276,9 @@ def _cmd_plot(args) -> int:
     out = Path(args.out_dir)
     if args.curve is not None:
         curve = read_curve_csv(args.curve)
-        path = render_attenuation_svg(curve, baseline["beta"], out / "attenuation.svg")
+        if not curve.rows:
+            raise _CliError(f"{args.curve} has no curve rows")
+        path = write_text(render_attenuation_svg(curve, baseline["beta"]), out / "attenuation.svg")
         print(f"wrote {_path_text(path)}")
     if args.records is not None:
         records = read_records_csv(args.records)
@@ -295,7 +292,7 @@ def _cmd_plot(args) -> int:
             estimate = kde(np.array(betas))
         except ValueError as exc:  # DegenerateSampleError included
             raise _CliError(f"cannot build KDE at theta*={theta:g}: {exc}") from exc
-        path = render_kde_svg(estimate, baseline["beta"], tuple(baseline["ci_beta"]), out / "kde.svg")
+        path = write_text(render_kde_svg(estimate, baseline["beta"], tuple(baseline["ci_beta"])), out / "kde.svg")
         print(f"wrote {_path_text(path)}")
     return EXIT_OK
 

@@ -13,7 +13,10 @@ Only ``[experiment] kind`` is required. Every other key sets one field of
 ``RunOptions``) and defaults to that field's default. A file without
 ``reference_radius`` gets the kind's default, which ``ExperimentConfig``
 resolves, so a file and the library give one kind the same default; a
-centroid config always masks at its k's cell.
+centroid config always masks at its k's cell. A value that no run of the
+config reads takes its default there too: ``k`` outside the centroid kind
+and ``max_attempts`` outside the redraw policy, so that such a value moves
+neither the config nor its hash.
 
 This module only parses: it reads the text, converts each value and sets
 the field its key names. Validation lives in the dataclasses

@@ -147,8 +147,13 @@ class ExperimentConfig:
     those of the fields' own dataclasses, are the only rules a config file's
     experiment keys must meet.
     A ``reference_radius`` of None becomes the kind's default at ``grid_k``.
-    A centroid config, its given values checked, is set to the run it makes:
-    ``theta_grid`` (1.0,) at the grid's cell radius, under the redraw policy."""
+    Its given values checked, a config is set to the run it makes, so that
+    two configs are equal exactly when their outputs are: a centroid config
+    masks with ``theta_grid`` (1.0,) at the grid's cell radius under the
+    redraw policy; the other kinds, which build no grid, take ``grid_k``
+    ``DEFAULT_GRID_K``; ``mask.max_attempts`` takes ``MaskSpec``'s default
+    unless the boundary is redraw, and ``mask.theta_star`` is 0.0, since
+    each cell sets its own."""
 
     experiment: str
     n: int = 1000
@@ -188,6 +193,10 @@ class ExperimentConfig:
             object.__setattr__(self, "theta_grid", (1.0,))
             object.__setattr__(self, "reference_radius", _DEFAULT_RADIUS["centroid"](self.grid_k))
             object.__setattr__(self, "mask", dataclasses.replace(self.mask, boundary="redraw"))
+        else:
+            object.__setattr__(self, "grid_k", DEFAULT_GRID_K)
+        max_attempts = self.mask.max_attempts if self.mask.boundary == "redraw" else MaskSpec().max_attempts
+        object.__setattr__(self, "mask", dataclasses.replace(self.mask, theta_star=0.0, max_attempts=max_attempts))
 
     def theta_values(self) -> tuple[float, ...]:
         """Absolute masking radii: reference_radius x grid fractions."""

@@ -21,7 +21,8 @@ and its writer and reader are derived from that one list):
     points:     id,x,y[,choice]
 
 The baseline fit and the run manifest are JSON objects, each written by
-``write_json``.
+``write_json``. Every output file, the SVG plots included, is written by
+``write_text``.
 """
 
 from __future__ import annotations
@@ -62,18 +63,22 @@ def _format_column(values) -> list[str]:
     return ["" if v is None else format(v, ".17g") for v in values.tolist()]
 
 
+def write_text(text: str, path: str | Path) -> Path:
+    """``text`` to ``path`` as UTF-8, its ``\\n`` line ends as they are,
+    after creating the parent directory: the one writer of every output file."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(text.encode("utf-8"))
+    return path
+
+
 def _write_csv(path: str | Path, header: tuple[str, ...], blocks) -> Path:
     """``header`` and then the rows of each block: a block is one list of
     fields per column, as ``_format_column`` gives them. No formatted
     number, flag or empty cell holds a comma, quote or newline, so the
     fields are joined as ``csv.writer`` would write them, unquoted."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for columns in blocks:
-            fh.writelines(",".join(row) + "\n" for row in zip(*columns))
-    return path
+    rows = (",".join(row) + "\n" for columns in blocks for row in zip(*columns))
+    return write_text(",".join(header) + "\n" + "".join(rows), path)
 
 
 def _format_fields(rows, names: tuple[str, ...]) -> list[list[str]]:
@@ -234,10 +239,7 @@ class RunManifest:
 
 def write_json(payload: dict, path: str | Path) -> Path:
     """``payload`` as JSON indented by two spaces, with a trailing newline."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    return path
+    return write_text(json.dumps(payload, indent=2) + "\n", path)
 
 
 def read_json(path: str | Path):

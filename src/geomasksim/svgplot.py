@@ -1,6 +1,7 @@
 """Dependency-free SVG line plots for attenuation curves and densities.
 
-Static vector output only: a polyline over a framed, ticked axis box. Two
+Static vector output only: a polyline over a framed, ticked axis box,
+returned as SVG text (``reports.write_text`` writes it). Two
 layouts are provided — the attenuation curve (mean |beta_hat| against
 theta*, with a horizontal reference at the baseline magnitude) and the
 Monte Carlo density (KDE polyline with a solid vertical line at the
@@ -10,7 +11,6 @@ baseline estimate and dashed verticals at its confidence bounds).
 from __future__ import annotations
 
 import math
-from pathlib import Path
 
 from .density import KdeEstimate
 from .experiments import AttenuationCurve
@@ -115,14 +115,7 @@ class _Frame:
         )
 
 
-def _write(path: str | Path, text: str) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
-    return path
-
-
-def render_attenuation_svg(curve: AttenuationCurve, baseline_beta: float, path: str | Path) -> Path:
+def render_attenuation_svg(curve: AttenuationCurve, baseline_beta: float) -> str:
     """Mean |beta_hat| against theta*, with a horizontal line at |baseline|."""
     if not curve.rows:
         raise ValueError("curve is empty")
@@ -138,15 +131,10 @@ def render_attenuation_svg(curve: AttenuationCurve, baseline_beta: float, path: 
     frame.hline(ref)
     frame.polyline(xs, ys)
     frame.markers(xs, ys)
-    return _write(path, frame.render())
+    return frame.render()
 
 
-def render_kde_svg(
-    estimate: KdeEstimate,
-    baseline_beta: float,
-    baseline_ci: tuple[float, float],
-    path: str | Path,
-) -> Path:
+def render_kde_svg(estimate: KdeEstimate, baseline_beta: float, baseline_ci: tuple[float, float]) -> str:
     """Monte Carlo density of beta_hat: KDE polyline, solid vertical line at
     the baseline estimate, dashed verticals at its confidence bounds."""
     xs = estimate.grid.tolist()
@@ -164,4 +152,4 @@ def render_kde_svg(
     frame.vline(baseline_beta)
     frame.vline(lo, dash="6,4")
     frame.vline(hi, dash="6,4")
-    return _write(path, frame.render())
+    return frame.render()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -14,8 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import geomasksim
+from geomasksim import cli
 from geomasksim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from geomasksim.config import config_hash, parse_config
+from geomasksim.density import kde
 from geomasksim.geometry import UNIT_SQUARE, Point, facility_distances
 from geomasksim.logit import LogitParams
 from geomasksim.masking import _inside
@@ -29,6 +32,7 @@ from geomasksim.reports import (
     write_points_csv,
 )
 from geomasksim.rng import population_stream
+from geomasksim.svgplot import render_kde_svg
 
 TINY = """\
 [experiment]
@@ -246,6 +250,38 @@ def test_centroid_files_differing_only_in_keys_the_run_ignores_make_one_run(tmp_
         assert main(["simulate", "--config", f, "--out-dir", str(tmp_path / name)]) == EXIT_OK
     for output in ("run_records.csv", "run_curve.csv"):
         assert (tmp_path / "a" / output).read_bytes() == (tmp_path / "b" / output).read_bytes()
+
+
+# (kind, a config file, the keys its run does not read)
+_UNREAD_KEYS = {
+    "csr-population": ("[experiment]\nkind = csr-population\nseed = 11\nreplications = 30\n\n[population]\nn = 200\n"
+                       "\n[grid]\nfractions = 0.2, 0.6, 1.0\n", "k = 7\n\n[mask]\nmax_attempts = 5\n"),
+    "fixed-area-grid": ("[experiment]\nkind = fixed-area-grid\nseed = 14\nreplications = 30\n\n[population]\nn = 300\n"
+                        "\n[grid]\nfractions = 0.5, 1.0\n", "k = 20\n\n[mask]\nboundary = unconstrained\nmax_attempts = 3\n"),
+    "centroid": ("[experiment]\nkind = centroid\nseed = 4\nreplications = 30\n\n[population]\nn = 300\n"
+                 "\n[grid]\nk = 5\n", ""),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_UNREAD_KEYS))
+def test_values_the_run_does_not_read_change_no_output(tmp_path, monkeypatch, kind):
+    # k off the centroid kind, max_attempts without redraw and a library-set
+    # mask theta* leave the config, its hash and every output as they are
+    base, unread = _UNREAD_KEYS[kind]
+    files = [_config_file(tmp_path, base, "a.ini"), _config_file(tmp_path, base + unread, "b.ini")]
+    a = parse_config(files[0])
+    b = dataclasses.replace(parse_config(files[1]), mask=dataclasses.replace(a.mask, theta_star=0.3))
+    assert a == b and config_hash(a) == config_hash(b)
+    for name, config in zip("ab", (a, b)):
+        monkeypatch.setattr(cli, "parse_config", lambda path, config=config: config)
+        assert main(["simulate", "--config", files[0], "--out-dir", str(tmp_path / name)]) == EXIT_OK
+    outputs = ["records.csv", "curve.csv", "baseline.json", "attenuation.svg", "kde.svg"]
+    outputs += ["efficiency.csv"] if kind != "centroid" else []
+    for output in outputs:
+        assert (tmp_path / "a" / f"run_{output}").read_bytes() == (tmp_path / "b" / f"run_{output}").read_bytes()
+    hashes = {json.loads((tmp_path / name / "run_manifest.json").read_text(encoding="utf-8"))["config_hash"]
+              for name in "ab"}
+    assert hashes == {config_hash(a)}
 
 
 def test_simulate_outputs_identical_across_workers(tmp_path):
@@ -682,6 +718,25 @@ def test_plot_unknown_theta_exit_1(tmp_path, capsys):
     assert "0.123" in capsys.readouterr().err
 
 
+def test_plot_theta_star_draws_that_cells_kde(tmp_path):
+    # --theta-star picks its cell within 1e-12: the plot is the KDE of that
+    # cell's converged estimates, not of the largest theta*'s
+    cfg = _config_file(tmp_path, TINY.replace("0.0, 0.5, 1.0", "0.5, 1.0"))
+    out = tmp_path / "results"
+    assert main(["simulate", "--config", cfg, "--out-dir", str(out)]) == EXIT_OK
+    records = read_records_csv(out / "run_records.csv")
+    first = records[0].theta_star
+    baseline = json.loads((out / "run_baseline.json").read_text(encoding="utf-8"))
+    argv = ["plot", "--records", str(out / "run_records.csv"), "--baseline", str(out / "run_baseline.json")]
+    assert main([*argv, "--theta-star", repr(first + 5e-13), "--out-dir", str(tmp_path / "first")]) == EXIT_OK
+    assert main([*argv, "--out-dir", str(tmp_path / "largest")]) == EXIT_OK
+    betas = np.array([r.beta_hat for r in records if r.converged and r.theta_star == first])
+    expected = render_kde_svg(kde(betas), baseline["beta"], tuple(baseline["ci_beta"]))
+    svg = (tmp_path / "first" / "kde.svg").read_text(encoding="utf-8")
+    assert svg == expected
+    assert svg != (tmp_path / "largest" / "kde.svg").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize(
     "baseline, inputs, message",
     [
@@ -776,7 +831,7 @@ _VARYING_RECORDS = [f"0.5,{i},1.0,{-2.0 + 0.1 * i},0.3,true,5,true,false" for i 
 
 def test_plot_empty_curve_exit_1(tmp_path, capsys):
     assert main(_plot_files(tmp_path, '{"beta": -2.0}', curve_rows=[])) == EXIT_VALIDATION
-    assert capsys.readouterr().err == "error: curve is empty\n"
+    assert capsys.readouterr().err == f"error: {tmp_path / 'curve.csv'} has no curve rows\n"
 
 
 def test_plot_baseline_outside_its_interval_exit_1(tmp_path, capsys):

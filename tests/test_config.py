@@ -3,6 +3,8 @@ import math
 import textwrap
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geomasksim.config import (
     ConfigError,
@@ -14,6 +16,7 @@ from geomasksim.config import (
 )
 from geomasksim.experiments import (
     CSR_REFERENCE_RADIUS,
+    DEFAULT_GRID_K,
     DEFAULT_REPLICATIONS,
     DEFAULT_THETA_GRID,
     EXPERIMENTS,
@@ -21,7 +24,7 @@ from geomasksim.experiments import (
 )
 from geomasksim.geometry import Point
 from geomasksim.logit import LogitParams
-from geomasksim.masking import MaskSpec
+from geomasksim.masking import BOUNDARY_POLICIES, MECHANISMS, MaskSpec
 from geomasksim.population import MunicipalityGrid
 
 
@@ -104,7 +107,7 @@ def test_full_config_roundtrip_values(tmp_path):
     assert cfg.mask.max_attempts == 50
     assert cfg.theta_grid == (0.2, 0.6, 1.0)
     assert cfg.reference_radius == 0.3
-    assert cfg.grid_k == 8
+    assert cfg.grid_k == DEFAULT_GRID_K  # k builds a centroid run's grid alone; this kind takes the default
     assert opts == RunOptions(workers=4, out_dir="out/here", prefix="job1", write_plots=False)
 
 
@@ -201,7 +204,8 @@ def test_config_hash_stability_and_sensitivity(tmp_path):
     c = parse_config(_write(tmp_path, "[experiment]\nkind = csr-population\nseed = 1\n", "c.ini"))
     assert config_hash(a) != config_hash(c)
     assert len(config_hash(a)) == 64
-    # every field moves it
+    # every field moves it where the run reads it: max_attempts under the
+    # redraw policy, grid_k on the centroid kind
     changed = [
         ExperimentConfig("fixed-area-grid"),
         dataclasses.replace(a, n=999),
@@ -212,8 +216,9 @@ def test_config_hash_stability_and_sensitivity(tmp_path):
         dataclasses.replace(a, generating_params=LogitParams(0.5, -2.0)),
         dataclasses.replace(a, mask=MaskSpec(mechanism="gaussian")),
         dataclasses.replace(a, mask=MaskSpec(boundary="redraw")),
-        dataclasses.replace(a, mask=MaskSpec(max_attempts=7)),
-        dataclasses.replace(a, grid_k=3),
+        dataclasses.replace(a, mask=MaskSpec(boundary="redraw", max_attempts=7)),
+        ExperimentConfig("centroid"),
+        ExperimentConfig("centroid", grid_k=3),
         dataclasses.replace(a, facility=Point(0.1, 0.0)),
         dataclasses.replace(a, facility=Point(0.0, 0.1)),
     ]
@@ -222,6 +227,35 @@ def test_config_hash_stability_and_sensitivity(tmp_path):
     # the run options move no output bit, so no hash bit either
     d = parse_config(_write(tmp_path, MINIMAL + "workers = 3\n[output]\nout_dir = x\nprefix = y\nwrite_plots = no\n", "d.ini"))
     assert config_hash(d) == config_hash(a)
+
+
+_COUNT = st.integers(1, 2**40)
+
+
+@pytest.mark.parametrize("kind", EXPERIMENTS)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    mechanism=st.sampled_from(MECHANISMS),
+    boundary=st.sampled_from(BOUNDARY_POLICIES),
+    ks=st.tuples(_COUNT, _COUNT),
+    attempts=st.tuples(_COUNT, _COUNT),
+    theta_stars=st.tuples(st.floats(0.0, 1e6), st.floats(0.0, 1e6)),
+)
+def test_configs_differ_exactly_in_the_values_their_run_reads(kind, mechanism, boundary, ks, attempts, theta_stars):
+    # grid_k builds the centroid grid, max_attempts bounds the redraw loop and
+    # each cell sets its own theta*: two configs differing only in values no
+    # run reads are one config, with one text and one hash
+    a, b = (
+        ExperimentConfig(kind, grid_k=k, mask=MaskSpec(mechanism, theta_star, boundary, max_attempts))
+        for k, max_attempts, theta_star in zip(ks, attempts, theta_stars)
+    )
+    same_k = kind != "centroid" or ks[0] == ks[1]
+    same_attempts = a.mask.boundary == "unconstrained" or attempts[0] == attempts[1]
+    same = same_k and same_attempts
+    assert (a == b) is same
+    assert (serialize_config(a) == serialize_config(b)) is same
+    assert (config_hash(a) == config_hash(b)) is same
+    assert a.mask.theta_star == b.mask.theta_star == 0.0
 
 
 def test_serialized_text_is_complete_ini(tmp_path):

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 import geomasksim
 from geomasksim.cli import EXIT_INTERRUPTED, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
-from geomasksim.reports import RECORDS_HEADER
+from geomasksim.reports import CURVE_HEADER, RECORDS_HEADER
 
 _FAILURE_PREFIXES = ("error:", "runtime failure:")
 
@@ -220,6 +220,19 @@ def test_plot_records_without_data_rows_exit_1_naming_the_file(tmp_path):
     _assert_contract(code, err)
     assert code == EXIT_VALIDATION
     assert err == f"error: {records} has no records\n"
+
+
+def test_plot_curve_without_data_rows_exit_1_naming_the_file(tmp_path):
+    # a header-only curve CSV has no theta* to plot
+    curve = tmp_path / "curve.csv"
+    curve.write_text(",".join(CURVE_HEADER) + "\n", encoding="utf-8")
+    baseline = tmp_path / "baseline.json"
+    baseline.write_text('{"beta": 0.2}', encoding="utf-8")
+    code, err = _run(["plot", "--curve", str(curve), "--baseline", str(baseline), "--out-dir", str(tmp_path)])
+    _assert_contract(code, err)
+    assert code == EXIT_VALIDATION
+    assert err == f"error: {curve} has no curve rows\n"
+    assert not (tmp_path / "attenuation.svg").exists()
 
 
 @pytest.mark.parametrize(

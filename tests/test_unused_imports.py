@@ -1,11 +1,13 @@
 """No module of the package imports or defines a private name it never uses,
-or catches a class together with one of its bases.
+assigns a local name it never reads, or catches a class together with one
+of its bases.
 
 A stand-in for a linter's F401 check: every name an ``import`` binds in
 ``src/geomasksim`` must be read somewhere in its module, unless the import
 line carries ``# noqa: F401`` with its reason. Likewise every module-level
 function, class or assigned name with one leading underscore must be read
-in its own module, since no other module is meant to use it. And, as
+in its own module, since no other module is meant to use it, and, as F841,
+every local name a function assigns must be read in that function. And, as
 flake8-bugbear's B014, no ``except`` tuple names a class and one of its
 bases: the base alone catches both.
 """
@@ -103,6 +105,71 @@ def test_the_private_name_checker_flags_what_it_should():
     assert unused_private_names(source) == [(2, "_unused"), (5, "_b"), (12, "_orphan"), (17, "_Gone")]
 
 
+def _own_nodes(func):
+    """The nodes of ``func``'s body outside the functions, lambdas and
+    classes nested in it."""
+    stack = list(func.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def unused_locals(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each local name a function of ``source`` binds by
+    plain assignment and never reads, as pyflakes' F841. Names bound by
+    tuple unpacking, names with a leading underscore and names the function
+    declares global or nonlocal are exempt; an augmented assignment or a
+    ``del`` reads its name, and so does a function nested in it."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read, declared = set(), set()
+        for node in ast.walk(func):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+                read.add(node.target.id)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                declared.update(node.names)
+        assigned = (
+            target for node in _own_nodes(func) if isinstance(node, ast.Assign)
+            for target in node.targets if isinstance(target, ast.Name)
+        )
+        found += [
+            (target.lineno, target.id) for target in assigned
+            if not target.id.startswith("_") and target.id not in read | declared
+        ]
+    return sorted(found)
+
+
+def test_the_unused_local_checker_flags_what_it_should():
+    source = (
+        "total = 5\n"
+        "def f(a):\n"
+        "    unused = a + 1\n"
+        "    used = 2\n"
+        "    x, y = a, a\n"
+        "    _ignored = 3\n"
+        "    count = 0\n"
+        "    count += 1\n"
+        "    first = second = a\n"
+        "    def g():\n"
+        "        inner = 1\n"
+        "        return used + second\n"
+        "    return g\n"
+        "def h():\n"
+        "    global G\n"
+        "    G = 1\n"
+        "    gone = 1\n"
+        "    del gone\n"
+        "    return lambda: [v for v in range(3)]\n"
+    )
+    assert unused_locals(source) == [(3, "unused"), (9, "first"), (11, "inner")]
+
+
 def redundant_except_classes(source: str, namespace: dict) -> list[tuple[int, str, str]]:
     """(line, name, base) of each class that an ``except`` tuple of ``source``
     names together with ``base``, one of its bases or itself again; the
@@ -155,6 +222,11 @@ def test_no_unused_imports(module):
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_no_unused_private_names(module):
     assert unused_private_names((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_unused_locals(module):
+    assert unused_locals((PACKAGE / module).read_text(encoding="utf-8")) == []
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
