@@ -23,7 +23,9 @@ their (n,) distances to the facility and the (n,) 0/1 choices.
 
 Every replicated fit, the efficiency stage's included, goes through one
 kernel: ``_run_cells`` cuts a run's stages into one list of (cell,
-replication range) tasks and runs it in-process or in one worker pool;
+replication range) tasks and runs it in-process or, on Linux, in one pool
+of forked workers (``_fork_pool``: no ``concurrent.futures``, no
+``multiprocessing``), each block stored at its task's index;
 ``_replicate_block`` handles a task in row chunks. Per chunk it positions one pooled Philox
 generator per replication at the start of that replication's stream, draws
 each row's regenerated choices first (efficiency cells only), masks every
@@ -57,7 +59,10 @@ import dataclasses
 import hashlib
 import math
 import os
+import pickle
+import select
 import signal
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -285,8 +290,6 @@ def prepare_dataset(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, n
 
 # ----------------------------------------------------------------- workers
 
-_WORKER: dict = {}
-
 # The kernel masks each chunk through this name, where perfbench/tracer.py
 # times the masking layer. It is the unchecked ``mask_rows``: ``_run_cells``
 # checks the start points once per run.
@@ -301,13 +304,6 @@ RECORD_COLUMNS = tuple(f.name for f in dataclasses.fields(ReplicationRecord))[2:
 _COLUMNS = RECORD_COLUMNS[:-2]
 
 
-def _init_worker(payload: dict) -> None:
-    # an interrupt is the parent's to handle: it cancels the pool's pending
-    # tasks and lets the running ones finish
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    _WORKER.update(payload)
-
-
 def _row_chunks(reps: range, n: int) -> list[range]:
     """``reps`` cut into runs of at most max(1, _ROW_ELEMENTS // n), one
     ``fit_rows`` call each."""
@@ -315,7 +311,7 @@ def _row_chunks(reps: range, n: int) -> list[range]:
     return [reps[i : i + step] for i in range(0, len(reps), step)]
 
 
-def _replicate_block(task: tuple[int, float | None, int, int, bool], state: dict | None = None) -> dict:
+def _replicate_block(task: tuple[int, float | None, int, int, bool], state: dict) -> dict:
     """Fit replications [rep_start, rep_stop) of one cell, in row chunks.
 
     A cell is (theta_index, theta_star); theta_star None leaves the points
@@ -334,11 +330,10 @@ def _replicate_block(task: tuple[int, float | None, int, int, bool], state: dict
     instead of aborting the run.
     """
     theta_index, theta_star, rep_start, rep_stop, fixed = task
-    st = state if state is not None else _WORKER
-    xy, facility, bounds, seed, y, prob = (st[k] for k in ("xy", "facility", "bounds", "seed", "y", "prob"))
-    if fixed and choices_checksum(y) != st["y_checksum"]:
+    xy, facility, bounds, seed, y, prob = (state[k] for k in ("xy", "facility", "bounds", "seed", "y", "prob"))
+    if fixed and choices_checksum(y) != state["y_checksum"]:
         raise RuntimeError("choice vector changed after baseline; fixed-y contract violated")
-    spec = None if theta_star is None else dataclasses.replace(st["base_spec"], theta_star=theta_star)
+    spec = None if theta_star is None else dataclasses.replace(state["base_spec"], theta_star=theta_star)
     d = facility_distances(xy, facility) if spec is None else None
 
     chunks = []
@@ -349,7 +344,7 @@ def _replicate_block(task: tuple[int, float | None, int, int, bool], state: dict
             streams = [efficiency_true_stream(seed, rep) for rep in reps]
         else:
             streams = [efficiency_masked_stream(seed, theta_index, rep) for rep in reps]
-        gens = st["generators"].positioned(streams)
+        gens = state["generators"].positioned(streams)
         D, Y = d, y
         if not fixed:
             # uniform(0, 1) draws, as `random` gives them
@@ -376,6 +371,130 @@ def _replicate_block(task: tuple[int, float | None, int, int, bool], state: dict
     return {name: np.concatenate(column) for name, column in zip(_COLUMNS, zip(*chunks))}
 
 
+def _serve(tasks: list, payload: dict, task_fd: int, result_fd: int, parent_fds: list[int]) -> None:
+    """A forked worker's whole life: run each task index read from
+    ``task_fd`` and write (index, block, None) or (index, None, exception)
+    to ``result_fd`` as an 8-byte length and a pickle, until the parent
+    closes the task pipe; leave by ``os._exit``, never into the parent's
+    code."""
+    code = 1
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's to handle
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+        for fd in parent_fds:
+            os.close(fd)
+        while data := os.read(task_fd, 4):  # one 4-byte write is one read: a pipe writes it whole
+            index = int.from_bytes(data, "little")
+            try:
+                message = pickle.dumps((index, _replicate_block(tasks[index], payload), None))
+            except Exception as exc:
+                message = pickle.dumps((index, None, exc))
+            view = memoryview(len(message).to_bytes(8, "little") + message)
+            while view:
+                view = view[os.write(result_fd, view):]
+        code = 0
+    finally:
+        os._exit(code)
+
+
+@dataclass
+class _Worker:
+    """A forked worker as the parent sees it: its pid (None once reaped),
+    the write end of its task pipe, the result bytes read but not yet
+    unpickled, and the tasks sent to it but not yet answered."""
+
+    pid: int | None
+    task_fd: int
+    unread: bytearray = dataclasses.field(default_factory=bytearray)
+    in_flight: int = 0
+
+
+def _worker_lost(worker: _Worker) -> WorkerLostError:
+    """Reap a worker that died and say how it ended."""
+    pid, worker.pid = worker.pid, None
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    how = f"killed by {signal.Signals(-code).name}" if code < 0 else f"exit code {code}"
+    return WorkerLostError(f"a worker process died before the run finished (pid {pid}, {how})")
+
+
+def _fork_pool(tasks: list, payload: dict, processes: int) -> list[dict]:
+    """``_replicate_block`` of every task, in task order, from ``processes``
+    forked workers that inherit ``tasks`` and ``payload``.
+
+    Each worker reads task indices from a pipe of its own and is sent a new
+    one whenever it holds fewer than two. The first failure stops the sends;
+    once the tasks in flight are back, the failure with the lowest task
+    index is raised, the one an in-process run raises. A worker whose result
+    pipe ends while it holds tasks raises WorkerLostError. On any exception,
+    KeyboardInterrupt included, the workers are killed; on every exit they
+    are reaped with SIGINT blocked, so none is left behind.
+    """
+    blocks, failures, sent = [None] * len(tasks), {}, 0
+    workers: dict[int, _Worker] = {}  # by the read end of the worker's result pipe
+    try:
+        # the workers start with SIGINT blocked, so each ignores it before it can arrive
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            for _ in range(processes):
+                (task_r, task_w), (result_r, result_w) = os.pipe(), os.pipe()
+                workers[result_r] = worker = _Worker(None, task_w)
+                try:
+                    worker.pid = os.fork()
+                    if worker.pid == 0:
+                        inherited = [fd for r, w in workers.items() for fd in (r, w.task_fd)]
+                        _serve(tasks, payload, task_r, result_w, inherited)
+                finally:
+                    os.close(task_r)
+                    os.close(result_w)
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        while True:
+            for worker in workers.values():
+                while worker.in_flight < 2 and sent < len(tasks) and not failures:
+                    try:
+                        os.write(worker.task_fd, sent.to_bytes(4, "little"))
+                    except BrokenPipeError:
+                        raise _worker_lost(worker) from None
+                    worker.in_flight += 1
+                    sent += 1
+            busy = [fd for fd, worker in workers.items() if worker.in_flight]
+            if not busy:
+                break
+            for fd in select.select(busy, [], [])[0]:
+                worker = workers[fd]
+                data = os.read(fd, 1 << 16)
+                if not data:
+                    raise _worker_lost(worker)
+                buffer = worker.unread
+                buffer += data
+                while len(buffer) >= 8 and len(buffer) >= 8 + (size := int.from_bytes(buffer[:8], "little")):
+                    index, block, exc = pickle.loads(buffer[8 : 8 + size])
+                    del buffer[: 8 + size]
+                    worker.in_flight -= 1
+                    if exc is None:
+                        blocks[index] = block
+                    else:
+                        failures[index] = exc
+        if failures:
+            raise failures[min(failures)]
+        return blocks
+    except BaseException:
+        for worker in workers.values():
+            if worker.pid is not None:
+                os.kill(worker.pid, signal.SIGKILL)
+        raise
+    finally:
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})  # a second interrupt must not skip a reap
+        try:
+            for fd, worker in workers.items():
+                os.close(fd)
+                os.close(worker.task_fd)  # a worker still waiting for a task reads end of file and leaves
+                if worker.pid is not None:
+                    os.waitpid(worker.pid, 0)
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+
 def _run_cells(
     stages: list[tuple[list[tuple[int, float | None]], int, bool]],
     xy: np.ndarray,
@@ -398,13 +517,13 @@ def _run_cells(
     rectangle or (4, n) per-point columns). That is checked once here,
     before any replication, by ``checked_bounds``, the check
     ``masking.mask_coordinates`` makes on every call (ValueError). The tasks of all stages, in stage order, run
-    in-process or in one pool of at most ``workers`` processes, no more
-    than there are tasks or CPUs this process may use; only a run that
-    starts a pool loads the pool stack. The workers ignore SIGINT: on
-    KeyboardInterrupt the parent cancels the pending tasks, waits for the
-    running ones with SIGINT ignored and re-raises; a dead worker raises
-    WorkerLostError. A cell converging on under half of its replications
-    raises BatchConvergenceError, the stages checked in order.
+    in-process or, on Linux, in one ``_fork_pool`` of at most ``workers``
+    processes, no more than there are tasks or CPUs this process may use;
+    elsewhere they run in-process, with the same bits. The workers ignore
+    SIGINT: on KeyboardInterrupt the parent kills and reaps them and
+    re-raises; a dead worker raises WorkerLostError. A cell converging on
+    under half of its replications raises BatchConvergenceError, the stages
+    checked in order.
     """
     xy = np.ascontiguousarray(xy, dtype=np.float64)
     payload = {
@@ -425,27 +544,11 @@ def _run_cells(
         for start in range(0, replications, _REP_BLOCK)
     ]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    processes = min(workers, len(tasks), cpus)
+    processes = min(workers, len(tasks), cpus) if sys.platform.startswith("linux") else 1
     if processes == 1:
-        blocks = [_replicate_block(task, state=payload) for task in tasks]
+        blocks = [_replicate_block(task, payload) for task in tasks]
     else:
-        from concurrent import futures  # here, so that a run that starts no pool never loads the pool stack
-
-        with futures.ProcessPoolExecutor(max_workers=processes, initializer=_init_worker, initargs=(payload,)) as pool:
-            try:
-                blocks = list(pool.map(_replicate_block, tasks, chunksize=1))
-            except KeyboardInterrupt:
-                # A second interrupt inside the shutdown's join makes CPython
-                # mark the pool's manager thread stopped while it still runs;
-                # its queues are then closed under it and the exit hangs.
-                previous = signal.signal(signal.SIGINT, signal.SIG_IGN)
-                try:
-                    pool.shutdown(cancel_futures=True)
-                finally:
-                    signal.signal(signal.SIGINT, previous)
-                raise
-            except futures.BrokenExecutor as exc:
-                raise WorkerLostError(f"a worker process died before the run finished ({exc})") from exc
+        blocks = _fork_pool(tasks, payload, processes)
 
     results = []
     for cells, replications, fixed in stages:

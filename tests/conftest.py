@@ -1,11 +1,17 @@
-"""Bookkeeping for the numbered acceptance criteria.
+"""Bookkeeping for the numbered acceptance criteria, and a deadline on
+every test.
 
 Tests in test_acceptance.py carry a ``criterion(num, title)`` marker; after
 the run a summary section prints exactly one PASS/FAIL line per criterion
 that was executed, with whatever measured detail the test attached.
 """
 
+import signal
+
 import pytest
+
+# Far above the slowest test: a test that has not finished by then hangs.
+TEST_DEADLINE_S = 300.0
 
 _RESULTS: dict[int, dict] = {}
 
@@ -16,6 +22,28 @@ def pytest_configure(config):
     config.addinivalue_line(
         "markers", "criterion(num, title): numbered acceptance criterion covered by this test"
     )
+
+
+@pytest.fixture(autouse=True)
+def deadline():
+    """Fail a test that hangs, say in a fork pool that waits for a result
+    that never comes, instead of hanging the suite: SIGALRM raises
+    TimeoutError in the test's process, and the pool kills and reaps its
+    workers on the way out."""
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"the test did not finish within {TEST_DEADLINE_S:g} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_DEADLINE_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

@@ -284,12 +284,14 @@ def test_values_the_run_does_not_read_change_no_output(tmp_path, monkeypatch, ki
     assert hashes == {config_hash(a)}
 
 
-def test_simulate_outputs_identical_across_workers(tmp_path):
+def test_simulate_outputs_identical_across_workers(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)  # pools of 2 and 3 on any host
     cfg = _config_file(tmp_path)
-    for workers in ("1", "2"):
+    for workers in ("1", "2", "3"):
         assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / workers), "--workers", workers]) == EXIT_OK
     for name in ("run_records.csv", "run_curve.csv", "run_efficiency.csv"):
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "3" / name).read_bytes()
 
 
 def test_manifests_carry_one_config_hash_for_any_run_options(tmp_path):
@@ -343,22 +345,27 @@ def test_manifest_outputs_are_the_wrote_lines_in_utf8(tmp_path, capsys):
 def test_simulate_starts_one_pool_for_both_stages(tmp_path, monkeypatch):
     # the attenuation and efficiency cells are one task list, so a workers = 2
     # run forks one pool, not one per stage
-    import concurrent.futures
+    import geomasksim.experiments as exp
 
-    pools = []
+    pools, real_pool = [], exp._fork_pool
 
-    class CountingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            pools.append(kwargs.get("max_workers"))
-            super().__init__(*args, **kwargs)
+    def counting_pool(tasks, payload, processes):
+        pools.append(processes)
+        return real_pool(tasks, payload, processes)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(exp, "_fork_pool", counting_pool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     cfg = _config_file(tmp_path)
     assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "out"), "--workers", "2"]) == EXIT_OK
     assert (tmp_path / "out" / "run_efficiency.csv").is_file()
-    assert pools == [2]
+    assert pools == ([2] if sys.platform.startswith("linux") else [])
+    _assert_no_child_left()
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _modules_loaded_by_simulate(tmp_path, packages: tuple[str, ...], *args: str) -> dict:
@@ -386,10 +393,11 @@ def test_simulate_loads_no_scipy_and_no_numpy_ma(tmp_path):
     assert _modules_loaded_by_simulate(tmp_path, ("scipy", "numpy.ma")) == {"code": EXIT_OK, "loaded": []}
 
 
-def test_simulate_without_a_pool_loads_no_pool_stack(tmp_path):
-    # the process-pool stack is about a tenth of start-up, and only a run
-    # that starts a pool (workers > 1) needs it
-    loaded = _modules_loaded_by_simulate(tmp_path, ("concurrent.futures", "multiprocessing"), "--workers", "1")
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_simulate_loads_no_pool_stack(tmp_path, workers):
+    # the process-pool stack is about a tenth of start-up, and the run's own
+    # fork pool needs none of it
+    loaded = _modules_loaded_by_simulate(tmp_path, ("concurrent.futures", "multiprocessing"), "--workers", workers)
     assert loaded == {"code": EXIT_OK, "loaded": []}
 
 
@@ -408,15 +416,18 @@ max_attempts = 1
 """
 
 
-def test_simulate_masking_exhaustion_exit_2_in_pool(tmp_path, capsys):
-    # the worker's BoundaryExhaustionError must reach the parent intact
+def test_simulate_masking_exhaustion_exit_2_in_pool(tmp_path, capsys, monkeypatch):
+    # the worker's BoundaryExhaustionError must reach the parent intact, the
+    # same failure at every worker count, and leave no worker behind
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)  # pools of 2 and 3 on any host
     cfg = _config_file(tmp_path, EXHAUSTING)
     errors = []
-    for workers in ("1", "2"):
+    for workers in ("1", "2", "3"):
         assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / workers), "--workers", workers]) == EXIT_RUNTIME
         errors.append(capsys.readouterr().err)
+        _assert_no_child_left()
     assert errors[0].startswith("runtime failure: masking exhausted 1 redraw attempts")
-    assert errors[0] == errors[1]
+    assert errors[0] == errors[1] == errors[2]
 
 
 @settings(max_examples=15, deadline=None, derandomize=True)

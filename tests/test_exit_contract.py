@@ -10,7 +10,6 @@ writes no output.
 
 import contextlib
 import io
-import multiprocessing
 import os
 import re
 import signal
@@ -349,8 +348,7 @@ def test_an_interrupted_pool_run_exits_130_without_hanging(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="the killing kernel reaches the pool workers only through fork")
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="only Linux forks a pool")
 def test_a_run_whose_pool_worker_dies_exits_2_and_writes_nothing(tmp_path, monkeypatch):
     # a worker SIGKILLed mid-run, as the out-of-memory killer would, breaks
     # the pool; the run must report it as a runtime failure, not a traceback
@@ -374,7 +372,10 @@ def test_a_run_whose_pool_worker_dies_exits_2_and_writes_nothing(tmp_path, monke
     _assert_contract(code, err)
     assert code == EXIT_RUNTIME
     assert err.startswith("runtime failure: a worker process died before the run finished")
+    assert "killed by SIGKILL" in err
     assert not out.exists()
+    with pytest.raises(ChildProcessError):  # every worker reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="caps the run's address space with RLIMIT_AS")

@@ -1,6 +1,10 @@
 import dataclasses
 import math
+import os
 import re
+import signal
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -28,6 +32,7 @@ from geomasksim.geometry import Point, facility_distances
 from geomasksim.logit import Z_95, fit_distance_choice, wald_ci
 from geomasksim.masking import MECHANISMS, MaskSpec
 from geomasksim.population import MunicipalityGrid, assign_to_centroid, build_municipality_grid
+from geomasksim.rng import GeneratorPool
 
 from mask_oracle import BOUNDS_KINDS, bounds_for, mask_one
 
@@ -247,15 +252,13 @@ def test_masked_distances_match_per_replication_oracle(monkeypatch, mechanism, b
 def test_run_cells_checks_start_points_once_before_any_block(monkeypatch, workers):
     # the start points are checked once per run, in the parent, before any
     # replication block or worker pool starts; the kernel does not re-check
-    import concurrent.futures
-
     import geomasksim.experiments as exp
 
     xy = np.random.default_rng(43).uniform(-0.5, 0.5, size=(60, 2))
     bounds = bounds_for("per-point", xy)
     y = (np.random.default_rng(44).random(60) < 0.5).astype(np.float64)
     spec = MaskSpec("uniform", 0.0, "redraw")
-    calls = {"checked_bounds": 0, "_replicate_block": 0, "ProcessPoolExecutor": 0}
+    calls = {"checked_bounds": 0, "_replicate_block": 0, "_fork_pool": 0}
 
     def count(name, fn):
         def counted(*args, **kw):
@@ -263,11 +266,8 @@ def test_run_cells_checks_start_points_once_before_any_block(monkeypatch, worker
             return fn(*args, **kw)
         return counted
 
-    # the pool branch looks the pool class up in concurrent.futures at call time
-    homes = {"checked_bounds": exp, "_replicate_block": exp, "ProcessPoolExecutor": concurrent.futures}
-    originals = {name: getattr(homes[name], name) for name in calls}
-    for name, fn in originals.items():
-        monkeypatch.setattr(homes[name], name, count(name, fn))
+    for name in calls:
+        monkeypatch.setattr(exp, name, count(name, getattr(exp, name)))
     monkeypatch.setattr(exp, "_ROW_ELEMENTS", 60)  # one row per chunk: 8 kernel calls per run
     # a pool at workers = 2 on any host
     monkeypatch.setattr(exp.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -275,18 +275,26 @@ def test_run_cells_checks_start_points_once_before_any_block(monkeypatch, worker
     outside[17] = [0.6, 0.0]
     with pytest.raises(ValueError, match=re.escape("requires points inside their bounds; offending index(es) [17]")):
         exp._run_cells([([(0, 0.1)], 8, True)], outside, Point(0.0, 0.0), bounds, spec, 41, workers, y=y)
-    assert calls == {"checked_bounds": 1, "_replicate_block": 0, "ProcessPoolExecutor": 0}
+    assert calls == {"checked_bounds": 1, "_replicate_block": 0, "_fork_pool": 0}
 
-    if workers > 1:
-        # the pool pickles the block function by name, so it runs unwrapped
-        monkeypatch.setattr(exp, "_replicate_block", originals["_replicate_block"])
     kernel_calls = []
     monkeypatch.setattr(exp, "mask_coordinates", lambda *args: kernel_calls.append(1) or exp.mask_rows(*args))
     exp._run_cells([([(0, 0.1), (1, 0.2)], 8, True)], xy, Point(0.0, 0.0), bounds, spec, 41, workers, y=y)
     assert calls["checked_bounds"] == 2
-    assert calls["ProcessPoolExecutor"] == (workers > 1)
-    if workers == 1:
+    assert calls["_fork_pool"] == (workers > 1 and sys.platform.startswith("linux"))
+    if workers == 1:  # a forked worker counts its calls in its own copy of `calls`
         assert calls["_replicate_block"] == 2 and len(kernel_calls) == 16
+
+
+def _in_process_pool(sizes):
+    """A stand-in for ``_fork_pool`` that records its size and starts no process."""
+    import geomasksim.experiments as exp
+
+    def pool(tasks, payload, processes):
+        sizes.append(processes)
+        return [exp._replicate_block(task, payload) for task in tasks]
+
+    return pool
 
 
 @pytest.mark.parametrize(
@@ -294,33 +302,14 @@ def test_run_cells_checks_start_points_once_before_any_block(monkeypatch, worker
     [(5000, 8, 2, 2), (5000, 3, 5, 3), (2, 8, 5, 2), (5000, None, 5, 1), (4, 8, 1, 1), (2, 1, 5, 1)],
 )
 def test_run_cells_starts_at_most_one_process_per_task_and_cpu(monkeypatch, workers, cpus, cells, processes):
-    # the pool forks all its processes at the first task, so `workers` is only
-    # an upper bound; a stand-in pool records its size and starts no process.
+    # `workers` is only an upper bound; a stand-in pool records its size.
     # `cpus` is the affinity mask's size, which bounds the pool where the
     # host has more CPUs than the process may use (`taskset -c 0` gives 1);
     # None is a platform with no mask and no CPU count.
-    import concurrent.futures
-
     import geomasksim.experiments as exp
 
     sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers, initializer, initargs):
-            sizes.append(max_workers)
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks, chunksize):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(exp, "_WORKER", {})
+    monkeypatch.setattr(exp, "_fork_pool", _in_process_pool(sizes))
     if cpus is None:
         monkeypatch.delattr(exp.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(exp.os, "cpu_count", lambda: None)
@@ -335,6 +324,136 @@ def test_run_cells_starts_at_most_one_process_per_task_and_cpu(monkeypatch, work
     (in_process,) = exp._run_cells(*run, 1, y=y)
     for name, column in in_process.items():
         np.testing.assert_array_equal(fits[name], column, err_msg=name)
+
+
+@pytest.mark.parametrize("platform", ["darwin", "win32"])
+def test_run_cells_starts_no_pool_off_linux(monkeypatch, platform):
+    import geomasksim.experiments as exp
+
+    sizes = []
+    monkeypatch.setattr(exp, "_fork_pool", _in_process_pool(sizes))
+    monkeypatch.setattr(exp.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(exp.sys, "platform", platform)
+    cfg = _config(n=60, replications=70)
+    _assert_same_replications(run_experiment(cfg, workers=4), run_experiment(cfg))
+    assert sizes == []
+
+
+def _pool_run(processes=2):
+    """``_fork_pool`` over 32 one-replication tasks of a small run, eight
+    cells of four, and the in-process blocks of the same tasks. Results this
+    small often reach the parent several to one read. However the pool ends,
+    it must leave no child process and no open pipe behind."""
+    import geomasksim.experiments as exp
+
+    xy = np.random.default_rng(47).uniform(-0.5, 0.5, size=(50, 2))
+    y = (np.random.default_rng(48).random(50) < 0.5).astype(np.float64)
+    payload = {
+        "xy": xy, "facility": Point(0.0, 0.0), "bounds": None, "seed": 41, "y": y,
+        "y_checksum": choices_checksum(y), "prob": None, "base_spec": MaskSpec(), "generators": GeneratorPool(),
+    }
+    tasks = [(c, 0.05 * c, r, r + 1, True) for c in range(8) for r in range(4)]
+
+    def run():
+        fds = len(os.listdir("/proc/self/fd"))
+        try:
+            return exp._fork_pool(tasks, payload, processes)
+        finally:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+            assert len(os.listdir("/proc/self/fd")) == fds
+
+    return run, [exp._replicate_block(t, payload) for t in tasks]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="only Linux forks a pool")
+@pytest.mark.parametrize("processes", [2, 3])
+def test_fork_pool_returns_every_block_at_its_task_index(processes):
+    run, expected = _pool_run(processes)
+    blocks = run()
+    assert len(blocks) == len(expected)
+    for block, own in zip(blocks, expected):
+        for name in own:
+            np.testing.assert_array_equal(block[name], own[name], err_msg=name)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="only Linux forks a pool")
+def test_fork_pool_raises_the_lowest_failing_task_and_stops_sending(monkeypatch):
+    # every task fails, the first one last: the pool must wait for it and
+    # raise its failure, as an in-process run does, and send no task after
+    # the first failure comes back
+    import geomasksim.experiments as exp
+
+    run, _ = _pool_run()
+    started_r, started_w = os.pipe()  # each worker writes a byte here per task it starts
+
+    def failing(task, state):
+        os.write(started_w, b"x")
+        if task[:3:2] == (0, 0):
+            time.sleep(0.3)
+        raise ValueError(f"cell {task[0]} rep {task[2]} failed")
+
+    monkeypatch.setattr(exp, "_replicate_block", failing)
+    try:
+        with pytest.raises(ValueError, match="^cell 0 rep 0 failed$"):
+            run()
+        os.set_blocking(started_r, False)
+        started = len(os.read(started_r, 64))
+    finally:
+        os.close(started_r)
+        os.close(started_w)
+    assert started <= 8  # 2 in flight per worker, and at most one refill each before the first failure is read
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="only Linux forks a pool")
+@pytest.mark.parametrize("end, how", [(lambda: os._exit(3), "exit code 3"),
+                                      (lambda: os.kill(os.getpid(), signal.SIGKILL), "killed by SIGKILL")])
+def test_fork_pool_names_how_a_lost_worker_ended(monkeypatch, end, how):
+    import geomasksim.experiments as exp
+
+    run, _ = _pool_run()
+    real = exp._replicate_block
+
+    def dying(task, state):
+        if task[0] == 5:
+            end()
+        return real(task, state)
+
+    monkeypatch.setattr(exp, "_replicate_block", dying)
+    message = rf"^a worker process died before the run finished \(pid \d+, {how}\)$"
+    with pytest.raises(exp.WorkerLostError, match=message):
+        run()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="only Linux forks a pool")
+def test_an_interrupted_fork_pool_leaves_no_child(monkeypatch):
+    import select
+
+    run, _ = _pool_run()
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(select, "select", interrupted)  # the parent waits here for results
+    with pytest.raises(KeyboardInterrupt):
+        run()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="only Linux forks a pool")
+def test_a_failed_fork_reaps_the_workers_already_forked(monkeypatch):
+    run, _ = _pool_run(processes=3)
+    real_fork, forks = os.fork, []
+
+    def fork():
+        forks.append(1)
+        if len(forks) == 2:
+            raise BlockingIOError("fork: Resource temporarily unavailable")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    with pytest.raises(BlockingIOError):
+        run()
+    assert len(forks) == 2
 
 
 def test_efficiency_bytes_independent_of_row_chunks(monkeypatch, tmp_path):
