@@ -25,7 +25,8 @@ Every replicated fit, the efficiency stage's included, goes through one
 kernel: ``_run_cells`` cuts a run's stages into one list of (cell,
 replication range) tasks and runs it in-process or, on Linux, in one pool
 of forked workers (``_fork_pool``: no ``concurrent.futures``, no
-``multiprocessing``), each block stored at its task's index;
+``multiprocessing``) that read task indices from one shared pipe and answer
+down a result pipe each, each block stored at its task's index;
 ``_replicate_block`` handles a task in row chunks. Per chunk it positions one pooled Philox
 generator per replication at the start of that replication's stream, draws
 each row's regenerated choices first (efficiency cells only), masks every
@@ -372,18 +373,18 @@ def _replicate_block(task: tuple[int, float | None, int, int, bool], state: dict
 
 
 def _serve(tasks: list, payload: dict, task_fd: int, result_fd: int, parent_fds: list[int]) -> None:
-    """A forked worker's whole life: run each task index read from
-    ``task_fd`` and write (index, block, None) or (index, None, exception)
-    to ``result_fd`` as an 8-byte length and a pickle, until the parent
-    closes the task pipe; leave by ``os._exit``, never into the parent's
-    code."""
+    """A forked worker's whole life: run each task index read from the task
+    pipe that all workers share and write (index, block, None) or (index,
+    None, exception) to its own result pipe as an 8-byte length and a
+    pickle, until the parent closes the task pipe; leave by ``os._exit``,
+    never into the parent's code."""
     code = 1
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the parent's to handle
         signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
         for fd in parent_fds:
             os.close(fd)
-        while data := os.read(task_fd, 4):  # one 4-byte write is one read: a pipe writes it whole
+        while data := os.read(task_fd, 4):  # each index is one 4-byte write, which a pipe keeps whole
             index = int.from_bytes(data, "little")
             try:
                 message = pickle.dumps((index, _replicate_block(tasks[index], payload), None))
@@ -397,21 +398,8 @@ def _serve(tasks: list, payload: dict, task_fd: int, result_fd: int, parent_fds:
         os._exit(code)
 
 
-@dataclass
-class _Worker:
-    """A forked worker as the parent sees it: its pid (None once reaped),
-    the write end of its task pipe, the result bytes read but not yet
-    unpickled, and the tasks sent to it but not yet answered."""
-
-    pid: int | None
-    task_fd: int
-    unread: bytearray = dataclasses.field(default_factory=bytearray)
-    in_flight: int = 0
-
-
-def _worker_lost(worker: _Worker) -> WorkerLostError:
+def _worker_lost(pid: int) -> WorkerLostError:
     """Reap a worker that died and say how it ended."""
-    pid, worker.pid = worker.pid, None
     code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     how = f"killed by {signal.Signals(-code).name}" if code < 0 else f"exit code {code}"
     return WorkerLostError(f"a worker process died before the run finished (pid {pid}, {how})")
@@ -421,56 +409,49 @@ def _fork_pool(tasks: list, payload: dict, processes: int) -> list[dict]:
     """``_replicate_block`` of every task, in task order, from ``processes``
     forked workers that inherit ``tasks`` and ``payload``.
 
-    Each worker reads task indices from a pipe of its own and is sent a new
-    one whenever it holds fewer than two. The first failure stops the sends;
-    once the tasks in flight are back, the failure with the lowest task
-    index is raised, the one an in-process run raises. A worker whose result
-    pipe ends while it holds tasks raises WorkerLostError. On any exception,
-    KeyboardInterrupt included, the workers are killed; on every exit they
-    are reaped with SIGINT blocked, so none is left behind.
+    The workers read task indices from one shared pipe, which holds
+    2 * ``processes`` tasks in flight, and each answers down a result pipe
+    of its own. The first failure stops the sends; once the tasks in flight
+    are back, the failure with the lowest task index is raised, the one an
+    in-process run raises. A result pipe that ends while the task pipe is
+    open raises WorkerLostError. On any exception, KeyboardInterrupt
+    included, the workers are killed. On every exit every pipe is closed
+    and then every worker reaped, with every catchable signal blocked, so a
+    signal handler's exception arrives after the last reap.
     """
-    blocks, failures, sent = [None] * len(tasks), {}, 0
-    workers: dict[int, _Worker] = {}  # by the read end of the worker's result pipe
+    blocks, failures, sent, in_flight = [None] * len(tasks), {}, 0, 0
+    pids, unread = {}, {}  # by the read end of each worker's result pipe: its pid, its result bytes not yet unpickled
+    task_r, task_w = os.pipe()  # the parent keeps the read end open, so a send never meets a closed pipe
     try:
         # the workers start with SIGINT blocked, so each ignores it before it can arrive
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         try:
             for _ in range(processes):
-                (task_r, task_w), (result_r, result_w) = os.pipe(), os.pipe()
-                workers[result_r] = worker = _Worker(None, task_w)
+                result_r, result_w = os.pipe()
+                unread[result_r] = bytearray()
                 try:
-                    worker.pid = os.fork()
-                    if worker.pid == 0:
-                        inherited = [fd for r, w in workers.items() for fd in (r, w.task_fd)]
-                        _serve(tasks, payload, task_r, result_w, inherited)
+                    if (pid := os.fork()) == 0:
+                        _serve(tasks, payload, task_r, result_w, [task_w, *unread])
+                    pids[result_r] = pid
                 finally:
-                    os.close(task_r)
                     os.close(result_w)
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         while True:
-            for worker in workers.values():
-                while worker.in_flight < 2 and sent < len(tasks) and not failures:
-                    try:
-                        os.write(worker.task_fd, sent.to_bytes(4, "little"))
-                    except BrokenPipeError:
-                        raise _worker_lost(worker) from None
-                    worker.in_flight += 1
-                    sent += 1
-            busy = [fd for fd, worker in workers.items() if worker.in_flight]
-            if not busy:
+            while in_flight < 2 * processes and sent < len(tasks) and not failures:
+                os.write(task_w, sent.to_bytes(4, "little"))
+                in_flight, sent = in_flight + 1, sent + 1
+            if not in_flight:
                 break
-            for fd in select.select(busy, [], [])[0]:
-                worker = workers[fd]
-                data = os.read(fd, 1 << 16)
-                if not data:
-                    raise _worker_lost(worker)
-                buffer = worker.unread
+            for fd in select.select(list(unread), [], [])[0]:
+                if not (data := os.read(fd, 1 << 16)):
+                    raise _worker_lost(pids.pop(fd))
+                buffer = unread[fd]
                 buffer += data
                 while len(buffer) >= 8 and len(buffer) >= 8 + (size := int.from_bytes(buffer[:8], "little")):
                     index, block, exc = pickle.loads(buffer[8 : 8 + size])
                     del buffer[: 8 + size]
-                    worker.in_flight -= 1
+                    in_flight -= 1
                     if exc is None:
                         blocks[index] = block
                     else:
@@ -479,18 +460,16 @@ def _fork_pool(tasks: list, payload: dict, processes: int) -> list[dict]:
             raise failures[min(failures)]
         return blocks
     except BaseException:
-        for worker in workers.values():
-            if worker.pid is not None:
-                os.kill(worker.pid, signal.SIGKILL)
+        for pid in pids.values():
+            os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})  # a second interrupt must not skip a reap
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())  # no handler may skip a reap
         try:
-            for fd, worker in workers.items():
-                os.close(fd)
-                os.close(worker.task_fd)  # a worker still waiting for a task reads end of file and leaves
-                if worker.pid is not None:
-                    os.waitpid(worker.pid, 0)
+            for fd in (task_r, task_w, *unread):
+                os.close(fd)  # a worker still waiting for a task reads end of file and leaves
+            for pid in pids.values():
+                os.waitpid(pid, 0)
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
@@ -519,9 +498,10 @@ def _run_cells(
     ``masking.mask_coordinates`` makes on every call (ValueError). The tasks of all stages, in stage order, run
     in-process or, on Linux, in one ``_fork_pool`` of at most ``workers``
     processes, no more than there are tasks or CPUs this process may use;
-    elsewhere they run in-process, with the same bits. The workers ignore
-    SIGINT: on KeyboardInterrupt the parent kills and reaps them and
-    re-raises; a dead worker raises WorkerLostError. A cell converging on
+    elsewhere they run in-process, with the same bits. The workers share
+    one task pipe and ignore SIGINT: on KeyboardInterrupt the parent kills
+    them, closes every pipe, reaps them all with every catchable signal
+    blocked and re-raises; a dead worker raises WorkerLostError. A cell converging on
     under half of its replications raises BatchConvergenceError, the stages
     checked in order.
     """

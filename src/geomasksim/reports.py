@@ -202,26 +202,30 @@ def _read_rows(path: str | Path, convert, *headers: tuple[str, ...]) -> list:
     """``convert`` of each data row of a CSV whose header is one of
     ``headers``, the row given as a dict keyed by that header. Blank lines
     are skipped, any other row must have one field per column, and a
-    ValueError from ``convert`` is raised again with the row's line."""
+    ValueError from ``convert`` or a ``csv.Error`` (a field over csv's size
+    limit, say) is raised again as a ValueError with the row's line."""
     path = Path(path)
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file")
-        header = tuple(header)
-        if header not in headers:
-            raise ValueError(f"{path}: unexpected header {header}; expected {' or '.join(map(str, headers))}")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            try:
-                rows.append(convert(dict(zip(header, row))))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{path}: empty file")
+            header = tuple(header)
+            if header not in headers:
+                raise ValueError(f"{path}: unexpected header {header}; expected {' or '.join(map(str, headers))}")
+            rows = []
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+                try:
+                    rows.append(convert(dict(zip(header, row))))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
     return rows
 
 
@@ -243,7 +247,12 @@ def write_json(payload: dict, path: str | Path) -> Path:
 
 
 def read_json(path: str | Path):
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """The JSON value in ``path``; one nested too deeply for the parser's
+    recursion is a ValueError that names the file."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
 def write_manifest(manifest: RunManifest, path: str | Path) -> Path:

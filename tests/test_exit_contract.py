@@ -83,9 +83,15 @@ def test_run_commands_keep_the_exit_code_contract(
         _assert_contract(*_run(_RUN_COMMANDS[command] + ["--config", str(cfg), "--out-dir", str(Path(tmp) / "out")]))
 
 
+# a field one character over the csv module's default size limit
+_OVERSIZE = "1" * 131_073
 # one row of a point file may be spoiled: a non-finite or unparsable
-# coordinate, a choice outside {0, 1}, or a missing field
-_SPOILERS = [None, None, None, ("x", "nan"), ("y", "inf"), ("x", "1e300"), ("x", "a"), ("choice", "2"), ("choice", "")]
+# coordinate, a choice outside {0, 1}, a missing field or an oversize one;
+# ("header", value) adds a column named value to the header instead
+_SPOILERS = [
+    None, None, None, ("x", "nan"), ("y", "inf"), ("x", "1e300"), ("x", "a"), ("choice", "2"), ("choice", ""),
+    ("x", _OVERSIZE), ("header", _OVERSIZE),
+]
 
 
 def _points_text(coords, choices, with_choice, spoiler) -> str:
@@ -94,11 +100,13 @@ def _points_text(coords, choices, with_choice, spoiler) -> str:
         {"id": str(i), "x": repr(x), "y": repr(y), "choice": str(c)}
         for i, ((x, y), c) in enumerate(zip(coords, choices))
     ]
-    if spoiler is not None and rows:
+    if spoiler is not None and spoiler[0] == "header":
+        header.append(spoiler[1])
+    elif spoiler is not None and rows:
         field, value = spoiler
         rows[0][field] = value
     # an empty field is left out, so that row is one field short
-    lines = [",".join(header)] + [",".join(row[f] for f in header if row[f]) for row in rows]
+    lines = [",".join(header)] + [",".join(row[f] for f in header if row.get(f)) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -114,6 +122,12 @@ def _points_text(coords, choices, with_choice, spoiler) -> str:
     area=st.sampled_from([None, ["-1", "1", "-1", "1"], ["0", "1", "0", "1"], ["1", "0", "0", "1"]]),
     facility=st.sampled_from([["0", "0"], ["0.5", "-0.5"], ["1e200", "0"]]),
 )
+@example(coords=[(0.1, 0.2)], choices=[1] * 8, with_choice=True, spoiler=("x", _OVERSIZE), command="fit",
+         theta_star="0", mechanism="uniform", area=None, facility=["0", "0"])
+@example(coords=[(0.1, 0.2)], choices=[1] * 8, with_choice=False, spoiler=("x", _OVERSIZE), command="mask",
+         theta_star="0.3", mechanism="uniform", area=None, facility=["0", "0"])
+@example(coords=[(0.1, 0.2)], choices=[1] * 8, with_choice=False, spoiler=("header", _OVERSIZE), command="mask",
+         theta_star="0.3", mechanism="uniform", area=None, facility=["0", "0"])
 def test_point_commands_keep_the_exit_code_contract(
     coords, choices, with_choice, spoiler, command, theta_star, mechanism, area, facility
 ):
@@ -135,11 +149,12 @@ def test_point_commands_keep_the_exit_code_contract(
 _PLOT_SPOILERS = [
     None, None, ("theta_star", "nan"), ("mean_abs_beta", "inf"), ("beta_hat", "-inf"), ("beta_hat", "1e308"),
     ("theta_star", "1e17"), ("mean_abs_beta", "1.7e308"), ("converged", "maybe"), ("pct_outside_true_ci", "150"),
-    ("rep", "1.5"), ("sd_beta", None), ("se_beta", None),
+    ("rep", "1.5"), ("sd_beta", None), ("se_beta", None), ("theta_star", _OVERSIZE),
 ]
 _BASELINES = [
     '{{"beta": {b!r}, "ci_beta": [{lo!r}, {hi!r}]}}', '{{"beta": {b!r}}}', '{{"beta": {b!r}, "ci_beta": [{hi!r}, 9.0]}}',
     '{{"beta": "{b}"}}', '{{"beta": NaN, "ci_beta": [-1, 1]}}', "[1, 2]", "{{",
+    "[" * 200_000,  # deeper than the JSON parser's recursion
 ]
 
 
@@ -163,6 +178,12 @@ def _csv_text(rows, spoiler) -> str:
     theta_star=st.sampled_from([None, "0.1", "0.5", "5", "nan"]),
     directory=st.sampled_from([None, None, "curve", "records", "baseline"]),
 )
+@example(thetas=[0.1], betas=[-2.0, -1.5], failed=set(), spoiler=("theta_star", _OVERSIZE), baseline=_BASELINES[0],
+         inputs=("records",), theta_star=None, directory=None)
+@example(thetas=[0.1], betas=[-2.0, -1.5], failed=set(), spoiler=("theta_star", _OVERSIZE), baseline=_BASELINES[0],
+         inputs=("curve",), theta_star=None, directory=None)
+@example(thetas=[0.1], betas=[-2.0, -1.5], failed=set(), spoiler=None, baseline="[" * 200_000,
+         inputs=("curve",), theta_star=None, directory=None)
 def test_plot_keeps_the_exit_code_contract(thetas, betas, failed, spoiler, baseline, inputs, theta_star, directory):
     betas = [b - 0.01 * i for i, b in enumerate(betas)]  # distinct, so a KDE can be built from two of them
     beta = sum(betas) / len(betas)

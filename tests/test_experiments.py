@@ -402,7 +402,7 @@ def test_fork_pool_raises_the_lowest_failing_task_and_stops_sending(monkeypatch)
     finally:
         os.close(started_r)
         os.close(started_w)
-    assert started <= 8  # 2 in flight per worker, and at most one refill each before the first failure is read
+    assert started <= 8  # 2 per worker in flight, in all, and at most one refill each before the first failure is read
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="only Linux forks a pool")
@@ -454,6 +454,54 @@ def test_a_failed_fork_reaps_the_workers_already_forked(monkeypatch):
     with pytest.raises(BlockingIOError):
         run()
     assert len(forks) == 2
+
+
+class _Alarm(Exception):
+    """What the SIGALRM handler of the reap test raises."""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="only Linux forks a pool")
+@pytest.mark.parametrize("ending", ["normal", "failing", "interrupt"])
+def test_a_raising_signal_handler_cannot_cut_the_reap_short(monkeypatch, ending):
+    # SIGALRM arrives inside the reap's first blocking waitpid, and its handler
+    # raises, as the test deadline's does: the pool must still close every pipe
+    # and reap every worker, and the handler's exception come out after that
+    import select
+
+    import geomasksim.experiments as exp
+
+    run, _ = _pool_run()
+    if ending == "failing":
+        def failing(task, state):
+            raise ValueError("every task fails")
+
+        monkeypatch.setattr(exp, "_replicate_block", failing)
+    elif ending == "interrupt":
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(select, "select", interrupted)
+    real_waitpid, alarms = os.waitpid, []
+
+    def waitpid(pid, options):
+        if options == 0 and not alarms:
+            alarms.append(pid)
+            signal.raise_signal(signal.SIGALRM)
+        return real_waitpid(pid, options)
+
+    def alarm(signum, frame):
+        raise _Alarm
+
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    previous = signal.signal(signal.SIGALRM, alarm)
+    try:
+        with pytest.raises(_Alarm) as raised:
+            run()
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert len(alarms) == 1
+    context = {"normal": type(None), "failing": ValueError, "interrupt": KeyboardInterrupt}[ending]
+    assert type(raised.value.__context__) is context  # the run's own exception, where there is one
 
 
 def test_efficiency_bytes_independent_of_row_chunks(monkeypatch, tmp_path):
