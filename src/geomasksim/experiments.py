@@ -120,7 +120,9 @@ DEFAULT_GRID_K = 10
 
 _REP_BLOCK = 64  # replications per worker task
 # Points per fit_rows call: a chunk of max(1, _ROW_ELEMENTS // n) rows keeps
-# the kernel's (rows, n) work arrays in cache.
+# the kernel's (rows, n) work arrays in cache. From n = 16,384 on a chunk is
+# one row, and the kernel itself caps its work arrays at one column block
+# (logit._BLOCK points), so fit scratch memory does not grow with n.
 _ROW_ELEMENTS = 16384
 _MIN_CELL_CONVERGENCE = 0.5
 

@@ -39,14 +39,20 @@ log-likelihood there.
 fit: the generated and regenerated choices and the information weights all
 take L from it, in the same overflow-free form.
 
-Row independence: the bits of a row do not depend on the other rows of its
-block. Elementwise operations are exact per element, and every sum is a
-``.sum(axis=1)`` over a C-contiguous (rows, n) array, which reduces each row
-as the 1-D sum of that row would. Rows that stop are dropped, and halved
-steps are tried on the rows that need them, by taking row subsets. A pass
-keeps four (rows, n) work arrays, so callers bound the block size: the
+Row independence: the bits of a row depend neither on the other rows of its
+block nor on how its columns are cut. Elementwise operations are exact per
+element. A pass runs over column blocks of at most ``_BLOCK`` points in four
+(rows, min(n, _BLOCK)) work arrays, allocated once per ``fit_rows`` call, so
+a fit's scratch memory does not grow with n. The blocks are the leaves of
+the tree that numpy's pairwise summation follows (``_tree``): it sums a run
+of k > 128 elements as the sum of its first h = k//2 - (k//2) % 8 elements
+plus the sum of the rest. A block's sums are ``.sum(axis=1)`` over its
+columns, which reduces each row as the 1-D sum of those elements would, and
+the blocks' sums combine left + right in the tree's order, so every row sum
+is the bits of that row's 1-D sum. Rows that stop are dropped, and halved
+steps are tried on the rows that need them, by taking row subsets. The
 replication harness passes max(1, 16384 // n) rows per call, which keeps
-them in cache.
+the work arrays in cache while a row fits in one block.
 """
 
 from __future__ import annotations
@@ -73,6 +79,10 @@ _MIN_SCALE = 2.0**-39
 # _SLACK * (1 + |ll|): near the optimum a Newton step improves it by less
 # than the summation noise of computing it, and exact nondecrease would stall.
 _SLACK = 1e-10
+# Points per column block of a Newton pass (see _tree). At n = 100,000 the
+# blocks hold 25,000 points, which ran a pass faster than no blocks or than
+# 12,500-point ones.
+_BLOCK = 1 << 15
 
 #: Row statuses of a ``fit_rows`` block.
 CONVERGED, NOT_CONVERGED, SEPARATED, SINGULAR = range(4)
@@ -147,6 +157,38 @@ def choice_probability(eta) -> np.ndarray:
     return np.where(eta >= 0.0, 1.0, e) / (1.0 + e)
 
 
+def _tree(n: int):
+    """numpy's pairwise-sum tree over n columns, cut down to blocks of at
+    most ``_BLOCK``: a run of k > _BLOCK columns splits at
+    h = k//2 - (k//2) % 8 into a (left, right) pair of subtrees, and a block
+    is a column slice. None when one block holds every column."""
+
+    def split(lo, hi):
+        if hi - lo <= _BLOCK:
+            return slice(lo, hi)
+        h = lo + (hi - lo) // 2 - (hi - lo) // 2 % 8
+        return split(lo, h), split(h, hi)
+
+    return split(0, n) if n > _BLOCK else None
+
+
+def _pass(kernel, tree, D, Y, W, a=None, b=None) -> np.ndarray:
+    """``kernel(D, Y, H, E, T1, T2)`` on each column block of ``tree``, with
+    eta and e at the per-row (a, b) filled in first unless ``a`` is None,
+    and the blocks' row sums added left + right in the tree's order. ``W``
+    is the work arrays (H, E, T1, T2), at least one block wide."""
+    if type(tree) is tuple:
+        left, right = tree
+        return _pass(kernel, left, D, Y, W, a, b) + _pass(kernel, right, D, Y, W, a, b)
+    if tree is not None:
+        D, Y = D[:, tree], Y[:, tree]
+        W = (v[:, : D.shape[1]] for v in W)
+    H, E, T1, T2 = W
+    if a is not None:
+        _eta_exp(D, a, b, H, E)
+    return kernel(D, Y, H, E, T1, T2)
+
+
 def _eta_exp(D, a, b, H, E) -> None:
     """eta = a + b*d into H and e = exp(-|eta|) into E, with per-row a, b."""
     np.multiply(D, b[:, None], out=H)
@@ -156,8 +198,9 @@ def _eta_exp(D, a, b, H, E) -> None:
     np.exp(E, out=E)
 
 
-def _loglik(Y, H, E, T1, T2) -> np.ndarray:
-    """Per-row log-likelihood from eta (H) and e (E); overwrites T1 and T2.
+def _loglik(D, Y, H, E, T1, T2) -> np.ndarray:
+    """Per-row log-likelihood from eta (H) and e (E); reads no D, and
+    overwrites T1 and T2.
 
     Each point's term y*eta - max(eta, 0) - log1p(e) is <= 0, so the row sum
     has no cancellation.
@@ -192,9 +235,9 @@ def _moments(D, Y, H, E, T1, T2) -> np.ndarray:
     return M
 
 
-def _origin(D, Y, T1, T2) -> np.ndarray:
-    """``_moments`` of every row at alpha = beta = 0, in closed form;
-    overwrites T1 and T2.
+def _origin(D, Y, H, E, T1, T2) -> np.ndarray:
+    """``_moments`` of every row at alpha = beta = 0, in closed form; reads
+    neither H nor E, and overwrites T1 and T2.
 
     There eta = a + b*d is +0.0 and e = 1 at every finite d, so p = 1/2 and
     w = 1/4 at every point. sum(w) is taken over one row filled with 1/4,
@@ -216,23 +259,22 @@ def _origin(D, Y, T1, T2) -> np.ndarray:
     return M
 
 
-def _one_row(d, y, p: LogitParams) -> tuple[np.ndarray, ...]:
-    """(D, Y, H, E, T1, T2) of one row with eta and e at ``p`` filled in."""
+def _row_pass(kernel, d, y, p: LogitParams) -> np.ndarray:
+    """``_pass`` of ``kernel`` on the one (d, y) row at ``p``, with a one-row
+    work array."""
     D, Y = _block(d, y)
-    H, E, T1, T2 = np.empty((4,) + D.shape)
-    _eta_exp(D, np.array([p.alpha]), np.array([p.beta]), H, E)
-    return D, Y, H, E, T1, T2
+    W = tuple(np.empty((4, 1, min(D.shape[1], _BLOCK))))
+    return _pass(kernel, _tree(D.shape[1]), D, Y, W, np.array([p.alpha]), np.array([p.beta]))[0]
 
 
 def log_likelihood(d: np.ndarray, y: np.ndarray, p: LogitParams) -> float:
     """Binomial log-likelihood of choices ``y`` at distances ``d``."""
-    _, Y, H, E, T1, T2 = _one_row(d, y, p)
-    return float(_loglik(Y, H, E, T1, T2)[0])
+    return float(_row_pass(_loglik, d, y, p))
 
 
 def score(d: np.ndarray, y: np.ndarray, p: LogitParams) -> np.ndarray:
     """Gradient of the log-likelihood: (sum(y - L), sum((y - L) d))."""
-    return _moments(*_one_row(d, y, p))[0, :2]
+    return _row_pass(_moments, d, y, p)[:2]
 
 
 def observed_information(d: np.ndarray, p: LogitParams) -> np.ndarray:
@@ -241,14 +283,15 @@ def observed_information(d: np.ndarray, p: LogitParams) -> np.ndarray:
     Positive semidefinite everywhere; positive definite unless the distances
     are all equal or the probabilities are fully saturated.
     """
-    sw, swd, swd2 = _moments(*_one_row(d, 0.0, p))[0, 2:]
+    sw, swd, swd2 = _row_pass(_moments, d, 0.0, p)[2:]
     return np.array([[sw, swd], [swd, swd2]])
 
 
-def _step(D, Y, a, b, step_a, step_b, H, E, T1, T2):
+def _step(tree, D, Y, a, b, step_a, step_b, W):
     """Take each row's Newton step, halved until the log-likelihood is within
     _SLACK * (1 + |ll|) of its old value ``ll``, and return the new (a, b)
-    and the ``_moments`` there; overwrites H, E, T1 and T2.
+    and the ``_moments`` there; passes run on the blocks of ``tree`` and
+    overwrite the work arrays ``W``.
 
     Scales run 1, 1/2, ..., _MIN_SCALE, and the last is taken regardless. The
     full step is kept without evaluating ll when the slope along it at the
@@ -259,29 +302,26 @@ def _step(D, Y, a, b, step_a, step_b, H, E, T1, T2):
     point, the same bits as the accepted candidate's.
     """
     new_a, new_b = a + step_a, b + step_b
-    _eta_exp(D, new_a, new_b, H, E)
-    M = _moments(D, Y, H, E, T1, T2)
+    M = _pass(_moments, tree, D, Y, W, new_a, new_b)
     # a NaN slope fails the comparison and is halved too
     back = np.flatnonzero(~(M[:, 0] * step_a + M[:, 1] * step_b >= -_SLACK))
     if back.size:
-        # every row's moments are taken, so H, E, T1 and T2 are free to reuse
+        # every row's moments are taken, so the work arrays are free to reuse
         D, Y, a, b, step_a, step_b = (v[back] for v in (D, Y, a, b, step_a, step_b))
-        H, E, T1, T2 = (v[: back.size] for v in (H, E, T1, T2))
-        _eta_exp(D, a, b, H, E)
-        ll = _loglik(Y, H, E, T1, T2)
+        W = tuple(v[: back.size] for v in W)
+        ll = _pass(_loglik, tree, D, Y, W, a, b)
         floor = ll - _SLACK * (1.0 + np.abs(ll))
         pending, scale = np.arange(back.size), 1.0
         while pending.size:
             k = pending.size
             ca, cb = a[pending] + scale * step_a[pending], b[pending] + scale * step_b[pending]
-            _eta_exp(D[pending], ca, cb, H[:k], E[:k])
+            ll_new = _pass(_loglik, tree, D[pending], Y[pending], tuple(v[:k] for v in W), ca, cb)
             # a NaN candidate fails the comparison and is halved too
-            ok = (_loglik(Y[pending], H[:k], E[:k], T1[:k], T2[:k]) >= floor[pending]) | (scale == _MIN_SCALE)
+            ok = (ll_new >= floor[pending]) | (scale == _MIN_SCALE)
             took = back[pending[ok]]
             new_a[took], new_b[took] = ca[ok], cb[ok]
             pending, scale = pending[~ok], scale * 0.5
-        _eta_exp(D, new_a[back], new_b[back], H, E)
-        M[back] = _moments(D, Y, H, E, T1, T2)
+        M[back] = _pass(_moments, tree, D, Y, W, new_a[back], new_b[back])
     return new_a, new_b, M
 
 
@@ -316,14 +356,13 @@ def fit_rows(
     idx = np.flatnonzero(Y.min(axis=1) != Y.max(axis=1))
     if idx.size < R:
         D, Y = D[idx], Y[idx]
-    m = idx.size
-    H, E, T1, T2 = np.empty((4, m, n))
+    m, tree = idx.size, _tree(n)
+    W = tuple(np.empty((4, m, min(n, _BLOCK))))
     a, b = np.full(m, init.alpha), np.full(m, init.beta)
     if init.alpha == 0.0 and init.beta == 0.0:
-        M = _origin(D, Y, T1, T2)
+        M = _pass(_origin, tree, D, Y, W)
     else:
-        _eta_exp(D, a, b, H, E)
-        M = _moments(D, Y, H, E, T1, T2)
+        M = _pass(_moments, tree, D, Y, W, a, b)
 
     for steps in range(max_iter + 1):
         if not m:
@@ -346,12 +385,12 @@ def fit_rows(
             if not m:
                 break
             D, Y = D[keep], Y[keep]
-            H, E, T1, T2 = (v[:m] for v in (H, E, T1, T2))
+            W = tuple(v[:m] for v in W)
 
         g0, g1, i00, i01, i11 = M.T
         step_a = (i11 * g0 - i01 * g1) / det
         step_b = (i00 * g1 - i01 * g0) / det
-        a, b, M = _step(D, Y, a, b, step_a, step_b, H, E, T1, T2)
+        a, b, M = _step(tree, D, Y, a, b, step_a, step_b, W)
 
     sw, swd, swd2 = info.T
     det = sw * swd2 - swd**2

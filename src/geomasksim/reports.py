@@ -203,7 +203,9 @@ def _read_rows(path: str | Path, convert, *headers: tuple[str, ...]) -> list:
     ``headers``, the row given as a dict keyed by that header. Blank lines
     are skipped, any other row must have one field per column, and a
     ValueError from ``convert`` or a ``csv.Error`` (a field over csv's size
-    limit, say) is raised again as a ValueError with the row's line."""
+    limit, say) is raised again as a ValueError with the row's line: the
+    physical line the row ends on, which counts the line breaks inside
+    quoted fields."""
     path = Path(path)
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -215,15 +217,15 @@ def _read_rows(path: str | Path, convert, *headers: tuple[str, ...]) -> list:
             if header not in headers:
                 raise ValueError(f"{path}: unexpected header {header}; expected {' or '.join(map(str, headers))}")
             rows = []
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
                 if not row:
                     continue
                 if len(row) != len(header):
-                    raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+                    raise ValueError(f"{path}:{reader.line_num}: expected {len(header)} fields, got {len(row)}")
                 try:
                     rows.append(convert(dict(zip(header, row))))
                 except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: {exc}") from exc
+                    raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
         except csv.Error as exc:
             raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
     return rows

@@ -85,7 +85,7 @@ def test_run_commands_keep_the_exit_code_contract(
 
 # a field one character over the csv module's default size limit
 _OVERSIZE = "1" * 131_073
-# one row of a point file may be spoiled: a non-finite or unparsable
+# the last row of a point file may be spoiled: a non-finite or unparsable
 # coordinate, a choice outside {0, 1}, a missing field or an oversize one;
 # ("header", value) adds a column named value to the header instead
 _SPOILERS = [
@@ -94,17 +94,19 @@ _SPOILERS = [
 ]
 
 
-def _points_text(coords, choices, with_choice, spoiler) -> str:
+def _points_text(coords, choices, with_choice, spoiler, quoted_id) -> str:
     header = ["id", "x", "y"] + (["choice"] if with_choice else [])
     rows = [
         {"id": str(i), "x": repr(x), "y": repr(y), "choice": str(c)}
         for i, ((x, y), c) in enumerate(zip(coords, choices))
     ]
+    if quoted_id and rows:
+        rows[0]["id"] = '"0\n"'  # a quoted id that holds a line break: the row spans two lines
     if spoiler is not None and spoiler[0] == "header":
         header.append(spoiler[1])
     elif spoiler is not None and rows:
         field, value = spoiler
-        rows[0][field] = value
+        rows[-1][field] = value
     # an empty field is left out, so that row is one field short
     lines = [",".join(header)] + [",".join(row[f] for f in header if row.get(f)) for row in rows]
     return "\n".join(lines) + "\n"
@@ -116,6 +118,7 @@ def _points_text(coords, choices, with_choice, spoiler) -> str:
     choices=st.lists(st.sampled_from([0, 1]), min_size=8, max_size=8),
     with_choice=st.booleans(),
     spoiler=st.sampled_from(_SPOILERS),
+    quoted_id=st.booleans(),
     command=st.sampled_from(["mask", "fit"]),
     theta_star=st.sampled_from(["0", "0.3", "5", "-1", "nan"]),
     mechanism=st.sampled_from(["uniform", "gaussian"]),
@@ -123,17 +126,20 @@ def _points_text(coords, choices, with_choice, spoiler) -> str:
     facility=st.sampled_from([["0", "0"], ["0.5", "-0.5"], ["1e200", "0"]]),
 )
 @example(coords=[(0.1, 0.2)], choices=[1] * 8, with_choice=True, spoiler=("x", _OVERSIZE), command="fit",
-         theta_star="0", mechanism="uniform", area=None, facility=["0", "0"])
+         quoted_id=False, theta_star="0", mechanism="uniform", area=None, facility=["0", "0"])
 @example(coords=[(0.1, 0.2)], choices=[1] * 8, with_choice=False, spoiler=("x", _OVERSIZE), command="mask",
-         theta_star="0.3", mechanism="uniform", area=None, facility=["0", "0"])
+         quoted_id=False, theta_star="0.3", mechanism="uniform", area=None, facility=["0", "0"])
 @example(coords=[(0.1, 0.2)], choices=[1] * 8, with_choice=False, spoiler=("header", _OVERSIZE), command="mask",
-         theta_star="0.3", mechanism="uniform", area=None, facility=["0", "0"])
+         quoted_id=False, theta_star="0.3", mechanism="uniform", area=None, facility=["0", "0"])
+# id,x,y / "0<line break>",0.1,0.2 / 1,a,0.3: the bad value is on line 4
+@example(coords=[(0.1, 0.2), (0.3, 0.3)], choices=[1] * 8, with_choice=False, spoiler=("x", "a"), quoted_id=True,
+         command="fit", theta_star="0", mechanism="uniform", area=None, facility=["0", "0"])
 def test_point_commands_keep_the_exit_code_contract(
-    coords, choices, with_choice, spoiler, command, theta_star, mechanism, area, facility
+    coords, choices, with_choice, spoiler, quoted_id, command, theta_star, mechanism, area, facility
 ):
     with tempfile.TemporaryDirectory() as tmp:
         points = Path(tmp) / "points.csv"
-        points.write_text(_points_text(coords, choices, with_choice, spoiler), encoding="utf-8")
+        points.write_text(_points_text(coords, choices, with_choice, spoiler, quoted_id), encoding="utf-8")
         if command == "mask":
             argv = ["mask", "--points", str(points), "--out", str(Path(tmp) / "masked.csv"),
                     "--theta-star", theta_star, "--mechanism", mechanism]
@@ -141,7 +147,20 @@ def test_point_commands_keep_the_exit_code_contract(
                 argv += ["--boundary", "redraw", "--area", *area]
         else:
             argv = ["fit", "--points", str(points), "--facility-x", facility[0], "--facility-y", facility[1]]
-        _assert_contract(*_run(argv))
+        code, err = _run(argv)
+        _assert_contract(code, err)
+        # an error in the spoiled row names the physical line that row ends
+        # on: after the header, one line a row and one more for a quoted id
+        line = re.search(r"points\.csv:(\d+):", err)
+        if line and spoiler is not None and spoiler[0] != "header":
+            assert int(line.group(1)) == 1 + len(coords) + quoted_id, err
+
+
+def test_a_bad_value_after_a_quoted_line_break_names_its_line(tmp_path):
+    points = tmp_path / "ml.csv"
+    points.write_text('id,x,y\n"0\n",0.1,0.2\n1,a,0.3\n', encoding="utf-8")
+    code, err = _run(["fit", "--points", str(points)])
+    assert code == EXIT_VALIDATION and f"{points}:4:" in err, err
 
 
 # one row of each plot input that has the field may be spoiled: a

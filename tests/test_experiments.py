@@ -7,6 +7,9 @@ import sys
 import time
 
 import numpy as np
+# imported here, not lazily by the first np.testing call: its first import reads
+# sysconfig, which fails while a test has sys.platform patched to another OS
+import numpy.testing
 import pytest
 
 from geomasksim.experiments import (

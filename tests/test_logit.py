@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from geomasksim.logit import (
     LogitParams,
     SeparationError,
     SingularInformationError,
+    _BLOCK,
     _TINY,
     _block,
     _loglik,
@@ -426,9 +428,9 @@ def loglik_rows(monkeypatch):
     calls = []
     real = logit._loglik
 
-    def counted(Y, *args):
+    def counted(D, Y, *args):
         calls.append(Y.shape[0])
-        return real(Y, *args)
+        return real(D, Y, *args)
 
     monkeypatch.setattr(logit, "_loglik", counted)
     return calls
@@ -611,10 +613,67 @@ def test_origin_pass_bit_equal_to_general_pass(seed, rows, n, scale, signed, sha
         D[rng.integers(rows)] = rng.uniform(0.0, scale)  # equal distances: a singular row
     Y = (rng.uniform(size=(1 if shared_y else rows, n)) < 0.5).astype(float)
     D, Y = _block(D, Y[0] if shared_y else Y)
-    T1, T2 = np.empty((2, rows, n))
-    M = _origin(D, Y, T1, T2)
-    H, E = np.zeros((rows, n)), np.ones((rows, n))
+    H, E, T1, T2 = np.empty((4, rows, n))
+    M = _origin(D, Y, H, E, T1, T2)
+    H[:], E[:] = 0.0, 1.0
     assert M.tobytes() == _moments(D, Y, H, E, T1, T2).tobytes()
+
+
+@pytest.mark.parametrize("k", [129, 1000, 32769, 100_000, 262_147])
+def test_numpy_sums_a_run_as_the_sum_of_its_pairwise_halves(k):
+    # the column blocks of logit's passes rest on this: a float64 sum of
+    # k > 128 contiguous elements is the sum of its first h elements plus
+    # the sum of the rest, added left + right
+    rng = np.random.default_rng(k)
+    h = k // 2 - k // 2 % 8
+    x = rng.standard_normal(k) * 10.0 ** rng.integers(-8, 9, k)
+    wide = rng.standard_normal((3, k + 9)) * 10.0 ** rng.integers(-8, 9, (3, k + 9))
+    X = wide[:, 4 : 4 + k]  # rows of a slice of a wider array, as the passes' blocks are
+    why = (
+        f"numpy {np.__version__} does not sum {k} elements as the sum of its pairwise halves: "
+        "the blocked Newton passes in logit no longer reproduce unblocked sums"
+    )
+    assert _bits(x[:h].sum() + x[h:].sum()) == _bits(x.sum()), why
+    assert _bits(X[:, :h].sum(axis=1) + X[:, h:].sum(axis=1)) == _bits(X.sum(axis=1)), why
+
+
+@pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 100_000, 100_003])
+@pytest.mark.parametrize("rows", [1, 3])
+def test_blocked_passes_give_the_bits_of_one_block(monkeypatch, loglik_rows, rows, n):
+    import geomasksim.logit as logit
+
+    rng = np.random.default_rng(n + rows)
+    D = rng.uniform(0.0, 1.0, (rows, n))
+    Y = (rng.uniform(size=(rows, n)) < expit(1.0 - 2.0 * D)).astype(float)
+    Y[1:2] = 1.0  # a separated row: NaN fields
+    # from (2, 2) the full steps lower the log-likelihood, so the fit halves them
+    calls = [{}, {"init": LogitParams(2.0, 2.0)}, {"max_iter": 1}, {"init": LogitParams(2.0, 2.0), "max_iter": 2}]
+    blocked = [fit_rows(D, Y, **kw) for kw in calls]
+    assert loglik_rows
+    p = LogitParams(0.5, -1.5)
+    at_p = [log_likelihood(D[0], Y[0], p), score(D[0], Y[0], p), observed_information(D[0], p)]
+    monkeypatch.setattr(logit, "_BLOCK", n)
+    for kw, got in zip(calls, blocked):
+        want = fit_rows(D, Y, **kw)
+        for name in _ROW_FIELDS:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (kw, name)
+    want = [log_likelihood(D[0], Y[0], p), score(D[0], Y[0], p), observed_information(D[0], p)]
+    assert [_bits(v) for v in at_p] == [_bits(v) for v in want]
+
+
+def test_fit_scratch_memory_does_not_grow_with_n():
+    # four work arrays of at most _BLOCK points: 1 MB at any n, where
+    # (1, n) work arrays took 6.4 MB at n = 200,000
+    d, y = _sim(200_000, seed=5)
+    y = y.astype(np.float64)
+    tracemalloc.start()
+    try:
+        fit = fit_distance_choice(d, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fit.converged
+    assert peak <= 1.5e6, peak
 
 
 def test_fit_rows_without_iterations_reports_the_origin():
@@ -625,7 +684,7 @@ def test_fit_rows_without_iterations_reports_the_origin():
     fits = fit_rows(D, Y, max_iter=0)
     H, E, T1, T2 = np.empty((4,) + D.shape)
     H[:], E[:] = 0.0, 1.0
-    ll = _loglik(Y, H, E, T1, T2)
+    ll = _loglik(D, Y, H, E, T1, T2)
     M = _moments(D, Y, H, E, T1, T2)
     sw, swd, swd2 = M[:, 2:].T
     det = sw * swd2 - swd**2
