@@ -663,7 +663,7 @@ def test_blocked_passes_give_the_bits_of_one_block(monkeypatch, loglik_rows, row
 
 def test_fit_scratch_memory_does_not_grow_with_n():
     # four work arrays of at most _BLOCK points: 1 MB at any n, where
-    # (1, n) work arrays took 6.4 MB at n = 200,000
+    # whole-row work arrays would take 6.4 MB at n = 200,000
     d, y = _sim(200_000, seed=5)
     y = y.astype(np.float64)
     tracemalloc.start()
