@@ -79,9 +79,9 @@ _MIN_SCALE = 2.0**-39
 # _SLACK * (1 + |ll|): near the optimum a Newton step improves it by less
 # than the summation noise of computing it, and exact nondecrease would stall.
 _SLACK = 1e-10
-# Points per column block of a Newton pass (see _tree), so a pass keeps at
-# most 4 * _BLOCK doubles of work memory per row. At n = 100,000 the blocks
-# hold 25,000 points, and a pass ran no slower than over whole rows.
+# Points per column block of a Newton pass (see _tree). At n = 100,000 the
+# blocks hold 25,000 points, which ran a pass faster than no blocks or than
+# 12,500-point ones.
 _BLOCK = 1 << 15
 
 #: Row statuses of a ``fit_rows`` block.
