@@ -41,9 +41,9 @@ test flags and aggregates each cell from them; the efficiency stage reads
 the converged estimates of its cells.
 
 Fixed-y design: the attenuation run generates choices exactly once, before
-the baseline fit, and never regenerates them; a checksum of the choice
-vector is asserted inside every worker so that all cross-replication
-variation is attributable to locational error alone.
+the baseline fit, and never regenerates them; every fixed task compares
+them exactly with a private copy taken before the first, so that all
+cross-replication variation is attributable to locational error alone.
 
 Determinism: replication (theta_index, rep) owns a private stream derived
 from the run seed, so results are independent of worker count and schedule;
@@ -57,7 +57,6 @@ either.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import math
 import os
 import pickle
@@ -279,10 +278,6 @@ class EfficiencyRun:
     masked_betas: list[np.ndarray]  # aligned with reports
 
 
-def choices_checksum(choices: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(choices, dtype=np.int64).tobytes()).hexdigest()
-
-
 def prepare_dataset(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The run's population ``xy`` (n, 2), its distances ``d`` (n,) to the
     facility and its once-and-for-all choices ``y`` (n,)."""
@@ -334,7 +329,7 @@ def _replicate_block(task: tuple[int, float | None, int, int, bool], state: dict
     """
     theta_index, theta_star, rep_start, rep_stop, fixed = task
     xy, facility, bounds, seed, y, prob = (state[k] for k in ("xy", "facility", "bounds", "seed", "y", "prob"))
-    if fixed and choices_checksum(y) != state["y_checksum"]:
+    if fixed and not np.array_equal(y, state["y_copy"]):
         raise RuntimeError("choice vector changed after baseline; fixed-y contract violated")
     spec = None if theta_star is None else dataclasses.replace(state["base_spec"], theta_star=theta_star)
     d = facility_distances(xy, facility) if spec is None else None
@@ -514,7 +509,7 @@ def _run_cells(
         "bounds": checked_bounds(xy, base_spec, bounds),
         "seed": seed,
         "y": None if y is None else np.ascontiguousarray(y, dtype=np.float64),
-        "y_checksum": None if y is None else choices_checksum(y),
+        "y_copy": None if y is None else np.array(y, dtype=np.bool_),  # one byte per point, for the fixed-y check
         "prob": prob,
         "base_spec": base_spec,
         "generators": GeneratorPool(),

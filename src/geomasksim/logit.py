@@ -21,12 +21,13 @@ Newton step s, halved where needed. The full step is accepted by the slope
 of the log-likelihood along s at its end, g_new . s, from the score the
 next pass needs anyway: the log-likelihood is concave along s, so
 ll(new) - ll(old) >= g_new . s, and a slope of at least -1e-10 meets the
-step-halving rule unhalved. Only a row that fails this test evaluates the
-log-likelihood (one ``log1p`` per point), at its old point and at
-step-halving candidates until one is within 1e-10 * (1 + |ll|) of the old
-value. A fit that starts at the origin, as every fit in the package does,
-takes its first pass in closed form (``_origin``). ``log_likelihood``,
-``score`` and ``observed_information`` are one-row views of the same pass.
+step-halving rule unhalved. Once a row fails this test, the block
+evaluates the log-likelihood (one ``log1p`` per point) at its old point and
+at step-halving candidates until each failing row has one within
+1e-10 * (1 + |ll|) of its old value. A fit that starts at the origin, as
+every fit in the package does, takes its first pass in closed form
+(``_origin``). ``log_likelihood``, ``score`` and ``observed_information``
+are one-row views of the same pass.
 
 Each pass decides at one site, from the current estimate, which rows stop
 (CONVERGED, NOT_CONVERGED or SINGULAR; SEPARATED rows never start); an
@@ -49,8 +50,8 @@ of k > 128 elements as the sum of its first h = k//2 - (k//2) % 8 elements
 plus the sum of the rest. A block's sums are ``.sum(axis=1)`` over its
 columns, which reduces each row as the 1-D sum of those elements would, and
 the blocks' sums combine left + right in the tree's order, so every row sum
-is the bits of that row's 1-D sum. Rows that stop are dropped, and halved
-steps are tried on the rows that need them, by taking row subsets. The
+is the bits of that row's 1-D sum. Rows that stop are dropped by taking
+row subsets; halved steps are tried on the whole block in place. The
 replication harness passes max(1, 16384 // n) rows per call, which keeps
 the work arrays in cache while a row fits in one block.
 """
@@ -296,32 +297,26 @@ def _step(tree, D, Y, a, b, step_a, step_b, W):
     Scales run 1, 1/2, ..., _MIN_SCALE, and the last is taken regardless. The
     full step is kept without evaluating ll when the slope along it at the
     candidate, g_new . step, is at least -_SLACK: the log-likelihood is
-    concave along the step, so then ll(new) >= ll(old) - _SLACK. The other
-    rows evaluate ll at their old point and at each scale until one is
-    accepted; their eta, e and moments are then recomputed at the accepted
-    point, the same bits as the accepted candidate's.
+    concave along the step, so then ll(new) >= ll(old) - _SLACK. Once a row
+    fails that test, the whole block evaluates ll at its old point and at
+    each scale until every failing row has taken the first scale it accepts,
+    and the block's moments are taken again at the new point, the same bits
+    as the accepted candidates'.
     """
     new_a, new_b = a + step_a, b + step_b
     M = _pass(_moments, tree, D, Y, W, new_a, new_b)
     # a NaN slope fails the comparison and is halved too
-    back = np.flatnonzero(~(M[:, 0] * step_a + M[:, 1] * step_b >= -_SLACK))
-    if back.size:
-        # every row's moments are taken, so the work arrays are free to reuse
-        D, Y, a, b, step_a, step_b = (v[back] for v in (D, Y, a, b, step_a, step_b))
-        W = tuple(v[: back.size] for v in W)
+    pending = ~(M[:, 0] * step_a + M[:, 1] * step_b >= -_SLACK)
+    if pending.any():
         ll = _pass(_loglik, tree, D, Y, W, a, b)
-        floor = ll - _SLACK * (1.0 + np.abs(ll))
-        pending, scale = np.arange(back.size), 1.0
-        while pending.size:
-            k = pending.size
-            ca, cb = a[pending] + scale * step_a[pending], b[pending] + scale * step_b[pending]
-            ll_new = _pass(_loglik, tree, D[pending], Y[pending], tuple(v[:k] for v in W), ca, cb)
+        floor, scale = ll - _SLACK * (1.0 + np.abs(ll)), 1.0
+        while pending.any():
+            ca, cb = a + scale * step_a, b + scale * step_b
             # a NaN candidate fails the comparison and is halved too
-            ok = (ll_new >= floor[pending]) | (scale == _MIN_SCALE)
-            took = back[pending[ok]]
-            new_a[took], new_b[took] = ca[ok], cb[ok]
-            pending, scale = pending[~ok], scale * 0.5
-        M[back] = _pass(_moments, tree, D, Y, W, new_a[back], new_b[back])
+            ok = pending & ((_pass(_loglik, tree, D, Y, W, ca, cb) >= floor) | (scale == _MIN_SCALE))
+            new_a[ok], new_b[ok] = ca[ok], cb[ok]
+            pending, scale = pending & ~ok, scale * 0.5
+        M = _pass(_moments, tree, D, Y, W, new_a, new_b)
     return new_a, new_b, M
 
 

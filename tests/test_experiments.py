@@ -25,7 +25,6 @@ from geomasksim.experiments import (
     ExperimentConfig,
     _add_flags,
     build_curve,
-    choices_checksum,
     prepare_dataset,
     run_efficiency_experiment,
     run_experiment,
@@ -116,12 +115,24 @@ def test_prepare_dataset_deterministic():
     assert not np.array_equal(a_y, c_y)
 
 
-def test_choices_checksum_tracks_content():
-    _, _, y = prepare_dataset(_config())
-    assert choices_checksum(y) == choices_checksum(y.copy())
-    flipped = y.copy()
-    flipped[0] = 1 - flipped[0]
-    assert choices_checksum(y) != choices_checksum(flipped)
+def test_fixed_task_checks_its_choices_exactly():
+    # a fixed task compares the choices it fits with the run's private copy,
+    # so a flip and a fractional write each stop it, and an equal copy runs
+    import geomasksim.experiments as exp
+
+    xy, _, y = prepare_dataset(_config(n=60))
+    y = y.astype(np.float64)  # the kernel's copy of the choices, as _run_cells makes it
+    payload = {
+        "xy": xy, "facility": Point(0.0, 0.0), "bounds": None, "seed": 7, "y": y.copy(),
+        "y_copy": y.astype(np.bool_), "prob": None, "base_spec": MaskSpec(), "generators": GeneratorPool(),
+    }
+    task = (0, 0.1, 0, 2, True)
+    assert exp._replicate_block(task, payload)["converged"].shape == (2,)
+    for written in (1.0 - y[0], np.trunc(y[0]) + 0.5):
+        payload["y"] = y.copy()
+        payload["y"][0] = written
+        with pytest.raises(RuntimeError, match="fixed-y contract violated"):
+            exp._replicate_block(task, payload)
 
 
 def test_run_baseline_consistent_with_generator():
@@ -353,7 +364,7 @@ def _pool_run(processes=2):
     y = (np.random.default_rng(48).random(50) < 0.5).astype(np.float64)
     payload = {
         "xy": xy, "facility": Point(0.0, 0.0), "bounds": None, "seed": 41, "y": y,
-        "y_checksum": choices_checksum(y), "prob": None, "base_spec": MaskSpec(), "generators": GeneratorPool(),
+        "y_copy": y.astype(np.bool_), "prob": None, "base_spec": MaskSpec(), "generators": GeneratorPool(),
     }
     tasks = [(c, 0.05 * c, r, r + 1, True) for c in range(8) for r in range(4)]
 
@@ -595,20 +606,25 @@ def test_batch_convergence_error_names_its_stage(monkeypatch):
     assert str(efficiency.value) == "efficiency stage (regenerated choices): cell theta*=0 converged on 0.0% of replications"
 
 
-def test_choices_written_during_a_run_break_the_fixed_y_contract(monkeypatch):
-    # every block checks the fixed choices against the checksum taken before
-    # the first, so a fit that writes into them stops the run at the next block
+@pytest.mark.parametrize("write", [lambda y: 1.0 - y, lambda y: np.trunc(y) + 0.5], ids=["flip", "half"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_choices_written_during_a_run_break_the_fixed_y_contract(monkeypatch, workers, write):
+    # every block compares the fixed choices exactly with the copy taken
+    # before the first, so a fit that writes into them, by a flip or by a
+    # fraction that truncates to the same choice, stops the run at the next
+    # block of its process; three fixed blocks put two in one of two workers
     import geomasksim.experiments as exp
 
     real_fit_rows = exp.fit_rows
 
     def tampering(d, y, **kw):
-        y[0] = 1.0 - y[0]
+        if np.ndim(y) == 1:  # the fixed choices, not an efficiency block's redrawn rows
+            y[0] = write(y[0])
         return real_fit_rows(d, y, **kw)
 
     monkeypatch.setattr(exp, "fit_rows", tampering)
     with pytest.raises(RuntimeError, match="fixed-y contract violated"):
-        run_experiment(_config(n=150, replications=10))
+        run_experiment(_config(n=150, replications=10), workers=workers)
 
 
 def test_masking_failures_recorded_not_fatal(monkeypatch):

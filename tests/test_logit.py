@@ -451,9 +451,9 @@ def test_overshooting_step_kept_without_halving(loglik_rows):
     assert slope[0] < -1e-10 and ll1[0] > ll0[0]
     assert ll1[1] < ll0[1]
     assert slope[2] >= -1e-10
-    # rows, and the rows of its first log-likelihood evaluation: the old
-    # point of the rows that fail the slope test
-    for rows, first in (([0], [1]), ([1], [1]), ([2], []), ([0, 1, 2], [2])):
+    # rows, and the rows of its first log-likelihood evaluation: once any
+    # row fails the slope test, the whole block's, at its old point
+    for rows, first in (([0], [1]), ([1], [1]), ([2], []), ([0, 1, 2], [3])):
         loglik_rows.clear()
         fits = fit_rows(D[rows], Y[rows], init=init, max_iter=1)
         took_full = [(fits.alpha[k], fits.beta[k]) == (full[i].alpha, full[i].beta) for k, i in enumerate(rows)]
@@ -663,17 +663,19 @@ def test_blocked_passes_give_the_bits_of_one_block(monkeypatch, loglik_rows, row
 
 def test_fit_scratch_memory_does_not_grow_with_n():
     # four work arrays of at most _BLOCK points: 1 MB at any n, where
-    # whole-row work arrays would take 6.4 MB at n = 200,000
+    # whole-row work arrays would take 6.4 MB at n = 200,000. From (2, 2)
+    # the steps are halved in place, with no copy of the row.
     d, y = _sim(200_000, seed=5)
     y = y.astype(np.float64)
-    tracemalloc.start()
-    try:
-        fit = fit_distance_choice(d, y)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert fit.converged
-    assert peak <= 1.5e6, peak
+    for init in (LogitParams(0.0, 0.0), LogitParams(2.0, 2.0)):
+        tracemalloc.start()
+        try:
+            fit = fit_distance_choice(d, y, init=init)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fit.converged
+        assert peak <= 1.5e6, (init, peak)
 
 
 def test_fit_rows_without_iterations_reports_the_origin():
