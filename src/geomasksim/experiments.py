@@ -41,9 +41,10 @@ test flags and aggregates each cell from them; the efficiency stage reads
 the converged estimates of its cells.
 
 Fixed-y design: the attenuation run generates choices exactly once, before
-the baseline fit, and never regenerates them; every fixed task compares
-them exactly with a private copy taken before the first, so that all
-cross-replication variation is attributable to locational error alone.
+the baseline fit, and never regenerates them; every fixed task, once its
+last fit is done, compares them exactly with a private copy taken before
+the first, so that all cross-replication variation is attributable to
+locational error alone.
 
 Determinism: replication (theta_index, rep) owns a private stream derived
 from the run seed, so results are independent of worker count and schedule;
@@ -86,6 +87,7 @@ from .logit import (
 from .masking import MaskSpec, checked_bounds, mask_rows
 from .population import (
     DEFAULT_GENERATING_PARAMS,
+    GridCells,
     MunicipalityGrid,
     assign_to_centroid,
     build_municipality_grid,
@@ -322,6 +324,9 @@ def _replicate_block(task: tuple[int, float | None, int, int, bool], state: dict
     bounds were checked by ``_run_cells``), take the (rows, n) masked
     distances from its contiguous x and y planes and fit them with
     ``fit_rows``.
+    A fixed task ends by comparing the choices it fitted exactly with the
+    run's private copy (RuntimeError when they differ), so a write made
+    during any fixed task is caught, a process's last one included.
     Returns the ``_COLUMNS`` of the block's rows under the one failure
     policy: a row with degenerate choices (all 0s or all 1s) or a singular
     information matrix has no estimate (NaN, not converged, 0 iterations)
@@ -329,8 +334,6 @@ def _replicate_block(task: tuple[int, float | None, int, int, bool], state: dict
     """
     theta_index, theta_star, rep_start, rep_stop, fixed = task
     xy, facility, bounds, seed, y, prob = (state[k] for k in ("xy", "facility", "bounds", "seed", "y", "prob"))
-    if fixed and not np.array_equal(y, state["y_copy"]):
-        raise RuntimeError("choice vector changed after baseline; fixed-y contract violated")
     spec = None if theta_star is None else dataclasses.replace(state["base_spec"], theta_star=theta_star)
     d = facility_distances(xy, facility) if spec is None else None
 
@@ -366,6 +369,8 @@ def _replicate_block(task: tuple[int, float | None, int, int, bool], state: dict
             fits.status == CONVERGED,
             np.where(failed, 0, fits.iterations),
         ))
+    if fixed and not np.array_equal(y, state["y_copy"]):
+        raise RuntimeError("choice vector changed after baseline; fixed-y contract violated")
     return {name: np.concatenate(column) for name, column in zip(_COLUMNS, zip(*chunks))}
 
 
@@ -475,7 +480,7 @@ def _run_cells(
     stages: list[tuple[list[tuple[int, float | None]], int, bool]],
     xy: np.ndarray,
     facility: Point,
-    bounds: tuple[float, float, float, float] | np.ndarray,
+    bounds: tuple[float, float, float, float] | GridCells,
     base_spec: MaskSpec,
     seed: int,
     workers: int,
@@ -488,11 +493,13 @@ def _run_cells(
 
     A stage is (cells, replications, fixed): a ``fixed`` one (attenuation)
     refits the choices ``y``, the others (efficiency) redraw them per
-    replication from the generating probabilities ``prob``. Under the
-    redraw policy every point must start inside ``bounds`` (one (4,)
-    rectangle or (4, n) per-point columns). That is checked once here,
-    before any replication, by ``checked_bounds``, the check
-    ``masking.mask_coordinates`` makes on every call (ValueError). The tasks of all stages, in stage order, run
+    replication from the generating probabilities ``prob``. ``xy`` and
+    ``y`` are used as they are when they already are C-contiguous float64,
+    and otherwise copied once. Under the redraw policy every point must
+    start inside ``bounds`` (one (4,) rectangle, or each point's grid cell
+    as ``GridCells``). That is checked once here, before any replication,
+    by ``checked_bounds``, the check ``masking.mask_coordinates`` makes on
+    every call (ValueError). The tasks of all stages, in stage order, run
     in-process or, on Linux, in one ``_fork_pool`` of at most ``workers``
     processes, no more than there are tasks or CPUs this process may use;
     elsewhere they run in-process, with the same bits. The workers share
@@ -618,8 +625,10 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     replications)) replications, follow in the same ``_run_cells`` call, in
     at most ``workers`` processes; the outputs are the same bits for any
     count."""
-    (xy, d, y), bounds = prepare_dataset(config), UNIT_SQUARE.bounds
+    xy, d, y = prepare_dataset(config)
+    y, bounds = y.astype(np.float64), UNIT_SQUARE.bounds  # the fit's dtype, so _run_cells copies nothing
     if config.experiment == "centroid":
+        del d  # the true distances; the centroids' replace them
         xy, bounds = assign_to_centroid(xy, build_municipality_grid(config.grid_k))
         d = facility_distances(xy, config.facility)
         efficiency, prob = [], None

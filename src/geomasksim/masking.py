@@ -30,12 +30,15 @@ rows are masked with it. ``mask_coordinates`` is its one-row form: one
 stream, (n, 2) in and out.
 
 Bounds are one (4,) rectangle (x_min, x_max, y_min, y_max) shared by every
-point or a C-contiguous (4, n) array whose four rows are the per-point
-x_min, x_max, y_min and y_max, so each attempt's membership test reads
-four contiguous columns. ``mask_coordinates`` checks on every call that
-each point starts inside its bounds (``checked_bounds``); the experiment
-harness checks once per run and calls the unchecked kernel ``mask_rows``
-for every chunk of rows.
+point or each point's own grid cell (``population.GridCells``: a small
+unsigned (column, row) index per point), whose float bounds are computed
+only for the points a step tests. The first attempt adds the offsets and
+tests membership in column blocks of at most ``_BLOCK`` points, so neither
+the bounds nor the offset temporaries grow with n; each redraw attempt
+computes the bounds of its pending points alone. ``mask_coordinates`` checks
+on every call that each point starts inside its bounds (``checked_bounds``);
+the experiment harness checks once per run and calls the unchecked kernel
+``mask_rows`` for every chunk of rows.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator
 
+from .population import GridCells
 from .rng import RngStream
 
 #: sqrt(2*ln(100)); sigma = theta_star / GAUSSIAN_CALIBRATION puts 99% of
@@ -53,6 +57,10 @@ from .rng import RngStream
 GAUSSIAN_CALIBRATION = math.sqrt(2.0 * math.log(100.0))
 
 BOUNDARY_POLICIES = ("unconstrained", "redraw")
+
+# Points per column block of the first attempt and of the start-point check:
+# the offset temporaries and the cell bounds of one block stay in cache.
+_BLOCK = 16384
 
 
 class BoundaryExhaustionError(RuntimeError):
@@ -146,22 +154,24 @@ _LAWS = {
 MECHANISMS = tuple(_LAWS)
 
 
-def _inside(x: np.ndarray, y: np.ndarray, bounds: np.ndarray, points=slice(None)) -> np.ndarray:
+def _blocks(n: int) -> list[slice]:
+    """Columns [0, n) cut into runs of at most ``_BLOCK``."""
+    return [slice(start, min(start + _BLOCK, n)) for start in range(0, n, _BLOCK)]
+
+
+def _inside(x: np.ndarray, y: np.ndarray, bounds, points=slice(None)) -> np.ndarray:
     """Membership of coordinates in one shared (4,) rectangle, or in the
-    ``points`` columns of (4, n) per-point bounds."""
-    if bounds.ndim == 1:
-        x_min, x_max, y_min, y_max = bounds.tolist()
-    else:
-        x_min, x_max, y_min, y_max = bounds[:, points]
+    cells of the ``points`` (a slice or an index array) of ``GridCells``."""
+    x_min, x_max, y_min, y_max = bounds.tolist() if isinstance(bounds, np.ndarray) else bounds.bounds(points)
     return (x_min <= x) & (x <= x_max) & (y_min <= y) & (y <= y_max)
 
 
-def checked_bounds(xy: np.ndarray, spec: MaskSpec, bounds) -> np.ndarray | None:
+def checked_bounds(xy: np.ndarray, spec: MaskSpec, bounds) -> np.ndarray | GridCells | None:
     """The bounds ``mask_rows`` takes for the (n, 2) points ``xy`` under
-    ``spec``: None under the unconstrained policy, else ``bounds`` as
-    float64 once they are checked to be one (4,) rectangle or (4, n)
-    per-point columns that every point starts inside (ValueError
-    otherwise).
+    ``spec``: None under the unconstrained policy, else ``bounds`` (a
+    rectangle as float64) once they are checked to be one (4,) rectangle
+    or the ``GridCells`` of the n points, and every point, block by block,
+    to start inside its bounds (ValueError otherwise).
 
     ``mask_coordinates`` checks on every call. The experiment harness masks
     the same points against the same bounds for a whole run, so it checks
@@ -171,25 +181,31 @@ def checked_bounds(xy: np.ndarray, spec: MaskSpec, bounds) -> np.ndarray | None:
         return None
     if bounds is None:
         raise ValueError("redraw policy requires bounds")
-    bounds = np.asarray(bounds, dtype=np.float64)
     n = xy.shape[0]
-    if bounds.shape not in ((4,), (4, n)):
-        raise ValueError(f"bounds must have shape (4,) or (4, n) = (4, {n}), got {bounds.shape}")
-    inside = _inside(xy[:, 0], xy[:, 1], bounds)
-    if not inside.all():
+    if isinstance(bounds, GridCells):
+        if bounds.index.shape != (2, n):
+            raise ValueError(f"cell index must have shape (2, n) = (2, {n}), got {bounds.index.shape}")
+    else:
+        bounds = np.asarray(bounds, dtype=np.float64)
+        if bounds.shape != (4,):
+            raise ValueError(f"bounds must be one (4,) rectangle or GridCells, got shape {bounds.shape}")
+    outside = np.empty(n, dtype=np.bool_)
+    for block in _blocks(n):
+        np.logical_not(_inside(xy[block, 0], xy[block, 1], bounds, block), out=outside[block])
+    if outside.any():
         raise ValueError(
             "redraw policy requires points inside their bounds; "
-            f"offending index(es) {np.flatnonzero(~inside)[:10].tolist()}"
+            f"offending index(es) {np.flatnonzero(outside)[:10].tolist()}"
         )
     return bounds
 
 
-def mask_coordinates(xy: np.ndarray, spec: MaskSpec, bounds: np.ndarray | None, stream: RngStream) -> np.ndarray:
+def mask_coordinates(xy: np.ndarray, spec: MaskSpec, bounds, stream: RngStream) -> np.ndarray:
     """The (n, 2) coordinates ``xy`` masked once from the start of ``stream``.
 
     ``bounds`` is one (x_min, x_max, y_min, y_max) rectangle shared by every
-    point, a (4, n) array whose rows are the x_min, x_max, y_min and y_max
-    of each point, or None under the unconstrained policy. Under the redraw
+    point, the ``GridCells`` of the n points (each point's own cell), or
+    None under the unconstrained policy. Under the redraw
     policy every input point must start inside its bounds, which every call
     checks (``checked_bounds``); displacements are re-drawn until the
     result falls back inside, up to ``spec.max_attempts`` per point, and
@@ -200,7 +216,7 @@ def mask_coordinates(xy: np.ndarray, spec: MaskSpec, bounds: np.ndarray | None, 
     return mask_rows(xy, spec, checked_bounds(xy, spec, bounds), [stream.generator()])[0].T.copy()
 
 
-def mask_rows(xy: np.ndarray, spec: MaskSpec, bounds: np.ndarray | None, gens: list[Generator]) -> np.ndarray:
+def mask_rows(xy: np.ndarray, spec: MaskSpec, bounds, gens: list[Generator]) -> np.ndarray:
     """The (n, 2) float64 points ``xy`` masked once per generator of
     ``gens``, against ``bounds`` as ``checked_bounds`` returns them; nothing
     is checked here. Row r draws from ``gens[r]`` alone.
@@ -208,9 +224,9 @@ def mask_rows(xy: np.ndarray, spec: MaskSpec, bounds: np.ndarray | None, gens: l
     Returns an (R, 2, n) block: [:, 0] the masked x and [:, 1] the masked y
     of each row. It is the transpose of plane-major (2, R, n) storage, so
     the x and y planes stay C-contiguous and every offset, add and
-    membership ufunc runs on contiguous (R, n) arrays. When the redraw
-    attempts run out, BoundaryExhaustionError names the pending points of
-    the lowest row still pending.
+    membership ufunc runs on (R, b) blocks of contiguous rows, b at most
+    ``_BLOCK``. When the redraw attempts run out, BoundaryExhaustionError
+    names the pending points of the lowest row still pending.
     """
     x, y = xy[:, 0], xy[:, 1]
     draw, offsets, _ = _LAWS[spec.mechanism]
@@ -221,14 +237,19 @@ def mask_rows(xy: np.ndarray, spec: MaskSpec, bounds: np.ndarray | None, gens: l
     for gen, row_x, row_y in zip(gens, out[0], out[1]):
         draw(gen, out=row_x)
         draw(gen, out=row_y)
-    ox, oy = offsets(spec.theta_star, out)
-    np.add(x, ox, out=out[0])
-    np.add(y, oy, out=out[1])
-    if spec.boundary == "unconstrained":
+    redraw = spec.boundary == "redraw"
+    outside = np.empty(out.shape[1:], dtype=np.bool_) if redraw else None
+    for block in _blocks(x.size):
+        ox, oy = offsets(spec.theta_star, out[:, :, block])
+        np.add(x[block], ox, out=out[0, :, block])
+        np.add(y[block], oy, out=out[1, :, block])
+        if redraw:
+            np.logical_not(_inside(out[0, :, block], out[1, :, block], bounds, block), out=outside[:, block])
+    if not redraw:
         return out.transpose(1, 0, 2)
 
     # pending (row, point) pairs in row-major order, so rows is ascending
-    rows, points = np.divmod(np.flatnonzero(~_inside(out[0], out[1], bounds)), x.size)
+    rows, points = np.divmod(np.flatnonzero(outside), x.size)
     attempts = 1
     while rows.size:
         if attempts >= spec.max_attempts:

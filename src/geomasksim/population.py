@@ -10,10 +10,13 @@ distance deters choice.
 Municipality grids are the synthetic stand-in for administrative units in
 the centroid-assignment experiment: k x k equal square cells tiling
 ``UNIT_SQUARE``, with one cell radius, the radius of the circle of the same
-surface, as their size scale. A grid gives each point the bounds of its own
-cell as C-contiguous (4, n) columns, the per-point bounds masking reads;
-centroid assignment returns the cell centers and those bounds. Nothing of
-size k^2 is built, so a fine grid costs no more memory than a coarse one.
+surface, as their size scale. A grid gives each point its own cell as a
+``GridCells``: (2, n) column and row indices in the smallest unsigned dtype
+that holds k - 1 (one byte an index up to k = 256), the per-point bounds
+masking reads. The float bounds of a cell are computed only for the points a
+masking step tests; centroid assignment returns the cell centers and the
+``GridCells``. Nothing of size k^2 is built, so a fine grid costs no more
+memory than a coarse one.
 
 Draw-order contract (per stream): generate_csr_xy draws all n x-coordinates,
 then all n y-coordinates; simulate_choices_xy draws n uniforms compared
@@ -31,6 +34,7 @@ from .logit import LogitParams, choice_probability
 from .rng import RngStream
 
 DEFAULT_GENERATING_PARAMS = LogitParams(1.0, -2.0)
+_LOWS = np.array([[UNIT_SQUARE.xmin], [UNIT_SQUARE.ymin]])  # the grid's low corner, as a column
 
 
 class OutOfGridError(ValueError):
@@ -64,9 +68,9 @@ class MunicipalityGrid:
         """Radius of the circle of the same surface as one cell."""
         return equivalent_circle_radius(self.side * self.side)
 
-    def cell_bounds(self, xy: np.ndarray) -> np.ndarray:
-        """C-contiguous (4, n) array whose rows are the xmin, xmax, ymin and
-        ymax of each point's cell; raises for points outside the area.
+    def cells(self, xy: np.ndarray) -> GridCells:
+        """The cell of each of the (n, 2) points ``xy``; raises for points
+        outside the area.
 
         Points on interior cell edges belong to the upper cell; the area's
         outer max edges are clamped into the last row/column so the cells
@@ -76,12 +80,33 @@ class MunicipalityGrid:
         inside = (xy[:, 0] >= xmin) & (xy[:, 0] <= xmax) & (xy[:, 1] >= ymin) & (xy[:, 1] <= ymax)
         if not inside.all():
             raise OutOfGridError(np.flatnonzero(~inside))
-        bounds = np.empty((4, xy.shape[0]))
-        for row, coord, low in ((0, xy[:, 0], xmin), (2, xy[:, 1], ymin)):
-            index = np.minimum(((coord - low) / self.side).astype(np.int64), self.k - 1)  # ix, then iy
-            np.multiply(index, self.side, out=bounds[row])
-            bounds[row] += low
-            np.add(bounds[row], self.side, out=bounds[row + 1])
+        index = np.empty((2, xy.shape[0]), dtype=np.min_scalar_type(self.k - 1))
+        for row, coord, low in ((0, xy[:, 0], xmin), (1, xy[:, 1], ymin)):
+            # ix, then iy: clamp the outer max edge, then truncate (the offset is >= 0)
+            scaled = coord - low
+            scaled /= self.side
+            index[row] = np.minimum(scaled, self.k - 1, out=scaled)
+        return GridCells(self, index)
+
+
+@dataclass(frozen=True, eq=False)
+class GridCells:
+    """The cells of n points in one grid: ``index`` is C-contiguous (2, n),
+    the column (row 0) and row (row 1) index of each point's cell."""
+
+    grid: MunicipalityGrid
+    index: np.ndarray
+
+    def bounds(self, points=slice(None)) -> np.ndarray:
+        """(4, m) array whose rows are the xmin, xmax, ymin and ymax of the
+        cells of ``points``, a slice or an index array of the n points:
+        index * side + low, then + side."""
+        index = self.index[:, points]
+        bounds = np.empty((4, index.shape[1]))
+        lows = bounds[::2]  # xmin and ymin
+        np.multiply(index, self.grid.side, out=lows)
+        lows += _LOWS
+        np.add(lows, self.grid.side, out=bounds[1::2])
         return bounds
 
 
@@ -108,13 +133,15 @@ def simulate_choices_xy(d: np.ndarray, params: LogitParams, stream: RngStream) -
     return (u < prob).astype(np.int64)
 
 
-def assign_to_centroid(xy: np.ndarray, grid: MunicipalityGrid) -> tuple[np.ndarray, np.ndarray]:
+def assign_to_centroid(xy: np.ndarray, grid: MunicipalityGrid) -> tuple[np.ndarray, GridCells]:
     """The (n, 2) coordinates ``xy`` observed at their cell centroids (the
     unintentional locational error of administrative geocoding), with the
-    (4, n) bounds of each point's cell (``MunicipalityGrid.cell_bounds``):
-    each point is replaced by the center of its cell. Idempotent: centroids
-    map to themselves.
+    cell of each point (``MunicipalityGrid.cells``): each point is replaced
+    by the center of its cell, its cell's low corner + side / 2. Idempotent:
+    centroids map to themselves.
     """
-    bounds = grid.cell_bounds(xy)
-    half = 0.5 * grid.side
-    return np.column_stack([bounds[0] + half, bounds[2] + half]), bounds
+    cells = grid.cells(xy)
+    centroids = np.multiply(cells.index.T, grid.side, order="C")
+    centroids += _LOWS.T
+    centroids += 0.5 * grid.side
+    return centroids, cells

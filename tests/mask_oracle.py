@@ -22,12 +22,12 @@ BOUNDS_KINDS = ("none", "shared", "per-point")
 def bounds_for(kind, xy):
     """The bounds layouts the kernel takes, for points ``xy`` in the unit
     square: none, the square shared by every point, or each point's cell
-    of a 4 x 4 grid as C-contiguous (4, n) columns."""
+    of a 4 x 4 grid as ``GridCells``."""
     if kind == "none":
         return None
     if kind == "shared":
         return np.asarray(UNIT_SQUARE.bounds)
-    return build_municipality_grid(4).cell_bounds(xy)
+    return build_municipality_grid(4).cells(xy)
 
 
 def grid_cells(k):
@@ -61,16 +61,24 @@ def _inside(xy, bounds):
     return (x_min <= xy[:, 0]) & (xy[:, 0] <= x_max) & (y_min <= xy[:, 1]) & (xy[:, 1] <= y_max)
 
 
+def point_rows(cells):
+    """(n, 4) rows x_min, x_max, y_min, y_max of each point's cell, looked
+    up in the row-major per-cell table of ``grid_cells``."""
+    k = cells.grid.k
+    column, row = cells.index.astype(np.int64)
+    return grid_cells(k)[0][row * k + column]
+
+
 def mask_one(xy, spec, bounds, gen):
     """(n, 2) masked coordinates of one replication drawn from ``gen``.
 
     ``bounds`` are given in the kernel's layout, one (4,) rectangle or
-    (4, n) per-point columns, and read here as one (x_min, x_max, y_min,
-    y_max) row per point."""
+    ``GridCells``, and the cells read here as one (x_min, x_max, y_min,
+    y_max) row per point (``point_rows``)."""
     out = xy + _offsets(spec, gen, xy.shape[0])
     if spec.boundary == "unconstrained":
         return out
-    bounds = bounds if bounds.ndim == 1 else bounds.T
+    bounds = bounds if isinstance(bounds, np.ndarray) else point_rows(bounds)
     pending = np.flatnonzero(~_inside(out, bounds))
     attempts = 1
     while pending.size:

@@ -212,6 +212,46 @@ def test_records_bytes_independent_of_block_size(monkeypatch, tmp_path):
         assert len(efficiency) == (0 if cfg.experiment == "centroid" else 1), name
 
 
+def test_records_bytes_independent_of_mask_block_size(monkeypatch, tmp_path):
+    # the first mask attempt works in column blocks of masking._BLOCK points;
+    # small odd blocks, which cut every (rows, n) chunk into many short
+    # strided runs, give the same records bytes
+    import geomasksim.masking as masking
+    from geomasksim.reports import write_records_csv
+
+    configs = {
+        "centroid": _config(experiment="centroid", n=150, replications=40, grid_k=3),
+        "gaussian-redraw": _config(
+            experiment="fixed-area-grid", n=150, replications=40, mask=MaskSpec(mechanism="gaussian", boundary="redraw"),
+        ),
+    }
+    for name, cfg in configs.items():
+        outputs = set()
+        for block in (masking._BLOCK, 7, 1):
+            monkeypatch.setattr(masking, "_BLOCK", block)
+            res = run_experiment(cfg)
+            outputs.add(write_records_csv(res.theta_stars, res.columns, tmp_path / f"{name}_{block}.csv").read_bytes())
+        assert len(outputs) == 1, name
+
+
+def test_centroid_run_memory_does_not_hold_float_bounds_per_point():
+    # at n = 100,000 the run holds the (n, 2) centroids, their distances, the
+    # float64 choices and one mask block: about 68 B a point. (4, n) float
+    # cell bounds, an int64 copy of the choices and full-row mask
+    # temporaries took it past 10 MB
+    import tracemalloc
+
+    cfg = _config(experiment="centroid", n=100_000, replications=2, grid_k=10)
+    tracemalloc.start()
+    try:
+        res = run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.columns["converged"].all()
+    assert peak < 8_000_000
+
+
 def _harness_rows(monkeypatch, cell, xy, bounds, spec, reps, **choices):
     """The (d, y) rows ``_run_cells`` hands to ``fit_rows`` for one cell, stacked."""
     import geomasksim.experiments as exp
@@ -608,11 +648,12 @@ def test_batch_convergence_error_names_its_stage(monkeypatch):
 
 @pytest.mark.parametrize("write", [lambda y: 1.0 - y, lambda y: np.trunc(y) + 0.5], ids=["flip", "half"])
 @pytest.mark.parametrize("workers", [1, 2])
-def test_choices_written_during_a_run_break_the_fixed_y_contract(monkeypatch, workers, write):
-    # every block compares the fixed choices exactly with the copy taken
-    # before the first, so a fit that writes into them, by a flip or by a
-    # fraction that truncates to the same choice, stops the run at the next
-    # block of its process; three fixed blocks put two in one of two workers
+@pytest.mark.parametrize("theta_grid", [(0.0, 0.5, 1.0), (0.5,)], ids=["three-cells", "one-cell"])
+def test_choices_written_during_a_run_break_the_fixed_y_contract(monkeypatch, theta_grid, workers, write):
+    # every fixed block, once fitted, compares the fixed choices exactly with
+    # the copy taken before the first, so a fit that writes into them, by a
+    # flip or by a fraction that truncates to the same choice, stops the run
+    # at the end of that block: with one cell, the run's only fixed block
     import geomasksim.experiments as exp
 
     real_fit_rows = exp.fit_rows
@@ -624,7 +665,7 @@ def test_choices_written_during_a_run_break_the_fixed_y_contract(monkeypatch, wo
 
     monkeypatch.setattr(exp, "fit_rows", tampering)
     with pytest.raises(RuntimeError, match="fixed-y contract violated"):
-        run_experiment(_config(n=150, replications=10), workers=workers)
+        run_experiment(_config(n=150, replications=10, theta_grid=theta_grid), workers=workers)
 
 
 def test_masking_failures_recorded_not_fatal(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from geomasksim.geometry import UNIT_SQUARE, Point, facility_distances
 from geomasksim.masking import (
     GAUSSIAN_CALIBRATION,
     BoundaryExhaustionError,
+    _BLOCK,
     _LAWS,
     MaskSpec,
     _direction,
@@ -18,12 +20,18 @@ from geomasksim.masking import (
     mask_coordinates,
     mask_rows,
 )
+from geomasksim.population import GridCells, build_municipality_grid
 from geomasksim.rng import GeneratorPool, derive_stream
 
 from mask_oracle import BOUNDS_KINDS, bounds_for, mask_one
 
 SQUARE = np.asarray(UNIT_SQUARE.bounds)
 TWO_PI = 2.0 * math.pi
+
+
+def _square_cells(xy):
+    """Each point's cell of the 1 x 1 grid: the unit square, as per-point bounds."""
+    return build_municipality_grid(1).cells(xy)
 
 
 def _in_square(xy):
@@ -157,7 +165,7 @@ def test_mask_coordinates_deterministic():
 
 def test_redraw_keeps_points_inside():
     xy = np.random.default_rng(5).uniform(-0.5, 0.5, size=(200, 2))
-    bounds = np.tile(SQUARE[:, None], (1, 200))
+    bounds = _square_cells(xy)
     spec = MaskSpec(theta_star=0.7, boundary="redraw")
     out = mask_coordinates(xy, spec, bounds, derive_stream(18, 0, 0))
     assert _in_square(out).all()
@@ -167,13 +175,13 @@ def test_redraw_keeps_points_inside():
 
 @pytest.mark.parametrize("mechanism", ["uniform", "gaussian"])
 def test_shared_rectangle_matches_per_point_bounds(mechanism):
-    # one (4,) rectangle and the same rectangle tiled into (4, n) per-point
-    # columns consume the stream identically, so the masked coordinates are
-    # the same bits
+    # one (4,) rectangle and the same rectangle as every point's cell of the
+    # 1 x 1 grid consume the stream identically, so the masked coordinates
+    # are the same bits
     xy = np.random.default_rng(5).uniform(-0.5, 0.5, size=(500, 2))
     spec = MaskSpec(mechanism=mechanism, theta_star=0.7, boundary="redraw")
     shared = mask_coordinates(xy, spec, SQUARE, derive_stream(18, 1, 0))
-    tiled = mask_coordinates(xy, spec, np.tile(SQUARE[:, None], (1, 500)), derive_stream(18, 1, 0))
+    tiled = mask_coordinates(xy, spec, _square_cells(xy), derive_stream(18, 1, 0))
     np.testing.assert_array_equal(shared, tiled)
     assert _in_square(shared).all()
 
@@ -182,7 +190,7 @@ def test_redraw_matches_unconstrained_when_no_rejection():
     # interior point with theta_star smaller than any boundary gap: the first
     # draw is always accepted, so both policies consume the stream identically
     xy = np.array([[0.0, 0.0]])
-    bounds = np.array([[-0.5], [0.5], [-0.5], [0.5]])
+    bounds = _square_cells(xy)
     a = mask_coordinates(xy, MaskSpec(theta_star=0.3, boundary="redraw"), bounds, derive_stream(19, 0, 0))
     b = mask_coordinates(xy, MaskSpec(theta_star=0.3), None, derive_stream(19, 0, 0))
     np.testing.assert_array_equal(a, b)
@@ -194,14 +202,16 @@ def test_redraw_requires_bounds():
 
 
 def test_redraw_requires_start_inside():
-    bounds = np.array([[0.0], [0.1], [0.0], [0.1]])
+    # the point's given cell is column 5, row 5 of the 10 x 10 grid: [0, 0.1] x [0, 0.1]
+    bounds = GridCells(build_municipality_grid(10), np.array([[5], [5]], dtype=np.uint8))
+    np.testing.assert_array_equal(bounds.bounds(), [[0.0], [0.1], [0.0], [0.1]])
     with pytest.raises(ValueError, match="inside"):
         mask_coordinates(np.array([[0.5, 0.5]]), MaskSpec(theta_star=0.1, boundary="redraw"), bounds, derive_stream(0, 0, 0))
 
 
 def test_redraw_exhaustion():
     # acceptance probability ~ (1e-9/1)**2 per attempt: 3 attempts always fail
-    bounds = np.array([[-1e-9], [1e-9], [-1e-9], [1e-9]])
+    bounds = np.array([-1e-9, 1e-9, -1e-9, 1e-9])
     spec = MaskSpec(theta_star=1.0, boundary="redraw", max_attempts=3)
     with pytest.raises(BoundaryExhaustionError) as info:
         mask_coordinates(np.array([[0.0, 0.0]]), spec, bounds, derive_stream(20, 0, 0))
@@ -236,6 +246,35 @@ def test_batched_rows_match_per_replication_oracle(mechanism, bounds_kind, rows)
     assert out.shape == (rows, 2, 300)
     for row, stream in zip(out, streams):
         np.testing.assert_array_equal(row.T, mask_one(xy, spec, bounds, stream.generator()))
+
+
+@pytest.mark.parametrize("mechanism", ["uniform", "gaussian"])
+def test_cells_across_column_blocks_match_per_replication_oracle(mechanism):
+    # n = 3 blocks + 5: the first attempt's offsets, sums and membership test
+    # run over four column blocks, the last one short, and every row keeps
+    # the bits of its replication masked alone against its points' cells
+    n, rows = 3 * _BLOCK + 5, 2
+    xy = np.random.default_rng(39).uniform(-0.5, 0.5, size=(n, 2))
+    bounds = bounds_for("per-point", xy)
+    spec = MaskSpec(mechanism, 0.14, "redraw")
+    streams = [derive_stream(39, 2, rep) for rep in range(rows)]
+    out = mask_rows(xy, spec, checked_bounds(xy, spec, bounds), GeneratorPool().positioned(streams))
+    for row, stream in zip(out, streams):
+        np.testing.assert_array_equal(row.T, mask_one(xy, spec, bounds, stream.generator()))
+
+
+def test_start_points_are_checked_in_every_column_block():
+    # an outside point in the last, short block is named, with the first
+    # ones of the earlier blocks, in ascending order
+    n = 2 * _BLOCK + 3
+    xy = np.random.default_rng(40).uniform(-0.5, 0.5, size=(n, 2))
+    cells = bounds_for("per-point", xy)
+    moved = xy.copy()
+    moved[[_BLOCK - 1, _BLOCK, n - 1]] = [0.6, 0.0]  # outside the area, so outside every cell
+    spec = MaskSpec("uniform", 0.1, "redraw")
+    assert checked_bounds(xy, spec, cells) is cells
+    with pytest.raises(ValueError, match=re.escape(f"offending index(es) {[_BLOCK - 1, _BLOCK, n - 1]}")):
+        checked_bounds(moved, spec, cells)
 
 
 @pytest.mark.parametrize("rows", [2, 16])
@@ -298,28 +337,35 @@ def test_batched_exhaustion_names_the_oracles_row(max_attempts):
 @pytest.mark.parametrize("rows", [1, 3])
 @pytest.mark.parametrize("mechanism", ["uniform", "gaussian"])
 def test_per_point_columns_at_n_4_match_oracle(mechanism, rows):
-    # at n = 4, (4, n) columns and (n, 4) rows have the same shape: the
-    # kernel must read column i as point i's bounds, as the oracle's rows do.
-    # Each point sits near a corner of its own 4 x 4 grid cell, so most
-    # first draws land outside and are redrawn against those bounds.
+    # at n = 4, the cells' (4, n) bounds and their (n, 4) rows have the same
+    # shape: the kernel must read column i as point i's cell, as the
+    # oracle's per-cell table rows do. Each point sits near a corner of its
+    # own 4 x 4 grid cell, so most first draws land outside and are redrawn
+    # against those bounds.
     xy = np.array([[-0.49, -0.49], [0.01, -0.26], [0.24, 0.26], [-0.26, 0.49]])
     bounds = bounds_for("per-point", xy)
-    assert bounds.shape == (4, 4) and not np.array_equal(bounds, bounds.T)
+    columns = bounds.bounds()
+    assert bounds.index.shape == (2, 4) and columns.shape == (4, 4) and not np.array_equal(columns, columns.T)
     spec = MaskSpec(mechanism, 0.2, "redraw")
     streams = [derive_stream(35, 1, rep) for rep in range(rows)]
     out = mask_rows(xy, spec, checked_bounds(xy, spec, bounds), GeneratorPool().positioned(streams))
     for row, stream in zip(out, streams):
         np.testing.assert_array_equal(row.T, mask_one(xy, spec, bounds, stream.generator()))
-        x_min, x_max, y_min, y_max = bounds
+        x_min, x_max, y_min, y_max = columns
         assert ((x_min <= row[0]) & (row[0] <= x_max) & (y_min <= row[1]) & (row[1] <= y_max)).all()
 
 
 def test_bounds_shape_is_checked():
-    # per-point bounds are (4, n) columns; the (n, 4) row layout is refused
+    # per-point bounds are the (2, n) cell index; its (n, 2) transpose, and
+    # float per-point bounds in either layout, are refused
     xy = np.zeros((3, 2))
     spec = MaskSpec(theta_star=0.1, boundary="redraw")
-    with pytest.raises(ValueError, match=r"\(4, n\) = \(4, 3\), got \(3, 4\)"):
-        mask_coordinates(xy, spec, np.tile(SQUARE, (3, 1)), derive_stream(0, 0, 0))
+    cells = _square_cells(xy)
+    with pytest.raises(ValueError, match=r"\(2, n\) = \(2, 3\), got \(3, 2\)"):
+        mask_coordinates(xy, spec, GridCells(cells.grid, cells.index.T), derive_stream(0, 0, 0))
+    for floats in (np.tile(SQUARE, (3, 1)), np.tile(SQUARE[:, None], (1, 3))):
+        with pytest.raises(ValueError, match=re.escape(f"one (4,) rectangle or GridCells, got shape {floats.shape}")):
+            mask_coordinates(xy, spec, floats, derive_stream(0, 0, 0))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -359,13 +405,13 @@ def test_theta_star_beyond_the_area_property(mechanism, boundary, bounds_kind, e
     for row, want in zip(out, expected):
         np.testing.assert_array_equal(row.T, want)
     if boundary == "redraw":
-        x_min, x_max, y_min, y_max = bounds if bounds.ndim == 2 else bounds[:, None]
+        x_min, x_max, y_min, y_max = bounds[:, None] if bounds_kind == "shared" else bounds.bounds()
         assert ((x_min <= out[:, 0]) & (out[:, 0] <= x_max) & (y_min <= out[:, 1]) & (out[:, 1] <= y_max)).all()
 
 
 def test_mask_point_unconstrained_and_redraw():
     xy = np.array([[0.49, 0.49]])
-    bounds = np.array([UNIT_SQUARE.bounds]).T
+    bounds = _square_cells(xy)
     q = mask_coordinates(xy, MaskSpec(theta_star=0.4, boundary="redraw"), bounds, derive_stream(23, 0, 0))
     assert UNIT_SQUARE.contains(Point(*q[0]))
     r = mask_coordinates(xy, MaskSpec(theta_star=0.4), None, derive_stream(23, 0, 0))

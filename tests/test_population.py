@@ -113,7 +113,7 @@ def test_simulate_choices_draw_order_contract():
 def test_grid_k1_single_cell():
     grid = build_municipality_grid(1)
     xy = np.array([[-0.5, -0.5], [0.1, 0.3], [0.5, 0.5]])
-    np.testing.assert_array_equal(grid.cell_bounds(xy), np.tile([[-0.5], [0.5], [-0.5], [0.5]], 3))
+    np.testing.assert_array_equal(grid.cells(xy).bounds(), np.tile([[-0.5], [0.5], [-0.5], [0.5]], 3))
     assert grid.cell_radius == pytest.approx(equivalent_circle_radius(1.0))
 
 
@@ -129,8 +129,8 @@ def test_grid_cells_tile_the_area():
     # their surfaces sum to the area's
     grid = build_municipality_grid(7)
     _, centers = grid_cells(7)
-    x_min, x_max, y_min, y_max = grid.cell_bounds(centers)
-    assert len({tuple(column) for column in grid.cell_bounds(centers).T}) == 49
+    x_min, x_max, y_min, y_max = grid.cells(centers).bounds()
+    assert len({tuple(column) for column in grid.cells(centers).bounds().T}) == 49
     assert ((x_max - x_min) * (y_max - y_min)).sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -138,7 +138,7 @@ def test_grid_column_follows_x_and_row_follows_y():
     grid = build_municipality_grid(3)
     # the bottom-left cell starts at the area's corner; the next column is
     # one side along x, the next row one side along y
-    x_min, _, y_min, _ = grid.cell_bounds(np.array([[-0.4, -0.4], [0.0, -0.4], [-0.4, 0.0]]))
+    x_min, _, y_min, _ = grid.cells(np.array([[-0.4, -0.4], [0.0, -0.4], [-0.4, 0.0]])).bounds()
     assert x_min[0] == -0.5 and y_min[0] == -0.5
     assert x_min[1] == pytest.approx(-0.5 + 1 / 3) and y_min[1] == -0.5
     assert x_min[2] == -0.5 and y_min[2] == pytest.approx(-0.5 + 1 / 3)
@@ -156,7 +156,7 @@ def test_grid_rejects_bad_k():
 
 def test_cell_bounds_interior_edges_go_up():
     grid = build_municipality_grid(2)
-    bounds = grid.cell_bounds(np.array([[0.0, 0.0], [-0.25, -0.25], [0.5, 0.5], [-0.5, -0.5]]))
+    bounds = grid.cells(np.array([[0.0, 0.0], [-0.25, -0.25], [0.5, 0.5], [-0.5, -0.5]])).bounds()
     # the shared edge at 0 belongs to the upper cell; the outer max corner is
     # clamped into the last cell
     lower, upper = [-0.5, 0.0, -0.5, 0.0], [0.0, 0.5, 0.0, 0.5]
@@ -166,36 +166,64 @@ def test_cell_bounds_interior_edges_go_up():
 def test_cell_bounds_out_of_grid():
     grid = build_municipality_grid(2)
     with pytest.raises(OutOfGridError) as info:
-        grid.cell_bounds(np.array([[0.0, 0.0], [0.6, 0.0]]))
+        grid.cells(np.array([[0.0, 0.0], [0.6, 0.0]]))
     assert info.value.point_indices == [1]
 
 
 def test_cell_bounds_row_alignment():
     # bit-equal to a row-major per-cell loop (x0 = xmin + ix * side, then
     # x0 + side for the upper edge and x0 + 0.5 * side for the centroid), for
-    # one point at each cell's center, given as C-contiguous (4, n) columns
-    for k in (1, 2, 3, 4, 5, 7, 10, 20, 33, 100):
+    # one point at each cell's center, its cell given as a (2, n) column and
+    # row index from which the C-contiguous (4, n) bounds are computed, for
+    # all points, for a slice and for an index array of them
+    for k in (1, 2, 3, 4, 5, 7, 10, 20, 33, 100, 257):
         grid = build_municipality_grid(k)
         bounds, centroids = grid_cells(k)
-        got = grid.cell_bounds(centroids)
+        cells = grid.cells(centroids)
+        iy, ix = np.divmod(np.arange(k * k), k)
+        np.testing.assert_array_equal(cells.index, [ix, iy])
+        assert cells.index.dtype == np.min_scalar_type(k - 1) and cells.index.flags.c_contiguous
+        got = cells.bounds()
         assert grid.side == 1.0 / k
         assert got.shape == (4, k * k) and got.flags.c_contiguous
         assert got.tobytes() == bounds.T.copy().tobytes()
-        assert assign_to_centroid(centroids, grid)[0].tobytes() == centroids.tobytes()
+        some = np.arange(k * k)[::-3]
+        assert cells.bounds(some).tobytes() == bounds[some].T.copy().tobytes()
+        assert cells.bounds(slice(1, k * k, 2)).tobytes() == bounds[1::2].T.copy().tobytes()
+        centers, same = assign_to_centroid(centroids, grid)
+        assert centers.tobytes() == centroids.tobytes() and centers.flags.c_contiguous
+        np.testing.assert_array_equal(same.index, cells.index)
+
+
+def test_cell_index_dtype_is_the_smallest_that_holds_k():
+    xy = generate_csr_xy(100, population_stream(4))
+    for k, dtype in ((1, np.uint8), (10, np.uint8), (256, np.uint8), (257, np.uint16), (65_537, np.uint32)):
+        cells = build_municipality_grid(k).cells(xy)
+        assert cells.index.dtype == dtype and cells.index.shape == (2, 100)
+        assert _inside(xy[:, 0], xy[:, 1], cells).all()
+    # the outer max edges clamp into the last column and row, index k - 1 = 255
+    assert build_municipality_grid(256).cells(np.array([[0.5, 0.5]])).index.tolist() == [[255], [255]]
 
 
 def test_cell_bounds_memory_follows_the_points_not_the_grid():
-    # a 50,000 x 50,000 grid: only the 1,000 points' cells are built
+    # a 50,000 x 50,000 grid: only the 1,000 points' cell indices, two bytes
+    # each, and the bounds of their cells are built, nothing of size k^2
     xy = generate_csr_xy(1000, population_stream(3))
     grid = build_municipality_grid(50_000)
     tracemalloc.start()
     try:
-        bounds = grid.cell_bounds(xy)
+        cells = grid.cells(xy)
+        index_peak = tracemalloc.get_traced_memory()[1]
+        bounds = cells.bounds()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert cells.index.shape == (2, 1000) and cells.index.dtype == np.uint16
     assert bounds.shape == (4, 1000)
-    assert _inside(xy[:, 0], xy[:, 1], bounds).all()
+    x_min, x_max, y_min, y_max = bounds
+    assert ((x_min <= xy[:, 0]) & (xy[:, 0] <= x_max) & (y_min <= xy[:, 1]) & (xy[:, 1] <= y_max)).all()
+    assert _inside(xy[:, 0], xy[:, 1], cells).all()
+    assert index_peak < 50_000
     assert peak < 200_000
 
 
@@ -206,19 +234,19 @@ def test_assign_to_centroid_replaces_coordinates():
     xy = generate_csr_xy(500, population_stream(30))
     grid = build_municipality_grid(10)
     points = xy.copy()
-    out, bounds = assign_to_centroid(xy, grid)
+    out, cells = assign_to_centroid(xy, grid)
     assert {tuple(row) for row in out} <= {tuple(row) for row in grid_cells(10)[1]}
-    np.testing.assert_array_equal(bounds, grid.cell_bounds(points))
+    np.testing.assert_array_equal(cells.index, grid.cells(points).index)
     np.testing.assert_array_equal(xy, points)  # the input coordinates are left as they are
 
 
 def test_assign_to_centroid_idempotent():
     xy = generate_csr_xy(500, population_stream(32))
     grid = build_municipality_grid(10)
-    once, bounds = assign_to_centroid(xy, grid)
-    twice, same_bounds = assign_to_centroid(once, grid)
+    once, cells = assign_to_centroid(xy, grid)
+    twice, same_cells = assign_to_centroid(once, grid)
     np.testing.assert_array_equal(once, twice)
-    np.testing.assert_array_equal(bounds, same_bounds)
+    np.testing.assert_array_equal(cells.index, same_cells.index)
 
 
 def test_assign_to_centroid_k1_collapses_to_center():
