@@ -210,11 +210,15 @@ def test_redraw_requires_start_inside():
 
 
 def test_redraw_exhaustion():
-    # acceptance probability ~ (1e-9/1)**2 per attempt: 3 attempts always fail
-    bounds = np.array([-1e-9, 1e-9, -1e-9, 1e-9])
+    # the point sits at the low corner of its cell of a 2**30 x 2**30 grid,
+    # [0, 2**-30] on each axis: acceptance probability ~ (1e-9/1)**2 per
+    # attempt, so 3 attempts always fail
+    xy = np.array([[0.0, 0.0]])
+    bounds = build_municipality_grid(2**30).cells(xy)
+    assert bounds.index.dtype == np.uint32 and bounds.bounds().tolist() == [[0.0], [2**-30], [0.0], [2**-30]]
     spec = MaskSpec(theta_star=1.0, boundary="redraw", max_attempts=3)
     with pytest.raises(BoundaryExhaustionError) as info:
-        mask_coordinates(np.array([[0.0, 0.0]]), spec, bounds, derive_stream(20, 0, 0))
+        mask_coordinates(xy, spec, bounds, derive_stream(20, 0, 0))
     assert info.value.point_indices == [0]
     assert info.value.max_attempts == 3
 
