@@ -223,7 +223,7 @@ def _cmd_fit(args) -> int:
                 f"{args.points}: a distance to the facility overflows; coordinates must lie within about 1e154 of it"
             )
         try:
-            fit = fit_distance_choice(d, choices.astype(np.float64))
+            fit = fit_distance_choice(d, choices)
         except SingularInformationError as exc:
             # all-identical choices raise SeparationError, a ValueError main reports
             raise _CliError(

@@ -19,7 +19,7 @@ Each kind is set up here alone: its default radius (``_DEFAULT_RADIUS``), a
 centroid config's one cell (``ExperimentConfig``), its data, bounds and stages
 (``run_experiment``) and its efficiency run (``run_efficiency_experiment``).
 A run's data is three arrays (``prepare_dataset``): the (n, 2) coordinates,
-their (n,) distances to the facility and the (n,) 0/1 choices.
+their (n,) distances to the facility and the (n,) bool choices.
 
 Every replicated fit, the efficiency stage's included, goes through one
 kernel: ``_run_cells`` cuts a run's stages into one list of (cell,
@@ -282,7 +282,8 @@ class EfficiencyRun:
 
 def prepare_dataset(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The run's population ``xy`` (n, 2), its distances ``d`` (n,) to the
-    facility and its once-and-for-all choices ``y`` (n,)."""
+    facility and its once-and-for-all choices ``y``, (n,) bool, one byte a
+    point, which every fit of the run reads as they are."""
     xy = generate_csr_xy(config.n, population_stream(config.seed))
     d = facility_distances(xy, config.facility)
     return xy, d, simulate_choices_xy(d, config.generating_params, choices_stream(config.seed))
@@ -493,9 +494,10 @@ def _run_cells(
 
     A stage is (cells, replications, fixed): a ``fixed`` one (attenuation)
     refits the choices ``y``, the others (efficiency) redraw them per
-    replication from the generating probabilities ``prob``. ``xy`` and
-    ``y`` are used as they are when they already are C-contiguous float64,
-    and otherwise copied once. Under the redraw policy every point must
+    replication from the generating probabilities ``prob``. ``xy`` is used
+    as it is when it already is C-contiguous float64, and ``y``, of any
+    dtype ``fit_rows`` takes, when it is C-contiguous; otherwise each is
+    copied once. Under the redraw policy every point must
     start inside ``bounds`` (one (4,) rectangle, or each point's grid cell
     as ``GridCells``). That is checked once here, before any replication,
     by ``checked_bounds``, the check ``masking.mask_coordinates`` makes on
@@ -515,8 +517,8 @@ def _run_cells(
         "facility": facility,
         "bounds": checked_bounds(xy, base_spec, bounds),
         "seed": seed,
-        "y": None if y is None else np.ascontiguousarray(y, dtype=np.float64),
-        "y_copy": None if y is None else np.array(y, dtype=np.bool_),  # one byte per point, for the fixed-y check
+        "y": None if y is None else np.ascontiguousarray(y),
+        "y_copy": None if y is None else np.array(y),  # the fixed-y check's private copy
         "prob": prob,
         "base_spec": base_spec,
         "generators": GeneratorPool(),
@@ -626,7 +628,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     at most ``workers`` processes; the outputs are the same bits for any
     count."""
     xy, d, y = prepare_dataset(config)
-    y, bounds = y.astype(np.float64), UNIT_SQUARE.bounds  # the fit's dtype, so _run_cells copies nothing
+    bounds = UNIT_SQUARE.bounds
     if config.experiment == "centroid":
         del d  # the true distances; the centroids' replace them
         xy, bounds = assign_to_centroid(xy, build_municipality_grid(config.grid_k))
@@ -635,6 +637,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     else:
         *efficiency, prob = _efficiency_stage(config, d, min(300, max(30, config.replications)))
     baseline = fit_baseline(config, d, y)  # fail before any replication
+    if not efficiency:
+        d = None  # the centroid kind writes no efficiency report, the one later reader of d
     theta_stars = config.theta_values()
     fits, *efficiency_fits = _run_cells(
         [(list(enumerate(theta_stars)), config.replications, True), *efficiency], xy, config.facility,
@@ -657,7 +661,7 @@ def _efficiency_stage(config: ExperimentConfig, d: np.ndarray, replications: int
     if replications < 30:
         raise ValueError(f"need >= 30 efficiency replications, got {replications}")
     eta = config.generating_params.alpha + config.generating_params.beta * d
-    return ([(0, None), *enumerate(config.theta_values())], replications, False), choice_probability(eta)
+    return ([(0, None), *enumerate(config.theta_values())], replications, False), choice_probability(eta, out=eta)
 
 
 def _efficiency_run(config: ExperimentConfig, d: np.ndarray, baseline: LogitFit, fits: dict | None) -> EfficiencyRun:

@@ -140,22 +140,35 @@ class RowFits:
 
 
 def _block(d, y) -> tuple[np.ndarray, ...]:
-    """``d`` and ``y`` as float64 arrays broadcast to one (R, n) shape."""
-    D, Y = (np.atleast_2d(np.asarray(v, dtype=np.float64)) for v in (d, y))
+    """``d`` as float64 and ``y`` broadcast to one (R, n) shape. Bool and
+    integer choices are kept as they are: each ufunc that reads them casts
+    0 and 1 to float64 exactly, so they fit to the bits of float64 ones with
+    no float64 copy; other choices become float64."""
+    D, Y = np.atleast_2d(np.asarray(d, dtype=np.float64)), np.atleast_2d(y)
+    if Y.dtype.kind not in "biu":
+        Y = Y.astype(np.float64, copy=False)
     return (D, Y) if D.shape == Y.shape else np.broadcast_arrays(D, Y)
 
 
-def choice_probability(eta) -> np.ndarray:
+def choice_probability(eta, out: np.ndarray | None = None) -> np.ndarray:
     """L(eta) = 1/(1 + exp(-eta)) elementwise, as where(eta >= 0, 1, e)/(1 + e)
     with e = exp(-|eta|).
 
-    exp never overflows, so L is finite for every finite eta, and L(0) is
-    exactly 1/2. Where eta < 0, e/(1 + e) rounds twice, so between adjacent
-    floats L can step down by an ulp.
+    e and the quotient are computed in one float64 array: a new one, or
+    ``out``, a float64 array of eta's shape, which may be ``eta`` itself;
+    otherwise ``eta`` is never written. exp never overflows, so L is finite
+    for every finite eta, and L(0) is exactly 1/2. Where eta < 0, e/(1 + e)
+    rounds twice, so between adjacent floats L can step down by an ulp.
     """
     eta = np.asarray(eta, dtype=np.float64)
-    e = np.exp(-np.abs(eta))
-    return np.where(eta >= 0.0, 1.0, e) / (1.0 + e)
+    nonnegative = eta >= 0.0  # taken first, since ``out`` may be ``eta``
+    e = np.abs(eta, out=np.empty_like(eta) if out is None else out)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    denominator = 1.0 + e
+    np.copyto(e, 1.0, where=nonnegative)
+    e /= denominator
+    return e if e.ndim else e[()]
 
 
 def _tree(n: int):
@@ -329,13 +342,17 @@ def fit_rows(
     """Newton-Raphson ML fits of a block of (distance, choice) rows.
 
     ``d`` and ``y`` broadcast to (R, n); a 1-D one is shared by every row.
-    A row with all-equal choices is SEPARATED. Every other row starts at
-    ``init`` and stops before a Newton step: NOT_CONVERGED once ``max_iter``
-    steps are taken or its estimate lies beyond the divergence bound
-    (quasi-separation; a start beyond it stops at once), else SINGULAR
-    unless its information determinant is finite and at least ``_TINY``
-    times max(1, its diagonal) (so that the standard errors are finite),
-    else CONVERGED once its gradient max-norm is below ``DEFAULT_TOL``.
+    The choices ``y`` may be bool (one byte a point, as the package's own
+    choices are), integer or float: bool and integer choices are read as
+    they are, with no float64 copy, and fit to the same bits as their
+    float64 values. A row with all-equal choices is SEPARATED. Every other
+    row starts at ``init`` and stops before a Newton step: NOT_CONVERGED
+    once ``max_iter`` steps are taken or its estimate lies beyond the
+    divergence bound (quasi-separation; a start beyond it stops at once),
+    else SINGULAR unless its information determinant is finite and at least
+    ``_TINY`` times max(1, its diagonal) (so that the standard errors are
+    finite), else CONVERGED once its gradient max-norm is below
+    ``DEFAULT_TOL``.
     ``iterations`` counts the steps taken, and ``information`` and
     ``gradient_norm`` are those of the reported estimate. Each step is
     halved by ``_step``. The distances must be finite: the start at the

@@ -2,10 +2,10 @@
 
 Populations are complete-spatial-randomness (CSR) point fields: coordinates
 i.i.d. uniform over the study area ``UNIT_SQUARE``, an (n, 2) array.
-Choices are an (n,) 0/1 array, Bernoulli with success probability
-L(alpha + beta * d) (``logit.choice_probability``), d the (n,) distances to
-a single facility; the default generating coefficients are (1, -2) so that
-distance deters choice.
+Choices are an (n,) bool array, one byte a point, Bernoulli with success
+probability L(alpha + beta * d) (``logit.choice_probability``), d the (n,)
+distances to a single facility; the default generating coefficients are
+(1, -2) so that distance deters choice.
 
 Municipality grids are the synthetic stand-in for administrative units in
 the centroid-assignment experiment: k x k equal square cells tiling
@@ -120,17 +120,25 @@ def generate_csr_xy(n: int, stream: RngStream) -> np.ndarray:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     gen = stream.generator()
-    x = gen.uniform(UNIT_SQUARE.xmin, UNIT_SQUARE.xmax, n)
-    y = gen.uniform(UNIT_SQUARE.ymin, UNIT_SQUARE.ymax, n)
-    return np.column_stack([x, y])
+    xy = np.empty((n, 2))
+    xy[:, 0] = gen.uniform(UNIT_SQUARE.xmin, UNIT_SQUARE.xmax, n)
+    xy[:, 1] = gen.uniform(UNIT_SQUARE.ymin, UNIT_SQUARE.ymax, n)
+    return xy
 
 
 def simulate_choices_xy(d: np.ndarray, params: LogitParams, stream: RngStream) -> np.ndarray:
-    """(n,) 0/1 choices with P(y=1) = L(alpha + beta * d) for the (n,)
-    distances ``d``."""
-    prob = choice_probability(params.alpha + params.beta * d)
+    """(n,) bool choices, True with probability L(alpha + beta * d), for
+    the (n,) distances ``d``.
+
+    eta = alpha + beta * d is formed in the distances' own dtype, then as
+    float64 turned into the probabilities in place, so the set-up holds one
+    float64 array beside ``d`` and one temporary."""
+    eta = np.multiply(d, params.beta)
+    eta += params.alpha
+    eta = eta.astype(np.float64, copy=False)
+    prob = choice_probability(eta, out=eta)
     u = stream.generator().uniform(0.0, 1.0, d.size)
-    return (u < prob).astype(np.int64)
+    return u < prob
 
 
 def assign_to_centroid(xy: np.ndarray, grid: MunicipalityGrid) -> tuple[np.ndarray, GridCells]:

@@ -1,6 +1,8 @@
 """A run's data: the (n, 2) coordinates ``xy``, their (n,) distances ``d``
-to the facility and the (n,) 0/1 choices ``y`` that ``prepare_dataset``
+to the facility and the (n,) bool choices ``y`` that ``prepare_dataset``
 returns, and the layers that read them as bare arrays."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,10 +40,26 @@ def test_dtype_coercion():
     xy, d, y = prepare_dataset(_config())
     assert xy.dtype == np.float64 and xy.flags.c_contiguous
     assert d.dtype == np.float64
-    assert y.dtype == np.int64
-    # the choices are int64 whatever the float width of the distances
+    assert y.dtype == np.bool_  # one byte a point, which every fit reads as it is
+    # the choices are bool whatever the float width of the distances
     narrow = simulate_choices_xy(d.astype(np.float32), LogitParams(1.0, -2.0), choices_stream(7))
-    assert narrow.dtype == np.int64
+    assert narrow.dtype == np.bool_ and narrow.shape == y.shape
+
+
+def test_prepare_dataset_memory_at_n_100k():
+    # the (n, 2) points (16 B a point), their distances (8 B) and, while the
+    # choices are drawn, one float64 array of probabilities written over eta,
+    # its 1 + e (8 B each) and a one-byte sign mask: about 41 B a point.
+    # Stacking two coordinate columns, a where copy in the logistic function
+    # and a separate eta took it to 5.6 MB
+    cfg = _config(n=100_000)
+    tracemalloc.start()
+    try:
+        prepare_dataset(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_700_000
 
 
 @pytest.mark.parametrize("n", [1, 7, 300])

@@ -121,18 +121,19 @@ def test_fixed_task_checks_its_choices_exactly():
     import geomasksim.experiments as exp
 
     xy, _, y = prepare_dataset(_config(n=60))
-    y = y.astype(np.float64)  # the kernel's copy of the choices, as _run_cells makes it
-    payload = {
-        "xy": xy, "facility": Point(0.0, 0.0), "bounds": None, "seed": 7, "y": y.copy(),
-        "y_copy": y.astype(np.bool_), "prob": None, "base_spec": MaskSpec(), "generators": GeneratorPool(),
-    }
     task = (0, 0.1, 0, 2, True)
-    assert exp._replicate_block(task, payload)["converged"].shape == (2,)
-    for written in (1.0 - y[0], np.trunc(y[0]) + 0.5):
-        payload["y"] = y.copy()
-        payload["y"][0] = written
-        with pytest.raises(RuntimeError, match="fixed-y contract violated"):
-            exp._replicate_block(task, payload)
+    # the bool choices as _run_cells keeps them, and float ones as a caller may pass them
+    for choices, writes in ((y, [not y[0]]), (y.astype(np.float64), [1.0 - y[0], np.trunc(y[0]) + 0.5])):
+        payload = {
+            "xy": xy, "facility": Point(0.0, 0.0), "bounds": None, "seed": 7, "y": choices.copy(),
+            "y_copy": choices.copy(), "prob": None, "base_spec": MaskSpec(), "generators": GeneratorPool(),
+        }
+        assert exp._replicate_block(task, payload)["converged"].shape == (2,)
+        for written in writes:
+            payload["y"] = choices.copy()
+            payload["y"][0] = written
+            with pytest.raises(RuntimeError, match="fixed-y contract violated"):
+                exp._replicate_block(task, payload)
 
 
 def test_run_baseline_consistent_with_generator():
@@ -235,10 +236,13 @@ def test_records_bytes_independent_of_mask_block_size(monkeypatch, tmp_path):
 
 
 def test_centroid_run_memory_does_not_hold_float_bounds_per_point():
-    # at n = 100,000 the run holds the (n, 2) centroids, their distances, the
-    # float64 choices and one mask block: about 68 B a point. (4, n) float
-    # cell bounds, an int64 copy of the choices and full-row mask
-    # temporaries took it past 10 MB
+    # at n = 100,000 the replications hold the (n, 2) centroids (16 B a
+    # point), the bool choices and their private copy (2 B), the (2, n)
+    # one-byte cell index (2 B), one row's mask block (16 B) and its masked
+    # distances (8 B): about 44 B a point. Float64 choices and the
+    # centroids' distances kept through the replications took it to 5.9 MB;
+    # (4, n) float cell bounds, an int64 copy of the choices and full-row
+    # mask temporaries, past 10 MB
     import tracemalloc
 
     cfg = _config(experiment="centroid", n=100_000, replications=2, grid_k=10)
@@ -249,7 +253,7 @@ def test_centroid_run_memory_does_not_hold_float_bounds_per_point():
     finally:
         tracemalloc.stop()
     assert res.columns["converged"].all()
-    assert peak < 8_000_000
+    assert peak < 5_100_000
 
 
 def _harness_rows(monkeypatch, cell, xy, bounds, spec, reps, **choices):

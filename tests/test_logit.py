@@ -354,6 +354,25 @@ def _mixed_block():
     return D, Y
 
 
+@pytest.mark.parametrize("dtype", [np.bool_, np.uint8, np.int64])
+@pytest.mark.parametrize("init", [LogitParams(0.0, 0.0), LogitParams(2.0, 2.0)])
+def test_fit_rows_reads_bool_and_integer_choices_as_their_float_values(dtype, init):
+    # ufuncs cast 0 and 1 to float64 exactly, so the choices need no float64
+    # copy and every field keeps its bits: 2-D rows (a SEPARATED one among
+    # them), a choice vector shared by every row, rows that are all
+    # SEPARATED, and one row; from (2, 2) the steps are halved
+    D, Y = _mixed_block()
+    shared = np.stack([D[0], D[0][::-1], np.full(D.shape[1], 0.5)])
+    for d, y in ((D, Y), (shared, Y[0]), (D[:2], Y[2]), (D[0], Y[0])):
+        typed = y.astype(dtype)
+        assert np.shares_memory(_block(d, typed)[1], typed)
+        want, got = fit_rows(d, y, init=init), fit_rows(d, typed, init=init)
+        for name in _ROW_FIELDS:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (dtype, name)
+    want, got = fit_distance_choice(D[0], Y[0], init=init), fit_distance_choice(D[0], Y[0].astype(dtype), init=init)
+    assert _bits(got.loglik) == _bits(want.loglik) and got.params == want.params
+
+
 @pytest.mark.parametrize("max_iter", [100, 1])
 @pytest.mark.parametrize("init", [LogitParams(0.0, 0.0), LogitParams(2.0, 2.0)])
 def test_fit_rows_mixed_block_matches_one_row_calls(init, max_iter):
@@ -759,6 +778,43 @@ def test_choice_probability_in_unit_interval_and_nondecreasing():
     assert ((p >= 0.0) & (p <= 1.0)).all()
     assert (np.diff(p) >= 0.0).all()
     assert p[0] == 0.0 and p[-1] == 1.0
+
+
+def _where_form(eta):
+    """The reference form of the logistic function, one new array per step:
+    where(eta >= 0, 1, e) / (1 + e), e = exp(-|eta|)."""
+    eta = np.asarray(eta, dtype=np.float64)
+    e = np.exp(-np.abs(eta))
+    return np.where(eta >= 0.0, 1.0, e) / (1.0 + e)
+
+
+def test_choice_probability_bits_match_the_where_form():
+    # computed in place, with no where copy: the same operations in the same
+    # order, so the same bits, the same type and shape, and the argument
+    # left as it was
+    rng = np.random.default_rng(29)
+    edges = [0.0, -0.0, 1e-300, -1e-300, 700.0, -700.0, 1e308, -1e308]
+    draws = np.concatenate([rng.uniform(-800.0, 800.0, 500), rng.normal(0.0, 3.0, 500)])
+    values = np.concatenate([edges, draws])
+    inputs = [
+        *edges,  # Python floats
+        *(np.asarray(v) for v in edges),  # 0-d arrays
+        draws.astype(np.float32),
+        values,
+        values.reshape(2, -1),  # (R, n)
+        values.reshape(2, -1)[:, ::3],  # strided
+    ]
+    for eta in inputs:
+        before = np.array(eta, copy=True)
+        got, want = choice_probability(eta), _where_form(eta)
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert np.asarray(eta).tobytes() == before.tobytes()
+    # written over its own float64 argument: the same bits, in that array
+    eta = values.reshape(2, -1).copy()
+    want = _where_form(eta)
+    assert choice_probability(eta, out=eta) is eta
+    assert eta.tobytes() == want.tobytes()
 
 
 # --- intervals and tests ---
