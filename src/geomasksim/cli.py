@@ -22,8 +22,9 @@ that does not converge or has a singular information matrix, an
 refuses, such as a directory given as an input file); 2 runtime failure
 (a replication cell, efficiency cells included, converging on under 50% of
 its replications; masking exhaustion; a pool worker process that dies,
-say by the out-of-memory killer's SIGKILL); 130 interrupted (SIGINT; the
-outputs are written after the run, so an interrupt during it leaves none).
+say by the out-of-memory killer's SIGKILL; an allocation that fails, as
+one at n = 2^58 does); 130 interrupted (SIGINT; the outputs are written
+after the run, so an interrupt during it leaves none).
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from .geometry import Point, StudyArea, facility_distances
 from .logit import LogitFit, SingularInformationError, fit_distance_choice, wald_ci
 from .masking import BOUNDARY_POLICIES, MECHANISMS, BoundaryExhaustionError, MaskSpec, mask_coordinates
 from .reports import (
-    RunManifest,
     read_curve_csv,
     read_json,
     read_points_csv,
@@ -162,14 +162,14 @@ def _cmd_simulate(args) -> int:
         except ValueError:  # DegenerateSampleError included
             print("note: replication estimates degenerate at the largest theta*; KDE plot skipped")
 
-    manifest = RunManifest(
-        config_hash=config_hash(config),
-        seed=config.seed,
-        version=__version__,
-        started_at=started,
-        finished_at=_utcnow(),
-        outputs=sorted(outputs),
-    )
+    manifest = {
+        "config_hash": config_hash(config),
+        "seed": config.seed,
+        "version": __version__,
+        "started_at": started,
+        "finished_at": _utcnow(),
+        "outputs": sorted(outputs),
+    }
     record(write_manifest(manifest, out / f"{prefix}_manifest.json"))
 
     b = result.baseline
@@ -361,6 +361,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION
     except (BatchConvergenceError, BoundaryExhaustionError, WorkerLostError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as exc:  # numpy's message gives the allocation's size and shape
+        print(f"runtime failure: {args.command} ran out of memory: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except KeyboardInterrupt:
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # a second Ctrl-C must not cut the exit short

@@ -1,12 +1,13 @@
 """Fisher information for the distance coefficient and the analytic
 efficiency loss induced by geo-masking.
 
-Information is the no-intercept beta-beta entry sum L(1-L) d^2 with L
-(``logit.choice_probability``) evaluated at the TRUE distances
-(probabilities are treated as fixed by the generating geometry, not as
-functions of the perturbed coordinates). Under masking, d^2 is replaced
-by its expectation over the displacement law, and the efficiency loss is
-the ratio
+Information is the no-intercept beta-beta entry sum L(1-L) d^2 with L the
+choice model's probabilities L(alpha + beta * d), the ones the choices are
+drawn from (``population.choice_probabilities``), evaluated at the TRUE
+distances (probabilities are treated as fixed by the generating geometry,
+not as functions of the perturbed coordinates). Under masking, d^2 is
+replaced by its expectation over the displacement law, and the efficiency
+loss is the ratio
 
     EL(theta*) = info(true) / info(masked moment)
 
@@ -35,8 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logit import LogitParams, choice_probability
+from .logit import LogitParams
 from .masking import MaskSpec
+from .population import choice_probabilities
 
 _MIN_CONVERGED_FITS = 30
 
@@ -79,14 +81,14 @@ def expected_sq_masked_distance(d: float, spec: MaskSpec):
 
 def information_beta(d: np.ndarray, p: LogitParams, spec: MaskSpec = MaskSpec()) -> float:
     """beta-information sum L(1-L) E(d_masked^2) under ``spec``, with the
-    logistic weights L = ``choice_probability(alpha + beta * d)`` at the
-    true distances ``d``.
+    logistic weights L = ``choice_probabilities(d, p)`` at the true
+    distances ``d``.
 
     The default spec (theta_star = 0) gives the true-coordinate sum
     L(1-L) d^2. Both sides of the efficiency ratio go through this one
     expression, so the ratio is exactly 1 at theta_star = 0.
     """
-    lam = choice_probability(p.alpha + p.beta * d)
+    lam = choice_probabilities(d, p)
     return float((lam * (1.0 - lam) * expected_sq_masked_distance(d, spec)).sum())
 
 

@@ -27,18 +27,19 @@ replication range) tasks and runs it in-process or, on Linux, in one pool
 of forked workers (``_fork_pool``: no ``concurrent.futures``, no
 ``multiprocessing``) that read task indices from one shared pipe and answer
 down a result pipe each, each block stored at its task's index;
-``_replicate_block`` handles a task in row chunks. Per chunk it positions one pooled Philox
-generator per replication at the start of that replication's stream, draws
-each row's regenerated choices first (efficiency cells only), masks every
-row in one ``mask_rows`` call (whose redraw loop serves the whole chunk
-while each row draws from its own generator; ``_run_cells`` checks once
-per run that every point starts inside its bounds), takes the (rows, n)
-masked distances from the block's contiguous x and y planes and fits the
-chunk with one ``fit_rows`` call. One
-failure policy and the 50% cell-convergence rule apply to every cell. The
-attenuation stage keeps the (cells, replications) columns, adds the two
-test flags and aggregates each cell from them; the efficiency stage reads
-the converged estimates of its cells.
+``_replicate_block`` handles a task in row chunks. Per chunk it positions
+one pooled Philox generator per replication at the start of that
+replication's stream, draws each row's regenerated choices first
+(efficiency cells only: ``population.draw_choices`` from the choice
+model's probabilities at the true distances), masks every row in one
+``mask_rows`` call (whose redraw loop serves the whole chunk while each row
+draws from its own generator; ``_run_cells`` checks once per run that every
+point starts inside its bounds), takes the (rows, n) masked distances from
+the block's contiguous x and y planes and fits the chunk with one
+``fit_rows`` call. One failure policy and the 50% cell-convergence rule
+apply to every cell. The attenuation stage keeps the (cells, replications)
+columns, adds the two test flags and aggregates each cell from them; the
+efficiency stage reads the converged estimates of its cells.
 
 Fixed-y design: the attenuation run generates choices exactly once, before
 the baseline fit, and never regenerates them; every fixed task, once its
@@ -79,7 +80,6 @@ from .logit import (
     LogitFit,
     LogitParams,
     SingularInformationError,
-    choice_probability,
     fit_distance_choice,
     fit_rows,
     wald_ci,
@@ -91,6 +91,8 @@ from .population import (
     MunicipalityGrid,
     assign_to_centroid,
     build_municipality_grid,
+    choice_probabilities,
+    draw_choices,
     generate_csr_xy,
     simulate_choices_xy,
 )
@@ -318,13 +320,9 @@ def _replicate_block(task: tuple[int, float | None, int, int, bool], state: dict
     A cell is (theta_index, theta_star); theta_star None leaves the points
     unmasked (the efficiency run's true-coordinate cell). Each replication
     draws from its own stream: first its regenerated choices when the task
-    is not ``fixed`` (efficiency), then its mask.
-    Per chunk of rows: position one pooled generator per replication, draw
-    each row's choices and compare them with the probabilities in place,
-    mask every row in one call of the unchecked kernel ``mask_rows`` (the
-    bounds were checked by ``_run_cells``), take the (rows, n) masked
-    distances from its contiguous x and y planes and fit them with
-    ``fit_rows``.
+    is not ``fixed`` (efficiency), then its mask. Per chunk of rows, one
+    ``draw_choices``, one ``mask_rows`` and one ``fit_rows`` call serve
+    every row, each row on its own pooled generator.
     A fixed task ends by comparing the choices it fitted exactly with the
     run's private copy (RuntimeError when they differ), so a write made
     during any fixed task is caught, a process's last one included.
@@ -347,13 +345,7 @@ def _replicate_block(task: tuple[int, float | None, int, int, bool], state: dict
         else:
             streams = [efficiency_masked_stream(seed, theta_index, rep) for rep in reps]
         gens = state["generators"].positioned(streams)
-        D, Y = d, y
-        if not fixed:
-            # uniform(0, 1) draws, as `random` gives them
-            Y = np.empty((len(reps), prob.size))
-            for gen, row in zip(gens, Y):
-                gen.random(out=row)
-            np.less(Y, prob, out=Y)  # the 0.0/1.0 choices, written over their draws
+        D, Y = d, (y if fixed else draw_choices(prob, gens))
         if spec is not None:
             masked = mask_coordinates(xy, spec, bounds, gens)
             masked[:, 0] -= facility.x
@@ -660,8 +652,8 @@ def _efficiency_stage(config: ExperimentConfig, d: np.ndarray, replications: int
     redrawn from."""
     if replications < 30:
         raise ValueError(f"need >= 30 efficiency replications, got {replications}")
-    eta = config.generating_params.alpha + config.generating_params.beta * d
-    return ([(0, None), *enumerate(config.theta_values())], replications, False), choice_probability(eta, out=eta)
+    stage = ([(0, None), *enumerate(config.theta_values())], replications, False)
+    return stage, choice_probabilities(d, config.generating_params)
 
 
 def _efficiency_run(config: ExperimentConfig, d: np.ndarray, baseline: LogitFit, fits: dict | None) -> EfficiencyRun:

@@ -37,8 +37,8 @@ and gradient norm at its estimate; ``fit_distance_choice`` adds the
 log-likelihood there.
 
 ``choice_probability`` is the package's one logistic function outside the
-fit: the generated and regenerated choices and the information weights all
-take L from it, in the same overflow-free form.
+fit, in the same overflow-free form: ``population.choice_probabilities``,
+the choice model's one L(alpha + beta * d), takes L from it.
 
 Row independence: the bits of a row depend neither on the other rows of its
 block nor on how its columns are cut. Elementwise operations are exact per

@@ -2,10 +2,11 @@
 
 Populations are complete-spatial-randomness (CSR) point fields: coordinates
 i.i.d. uniform over the study area ``UNIT_SQUARE``, an (n, 2) array.
-Choices are an (n,) bool array, one byte a point, Bernoulli with success
-probability L(alpha + beta * d) (``logit.choice_probability``), d the (n,)
-distances to a single facility; the default generating coefficients are
-(1, -2) so that distance deters choice.
+The choice model, defined here alone: choices are Bernoulli with success
+probability L(alpha + beta * d) (``choice_probabilities``), d the (n,)
+distances to a single facility, drawn one generator a row by
+``draw_choices``; the default generating coefficients are (1, -2) so that
+distance deters choice.
 
 Municipality grids are the synthetic stand-in for administrative units in
 the centroid-assignment experiment: k x k equal square cells tiling
@@ -19,8 +20,9 @@ masking step tests; centroid assignment returns the cell centers and the
 memory than a coarse one.
 
 Draw-order contract (per stream): generate_csr_xy draws all n x-coordinates,
-then all n y-coordinates; simulate_choices_xy draws n uniforms compared
-against the per-point probabilities.
+then all n y-coordinates; draw_choices draws n uniforms compared against
+the per-point probabilities, first on a row's stream: the set-up's choices
+(simulate_choices_xy) and each efficiency replication's, before its mask.
 """
 
 from __future__ import annotations
@@ -126,19 +128,31 @@ def generate_csr_xy(n: int, stream: RngStream) -> np.ndarray:
     return xy
 
 
-def simulate_choices_xy(d: np.ndarray, params: LogitParams, stream: RngStream) -> np.ndarray:
-    """(n,) bool choices, True with probability L(alpha + beta * d), for
-    the (n,) distances ``d``.
-
-    eta = alpha + beta * d is formed in the distances' own dtype, then as
+def choice_probabilities(d: np.ndarray, params: LogitParams) -> np.ndarray:
+    """The float64 probabilities L(alpha + beta * d) at the distances ``d``:
+    eta = d * beta + alpha is formed in the distances' own dtype, then as
     float64 turned into the probabilities in place, so the set-up holds one
     float64 array beside ``d`` and one temporary."""
     eta = np.multiply(d, params.beta)
     eta += params.alpha
-    eta = eta.astype(np.float64, copy=False)
-    prob = choice_probability(eta, out=eta)
-    u = stream.generator().uniform(0.0, 1.0, d.size)
-    return u < prob
+    eta = np.asarray(eta, dtype=np.float64)  # a 0-d array for a scalar d
+    return choice_probability(eta, out=eta)
+
+
+def draw_choices(prob: np.ndarray, gens) -> np.ndarray:
+    """A (len(gens), n) float64 block of 0.0/1.0 choices: row r is 1.0
+    where the n ``random`` draws of ``gens[r]`` (``uniform(0, 1)``'s bits)
+    fall below the (n,) probabilities ``prob``, written over the draws."""
+    block = np.empty((len(gens), prob.size))
+    for gen, row in zip(gens, block):
+        gen.random(out=row)
+    return np.less(block, prob, out=block)
+
+
+def simulate_choices_xy(d: np.ndarray, params: LogitParams, stream: RngStream) -> np.ndarray:
+    """(n,) bool choices, True with probability L(alpha + beta * d), for
+    the (n,) distances ``d``, drawn from ``stream``."""
+    return draw_choices(choice_probabilities(d, params), [stream.generator()])[0].astype(bool)
 
 
 def assign_to_centroid(xy: np.ndarray, grid: MunicipalityGrid) -> tuple[np.ndarray, GridCells]:

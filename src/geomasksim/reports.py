@@ -31,7 +31,7 @@ import csv
 import json
 import math
 import typing
-from dataclasses import asdict, dataclass, fields
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -231,18 +231,6 @@ def _read_rows(path: str | Path, convert, *headers: tuple[str, ...]) -> list:
     return rows
 
 
-@dataclass
-class RunManifest:
-    """Provenance for one CLI run: what produced which files."""
-
-    config_hash: str
-    seed: int
-    version: str
-    started_at: str
-    finished_at: str
-    outputs: list[str]
-
-
 def write_json(payload: dict, path: str | Path) -> Path:
     """``payload`` as JSON indented by two spaces, with a trailing newline."""
     return write_text(json.dumps(payload, indent=2) + "\n", path)
@@ -257,5 +245,4 @@ def read_json(path: str | Path):
         raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
-def write_manifest(manifest: RunManifest, path: str | Path) -> Path:
-    return write_json(asdict(manifest), path)
+write_manifest = write_json  # the run manifest's writer, under the name perfbench/tracer.py times

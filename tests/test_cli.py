@@ -79,7 +79,11 @@ def test_simulate_writes_all_outputs(tmp_path, capsys):
     assert baseline["converged"] and baseline["beta"] < 0
 
     manifest = json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))
-    assert manifest["seed"] == 11 and len(manifest["config_hash"]) == 64
+    assert list(manifest) == ["config_hash", "seed", "version", "started_at", "finished_at", "outputs"]
+    assert manifest["config_hash"] == config_hash(parse_config(cfg))
+    assert (manifest["seed"], manifest["version"]) == (11, geomasksim.__version__)
+    assert manifest["started_at"] <= manifest["finished_at"]
+    assert manifest["outputs"] == sorted(manifest["outputs"]) and len(manifest["outputs"]) == 6
     assert any(p.endswith("run_records.csv") for p in manifest["outputs"])
 
     assert (out / "run_efficiency.csv").is_file()

@@ -418,6 +418,20 @@ def test_a_run_whose_pool_worker_dies_exits_2_and_writes_nothing(tmp_path, monke
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_a_run_too_large_to_allocate_exits_2_and_writes_nothing(tmp_path):
+    # n = 2^58 passes every config check; its (n, 2) float64 coordinates
+    # need 2^62 bytes, more than any 64-bit user address space holds, so
+    # the allocation fails at once and touches nothing
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[experiment]\nkind = csr-population\n[population]\nn = {2**58}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code, err = _run(["simulate", "--config", str(cfg), "--out-dir", str(out)])
+    _assert_contract(code, err)
+    assert code == EXIT_RUNTIME
+    assert err.startswith("runtime failure: simulate ran out of memory:") and err.count("\n") == 1
+    assert f"shape ({2**58}, 2)" in err
+    assert not out.exists()
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="caps the run's address space with RLIMIT_AS")
 def test_a_centroid_run_on_a_fine_grid_exits_0(tmp_path):
     # k = 50000 cuts the area into 2.5e9 cells, of which the 1000 points

@@ -7,17 +7,19 @@ from scipy import stats
 from scipy.special import expit
 
 from geomasksim.geometry import UNIT_SQUARE, Point, equivalent_circle_radius, facility_distances
-from geomasksim.logit import LogitParams
+from geomasksim.logit import LogitParams, choice_probability
 from geomasksim.masking import _inside
 from geomasksim.population import (
     DEFAULT_GENERATING_PARAMS,
     OutOfGridError,
     assign_to_centroid,
     build_municipality_grid,
+    choice_probabilities,
+    draw_choices,
     generate_csr_xy,
     simulate_choices_xy,
 )
-from geomasksim.rng import population_stream
+from geomasksim.rng import GeneratorPool, efficiency_true_stream, population_stream
 from mask_oracle import grid_cells
 
 AREA = UNIT_SQUARE
@@ -105,6 +107,40 @@ def test_simulate_choices_draw_order_contract():
     d = np.hypot(xy[:, 0] - 0.1, xy[:, 1] - 0.2)
     expected = (gen.uniform(0.0, 1.0, 9) < expit(1.0 - 2.0 * d)).astype(np.int64)
     np.testing.assert_array_equal(y, expected)
+
+
+@pytest.mark.parametrize("rows", [1, 5])
+def test_draw_choices_rows_are_each_streams_uniforms_below_the_probabilities(rows):
+    prob = choice_probabilities(facility_distances(generate_csr_xy(300, population_stream(3)), Point(0.0, 0.0)),
+                                LogitParams(1.0, -2.0))
+    streams = [efficiency_true_stream(5, rep) for rep in range(rows)]
+    block = draw_choices(prob, GeneratorPool().positioned(streams))
+    assert block.shape == (rows, 300) and block.dtype == np.float64
+    for row, stream in zip(block, streams):
+        np.testing.assert_array_equal(row, stream.generator().uniform(0.0, 1.0, 300) < prob)
+    assert set(np.unique(block)) <= {0.0, 1.0}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("params", [LogitParams(1.0, -2.0), LogitParams(-0.3, 7.25), LogitParams(40.0, -800.0)])
+def test_choice_probabilities_match_the_expressions_they_replace_bit_for_bit(dtype, params):
+    d = facility_distances(generate_csr_xy(2000, population_stream(17)), Point(0.0, 0.0)).astype(dtype)
+    d[:4] = [0.0, 1e-30, 0.5, 1.5]
+    got = choice_probabilities(d, params)
+    assert got.dtype == np.float64
+    # the set-up's in-place form
+    eta = np.multiply(d, params.beta)
+    eta += params.alpha
+    eta = eta.astype(np.float64, copy=False)
+    set_up = choice_probability(eta, out=eta)
+    # the efficiency stage's and the information weights' alpha + beta * d
+    efficiency = choice_probability(params.alpha + params.beta * d)
+    for want in (set_up, efficiency):
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_choice_probabilities_of_a_scalar_distance():
+    assert float(choice_probabilities(0.5, LogitParams(1.0, -2.0))) == 0.5
 
 
 # --- municipality grid ---
