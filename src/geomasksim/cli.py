@@ -15,9 +15,11 @@ Subcommands:
 the manifest's config hash.
 
 Exit codes: 0 success; 1 validation error (arguments, config, input data,
-a point file with a non-finite coordinate or one from which `fit` cannot
-identify the distance slope, a `simulate` or `efficiency` baseline fit
-that does not converge or has a singular information matrix, an
+a point file with a non-finite coordinate or one on which `fit` has no
+estimate, its choices separated or its information singular, a `simulate`
+or `efficiency` baseline fit without an estimate or that does not converge,
+a replication count above `rng.MAX_INDEX`, a `simulate` at n >= 2^59,
+whose coordinate array numpy refuses as too big to address, an
 `efficiency` config of the centroid kind, a path the operating system
 refuses, such as a directory given as an input file); 2 runtime failure
 (a replication cell, efficiency cells included, converging on under 50% of
@@ -51,7 +53,7 @@ from .experiments import (
     run_experiment,
 )
 from .geometry import Point, StudyArea, facility_distances
-from .logit import LogitFit, SingularInformationError, fit_distance_choice, wald_ci
+from .logit import LogitFit, fit_distance_choice, wald_ci
 from .masking import BOUNDARY_POLICIES, MECHANISMS, BoundaryExhaustionError, MaskSpec, mask_coordinates
 from .reports import (
     read_curve_csv,
@@ -222,13 +224,7 @@ def _cmd_fit(args) -> int:
             raise _CliError(
                 f"{args.points}: a distance to the facility overflows; coordinates must lie within about 1e154 of it"
             )
-        try:
-            fit = fit_distance_choice(d, choices)
-        except SingularInformationError as exc:
-            # all-identical choices raise SeparationError, a ValueError main reports
-            raise _CliError(
-                f"the distance slope cannot be identified from these points: singular information matrix ({exc})"
-            ) from exc
+        fit = fit_distance_choice(d, choices)  # InvalidFitError, a ValueError, when the fit has no estimate
     print(f"n={len(ids)} converged={str(fit.converged).lower()} iterations={fit.iterations}")
     print(f"alpha={fit.params.alpha:.6f} se={fit.std_errors[0]:.6f}")
     print(f"beta={fit.params.beta:.6f} se={fit.std_errors[1]:.6f}")
@@ -356,7 +352,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         return args.func(args)
     except (_CliError, OSError, ValueError) as exc:
-        # ConfigError, SeparationError and InvalidFitError are ValueErrors
+        # ConfigError and InvalidFitError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (BatchConvergenceError, BoundaryExhaustionError, WorkerLostError) as exc:

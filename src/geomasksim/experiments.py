@@ -71,19 +71,7 @@ import numpy as np
 
 from .efficiency import EfficiencyReport, efficiency_report, empirical_variance_ratio
 from .geometry import UNIT_SQUARE, Point, equivalent_circle_radius, facility_distances, planar_norm
-from .logit import (
-    CONVERGED,
-    SEPARATED,
-    SINGULAR,
-    Z_95,
-    InvalidFitError,
-    LogitFit,
-    LogitParams,
-    SingularInformationError,
-    fit_distance_choice,
-    fit_rows,
-    wald_ci,
-)
+from .logit import CONVERGED, Z_95, InvalidFitError, LogitFit, LogitParams, fit_distance_choice, fit_rows, wald_ci
 from .masking import MaskSpec, checked_bounds, mask_rows
 from .population import (
     DEFAULT_GENERATING_PARAMS,
@@ -97,6 +85,7 @@ from .population import (
     simulate_choices_xy,
 )
 from .rng import (
+    MAX_INDEX,
     GeneratorPool,
     choices_stream,
     derive_stream,
@@ -182,8 +171,8 @@ class ExperimentConfig:
             raise ValueError(f"experiment must be one of {EXPERIMENTS}, got {self.experiment!r}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.replications < 1:
-            raise ValueError(f"replications must be >= 1, got {self.replications}")
+        if not 1 <= self.replications <= MAX_INDEX:
+            raise ValueError(f"replications must lie in [1, {MAX_INDEX}], got {self.replications}")
         if self.grid_k < 1:
             raise ValueError(f"grid_k must be >= 1, got {self.grid_k}")
         if not self.theta_grid:
@@ -326,10 +315,10 @@ def _replicate_block(task: tuple[int, float | None, int, int, bool], state: dict
     A fixed task ends by comparing the choices it fitted exactly with the
     run's private copy (RuntimeError when they differ), so a write made
     during any fixed task is caught, a process's last one included.
-    Returns the ``_COLUMNS`` of the block's rows under the one failure
-    policy: a row with degenerate choices (all 0s or all 1s) or a singular
-    information matrix has no estimate (NaN, not converged, 0 iterations)
-    instead of aborting the run.
+    Returns the ``_COLUMNS`` of the block's rows as ``fit_rows`` reports
+    them, so that a row without an estimate (separated choices or a
+    singular information matrix) is a NaN, unconverged row with 0
+    iterations instead of aborting the run.
     """
     theta_index, theta_star, rep_start, rep_stop, fixed = task
     xy, facility, bounds, seed, y, prob = (state[k] for k in ("xy", "facility", "bounds", "seed", "y", "prob"))
@@ -354,14 +343,7 @@ def _replicate_block(task: tuple[int, float | None, int, int, bool], state: dict
             del masked
         fits = fit_rows(D, Y)
         del D, Y  # the next chunk draws without this one's rows alive
-        failed = (fits.status == SEPARATED) | (fits.status == SINGULAR)
-        chunks.append((
-            np.where(failed, math.nan, fits.alpha),
-            np.where(failed, math.nan, fits.beta),
-            np.where(failed, math.nan, fits.std_errors[:, 1]),
-            fits.status == CONVERGED,
-            np.where(failed, 0, fits.iterations),
-        ))
+        chunks.append((fits.alpha, fits.beta, fits.std_errors[:, 1], fits.status == CONVERGED, fits.iterations))
     if fixed and not np.array_equal(y, state["y_copy"]):
         raise RuntimeError("choice vector changed after baseline; fixed-y contract violated")
     return {name: np.concatenate(column) for name, column in zip(_COLUMNS, zip(*chunks))}
@@ -521,8 +503,7 @@ def _run_cells(
         for theta_index, theta_star in cells
         for start in range(0, replications, _REP_BLOCK)
     ]
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    processes = min(workers, len(tasks), cpus) if sys.platform.startswith("linux") else 1
+    processes = min(workers, len(tasks), len(os.sched_getaffinity(0))) if sys.platform.startswith("linux") else 1
     if processes == 1:
         blocks = [_replicate_block(task, payload) for task in tasks]
     else:
@@ -587,13 +568,13 @@ def _add_flags(fits: dict[str, np.ndarray], ci: tuple[float, float]) -> dict[str
 
 def fit_baseline(config: ExperimentConfig, d: np.ndarray, y: np.ndarray) -> LogitFit:
     """The baseline fit on the run's observed distances ``d`` and choices
-    ``y``; one that does not converge or has a singular information matrix
-    raises InvalidFitError."""
+    ``y``; one without an estimate or that does not converge raises
+    InvalidFitError naming the run's kind, n and seed."""
     data = f"the generated data ({config.experiment}, n={config.n}, seed={config.seed})"
     try:
         baseline = fit_distance_choice(d, y)
-    except SingularInformationError as exc:  # e.g. every centroid equidistant from the facility
-        raise InvalidFitError(f"baseline fit on {data} has a singular information matrix: {exc}") from exc
+    except InvalidFitError as exc:  # e.g. every centroid equidistant from the facility
+        raise InvalidFitError(f"baseline fit on {data} has no estimate: {exc}") from exc
     if not baseline.converged:
         raise InvalidFitError(
             f"baseline fit did not converge on {data}: {baseline.iterations} iterations, "
@@ -647,11 +628,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
 
 
 def _efficiency_stage(config: ExperimentConfig, d: np.ndarray, replications: int) -> tuple:
-    """The efficiency stage at ``replications`` (at least 30) and the
-    generating probabilities at the true distances ``d`` its choices are
-    redrawn from."""
-    if replications < 30:
-        raise ValueError(f"need >= 30 efficiency replications, got {replications}")
+    """The efficiency stage at ``replications`` and the generating
+    probabilities at the true distances ``d`` its choices are redrawn from."""
     stage = ([(0, None), *enumerate(config.theta_values())], replications, False)
     return stage, choice_probabilities(d, config.generating_params)
 
@@ -676,8 +654,8 @@ def run_efficiency_experiment(config: ExperimentConfig, replications: int, worke
     """Analytic efficiency loss over the theta* grid plus an empirical
     variance-ratio companion: the efficiency stage of ``run_experiment``
     alone, for ``geomasksim efficiency``. At 0 ``replications`` the reports
-    are analytic alone (el_empirical None); any other count under 30 raises
-    ValueError.
+    are analytic alone (el_empirical None); any other count outside
+    [30, rng.MAX_INDEX] raises ValueError before any data is generated.
 
     The analytic ratio uses the true distances and the baseline (fitted)
     parameters from ``fit_baseline``. The empirical side regenerates
@@ -693,6 +671,8 @@ def run_efficiency_experiment(config: ExperimentConfig, replications: int, worke
     is refused (ValueError) before any data is generated."""
     if config.experiment == "centroid":
         raise ValueError("efficiency does not run the centroid kind; simulate writes no efficiency table for it")
+    if replications and not 30 <= replications <= MAX_INDEX:
+        raise ValueError(f"efficiency replications must be 0 or lie in [30, {MAX_INDEX}], got {replications}")
     xy, d, y = prepare_dataset(config)
     baseline = fit_baseline(config, d, y)
     if replications == 0:

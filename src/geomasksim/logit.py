@@ -30,11 +30,10 @@ every fit in the package does, takes its first pass in closed form
 are one-row views of the same pass.
 
 Each pass decides at one site, from the current estimate, which rows stop
-(CONVERGED, NOT_CONVERGED or SINGULAR; SEPARATED rows never start); an
-estimate beyond the divergence bound is runaway (quasi-separation) and
-stops NOT_CONVERGED. A row reports the steps it took and the information
-and gradient norm at its estimate; ``fit_distance_choice`` adds the
-log-likelihood there.
+and how (``fit_rows``). This module alone decides a fit without an
+estimate: a SEPARATED row (a distance cut splits its choices, so the MLE
+does not exist; Albert & Anderson, Biometrika 71, 1984) or a SINGULAR one
+reports NaN, and ``fit_distance_choice`` raises InvalidFitError for both.
 
 ``choice_probability`` is the package's one logistic function outside the
 fit, in the same overflow-free form: ``population.choice_probabilities``,
@@ -70,6 +69,10 @@ Z_95 = 1.9599639845400536  # statistics.NormalDist().inv_cdf(0.975)
 
 # Estimates beyond this magnitude are treated as runaway (quasi-separation).
 _DIVERGENCE_BOUND = 1e4
+# A CONVERGED row with a weight sum sum p(1-p) below this is tested for
+# separation: saturated ones stop near 1e-7, the harness's rows at n = 1000
+# above 200, and a row's points tied at its cut weigh at most 1/4 each.
+_SATURATED = 4.0
 #: smallest normal float64: a determinant below _TINY * max(1, diagonal)
 #: is singular, since the standard errors sqrt(diagonal / det) would not be
 #: finite
@@ -89,16 +92,8 @@ _BLOCK = 1 << 15
 CONVERGED, NOT_CONVERGED, SEPARATED, SINGULAR = range(4)
 
 
-class SeparationError(ValueError):
-    """The response is degenerate (all 0s or all 1s); the MLE does not exist."""
-
-
-class SingularInformationError(RuntimeError):
-    """The information matrix is numerically singular."""
-
-
 class InvalidFitError(ValueError):
-    """An operation required a converged fit."""
+    """A fit has no estimate, or an operation required a converged fit."""
 
 
 @dataclass(frozen=True)
@@ -301,6 +296,17 @@ def observed_information(d: np.ndarray, p: LogitParams) -> np.ndarray:
     return np.array([[sw, swd], [swd, swd2]])
 
 
+def _separated(D, Y) -> np.ndarray:
+    """Which rows, each holding both choices, a distance cut separates:
+    max(d | y=1) <= min(d | y=0) or the reverse, unless the distances are
+    all equal (a SINGULAR row), in four masked reductions and no sort."""
+    one = Y != 0
+    zero = ~one
+    hi1, hi0 = (np.max(D, axis=1, where=w, initial=-math.inf) for w in (one, zero))
+    lo1, lo0 = (np.min(D, axis=1, where=w, initial=math.inf) for w in (one, zero))
+    return ((hi1 <= lo0) | (hi0 <= lo1)) & (np.minimum(lo1, lo0) < np.maximum(hi1, hi0))
+
+
 def _step(tree, D, Y, a, b, step_a, step_b, W):
     """Take each row's Newton step, halved until the log-likelihood is within
     _SLACK * (1 + |ll|) of its old value ``ll``, and return the new (a, b)
@@ -352,11 +358,14 @@ def fit_rows(
     else SINGULAR unless its information determinant is finite and at least
     ``_TINY`` times max(1, its diagonal) (so that the standard errors are
     finite), else CONVERGED once its gradient max-norm is below
-    ``DEFAULT_TOL``.
-    ``iterations`` counts the steps taken, and ``information`` and
-    ``gradient_norm`` are those of the reported estimate. Each step is
-    halved by ``_step``. The distances must be finite: the start at the
-    origin is taken in closed form (``_origin``), which holds for finite d.
+    ``DEFAULT_TOL``. A row that ran away, or converged with a weight sum
+    below ``_SATURATED``, is SEPARATED instead if ``_separated`` says so.
+    A SEPARATED or SINGULAR row has no estimate: NaN in every float field,
+    0 ``iterations``. Any other row's ``iterations`` counts the steps taken,
+    and its ``information`` and ``gradient_norm`` are those of its
+    estimate. Each step is halved by ``_step``. The distances must be
+    finite: the start at the origin is taken in closed form (``_origin``),
+    which holds for finite d.
     """
     D, Y = _block(d, y)
     R, n = D.shape
@@ -382,15 +391,22 @@ def fit_rows(
         gnorm = np.maximum(np.abs(M[:, 0]), np.abs(M[:, 1]))
         det = M[:, 2] * M[:, 4] - M[:, 3] ** 2
         # a runaway estimate is quasi-separation
-        out = (steps == max_iter) | (np.abs(a) > _DIVERGENCE_BOUND) | (np.abs(b) > _DIVERGENCE_BOUND)
+        ran_away = (np.abs(a) > _DIVERGENCE_BOUND) | (np.abs(b) > _DIVERGENCE_BOUND)
+        out = ran_away | (steps == max_iter)
         # M[:, 2:5:2] is the diagonal (sum w, sum w*d*d)
         singular = ~(np.isfinite(det) & (det >= _TINY * M[:, 2:5:2].max(axis=1, initial=1.0)))
         stopped = out | singular | (gnorm < DEFAULT_TOL)
         if stopped.any():
-            rows = idx[stopped]
-            alpha[rows], beta[rows] = a[stopped], b[stopped]
-            gradient_norm[rows], info[rows], iterations[rows] = gnorm[stopped], M[stopped, 2:], steps
-            status[rows] = np.where(out[stopped], NOT_CONVERGED, np.where(singular[stopped], SINGULAR, CONVERGED))
+            code = np.where(out, NOT_CONVERGED, np.where(singular, SINGULAR, CONVERGED))
+            # a runaway row, or a converged one whose weight sum M[:, 2] shows saturation, may be separated
+            suspect = np.flatnonzero(ran_away | stopped & (code == CONVERGED) & (M[:, 2] < _SATURATED))
+            if suspect.size:
+                code[suspect[_separated(D[suspect], Y[suspect])]] = SEPARATED
+            status[idx[stopped]] = code[stopped]
+            fitted = stopped & ((code == CONVERGED) | (code == NOT_CONVERGED))
+            rows = idx[fitted]
+            alpha[rows], beta[rows] = a[fitted], b[fitted]
+            gradient_norm[rows], info[rows], iterations[rows] = gnorm[fitted], M[fitted, 2:], steps
             keep = ~stopped
             idx, a, b, M, det = (v[keep] for v in (idx, a, b, M, det))
             m = idx.size
@@ -427,24 +443,21 @@ def fit_distance_choice(
     on one row, with the log-likelihood at the estimate from
     ``log_likelihood``.
 
-    Quasi-separated samples (probabilities saturating with unbounded step
-    growth) are returned flagged ``converged=False`` instead of raising;
-    all-equal choices raise SeparationError and a singular information
-    matrix raises SingularInformationError.
+    A fit that ran out of steps is returned flagged ``converged=False``; one
+    without an estimate, SEPARATED or SINGULAR, raises InvalidFitError
+    saying which.
     """
     fits = fit_rows(d, y, init, max_iter)
     if fits.status[0] == SEPARATED:
-        raise SeparationError("choices are all identical; the logit MLE does not exist")
-    info = fits.information[0]
+        raise InvalidFitError("the choices are separated, all identical or split by a distance cut: no logit MLE exists")
     if fits.status[0] == SINGULAR:
-        det = info[0, 0] * info[1, 1] - info[0, 1] ** 2
-        raise SingularInformationError(f"information determinant {det} after {fits.iterations[0]} iteration(s)")
+        raise InvalidFitError("the information matrix is singular, so the distance slope cannot be identified")
     params = LogitParams(float(fits.alpha[0]), float(fits.beta[0]))
     return LogitFit(
         params=params,
         std_errors=(float(fits.std_errors[0, 0]), float(fits.std_errors[0, 1])),
         loglik=log_likelihood(d, y, params),
-        information=info,
+        information=fits.information[0],
         converged=bool(fits.status[0] == CONVERGED),
         iterations=int(fits.iterations[0]),
         gradient_norm=float(fits.gradient_norm[0]),

@@ -47,7 +47,8 @@ _ZERO4 = np.zeros(4, dtype=np.uint64)
 _BUFFER_SIZE = 4
 
 _INDEX_BITS = 28
-_MAX_INDEX = 1 << _INDEX_BITS
+#: bound of theta_index and rep_index, so of a run's replications per cell
+MAX_INDEX = 1 << _INDEX_BITS
 
 # Purpose codes for the word layout above. REPLICATION is the stream behind
 # derive_stream(); the others key internal generation stages of the harness.
@@ -119,9 +120,9 @@ class GeneratorPool:
 
 
 def _stream_for(seed: int, purpose: int, theta_index: int, rep_index: int) -> RngStream:
-    if not 0 <= theta_index < _MAX_INDEX:
+    if not 0 <= theta_index < MAX_INDEX:
         raise ValueError(f"theta_index out of range [0, 2**{_INDEX_BITS}): {theta_index}")
-    if not 0 <= rep_index < _MAX_INDEX:
+    if not 0 <= rep_index < MAX_INDEX:
         raise ValueError(f"rep_index out of range [0, 2**{_INDEX_BITS}): {rep_index}")
     word = (purpose << 56) | (theta_index << _INDEX_BITS) | rep_index
     return RngStream(seed=seed, stream_id=splitmix64(word))

@@ -179,25 +179,19 @@ def test_simulate_batch_failure_exit_2(tmp_path, monkeypatch, capsys):
 
 
 
-QUASI_SEPARATED = """\
-[experiment]
-kind = csr-population
-seed = 9
-replications = 30
-
-[population]
-n = 9
-"""
+SEPARATED_BASELINE = ("error: baseline fit on the generated data ({}) has no estimate: the choices are separated, "
+                      "all identical or split by a distance cut: no logit MLE exists\n")
 
 
-def test_simulate_nonconverged_baseline_exit_1(tmp_path, capsys):
-    # at n = 9 and seed 9 the generated choices are quasi-separated, so the
-    # baseline fit stops unconverged before any replication
-    cfg = _config_file(tmp_path, QUASI_SEPARATED)
+@pytest.mark.parametrize("n, seed", [(9, 9), (1, 3)])
+def test_simulate_separated_baseline_exit_1(tmp_path, capsys, n, seed):
+    # at n = 9 and seed 9 a distance cut splits the generated choices, and a
+    # single individual has one choice: either way the baseline has no
+    # estimate, and the message names the run, before any replication
+    cfg = _config_file(tmp_path, f"[experiment]\nkind = csr-population\nseed = {seed}\n[population]\nn = {n}\n")
     assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == EXIT_VALIDATION
-    err = capsys.readouterr().err
-    assert err.startswith("error: baseline fit did not converge on the generated data (csr-population, n=9, seed=9): ")
-    assert re.search(r": \d+ iterations, gradient norm \S+\n$", err), err
+    assert capsys.readouterr().err == SEPARATED_BASELINE.format(f"csr-population, n={n}, seed={seed}")
+    assert not (tmp_path / "out").exists()
 
 
 N7_SEED7 = """\
@@ -211,13 +205,13 @@ n = 7
 
 
 @pytest.mark.parametrize("extra", [[], ["--empirical-reps", "30"]])
-def test_efficiency_nonconverged_baseline_exit_1(tmp_path, capsys, extra):
+def test_efficiency_separated_baseline_exit_1(tmp_path, capsys, extra):
     # the baseline `simulate` rejects on this config is rejected by both
     # forms of `efficiency` too, before any replication
     cfg = _config_file(tmp_path, N7_SEED7)
     assert main(["simulate", "--fast", "--config", cfg, "--out-dir", str(tmp_path / "sim")]) == EXIT_VALIDATION
     expected = capsys.readouterr().err
-    assert expected.startswith("error: baseline fit did not converge on the generated data (csr-population, n=7, seed=7): ")
+    assert expected == SEPARATED_BASELINE.format("csr-population, n=7, seed=7")
     assert main(["efficiency", "--config", cfg, "--out-dir", str(tmp_path / "eff"), *extra]) == EXIT_VALIDATION
     assert capsys.readouterr().err == expected
     assert not (tmp_path / "eff").exists()
@@ -231,10 +225,10 @@ def test_simulate_singular_centroid_baseline_exit_1(tmp_path, capsys, k):
     cfg = _config_file(tmp_path, text)
     assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == EXIT_VALIDATION
     err = capsys.readouterr().err
-    assert err.startswith(
-        "error: baseline fit on the generated data (centroid, n=200, seed=1) has a singular information matrix: "
+    assert err == (
+        "error: baseline fit on the generated data (centroid, n=200, seed=1) has no estimate: "
+        "the information matrix is singular, so the distance slope cannot be identified\n"
     )
-    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_centroid_files_differing_only_in_keys_the_run_ignores_make_one_run(tmp_path):
@@ -619,10 +613,11 @@ def test_nonfinite_point_file_exit_1(tmp_path, capsys, command):
 
 
 def test_fit_nonconverged_exit_2(tmp_path, capsys):
-    # quasi-separated sample: estimates run past the divergence bound
-    xy = np.array([[0.45, 0.0], [0.499, 0.0], [0.501, 0.0], [0.55, 0.0]])
-    path = tmp_path / "quasi.csv"
-    write_points_csv(xy, path, choices=np.array([0, 0, 1, 1]))
+    # the choices overlap, so the MLE exists, but over distances 3e-5 apart
+    # its slope lies past the divergence bound: the estimate runs away
+    xy = np.array([[0.5, 0.0], [0.50001, 0.0], [0.50002, 0.0], [0.50003, 0.0]])
+    path = tmp_path / "steep.csv"
+    write_points_csv(xy, path, choices=np.array([1, 0, 1, 0]))
     assert main(["fit", "--points", str(path)]) == EXIT_RUNTIME
     assert "converge" in capsys.readouterr().err
 

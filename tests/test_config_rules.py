@@ -19,12 +19,16 @@ from geomasksim.experiments import EXPERIMENTS, ExperimentConfig
 from geomasksim.geometry import UNIT_SQUARE, Point
 from geomasksim.logit import LogitParams
 from geomasksim.masking import BOUNDARY_POLICIES, MECHANISMS, MaskSpec
+from geomasksim.rng import MAX_INDEX
 
 # (kind, section, key, value, the same value given to ExperimentConfig)
 REJECTED = [
     ("csr-population", "population", "n", "0", lambda: ExperimentConfig("csr-population", n=0)),
     ("csr-population", "experiment", "replications", "0",
      lambda: ExperimentConfig("csr-population", replications=0)),
+    # a replication's stream index must lie below rng.MAX_INDEX
+    ("csr-population", "experiment", "replications", str(MAX_INDEX + 1),
+     lambda: ExperimentConfig("csr-population", replications=MAX_INDEX + 1)),
     ("centroid", "grid", "k", "0", lambda: ExperimentConfig("centroid", grid_k=0)),
     ("centroid", "grid", "k", "-2", lambda: ExperimentConfig("centroid", grid_k=-2)),
     # checked before a centroid config is set to its one cell at the cell radius, under redraw
@@ -95,7 +99,7 @@ _COUNT = st.integers(1, 2**40)
         ExperimentConfig,
         experiment=st.sampled_from(EXPERIMENTS),
         n=_COUNT,
-        replications=_COUNT,
+        replications=st.integers(1, MAX_INDEX),
         theta_grid=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12, unique=True).map(
             lambda fs: tuple(sorted(fs))
         ),

@@ -104,8 +104,21 @@ def test_fit_baseline_singular_names_the_data():
     # every individual at the facility: d carries no information on beta
     cfg = _config()
     _, _, y = prepare_dataset(cfg)
-    with pytest.raises(InvalidFitError, match=r"\(csr-population, n=300, seed=7\) has a singular information"):
+    with pytest.raises(InvalidFitError, match=r"\(csr-population, n=300, seed=7\) has no estimate: the information "
+                       r"matrix is singular, so the distance slope cannot be identified$"):
         fit_baseline(cfg, np.zeros(cfg.n), y)
+
+
+def test_fit_baseline_nonconverged_names_the_data(monkeypatch):
+    # a baseline that runs out of steps is refused with the run named too
+    import geomasksim.experiments as exp
+
+    cfg = _config()
+    _, d, y = prepare_dataset(cfg)
+    monkeypatch.setattr(exp, "fit_distance_choice", lambda d, y: fit_distance_choice(d, y, max_iter=1))
+    with pytest.raises(InvalidFitError, match=r"^baseline fit did not converge on the generated data "
+                       r"\(csr-population, n=300, seed=7\): 1 iterations, gradient norm \S+$"):
+        fit_baseline(cfg, d, y)
 
 
 def test_efficiency_report_reads_only_the_distances():

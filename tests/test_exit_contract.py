@@ -156,6 +156,19 @@ def test_point_commands_keep_the_exit_code_contract(
             assert int(line.group(1)) == 1 + len(coords) + quoted_id, err
 
 
+@pytest.mark.parametrize("text", ["1,0.1,0.2,1\n2,0.3,0.1,0\n", "1,0.1,0.2,0\n2,0.3,0.1,1\n3,0.5,0,1\n"])
+def test_fit_on_a_separated_sample_exits_1(tmp_path, text):
+    # a distance cut splits the choices, so the logit MLE does not exist;
+    # the two-point file once exited 0, converged, with a beta interval of
+    # about +-1e5
+    points = tmp_path / "points.csv"
+    points.write_text("id,x,y,choice\n" + text, encoding="utf-8")
+    code, err = _run(["fit", "--points", str(points)])
+    _assert_contract(code, err)
+    assert code == EXIT_VALIDATION
+    assert err == "error: the choices are separated, all identical or split by a distance cut: no logit MLE exists\n"
+
+
 def test_a_bad_value_after_a_quoted_line_break_names_its_line(tmp_path):
     points = tmp_path / "ml.csv"
     points.write_text('id,x,y\n"0\n",0.1,0.2\n1,a,0.3\n', encoding="utf-8")
@@ -431,6 +444,48 @@ def test_a_run_too_large_to_allocate_exits_2_and_writes_nothing(tmp_path):
     assert err.startswith("runtime failure: simulate ran out of memory:") and err.count("\n") == 1
     assert f"shape ({2**58}, 2)" in err
     assert not out.exists()
+
+def test_a_run_too_large_to_address_exits_1_and_writes_nothing(tmp_path):
+    # at n = 2^59 the (n, 2) float64 coordinates would take 2^64 bytes, more
+    # than numpy can address: numpy refuses the shape itself (a ValueError,
+    # "array is too big") before any allocation, so the run is a validation
+    # error, where n = 2^58 above is an allocation failure
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[experiment]\nkind = csr-population\n[population]\nn = {2**59}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code, err = _run(["simulate", "--config", str(cfg), "--out-dir", str(out)])
+    _assert_contract(code, err)
+    assert code == EXIT_VALIDATION
+    assert err.startswith("error: array is too big") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "efficiency"])
+def test_replications_past_the_stream_layout_exit_1_before_any_data(tmp_path, monkeypatch, command):
+    # a replication's stream index must lie below rng.MAX_INDEX = 2^28: a
+    # config (simulate) or --empirical-reps (efficiency) asking for more is
+    # refused before any data is generated or any task is built
+    import geomasksim.experiments as exp
+
+    def generate(*args, **kwargs):
+        raise AssertionError("data generated for a refused replication count")
+
+    monkeypatch.setattr(exp, "generate_csr_xy", generate)
+    reps = 2**28 + 1
+    cfg = tmp_path / "run.ini"
+    out = tmp_path / "out"
+    if command == "simulate":
+        cfg.write_text(f"[experiment]\nkind = csr-population\nreplications = {reps}\n", encoding="utf-8")
+        argv, message = ["simulate"], f"error: [experiment] replications: replications must lie in [1, {2**28}]"
+    else:
+        cfg.write_text("[experiment]\nkind = csr-population\n", encoding="utf-8")
+        argv, message = ["efficiency", "--empirical-reps", str(reps)], "error: efficiency replications must be 0 or"
+    code, err = _run([*argv, "--config", str(cfg), "--out-dir", str(out)])
+    _assert_contract(code, err)
+    assert code == EXIT_VALIDATION
+    assert err.startswith(message) and f"got {reps}\n" in err
+    assert not out.exists()
+
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="caps the run's address space with RLIMIT_AS")
 def test_a_centroid_run_on_a_fine_grid_exits_0(tmp_path):

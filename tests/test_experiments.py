@@ -357,23 +357,18 @@ def _in_process_pool(sizes):
 
 @pytest.mark.parametrize(
     "workers, cpus, cells, processes",
-    [(5000, 8, 2, 2), (5000, 3, 5, 3), (2, 8, 5, 2), (5000, None, 5, 1), (4, 8, 1, 1), (2, 1, 5, 1)],
+    [(5000, 8, 2, 2), (5000, 3, 5, 3), (2, 8, 5, 2), (4, 8, 1, 1), (2, 1, 5, 1)],
 )
 def test_run_cells_starts_at_most_one_process_per_task_and_cpu(monkeypatch, workers, cpus, cells, processes):
     # `workers` is only an upper bound; a stand-in pool records its size.
     # `cpus` is the affinity mask's size, which bounds the pool where the
-    # host has more CPUs than the process may use (`taskset -c 0` gives 1);
-    # None is a platform with no mask and no CPU count.
+    # host has more CPUs than the process may use (`taskset -c 0` gives 1).
     import geomasksim.experiments as exp
 
     sizes = []
     monkeypatch.setattr(exp, "_fork_pool", _in_process_pool(sizes))
-    if cpus is None:
-        monkeypatch.delattr(exp.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(exp.os, "cpu_count", lambda: None)
-    else:
-        monkeypatch.setattr(exp.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        monkeypatch.setattr(exp.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(exp.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(exp.os, "cpu_count", lambda: 64)
     xy = np.random.default_rng(45).uniform(-0.5, 0.5, size=(40, 2))
     y = (np.random.default_rng(46).random(40) < 0.5).astype(np.float64)
     run = [[([(i, 0.1 * i) for i in range(cells)], 5, True)], xy, Point(0.0, 0.0), None, MaskSpec(), 41]  # a task a cell
@@ -685,15 +680,19 @@ def test_masking_failures_recorded_not_fatal(monkeypatch):
         fits = real_fit_rows(d, y, **kw)
         for i in range(fits.status.size):
             rows["k"] += 1
-            if rows["k"] == 3:
-                fits.status[i] = SINGULAR
+            if rows["k"] == 3:  # fit_rows' report of a row without an estimate
+                fits.status[i], fits.iterations[i] = SINGULAR, 0
+                for name in ("alpha", "beta", "std_errors", "information", "gradient_norm"):
+                    getattr(fits, name)[i] = np.nan
         return fits
 
     monkeypatch.setattr(exp, "fit_rows", flaky)
     res = exp.run_experiment(_config(replications=10, theta_grid=(0.5,)))
     bad = ~res.columns["converged"]
     assert np.count_nonzero(bad) == 1
-    assert np.isnan(res.columns["beta_hat"][bad]).all()
+    for name in ("alpha_hat", "beta_hat", "se_beta"):
+        assert np.isnan(res.columns[name][bad]).all(), name
+    assert (res.columns["iterations"][bad] == 0).all()
     assert res.curve.rows[0].convergence_rate == pytest.approx(0.9)
 
 

@@ -18,9 +18,8 @@ from geomasksim.logit import (
     InvalidFitError,
     LogitFit,
     LogitParams,
-    SeparationError,
-    SingularInformationError,
     _BLOCK,
+    _SATURATED,
     _TINY,
     _block,
     _loglik,
@@ -174,24 +173,74 @@ def test_fit_symmetric_data_converges_at_origin():
 
 
 def test_fit_separation_error():
-    with pytest.raises(SeparationError):
-        fit_distance_choice(np.array([0.1, 0.5, 0.9]), np.array([1, 1, 1]))
-    with pytest.raises(SeparationError):
-        fit_distance_choice(np.array([0.1, 0.5, 0.9]), np.array([0, 0, 0]))
+    for y in ([1, 1, 1], [0, 0, 0]):
+        with pytest.raises(InvalidFitError, match=r"^the choices are separated, all identical or split by a distance cut: no logit MLE exists$"):
+            fit_distance_choice(np.array([0.1, 0.5, 0.9]), np.array(y))
 
 
-def test_fit_quasi_separation_flagged_not_raised():
+def test_fit_quasi_separation_runs_away_and_is_separated():
     # a 0.002-wide gap around the separating threshold pushes the runaway
-    # estimates past the divergence bound before the probabilities saturate
+    # estimates past the divergence bound before the probabilities saturate;
+    # the sample is completely separated, so the fit has no estimate
     d = np.array([0.45, 0.499, 0.501, 0.55])
     y = np.array([0, 0, 1, 1])
-    fit = fit_distance_choice(d, y)
-    assert not fit.converged
-    assert abs(fit.params.beta) > 1e4
+    assert fit_rows(d, y, max_iter=5).status[0] == NOT_CONVERGED  # a stop by max_iter is not tested
+    fits = fit_rows(d, y)
+    assert fits.status[0] == SEPARATED and fits.iterations[0] == 0 and np.isnan(fits.beta[0])
+    with pytest.raises(InvalidFitError, match="separated"):
+        fit_distance_choice(d, y)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_separated_samples_that_converge_or_run_away_are_separated(seed):
+    # y = (d < 0.4) on 200 points: from seeds 1 and 2 the fit saturates and
+    # meets the gradient rule (beta near -1594 and -8982) with a weight sum
+    # of 5.4e-7 and 4.0e-8; from seed 0 it runs past the divergence bound
+    d = np.random.default_rng(seed).uniform(0.0, 0.7, 200)
+    y = d < 0.4
+    fits = fit_rows(d, y)
+    assert fits.status[0] == SEPARATED and fits.iterations[0] == 0
+    for name in ("alpha", "beta", "std_errors", "information", "gradient_norm"):
+        assert np.isnan(getattr(fits, name)).all(), name
+    with pytest.raises(InvalidFitError, match="separated"):
+        fit_distance_choice(d, y)
+
+
+def test_regular_rows_are_not_tested_for_separation(monkeypatch):
+    # the exact test runs only on rows that run away or converge saturated:
+    # replicated rows at n = 1000 pay no pass for it
+    import geomasksim.logit as logit
+
+    calls = []
+    monkeypatch.setattr(logit, "_separated", lambda D, Y: calls.append(len(D)) or np.zeros(len(D), dtype=bool))
+    sims = [_sim(1000, seed=seed) for seed in range(16)]
+    fits = fit_rows(np.stack([d for d, _ in sims]), np.stack([y for _, y in sims]))
+    assert (fits.status == CONVERGED).all() and (fits.information[:, 0, 0] > 50 * _SATURATED).all()
+    assert calls == []
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(2, 10), rows=st.integers(1, 4),
+       scale=st.sampled_from([1e-3, 0.1, 1.0, 1e3]), offset=st.sampled_from([0.0, 0.3]))
+def test_fit_rows_separated_exactly_where_a_cut_splits_the_choices(data, n, rows, scale, offset):
+    # distances on a lattice of five values, so that ties at the cut are
+    # common: a row is SEPARATED exactly when its choices are all equal or
+    # the brute-force cut oracle splits them, and a row has an estimate
+    # exactly when it is neither SEPARATED nor SINGULAR
+    lattice = st.lists(st.integers(0, 4), min_size=n, max_size=n)
+    D = np.array([data.draw(lattice) for _ in range(rows)]) * scale + offset
+    Y = np.array([data.draw(st.lists(st.booleans(), min_size=n, max_size=n)) for _ in range(rows)])
+    fits = fit_rows(D, Y)
+    for i in range(rows):
+        separated = Y[i].min() == Y[i].max() or _cut_separated(D[i], Y[i])
+        assert (fits.status[i] == SEPARATED) == separated, (D[i], Y[i], fits.status[i])
+        estimate = fits.status[i] in (CONVERGED, NOT_CONVERGED)
+        assert np.isfinite(fits.alpha[i]) == estimate and np.isfinite(fits.beta[i]) == estimate
+        assert estimate or (fits.iterations[i] == 0 and np.isnan(fits.information[i]).all())
 
 
 def test_fit_singular_information_on_constant_distance():
-    with pytest.raises(SingularInformationError):
+    with pytest.raises(InvalidFitError, match=r"^the information matrix is singular, so the distance slope"):
         fit_distance_choice(np.full(10, 0.5), np.array([0, 1] * 5))
 
 
@@ -267,31 +316,47 @@ def _assert_rows_match_one_row_calls(D, Y, **kw):
     return block
 
 
+def _cut_separated(d, y):
+    """Whether some cut c, tried at every distance, has each choice's
+    distances on a side of its own (ties at c allowed), the distances not
+    all equal: brute force over cut points, where the MLE does not exist
+    (Albert & Anderson, Biometrika 71, 1984)."""
+    ones, zeros = d[y != 0], d[y == 0]
+    return bool(d.min() < d.max()) and any(
+        (ones <= c).all() and (zeros >= c).all() or (zeros <= c).all() and (ones >= c).all() for c in d
+    )
+
+
 def _oracle_fit(d, y, init=LogitParams(0.0, 0.0), tol=DEFAULT_TOL, max_iter=100):
     """One row's Newton loop with the documented rules applied literally,
     from the public one-row helpers: stop on divergence or max_iter, then
     on a singular information, then on a small gradient; take a step's
     candidate iff its log-likelihood is at least ll - 1e-10 * (1 + |ll|),
     halving the step down to 2**-39, whose candidate is taken regardless.
+    A row with all-equal choices, or that ran away or converged with a
+    weight sum below _SATURATED and is separated by a cut, is SEPARATED;
+    a SEPARATED or SINGULAR row has no estimate.
 
     Returns the row's fit_rows fields and the log-likelihood at the
-    estimate (None for a separated row)."""
+    estimate (None for a row without one)."""
     nan = math.nan
+    no_estimate = {
+        "alpha": nan, "beta": nan, "std_errors": [nan, nan], "information": np.full((2, 2), nan),
+        "iterations": 0, "gradient_norm": nan,
+    }
     if y.min() == y.max():
-        return {
-            "alpha": nan, "beta": nan, "std_errors": [nan, nan], "information": np.full((2, 2), nan),
-            "iterations": 0, "gradient_norm": nan, "status": SEPARATED,
-        }, None
+        return {**no_estimate, "status": SEPARATED}, None
 
     def loglik(a, b):
         # a non-finite candidate has no log-likelihood and fails the comparison
         return log_likelihood(d, y, LogitParams(a, b)) if math.isfinite(a) and math.isfinite(b) else nan
 
-    a, b, ran_away = init.alpha, init.beta, False
+    a, b = init.alpha, init.beta
     for steps in range(max_iter + 1):
         p = LogitParams(a, b)
         g, info = score(d, y, p), observed_information(d, p)
         det = info[0, 0] * info[1, 1] - info[0, 1] * info[0, 1]
+        ran_away = abs(a) > 1e4 or abs(b) > 1e4
         out = ran_away or steps == max_iter
         singular = not (np.isfinite(det) and det >= _TINY * max(1.0, info[0, 0], info[1, 1]))
         if out or singular or np.abs(g).max() < tol:
@@ -306,7 +371,11 @@ def _oracle_fit(d, y, init=LogitParams(0.0, 0.0), tol=DEFAULT_TOL, max_iter=100)
                 break
             scale *= 0.5
         a, b = ca, cb
-        ran_away = abs(a) > 1e4 or abs(b) > 1e4
+    status = NOT_CONVERGED if out else SINGULAR if singular else CONVERGED
+    if (ran_away or status == CONVERGED and info[0, 0] < _SATURATED) and _cut_separated(d, y):
+        status = SEPARATED
+    if status in (SEPARATED, SINGULAR):
+        return {**no_estimate, "status": status}, None
     return {
         "alpha": a,
         "beta": b,
@@ -314,7 +383,7 @@ def _oracle_fit(d, y, init=LogitParams(0.0, 0.0), tol=DEFAULT_TOL, max_iter=100)
         "information": info,
         "iterations": steps,
         "gradient_norm": np.abs(g).max(),
-        "status": NOT_CONVERGED if out else SINGULAR if singular else CONVERGED,
+        "status": status,
     }, log_likelihood(d, y, p)
 
 
@@ -328,25 +397,27 @@ def _assert_rows_match_oracle(D, Y, **kw):
         for name, value in want.items():
             got = getattr(block, name)[i]
             assert got.tobytes() == np.asarray(value, dtype=got.dtype).tobytes(), (i, name, got, value)
-        if block.status[i] == SEPARATED:
-            with pytest.raises(SeparationError):
-                fit_distance_choice(D[i], Y[i], **kw)
-        elif block.status[i] == SINGULAR:
-            with pytest.raises(SingularInformationError):
+        if loglik is None:
+            with pytest.raises(InvalidFitError, match=_NO_ESTIMATE[block.status[i]]):
                 fit_distance_choice(D[i], Y[i], **kw)
         else:
             assert _bits(fit_distance_choice(D[i], Y[i], **kw).loglik) == _bits(loglik), i
     return block
 
 
+# the word each row status without an estimate names in fit_distance_choice's InvalidFitError
+_NO_ESTIMATE = {SEPARATED: "separated", SINGULAR: "singular"}
+
+
 def _mixed_block():
     """Rows: ordinary, ordinary reversed, all-equal choices (separation),
-    constant distance (singular), quasi-separated (divergence)."""
+    constant distance (singular), separated by a 0.002-wide gap (runaway
+    past the divergence bound, then separated)."""
     n = 40
     rng = np.random.default_rng(3)
     d = rng.uniform(0.0, 1.0, n)
     y = (rng.uniform(size=n) < expit(1.0 - 2.0 * d)).astype(float)
-    # the quasi-separated sample of test_fit_quasi_separation_flagged_not_raised, ten times over
+    # the separated sample of test_fit_quasi_separation_runs_away_and_is_separated, ten times over
     quasi_d = np.tile([0.45, 0.499, 0.501, 0.55], 10)
     quasi_y = np.tile([0.0, 0.0, 1.0, 1.0], 10)
     D = np.stack([d, d[::-1], d, np.full(n, 0.5), quasi_d])
@@ -379,11 +450,10 @@ def test_fit_rows_mixed_block_matches_one_row_calls(init, max_iter):
     D, Y = _mixed_block()
     block = _assert_rows_match_one_row_calls(D, Y, init=init, max_iter=max_iter)
     _assert_rows_match_oracle(D, Y, init=init, max_iter=max_iter)
-    first = CONVERGED if max_iter > 1 else NOT_CONVERGED
-    assert block.status.tolist() == [first, first, SEPARATED, SINGULAR, NOT_CONVERGED]
-    assert block.iterations[3] == 0  # singular at the start: no step taken
-    if max_iter > 1:
-        assert abs(block.beta[4]) > 1e4
+    # in one step the separated row neither runs away nor converges
+    first, last = (CONVERGED, SEPARATED) if max_iter > 1 else (NOT_CONVERGED, NOT_CONVERGED)
+    assert block.status.tolist() == [first, first, SEPARATED, SINGULAR, last]
+    assert (block.iterations[2:4] == 0).all() and np.isnan(block.beta[2:4]).all()  # no estimate
     # the same rows in another order and as subsets give the same bits
     for order in ([4, 3, 2, 1, 0], [1, 4], [0]):
         again = fit_rows(D[order], Y[order], init=init, max_iter=max_iter)
@@ -391,11 +461,8 @@ def test_fit_rows_mixed_block_matches_one_row_calls(init, max_iter):
             assert np.array_equal(getattr(again, name), getattr(block, name)[order], equal_nan=True)
     # the one-row front end reports the same rows, or raises for them
     for i in range(D.shape[0]):
-        if block.status[i] == SEPARATED:
-            with pytest.raises(SeparationError):
-                fit_distance_choice(D[i], Y[i], init=init, max_iter=max_iter)
-        elif block.status[i] == SINGULAR:
-            with pytest.raises(SingularInformationError):
+        if block.status[i] in _NO_ESTIMATE:
+            with pytest.raises(InvalidFitError, match=_NO_ESTIMATE[block.status[i]]):
                 fit_distance_choice(D[i], Y[i], init=init, max_iter=max_iter)
         else:
             fit = fit_distance_choice(D[i], Y[i], init=init, max_iter=max_iter)
@@ -421,12 +488,13 @@ def test_fit_rows_far_start_needs_step_halving():
 
 def test_fit_rows_start_beyond_divergence_bound_stops_at_once():
     # the runaway rule reads the current estimate, so a start past the bound
-    # is reported as it is, NOT_CONVERGED after no step
+    # is reported as it is, NOT_CONVERGED after no step, unless a cut
+    # separates the row; equal distances (row 3) are not separated
     D, Y = _mixed_block()
     fits = fit_rows(D, Y, init=LogitParams(0.0, -2e4))
+    assert fits.status.tolist() == [NOT_CONVERGED, NOT_CONVERGED, SEPARATED, NOT_CONVERGED, SEPARATED]
     separated = fits.status == SEPARATED
-    assert (fits.status[~separated] == NOT_CONVERGED).all() and (fits.iterations == 0).all()
-    assert (fits.beta[~separated] == -2e4).all()
+    assert (fits.iterations == 0).all() and (fits.beta[~separated] == -2e4).all()
 
 
 def _full_step(d, y, p):
@@ -564,12 +632,15 @@ def test_fused_pass_matches_reference_arithmetic():
 
 def test_fits_match_reference_newton_loop():
     # same stopping decisions; estimates within the 1e-7 the stop rule allows
-    # two correct implementations (see perfbench/checks.py)
+    # two correct implementations (see perfbench/checks.py). The reference
+    # has no separation test, so a separated sample is checked on its own.
     rng = np.random.default_rng(16)
     for k in range(60):
         n = int(rng.choice([8, 30, 200, 1000]))
         d, y = _sim(n, alpha=rng.uniform(-3, 3), beta=rng.uniform(-20, 20), seed=k)
-        if y.min() == y.max():
+        if _cut_separated(d, y):
+            with pytest.raises(InvalidFitError, match="separated"):
+                fit_distance_choice(d, y)
             continue
         a, b, iterations, converged = _reference_fit(d, y.astype(float))
         fit = fit_distance_choice(d, y)
