@@ -14,7 +14,8 @@ Subcommands:
 [output] keys, are run options: they change neither the outputs' bits nor
 the manifest's config hash.
 
-Exit codes: 0 success; 1 validation error (arguments, config, input data,
+Exit codes: 0 success; 1 validation error (arguments, config, input data
+such as a curve file with an unreadable cell or rows out of theta* order,
 a point file with a non-finite coordinate or one on which `fit` has no
 estimate, its choices separated or its information singular, a `simulate`
 or `efficiency` baseline fit without an estimate or that does not converge,
@@ -23,9 +24,10 @@ whose coordinate array numpy refuses as too big to address, an
 `efficiency` config of the centroid kind, a path the operating system
 refuses, such as a directory given as an input file); 2 runtime failure
 (a replication cell, efficiency cells included, converging on under 50% of
-its replications; masking exhaustion; a pool worker process that dies,
-say by the out-of-memory killer's SIGKILL; an allocation that fails, as
-one at n = 2^58 does); 130 interrupted (SIGINT; the outputs are written
+its replications, or under `efficiency.MIN_CONVERGED_FITS` on either side
+of an efficiency ratio; masking exhaustion; a pool worker process that
+dies, say by the out-of-memory killer's SIGKILL; an allocation that fails,
+as one at n = 2^58 does); 130 interrupted (SIGINT; the outputs are written
 after the run, so an interrupt during it leaves none).
 """
 
@@ -44,6 +46,7 @@ import numpy as np
 from . import __version__
 from .config import RunOptions, config_hash, parse_config, parse_run_options
 from .density import kde
+from .efficiency import InsufficientDataError
 from .experiments import (
     BatchConvergenceError,
     FAST_REPLICATIONS,
@@ -136,7 +139,6 @@ def _cmd_simulate(args) -> int:
     config, options = _load_config(args)
     started = _utcnow()
     result = run_experiment(config, workers=options.workers)
-    reports = result.efficiency.reports if result.efficiency else None
 
     out = Path(options.out_dir)
     prefix = options.prefix
@@ -147,9 +149,9 @@ def _cmd_simulate(args) -> int:
         return path
 
     record(write_records_csv(result.theta_stars, result.columns, out / f"{prefix}_records.csv"))
-    record(write_curve_csv(result.curve, reports, out / f"{prefix}_curve.csv"))
-    if reports:
-        record(write_efficiency_csv(reports, out / f"{prefix}_efficiency.csv"))
+    record(write_curve_csv(result.curve, out / f"{prefix}_curve.csv"))
+    if result.efficiency:
+        record(write_efficiency_csv(result.efficiency.reports, out / f"{prefix}_efficiency.csv"))
 
     record(write_json(_baseline_payload(result.baseline), out / f"{prefix}_baseline.json"))
 
@@ -355,7 +357,7 @@ def main(argv: list[str] | None = None) -> int:
         # ConfigError and InvalidFitError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (BatchConvergenceError, BoundaryExhaustionError, WorkerLostError) as exc:
+    except (BatchConvergenceError, BoundaryExhaustionError, InsufficientDataError, WorkerLostError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except MemoryError as exc:  # numpy's message gives the allocation's size and shape

@@ -40,15 +40,15 @@ from .logit import LogitParams
 from .masking import MaskSpec
 from .population import choice_probabilities
 
-_MIN_CONVERGED_FITS = 30
+MIN_CONVERGED_FITS = 30  # on each side of an empirical variance ratio
 
 
 class DegenerateInformationError(ValueError):
     """True-coordinate information is zero; the efficiency ratio is undefined."""
 
 
-class InsufficientDataError(ValueError):
-    """Too few converged fits to estimate a variance ratio."""
+class InsufficientDataError(RuntimeError):
+    """Too few converged fits to estimate a variance ratio (a runtime failure)."""
 
 
 @dataclass(frozen=True)
@@ -93,14 +93,12 @@ def information_beta(d: np.ndarray, p: LogitParams, spec: MaskSpec = MaskSpec())
 
 
 def empirical_variance_ratio(true_betas: np.ndarray, masked_betas: np.ndarray) -> float:
-    """var(beta_hat) over true-coordinate fits / var over masked fits.
-
-    Takes the converged estimates of each side; fewer than 30 on either
-    side is an error.
-    """
-    if len(true_betas) < _MIN_CONVERGED_FITS or len(masked_betas) < _MIN_CONVERGED_FITS:
+    """var(beta_hat) over true-coordinate fits / var over masked fits, from
+    the converged estimates of each side: fewer than ``MIN_CONVERGED_FITS``
+    on either side is an error."""
+    if len(true_betas) < MIN_CONVERGED_FITS or len(masked_betas) < MIN_CONVERGED_FITS:
         raise InsufficientDataError(
-            f"need >= {_MIN_CONVERGED_FITS} converged fits on each side, "
+            f"need >= {MIN_CONVERGED_FITS} converged fits on each side, "
             f"got {len(true_betas)} true / {len(masked_betas)} masked"
         )
     v_true = float(np.var(true_betas, ddof=1))

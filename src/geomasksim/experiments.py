@@ -69,7 +69,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .efficiency import EfficiencyReport, efficiency_report, empirical_variance_ratio
+from .efficiency import MIN_CONVERGED_FITS, EfficiencyReport, efficiency_report, empirical_variance_ratio
 from .geometry import UNIT_SQUARE, Point, equivalent_circle_radius, facility_distances, planar_norm
 from .logit import CONVERGED, Z_95, InvalidFitError, LogitFit, LogitParams, fit_distance_choice, fit_rows, wald_ci
 from .masking import MaskSpec, checked_bounds, mask_rows
@@ -220,8 +220,9 @@ class ReplicationRecord:
 
 @dataclass(frozen=True)
 class CurveRow:
-    """Aggregates over one theta* cell (converged replications only; the
-    convergence rate is over all replications)."""
+    """One theta* cell, a row of the curve CSV: aggregates over its converged
+    replications (the convergence rate is over all of them), then its
+    EfficiencyReport's efficiency loss, None where the run has none."""
 
     theta_star: float
     mean_abs_beta: float
@@ -229,6 +230,8 @@ class CurveRow:
     pct_outside_true_ci: float
     pct_nonsignificant: float
     convergence_rate: float
+    el_analytic: float | None = None
+    el_empirical: float | None = None
 
     def __post_init__(self):
         for name in ("pct_outside_true_ci", "pct_nonsignificant"):
@@ -524,15 +527,16 @@ def _run_cells(
 
 # -------------------------------------------------------------- experiments
 
-def build_curve(theta_stars: tuple[float, ...], columns: dict[str, np.ndarray]) -> AttenuationCurve:
-    """One curve row per theta* cell of the (cells, replications) columns.
+def build_curve(theta_stars: tuple[float, ...], columns: dict[str, np.ndarray], reports=None) -> AttenuationCurve:
+    """One curve row per theta* cell of the (cells, replications) columns,
+    with the efficiency loss of the cell's EfficiencyReport in ``reports``.
 
     Moments and percentages use converged replications only; the
     convergence rate is over all of them.
     """
     beta, converged = columns["beta_hat"], columns["converged"]
     rows = []
-    for c, theta_star in enumerate(theta_stars):
+    for c, (theta_star, report) in enumerate(zip(theta_stars, reports or [None] * len(theta_stars))):
         ok = converged[c]
         k = np.count_nonzero(ok)
         betas = beta[c][ok]
@@ -547,6 +551,8 @@ def build_curve(theta_stars: tuple[float, ...], columns: dict[str, np.ndarray]) 
             pct_outside_true_ci=100.0 * np.count_nonzero(columns["outside_true_ci"][c][ok]) / k,
             pct_nonsignificant=100.0 * np.count_nonzero(~columns["significant_beta"][c][ok]) / k,
             convergence_rate=k / ok.size,
+            el_analytic=None if report is None else report.el_analytic,
+            el_empirical=None if report is None else report.el_empirical,
         ))
     return AttenuationCurve(rows=tuple(rows))
 
@@ -596,10 +602,11 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     statistically indistinguishable from the baseline. The baseline is
     ``fit_baseline`` on the observed distances. A cell with under 50%
     convergence aborts the batch; individual failures are kept as
-    non-converged rows. The efficiency cells, at min(300, max(30,
-    replications)) replications, follow in the same ``_run_cells`` call, in
-    at most ``workers`` processes; the outputs are the same bits for any
-    count."""
+    non-converged rows. The efficiency cells, at min(300,
+    max(MIN_CONVERGED_FITS, replications)) replications, follow in the same
+    ``_run_cells`` call, in at most ``workers`` processes, and their reports
+    fill the curve's efficiency columns; the outputs are the same bits for
+    any count."""
     xy, d, y = prepare_dataset(config)
     bounds = UNIT_SQUARE.bounds
     if config.experiment == "centroid":
@@ -608,7 +615,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
         d = facility_distances(xy, config.facility)
         efficiency, prob = [], None
     else:
-        *efficiency, prob = _efficiency_stage(config, d, min(300, max(30, config.replications)))
+        *efficiency, prob = _efficiency_stage(config, d, min(300, max(MIN_CONVERGED_FITS, config.replications)))
     baseline = fit_baseline(config, d, y)  # fail before any replication
     if not efficiency:
         d = None  # the centroid kind writes no efficiency report, the one later reader of d
@@ -618,12 +625,13 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
         bounds, config.mask, config.seed, workers, y=y, prob=prob,
     )
     columns = _add_flags(fits, wald_ci(baseline)[1])
+    efficiency_run = _efficiency_run(config, d, baseline, *efficiency_fits) if efficiency_fits else None
     return ExperimentResult(
         baseline=baseline,
         theta_stars=theta_stars,
         columns=columns,
-        curve=build_curve(theta_stars, columns),
-        efficiency=_efficiency_run(config, d, baseline, *efficiency_fits) if efficiency_fits else None,
+        curve=build_curve(theta_stars, columns, efficiency_run.reports if efficiency_run else None),
+        efficiency=efficiency_run,
     )
 
 
@@ -655,7 +663,8 @@ def run_efficiency_experiment(config: ExperimentConfig, replications: int, worke
     variance-ratio companion: the efficiency stage of ``run_experiment``
     alone, for ``geomasksim efficiency``. At 0 ``replications`` the reports
     are analytic alone (el_empirical None); any other count outside
-    [30, rng.MAX_INDEX] raises ValueError before any data is generated.
+    [MIN_CONVERGED_FITS, rng.MAX_INDEX] raises ValueError before any data is
+    generated.
 
     The analytic ratio uses the true distances and the baseline (fitted)
     parameters from ``fit_baseline``. The empirical side regenerates
@@ -666,13 +675,15 @@ def run_efficiency_experiment(config: ExperimentConfig, replications: int, worke
     zero variance). Both sides are cells of one ``_run_cells`` stage in at
     most ``workers`` processes, under the attenuation run's failure policy:
     a cell converging on under half of its replications raises
-    BatchConvergenceError, and fewer than 30 converged fits on
-    either side of a ratio raises InsufficientDataError. The centroid kind
-    is refused (ValueError) before any data is generated."""
+    BatchConvergenceError, and fewer than MIN_CONVERGED_FITS converged fits
+    on either side of a ratio raises InsufficientDataError, both
+    RuntimeErrors. The centroid kind is refused (ValueError) before any data
+    is generated."""
     if config.experiment == "centroid":
         raise ValueError("efficiency does not run the centroid kind; simulate writes no efficiency table for it")
-    if replications and not 30 <= replications <= MAX_INDEX:
-        raise ValueError(f"efficiency replications must be 0 or lie in [30, {MAX_INDEX}], got {replications}")
+    if replications and not MIN_CONVERGED_FITS <= replications <= MAX_INDEX:
+        allowed = f"[{MIN_CONVERGED_FITS}, {MAX_INDEX}]"
+        raise ValueError(f"efficiency replications must be 0 or lie in {allowed}, got {replications}")
     xy, d, y = prepare_dataset(config)
     baseline = fit_baseline(config, d, y)
     if replications == 0:

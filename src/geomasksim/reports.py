@@ -6,17 +6,16 @@ CSV writer builds its columns and formats each whole through one formatter,
 IEEE double back exactly; a failed fit's estimates as ``nan``), booleans as
 ``true``/``false``, ints in decimal and missing values as empty cells. Rows
 are in ascending theta* (records: then by rep); files end with a trailing
-newline and are UTF-8. Every reader goes through ``_read_rows``: it rejects
-a file whose header or whose field count on any row differs from its
-schema, and names the line of a row whose values it cannot read.
+newline and are UTF-8. Every reader goes through ``_read_rows``, which
+rejects a file whose header or field count on a row differs from its schema;
+every reader error names the file, and the line of a row it cannot read.
 
 Schemas (each CSV's columns are the fields of its row dataclass, in order,
 and its writer and reader are derived from that one list):
 
     records:    the fields of ReplicationRecord (written from the run's
                 (cells, replications) columns, read back as rows)
-    curve:      the fields of CurveRow, then el_analytic and el_empirical
-                of the cell's EfficiencyReport (empty when there is none)
+    curve:      the fields of CurveRow (el_* empty without efficiency reports)
     efficiency: the fields of EfficiencyReport
     points:     id,x,y[,choice]
 
@@ -46,8 +45,7 @@ def _names(cls) -> tuple[str, ...]:
 
 RECORDS_HEADER = _names(ReplicationRecord)
 EFFICIENCY_HEADER = _names(EfficiencyReport)
-_EL_COLUMNS = EFFICIENCY_HEADER[-2:]  # el_analytic, el_empirical
-CURVE_HEADER = _names(CurveRow) + _EL_COLUMNS
+CURVE_HEADER = _names(CurveRow)
 POINTS_HEADER = ("id", "x", "y")  # and an optional "choice" column
 
 
@@ -82,9 +80,8 @@ def _write_csv(path: str | Path, header: tuple[str, ...], blocks) -> Path:
 
 
 def _format_fields(rows, names: tuple[str, ...]) -> list[list[str]]:
-    """Each named field of ``rows`` as one formatted column; a row that is
-    None gives empty cells."""
-    return [_format_column([getattr(row, name, None) for row in rows]) for name in names]
+    """Each named field of ``rows`` as one formatted column."""
+    return [_format_column([getattr(row, name) for row in rows]) for name in names]
 
 
 def write_records_csv(theta_stars: tuple[float, ...], columns: dict[str, np.ndarray], path: str | Path) -> Path:
@@ -106,26 +103,17 @@ def read_records_csv(path: str | Path) -> list[ReplicationRecord]:
     return _read_rows(path, _converter(ReplicationRecord), RECORDS_HEADER)
 
 
-def write_curve_csv(
-    curve: AttenuationCurve,
-    efficiency_reports: list[EfficiencyReport] | None,
-    path: str | Path,
-) -> Path:
-    """One row per theta*; efficiency columns are empty when no reports are
-    supplied (e.g. centroid runs). Reports, when given, must cover the same
-    theta* grid in the same order."""
-    reports = [None] * len(curve.rows) if efficiency_reports is None else efficiency_reports
-    if len(reports) != len(curve.rows):
-        raise ValueError(f"{len(reports)} efficiency reports for {len(curve.rows)} curve rows")
-    for row, rep in zip(curve.rows, reports):
-        if rep is not None and abs(row.theta_star - rep.theta_star) > 1e-12:
-            raise ValueError(f"report theta* {rep.theta_star} does not match row {row.theta_star}")
-    columns = _format_fields(curve.rows, _names(CurveRow)) + _format_fields(reports, _EL_COLUMNS)
-    return _write_csv(path, CURVE_HEADER, [columns])
+def write_curve_csv(curve: AttenuationCurve, path: str | Path) -> Path:
+    """One row per theta*, as ``build_curve`` made it."""
+    return _write_csv(path, CURVE_HEADER, [_format_fields(curve.rows, CURVE_HEADER)])
 
 
 def read_curve_csv(path: str | Path) -> AttenuationCurve:
-    return AttenuationCurve(rows=tuple(_read_rows(path, _converter(CurveRow), CURVE_HEADER)))
+    rows = tuple(_read_rows(path, _converter(CurveRow), CURVE_HEADER))
+    try:
+        return AttenuationCurve(rows=rows)
+    except ValueError as exc:  # rows out of theta* order
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def write_efficiency_csv(reports: list[EfficiencyReport], path: str | Path) -> Path:
@@ -188,7 +176,7 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"expected true/false, got {raw!r}")
 
 
-_PARSERS = {float: float, int: int, bool: _parse_bool}
+_PARSERS = {float: float, int: int, bool: _parse_bool, float | None: lambda raw: float(raw) if raw else None}
 
 
 def _converter(cls):

@@ -288,6 +288,48 @@ def test_plot_curve_without_data_rows_exit_1_naming_the_file(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "rows, message",
+    [
+        # each efficiency cell is read as a number or, when empty, None
+        (["0.1,1.0,0.1,1.0,1.0,1.0,abc,xyz"], ":2: could not convert string to float: 'abc'"),
+        (["0.1,1.0,0.1,1.0,1.0,1.0,0.5,xyz"], ":2: could not convert string to float: 'xyz'"),
+        (["0.5,1.0,0.1,1.0,1.0,1.0,,", "0.1,1.0,0.1,1.0,1.0,1.0,,"], ": curve rows must be sorted by theta_star"),
+    ],
+    ids=["el-analytic-not-a-number", "el-empirical-not-a-number", "out-of-theta-order"],
+)
+def test_plot_on_a_curve_it_cannot_read_exits_1_naming_the_file(tmp_path, rows, message):
+    curve = tmp_path / "curve.csv"
+    curve.write_text("\n".join([",".join(CURVE_HEADER), *rows]) + "\n", encoding="utf-8")
+    baseline = tmp_path / "baseline.json"
+    baseline.write_text('{"beta": -2.0}', encoding="utf-8")
+    code, err = _run(["plot", "--curve", str(curve), "--baseline", str(baseline), "--out-dir", str(tmp_path)])
+    _assert_contract(code, err)
+    assert code == EXIT_VALIDATION
+    assert err == f"error: {curve}{message}\n"
+    assert not (tmp_path / "attenuation.svg").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, population",
+    [
+        # the cells pass the 50% rule, but one masked cell keeps 29 of its 30 fits
+        (["efficiency", "--empirical-reps", "30"], "seed = 0\n[population]\nn = 12\n"),
+        (["simulate"], "seed = 0\nreplications = 30\n[population]\nn = 20\n"),
+    ],
+    ids=["efficiency", "simulate"],
+)
+def test_too_few_converged_efficiency_fits_exit_2_and_write_nothing(tmp_path, argv, population):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[experiment]\nkind = csr-population\n" + population, encoding="utf-8")
+    out = tmp_path / "out"
+    code, err = _run([*argv, "--config", str(cfg), "--out-dir", str(out)])
+    _assert_contract(code, err)
+    assert code == EXIT_RUNTIME
+    assert err == "runtime failure: need >= 30 converged fits on each side, got 30 true / 29 masked\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "case",
     ["fit-points-dir", "mask-points-dir"]
     + [f"{command}-out-{where}" for command in _RUN_COMMANDS for where in ("is-file", "under-file")],

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geomasksim.efficiency import EfficiencyReport
-from geomasksim.experiments import RECORD_COLUMNS, AttenuationCurve, CurveRow
+from geomasksim.experiments import RECORD_COLUMNS, AttenuationCurve, CurveRow, ReplicationRecord, build_curve
 from geomasksim.reports import (
     CURVE_HEADER,
     EFFICIENCY_HEADER,
@@ -160,7 +161,7 @@ def test_records_header_mismatch(tmp_path):
 @pytest.mark.parametrize("change", ["short", "long"])
 def test_records_and_curve_reject_rows_with_the_wrong_field_count(tmp_path, change):
     records = write_records_csv((0.1,), _columns(1, 2), tmp_path / "r.csv")
-    curve = write_curve_csv(AttenuationCurve(rows=(_row(0.1), _row(0.2))), None, tmp_path / "c.csv")
+    curve = write_curve_csv(AttenuationCurve(rows=(_row(0.1), _row(0.2))), tmp_path / "c.csv")
     for path, read in ((records, read_records_csv), (curve, read_curve_csv)):
         lines = path.read_text(encoding="utf-8").splitlines()
         lines[2] = lines[2].rsplit(",", 1)[0] if change == "short" else lines[2] + ",1"
@@ -175,37 +176,41 @@ def test_records_row_count_scales(tmp_path):
     assert len(path.read_text(encoding="utf-8").splitlines()) == 1001
 
 
+# --- schemas ---
+
+
+@pytest.mark.parametrize(
+    "header, cls",
+    [(RECORDS_HEADER, ReplicationRecord), (CURVE_HEADER, CurveRow), (EFFICIENCY_HEADER, EfficiencyReport)],
+    ids=["records", "curve", "efficiency"],
+)
+def test_each_csv_header_is_its_row_dataclass_fields(header, cls):
+    assert header == tuple(f.name for f in dataclasses.fields(cls))
+
+
 # --- curve ---
 
 
 def test_curve_roundtrip_with_reports(tmp_path):
-    curve = AttenuationCurve(rows=(_row(0.0), _row(0.3)))
-    reports = [_report(0.0, el=1.0), _report(0.3, el=0.8)]
-    path = write_curve_csv(curve, reports, tmp_path / "c.csv")
-    text = path.read_text(encoding="utf-8")
-    lines = text.splitlines()
+    # build_curve copies each cell's efficiency loss into its row; every
+    # field reads back, and the empty el_empirical cell as None
+    curve = build_curve((0.0, 0.3), _columns(2, 3), [_report(0.0, el=1.0), _report(0.3, el=0.8)])
+    assert [(r.el_analytic, r.el_empirical) for r in curve.rows] == [(1.0, 0.87), (0.8, None)]
+    path = write_curve_csv(curve, tmp_path / "c.csv")
+    lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == ",".join(CURVE_HEADER)
     assert len(lines) == 3
-    # None el_empirical serializes as an empty cell
-    assert lines[2].split(",")[7] == ""
-    back = read_curve_csv(path)
-    assert [r.theta_star for r in back.rows] == [0.0, 0.3]
-    assert back.rows[0].mean_abs_beta == curve.rows[0].mean_abs_beta
+    assert lines[2].split(",")[6:] == ["0.80000000000000004", ""]
+    assert read_curve_csv(path) == curve
 
 
 def test_curve_without_reports_leaves_el_columns_empty(tmp_path):
     curve = AttenuationCurve(rows=(_row(0.1),))
-    path = write_curve_csv(curve, None, tmp_path / "c.csv")
+    path = write_curve_csv(curve, tmp_path / "c.csv")
     cells = path.read_text(encoding="utf-8").splitlines()[1].split(",")
     assert cells[6:] == ["", ""]
-
-
-def test_curve_report_alignment_checked(tmp_path):
-    curve = AttenuationCurve(rows=(_row(0.1), _row(0.2)))
-    with pytest.raises(ValueError, match="reports"):
-        write_curve_csv(curve, [_report(0.1)], tmp_path / "c.csv")
-    with pytest.raises(ValueError, match="match"):
-        write_curve_csv(curve, [_report(0.1), _report(0.9)], tmp_path / "c.csv")
+    assert read_curve_csv(path) == curve
+    assert (curve.rows[0].el_analytic, curve.rows[0].el_empirical) == (None, None)
 
 
 # --- efficiency ---
