@@ -14,8 +14,15 @@ Subcommands:
 [output] keys, are run options: they change neither the outputs' bits nor
 the manifest's config hash.
 
+Two builtin bases decide every exit code: a ValueError is input the run
+cannot take and, with an OSError, exits 1 with one `error:` line; a
+RuntimeError is a run that cannot finish and exits 2 with one `runtime
+failure:` line. No module defines an error class of its own but `logit`'s
+InvalidFitError, a ValueError.
+
 Exit codes: 0 success; 1 validation error (arguments, config, input data
-such as a curve file with an unreadable cell or rows out of theta* order,
+such as a curve file with an unreadable cell, an efficiency value out of
+range or rows out of theta* order,
 a point file with a non-finite coordinate or one on which `fit` has no
 estimate, its choices separated or its information singular, a `simulate`
 or `efficiency` baseline fit without an estimate or that does not converge,
@@ -25,7 +32,8 @@ whose coordinate array numpy refuses as too big to address, an
 refuses, such as a directory given as an input file); 2 runtime failure
 (a replication cell, efficiency cells included, converging on under 50% of
 its replications, or under `efficiency.MIN_CONVERGED_FITS` on either side
-of an efficiency ratio; masking exhaustion; a pool worker process that
+of an efficiency ratio; masking exhaustion; choices that change during an
+attenuation run, against its fixed-y contract; a pool worker process that
 dies, say by the out-of-memory killer's SIGKILL; an allocation that fails,
 as one at n = 2^58 does); 130 interrupted (SIGINT; the outputs are written
 after the run, so an interrupt during it leaves none).
@@ -46,18 +54,10 @@ import numpy as np
 from . import __version__
 from .config import RunOptions, config_hash, parse_config, parse_run_options
 from .density import kde
-from .efficiency import InsufficientDataError
-from .experiments import (
-    BatchConvergenceError,
-    FAST_REPLICATIONS,
-    ExperimentConfig,
-    WorkerLostError,
-    run_efficiency_experiment,
-    run_experiment,
-)
+from .experiments import FAST_REPLICATIONS, ExperimentConfig, run_efficiency_experiment, run_experiment
 from .geometry import Point, StudyArea, facility_distances
 from .logit import LogitFit, fit_distance_choice, wald_ci
-from .masking import BOUNDARY_POLICIES, MECHANISMS, BoundaryExhaustionError, MaskSpec, mask_coordinates
+from .masking import BOUNDARY_POLICIES, MECHANISMS, MaskSpec, mask_coordinates
 from .reports import (
     read_curve_csv,
     read_json,
@@ -80,13 +80,9 @@ EXIT_RUNTIME = 2
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 
-class _CliError(Exception):
-    """Validation failure carrying the message to print on stderr."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits 2; validation is 1 here
-        raise _CliError(message)
+        raise ValueError(message)
 
 
 def _utcnow() -> str:
@@ -130,7 +126,7 @@ def _load_config(args) -> tuple[ExperimentConfig, RunOptions]:
     out = Path(options.out_dir)
     blocker = next(p for p in (out, *out.parents) if p.exists())
     if not blocker.is_dir():
-        raise _CliError(f"out dir {out}: {blocker} is not a directory")
+        raise ValueError(f"out dir {out}: {blocker} is not a directory")
     fast = FAST_REPLICATIONS if getattr(args, "fast", False) else None
     return dataclasses.replace(config, **_given(seed=args.seed, replications=fast)), options
 
@@ -163,7 +159,7 @@ def _cmd_simulate(args) -> int:
         try:
             svg = render_kde_svg(kde(betas), beta, wald_ci(result.baseline)[1])
             record(write_text(svg, out / f"{prefix}_kde.svg"))
-        except ValueError:  # DegenerateSampleError included
+        except ValueError:  # kde's degenerate sample included
             print("note: replication estimates degenerate at the largest theta*; KDE plot skipped")
 
     manifest = {
@@ -204,7 +200,7 @@ def _cmd_mask(args) -> int:
     bounds = None
     if args.boundary == "redraw":
         if args.area is None:
-            raise _CliError("--boundary redraw requires --area XMIN XMAX YMIN YMAX")
+            raise ValueError("--boundary redraw requires --area XMIN XMAX YMIN YMAX")
         bounds = StudyArea(*args.area).bounds
     masked = mask_coordinates(xy, spec, bounds, derive_stream(args.seed, 0, 0))
     write_points_csv(masked, args.out, choices=choices, ids=ids)
@@ -215,7 +211,7 @@ def _cmd_mask(args) -> int:
 def _cmd_fit(args) -> int:
     ids, xy, choices = read_points_csv(args.points)
     if choices is None:
-        raise _CliError(f"{args.points} has no choice column; `fit` needs id,x,y,choice")
+        raise ValueError(f"{args.points} has no choice column; `fit` needs id,x,y,choice")
     # Points far from the facility overflow d*d (rejected below) or the
     # information sums (classified singular); points very close to it can
     # overflow a Newton step (not converged). The exit code reports each
@@ -223,7 +219,7 @@ def _cmd_fit(args) -> int:
     with np.errstate(over="ignore", invalid="ignore"):
         d = facility_distances(xy, Point(args.facility_x, args.facility_y))
         if not np.isfinite(d).all():
-            raise _CliError(
+            raise ValueError(
                 f"{args.points}: a distance to the facility overflows; coordinates must lie within about 1e154 of it"
             )
         fit = fit_distance_choice(d, choices)  # InvalidFitError, a ValueError, when the fit has no estimate
@@ -260,36 +256,36 @@ def _read_baseline(path: str, with_ci: bool) -> dict:
     uses: a finite ``beta`` and, ``with_ci``, a ``ci_beta`` of two finite numbers."""
     baseline = read_json(path)
     if not isinstance(baseline, dict) or not _is_number(baseline.get("beta")):
-        raise _CliError(f"{path}: baseline must be a JSON object with a finite numeric \"beta\"")
+        raise ValueError(f"{path}: baseline must be a JSON object with a finite numeric \"beta\"")
     ci = baseline.get("ci_beta")
     if with_ci and not (isinstance(ci, list) and len(ci) == 2 and all(map(_is_number, ci))):
-        raise _CliError(f"{path}: baseline needs \"ci_beta\" as a list of two finite numbers to plot records")
+        raise ValueError(f"{path}: baseline needs \"ci_beta\" as a list of two finite numbers to plot records")
     return baseline
 
 
 def _cmd_plot(args) -> int:
     if args.curve is None and args.records is None:
-        raise _CliError("plot needs --curve and/or --records")
+        raise ValueError("plot needs --curve and/or --records")
     baseline = _read_baseline(args.baseline, with_ci=args.records is not None)
     out = Path(args.out_dir)
     if args.curve is not None:
         curve = read_curve_csv(args.curve)
         if not curve.rows:
-            raise _CliError(f"{args.curve} has no curve rows")
+            raise ValueError(f"{args.curve} has no curve rows")
         path = write_text(render_attenuation_svg(curve, baseline["beta"]), out / "attenuation.svg")
         print(f"wrote {_path_text(path)}")
     if args.records is not None:
         records = read_records_csv(args.records)
         if not records:
-            raise _CliError(f"{args.records} has no records")
+            raise ValueError(f"{args.records} has no records")
         theta = args.theta_star if args.theta_star is not None else max(r.theta_star for r in records)
         betas = [r.beta_hat for r in records if r.converged and abs(r.theta_star - theta) <= 1e-12]
         if not betas:
-            raise _CliError(f"no converged records at theta*={theta:g} in {args.records}")
+            raise ValueError(f"no converged records at theta*={theta:g} in {args.records}")
         try:
             estimate = kde(np.array(betas))
-        except ValueError as exc:  # DegenerateSampleError included
-            raise _CliError(f"cannot build KDE at theta*={theta:g}: {exc}") from exc
+        except ValueError as exc:
+            raise ValueError(f"cannot build KDE at theta*={theta:g}: {exc}") from exc
         path = write_text(render_kde_svg(estimate, baseline["beta"], tuple(baseline["ci_beta"])), out / "kde.svg")
         print(f"wrote {_path_text(path)}")
     return EXIT_OK
@@ -353,11 +349,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (_CliError, OSError, ValueError) as exc:
-        # ConfigError and InvalidFitError are ValueErrors
+    except (OSError, ValueError) as exc:  # InvalidFitError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (BatchConvergenceError, BoundaryExhaustionError, InsufficientDataError, WorkerLostError) as exc:
+    except RuntimeError as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except MemoryError as exc:  # numpy's message gives the allocation's size and shape

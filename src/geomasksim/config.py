@@ -23,9 +23,10 @@ the field its key names. Validation lives in the dataclasses
 (``ExperimentConfig``, ``MaskSpec``, ``LogitParams``, ``Point``,
 ``RunOptions``), so a config file rejects exactly what they reject. Keys
 are set one at a time on a value that is already valid, so a value that
-fails to convert or that a dataclass rejects raises a ``ConfigError``
+fails to convert or that a dataclass rejects raises a ``ValueError``
 naming its ``[section] key``. Unknown sections or keys and duplicate keys
-are errors too.
+are ValueErrors too, as is a missing file, so ``cli`` exits 1 on every
+config error.
 
 Two key tables (``_CONFIG_KEYS``, ``_RUN_OPTION_KEYS``: section, key,
 converter, field) drive the parsing. ``serialize_config`` walks
@@ -47,10 +48,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .experiments import ExperimentConfig
-
-
-class ConfigError(ValueError):
-    """Malformed or invalid configuration, with a field-level message."""
 
 
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
@@ -114,7 +111,7 @@ _SECTIONS = sorted({section for section, _ in _KEYS})
 def _read_sections(path: str | Path) -> dict[str, dict[str, str]]:
     path = Path(path)
     if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
+        raise ValueError(f"config file not found: {path}")
     parser = configparser.ConfigParser(
         strict=True, interpolation=None, inline_comment_prefixes=("#", ";")
     )
@@ -122,28 +119,28 @@ def _read_sections(path: str | Path) -> dict[str, dict[str, str]]:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
     except (configparser.Error, UnicodeDecodeError) as exc:
-        raise ConfigError(f"malformed config {path}: {exc}") from exc
+        raise ValueError(f"malformed config {path}: {exc}") from exc
 
     sections: dict[str, dict[str, str]] = {}
     for section in parser.sections():
         if section not in _SECTIONS:
-            raise ConfigError(f"unknown section [{section}] (expected one of {_SECTIONS})")
+            raise ValueError(f"unknown section [{section}] (expected one of {_SECTIONS})")
         for key in parser[section]:
             if (section, key) not in _KEYS:
                 expected = sorted(k for s, k in _KEYS if s == section)
-                raise ConfigError(f"unknown key {key!r} in [{section}] (expected one of {expected})")
+                raise ValueError(f"unknown key {key!r} in [{section}] (expected one of {expected})")
         sections[section] = dict(parser[section])
     return sections
 
 
 @contextmanager
 def _naming(section: str, key: str):
-    """Raise a ValueError from the block again as a ConfigError that names
+    """Raise a ValueError from the block again as one that names
     ``[section] key``."""
     try:
         yield
     except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: {exc}") from exc
+        raise ValueError(f"[{section}] {key}: {exc}") from exc
 
 
 def _with_field(obj, field: str, value):
@@ -170,7 +167,7 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     s = _read_sections(path)
     kind = s.get("experiment", {}).get("kind")
     if kind is None:
-        raise ConfigError("[experiment] kind is required")
+        raise ValueError("[experiment] kind is required")
     with _naming("experiment", "kind"):
         config = ExperimentConfig(experiment=kind)
     return _apply(s, config, _CONFIG_KEYS)

@@ -10,11 +10,6 @@ KDE_GRID_SIZE = 512
 _EVAL_ELEMENTS = 1 << 15  # grid points x values per block: 256 KB temporaries, one grid point for larger samples
 
 
-class DegenerateSampleError(ValueError):
-    """No positive bandwidth exists: all sample values identical, or their
-    spread so small that the bandwidth underflows to 0."""
-
-
 @dataclass(frozen=True)
 class KdeEstimate:
     """Density evaluated on a fixed grid; integrates to 1 by trapezoid rule."""
@@ -58,13 +53,14 @@ def silverman_bandwidth(values: np.ndarray) -> float:
 
     The IQR fallback keeps the bandwidth positive for small or tie-heavy
     samples that still have spread; a sample without a positive bandwidth
-    is an error.
+    (all values identical, or a spread so small that the bandwidth
+    underflows to 0) is a ValueError.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.min() == values.max():
         # sd can come out ~1e-16 instead of 0 for constant samples (the mean
         # rounds off by an ulp), so test degeneracy on the range, not the sd
-        raise DegenerateSampleError("all values identical")
+        raise ValueError("all values identical")
     sd = float(np.std(values, ddof=1))
     q75, q25 = _quartiles(values)
     iqr = q75 - q25
@@ -72,7 +68,7 @@ def silverman_bandwidth(values: np.ndarray) -> float:
     bandwidth = 0.9 * spread * len(values) ** (-0.2)
     if not bandwidth > 0.0:
         # a spread near 1e-300 underflows: the squared deviations round to 0
-        raise DegenerateSampleError(f"spread {spread!r} too small for a positive bandwidth")
+        raise ValueError(f"spread {spread!r} too small for a positive bandwidth")
     return bandwidth
 
 

@@ -43,14 +43,6 @@ from .population import choice_probabilities
 MIN_CONVERGED_FITS = 30  # on each side of an empirical variance ratio
 
 
-class DegenerateInformationError(ValueError):
-    """True-coordinate information is zero; the efficiency ratio is undefined."""
-
-
-class InsufficientDataError(RuntimeError):
-    """Too few converged fits to estimate a variance ratio (a runtime failure)."""
-
-
 @dataclass(frozen=True)
 class EfficiencyReport:
     """Analytic (and optionally empirical) efficiency loss at one masking radius."""
@@ -94,17 +86,18 @@ def information_beta(d: np.ndarray, p: LogitParams, spec: MaskSpec = MaskSpec())
 
 def empirical_variance_ratio(true_betas: np.ndarray, masked_betas: np.ndarray) -> float:
     """var(beta_hat) over true-coordinate fits / var over masked fits, from
-    the converged estimates of each side: fewer than ``MIN_CONVERGED_FITS``
-    on either side is an error."""
+    the converged estimates of each side. Fewer than ``MIN_CONVERGED_FITS``
+    on either side, or no masked-fit variance, is a RuntimeError: a run
+    whose fits came out so cannot finish."""
     if len(true_betas) < MIN_CONVERGED_FITS or len(masked_betas) < MIN_CONVERGED_FITS:
-        raise InsufficientDataError(
+        raise RuntimeError(
             f"need >= {MIN_CONVERGED_FITS} converged fits on each side, "
             f"got {len(true_betas)} true / {len(masked_betas)} masked"
         )
     v_true = float(np.var(true_betas, ddof=1))
     v_masked = float(np.var(masked_betas, ddof=1))
     if v_masked == 0.0:
-        raise InsufficientDataError("masked-fit variance is zero; ratio undefined")
+        raise RuntimeError("masked-fit variance is zero; ratio undefined")
     return v_true / v_masked
 
 
@@ -114,10 +107,11 @@ def efficiency_report(
     """The analytic quantities (and an optional empirical ratio) at the true
     distances ``d`` for the mask law ``spec`` at its theta*. el_analytic =
     info(true) / info(masked moment) is 1 at theta* = 0 and decreasing in
-    theta*."""
+    theta*. Zero true information, where the ratio is 0/0, is a
+    ValueError."""
     info_true = information_beta(d, p)
     if info_true <= 0.0:
-        raise DegenerateInformationError(f"true information is {info_true}")
+        raise ValueError(f"true information is {info_true}")
     info_masked = information_beta(d, p, spec)
     return EfficiencyReport(
         theta_star=spec.theta_star,

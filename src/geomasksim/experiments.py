@@ -119,27 +119,6 @@ _ROW_ELEMENTS = 16384
 _MIN_CELL_CONVERGENCE = 0.5
 
 
-class WorkerLostError(RuntimeError):
-    """A pool worker process died, say by the out-of-memory killer's SIGKILL, before its tasks finished."""
-
-
-class BatchConvergenceError(RuntimeError):
-    """A cell converged on fewer than half of its replications.
-
-    ``stage`` is "attenuation" (fixed choices) or "efficiency" (choices
-    regenerated per replication); theta_star is None for the efficiency
-    run's true-coordinate cell.
-    """
-
-    def __init__(self, theta_star: float | None, rate: float, stage: str):
-        self.theta_star = theta_star
-        self.rate = rate
-        self.stage = stage
-        cell = "true-coordinate cell" if theta_star is None else f"cell theta*={theta_star:g}"
-        choices = "fixed" if stage == "attenuation" else "regenerated"
-        super().__init__(f"{stage} stage ({choices} choices): {cell} converged on {rate:.1%} of replications")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything that decides a run's outputs; the worker count, which
@@ -222,7 +201,9 @@ class ReplicationRecord:
 class CurveRow:
     """One theta* cell, a row of the curve CSV: aggregates over its converged
     replications (the convergence rate is over all of them), then its
-    EfficiencyReport's efficiency loss, None where the run has none."""
+    EfficiencyReport's efficiency loss, None where the run has none: an
+    el_analytic in (0, 1], as EfficiencyReport's, and a finite, positive
+    el_empirical."""
 
     theta_star: float
     mean_abs_beta: float
@@ -240,6 +221,10 @@ class CurveRow:
                 raise ValueError(f"{name} must lie in [0, 100], got {v}")
         if not 0.0 <= self.convergence_rate <= 1.0:
             raise ValueError(f"convergence_rate must lie in [0, 1], got {self.convergence_rate}")
+        if self.el_analytic is not None and not 0.0 < self.el_analytic <= 1.0:
+            raise ValueError(f"el_analytic must lie in (0, 1], got {self.el_analytic}")
+        if self.el_empirical is not None and not 0.0 < self.el_empirical < math.inf:
+            raise ValueError(f"el_empirical must be finite and positive, got {self.el_empirical}")
 
 
 @dataclass(frozen=True)
@@ -378,11 +363,11 @@ def _serve(tasks: list, payload: dict, task_fd: int, result_fd: int, parent_fds:
         os._exit(code)
 
 
-def _worker_lost(pid: int) -> WorkerLostError:
+def _worker_lost(pid: int) -> RuntimeError:
     """Reap a worker that died and say how it ended."""
     code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     how = f"killed by {signal.Signals(-code).name}" if code < 0 else f"exit code {code}"
-    return WorkerLostError(f"a worker process died before the run finished (pid {pid}, {how})")
+    return RuntimeError(f"a worker process died before the run finished (pid {pid}, {how})")
 
 
 def _fork_pool(tasks: list, payload: dict, processes: int) -> list[dict]:
@@ -393,9 +378,10 @@ def _fork_pool(tasks: list, payload: dict, processes: int) -> list[dict]:
     2 * ``processes`` tasks in flight, and each answers down a result pipe
     of its own. The first failure stops the sends; once the tasks in flight
     are back, the failure with the lowest task index is raised, the one an
-    in-process run raises. A result pipe that ends while the task pipe is
-    open raises WorkerLostError. On any exception, KeyboardInterrupt
-    included, the workers are killed. On every exit every pipe is closed
+    in-process run raises; a builtin exception crosses the result pipe's
+    pickle as it is. A result pipe that ends while the task pipe is open
+    raises a RuntimeError naming the worker. On any exception,
+    KeyboardInterrupt included, the workers are killed. On every exit every pipe is closed
     and then every worker reaped, with every catchable signal blocked, so a
     signal handler's exception arrives after the last reap.
     """
@@ -484,9 +470,9 @@ def _run_cells(
     elsewhere they run in-process, with the same bits. The workers share
     one task pipe and ignore SIGINT: on KeyboardInterrupt the parent kills
     them, closes every pipe, reaps them all with every catchable signal
-    blocked and re-raises; a dead worker raises WorkerLostError. A cell converging on
-    under half of its replications raises BatchConvergenceError, the stages
-    checked in order.
+    blocked and re-raises; a dead worker raises a RuntimeError. A cell
+    converging on under half of its replications raises a RuntimeError
+    naming its stage, cell and rate, the stages checked in order.
     """
     xy = np.ascontiguousarray(xy, dtype=np.float64)
     payload = {
@@ -520,7 +506,9 @@ def _run_cells(
         for (_, theta_star), converged in zip(cells, fits["converged"]):
             rate = np.count_nonzero(converged) / replications
             if rate < _MIN_CELL_CONVERGENCE:
-                raise BatchConvergenceError(theta_star, rate, "attenuation" if fixed else "efficiency")
+                stage = "attenuation stage (fixed choices)" if fixed else "efficiency stage (regenerated choices)"
+                cell = "true-coordinate cell" if theta_star is None else f"cell theta*={theta_star:g}"
+                raise RuntimeError(f"{stage}: {cell} converged on {rate:.1%} of replications")
         results.append(fits)
     return results
 
@@ -572,11 +560,16 @@ def _add_flags(fits: dict[str, np.ndarray], ci: tuple[float, float]) -> dict[str
     }
 
 
+def _data_name(config: ExperimentConfig) -> str:
+    """The run's data as a failure message names it: kind, n and seed."""
+    return f"the generated data ({config.experiment}, n={config.n}, seed={config.seed})"
+
+
 def fit_baseline(config: ExperimentConfig, d: np.ndarray, y: np.ndarray) -> LogitFit:
     """The baseline fit on the run's observed distances ``d`` and choices
     ``y``; one without an estimate or that does not converge raises
     InvalidFitError naming the run's kind, n and seed."""
-    data = f"the generated data ({config.experiment}, n={config.n}, seed={config.seed})"
+    data = _data_name(config)
     try:
         baseline = fit_distance_choice(d, y)
     except InvalidFitError as exc:  # e.g. every centroid equidistant from the facility
@@ -644,17 +637,22 @@ def _efficiency_stage(config: ExperimentConfig, d: np.ndarray, replications: int
 
 def _efficiency_run(config: ExperimentConfig, d: np.ndarray, baseline: LogitFit, fits: dict | None) -> EfficiencyRun:
     """The efficiency reports, with el_empirical from the stage's columns
-    ``fits``; without them (no replications) analytic alone."""
+    ``fits``; without them (no replications) analytic alone. A ratio that
+    ``empirical_variance_ratio`` cannot take raises its RuntimeError again
+    naming the run and the theta* cell."""
     if fits is None:
         betas = [np.empty(0)] * (len(config.theta_grid) + 1)
     else:
         betas = [beta[converged] for beta, converged in zip(fits["beta_hat"], fits["converged"])]
     true_betas, masked_betas = betas[0], betas[1:]
-    reports = [
-        efficiency_report(d, baseline.params, dataclasses.replace(config.mask, theta_star=theta_star),
-                          el_empirical=None if fits is None else empirical_variance_ratio(true_betas, masked))
-        for theta_star, masked in zip(config.theta_values(), masked_betas)
-    ]
+    reports = []
+    for theta_star, masked in zip(config.theta_values(), masked_betas):
+        try:
+            ratio = None if fits is None else empirical_variance_ratio(true_betas, masked)
+        except RuntimeError as exc:
+            raise RuntimeError(f"efficiency stage on {_data_name(config)}, cell theta*={theta_star:g}: {exc}") from exc
+        spec = dataclasses.replace(config.mask, theta_star=theta_star)
+        reports.append(efficiency_report(d, baseline.params, spec, el_empirical=ratio))
     return EfficiencyRun(reports=reports, true_betas=true_betas, masked_betas=masked_betas)
 
 
@@ -674,11 +672,12 @@ def run_efficiency_experiment(config: ExperimentConfig, replications: int, worke
     the fixed-y attenuation records, which would give the true coordinates
     zero variance). Both sides are cells of one ``_run_cells`` stage in at
     most ``workers`` processes, under the attenuation run's failure policy:
-    a cell converging on under half of its replications raises
-    BatchConvergenceError, and fewer than MIN_CONVERGED_FITS converged fits
-    on either side of a ratio raises InsufficientDataError, both
-    RuntimeErrors. The centroid kind is refused (ValueError) before any data
-    is generated."""
+    a cell converging on under half of its replications, or fewer than
+    MIN_CONVERGED_FITS converged fits on either side of a ratio, is a run
+    that cannot finish and raises a RuntimeError naming the cell. Input the
+    run cannot take raises a ValueError: a baseline fit without an estimate
+    (InvalidFitError) and, before any data is generated, the centroid kind
+    and a replication count out of range."""
     if config.experiment == "centroid":
         raise ValueError("efficiency does not run the centroid kind; simulate writes no efficiency table for it")
     if replications and not MIN_CONVERGED_FITS <= replications <= MAX_INDEX:

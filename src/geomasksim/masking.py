@@ -63,23 +63,6 @@ BOUNDARY_POLICIES = ("unconstrained", "redraw")
 _BLOCK = 16384
 
 
-class BoundaryExhaustionError(RuntimeError):
-    """Redraw attempts ran out before a point landed inside the area."""
-
-    def __init__(self, point_indices, max_attempts):
-        self.point_indices = list(point_indices)
-        self.max_attempts = max_attempts
-        super().__init__(
-            f"masking exhausted {max_attempts} redraw attempts for point index(es) "
-            f"{self.point_indices[:10]}"
-        )
-
-    def __reduce__(self):
-        # rebuild from the constructor's arguments, so the error survives the
-        # pickle round trip from a pool worker to the parent
-        return type(self), (self.point_indices, self.max_attempts)
-
-
 @dataclass(frozen=True)
 class MaskSpec:
     """The geo-masking law: mechanism, maximum displacement, boundary policy."""
@@ -208,9 +191,8 @@ def mask_coordinates(xy: np.ndarray, spec: MaskSpec, bounds, stream: RngStream) 
     None under the unconstrained policy. Under the redraw
     policy every input point must start inside its bounds, which every call
     checks (``checked_bounds``); displacements are re-drawn until the
-    result falls back inside, up to ``spec.max_attempts`` per point, and
-    BoundaryExhaustionError names the points still outside when they run
-    out.
+    result falls back inside, up to ``spec.max_attempts`` per point, and a
+    RuntimeError names the points still outside when they run out.
     """
     xy = np.asarray(xy, dtype=np.float64)
     return mask_rows(xy, spec, checked_bounds(xy, spec, bounds), [stream.generator()])[0].T.copy()
@@ -225,8 +207,8 @@ def mask_rows(xy: np.ndarray, spec: MaskSpec, bounds, gens: list[Generator]) -> 
     of each row. It is the transpose of plane-major (2, R, n) storage, so
     the x and y planes stay C-contiguous and every offset, add and
     membership ufunc runs on (R, b) blocks of contiguous rows, b at most
-    ``_BLOCK``. When the redraw attempts run out, BoundaryExhaustionError
-    names the pending points of the lowest row still pending.
+    ``_BLOCK``. When the redraw attempts run out, a RuntimeError names the
+    pending points of the lowest row still pending.
     """
     x, y = xy[:, 0], xy[:, 1]
     draw, offsets, _ = _LAWS[spec.mechanism]
@@ -253,7 +235,8 @@ def mask_rows(xy: np.ndarray, spec: MaskSpec, bounds, gens: list[Generator]) -> 
     attempts = 1
     while rows.size:
         if attempts >= spec.max_attempts:
-            raise BoundaryExhaustionError(points[rows == rows[0]].tolist(), spec.max_attempts)
+            pending = points[rows == rows[0]][:10].tolist()
+            raise RuntimeError(f"masking exhausted {spec.max_attempts} redraw attempts for point index(es) {pending}")
         # rows is ascending, so each pending row's points are one run of it
         u = np.empty((2, rows.size))
         stop = 0

@@ -39,16 +39,6 @@ DEFAULT_GENERATING_PARAMS = LogitParams(1.0, -2.0)
 _LOWS = np.array([[UNIT_SQUARE.xmin], [UNIT_SQUARE.ymin]])  # the grid's low corner, as a column
 
 
-class OutOfGridError(ValueError):
-    """A point falls outside every grid cell."""
-
-    def __init__(self, point_indices):
-        self.point_indices = list(point_indices)
-        super().__init__(
-            f"{len(self.point_indices)} point(s) outside the grid, first index {self.point_indices[0]}"
-        )
-
-
 @dataclass(frozen=True)
 class MunicipalityGrid:
     """k x k equal square cells tiling ``UNIT_SQUARE`` from its (xmin, ymin)
@@ -81,7 +71,8 @@ class MunicipalityGrid:
         xmin, xmax, ymin, ymax = UNIT_SQUARE.bounds
         inside = (xy[:, 0] >= xmin) & (xy[:, 0] <= xmax) & (xy[:, 1] >= ymin) & (xy[:, 1] <= ymax)
         if not inside.all():
-            raise OutOfGridError(np.flatnonzero(~inside))
+            outside = np.flatnonzero(~inside)
+            raise ValueError(f"{outside.size} point(s) outside the grid, first index {outside[0]}")
         index = np.empty((2, xy.shape[0]), dtype=np.min_scalar_type(self.k - 1))
         for row, coord, low in ((0, xy[:, 0], xmin), (1, xy[:, 1], ymin)):
             # ix, then iy: clamp the outer max edge, then truncate (the offset is >= 0)

@@ -7,16 +7,32 @@ x-offsets then m y-offsets (gaussian mechanism), through numpy's own
 ``uniform``, ``random`` and ``normal``. The direction (cos delta, sin delta)
 of delta = 2 * pi * draw comes from the package's ``_direction``, the one
 place that evaluates it. The batched ``mask_coordinates`` must give the
-same bits for every row, however many rows it masks at once.
+same bits for every row, however many rows it masks at once. When its
+redraw attempts run out, ``mask_one`` raises its own ``Exhausted`` with
+every pending point; ``exhaustion_message`` is the text the kernel's
+RuntimeError gives for them.
 """
 
 import numpy as np
 
 from geomasksim.geometry import UNIT_SQUARE
-from geomasksim.masking import GAUSSIAN_CALIBRATION, BoundaryExhaustionError, _direction
+from geomasksim.masking import GAUSSIAN_CALIBRATION, _direction
 from geomasksim.population import build_municipality_grid
 
 BOUNDS_KINDS = ("none", "shared", "per-point")
+
+
+class Exhausted(Exception):
+    """The oracle ran out of redraw attempts with ``point_indices`` pending."""
+
+    def __init__(self, point_indices):
+        super().__init__(point_indices)
+        self.point_indices = point_indices
+
+
+def exhaustion_message(point_indices, max_attempts):
+    """The kernel's exhaustion text for the pending ``point_indices``."""
+    return f"masking exhausted {max_attempts} redraw attempts for point index(es) {point_indices[:10]}"
 
 
 def bounds_for(kind, xy):
@@ -83,7 +99,7 @@ def mask_one(xy, spec, bounds, gen):
     attempts = 1
     while pending.size:
         if attempts >= spec.max_attempts:
-            raise BoundaryExhaustionError(pending.tolist(), spec.max_attempts)
+            raise Exhausted(pending.tolist())
         out[pending] = xy[pending] + _offsets(spec, gen, pending.size)
         pending = pending[~_inside(out[pending], bounds if bounds.ndim == 1 else bounds[pending])]
         attempts += 1

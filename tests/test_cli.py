@@ -167,15 +167,16 @@ def test_simulate_single_point_theta_grid_skips_the_kde_plot(tmp_path, capsys):
 
 def test_simulate_batch_failure_exit_2(tmp_path, monkeypatch, capsys):
     import geomasksim.cli as cli
-    from geomasksim.experiments import BatchConvergenceError
+
+    message = "attenuation stage (fixed choices): cell theta*=0.5 converged on 25.0% of replications"
 
     def explode(config, workers):
-        raise BatchConvergenceError(0.5, 0.25, "attenuation")
+        raise RuntimeError(message)
 
     monkeypatch.setattr(cli, "run_experiment", explode)
     cfg = _config_file(tmp_path)
     assert main(["simulate", "--config", cfg]) == EXIT_RUNTIME
-    assert "runtime failure" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"runtime failure: {message}\n"
 
 
 
@@ -415,7 +416,7 @@ max_attempts = 1
 
 
 def test_simulate_masking_exhaustion_exit_2_in_pool(tmp_path, capsys, monkeypatch):
-    # the worker's BoundaryExhaustionError must reach the parent intact, the
+    # the worker's masking exhaustion must reach the parent intact, the
     # same failure at every worker count, and leave no worker behind
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)  # pools of 2 and 3 on any host
     cfg = _config_file(tmp_path, EXHAUSTING)

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geomasksim.config import (
-    ConfigError,
     RunOptions,
     config_hash,
     parse_config,
@@ -56,12 +55,12 @@ def test_minimal_config_defaults(tmp_path):
 
 
 def test_kind_required(tmp_path):
-    with pytest.raises(ConfigError, match="kind"):
+    with pytest.raises(ValueError, match="kind"):
         parse_config(_write(tmp_path, "[experiment]\nseed = 1\n"))
 
 
 def test_missing_file():
-    with pytest.raises(ConfigError, match="not found"):
+    with pytest.raises(ValueError, match="not found"):
         parse_config("/nonexistent/run.ini")
 
 
@@ -129,45 +128,45 @@ def test_file_and_library_give_a_kind_the_same_defaults(tmp_path, kind, k):
 
 
 def test_unknown_section_and_key(tmp_path):
-    with pytest.raises(ConfigError, match=r"unknown section \[extras\]"):
+    with pytest.raises(ValueError, match=r"unknown section \[extras\]"):
         parse_config(_write(tmp_path, MINIMAL + "\n[extras]\nfoo = 1\n"))
-    with pytest.raises(ConfigError, match="unknown key 'foo'"):
+    with pytest.raises(ValueError, match="unknown key 'foo'"):
         parse_config(_write(tmp_path, "[experiment]\nkind = csr-population\nfoo = 1\n"))
 
 
 def test_duplicate_key_names_line(tmp_path):
     text = "[experiment]\nkind = csr-population\nseed = 1\nseed = 2\n"
-    with pytest.raises(ConfigError, match="line"):
+    with pytest.raises(ValueError, match="line"):
         parse_config(_write(tmp_path, text))
 
 
 def test_fraction_range_error(tmp_path):
-    with pytest.raises(ConfigError, match=r"\[grid\] fractions"):
+    with pytest.raises(ValueError, match=r"\[grid\] fractions"):
         parse_config(_write(tmp_path, MINIMAL + "\n[grid]\nfractions = 0.5, 1.5\n"))
-    with pytest.raises(ConfigError, match=r"\[grid\] fractions"):
+    with pytest.raises(ValueError, match=r"\[grid\] fractions"):
         parse_config(_write(tmp_path, MINIMAL + "\n[grid]\nfractions = 0.5, 0.2\n"))
 
 
 def test_bad_value_messages_name_field(tmp_path):
-    with pytest.raises(ConfigError, match=r"\[population\] n"):
+    with pytest.raises(ValueError, match=r"\[population\] n"):
         parse_config(_write(tmp_path, MINIMAL + "\n[population]\nn = many\n"))
-    with pytest.raises(ConfigError, match=r"\[population\] n"):
+    with pytest.raises(ValueError, match=r"\[population\] n"):
         parse_config(_write(tmp_path, MINIMAL + "\n[population]\nn = 0\n"))
-    with pytest.raises(ConfigError, match=r"\[mask\] mechanism"):
+    with pytest.raises(ValueError, match=r"\[mask\] mechanism"):
         parse_config(_write(tmp_path, MINIMAL + "\n[mask]\nmechanism = jitter\n"))
-    with pytest.raises(ConfigError, match=r"\[experiment\] seed"):
+    with pytest.raises(ValueError, match=r"\[experiment\] seed"):
         parse_config(_write(tmp_path, MINIMAL.replace("kind = csr-population", "kind = csr-population\nseed = -3")))
-    with pytest.raises(ConfigError, match=r"\[experiment\] kind"):
+    with pytest.raises(ValueError, match=r"\[experiment\] kind"):
         parse_config(_write(tmp_path, "[experiment]\nkind = jazz\n"))
 
 
 def test_facility_outside_area(tmp_path):
-    with pytest.raises(ConfigError, match="outside"):
+    with pytest.raises(ValueError, match="outside"):
         parse_config(_write(tmp_path, MINIMAL + "\n[population]\nfacility_x = 0.9\n"))
 
 
 def test_bad_boolean(tmp_path):
-    with pytest.raises(ConfigError, match=r"\[output\] write_plots"):
+    with pytest.raises(ValueError, match=r"\[output\] write_plots"):
         parse_run_options(_write(tmp_path, MINIMAL + "\n[output]\nwrite_plots = maybe\n"))
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geomasksim.cli import EXIT_OK, EXIT_VALIDATION, main
-from geomasksim.config import ConfigError, RunOptions, parse_config, parse_run_options, serialize_config
+from geomasksim.config import RunOptions, parse_config, parse_run_options, serialize_config
 from geomasksim.experiments import EXPERIMENTS, ExperimentConfig
 from geomasksim.geometry import UNIT_SQUARE, Point
 from geomasksim.logit import LogitParams
@@ -75,7 +75,7 @@ def _config_text(kind, section, key, value):
 def test_rejected_value(tmp_path, capsys, kind, section, key, value, build):
     path = tmp_path / "run.ini"
     path.write_text(_config_text(kind, section, key, value), encoding="utf-8")
-    with pytest.raises(ConfigError, match=f"^\\[{section}\\] {key}: "):
+    with pytest.raises(ValueError, match=f"^\\[{section}\\] {key}: "):
         parse_config(path)
 
     assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_VALIDATION
@@ -145,7 +145,7 @@ def test_run_option_rejected_with_its_own_rule(tmp_path, capsys, section, key, v
     path = tmp_path / "run.ini"
     path.write_text(_config_text("csr-population", section, key, value), encoding="utf-8")
     parse_config(path)
-    with pytest.raises(ConfigError, match=f"^\\[{section}\\] {key}: "):
+    with pytest.raises(ValueError, match=f"^\\[{section}\\] {key}: "):
         parse_run_options(path)
 
     assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_VALIDATION

@@ -294,8 +294,15 @@ def test_plot_curve_without_data_rows_exit_1_naming_the_file(tmp_path):
         (["0.1,1.0,0.1,1.0,1.0,1.0,abc,xyz"], ":2: could not convert string to float: 'abc'"),
         (["0.1,1.0,0.1,1.0,1.0,1.0,0.5,xyz"], ":2: could not convert string to float: 'xyz'"),
         (["0.5,1.0,0.1,1.0,1.0,1.0,,", "0.1,1.0,0.1,1.0,1.0,1.0,,"], ": curve rows must be sorted by theta_star"),
+        # each efficiency value is checked as a number: el_analytic in (0, 1]
+        # as EfficiencyReport's, el_empirical finite and positive
+        (["0.1,1.0,0.1,1.0,1.0,1.0,5,nan"], ":2: el_analytic must lie in (0, 1], got 5.0"),
+        (["0.1,1.0,0.1,1.0,1.0,1.0,0.5,nan"], ":2: el_empirical must be finite and positive, got nan"),
+        (["0.1,1.0,0.1,1.0,1.0,1.0,0.5,1.2", "0.2,1.0,0.1,1.0,1.0,1.0,0.4,-0.1"],
+         ":3: el_empirical must be finite and positive, got -0.1"),
     ],
-    ids=["el-analytic-not-a-number", "el-empirical-not-a-number", "out-of-theta-order"],
+    ids=["el-analytic-not-a-number", "el-empirical-not-a-number", "out-of-theta-order",
+         "el-analytic-out-of-range", "el-empirical-nan", "el-empirical-negative"],
 )
 def test_plot_on_a_curve_it_cannot_read_exits_1_naming_the_file(tmp_path, rows, message):
     curve = tmp_path / "curve.csv"
@@ -310,22 +317,52 @@ def test_plot_on_a_curve_it_cannot_read_exits_1_naming_the_file(tmp_path, rows, 
 
 
 @pytest.mark.parametrize(
-    "argv, population",
+    "argv, population, run_and_cell",
     [
-        # the cells pass the 50% rule, but one masked cell keeps 29 of its 30 fits
-        (["efficiency", "--empirical-reps", "30"], "seed = 0\n[population]\nn = 12\n"),
-        (["simulate"], "seed = 0\nreplications = 30\n[population]\nn = 20\n"),
+        # the cells pass the 50% rule, but one masked cell keeps 29 of its 30
+        # fits; the line names the run and that cell
+        (["efficiency", "--empirical-reps", "30"], "seed = 0\n[population]\nn = 12\n",
+         "(csr-population, n=12, seed=0), cell theta*=0.0707"),
+        (["simulate"], "seed = 0\nreplications = 30\n[population]\nn = 20\n",
+         "(csr-population, n=20, seed=0), cell theta*=0.4949"),
     ],
     ids=["efficiency", "simulate"],
 )
-def test_too_few_converged_efficiency_fits_exit_2_and_write_nothing(tmp_path, argv, population):
+def test_too_few_converged_efficiency_fits_exit_2_and_write_nothing(tmp_path, argv, population, run_and_cell):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[experiment]\nkind = csr-population\n" + population, encoding="utf-8")
     out = tmp_path / "out"
     code, err = _run([*argv, "--config", str(cfg), "--out-dir", str(out)])
     _assert_contract(code, err)
     assert code == EXIT_RUNTIME
-    assert err == "runtime failure: need >= 30 converged fits on each side, got 30 true / 29 masked\n"
+    assert err == (f"runtime failure: efficiency stage on the generated data {run_and_cell}: "
+                   "need >= 30 converged fits on each side, got 30 true / 29 masked\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_choices_changed_during_a_run_exit_2_and_write_nothing(tmp_path, monkeypatch, workers):
+    # a fit that writes into the fixed choices breaks the fixed-y contract:
+    # a run that cannot finish, in-process or in a pool worker
+    import geomasksim.experiments as exp
+
+    real_fit_rows = exp.fit_rows
+
+    def tampering(d, y, **kw):
+        if y.ndim == 1:  # the fixed choices, not an efficiency block's redrawn rows
+            y[0] = not y[0]
+        return real_fit_rows(d, y, **kw)
+
+    monkeypatch.setattr(exp, "fit_rows", tampering)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)  # a pool on any host
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[experiment]\nkind = csr-population\nreplications = 10\n[population]\nn = 150\n",
+                   encoding="utf-8")
+    out = tmp_path / "out"
+    code, err = _run(["simulate", "--config", str(cfg), "--out-dir", str(out), "--workers", workers])
+    _assert_contract(code, err)
+    assert code == EXIT_RUNTIME
+    assert err == "runtime failure: choice vector changed after baseline; fixed-y contract violated\n"
     assert not out.exists()
 
 

@@ -20,7 +20,6 @@ from geomasksim.experiments import (
     FIXED_AREA_REFERENCE_RADIUS,
     RECORD_COLUMNS,
     AttenuationCurve,
-    BatchConvergenceError,
     CurveRow,
     ExperimentConfig,
     _add_flags,
@@ -30,7 +29,7 @@ from geomasksim.experiments import (
     run_experiment,
 )
 from geomasksim.efficiency import efficiency_report
-from geomasksim.geometry import Point, facility_distances
+from geomasksim.geometry import UNIT_SQUARE, Point, facility_distances
 from geomasksim.logit import Z_95, fit_distance_choice, wald_ci
 from geomasksim.masking import MECHANISMS, MaskSpec
 from geomasksim.population import MunicipalityGrid, assign_to_centroid, build_municipality_grid
@@ -474,8 +473,34 @@ def test_fork_pool_names_how_a_lost_worker_ended(monkeypatch, end, how):
 
     monkeypatch.setattr(exp, "_replicate_block", dying)
     message = rf"^a worker process died before the run finished \(pid \d+, {how}\)$"
-    with pytest.raises(exp.WorkerLostError, match=message):
+    with pytest.raises(RuntimeError, match=message):
         run()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="only Linux forks a pool")
+def test_a_workers_masking_exhaustion_reaches_the_parent_with_its_text():
+    # a builtin exception crosses the result pipe's pickle as it is: the pool
+    # raises the lowest failing task's exhaustion, the error an in-process
+    # run raises, with its text, and leaves no child behind
+    import geomasksim.experiments as exp
+
+    xy = np.random.default_rng(49).uniform(-0.5, 0.5, size=(50, 2))
+    y = np.random.default_rng(50).random(50) < 0.5
+    payload = {
+        "xy": xy, "facility": Point(0.0, 0.0), "bounds": np.asarray(UNIT_SQUARE.bounds), "seed": 42, "y": y,
+        "y_copy": y.copy(), "prob": None, "base_spec": MaskSpec(boundary="redraw", max_attempts=1),
+        "generators": GeneratorPool(),
+    }
+    tasks = [(c, 2.0, r, r + 1, True) for c in range(4) for r in range(2)]
+    with pytest.raises(RuntimeError) as in_process:
+        exp._replicate_block(tasks[0], payload)
+    with pytest.raises(RuntimeError) as pooled:
+        exp._fork_pool(tasks, payload, 2)
+    assert type(pooled.value) is RuntimeError
+    assert str(pooled.value) == str(in_process.value)
+    assert str(pooled.value).startswith("masking exhausted 1 redraw attempts for point index(es) [")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="only Linux forks a pool")
@@ -623,9 +648,8 @@ def test_batch_convergence_error(monkeypatch):
         return fits
 
     monkeypatch.setattr(exp, "fit_rows", always_singular)
-    with pytest.raises(BatchConvergenceError) as info:
-        _run = exp.run_experiment(_config(replications=8, theta_grid=(0.5,)))
-    assert info.value.rate == 0.0
+    with pytest.raises(RuntimeError, match=r"converged on 0\.0% of replications$"):
+        exp.run_experiment(_config(replications=8, theta_grid=(0.5,)))
 
 
 def test_batch_convergence_error_names_its_stage(monkeypatch):
@@ -635,13 +659,11 @@ def test_batch_convergence_error_names_its_stage(monkeypatch):
 
     monkeypatch.setattr(exp, "fit_rows", _singular_rows(lambda d: np.ndim(d) == 2))
     cfg = _config(n=150, theta_grid=(0.0,), replications=30)
-    with pytest.raises(BatchConvergenceError) as attenuation:
+    with pytest.raises(RuntimeError) as attenuation:
         run_experiment(cfg)
-    with pytest.raises(BatchConvergenceError) as efficiency:
+    with pytest.raises(RuntimeError) as efficiency:
         run_efficiency_experiment(cfg, replications=30)
-    assert attenuation.value.stage == "attenuation"
     assert str(attenuation.value) == "attenuation stage (fixed choices): cell theta*=0 converged on 0.0% of replications"
-    assert efficiency.value.stage == "efficiency"
     assert str(efficiency.value) == "efficiency stage (regenerated choices): cell theta*=0 converged on 0.0% of replications"
 
 
@@ -776,6 +798,22 @@ def test_curve_row_validation():
         CurveRow(0.1, 2.0, 0.1, 10.0, 10.0, 1.5)
     with pytest.raises(ValueError):
         AttenuationCurve(rows=(CurveRow(0.5, 2.0, 0.1, 0.0, 0.0, 1.0), CurveRow(0.1, 2.0, 0.1, 0.0, 0.0, 1.0)))
+
+
+@pytest.mark.parametrize("el_analytic", [0.0, -0.5, 1.5, math.nan, math.inf])
+def test_curve_row_el_analytic_lies_in_the_efficiency_reports_range(el_analytic):
+    # EfficiencyReport's (0, 1] rule
+    with pytest.raises(ValueError, match=re.escape(f"el_analytic must lie in (0, 1], got {el_analytic}")):
+        CurveRow(0.1, 2.0, 0.1, 10.0, 10.0, 1.0, el_analytic=el_analytic)
+    assert CurveRow(0.1, 2.0, 0.1, 10.0, 10.0, 1.0, el_analytic=1.0).el_analytic == 1.0
+
+
+@pytest.mark.parametrize("el_empirical", [0.0, -1.0, math.nan, math.inf])
+def test_curve_row_el_empirical_is_finite_and_positive(el_empirical):
+    # a variance ratio may exceed 1, but it is a finite positive number
+    with pytest.raises(ValueError, match=f"el_empirical must be finite and positive, got {el_empirical}"):
+        CurveRow(0.1, 2.0, 0.1, 10.0, 10.0, 1.0, el_analytic=0.5, el_empirical=el_empirical)
+    assert CurveRow(0.1, 2.0, 0.1, 10.0, 10.0, 1.0, el_analytic=0.5, el_empirical=1.3).el_empirical == 1.3
 
 
 # --- centroid experiment ---
@@ -940,18 +978,17 @@ def _singular_rows(when):
 
 
 @pytest.mark.parametrize(
-    "when, theta_star, message",
+    "when, message",
     [
-        (lambda d: True, None, "true-coordinate cell"),
+        (lambda d: True, "true-coordinate cell"),
         # masked cells stack (rows, n) distances; the true cell shares one vector
-        (lambda d: np.ndim(d) == 2, 0.0, r"cell theta\*=0 "),
+        (lambda d: np.ndim(d) == 2, r"cell theta\*=0"),
     ],
     ids=["true-cell", "masked-cell"],
 )
-def test_efficiency_cell_convergence_rule(monkeypatch, when, theta_star, message):
+def test_efficiency_cell_convergence_rule(monkeypatch, when, message):
     import geomasksim.experiments as exp
 
     monkeypatch.setattr(exp, "fit_rows", _singular_rows(when))
-    with pytest.raises(BatchConvergenceError, match=message) as info:
+    with pytest.raises(RuntimeError, match=rf"^efficiency stage \(regenerated choices\): {message} converged on 0\.0% "):
         run_efficiency_experiment(_config(n=150), replications=30)
-    assert info.value.theta_star == theta_star and info.value.rate == 0.0

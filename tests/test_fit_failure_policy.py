@@ -5,11 +5,19 @@
 class, for both. No other module reads those two statuses, and the one
 ``except`` clause of the package that names a fit error is
 ``fit_baseline``'s, which adds the run's kind, n and seed to the message.
-A stand-in for a linter rule: both are read from the syntax tree, at any
+
+Every other failure is a builtin: a ValueError for input the run cannot
+take, a RuntimeError for a run that cannot finish. So ``InvalidFitError``
+is the one exception class the package defines, and ``cli.main``, which
+turns the two bases into exit codes 1 and 2, names builtin exception types
+alone in its ``except`` clauses.
+
+Stand-ins for linter rules: all are read from the syntax tree, at any
 depth, as in ``tests/test_no_pool_stack_imports.py``.
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
@@ -59,8 +67,78 @@ def fit_error_handlers(source: str) -> list[tuple[int, str | None, str]]:
     return found
 
 
+BUILTIN_ERRORS = {
+    name for name, value in vars(builtins).items() if isinstance(value, type) and issubclass(value, BaseException)
+}
+
+
+def _named(node) -> str | None:
+    """The name a class base or an except clause's type gives: ``x`` or ``a.x``."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def exception_classes(sources: list[str]) -> list[str]:
+    """Names of the classes ``sources`` define whose bases are builtin
+    exception types or, through any chain, such classes of ``sources``."""
+    classes = [node for source in sources for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)]
+    found: list[str] = []
+    while new := [c.name for c in classes if c.name not in found
+                  and any(_named(base) in BUILTIN_ERRORS or _named(base) in found for base in c.bases)]:
+        found += new
+    return sorted(found)
+
+
+def main_handler_names(source: str) -> list[tuple[int, str | None]]:
+    """(line, name) of each type an ``except`` clause of the function
+    ``main`` names, alone, in a tuple or as an attribute; None for
+    anything else, a call or a subscript, say."""
+    found = []
+    for function in ast.walk(ast.parse(source)):
+        if isinstance(function, ast.FunctionDef) and function.name == "main":
+            for node in ast.walk(function):
+                if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                    types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                    found += [(node.lineno, t.id if isinstance(t, ast.Name) else None) for t in types]
+    return found
+
+
 def test_logit_has_one_error_class():
     assert FIT_ERRORS == {"InvalidFitError"}
+
+
+def test_the_error_checkers_flag_what_they_should():
+    sources = [
+        "class InvalidFitError(ValueError):\n    pass\n"
+        "class Deeper(InvalidFitError):\n    pass\n"
+        "class Plain:\n    pass\n",
+        "import configparser\n"
+        "class ConfigError(configparser.Error, KeyError):\n    pass\n"
+        "def main():\n"
+        "    try:\n"
+        "        pass\n"
+        "    except (OSError, ValueError):\n"
+        "        pass\n"
+        "    except logit.InvalidFitError:\n"
+        "        pass\n"
+        "    except _CliError:\n"
+        "        pass\n"
+        "    except ERRORS[0]:\n"
+        "        pass\n"
+        "    except:\n"
+        "        pass\n",
+    ]
+    assert exception_classes(sources) == ["ConfigError", "Deeper", "InvalidFitError"]
+    assert main_handler_names(sources[1]) == [(7, "OSError"), (7, "ValueError"), (9, None), (11, "_CliError"), (13, None)]
+
+
+def test_the_package_defines_one_exception_class():
+    sources = [path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))]
+    assert exception_classes(sources) == ["InvalidFitError"]
+
+
+def test_cli_main_catches_builtin_exception_types_alone():
+    names = main_handler_names((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    assert names and all(name in BUILTIN_ERRORS for _, name in names), names
 
 
 def test_the_checkers_flag_what_they_should():

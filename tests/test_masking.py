@@ -10,7 +10,6 @@ from scipy import stats
 from geomasksim.geometry import UNIT_SQUARE, Point, facility_distances
 from geomasksim.masking import (
     GAUSSIAN_CALIBRATION,
-    BoundaryExhaustionError,
     _BLOCK,
     _LAWS,
     MaskSpec,
@@ -23,7 +22,7 @@ from geomasksim.masking import (
 from geomasksim.population import GridCells, build_municipality_grid
 from geomasksim.rng import GeneratorPool, derive_stream
 
-from mask_oracle import BOUNDS_KINDS, bounds_for, mask_one
+from mask_oracle import BOUNDS_KINDS, Exhausted, bounds_for, exhaustion_message, mask_one
 
 SQUARE = np.asarray(UNIT_SQUARE.bounds)
 TWO_PI = 2.0 * math.pi
@@ -209,30 +208,18 @@ def test_redraw_requires_start_inside():
         mask_coordinates(np.array([[0.5, 0.5]]), MaskSpec(theta_star=0.1, boundary="redraw"), bounds, derive_stream(0, 0, 0))
 
 
-def test_redraw_exhaustion():
-    # the point sits at the low corner of its cell of a 2**30 x 2**30 grid,
+@pytest.mark.parametrize("n", [1, 12])
+def test_redraw_exhaustion(n):
+    # the points sit at the low corner of their cell of a 2**30 x 2**30 grid,
     # [0, 2**-30] on each axis: acceptance probability ~ (1e-9/1)**2 per
-    # attempt, so 3 attempts always fail
-    xy = np.array([[0.0, 0.0]])
+    # attempt, so 3 attempts always fail; the message lists the first ten
+    xy = np.zeros((n, 2))
     bounds = build_municipality_grid(2**30).cells(xy)
-    assert bounds.index.dtype == np.uint32 and bounds.bounds().tolist() == [[0.0], [2**-30], [0.0], [2**-30]]
+    assert bounds.index.dtype == np.uint32 and bounds.bounds()[:, 0].tolist() == [0.0, 2**-30, 0.0, 2**-30]
     spec = MaskSpec(theta_star=1.0, boundary="redraw", max_attempts=3)
-    with pytest.raises(BoundaryExhaustionError) as info:
+    with pytest.raises(RuntimeError) as info:
         mask_coordinates(xy, spec, bounds, derive_stream(20, 0, 0))
-    assert info.value.point_indices == [0]
-    assert info.value.max_attempts == 3
-
-
-
-def test_redraw_exhaustion_survives_pickle():
-    # a pool worker's error reaches the parent through pickle
-    import pickle
-
-    err = BoundaryExhaustionError([4, 9, 11], 7)
-    back = pickle.loads(pickle.dumps(err))
-    assert type(back) is BoundaryExhaustionError
-    assert back.point_indices == [4, 9, 11] and back.max_attempts == 7
-    assert str(back) == str(err)
+    assert str(info.value) == f"masking exhausted 3 redraw attempts for point index(es) {list(range(min(n, 10)))}"
 
 
 @pytest.mark.parametrize("rows", [1, 3, 16])
@@ -326,16 +313,15 @@ def test_batched_exhaustion_names_the_oracles_row(max_attempts):
     for row, stream in enumerate(streams):
         try:
             mask_one(xy, spec, bounds, stream.generator())
-        except BoundaryExhaustionError as exc:
+        except Exhausted as exc:
             failing[row] = exc.point_indices
     first = min(failing)
     # the setup is chosen so that the first failing row is not row 0 and no
     # other failing row pends on the same points
     assert first > 0 and all(failing[r] != failing[first] for r in failing if r != first)
-    with pytest.raises(BoundaryExhaustionError) as info:
+    with pytest.raises(RuntimeError) as info:
         mask_rows(xy, spec, checked_bounds(xy, spec, bounds), GeneratorPool().positioned(streams))
-    assert info.value.point_indices == failing[first]
-    assert info.value.max_attempts == max_attempts
+    assert str(info.value) == exhaustion_message(failing[first], max_attempts)
 
 
 @pytest.mark.parametrize("rows", [1, 3])
@@ -397,13 +383,12 @@ def test_theta_star_beyond_the_area_property(mechanism, boundary, bounds_kind, e
     for row, stream in enumerate(streams):
         try:
             expected.append(mask_one(xy, spec, bounds, stream.generator()))
-        except BoundaryExhaustionError as exc:
+        except Exhausted as exc:
             failing[row] = exc.point_indices
     if failing:
-        with pytest.raises(BoundaryExhaustionError) as info:
+        with pytest.raises(RuntimeError) as info:
             mask_rows(xy, spec, checked_bounds(xy, spec, bounds), GeneratorPool().positioned(streams))
-        assert info.value.point_indices == failing[min(failing)]
-        assert info.value.max_attempts == max_attempts
+        assert str(info.value) == exhaustion_message(failing[min(failing)], max_attempts)
         return
     out = mask_rows(xy, spec, checked_bounds(xy, spec, bounds), GeneratorPool().positioned(streams))
     for row, want in zip(out, expected):
